@@ -18,6 +18,7 @@ from .weyl import (
     ExtAffineWeylElement,
     act_on_affine_root,
     canonical_reflection_key,
+    closure,
     double_coset_min_rep,
     enumerate_ball,
     length,
@@ -198,16 +199,7 @@ def stabilizer_group(ambient: AffineRootSystem, x: Vec) -> frozenset[ExtAffineWe
     gens = [
         ExtAffineWeylElement.reflection(ambient, a) for a in stabilizer_of_point(ambient, x)
     ]
-    group = {ExtAffineWeylElement.identity(ambient)}
-    frontier = list(group)
-    while frontier:
-        g = frontier.pop()
-        for s in gens:
-            h = s * g
-            if h not in group:
-                group.add(h)
-                frontier.append(h)
-    return frozenset(group)
+    return frozenset(closure(ExtAffineWeylElement.identity(ambient), gens))
 
 
 @dataclass(frozen=True)

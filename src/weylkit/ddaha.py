@@ -199,7 +199,6 @@ def _push(algebra: DdahaAlgebra, f: Poly, letters: tuple[int, ...]) -> dict:
         return {ExtAffineWeylElement.identity(algebra.ambient): f}
     l, rest = letters[0], letters[1:]
     crossed = cross_multiply(algebra, l, f)
-    s = ExtAffineWeylElement.simple(algebra.ambient, l)
     out = {}
     for g, p in crossed.terms:
         for w, q in _push(algebra, p, rest).items():

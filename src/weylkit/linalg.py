@@ -36,6 +36,12 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
+def frac_str(x) -> str:
+    """A rational as "p/q", or "p" when it is an integer."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
 def mat(rows) -> Mat:
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 

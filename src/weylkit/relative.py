@@ -14,10 +14,12 @@ from . import linalg
 from .root_system import AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
-    act_on_affine_root,
+    NotAReflection,
     canonical_reflection_key,
+    closure,
     coxeter_order,
     has_left_descent,
+    has_right_descent,
     length,
     min_coset_rep,
     reflection_root_of,
@@ -76,16 +78,14 @@ class ParabolicSubset:
         if not self.is_finite():
             raise NotFinite(f"W_Sigma is infinite for Sigma = {sorted(self.sigma)}")
         if self._longest is None:
+            # climb right ascents, lowest label first, up to w0^Sigma
+            labels = sorted(self.sigma)
             g = ExtAffineWeylElement.identity(self.ambient)
-            progress = True
-            while progress:
-                progress = False
-                for l in sorted(self.sigma):
-                    a = self.ambient.simple_by_label(l)
-                    if act_on_affine_root(g, a).is_positive():
-                        g = g * ExtAffineWeylElement.simple(self.ambient, l)
-                        progress = True
-                        break
+            while True:
+                l = next((l for l in labels if not has_right_descent(g, l)), None)
+                if l is None:
+                    break
+                g = g * ExtAffineWeylElement.simple(self.ambient, l)
             self._longest = g
         return self._longest
 
@@ -102,16 +102,8 @@ class ParabolicSubset:
         return reflection_root_of(g) in self.reflections()
 
     def elements(self) -> frozenset[ExtAffineWeylElement]:
-        out = {ExtAffineWeylElement.identity(self.ambient)}
-        frontier = list(out)
-        while frontier:
-            g = frontier.pop()
-            for l in self.sigma:
-                h = g * ExtAffineWeylElement.simple(self.ambient, l)
-                if h not in out:
-                    out.add(h)
-                    frontier.append(h)
-        return frozenset(out)
+        gens = [ExtAffineWeylElement.simple(self.ambient, l) for l in sorted(self.sigma)]
+        return frozenset(closure(ExtAffineWeylElement.identity(self.ambient), gens))
 
 
 def is_parabolic_finite(ambient: AffineRootSystem, sigma) -> bool:
@@ -211,7 +203,7 @@ def in_relative_group(ambient: AffineRootSystem, g: ExtAffineWeylElement, sigma)
         try:
             if not base.contains_reflection(g * s * ginv):
                 return False
-        except Exception:
+        except NotAReflection:
             return False
     return True
 
@@ -230,16 +222,7 @@ def relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> li
 def relative_length(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> int:
     if not in_relative_group(rel.ambient, g, rel.base.sigma):
         raise NotInRelativeGroup(f"element is not in the relative group of {rel.base}")
-    count = 0
-    while not g.is_identity():
-        ds = relative_descents(rel, g)
-        if not ds:
-            raise NotInRelativeGroup(
-                "no relative descent found; element is outside the relative group"
-            )
-        g = rel.simples[ds[0]] * g
-        count += 1
-    return count
+    return len(relative_reduced_word(rel, g))
 
 
 def relative_reduced_word(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> tuple[int, ...]:
@@ -255,19 +238,36 @@ def relative_reduced_word(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -
 
 def relative_ball(rel: RelativeCoxeterSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
     """Elements of W-tilde with relative length <= radius."""
-    e = ExtAffineWeylElement.identity(rel.ambient)
-    ball = {e: 0}
-    frontier = [e]
-    for dist in range(1, radius + 1):
-        nxt = []
-        for g in frontier:
-            for st in rel.simples.values():
-                h = st * g
-                if h not in ball:
-                    ball[h] = dist
-                    nxt.append(h)
-        frontier = nxt
-    return ball
+    return closure(ExtAffineWeylElement.identity(rel.ambient), rel.simples.values(), radius)
+
+
+def dihedral_ball_sizes(order, radius: int) -> list[int]:
+    """Ball growth of a rank-2 Coxeter group from its single order entry
+    (None meaning infinite): the independent oracle for rank <= 2."""
+    sizes = [1]
+    for k in range(1, radius + 1):
+        if order is None or k < order:
+            sizes.append(2)
+        elif k == order:
+            sizes.append(1)
+        else:
+            sizes.append(0)
+    return sizes
+
+
+def coxeter_ball_sizes_from_matrix(labels, matrix, radius: int) -> list[int]:
+    """Sphere sizes 0..radius of a Coxeter group given by its Coxeter matrix,
+    computed without enumerating the group."""
+    if len(labels) == 0:
+        return [1] + [0] * radius
+    if len(labels) == 1:
+        return [1, 1] + [0] * (radius - 1) if radius >= 1 else [1]
+    if len(labels) == 2:
+        s, t = labels
+        return dihedral_ball_sizes(matrix[(s, t)], radius)
+    raise NotImplementedError(
+        "independent ball oracle implemented for relative rank <= 2 only"
+    )
 
 
 # ---------------------------------------------------------------------------

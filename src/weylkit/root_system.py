@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .linalg import Mat, Vec, dot, mat_inv, mat_vec, vec_scale, vec_sub
+from .linalg import Mat, Vec, dot, frac_str, mat_inv, mat_vec, vec_scale, vec_sub
 
 
 class IllegalType(ValueError):
@@ -117,8 +117,6 @@ class FiniteRootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     gram_matrix: Mat  # scalar products of simple roots
     roots: tuple[tuple[int, ...], ...]  # all roots, simple-root coordinates
-    weight_lattice_basis: tuple[Vec, ...]  # fundamental weights, root coordinates
-    root_lattice_basis: tuple[Vec, ...]
     gram_coweight: Mat = field(repr=False)  # scalar products of points (coweight basis)
 
     # -- pairings ---------------------------------------------------------
@@ -174,30 +172,6 @@ class FiniteRootSystem:
 
     def highest_root(self) -> tuple[int, ...]:
         return max(self.positive_roots(), key=lambda r: (sum(r), r))
-
-    def simple_reflection_matrix(self, i: int) -> Mat:
-        """Matrix of s_{alpha_i} on V* in the simple-root basis (0-based i)."""
-        n = self.rank
-        rows = []
-        for k in range(n):
-            row = []
-            for j in range(n):
-                v = Fraction(1 if k == j else 0)
-                if k == i:
-                    v -= self.cartan_matrix[j][i]
-                row.append(v)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def reflect_root(self, root, by) -> tuple[int, ...]:
-        """s_by(root) for two roots, in simple-root coordinates."""
-        c = 2 * self.inner(by, root) / self.inner(by, by)
-        return tuple(int(a - c * b) for a, b in zip(root, by))
-
-    def weyl_group_order_bound(self) -> int:
-        return {"A": 1, "B": 2, "C": 2, "D": 2, "E": 8, "F": 4, "G": 2, "BC": 2}[
-            self.type_label
-        ]
 
 
 def build_finite(type_label: str, rank: int) -> FiniteRootSystem:
@@ -258,9 +232,6 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
             if img not in roots:
                 frontier.append(img)
 
-    inv_cartan = mat_inv(linalg.mat(cartan))
-    # fundamental weight i in root coordinates is row i of the inverse Cartan
-    weights = tuple(tuple(inv_cartan[i][j] for j in range(n)) for i in range(n))
     # Gram of points in the coweight basis is the inverse functional Gram.
     gram_coweight = mat_inv(gram)
 
@@ -270,8 +241,6 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
         cartan_matrix=cartan,
         gram_matrix=gram,
         roots=tuple(sorted(roots)),
-        weight_lattice_basis=weights,
-        root_lattice_basis=tuple(linalg.identity(n)),
         gram_coweight=gram_coweight,
     )
 
@@ -534,25 +503,16 @@ def root_data_to_json(finite: FiniteRootSystem) -> dict:
         "type": finite.type_label,
         "rank": finite.rank,
         "cartan": [list(row) for row in finite.cartan_matrix],
-        "gram": [[_frac_str(e) for e in row] for row in finite.gram_matrix],
+        "gram": [[frac_str(e) for e in row] for row in finite.gram_matrix],
     }
 
 
 def root_data_from_json(data: dict) -> FiniteRootSystem:
     finite = build_finite(data["type"], int(data["rank"]))
     cartan = tuple(tuple(int(e) for e in row) for row in data["cartan"])
-    gram = tuple(tuple(_parse_frac(e) for e in row) for row in data["gram"])
+    gram = tuple(tuple(Fraction(e) for e in row) for row in data["gram"])
     if cartan != finite.cartan_matrix:
         raise ValueError("Cartan matrix does not match the stated type")
     if gram != finite.gram_matrix:
         raise ValueError("Gram matrix does not match the documented normalisation")
     return finite
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _parse_frac(s) -> Fraction:
-    return Fraction(s)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .linalg import Mat, Vec, dot, mat_inv, mat_mul, mat_vec, transpose
+from .linalg import Mat, Vec, dot, frac_str, mat_inv, mat_mul, mat_vec, transpose
 from .root_system import AffineRoot, AffineRootSystem
 
 
@@ -205,22 +205,31 @@ def _delta_permutation(pi: ExtAffineWeylElement) -> dict[int, int]:
     return out
 
 
+def _strip_descents(
+    g: ExtAffineWeylElement, labels, side: str
+) -> tuple[ExtAffineWeylElement, tuple[int, ...]]:
+    """Strip descents of g among `labels` on `side` ('left' or 'right'),
+    always the lowest such label first, until none is left.  Returns (h,
+    letters) with g = s_{l1} ... s_{lq} h on the left, or g = h s_{lq} ...
+    s_{l1} on the right."""
+    labels = sorted(labels)
+    is_descent = has_left_descent if side == "left" else has_right_descent
+    letters = []
+    while True:
+        label = next((l for l in labels if is_descent(g, l)), None)
+        if label is None:
+            return g, tuple(letters)
+        s = ExtAffineWeylElement.simple(g.ambient, label)
+        g = s * g if side == "left" else g * s
+        letters.append(label)
+
+
 def reduced_word(g: ExtAffineWeylElement) -> ReducedWord:
     """Greedy left-descent stripping, lowest simple label first."""
-    letters = []
-    h = g
-    while True:
-        for label in sorted(h.ambient.labels):
-            if has_left_descent(h, label):
-                letters.append(label)
-                h = ExtAffineWeylElement.simple(h.ambient, label) * h
-                break
-        else:
-            break
     # g = s_{l1} ... s_{lq} * pi; rewrite with the automorphism in front.
-    pi = h
+    pi, letters = _strip_descents(g, g.ambient.labels, "left")
     if pi.is_identity():
-        return ReducedWord(g.ambient, pi, tuple(letters))
+        return ReducedWord(g.ambient, pi, letters)
     perm = _delta_permutation(pi)
     inv_perm = {v: k for k, v in perm.items()}
     conjugated = tuple(inv_perm[l] for l in letters)
@@ -229,16 +238,7 @@ def reduced_word(g: ExtAffineWeylElement) -> ReducedWord:
 
 def automorphism_part(g: ExtAffineWeylElement) -> ExtAffineWeylElement:
     """The length-0 component pi of g = w * pi with w in W_S."""
-    h = g
-    progress = True
-    while progress:
-        progress = False
-        for label in h.ambient.labels:
-            if has_left_descent(h, label):
-                h = ExtAffineWeylElement.simple(h.ambient, label) * h
-                progress = True
-                break
-    return h
+    return _strip_descents(g, g.ambient.labels, "left")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +358,7 @@ def _bruhat_ws(u, v, lu, lv):
 def min_coset_rep(g: ExtAffineWeylElement, sigma, side: str = "right") -> ExtAffineWeylElement:
     """Minimal-length representative of g W_Sigma (side='right') or
     W_Sigma g (side='left'), obtained by stripping descents in Sigma."""
-    sigma = sorted(sigma)
-    progress = True
-    while progress:
-        progress = False
-        for label in sigma:
-            if side == "right" and has_right_descent(g, label):
-                g = g * ExtAffineWeylElement.simple(g.ambient, label)
-                progress = True
-                break
-            if side == "left" and has_left_descent(g, label):
-                g = ExtAffineWeylElement.simple(g.ambient, label) * g
-                progress = True
-                break
-    return g
+    return _strip_descents(g, sigma, side)[0]
 
 
 def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAffineWeylElement:
@@ -383,24 +370,38 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
         g = h
 
 
+def closure(
+    start: ExtAffineWeylElement, gens, radius: int | None = None, cap: int = 10**6
+) -> dict[ExtAffineWeylElement, int]:
+    """Breadth-first search from `start` by left multiplication with `gens`:
+    every element at most `radius` steps away (all of them when radius is
+    None), mapped to its distance.  More than `cap` elements raise
+    BallTooLarge."""
+    gens = list(gens)
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = s * g
+                if h not in dist:
+                    dist[h] = d
+                    nxt.append(h)
+                    if len(dist) > cap:
+                        raise BallTooLarge(f"ball exceeds cap of {cap} elements")
+        frontier = nxt
+    return dist
+
+
 def enumerate_ball(
     ambient: AffineRootSystem, radius: int, cap: int = 10**6
 ) -> dict[ExtAffineWeylElement, int]:
     """All elements of W_S with length <= radius, mapped to their lengths."""
-    e = ExtAffineWeylElement.identity(ambient)
-    ball = {e: 0}
-    frontier = [e]
-    for dist in range(1, radius + 1):
-        nxt = []
-        for g in frontier:
-            for label in ambient.labels:
-                h = g * ExtAffineWeylElement.simple(ambient, label)
-                if h not in ball:
-                    ball[h] = dist
-                    nxt.append(h)
-                    if len(ball) > cap:
-                        raise BallTooLarge(f"ball exceeds cap of {cap} elements")
-        frontier = nxt
+    gens = [ExtAffineWeylElement.simple(ambient, l) for l in ambient.labels]
+    ball = closure(ExtAffineWeylElement.identity(ambient), gens, radius, cap)
     for g, d in ball.items():
         assert length(g) == d
     return ball
@@ -426,13 +427,9 @@ def coxeter_order(
 
 
 def element_to_json(g: ExtAffineWeylElement) -> dict:
-    def fstr(x):
-        x = Fraction(x)
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
     return {
-        "mu": [fstr(c) for c in g.mu],
-        "w": [[fstr(c) for c in row] for row in g.matrix],
+        "mu": [frac_str(c) for c in g.mu],
+        "w": [[frac_str(c) for c in row] for row in g.matrix],
     }
 
 

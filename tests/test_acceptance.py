@@ -16,7 +16,7 @@ from weylkit import coxcomplex as cx
 from weylkit import ddaha as dd
 from weylkit import relative as rel
 from weylkit import spiral as spr
-from weylkit.cli import coxeter_ball_sizes_from_matrix
+from weylkit.relative import coxeter_ball_sizes_from_matrix
 from weylkit.poly import Poly, weyl_action
 from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import (

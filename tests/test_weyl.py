@@ -5,6 +5,7 @@ import pytest
 
 from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
+    BallTooLarge,
     DifferentComponents,
     ExtAffineWeylElement,
     NotAReflection,
@@ -12,6 +13,7 @@ from weylkit.weyl import (
     automorphism_part,
     bruhat_leq,
     canonical_reflection_key,
+    closure,
     coxeter_order,
     double_coset_min_rep,
     element_from_json,
@@ -83,6 +85,15 @@ def test_ball_sizes_affine_a1(aff_a1):
     ball = enumerate_ball(aff_a1, 5)
     # 1 + 2 per length level
     assert len(ball) == 11
+
+
+def test_closure_without_radius_hits_the_cap(aff_a1):
+    e = ExtAffineWeylElement.identity(aff_a1)
+    gens = [s(aff_a1, 0), s(aff_a1, 1)]
+    # the infinite dihedral group never closes: the cap ends the search
+    with pytest.raises(BallTooLarge):
+        closure(e, gens, cap=50)
+    assert closure(e, gens, radius=3) == enumerate_ball(aff_a1, 3)
 
 
 def test_longest_element_a2():
