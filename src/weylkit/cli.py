@@ -9,6 +9,7 @@ configurations produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -93,15 +94,22 @@ def _parse_frac_list(s) -> list[Fraction]:
 
 def _parse_c_map(s) -> dict[int, Fraction]:
     if isinstance(s, dict):
-        return {int(k): parse_frac(v) for k, v in s.items()}
+        items = list(s.items())
+    else:
+        items = []
+        for item in str(s).split(","):
+            if not item:
+                continue
+            if "=" not in item:
+                raise ConfigError(f"bad parameter entry {item!r}; use label=value")
+            items.append(item.split("=", 1))
     out = {}
-    for item in str(s).split(","):
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"bad parameter entry {item!r}; use label=value")
-        k, v = item.split("=", 1)
-        out[int(k)] = parse_frac(v)
+    for k, v in items:
+        try:
+            label = int(k)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad parameter label {k!r}; use an integer label") from exc
+        out[label] = parse_frac(v)
     return out
 
 
@@ -156,6 +164,9 @@ def resolve_config(args) -> dict:
             config[key] = int(config[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key} must be an integer") from exc
+    for key in ("radius", "depth"):
+        if config[key] < 0:
+            raise ConfigError(f"config key {key} must be non-negative, got {config[key]}")
     return config
 
 
@@ -167,13 +178,17 @@ def build_ambient(config) -> AffineRootSystem:
     return affinize(finite) if config["affine"] else finite_coxeter(finite)
 
 
-def _theta_vec(config, ambient):
+def _graded_datum(config, ambient) -> spr.GradedRootDatum:
     if config["theta"] is None:
-        return tuple(Fraction(0) for _ in range(ambient.rank))
-    theta = tuple(_parse_frac_list(config["theta"]))
-    if len(theta) != ambient.rank:
-        raise ConfigError(f"theta must have {ambient.rank} coordinates")
-    return theta
+        theta = tuple(Fraction(0) for _ in range(ambient.rank))
+    else:
+        theta = tuple(_parse_frac_list(config["theta"]))
+        if len(theta) != ambient.rank:
+            raise ConfigError(f"theta must have {ambient.rank} coordinates")
+    try:
+        return spr.GradedRootDatum(ambient.finite_base, theta, config["m"], config["d"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _lam0_vec(config, ambient):
@@ -359,9 +374,7 @@ def _spiral_rows(spiral, window):
 def cmd_spiral(args) -> tuple[int, str]:
     config = resolve_config(args)
     ambient = build_ambient(config)
-    datum = spr.GradedRootDatum(
-        ambient.finite_base, _theta_vec(config, ambient), config["m"], config["d"]
-    )
+    datum = _graded_datum(config, ambient)
     if getattr(args, "lam", None) is not None:
         lam = tuple(_parse_frac_list(args.lam))
         if len(lam) != ambient.rank:
@@ -606,9 +619,7 @@ def cmd_table(args) -> tuple[int, str]:
     if which == "facets":
         return _facets_table(config, ambient, "table.facets")
     if which == "spiral":
-        datum = spr.GradedRootDatum(
-            ambient.finite_base, _theta_vec(config, ambient), config["m"], config["d"]
-        )
+        datum = _graded_datum(config, ambient)
         lam = tuple(Fraction(0) for _ in range(ambient.rank))
         spiral = spr.spiral_from_cochar(datum, lam)
         rows = _spiral_rows(spiral, config["window"])
@@ -746,8 +757,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

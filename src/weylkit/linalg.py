@@ -1,7 +1,11 @@
 """Small exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
-returns fresh immutable values; nothing here ever touches a float.
+Vectors are tuples, matrices are tuples of row tuples, and entries are ints
+or Fractions.  Products (dot, mat_vec, mat_mul, vec_scale) and the
+eliminations return Fractions; vec_add, vec_sub and transpose keep the types
+of their entries.  Everything returns fresh immutable values; nothing here
+ever touches a float.  The integral group elements of `weyl` multiply with
+their own int-only kernels.
 """
 
 from fractions import Fraction

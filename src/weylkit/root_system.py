@@ -18,7 +18,7 @@ Coxeter system keeps labels 1..n.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .linalg import Mat, Vec, dot, frac_str, mat_inv, mat_vec, vec_scale, vec_sub
@@ -156,9 +156,19 @@ class FiniteRootSystem:
     def is_root(self, coords) -> bool:
         return tuple(coords) in self._root_set
 
-    @property
-    def _root_set(self):
+    @cached_property
+    def _root_set(self) -> frozenset:
         return frozenset(self.roots)
+
+    # -- the systems built on this one, once each -------------------------
+
+    @cached_property
+    def _affinization(self) -> "AffineRootSystem":
+        return _build_affinization(self)
+
+    @cached_property
+    def _coxeter_system(self) -> "AffineRootSystem":
+        return _build_finite_coxeter(self)
 
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r for r in self.roots if self.is_positive(r))
@@ -436,7 +446,18 @@ class AffineRootSystem:
 
 def affinize(finite: FiniteRootSystem) -> AffineRootSystem:
     """The affinisation: level-shifted copies of R with the parity twist for
-    roots in 2Q_R, based by Delta_0 together with a0 = 1 - theta."""
+    roots in 2Q_R, based by Delta_0 together with a0 = 1 - theta.  Built once
+    per finite system; every call returns the same object."""
+    return finite._affinization
+
+
+def finite_coxeter(finite: FiniteRootSystem) -> AffineRootSystem:
+    """Package a finite root system as a Coxeter system on its chamber.
+    Built once per finite system; every call returns the same object."""
+    return finite._coxeter_system
+
+
+def _build_affinization(finite: FiniteRootSystem) -> AffineRootSystem:
     _check_irreducible(finite)
     n = finite.rank
     theta = finite.highest_root()
@@ -461,8 +482,7 @@ def affinize(finite: FiniteRootSystem) -> AffineRootSystem:
     return sys
 
 
-def finite_coxeter(finite: FiniteRootSystem) -> AffineRootSystem:
-    """Package a finite root system as a Coxeter system on its chamber."""
+def _build_finite_coxeter(finite: FiniteRootSystem) -> AffineRootSystem:
     _check_irreducible(finite)
     n = finite.rank
     simples = tuple(

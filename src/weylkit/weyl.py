@@ -1,19 +1,32 @@
 """The (extended) affine Weyl group of an affinised root system.
 
-Elements are stored in the canonical form (translation, finite matrix): a
-coweight-lattice translation vector together with the exact integer matrix of
-the finite part acting on functionals in the simple-root basis.  All word and
-length algorithms reduce to inversion counting on affine roots, which is made
-finite by the bound |level| <= max over roots of |<root, translation>| + 1.
+Elements are stored in the canonical form (translation, finite matrix), both
+as tuples of Python ints: a translation vector in the coweight basis (it lies
+in the coweight lattice P^v) together with the matrix of the finite part
+acting on functionals in the simple-root basis (integral, since the finite
+part permutes the roots, also in types BC and G2).  Products and inverses are
+integer arithmetic; the matrix of the finite part acting on points is
+computed once per finite part and cached.  Actions on points and functionals
+take and return Fractions.
+
+The length is counted in closed form, root by root (Iwahori-Matsumoto); the
+level-by-level enumeration of inversions, `_inversions`, is kept for T(w) and
+as the oracle the closed form is tested against.  Word and descent
+algorithms reduce to the sign of one affine root image.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from . import linalg
-from .linalg import Mat, Vec, dot, frac_str, mat_inv, mat_mul, mat_vec, transpose
+from .linalg import Vec, dot, mat_inv, mat_mul, mat_vec, transpose
 from .root_system import AffineRoot, AffineRootSystem
+
+IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 
 class NotAReflection(ValueError):
@@ -28,23 +41,129 @@ class BallTooLarge(RuntimeError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# Integer kernels
+# ---------------------------------------------------------------------------
+
+
+def _integral(c) -> int:
+    """An int equal to c (an int, a Fraction or a rational string); ValueError
+    if c is not an integer."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    if q.denominator != 1:
+        raise ValueError(f"group element entry {c} is not an integer")
+    return q.numerator
+
+
+def _mat_vec(m: IntMat, v: IntVec) -> IntVec:
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 @lru_cache(maxsize=None)
-def _point_matrix(m: Mat) -> Mat:
-    """Matrix of the same isometry acting on points, given its action on
-    functionals: the inverse transpose."""
-    return mat_inv(transpose(m))
+def _identity(n: int) -> IntMat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _is_negative(vectors, v: IntVec) -> bool:
+    """Whether the root whose coordinates are the products of `vectors` with v
+    is negative.  A root has all coordinates of one sign, so the first nonzero
+    one decides and the rest are never computed."""
+    for row in vectors:
+        c = sum(map(mul, row, v))
+        if c:
+            return c < 0
+    raise ValueError("zero vector is not a root")
+
+
+class _SystemData:
+    """Group data built once per (finite system, affine flag): the simple
+    reflections by label; for every root alpha the first level n with
+    alpha + n in S+ and whether only odd levels are affine roots; and the
+    Gram matrix G and its inverse as integer matrices over one common
+    denominator, for the point matrices."""
+
+    def __init__(self, ambient: AffineRootSystem):
+        finite = ambient.finite_base
+        self.simples = {
+            l: ExtAffineWeylElement.reflection(ambient, a)
+            for l, a in zip(ambient.labels, ambient.simples)
+        }
+        self.roots = tuple(
+            (alpha, 0 if finite.is_positive(alpha) else 1, finite.in_two_q_r(alpha))
+            for alpha in finite.roots
+        )
+        gram, gram_inv = finite.gram_matrix, finite.gram_coweight
+        g_den = lcm(*(c.denominator for row in gram for c in row))
+        h_den = lcm(*(c.denominator for row in gram_inv for c in row))
+        self.gram = tuple(tuple(_integral(c * g_den) for c in row) for row in gram)
+        self.gram_inv = tuple(tuple(_integral(c * h_den) for c in row) for row in gram_inv)
+        self.gram_den = g_den * h_den
+
+
+_SYSTEM_DATA: dict[tuple, _SystemData] = {}
+
+
+def _system_data(ambient: AffineRootSystem) -> _SystemData:
+    finite = ambient.finite_base
+    key = (finite.type_label, finite.rank, ambient.affine)
+    data = _SYSTEM_DATA.get(key)
+    if data is None:
+        data = _SYSTEM_DATA[key] = _SystemData(ambient)
+    return data
+
+
+_POINT_MATRICES: dict[IntMat, IntMat] = {}
+_POINT_MATRICES_CAP = 1 << 16
+
+
+def _point_matrix(g: "ExtAffineWeylElement") -> IntMat:
+    """Matrix P of g's finite part acting on points, given its matrix m on
+    functionals: the inverse transpose, integral because the finite part
+    preserves P^v.  For an isometry of the Gram form G, P = G m G^-1, two
+    integer products; any other finite part is inverted.  Cached per finite
+    part, together with that of the inverse, which is m transposed; the
+    cache is emptied when it is full."""
+    m = g.matrix
+    p = _POINT_MATRICES.get(m)
+    if p is None:
+        data = _system_data(g.ambient)
+        den = data.gram_den
+        p = tuple(
+            tuple(c // den for c in row)
+            for row in _mat_mul(_mat_mul(data.gram, m), data.gram_inv)
+        )
+        mt = tuple(zip(*m))
+        if _mat_mul(mt, p) != _identity(len(m)):
+            p = tuple(tuple(map(_integral, row)) for row in mat_inv(mt))
+        if len(_POINT_MATRICES) >= _POINT_MATRICES_CAP:
+            _POINT_MATRICES.clear()
+        _POINT_MATRICES[m] = p
+        _POINT_MATRICES[tuple(zip(*p))] = mt
+    return p
+
+
+# ---------------------------------------------------------------------------
+# Elements
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExtAffineWeylElement:
     ambient: AffineRootSystem = field(compare=False)
-    mu: Vec = ()
-    matrix: Mat = ()
+    mu: IntVec = ()
+    matrix: IntMat = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(Fraction(c) for c in self.mu))
+        object.__setattr__(self, "mu", tuple(map(_integral, self.mu)))
         object.__setattr__(
-            self, "matrix", tuple(tuple(Fraction(c) for c in row) for row in self.matrix)
+            self, "matrix", tuple(tuple(map(_integral, row)) for row in self.matrix)
         )
 
     # -- constructors -----------------------------------------------------
@@ -52,60 +171,52 @@ class ExtAffineWeylElement:
     @staticmethod
     def identity(ambient: AffineRootSystem) -> "ExtAffineWeylElement":
         n = ambient.rank
-        return ExtAffineWeylElement(ambient, linalg.zero_vec(n), linalg.identity(n))
+        return _element(ambient, (0,) * n, _identity(n))
 
     @staticmethod
     def translation(ambient: AffineRootSystem, mu: Vec) -> "ExtAffineWeylElement":
-        return ExtAffineWeylElement(ambient, tuple(mu), linalg.identity(ambient.rank))
+        return ExtAffineWeylElement(ambient, tuple(mu), _identity(ambient.rank))
 
     @staticmethod
     def reflection(ambient: AffineRootSystem, a: AffineRoot) -> "ExtAffineWeylElement":
         """s_a as a group element: X^{-n a_check} s_{da}."""
-        finite = ambient.finite_base
         gamma = a.direction
-        corovec = finite.coroot_vector(tuple(map(Fraction, gamma)))
-        mu = linalg.vec_scale(-a.level, corovec)
-        norm = finite.inner(gamma, gamma)
-        n = finite.rank
-        rows = []
-        for k in range(n):
-            row = []
-            for j in range(n):
-                basis = Fraction(1 if k == j else 0)
-                # s_gamma(alpha_j) = alpha_j - <gamma_check, alpha_j> gamma
-                cj = 2 * finite.inner(gamma, tuple(1 if t == j else 0 for t in range(n))) / norm
-                row.append(basis - cj * gamma[k])
-            rows.append(tuple(row))
-        return ExtAffineWeylElement(ambient, mu, tuple(rows))
+        # the coweight coordinates of the coroot are the pairings
+        # <gamma_check, alpha_j>, so s_gamma(alpha_j) = alpha_j - corovec[j] gamma
+        corovec = ambient.finite_base.coroot_vector(gamma)
+        n = len(gamma)
+        rows = tuple(
+            tuple(int(k == j) - corovec[j] * gamma[k] for j in range(n)) for k in range(n)
+        )
+        return ExtAffineWeylElement(ambient, tuple(-a.level * c for c in corovec), rows)
 
     @staticmethod
     def simple(ambient: AffineRootSystem, label: int) -> "ExtAffineWeylElement":
-        return ExtAffineWeylElement.reflection(ambient, ambient.simple_by_label(label))
+        try:
+            return _system_data(ambient).simples[label]
+        except KeyError:
+            raise ValueError(f"unknown simple label {label}") from None
 
     # -- group structure --------------------------------------------------
 
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
-        shifted = mat_vec(_point_matrix(self.matrix), other.mu)
-        return ExtAffineWeylElement(
-            self.ambient,
-            linalg.vec_add(self.mu, shifted),
-            mat_mul(self.matrix, other.matrix),
-        )
+        p = _point_matrix(self)
+        omu = other.mu
+        mu = tuple(a + sum(map(mul, row, omu)) for a, row in zip(self.mu, p))
+        return _element(self.ambient, mu, _mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "ExtAffineWeylElement":
-        minv = mat_inv(self.matrix)
-        mu = tuple(-c for c in mat_vec(transpose(self.matrix), self.mu))
-        return ExtAffineWeylElement(self.ambient, mu, minv)
+        """(mu, m)^-1 = (-m^T mu, P^T), with P the cached point matrix."""
+        mu = tuple(-sum(map(mul, col, self.mu)) for col in zip(*self.matrix))
+        return _element(self.ambient, mu, tuple(zip(*_point_matrix(self))))
 
     def is_identity(self) -> bool:
-        return all(c == 0 for c in self.mu) and self.matrix == linalg.identity(
-            self.ambient.rank
-        )
+        return not any(self.mu) and self.matrix == _identity(len(self.mu))
 
     # -- actions ----------------------------------------------------------
 
     def act_point(self, x: Vec) -> Vec:
-        moved = mat_vec(_point_matrix(self.matrix), tuple(Fraction(c) for c in x))
+        moved = mat_vec(_point_matrix(self), tuple(Fraction(c) for c in x))
         return linalg.vec_add(moved, self.mu)
 
     def act_gradient(self, gradient: Vec) -> Vec:
@@ -116,11 +227,19 @@ class ExtAffineWeylElement:
         return grad, Fraction(constant) - dot(grad, self.mu)
 
 
+def _element(ambient: AffineRootSystem, mu: IntVec, matrix: IntMat) -> ExtAffineWeylElement:
+    """An element from int tuples, skipping the conversion in __init__: the
+    constructor of the group operations, whose results are ints already."""
+    g = object.__new__(ExtAffineWeylElement)
+    object.__setattr__(g, "ambient", ambient)
+    object.__setattr__(g, "mu", mu)
+    object.__setattr__(g, "matrix", matrix)
+    return g
+
+
 def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
-    grad, const = g.act_affine(tuple(map(Fraction, a.direction)), Fraction(a.level))
-    direction = tuple(int(c) for c in grad)
-    assert const.denominator == 1, "affine root left the root system: non-integral level"
-    return AffineRoot(g.ambient.finite_base, direction, int(const))
+    grad = _mat_vec(g.matrix, a.direction)
+    return AffineRoot(g.ambient.finite_base, grad, a.level - sum(map(mul, grad, g.mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,42 +248,65 @@ def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
 
 
 def _inversions(g: ExtAffineWeylElement):
-    """Yield the affine roots a in S+ with g(a) in S-."""
+    """Yield the affine roots a in S+ with g(a) in S-, level by level."""
     ambient = g.ambient
     finite = ambient.finite_base
     for alpha in finite.roots:
-        galpha, shift = g.act_affine(tuple(map(Fraction, alpha)), Fraction(0))
-        c = -shift  # g(alpha + n) = galpha + (n - c)
-        assert c.denominator == 1
-        c = int(c)
+        galpha = _mat_vec(g.matrix, alpha)
+        c = sum(map(mul, galpha, g.mu))  # g(alpha + n) = galpha + (n - c)
         start = 0 if finite.is_positive(alpha) else 1
-        if not ambient.affine:
-            stop = 0
-        else:
-            stop = c
+        stop = c if ambient.affine else 0
         for n in range(start, stop + 1):
             if not ambient.contains(alpha, n):
                 continue
             image_level = n - c
-            gdir = tuple(int(x) for x in galpha)
-            if image_level < 0 or (image_level == 0 and not finite.is_positive(gdir)):
+            if image_level < 0 or (image_level == 0 and not finite.is_positive(galpha)):
                 yield AffineRoot(finite, alpha, n)
 
 
 def length(g: ExtAffineWeylElement) -> int:
-    return sum(1 for _ in _inversions(g))
+    """The number of affine roots a in S+ with g(a) in S-, in closed form
+    (Iwahori-Matsumoto; Macdonald, Affine Hecke algebras and orthogonal
+    polynomials, 2.2).  On the affine roots alpha + n, g lowers the level by
+    c = <alpha, m^T mu>: the levels n in [start, c) are inverted, those in
+    2Q_R only when odd, and the level n = c when g(alpha) is negative."""
+    data = _system_data(g.ambient)
+    m = g.matrix
+    nu = _mat_vec(tuple(zip(*m)), g.mu)
+    affine = g.ambient.affine
+    total = 0
+    for alpha, start, odd_only in data.roots:
+        c = sum(map(mul, alpha, nu))
+        if not affine:
+            # only level 0 is a root, and it lies in S+ only for alpha > 0
+            if start == 0 and (c > 0 or (c == 0 and _is_negative(m, alpha))):
+                total += 1
+            continue
+        if c > start:
+            total += c // 2 if odd_only else c - start
+        if c >= start and (c % 2 or not odd_only) and _is_negative(m, alpha):
+            total += 1
+    return total
 
 
 def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
+    """Whether g^-1(a_label) is negative; g^-1 sends the affine root
+    (grad, level) to (P^T grad, level + <grad, mu>), so no inverse is built."""
     a = g.ambient.simple_by_label(label)
-    image = act_on_affine_root(g.inverse(), a)
-    return not image.is_positive()
+    level = a.level + sum(map(mul, a.direction, g.mu))
+    if level:
+        return level < 0
+    return _is_negative(zip(*_point_matrix(g)), a.direction)
 
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
+    """Whether g(a_label) is negative."""
     a = g.ambient.simple_by_label(label)
-    image = act_on_affine_root(g, a)
-    return not image.is_positive()
+    grad = _mat_vec(g.matrix, a.direction)
+    level = a.level - sum(map(mul, grad, g.mu))
+    if level:
+        return level < 0
+    return not any(c > 0 for c in grad)
 
 
 # ---------------------------------------------------------------------------
@@ -256,50 +398,24 @@ def canonical_reflection_key(a: AffineRoot) -> AffineRoot:
 def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     """Recover the affine root (canonical key) of a reflection element."""
     ambient = g.ambient
-    n = ambient.rank
-    ident = linalg.identity(n)
-    diff = tuple(
-        tuple(g.matrix[i][j] - ident[i][j] for j in range(n)) for i in range(n)
-    )
-    if linalg.rank(diff) != 1 or mat_mul(g.matrix, g.matrix) != ident:
+    ident = _identity(ambient.rank)
+    diff = tuple(tuple(a - b for a, b in zip(row, irow)) for row, irow in zip(g.matrix, ident))
+    if linalg.rank(diff) != 1 or _mat_mul(g.matrix, g.matrix) != ident:
         raise NotAReflection("finite part is not a reflection matrix")
-    col = next(
-        tuple(diff[i][j] for i in range(n)) for j in range(n) if any(diff[i][j] for i in range(n))
-    )
+    # the image of m - 1 is the line of the root
+    col = next(c for c in zip(*diff) if any(c))
     finite = ambient.finite_base
     for root in finite.roots:
-        rv = tuple(map(Fraction, root))
-        scale = None
-        ok = True
-        for a, b in zip(col, rv):
-            if b == 0:
-                if a != 0:
-                    ok = False
-                    break
-            else:
-                s = a / b
-                if scale is None:
-                    scale = s
-                elif s != scale:
-                    ok = False
-                    break
-        if not ok or scale is None or scale == 0:
+        i = next(i for i, c in enumerate(root) if c)
+        if not col[i] or any(a * root[i] != b * col[i] for a, b in zip(col, root)):
             continue
         # level from the translation part: s_{gamma+k} has mu = -k gamma_check
-        corovec = finite.coroot_vector(rv)
-        kv = [
-            -m / c for m, c in zip(g.mu, corovec) if c != 0
-        ]
-        if not kv:
-            if any(g.mu):
-                continue
-            kv = [Fraction(0)]
-        k = kv[0]
-        if any(x != k for x in kv[1:]) or k.denominator != 1:
+        corovec = tuple(map(_integral, finite.coroot_vector(root)))
+        j = next(j for j, c in enumerate(corovec) if c)
+        k, rest = divmod(-g.mu[j], corovec[j])
+        if rest or not ambient.contains(root, k):
             continue
-        if not ambient.contains(root, int(k)):
-            continue
-        candidate = AffineRoot(finite, root, int(k))
+        candidate = AffineRoot(finite, root, k)
         if ExtAffineWeylElement.reflection(ambient, candidate) == g:
             return canonical_reflection_key(candidate)
     raise NotAReflection("element is not a reflection of this affine root system")
@@ -428,22 +544,24 @@ def coxeter_order(
 
 def element_to_json(g: ExtAffineWeylElement) -> dict:
     return {
-        "mu": [frac_str(c) for c in g.mu],
-        "w": [[frac_str(c) for c in row] for row in g.matrix],
+        "mu": [str(c) for c in g.mu],
+        "w": [[str(c) for c in row] for row in g.matrix],
     }
 
 
 def element_from_json(ambient: AffineRootSystem, data: dict) -> ExtAffineWeylElement:
-    mu = tuple(Fraction(c) for c in data["mu"])
-    w = tuple(tuple(Fraction(c) for c in row) for row in data["w"])
-    g = ExtAffineWeylElement(ambient, mu, w)
+    """The element serialized by `element_to_json`.  ValueError if an entry
+    is not an integer, the shape is wrong, or the matrix is not that of an
+    isometry permuting the roots."""
+    g = ExtAffineWeylElement(ambient, tuple(data["mu"]), tuple(map(tuple, data["w"])))
+    n = ambient.rank
+    if len(g.mu) != n or len(g.matrix) != n or any(len(row) != n for row in g.matrix):
+        raise ValueError(f"element must have a length-{n} mu and an {n}x{n} matrix")
     finite = ambient.finite_base
     for alpha in (s.direction for s in ambient.simples):
-        img = g.act_gradient(tuple(map(Fraction, alpha)))
-        if not finite.is_root(tuple(int(c) if c.denominator == 1 else c for c in img)):
+        if not finite.is_root(_mat_vec(g.matrix, alpha)):
             raise ValueError("matrix does not permute the root system")
-    g_mat = g.matrix
     gram = finite.gram_matrix
-    if mat_mul(transpose(g_mat), mat_mul(gram, g_mat)) != gram:
+    if mat_mul(transpose(g.matrix), mat_mul(gram, g.matrix)) != gram:
         raise ValueError("matrix is not orthogonal for the Gram form")
     return g

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylkit.cli import main
 
 
@@ -208,3 +210,31 @@ def test_table_rows_roundtrip(capsys):
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a Hecke parameter label that is not an integer
+        ["ddaha", "--type", "A", "--rank", "1", "--c", "a=2"],
+        # theta-tilde pairs to a non-integer with a root
+        ["spiral", "--type", "A", "--rank", "2", "--theta", "1/3,1/3", "--lam", "0"],
+        ["table", "spiral", "--type", "A", "--rank", "2", "--theta", "1/3,1/3"],
+        ["spiral", "--type", "A", "--rank", "2", "--theta", "1,1", "--m", "0", "--lam", "0,0"],
+        ["table", "weyl-ball", "--type", "A", "--rank", "2", "--radius", "-3"],
+        ["ddaha", "--lam0", "1/3", "--depth", "-1", "--weights"],
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error:")
+
+
+def test_bad_parameter_label_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": {"a": 2}}))
+    code, out, err = run(capsys, ["ddaha", "--config", str(cfg)])
+    assert code == 2
+    assert out == "" and err.startswith("configuration error:")

@@ -6,6 +6,7 @@ import pytest
 from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     BallTooLarge,
+    _inversions,
     DifferentComponents,
     ExtAffineWeylElement,
     NotAReflection,
@@ -215,3 +216,68 @@ def test_element_json_roundtrip(aff_a2):
     bad["w"] = [["1", "1"], ["0", "1"]]
     with pytest.raises(ValueError):
         element_from_json(aff_a2, bad)
+
+
+# (type, rank, radius) of the affine balls checked against the brute-force
+# inversion count, including the non-reduced BC systems and G2
+ORACLE_BALLS = [
+    ("A", 2, 6), ("BC", 1, 8), ("BC", 2, 6), ("C", 2, 6),
+    ("G", 2, 6), ("B", 3, 4), ("D", 4, 3), ("F", 4, 3),
+]
+
+
+def _check_against_oracle(g):
+    assert all(type(c) is int for c in g.mu)
+    assert all(type(c) is int for row in g.matrix for c in row)
+    assert length(g) == sum(1 for _ in _inversions(g))
+    assert (g * g.inverse()).is_identity()
+    assert (g.inverse() * g).is_identity()
+
+
+@pytest.mark.parametrize("type_label,rank,radius", ORACLE_BALLS)
+def test_integer_kernel_against_inversion_oracle(type_label, rank, radius):
+    ambient = affinize(build_finite(type_label, rank))
+    for g in enumerate_ball(ambient, radius):
+        _check_against_oracle(g)
+
+
+@pytest.mark.parametrize("type_label,rank,radius", [("B", 3, 9), ("G", 2, 6), ("F", 4, 3)])
+def test_integer_kernel_against_inversion_oracle_finite(type_label, rank, radius):
+    for g in enumerate_ball(finite_coxeter(build_finite(type_label, rank)), radius):
+        _check_against_oracle(g)
+
+
+def test_descents_of_extended_elements_match_length_drops(aff_a2):
+    # X^{coweight_1} w leaves W_S; descents must still be the length drops
+    x = ExtAffineWeylElement.translation(aff_a2, (1, 0))
+    for w in enumerate_ball(aff_a2, 3):
+        for g in (w, x * w, w * x, x * w * x):
+            _check_against_oracle(g)
+            for l in aff_a2.labels:
+                sl = s(aff_a2, l)
+                assert has_left_descent(g, l) == (length(sl * g) < length(g))
+                assert has_right_descent(g, l) == (length(g * sl) < length(g))
+
+
+def test_element_entries_must_be_integers(aff_a2):
+    data = element_to_json(s(aff_a2, 0))
+    for bad in ({**data, "mu": ["1/2", "0"]}, {**data, "w": [["1/2", "0"], ["0", "1"]]}):
+        with pytest.raises(ValueError):
+            element_from_json(aff_a2, bad)
+    with pytest.raises(ValueError):
+        ExtAffineWeylElement.translation(aff_a2, (Fraction(1, 3), Fraction(0)))
+
+
+def test_actions_stay_exact(aff_a2):
+    g = s(aff_a2, 0) * s(aff_a2, 1)
+    point = g.act_point((Fraction(1, 3), Fraction(1, 5)))
+    grad, const = g.act_affine((1, 0), 0)
+    assert all(type(c) is Fraction for c in point + grad + (const,))
+    assert g.inverse().act_point(point) == (Fraction(1, 3), Fraction(1, 5))
+
+
+def test_finite_part_need_not_be_an_isometry(aff_a2):
+    # the point matrix of any unimodular finite part is its inverse transpose
+    g = ExtAffineWeylElement(aff_a2, (1, 0), ((1, 1), (0, 1)))
+    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+    assert g.act_point((Fraction(1, 2), Fraction(0))) == (Fraction(3, 2), Fraction(-1, 2))
