@@ -266,10 +266,11 @@ def _inversions(g: ExtAffineWeylElement):
 
 def length(g: ExtAffineWeylElement) -> int:
     """The number of affine roots a in S+ with g(a) in S-, in closed form
-    (Iwahori-Matsumoto; Macdonald, Affine Hecke algebras and orthogonal
-    polynomials, 2.2).  On the affine roots alpha + n, g lowers the level by
-    c = <alpha, m^T mu>: the levels n in [start, c) are inverted, those in
-    2Q_R only when odd, and the level n = c when g(alpha) is negative."""
+    (Iwahori-Matsumoto 1965; Macdonald, Affine Hecke algebras and orthogonal
+    polynomials, section 2).  On the affine roots alpha + n, g lowers the
+    level by c = <alpha, m^T mu>: the levels n in [start, c) are inverted,
+    those in 2Q_R only when odd, and the level n = c when g(alpha) is
+    negative."""
     data = _system_data(g.ambient)
     m = g.matrix
     nu = _mat_vec(tuple(zip(*m)), g.mu)
