@@ -18,7 +18,6 @@ algorithms reduce to the sign of one affine root image.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -71,23 +70,24 @@ def _identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _is_negative(vectors, v: IntVec) -> bool:
-    """Whether the root whose coordinates are the products of `vectors` with v
-    is negative.  A root has all coordinates of one sign, so the first nonzero
-    one decides and the rest are never computed."""
-    for row in vectors:
-        c = sum(map(mul, row, v))
-        if c:
-            return c < 0
-    raise ValueError("zero vector is not a root")
+def _image(matrix: IntMat, mu: IntVec, direction: IntVec, level: int) -> tuple[IntVec, int]:
+    """(gradient, level) of g(a) for g = (mu, matrix) and the affine root
+    a = (direction, level): g moves the gradient by its finite part and
+    lowers the level by the pairing of the new gradient with mu."""
+    grad = _mat_vec(matrix, direction)
+    return grad, level - sum(map(mul, grad, mu))
+
+
+def _is_negative(grad: IntVec, level: int) -> bool:
+    """Whether the affine root (grad, level) lies in S-: a negative level, or
+    level 0 and a negative root, whose coordinates are all <= 0."""
+    return level < 0 or (level == 0 and min(grad) < 0)
 
 
 class _SystemData:
-    """Group data built once per (finite system, affine flag): the simple
-    reflections by label; for every root alpha the first level n with
-    alpha + n in S+ and whether only odd levels are affine roots; and the
-    Gram matrix G and its inverse as integer matrices over one common
-    denominator, for the point matrices."""
+    """Group data built once per ambient system: the simple reflections by
+    label, and for every root alpha the first level n with alpha + n in S+
+    and whether only odd levels are affine roots."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
@@ -99,54 +99,24 @@ class _SystemData:
             (alpha, 0 if finite.is_positive(alpha) else 1, finite.in_two_q_r(alpha))
             for alpha in finite.roots
         )
-        gram, gram_inv = finite.gram_matrix, finite.gram_coweight
-        g_den = lcm(*(c.denominator for row in gram for c in row))
-        h_den = lcm(*(c.denominator for row in gram_inv for c in row))
-        self.gram = tuple(tuple(_integral(c * g_den) for c in row) for row in gram)
-        self.gram_inv = tuple(tuple(_integral(c * h_den) for c in row) for row in gram_inv)
-        self.gram_den = g_den * h_den
-
-
-_SYSTEM_DATA: dict[tuple, _SystemData] = {}
 
 
 def _system_data(ambient: AffineRootSystem) -> _SystemData:
-    finite = ambient.finite_base
-    key = (finite.type_label, finite.rank, ambient.affine)
-    data = _SYSTEM_DATA.get(key)
+    """The ambient's group data, built on first use and kept on the ambient
+    object itself (one object per system, see `affinize`)."""
+    data = getattr(ambient, "_group_data", None)
     if data is None:
-        data = _SYSTEM_DATA[key] = _SystemData(ambient)
+        data = _SystemData(ambient)
+        object.__setattr__(ambient, "_group_data", data)
     return data
 
 
-_POINT_MATRICES: dict[IntMat, IntMat] = {}
-_POINT_MATRICES_CAP = 1 << 16
-
-
-def _point_matrix(g: "ExtAffineWeylElement") -> IntMat:
-    """Matrix P of g's finite part acting on points, given its matrix m on
+@lru_cache(maxsize=None)
+def _point_matrix(m: IntMat) -> IntMat:
+    """Matrix of the same isometry acting on points, given its matrix m on
     functionals: the inverse transpose, integral because the finite part
-    preserves P^v.  For an isometry of the Gram form G, P = G m G^-1, two
-    integer products; any other finite part is inverted.  Cached per finite
-    part, together with that of the inverse, which is m transposed; the
-    cache is emptied when it is full."""
-    m = g.matrix
-    p = _POINT_MATRICES.get(m)
-    if p is None:
-        data = _system_data(g.ambient)
-        den = data.gram_den
-        p = tuple(
-            tuple(c // den for c in row)
-            for row in _mat_mul(_mat_mul(data.gram, m), data.gram_inv)
-        )
-        mt = tuple(zip(*m))
-        if _mat_mul(mt, p) != _identity(len(m)):
-            p = tuple(tuple(map(_integral, row)) for row in mat_inv(mt))
-        if len(_POINT_MATRICES) >= _POINT_MATRICES_CAP:
-            _POINT_MATRICES.clear()
-        _POINT_MATRICES[m] = p
-        _POINT_MATRICES[tuple(zip(*p))] = mt
-    return p
+    preserves P^v.  One exact inversion per finite part."""
+    return tuple(tuple(map(_integral, row)) for row in mat_inv(transpose(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +170,13 @@ class ExtAffineWeylElement:
     # -- group structure --------------------------------------------------
 
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
-        p = _point_matrix(self)
+        p = _point_matrix(self.matrix)
         omu = other.mu
         mu = tuple(a + sum(map(mul, row, omu)) for a, row in zip(self.mu, p))
         return _element(self.ambient, mu, _mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "ExtAffineWeylElement":
-        """(mu, m)^-1 = (-m^T mu, P^T), with P the cached point matrix."""
-        mu = tuple(-sum(map(mul, col, self.mu)) for col in zip(*self.matrix))
-        return _element(self.ambient, mu, tuple(zip(*_point_matrix(self))))
+        return _element(self.ambient, *_inverse_parts(self))
 
     def is_identity(self) -> bool:
         return not any(self.mu) and self.matrix == _identity(len(self.mu))
@@ -216,7 +184,7 @@ class ExtAffineWeylElement:
     # -- actions ----------------------------------------------------------
 
     def act_point(self, x: Vec) -> Vec:
-        moved = mat_vec(_point_matrix(self), tuple(Fraction(c) for c in x))
+        moved = mat_vec(_point_matrix(self.matrix), tuple(Fraction(c) for c in x))
         return linalg.vec_add(moved, self.mu)
 
     def act_gradient(self, gradient: Vec) -> Vec:
@@ -237,9 +205,15 @@ def _element(ambient: AffineRootSystem, mu: IntVec, matrix: IntMat) -> ExtAffine
     return g
 
 
+def _inverse_parts(g: ExtAffineWeylElement) -> tuple[IntVec, IntMat]:
+    """(mu, matrix) of g^-1 = (-m^T mu, P^T), with P the cached point matrix."""
+    mu = tuple(-sum(map(mul, col, g.mu)) for col in zip(*g.matrix))
+    return mu, transpose(_point_matrix(g.matrix))
+
+
 def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
-    grad = _mat_vec(g.matrix, a.direction)
-    return AffineRoot(g.ambient.finite_base, grad, a.level - sum(map(mul, grad, g.mu)))
+    grad, level = _image(g.matrix, g.mu, a.direction, a.level)
+    return AffineRoot(g.ambient.finite_base, grad, level)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +226,12 @@ def _inversions(g: ExtAffineWeylElement):
     ambient = g.ambient
     finite = ambient.finite_base
     for alpha in finite.roots:
-        galpha = _mat_vec(g.matrix, alpha)
-        c = sum(map(mul, galpha, g.mu))  # g(alpha + n) = galpha + (n - c)
+        # g(alpha + n) = galpha + (n + shift)
+        galpha, shift = _image(g.matrix, g.mu, alpha, 0)
         start = 0 if finite.is_positive(alpha) else 1
-        stop = c if ambient.affine else 0
+        stop = -shift if ambient.affine else 0
         for n in range(start, stop + 1):
-            if not ambient.contains(alpha, n):
-                continue
-            image_level = n - c
-            if image_level < 0 or (image_level == 0 and not finite.is_positive(galpha)):
+            if ambient.contains(alpha, n) and _is_negative(galpha, n + shift):
                 yield AffineRoot(finite, alpha, n)
 
 
@@ -268,46 +239,39 @@ def length(g: ExtAffineWeylElement) -> int:
     """The number of affine roots a in S+ with g(a) in S-, in closed form
     (Iwahori-Matsumoto 1965; Macdonald, Affine Hecke algebras and orthogonal
     polynomials, section 2).  On the affine roots alpha + n, g lowers the
-    level by c = <alpha, m^T mu>: the levels n in [start, c) are inverted,
-    those in 2Q_R only when odd, and the level n = c when g(alpha) is
-    negative."""
-    data = _system_data(g.ambient)
+    level by c = <g(alpha), mu> = <alpha, m^T mu>: the levels n in
+    [start, c) are inverted, those in 2Q_R only when odd, and the level
+    n = c when g(alpha) is negative.  m^T mu is formed once, so a root costs
+    one pairing, and g(alpha) is formed only for the level n = c."""
     m = g.matrix
-    nu = _mat_vec(tuple(zip(*m)), g.mu)
+    nu = _mat_vec(transpose(m), g.mu)
     affine = g.ambient.affine
     total = 0
-    for alpha, start, odd_only in data.roots:
+    for alpha, start, odd_only in _system_data(g.ambient).roots:
         c = sum(map(mul, alpha, nu))
         if not affine:
             # only level 0 is a root, and it lies in S+ only for alpha > 0
-            if start == 0 and (c > 0 or (c == 0 and _is_negative(m, alpha))):
-                total += 1
+            total += start == 0 and _is_negative(_mat_vec(m, alpha), -c)
             continue
         if c > start:
             total += c // 2 if odd_only else c - start
-        if c >= start and (c % 2 or not odd_only) and _is_negative(m, alpha):
+        if c >= start and (c % 2 or not odd_only) and _is_negative(_mat_vec(m, alpha), 0):
             total += 1
     return total
 
 
 def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
-    """Whether g^-1(a_label) is negative; g^-1 sends the affine root
-    (grad, level) to (P^T grad, level + <grad, mu>), so no inverse is built."""
+    """Whether g^-1(a_label) is negative, read from the parts of g^-1 without
+    building the element."""
     a = g.ambient.simple_by_label(label)
-    level = a.level + sum(map(mul, a.direction, g.mu))
-    if level:
-        return level < 0
-    return _is_negative(zip(*_point_matrix(g)), a.direction)
+    mu, matrix = _inverse_parts(g)
+    return _is_negative(*_image(matrix, mu, a.direction, a.level))
 
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
     """Whether g(a_label) is negative."""
     a = g.ambient.simple_by_label(label)
-    grad = _mat_vec(g.matrix, a.direction)
-    level = a.level - sum(map(mul, grad, g.mu))
-    if level:
-        return level < 0
-    return not any(c > 0 for c in grad)
+    return _is_negative(*_image(g.matrix, g.mu, a.direction, a.level))
 
 
 # ---------------------------------------------------------------------------

@@ -275,9 +275,3 @@ def test_actions_stay_exact(aff_a2):
     assert all(type(c) is Fraction for c in point + grad + (const,))
     assert g.inverse().act_point(point) == (Fraction(1, 3), Fraction(1, 5))
 
-
-def test_finite_part_need_not_be_an_isometry(aff_a2):
-    # the point matrix of any unimodular finite part is its inverse transpose
-    g = ExtAffineWeylElement(aff_a2, (1, 0), ((1, 1), (0, 1)))
-    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
-    assert g.act_point((Fraction(1, 2), Fraction(0))) == (Fraction(3, 2), Fraction(-1, 2))
