@@ -6,7 +6,13 @@ to the right through group letters with the cross relation
 
     s_a f - s_a(f) s_a = h_a (f - s_a(f)) / a,      h_a = (d / 2m) c_a,
 
-where the division is exact polynomial division.  The module also provides
+where the division is exact polynomial division.  Both parts of the right
+side are linear in f, so `cross_multiply` sums them over the terms c x^e of f
+from the images s_a(x^e) and h_a (x^e - s_a(x^e)) / a of single monomials.
+Each monomial image is computed once per algebra, by the same substitution
+and exact division as for a whole polynomial, so the sum is the exact
+normal form and a non-exact division still raises; the reduced words of
+group parts are kept per algebra in the same way.  The module also provides
 relation verification, truncated standard modules and orbit/stabilizer
 search for category-O weight analysis.
 """
@@ -65,6 +71,10 @@ class HeckeParameters:
 class DdahaAlgebra:
     ambient: AffineRootSystem = field(compare=False)
     params: HeckeParameters = None
+    # filled on first use: (label, exponents) -> monomial images (see
+    # cross_multiply), and group element -> reduced word (see _word)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nvars(self) -> int:
@@ -102,12 +112,30 @@ class DdahaAlgebra:
         return Poly.affine(tuple(map(Fraction, a.direction)), Fraction(a.level))
 
     def _word(self, g: ExtAffineWeylElement) -> tuple[int, ...]:
-        rw = reduced_word(g)
-        if not rw.pi.is_identity():
-            raise NotInGroupSupport(
-                "group part has a nontrivial length-0 component"
+        letters = self._words.get(g)
+        if letters is None:
+            rw = reduced_word(g)
+            if not rw.pi.is_identity():
+                raise NotInGroupSupport(
+                    "group part has a nontrivial length-0 component"
+                )
+            letters = self._words[g] = rw.letters
+        return letters
+
+
+def _finite_order_pairs(ambient: AffineRootSystem):
+    """(s, t, order of s_s s_t) for the label pairs s < t whose product has
+    finite order (found up to 12)."""
+    labels = sorted(ambient.labels)
+    for i, s in enumerate(labels):
+        for t in labels[i + 1 :]:
+            order = coxeter_order(
+                ExtAffineWeylElement.simple(ambient, s),
+                ExtAffineWeylElement.simple(ambient, t),
+                cap=12,
             )
-        return rw.letters
+            if order is not None:
+                yield s, t, order
 
 
 def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAlgebra:
@@ -126,18 +154,11 @@ def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAl
                 )
     # invariance over conjugation orbits: s and t are conjugate inside their
     # dihedral subgroup exactly when the order of st is odd
-    labels = sorted(ambient.labels)
-    for i, s in enumerate(labels):
-        for t in labels[i + 1 :]:
-            order = coxeter_order(
-                ExtAffineWeylElement.simple(ambient, s),
-                ExtAffineWeylElement.simple(ambient, t),
-                cap=12,
+    for s, t, order in _finite_order_pairs(ambient):
+        if order % 2 == 1 and c[s] != c[t]:
+            raise InvalidParameters(
+                f"c_{s} = {c[s]} and c_{t} = {c[t]} differ on one conjugation orbit"
             )
-            if order is not None and order % 2 == 1 and c[s] != c[t]:
-                raise InvalidParameters(
-                    f"c_{s} = {c[s]} and c_{t} = {c[t]} differ on one conjugation orbit"
-                )
     return DdahaAlgebra(ambient, params)
 
 
@@ -178,17 +199,38 @@ class DdahaElement:
 
 def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
     """The normal form of f * s_label:
-    s tensor s_a(f)  +  e tensor h_a (f - s_a(f)) / a."""
+    s tensor s_a(f)  +  e tensor h_a (f - s_a(f)) / a,
+    summed over the terms c x^e of f from the images of x^e."""
     s = ExtAffineWeylElement.simple(algebra.ambient, label)
-    sf = weyl_action(s, f)
+    reflected, demazure = {}, {}
+    for exps, c in f.terms:
+        key = (label, exps)
+        images = algebra._images.get(key)
+        if images is None:
+            images = algebra._images[key] = _monomial_images(algebra, s, label, exps)
+        for part, out in zip(images, (reflected, demazure)):
+            for e, v in part:
+                out[e] = out.get(e, 0) + c * v
+    n = algebra.nvars
+    e = ExtAffineWeylElement.identity(algebra.ambient)
+    return algebra.element(
+        {s: Poly._from_dict(n, reflected), e: Poly._from_dict(n, demazure)}
+    )
+
+
+def _monomial_images(
+    algebra: DdahaAlgebra, s: ExtAffineWeylElement, label: int, exps: tuple
+) -> tuple:
+    """The terms of s_a(x^e) and of h_a (x^e - s_a(x^e)) / a."""
+    x = Poly(algebra.nvars, frozenset({(exps, Fraction(1))}))
+    sx = weyl_action(s, x)
     try:
-        demazure = divide_linear(f - sf, algebra.wall_poly(label))
+        quotient = divide_linear(x - sx, algebra.wall_poly(label))
     except DivisionNotExact as exc:
         raise DivisionNotExact(
-            f"f - s_a(f) not divisible by the wall at label {label}: {exc}"
+            f"x^{exps} - s_a(x^{exps}) not divisible by the wall at label {label}: {exc}"
         ) from exc
-    e = ExtAffineWeylElement.identity(algebra.ambient)
-    return algebra.element({s: sf, e: demazure.scale(algebra.params.h(label))})
+    return sx.terms, quotient.scale(algebra.params.h(label)).terms
 
 
 def _push(algebra: DdahaAlgebra, f: Poly, letters: tuple[int, ...]) -> dict:
@@ -262,22 +304,14 @@ def verify_relations(
             squares_ok = False
             failures.append(("square", l))
     braid_ok = True
-    for i, s in enumerate(labels):
-        for t in labels[i + 1 :]:
-            order = coxeter_order(
-                ExtAffineWeylElement.simple(algebra.ambient, s),
-                ExtAffineWeylElement.simple(algebra.ambient, t),
-                cap=12,
-            )
-            if order is None:
-                continue
-            lhs = rhs = one
-            for k in range(order):
-                lhs = multiply(lhs, algebra.generator(s if k % 2 == 0 else t))
-                rhs = multiply(rhs, algebra.generator(t if k % 2 == 0 else s))
-            if lhs != rhs:
-                braid_ok = False
-                failures.append(("braid", s, t))
+    for s, t, order in _finite_order_pairs(algebra.ambient):
+        lhs = rhs = one
+        for k in range(order):
+            lhs = multiply(lhs, algebra.generator(s if k % 2 == 0 else t))
+            rhs = multiply(rhs, algebra.generator(t if k % 2 == 0 else s))
+        if lhs != rhs:
+            braid_ok = False
+            failures.append(("braid", s, t))
     cross_ok = True
     for l in labels:
         s_elt = ExtAffineWeylElement.simple(algebra.ambient, l)
@@ -403,19 +437,31 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     def take(expected=None):
         tok = peek()
         if tok is None or (expected is not None and tok != expected):
-            raise LiteralSyntaxError(f"expected {expected!r}, got {tok!r}")
+            want = "a token" if expected is None else repr(expected)
+            got = "end of input" if tok is None else repr(tok)
+            raise LiteralSyntaxError(f"expected {want}, got {got}")
         state["i"] += 1
         return tok
+
+    def take_int() -> int:
+        tok = peek()
+        if tok is None or not tok.isdigit():
+            got = "end of input" if tok is None else repr(tok)
+            raise LiteralSyntaxError(f"expected an integer, got {got}")
+        state["i"] += 1
+        return int(tok)
 
     def parse_rational() -> Fraction:
         sign = 1
         if peek() == "-":
             take()
             sign = -1
-        num = int(take())
+        num = take_int()
         if peek() == "/":
             take()
-            den = int(take())
+            den = take_int()
+            if den == 0:
+                raise LiteralSyntaxError(f"zero denominator in {sign * num}/0")
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
@@ -437,7 +483,7 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             power = 1
             if peek() == "^":
                 take()
-                power = int(take())
+                power = take_int()
             out = algebra.one()
             for _ in range(power):
                 out = multiply(out, algebra.coordinate(i))

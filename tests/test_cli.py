@@ -223,6 +223,12 @@ def test_unknown_subcommand_exit_2(capsys):
         ["spiral", "--type", "A", "--rank", "2", "--theta", "1,1", "--m", "0", "--lam", "0,0"],
         ["table", "weyl-ball", "--type", "A", "--rank", "2", "--radius", "-3"],
         ["ddaha", "--lam0", "1/3", "--depth", "-1", "--weights"],
+        # malformed or zero-denominator element literals
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "(1/0)"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "(2/)"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1^-1"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1^"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1", "--times", "(1/0)"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from weylkit import ddaha as dd
-from weylkit.poly import Poly, weyl_action
+from weylkit.poly import Poly, divide_linear, weyl_action
 from weylkit.root_system import affinize, build_finite
-from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length
+from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length, reduced_word
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,82 @@ def test_cross_multiply_cases(alg_a1):
         {s: x.scale(-1), ExtAffineWeylElement.identity(alg_a1.ambient): Poly.const(1, 1)}
     )
     assert out2 == expected
+
+
+def whole_polynomial_cross(algebra, label, f):
+    """Oracle: s tensor s_a(f) + e tensor h_a (f - s_a(f)) / a, computed on
+    all of f at once."""
+    s = ExtAffineWeylElement.simple(algebra.ambient, label)
+    sf = weyl_action(s, f)
+    demazure = divide_linear(f - sf, algebra.wall_poly(label))
+    e = ExtAffineWeylElement.identity(algebra.ambient)
+    return algebra.element({s: sf, e: demazure.scale(algebra.params.h(label))})
+
+
+# (type, rank, m, c): c differs between labels wherever no odd braid
+# relation ties them, so a wrong label's h_a would show
+CROSS_CASES = (
+    ("A", 1, 2, {0: 2, 1: 3}),
+    ("A", 2, 3, {0: 2, 1: 2, 2: 2}),
+    ("C", 2, 4, {0: 2, 1: 3, 2: 4}),
+    ("G", 2, 6, {0: 3, 1: 2, 2: 3}),
+)
+
+
+@pytest.mark.parametrize("type_, rank, m, c", CROSS_CASES)
+def test_cross_multiply_matches_whole_polynomial_formula(type_, rank, m, c):
+    amb = affinize(build_finite(type_, rank))
+    alg = dd.build_algebra(amb, dd.HeckeParameters.make(m, 1, c))
+    if type_ in ("C", "G"):
+        # the wall of a_0 has a coefficient -2, so the division is not by a
+        # monic linear form
+        assert Fraction(-2) in dict(alg.wall_poly(0).terms).values()
+    rng = random.Random(f"{type_}{rank}")
+    for label in amb.labels:
+        for _ in range(12):
+            f = dd.random_polynomial(rng, alg.nvars, degree=4, support=4)
+            expected = whole_polynomial_cross(alg, label, f)
+            # the first call fills the monomial images, the second reads them
+            assert dd.cross_multiply(alg, label, f) == expected
+            assert dd.cross_multiply(alg, label, f) == expected
+
+
+def test_cross_multiply_demazure_part_vanishes_at_h_zero():
+    amb = affinize(build_finite("C", 2))
+    alg0 = dd.build_algebra(
+        amb, dd.HeckeParameters.make(4, 1, {0: 0, 1: 0, 2: 0}, unsafe=True)
+    )
+    rng = random.Random(7)
+    e = ExtAffineWeylElement.identity(amb)
+    for label in amb.labels:
+        s = ExtAffineWeylElement.simple(amb, label)
+        for _ in range(8):
+            f = dd.random_polynomial(rng, alg0.nvars, degree=4, support=4)
+            out = dd.cross_multiply(alg0, label, f).as_dict()
+            assert e not in out
+            assert out.get(s, Poly.zero(alg0.nvars)) == weyl_action(s, f)
+            assert dd.cross_multiply(alg0, label, f) == whole_polynomial_cross(alg0, label, f)
+
+
+def test_word_cache_matches_reduced_word(alg_a2):
+    ball = enumerate_ball(alg_a2.ambient, 3)
+    for g in ball:
+        assert alg_a2._word(g) == reduced_word(g).letters
+    for g in ball:  # read back from the cache
+        assert alg_a2._word(g) == reduced_word(g).letters
+
+
+def test_length_zero_part_raises_on_every_call():
+    amb = affinize(build_finite("A", 1))
+    alg = dd.build_algebra(amb, dd.HeckeParameters.make(2, 1, {0: 2, 1: 2}))
+    # translation by the fundamental coweight: pi * s_1 with pi != e
+    t = ExtAffineWeylElement.translation(amb, (1,))
+    assert not reduced_word(t).pi.is_identity()
+    x = alg.group(t)
+    for _ in range(2):
+        with pytest.raises(dd.NotInGroupSupport):
+            dd.multiply(alg.one(), x)
+    assert t not in alg._words
 
 
 def test_polynomial_subalgebra(alg_a1):
@@ -214,3 +290,6 @@ def test_literal_examples(alg_a1):
         dd.parse_element(alg_a1, "x1 +")
     with pytest.raises(dd.LiteralSyntaxError):
         dd.parse_element(alg_a1, "y1")
+    for text in ("(1/0)", "(-3/0)", "(2/)", "x1^-1", "x1^", "(1"):
+        with pytest.raises(dd.LiteralSyntaxError):
+            dd.parse_element(alg_a1, text)
