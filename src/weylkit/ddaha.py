@@ -207,7 +207,7 @@ def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
         key = (label, exps)
         images = algebra._images.get(key)
         if images is None:
-            images = algebra._images[key] = _monomial_images(algebra, s, label, exps)
+            images = algebra._images[key] = _monomial_images(algebra, label, exps)
         for part, out in zip(images, (reflected, demazure)):
             for e, v in part:
                 out[e] = out.get(e, 0) + c * v
@@ -218,12 +218,10 @@ def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
     )
 
 
-def _monomial_images(
-    algebra: DdahaAlgebra, s: ExtAffineWeylElement, label: int, exps: tuple
-) -> tuple:
+def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
     """The terms of s_a(x^e) and of h_a (x^e - s_a(x^e)) / a."""
     x = Poly(algebra.nvars, frozenset({(exps, Fraction(1))}))
-    sx = weyl_action(s, x)
+    sx = weyl_action(ExtAffineWeylElement.simple(algebra.ambient, label), x)
     try:
         quotient = divide_linear(x - sx, algebra.wall_poly(label))
     except DivisionNotExact as exc:
