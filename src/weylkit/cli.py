@@ -774,10 +774,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    except (BallTooLarge, rel.NotFinite) as exc:
+    except (BallTooLarge, rel.NotFinite, dd.PowerTooLarge) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
-    except (dd.LiteralSyntaxError, cx.TypesDiffer, cx.TypeNotContained) as exc:
+    except (
+        dd.LiteralSyntaxError,
+        cx.TypesDiffer,
+        cx.TypeNotContained,
+        rel.UnknownLabels,
+    ) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     sys.stdout.write(text)

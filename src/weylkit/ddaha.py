@@ -413,10 +413,20 @@ class LiteralSyntaxError(ValueError):
     pass
 
 
+class PowerTooLarge(RuntimeError):
+    pass
+
+
+# the largest power N accepted in an x<k>^N literal, which is multiplied out
+# factor by factor
+MAX_LITERAL_POWER = 64
+
+
 def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     """Parse the literal grammar `s1*s0*x1^2 + (3/2)*s1`: sums of products of
     generators s<k>, coordinates x<k> with optional integer powers, and exact
-    rational literals (parenthesized when fractional, `-` allowed)."""
+    rational literals (parenthesized when fractional, `-` allowed).  A power
+    above MAX_LITERAL_POWER raises PowerTooLarge."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -482,6 +492,10 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             if peek() == "^":
                 take()
                 power = take_int()
+                if power > MAX_LITERAL_POWER:
+                    raise PowerTooLarge(
+                        f"power {power} in {tok}^{power} exceeds the cap of {MAX_LITERAL_POWER}"
+                    )
             out = algebra.one()
             for _ in range(power):
                 out = multiply(out, algebra.coordinate(i))

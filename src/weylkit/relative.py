@@ -4,6 +4,12 @@ minimal-length normalizer representatives, its simple system and length.
 A parabolic subset is a set of simple-wall labels.  The relative simple
 reflections are the elements w0^{Sigma+s} * w0^Sigma for s ranging over the
 labels whose enlarged parabolic stays finite.
+
+`ParabolicSubset(ambient, sigma)` returns one object per (ambient, Sigma),
+kept on the ambient object (itself one object per system), and that object
+caches its finiteness, w0^Sigma and T_Sigma.  Every membership test and
+normalizer check of the module therefore computes each of them once per
+subset and system.
 """
 
 from dataclasses import dataclass, field
@@ -43,18 +49,34 @@ class NotANormalizerElement(ValueError):
     pass
 
 
-class ParabolicSubset:
-    """A subset of the simple walls with cached finiteness data."""
+class UnknownLabels(ValueError):
+    pass
 
-    def __init__(self, ambient: AffineRootSystem, sigma):
+
+class ParabolicSubset:
+    """A subset of the simple walls with cached finiteness data, one object
+    per (ambient, Sigma); an unknown label raises UnknownLabels on every
+    call, since nothing is stored for it."""
+
+    def __new__(cls, ambient: AffineRootSystem, sigma):
         sigma = frozenset(int(l) for l in sigma)
-        unknown = sigma - set(ambient.labels)
-        if unknown:
-            raise ValueError(f"unknown simple labels {sorted(unknown)}")
-        self.ambient = ambient
-        self.sigma = sigma
-        self._longest = None
-        self._reflections = None
+        subsets = getattr(ambient, "_parabolic_subsets", None)
+        if subsets is None:
+            subsets = {}
+            object.__setattr__(ambient, "_parabolic_subsets", subsets)
+        self = subsets.get(sigma)
+        if self is None:
+            unknown = sigma - set(ambient.labels)
+            if unknown:
+                raise UnknownLabels(f"unknown simple labels {sorted(unknown)}")
+            self = super().__new__(cls)
+            self.ambient = ambient
+            self.sigma = sigma
+            self._finite = None
+            self._longest = None
+            self._reflections = None
+            subsets[sigma] = self
+        return self
 
     def __eq__(self, other):
         return isinstance(other, ParabolicSubset) and self.sigma == other.sigma
@@ -68,11 +90,13 @@ class ParabolicSubset:
     def is_finite(self) -> bool:
         """W_Sigma is finite exactly when the wall gradients are linearly
         independent, in which case the group fixes a point of E."""
-        grads = [
-            tuple(map(Fraction, self.ambient.simple_by_label(l).direction))
-            for l in sorted(self.sigma)
-        ]
-        return linalg.rank(tuple(grads)) == len(grads)
+        if self._finite is None:
+            grads = [
+                tuple(map(Fraction, self.ambient.simple_by_label(l).direction))
+                for l in sorted(self.sigma)
+            ]
+            self._finite = linalg.rank(tuple(grads)) == len(grads)
+        return self._finite
 
     def longest_element(self) -> ExtAffineWeylElement:
         if not self.is_finite():

@@ -4,11 +4,16 @@ relevant-subspace-to-graded-pseudo-Levi map.
 
 The graded Lie algebra is represented by its root set plus a Cartan marker;
 every statement in scope reduces to pairings of roots against rational
-cocharacters and to root addition.
+cocharacters and to root addition.  A `Spiral` computes the grading degree
+<alpha, theta-tilde> mod m and the weight <alpha, lambda> of every root once,
+on first use, and keeps them on the spiral; P_n, L_n, U_n and the support
+bound read that table.
 """
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Vec, dot
 from .root_system import FiniteRootSystem
@@ -77,51 +82,42 @@ class Spiral:
         if self.epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
 
-    def _weight(self, root) -> Fraction:
-        return self.datum.finite.pair(tuple(map(Fraction, root)), self.lam)
+    @cached_property
+    def _by_degree(self) -> dict:
+        """The roots of each grading degree mod m, each with its weight
+        <alpha, lambda>: the per-root table every degree n reads, built once
+        per spiral."""
+        finite = self.datum.finite
+        table = {}
+        for root in finite.roots:
+            weight = finite.pair(tuple(map(Fraction, root)), self.lam)
+            table.setdefault(self.datum.grading_degree(root), []).append((root, weight))
+        return {k: tuple(rows) for k, rows in table.items()}
 
-    def _degree_matches(self, root, n: int) -> bool:
-        return self.datum.grading_degree(root) == n % self.datum.m
+    def _piece(self, n: int, keep) -> frozenset:
+        """The roots of degree n mod m whose weight w has keep(w, epsilon n),
+        plus the Cartan in degree 0 when keep(0, epsilon n)."""
+        bound = self.epsilon * n
+        k = n % self.datum.m
+        out = {r for r, w in self._by_degree.get(k, ()) if keep(w, bound)}
+        if k == 0 and keep(0, bound):
+            out.add(CARTAN)
+        return frozenset(out)
 
     def p_n(self, n: int) -> frozenset:
-        out = {
-            r
-            for r in self.datum.finite.roots
-            if self._degree_matches(r, n) and self._weight(r) >= self.epsilon * n
-        }
-        if n % self.datum.m == 0 and 0 >= self.epsilon * n:
-            out.add(CARTAN)
-        return frozenset(out)
+        return self._piece(n, operator.ge)
 
     def l_n(self, n: int) -> frozenset:
-        out = {
-            r
-            for r in self.datum.finite.roots
-            if self._degree_matches(r, n) and self._weight(r) == self.epsilon * n
-        }
-        if n % self.datum.m == 0 and 0 == self.epsilon * n:
-            out.add(CARTAN)
-        return frozenset(out)
+        return self._piece(n, operator.eq)
 
     def u_n(self, n: int) -> frozenset:
-        out = {
-            r
-            for r in self.datum.finite.roots
-            if self._degree_matches(r, n) and self._weight(r) > self.epsilon * n
-        }
-        if n % self.datum.m == 0 and 0 > self.epsilon * n:
-            out.add(CARTAN)
-        return frozenset(out)
+        return self._piece(n, operator.gt)
 
     def support_bound(self) -> int:
         """P_n can differ from L_n = U_n = empty only for |n| below this."""
-        weights = [abs(self._weight(r)) for r in self.datum.finite.roots]
+        weights = [abs(w) for rows in self._by_degree.values() for _, w in rows]
         top = max(weights, default=Fraction(0))
         return int(top) + self.datum.m + 1
-
-
-def grading_degree(datum: GradedRootDatum, root) -> int:
-    return datum.grading_degree(root)
 
 
 def spiral_from_cochar(datum: GradedRootDatum, lam: Vec, epsilon: int | None = None) -> Spiral:

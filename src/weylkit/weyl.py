@@ -86,19 +86,30 @@ def _is_negative(grad: IntVec, level: int) -> bool:
 
 class _SystemData:
     """Group data built once per ambient system: the simple reflections by
-    label, and for every root alpha the first level n with alpha + n in S+
-    and whether only odd levels are affine roots."""
+    label, for every root alpha the first level n with alpha + n in S+ and
+    whether only odd levels are affine roots, and the integer coroots of the
+    roots, each filled in on first use."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
+        self.finite = finite
+        self.coroots = {}
         self.simples = {
-            l: ExtAffineWeylElement.reflection(ambient, a)
+            l: _reflection(ambient, a, self.coroot(a.direction))
             for l, a in zip(ambient.labels, ambient.simples)
         }
         self.roots = tuple(
             (alpha, 0 if finite.is_positive(alpha) else 1, finite.in_two_q_r(alpha))
             for alpha in finite.roots
         )
+
+    def coroot(self, root) -> IntVec:
+        """The coweight coordinates of the coroot of `root`, as ints."""
+        corovec = self.coroots.get(root)
+        if corovec is None:
+            corovec = tuple(map(_integral, self.finite.coroot_vector(root)))
+            self.coroots[root] = corovec
+        return corovec
 
 
 def _system_data(ambient: AffineRootSystem) -> _SystemData:
@@ -150,15 +161,7 @@ class ExtAffineWeylElement:
     @staticmethod
     def reflection(ambient: AffineRootSystem, a: AffineRoot) -> "ExtAffineWeylElement":
         """s_a as a group element: X^{-n a_check} s_{da}."""
-        gamma = a.direction
-        # the coweight coordinates of the coroot are the pairings
-        # <gamma_check, alpha_j>, so s_gamma(alpha_j) = alpha_j - corovec[j] gamma
-        corovec = ambient.finite_base.coroot_vector(gamma)
-        n = len(gamma)
-        rows = tuple(
-            tuple(int(k == j) - corovec[j] * gamma[k] for j in range(n)) for k in range(n)
-        )
-        return ExtAffineWeylElement(ambient, tuple(-a.level * c for c in corovec), rows)
+        return _reflection(ambient, a, _system_data(ambient).coroot(a.direction))
 
     @staticmethod
     def simple(ambient: AffineRootSystem, label: int) -> "ExtAffineWeylElement":
@@ -203,6 +206,20 @@ def _element(ambient: AffineRootSystem, mu: IntVec, matrix: IntMat) -> ExtAffine
     object.__setattr__(g, "mu", mu)
     object.__setattr__(g, "matrix", matrix)
     return g
+
+
+def _reflection(
+    ambient: AffineRootSystem, a: AffineRoot, corovec: IntVec
+) -> ExtAffineWeylElement:
+    """s_a from the integer coroot of its direction gamma: the coweight
+    coordinates of the coroot are the pairings <gamma_check, alpha_j>, so
+    s_gamma(alpha_j) = alpha_j - corovec[j] gamma."""
+    gamma = a.direction
+    n = len(gamma)
+    rows = tuple(
+        tuple(int(k == j) - corovec[j] * gamma[k] for j in range(n)) for k in range(n)
+    )
+    return _element(ambient, tuple(-a.level * c for c in corovec), rows)
 
 
 def _inverse_parts(g: ExtAffineWeylElement) -> tuple[IntVec, IntMat]:
@@ -370,12 +387,13 @@ def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     # the image of m - 1 is the line of the root
     col = next(c for c in zip(*diff) if any(c))
     finite = ambient.finite_base
+    data = _system_data(ambient)
     for root in finite.roots:
         i = next(i for i, c in enumerate(root) if c)
         if not col[i] or any(a * root[i] != b * col[i] for a, b in zip(col, root)):
             continue
         # level from the translation part: s_{gamma+k} has mu = -k gamma_check
-        corovec = tuple(map(_integral, finite.coroot_vector(root)))
+        corovec = data.coroot(root)
         j = next(j for j, c in enumerate(corovec) if c)
         k, rest = divmod(-g.mu[j], corovec[j])
         if rest or not ambient.contains(root, k):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from weylkit.cli import main
+from weylkit.ddaha import MAX_LITERAL_POWER
 
 
 def run(capsys, argv):
@@ -229,6 +230,11 @@ def test_unknown_subcommand_exit_2(capsys):
         ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1^-1"],
         ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1^"],
         ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1", "--times", "(1/0)"],
+        # a Sigma label that is not a simple label of the system
+        ["certify", "--type", "A", "--rank", "2", "--sigma", "5"],
+        ["complex", "fixed", "--type", "A", "--rank", "2", "--sigma", "9", "--radius", "2"],
+        ["relative", "--type", "A", "--rank", "2", "--sigma", "5"],
+        ["table", "relpos", "--type", "A", "--rank", "2", "--sigma", "5"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -236,6 +242,24 @@ def test_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["x1^100000000", f"x1^{MAX_LITERAL_POWER + 1}", f"s1*x1^{MAX_LITERAL_POWER + 1}"],
+)
+def test_literal_power_above_the_cap_exits_3(capsys, expr):
+    code, out, err = run(capsys, ["ddaha", "--type", "A", "--rank", "1", "--expr", expr])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap:")
+
+
+def test_literal_power_at_the_cap_is_accepted(capsys):
+    expr = f"x1^{MAX_LITERAL_POWER}"
+    code, payload = run_json(capsys, ["ddaha", "--type", "A", "--rank", "1", "--expr", expr])
+    assert code == 0
+    assert payload["result"]["normal_form"] == expr
 
 
 def test_bad_parameter_label_in_config_file_exits_2(tmp_path, capsys):

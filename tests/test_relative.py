@@ -1,10 +1,13 @@
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from weylkit import linalg
 from weylkit import relative as rel
 from weylkit.root_system import affinize, build_finite, finite_coxeter
-from weylkit.weyl import ExtAffineWeylElement, length
+from weylkit.weyl import ExtAffineWeylElement, length, reflections_T
 
 
 def s(ambient, label):
@@ -42,6 +45,48 @@ def test_parabolic_reflections(fin_b2):
     assert len(p.reflections()) == 4
     assert len(p.elements()) == 8
     assert len(rel.ParabolicSubset(fin_b2, {1}).reflections()) == 1
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [
+        affinize(build_finite("A", 2)),
+        affinize(build_finite("C", 2)),
+        affinize(build_finite("G", 2)),
+        finite_coxeter(build_finite("B", 3)),
+    ],
+    ids=["affine A2", "affine C2", "affine G2", "finite B3"],
+)
+def test_cached_parabolic_data_against_fresh_computation(ambient):
+    labels = ambient.labels
+    for k in range(len(labels) + 1):
+        for sigma in map(frozenset, combinations(labels, k)):
+            p = rel.ParabolicSubset(ambient, sigma)
+            # one object per (ambient, Sigma), whatever the iterable
+            assert rel.ParabolicSubset(ambient, sorted(sigma, reverse=True)) is p
+            grads = tuple(
+                tuple(map(Fraction, ambient.simple_by_label(l).direction)) for l in sorted(sigma)
+            )
+            finite = linalg.rank(grads) == len(grads)
+            assert p.is_finite() is finite
+            if not finite:
+                continue
+            group = p.elements()
+            top = max(map(length, group))
+            longest = [g for g in group if length(g) == top]
+            assert len(longest) == 1
+            assert p.longest_element() == longest[0]
+            assert p.longest_element() is p.longest_element()
+            assert p.reflections() == reflections_T(longest[0])
+
+
+def test_unknown_label_raises_on_every_call(aff_c2):
+    for _ in range(2):
+        with pytest.raises(rel.UnknownLabels, match=r"\[5\]"):
+            rel.ParabolicSubset(aff_c2, {1, 5})
+        with pytest.raises(rel.UnknownLabels):
+            rel.is_admissible(aff_c2, {5})
+    assert rel.ParabolicSubset(aff_c2, {1}).sigma == {1}
 
 
 def test_admissibility_oracles(fin_b2):

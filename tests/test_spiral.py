@@ -95,6 +95,42 @@ def test_partition_property(a2_datum):
         assert report.partition_ok
 
 
+def _pieces_by_definition(spiral, n):
+    """P_n, L_n and U_n straight from their definition, root by root."""
+    datum = spiral.datum
+    bound = spiral.epsilon * n
+    pieces = []
+    for keep in (lambda w: w >= bound, lambda w: w == bound, lambda w: w > bound):
+        out = {
+            r
+            for r in datum.finite.roots
+            if datum.grading_degree(r) == n % datum.m
+            and keep(datum.finite.pair(r, spiral.lam))
+        }
+        if n % datum.m == 0 and keep(0):
+            out.add(sp.CARTAN)
+        pieces.append(frozenset(out))
+    return pieces
+
+
+@pytest.mark.parametrize("type_label", ["A", "C", "G"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_spiral_table_against_definition(type_label, m):
+    fin = build_finite(type_label, 2)
+    rng = random.Random(m)
+    for theta in [(0, 0), (1, 0), (1, 2)]:
+        datum = sp.GradedRootDatum(fin, tuple(map(Fraction, theta)), m, 1)
+        for _ in range(4):
+            lam = tuple(Fraction(rng.randrange(-7, 8), rng.randrange(1, 4)) for _ in range(2))
+            spiral = sp.spiral_from_cochar(datum, lam, rng.choice((1, -1)))
+            for n in range(-8, 9):
+                assert [spiral.p_n(n), spiral.l_n(n), spiral.u_n(n)] == (
+                    _pieces_by_definition(spiral, n)
+                )
+            top = max(abs(fin.pair(r, lam)) for r in fin.roots)
+            assert spiral.support_bound() == int(top) + m + 1
+
+
 def test_bracket_compatibility(a2_datum):
     fin = a2_datum.finite
     spiral = sp.spiral_from_cochar(a2_datum, (Fraction(1, 2), Fraction(-1, 3)), 1)

@@ -159,6 +159,22 @@ def test_reflection_recovery(aff_a2):
         reflection_root_of(s(aff_a2, 0) * s(aff_a2, 1))
 
 
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("BC", 2)])
+def test_reflection_recovery_every_root(type_label, rank):
+    ambient = affinize(build_finite(type_label, rank))
+    seen = 0
+    for _ in range(2):  # a second pass reads the coroots kept from the first
+        for direction in ambient.finite_base.roots:
+            for level in range(-3, 4):
+                if not ambient.contains(direction, level):
+                    continue
+                a = ambient.root(direction, level)
+                g = ExtAffineWeylElement.reflection(ambient, a)
+                assert reflection_root_of(g) == canonical_reflection_key(a)
+                seen += 1
+    assert seen > 0
+
+
 def test_eta_sign(fin_b2):
     w0 = s(fin_b2, 1) * s(fin_b2, 2) * s(fin_b2, 1) * s(fin_b2, 2)
     t = fin_b2.root((1, 0), 0)
