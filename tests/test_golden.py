@@ -29,6 +29,8 @@ CASES = {
     "complex_fixed_c2": "complex fixed --type C --rank 2 --sigma 1 --radius 4",
     "certify_b2": "certify --type B --rank 2 --sigma 1 --radius 3 --depth 2",
     "certify_a3_finite": "certify --type A --rank 3 --finite --sigma= --radius 2 --depth 1",
+    "certify_a2_depth3": "certify --type A --rank 2 --sigma= --radius 2 --depth 3",
+    "certify_c2_depth3": "certify --type C --rank 2 --sigma 1 --radius 3 --depth 3",
     "table_weyl_ball_g2": "table weyl-ball --type G --rank 2 --radius 3",
     "table_relpos_c2_tsv": "table relpos --type C --rank 2 --sigma 1 --radius 3 --format tsv",
     "ddaha_weights": "ddaha --lam0 1/3 --depth 2 --weights",
