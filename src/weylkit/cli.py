@@ -414,6 +414,18 @@ def _build_ddaha(config, ambient) -> dd.DdahaAlgebra:
         raise ConfigError(str(exc)) from exc
 
 
+def _weight_rows(config, ambient, algebra) -> list[list]:
+    """Word, weight and multiplicity of each basis element of the standard
+    module, in basis order."""
+    module = dd.standard_module(algebra, _lam0_vec(config, ambient), config["depth"])
+    mults = module.weight_multiplicities()
+    rows = []
+    for g in module.basis:
+        w = module.weight_of(g)
+        rows.append([",".join(map(str, reduced_word(g).letters)) or "-", point_str(w), mults[w]])
+    return rows
+
+
 def cmd_ddaha(args) -> tuple[int, str]:
     config = resolve_config(args)
     ambient = build_ambient(config)
@@ -425,20 +437,9 @@ def cmd_ddaha(args) -> tuple[int, str]:
         data = {"normal_form": dd.format_element(x)}
         return 0, emit(config, "ddaha", data)
     if getattr(args, "weights", False):
-        module = dd.standard_module(algebra, _lam0_vec(config, ambient), config["depth"])
-        mults = module.weight_multiplicities()
-        rows = []
-        for g in module.basis:
-            w = module.weight_of(g)
-            rows.append(
-                [
-                    ",".join(map(str, reduced_word(g).letters)) or "-",
-                    point_str(w),
-                    mults[w],
-                ]
-            )
+        rows = _weight_rows(config, ambient, algebra)
         data = {
-            "dimension": len(module.basis),
+            "dimension": len(rows),
             "weights": [dict(zip(("word", "weight", "multiplicity"), r)) for r in rows],
         }
         return 0, emit(config, "ddaha.weights", data, (["word", "weight", "multiplicity"], rows))
@@ -475,10 +476,15 @@ def certify_checks(config, ambient) -> list[dict]:
         return checks
 
     system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
-    ball = rel.relative_ball(system, min(radius, 4))
+    # relative BFS distance is relative length, and a product of two elements
+    # of the depth ball lies within twice the depth: one ball serves the
+    # sphere sizes, the depth ball (a prefix in BFS order) and the products
+    depth = min(config["depth"], 3)
+    ball = rel.relative_ball(system, max(min(radius, 4), 2 * depth))
     got = [0] * (min(radius, 4) + 1)
     for d in ball.values():
-        got[d] += 1
+        if d < len(got):
+            got[d] += 1
     try:
         expected = rel.coxeter_ball_sizes_from_matrix(
             list(system.simple_labels()), system.coxeter_matrix, min(radius, 4)
@@ -493,13 +499,12 @@ def certify_checks(config, ambient) -> list[dict]:
     except NotImplementedError as exc:
         checks.append({"check": "coxeter-ball-sizes", "ok": True, "detail": f"skipped: {exc}"})
 
-    depth = min(config["depth"], 3)
-    small = {g: d for g, d in rel.relative_ball(system, depth).items()}
+    small = {g: d for g, d in ball.items() if d <= depth}
     violations = 0
     for g, lg in small.items():
         for h, lh in small.items():
             gh = g * h
-            rel_add = rel.relative_length(system, gh) == lg + lh
+            rel_add = ball[gh] == lg + lh
             abs_add = length(gh) == length(g) + length(h)
             if rel_add != abs_add:
                 violations += 1
@@ -644,15 +649,7 @@ def cmd_table(args) -> tuple[int, str]:
         data = {"rows": [dict(zip(("facet", "coset", "good"), r)) for r in rows]}
         return 0, emit(config, "table.relpos", data, (["facet", "coset", "good"], rows))
     if which == "weights":
-        algebra = _build_ddaha(config, ambient)
-        module = dd.standard_module(algebra, _lam0_vec(config, ambient), config["depth"])
-        mults = module.weight_multiplicities()
-        rows = []
-        for g in module.basis:
-            w = module.weight_of(g)
-            rows.append(
-                [",".join(map(str, reduced_word(g).letters)) or "-", point_str(w), mults[w]]
-            )
+        rows = _weight_rows(config, ambient, _build_ddaha(config, ambient))
         data = {"rows": [dict(zip(("word", "weight", "multiplicity"), r)) for r in rows]}
         return 0, emit(config, "table.weights", data, (["word", "weight", "multiplicity"], rows))
     raise ConfigError(f"unknown table {which!r}")

@@ -130,19 +130,7 @@ def span(f: Facet) -> AffineSpan:
         directions = linalg.nullspace(grads)
     else:
         directions = tuple(linalg.identity(ambient.rank))
-    vanishing = set()
-    finite = ambient.finite_base
-    for root in finite.roots:
-        if not finite.is_positive(root):
-            continue
-        rf = tuple(map(Fraction, root))
-        if any(dot(rf, d) != 0 for d in directions):
-            continue
-        level = -finite.pair(rf, base)
-        if level.denominator != 1 or not ambient.contains(root, int(level)):
-            continue
-        vanishing.add(canonical_reflection_key(AffineRoot(finite, root, int(level))))
-    return AffineSpan(base, directions, frozenset(vanishing))
+    return AffineSpan(base, directions, frozenset(_roots_through(ambient, base, directions)))
 
 
 def project_point(ambient: AffineRootSystem, x: Vec, sp: AffineSpan) -> Vec:
@@ -179,19 +167,26 @@ def facet_stabilizer_reflections(f: Facet) -> frozenset[AffineRoot]:
 # ---------------------------------------------------------------------------
 
 
+def _roots_through(ambient: AffineRootSystem, x: Vec, directions=()) -> list[AffineRoot]:
+    """The affine roots with positive direction that vanish at x and are
+    constant along `directions`; a positive direction makes each root its own
+    canonical key."""
+    finite = ambient.finite_base
+    out = []
+    for root in finite.positive_roots():
+        rf = tuple(map(Fraction, root))
+        if any(dot(rf, d) != 0 for d in directions):
+            continue
+        level = -finite.pair(rf, x)
+        if level.denominator == 1 and ambient.contains(root, level.numerator):
+            out.append(AffineRoot(finite, root, level.numerator))
+    return out
+
+
 def stabilizer_of_point(ambient: AffineRootSystem, x: Vec) -> tuple[AffineRoot, ...]:
     """All affine roots vanishing at x (canonical keys); their reflections
     generate Stab_W(x)."""
-    x = tuple(Fraction(c) for c in x)
-    finite = ambient.finite_base
-    out = []
-    for root in finite.roots:
-        if not finite.is_positive(root):
-            continue
-        level = -finite.pair(tuple(map(Fraction, root)), x)
-        if level.denominator != 1 or not ambient.contains(root, int(level)):
-            continue
-        out.append(canonical_reflection_key(AffineRoot(finite, root, int(level))))
+    out = _roots_through(ambient, tuple(Fraction(c) for c in x))
     return tuple(sorted(out, key=lambda a: (a.direction, a.level)))
 
 

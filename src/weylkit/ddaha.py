@@ -546,7 +546,8 @@ def format_element(x: DdahaElement) -> str:
     for g, f in x.terms:
         word = algebra._word(g)
         for exps, coeff in sorted(f.terms, key=lambda t: (sum(t[0]), t[0])):
-            items.append((length(g), word, sum(exps), exps, coeff))
+            # word is reduced, so len(word) is the length of g
+            items.append((len(word), word, sum(exps), exps, coeff))
     items.sort(key=lambda it: (it[0], it[1], it[2], it[3]))
     chunks = []
     for k, (_, word, _, exps, coeff) in enumerate(items):

@@ -9,10 +9,10 @@ integer arithmetic; the matrix of the finite part acting on points is
 computed once per finite part and cached.  Actions on points and functionals
 take and return Fractions.
 
-The length is counted in closed form, root by root (Iwahori-Matsumoto); the
-level-by-level enumeration of inversions, `_inversions`, is kept for T(w) and
-as the oracle the closed form is tested against.  Word and descent
-algorithms reduce to the sign of one affine root image.
+The inversions of an element are read in closed form, root by root
+(Iwahori-Matsumoto): each root's inverted levels form one range, which the
+length counts and T(w) lists.  Word and descent algorithms reduce to the sign
+of one affine root image.
 """
 
 from dataclasses import dataclass, field
@@ -238,43 +238,39 @@ def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
 # ---------------------------------------------------------------------------
 
 
-def _inversions(g: ExtAffineWeylElement):
-    """Yield the affine roots a in S+ with g(a) in S-, level by level."""
-    ambient = g.ambient
-    finite = ambient.finite_base
-    for alpha in finite.roots:
-        # g(alpha + n) = galpha + (n + shift)
-        galpha, shift = _image(g.matrix, g.mu, alpha, 0)
-        start = 0 if finite.is_positive(alpha) else 1
-        stop = -shift if ambient.affine else 0
-        for n in range(start, stop + 1):
-            if ambient.contains(alpha, n) and _is_negative(galpha, n + shift):
-                yield AffineRoot(finite, alpha, n)
-
-
-def length(g: ExtAffineWeylElement) -> int:
-    """The number of affine roots a in S+ with g(a) in S-, in closed form
+def _inverted_levels(g: ExtAffineWeylElement) -> list[tuple[IntVec, range]]:
+    """(alpha, levels) for every root alpha with inverted levels: the n with
+    alpha + n in S+ and g(alpha + n) in S-, as one range, in closed form
     (Iwahori-Matsumoto 1965; Macdonald, Affine Hecke algebras and orthogonal
     polynomials, section 2).  On the affine roots alpha + n, g lowers the
-    level by c = <g(alpha), mu> = <alpha, m^T mu>: the levels n in
-    [start, c) are inverted, those in 2Q_R only when odd, and the level
-    n = c when g(alpha) is negative.  m^T mu is formed once, so a root costs
-    one pairing, and g(alpha) is formed only for the level n = c."""
+    level by c = <g(alpha), mu> = <alpha, m^T mu>: the levels n in [start, c)
+    are inverted, those in 2Q_R only when odd, and the level n = c when
+    g(alpha) is negative.  m^T mu is formed once, so a root costs one
+    pairing, and g(alpha) is formed only for the level n = c."""
     m = g.matrix
     nu = _mat_vec(transpose(m), g.mu)
     affine = g.ambient.affine
-    total = 0
+    out = []
     for alpha, start, odd_only in _system_data(g.ambient).roots:
         c = sum(map(mul, alpha, nu))
         if not affine:
             # only level 0 is a root, and it lies in S+ only for alpha > 0
-            total += start == 0 and _is_negative(_mat_vec(m, alpha), -c)
+            if start == 0 and _is_negative(_mat_vec(m, alpha), -c):
+                out.append((alpha, range(1)))
             continue
-        if c > start:
-            total += c // 2 if odd_only else c - start
-        if c >= start and (c % 2 or not odd_only) and _is_negative(_mat_vec(m, alpha), 0):
-            total += 1
-    return total
+        if c < start:
+            continue
+        if (c % 2 or not odd_only) and _is_negative(_mat_vec(m, alpha), 0):
+            c += 1
+        levels = range(1, c, 2) if odd_only else range(start, c)
+        if levels:
+            out.append((alpha, levels))
+    return out
+
+
+def length(g: ExtAffineWeylElement) -> int:
+    """The number of affine roots a in S+ with g(a) in S-."""
+    return sum([len(levels) for _, levels in _inverted_levels(g)])
 
 
 def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
@@ -378,35 +374,36 @@ def canonical_reflection_key(a: AffineRoot) -> AffineRoot:
 
 
 def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
-    """Recover the affine root (canonical key) of a reflection element."""
+    """Recover the affine root (canonical key) of a reflection element: s_a
+    for a = gamma + k negates the positive root gamma and has translation
+    mu = -k gamma_check."""
     ambient = g.ambient
-    ident = _identity(ambient.rank)
-    diff = tuple(tuple(a - b for a, b in zip(row, irow)) for row, irow in zip(g.matrix, ident))
-    if linalg.rank(diff) != 1 or _mat_mul(g.matrix, g.matrix) != ident:
-        raise NotAReflection("finite part is not a reflection matrix")
-    # the image of m - 1 is the line of the root
-    col = next(c for c in zip(*diff) if any(c))
     finite = ambient.finite_base
     data = _system_data(ambient)
-    for root in finite.roots:
-        i = next(i for i, c in enumerate(root) if c)
-        if not col[i] or any(a * root[i] != b * col[i] for a, b in zip(col, root)):
+    for gamma, start, _ in data.roots:  # start == 0 exactly for gamma > 0
+        if start or any(a != -b for a, b in zip(_mat_vec(g.matrix, gamma), gamma)):
             continue
-        # level from the translation part: s_{gamma+k} has mu = -k gamma_check
-        corovec = data.coroot(root)
+        corovec = data.coroot(gamma)
         j = next(j for j, c in enumerate(corovec) if c)
         k, rest = divmod(-g.mu[j], corovec[j])
-        if rest or not ambient.contains(root, k):
+        if rest or not ambient.contains(gamma, k):
             continue
-        candidate = AffineRoot(finite, root, k)
+        candidate = AffineRoot(finite, gamma, k)
         if ExtAffineWeylElement.reflection(ambient, candidate) == g:
-            return canonical_reflection_key(candidate)
+            return candidate
     raise NotAReflection("element is not a reflection of this affine root system")
 
 
 def reflections_T(g: ExtAffineWeylElement) -> frozenset[AffineRoot]:
-    """T(g) = set of reflections t with l(tg) < l(g), keyed canonically."""
-    return frozenset(canonical_reflection_key(a) for a in _inversions(g.inverse()))
+    """T(g) = set of reflections t with l(tg) < l(g), keyed canonically: the
+    inversions of g^-1, each alpha + n with alpha < 0 keyed as -alpha - n."""
+    finite = g.ambient.finite_base
+    keys = []
+    for alpha, levels in _inverted_levels(g.inverse()):
+        sign = 1 if max(alpha) > 0 else -1
+        direction = tuple(sign * c for c in alpha)
+        keys.extend(AffineRoot(finite, direction, sign * n) for n in levels)
+    return frozenset(keys)
 
 
 def eta(g: ExtAffineWeylElement, t) -> int:

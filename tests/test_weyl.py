@@ -6,7 +6,6 @@ import pytest
 from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     BallTooLarge,
-    _inversions,
     DifferentComponents,
     ExtAffineWeylElement,
     NotAReflection,
@@ -157,6 +156,34 @@ def test_reflection_recovery(aff_a2):
         assert reflection_root_of(g) == canonical_reflection_key(a)
     with pytest.raises(NotAReflection):
         reflection_root_of(s(aff_a2, 0) * s(aff_a2, 1))
+    # a translation negates no root
+    with pytest.raises(NotAReflection):
+        reflection_root_of(ExtAffineWeylElement.translation(aff_a2, (1, -1)))
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,word",
+    [
+        # w0 = -1 negates every root, yet is no reflection
+        ("B", 2, (1, 2, 1, 2)),
+        ("G", 2, (1, 2, 1, 2, 1, 2)),
+        # s1 s3 negates alpha_1, alpha_3 and alpha_1 + alpha_3
+        ("A", 3, (1, 3)),
+    ],
+)
+def test_reflection_recovery_rejects_root_negating_elements(type_label, rank, word):
+    ambient = finite_coxeter(build_finite(type_label, rank))
+    g = ExtAffineWeylElement.identity(ambient)
+    for l in word:
+        g = g * s(ambient, l)
+    # several positive roots are negated, so the search reaches its closing check
+    negated = [
+        r for r in ambient.finite_base.positive_roots()
+        if g.act_gradient(r) == tuple(-c for c in r)
+    ]
+    assert len(negated) > 1
+    with pytest.raises(NotAReflection):
+        reflection_root_of(g)
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("BC", 2)])
@@ -242,10 +269,30 @@ ORACLE_BALLS = [
 ]
 
 
+def _inversions(g):
+    """Brute-force oracle: the affine roots a in S+ with g(a) in S-, found by
+    testing every level from 0 up to the one g moves to 0, through the exact
+    public action."""
+    ambient = g.ambient
+    finite = ambient.finite_base
+    for alpha in finite.roots:
+        # g(alpha + n) = galpha + (n + shift)
+        galpha, shift = g.act_affine(alpha, 0)
+        for n in range(0, 1 - int(shift) if ambient.affine else 1):
+            if not ambient.contains(alpha, n):
+                continue
+            a = AffineRoot(finite, alpha, n)
+            if a.is_positive() and not AffineRoot(finite, galpha, n + shift).is_positive():
+                yield a
+
+
 def _check_against_oracle(g):
     assert all(type(c) is int for c in g.mu)
     assert all(type(c) is int for row in g.matrix for c in row)
     assert length(g) == sum(1 for _ in _inversions(g))
+    assert reflections_T(g) == frozenset(
+        canonical_reflection_key(a) for a in _inversions(g.inverse())
+    )
     assert (g * g.inverse()).is_identity()
     assert (g.inverse() * g).is_identity()
 
