@@ -1,8 +1,9 @@
 """Byte-exact CLI outputs on a fixed set of commands.
 
 Each file in tests/golden/ holds one command's exit code on its first line
-("exit N") followed by its stdout.  The files are written from a commit known
-to be correct, never to make a failing comparison pass:
+("exit N") followed by its stdout.  Commands are split with shell quoting
+rules, so a DDAHA literal with spaces is one argument.  The files are written
+from a commit known to be correct, never to make a failing comparison pass:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -10,6 +11,7 @@ to be correct, never to make a failing comparison pass:
 import contextlib
 import io
 import os
+import shlex
 
 import pytest
 
@@ -34,6 +36,8 @@ CASES = {
     "table_weyl_ball_g2": "table weyl-ball --type G --rank 2 --radius 3",
     "table_relpos_c2_tsv": "table relpos --type C --rank 2 --sigma 1 --radius 3 --format tsv",
     "ddaha_weights": "ddaha --lam0 1/3 --depth 2 --weights",
+    "ddaha_times_a2": "ddaha --type A --rank 2 --expr 's1*s0*x1^2 + (3/2)*s1' --times 's2*x2 - x1^3'",
+    "ddaha_times_g2": "ddaha --type G --rank 2 --expr 's1*s2*x1 + x2^2' --times 's0*s2*x1*x2 - (1/2)*s1'",
     "root_bc2": "root --type BC --rank 2",
     "spiral_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --d 1 --lam 0,0 --window=-2:2",
 }
@@ -42,7 +46,7 @@ CASES = {
 def run_case(command: str) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(command.split())
+        code = main(shlex.split(command))
     return f"exit {code}\n".encode() + out.getvalue().encode()
 
 
