@@ -31,6 +31,8 @@ from .root_system import (
 from .weyl import (
     BallTooLarge,
     ExtAffineWeylElement,
+    act_on_affine_root,
+    canonical_reflection_key,
     element_to_json,
     enumerate_ball,
     has_left_descent,
@@ -500,12 +502,13 @@ def certify_checks(config, ambient) -> list[dict]:
         checks.append({"check": "coxeter-ball-sizes", "ok": True, "detail": f"skipped: {exc}"})
 
     small = {g: d for g, d in ball.items() if d <= depth}
+    small_lengths = {g: length(g) for g in small}
     violations = 0
     for g, lg in small.items():
         for h, lh in small.items():
             gh = g * h
             rel_add = ball[gh] == lg + lh
-            abs_add = length(gh) == length(g) + length(h)
+            abs_add = length(gh) == small_lengths[g] + small_lengths[h]
             if rel_add != abs_add:
                 violations += 1
     checks.append(
@@ -588,8 +591,6 @@ def certify_checks(config, ambient) -> list[dict]:
 
 
 def _conj_T(g, h):
-    from .weyl import canonical_reflection_key, act_on_affine_root
-
     return frozenset(
         canonical_reflection_key(act_on_affine_root(g, t)) for t in reflections_T(h)
     )

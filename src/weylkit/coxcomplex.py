@@ -10,6 +10,7 @@ the good/bad dichotomy, orbit sets and the fixed subcomplex of a parabolic.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .linalg import Vec, dot, mat_vec
@@ -332,7 +333,7 @@ def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambe
     k = len(sigma)
     candidate_types = [
         t
-        for t in _subsets_of_size(list(ambient.labels), k)
+        for t in map(frozenset, combinations(ambient.labels, k))
         if t != frozenset(ambient.labels) and ParabolicSubset(ambient, t).is_finite()
     ]
     found = set()
@@ -383,9 +384,3 @@ def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambe
         ball_complete=closed,
         boundary_excluded=boundary_cut,
     )
-
-
-def _subsets_of_size(items, k):
-    from itertools import combinations
-
-    return [frozenset(c) for c in combinations(items, k)]

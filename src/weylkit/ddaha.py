@@ -1,26 +1,25 @@
 """The degenerate double affine Hecke algebra of an affine root system.
 
 Elements live in the vector space CW tensor C[E] in the normal form
-"group letters left, polynomials right"; multiplication pushes polynomials
-to the right through group letters with the cross relation
+"group letters left, polynomials right".  The cross relation
 
     s_a f - s_a(f) s_a = h_a (f - s_a(f)) / a,      h_a = (d / 2m) c_a,
 
-where the division is exact polynomial division.  Both parts of the right
-side are linear in f, so `cross_multiply` sums them over the terms c x^e of f
-from the images s_a(x^e) and h_a (x^e - s_a(x^e)) / a of single monomials.
-Each monomial image is computed once per algebra, by the same substitution
-and exact division as for a whole polynomial, so the sum is the exact
-normal form and a non-exact division still raises; the reduced words of
-group parts are kept per algebra in the same way.  The module also provides
-relation verification, truncated standard modules and orbit/stabilizer
-search for category-O weight analysis.
+with exact polynomial division, is applied in one step, `_times_simple`: the
+normal form of x * s_a for a whole element x, summed from the images of
+single monomials, each computed once per algebra (a non-exact division
+still raises).  `multiply(x, y)` folds that step over the reduced word of
+each group part of y, with sums accumulated in exponent -> coefficient dicts
+and one Poly built per group element.  The module also provides relation
+verification, truncated standard modules and orbit/stabilizer search for
+category-O weight analysis.
 """
 
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .poly import DivisionNotExact, Poly, divide_linear, weyl_action
 from .root_system import AffineRootSystem
@@ -72,7 +71,7 @@ class DdahaAlgebra:
     ambient: AffineRootSystem = field(compare=False)
     params: HeckeParameters = None
     # filled on first use: (label, exponents) -> monomial images (see
-    # cross_multiply), and group element -> reduced word (see _word)
+    # _times_simple), and group element -> reduced word (see _word)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -102,9 +101,6 @@ class DdahaAlgebra:
             self, frozenset((g, f) for g, f in mapping.items() if not f.is_zero())
         )
 
-    def coordinate(self, i: int) -> "DdahaElement":
-        return self.polynomial(Poly.variable(self.nvars, i))
-
     # -- internals --------------------------------------------------------
 
     def wall_poly(self, label: int) -> Poly:
@@ -116,9 +112,7 @@ class DdahaAlgebra:
         if letters is None:
             rw = reduced_word(g)
             if not rw.pi.is_identity():
-                raise NotInGroupSupport(
-                    "group part has a nontrivial length-0 component"
-                )
+                raise NotInGroupSupport("group part has a nontrivial length-0 component")
             letters = self._words[g] = rw.letters
         return letters
 
@@ -182,10 +176,10 @@ class DdahaElement:
         return max((f.degree() for _, f in self.terms), default=-1)
 
     def __add__(self, other: "DdahaElement") -> "DdahaElement":
-        out = self.as_dict()
+        out = {g: f.as_dict() for g, f in self.terms}
         for g, f in other.terms:
-            out[g] = out.get(g, Poly.zero(self.algebra.nvars)) + f
-        return self.algebra.element(out)
+            _add_terms(out.setdefault(g, {}), f.terms)
+        return _from_dicts(self.algebra, out)
 
     def __sub__(self, other: "DdahaElement") -> "DdahaElement":
         return self + other.scale(-1)
@@ -197,25 +191,35 @@ class DdahaElement:
         return multiply(self, other)
 
 
-def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
-    """The normal form of f * s_label:
-    s tensor s_a(f)  +  e tensor h_a (f - s_a(f)) / a,
-    summed over the terms c x^e of f from the images of x^e."""
+def _add_terms(out: dict, terms, c=1) -> None:
+    """Add c times the (exponents, coefficient) pairs of terms into the
+    exponent -> coefficient dict out."""
+    for e, v in terms:
+        out[e] = out.get(e, 0) + c * v
+
+
+def _from_dicts(algebra: DdahaAlgebra, x: dict) -> DdahaElement:
+    """The element of a map g -> {exponents: coefficient}."""
+    return algebra.element({g: Poly._from_dict(algebra.nvars, f) for g, f in x.items()})
+
+
+def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
+    """The normal form of x * s_label, for x a map g -> {exponents:
+    coefficient}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
+    summed from the cached images of the monomials x^e."""
     s = ExtAffineWeylElement.simple(algebra.ambient, label)
-    reflected, demazure = {}, {}
-    for exps, c in f.terms:
-        key = (label, exps)
-        images = algebra._images.get(key)
-        if images is None:
-            images = algebra._images[key] = _monomial_images(algebra, label, exps)
-        for part, out in zip(images, (reflected, demazure)):
-            for e, v in part:
-                out[e] = out.get(e, 0) + c * v
-    n = algebra.nvars
-    e = ExtAffineWeylElement.identity(algebra.ambient)
-    return algebra.element(
-        {s: Poly._from_dict(n, reflected), e: Poly._from_dict(n, demazure)}
-    )
+    out = {}
+    for g, f in x.items():
+        reflected, demazure = out.setdefault(g * s, {}), out.setdefault(g, {})
+        for exps, c in f.items():
+            if not c:
+                continue
+            images = algebra._images.get((label, exps))
+            if images is None:
+                images = algebra._images[label, exps] = _monomial_images(algebra, label, exps)
+            _add_terms(reflected, images[0], c)
+            _add_terms(demazure, images[1], c)
+    return out
 
 
 def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
@@ -231,32 +235,27 @@ def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
     return sx.terms, quotient.scale(algebra.params.h(label)).terms
 
 
-def _push(algebra: DdahaAlgebra, f: Poly, letters: tuple[int, ...]) -> dict:
-    """Normal form of f * s_{l1} * ... * s_{lq} as a map g -> Poly."""
-    if f.is_zero():
-        return {}
-    if not letters:
-        return {ExtAffineWeylElement.identity(algebra.ambient): f}
-    l, rest = letters[0], letters[1:]
-    crossed = cross_multiply(algebra, l, f)
-    out = {}
-    for g, p in crossed.terms:
-        for w, q in _push(algebra, p, rest).items():
-            key = g * w
-            out[key] = out.get(key, Poly.zero(algebra.nvars)) + q
-    return out
+def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
+    """The normal form of f * s_label: s tensor s_a(f) + e tensor h_a (f - s_a(f)) / a."""
+    e = ExtAffineWeylElement.identity(algebra.ambient)
+    return _from_dicts(algebra, _times_simple(algebra, {e: f.as_dict()}, label))
 
 
 def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
+    """x * y as the sum over the terms w tensor q of y of
+    (x * s_l1 * ... * s_lk) * q, for the reduced word l1 ... lk of w."""
     algebra = x.algebra
+    start = {g: f.as_dict() for g, f in x.terms}
     out = {}
-    for g, f in x.terms:
-        for w, q in y.terms:
-            pushed = _push(algebra, f, algebra._word(w))
-            for u, p in pushed.items():
-                key = g * u
-                out[key] = out.get(key, Poly.zero(algebra.nvars)) + p * q
-    return algebra.element(out)
+    for w, q in y.terms:
+        z = start
+        for label in algebra._word(w):
+            z = _times_simple(algebra, z, label)
+        for u, p in z.items():
+            acc = out.setdefault(u, {})
+            for e2, c2 in q.terms:
+                _add_terms(acc, ((tuple(map(add, e1, e2)), c1) for e1, c1 in p.items()), c2)
+    return _from_dicts(algebra, out)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +277,14 @@ class RelationReport:
 def random_polynomial(
     rng: random.Random, nvars: int, degree: int = 2, support: int = 3
 ) -> Poly:
-    out = Poly.zero(nvars)
+    out = {}
     for _ in range(rng.randrange(1, support + 1)):
         exps = [0] * nvars
         for _ in range(rng.randrange(degree + 1)):
             exps[rng.randrange(nvars)] += 1
         coeff = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-        out = out + Poly(nvars, frozenset({(tuple(exps), coeff)} if coeff else set()))
-    return out
+        _add_terms(out, ((tuple(exps), coeff),))
+    return Poly._from_dict(nvars, out)
 
 
 def verify_relations(
@@ -361,9 +360,9 @@ class StandardModule:
         index = {g: i for i, g in enumerate(self.basis)}
         cols = []
         for g in self.basis:
-            pushed = _push(self.algebra, f, self.algebra._word(g))
+            product = multiply(self.algebra.polynomial(f), self.algebra.group(g))
             col = [Fraction(0)] * n
-            for u, p in pushed.items():
+            for u, p in product.terms:
                 value = p.evaluate(self.lam0)
                 if value == 0:
                     continue
@@ -417,8 +416,9 @@ class PowerTooLarge(RuntimeError):
     pass
 
 
-# the largest power N accepted in an x<k>^N literal, which is multiplied out
-# factor by factor
+# the largest power N accepted in an x<k>^N literal: the literal itself is one
+# monomial, but every group letter that later moves past it substitutes an
+# affine-linear form into x^N, which expands (affine)^N
 MAX_LITERAL_POWER = 64
 
 
@@ -496,10 +496,8 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     raise PowerTooLarge(
                         f"power {power} in {tok}^{power} exceeds the cap of {MAX_LITERAL_POWER}"
                     )
-            out = algebra.one()
-            for _ in range(power):
-                out = multiply(out, algebra.coordinate(i))
-            return out
+            exps = tuple(power if j == i else 0 for j in range(algebra.nvars))
+            return algebra.polynomial(Poly(algebra.nvars, frozenset({(exps, Fraction(1))})))
         if tok == "(":
             take()
             value = parse_rational()

@@ -24,6 +24,7 @@ from .weyl import (
     canonical_reflection_key,
     closure,
     coxeter_order,
+    enumerate_ball,
     has_left_descent,
     has_right_descent,
     length,
@@ -167,6 +168,7 @@ class RelativeCoxeterSystem:
     base: ParabolicSubset = field(compare=False)
     sigma_complement: tuple[int, ...] = ()
     simples: dict = field(compare=False, default=None)  # label -> s-tilde element
+    simple_lengths: dict = field(compare=False, default=None)  # label -> length of s-tilde
     coxeter_matrix: dict = field(compare=False, default=None)  # (s,t) -> order or None
     order_cap: int = 12
     degenerate_single_complement: bool = False
@@ -210,6 +212,7 @@ def relative_system(
         base=base,
         sigma_complement=tuple(complement),
         simples=simples,
+        simple_lengths={l: length(st) for l, st in simples.items()},
         coxeter_matrix=cox,
         order_cap=order_cap,
         degenerate_single_complement=(len(set(ambient.labels) - base.sigma) == 1),
@@ -238,7 +241,7 @@ def relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> li
     lg = length(g)
     out = []
     for l, st in sorted(rel.simples.items()):
-        if length(st * g) == lg - length(st):
+        if length(st * g) == lg - rel.simple_lengths[l]:
             out.append(l)
     return out
 
@@ -303,8 +306,6 @@ def normalizer_pairs(
     ambient: AffineRootSystem, sigma, sigma_prime, radius: int, ball=None
 ) -> list[ExtAffineWeylElement]:
     """Elements of N(Sigma, Sigma') found in the length ball."""
-    from .weyl import enumerate_ball
-
     left = ParabolicSubset(ambient, sigma)
     right = ParabolicSubset(ambient, sigma_prime)
     if ball is None:

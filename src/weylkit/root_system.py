@@ -382,7 +382,8 @@ class AffineRootSystem:
         if not self.finite_base.is_root(direction):
             return False
         if not self.affine:
-            return level == 0
+            # level 0 is even, so no 2Q_R direction is a root here
+            return level == 0 and not self.finite_base.in_two_q_r(direction)
         if self.finite_base.in_two_q_r(direction):
             return level % 2 == 1
         return True

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from . import linalg
 from .linalg import Vec, dot
 from .root_system import FiniteRootSystem
 from .coxcomplex import AffineSpan, Facet, facets_in_ball, span
@@ -207,8 +208,6 @@ def pseudo_levi_from_subspace(
         levels[root] = -int(value)
     # relevance: the constant roots must cut out exactly this subspace
     grads = tuple(tuple(map(Fraction, r)) for r in levels)
-    from . import linalg
-
     codim = finite.rank - len(sp.directions)
     if linalg.rank(grads) != codim:
         raise NotRelevant("subspace is not an intersection of root hyperplanes")

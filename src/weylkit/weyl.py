@@ -254,8 +254,9 @@ def _inverted_levels(g: ExtAffineWeylElement) -> list[tuple[IntVec, range]]:
     for alpha, start, odd_only in _system_data(g.ambient).roots:
         c = sum(map(mul, alpha, nu))
         if not affine:
-            # only level 0 is a root, and it lies in S+ only for alpha > 0
-            if start == 0 and _is_negative(_mat_vec(m, alpha), -c):
+            # only level 0 is a root, and it lies in S+ only for alpha > 0;
+            # a 2Q_R root is affine only at odd levels
+            if start == 0 and not odd_only and _is_negative(_mat_vec(m, alpha), -c):
                 out.append((alpha, range(1)))
             continue
         if c < start:

@@ -262,6 +262,21 @@ def test_literal_power_at_the_cap_is_accepted(capsys):
     assert payload["result"]["normal_form"] == expr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "--word", "1,2"],
+        ["table", "weyl-ball"],
+        ["complex", "facets"],
+        ["relative", "--sigma", "1"],
+        ["certify", "--sigma="],
+    ],
+)
+def test_finite_bc_commands_exit_0(capsys, argv):
+    code, _, err = run(capsys, argv + ["--type", "BC", "--rank", "2", "--finite"])
+    assert code == 0, err
+
+
 def test_bad_parameter_label_in_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c": {"a": 2}}))

@@ -121,6 +121,60 @@ def test_cross_multiply_matches_whole_polynomial_formula(type_, rank, m, c):
             assert dd.cross_multiply(alg, label, f) == expected
 
 
+def _push(algebra, f, letters):
+    """Oracle: the normal form of f * s_l1 * ... * s_lq as a map g -> Poly,
+    by recursion on the word, crossing a whole polynomial at each letter."""
+    if f.is_zero():
+        return {}
+    if not letters:
+        return {ExtAffineWeylElement.identity(algebra.ambient): f}
+    out = {}
+    for g, p in whole_polynomial_cross(algebra, letters[0], f).terms:
+        for w, q in _push(algebra, p, letters[1:]).items():
+            key = g * w
+            out[key] = out.get(key, Poly.zero(algebra.nvars)) + q
+    return out
+
+
+def recursive_multiply(x, y):
+    """Oracle: x * y pushed term by term, each (g f)(w q) as g (f T_w) q."""
+    algebra = x.algebra
+    out = {}
+    for g, f in x.terms:
+        for w, q in y.terms:
+            for u, p in _push(algebra, f, reduced_word(w).letters).items():
+                key = g * u
+                out[key] = out.get(key, Poly.zero(algebra.nvars)) + p * q
+    return algebra.element(out)
+
+
+@pytest.mark.parametrize("h_zero", [False, True])
+@pytest.mark.parametrize("type_, rank, m, c", CROSS_CASES)
+def test_multiply_matches_recursive_push(type_, rank, m, c, h_zero):
+    amb = affinize(build_finite(type_, rank))
+    if h_zero:
+        c = {l: 0 for l in c}
+    alg = dd.build_algebra(amb, dd.HeckeParameters.make(m, 1, c, unsafe=h_zero))
+    rng = random.Random(f"{type_}{rank}{h_zero}")
+    ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
+    for _ in range(8):
+        x = random_element(alg, rng, ball, support=3, degree=4)
+        y = random_element(alg, rng, ball, support=3, degree=4)
+        assert dd.multiply(x, y) == recursive_multiply(x, y)
+
+
+def test_sum_and_difference_of_an_element_with_itself(alg_a2):
+    rng = random.Random(51)
+    ball = sorted(
+        enumerate_ball(alg_a2.ambient, 2), key=lambda g: (length(g), g.mu, g.matrix)
+    )
+    for _ in range(10):
+        x = random_element(alg_a2, rng, ball, support=3, degree=3)
+        assert x + x == x.scale(2)
+        assert (x - x).is_zero()
+        assert x - x == alg_a2.zero()
+
+
 def test_cross_multiply_demazure_part_vanishes_at_h_zero():
     amb = affinize(build_finite("C", 2))
     alg0 = dd.build_algebra(
@@ -160,7 +214,7 @@ def test_length_zero_part_raises_on_every_call():
 
 
 def test_polynomial_subalgebra(alg_a1):
-    x = alg_a1.coordinate(0)
+    x = alg_a1.polynomial(Poly.variable(1, 0))
     f = dd.multiply(x, x)
     e = ExtAffineWeylElement.identity(alg_a1.ambient)
     assert f == alg_a1.element({e: Poly.variable(1, 0) * Poly.variable(1, 0)})
@@ -279,6 +333,15 @@ def test_literal_roundtrip(alg_a2):
         text = dd.format_element(x)
         assert dd.parse_element(alg_a2, text) == x
     assert dd.format_element(alg_a2.zero()) == "0"
+
+
+def test_power_literal_is_the_repeated_product(alg_a2):
+    x2 = alg_a2.polynomial(Poly.variable(2, 1))
+    left, right = alg_a2.generator(1), alg_a2.one()
+    for k in range(5):
+        assert dd.parse_element(alg_a2, f"s1*x2^{k}") == left
+        assert dd.parse_element(alg_a2, f"x2^{k}*s0") == right * alg_a2.generator(0)
+        left, right = left * x2, right * x2
 
 
 def test_literal_examples(alg_a1):

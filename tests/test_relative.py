@@ -169,6 +169,15 @@ def test_length_dichotomy(aff_c2):
             assert diff in (length(st), -length(st))
 
 
+def test_relative_descents_are_the_length_drops(aff_c2):
+    system = rel.relative_system(aff_c2, {1})
+    assert system.simple_lengths == {l: length(st) for l, st in system.simples.items()}
+    for g in rel.relative_ball(system, 4):
+        assert rel.relative_descents(system, g) == [
+            l for l, st in sorted(system.simples.items()) if length(st * g) < length(g)
+        ]
+
+
 def test_relative_reduced_word(aff_c2):
     system = rel.relative_system(aff_c2, {1})
     for g, d in rel.relative_ball(system, 4).items():

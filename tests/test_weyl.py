@@ -310,6 +310,38 @@ def test_integer_kernel_against_inversion_oracle_finite(type_label, rank, radius
         _check_against_oracle(g)
 
 
+def _poincare_b(n):
+    """Sphere sizes of the finite Weyl group of type B_n: the coefficients
+    of the product over i = 1..n of 1 + q + ... + q^(2i - 1)."""
+    coeffs = [1]
+    for i in range(1, n + 1):
+        out = [0] * (len(coeffs) + 2 * i - 1)
+        for k, c in enumerate(coeffs):
+            for j in range(2 * i):
+                out[k + j] += c
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_finite_bc_is_finite_b(rank):
+    # level 0 is even, so no 2Q_R root of BC_n is a finite-mode root, and
+    # the finite group of BC_n is that of B_n (of A_1 when n = 1)
+    def spheres(ambient):
+        counts = [0] * (rank * rank + 1)
+        for l in enumerate_ball(ambient, rank * rank).values():
+            counts[l] += 1
+        return counts
+
+    bc = finite_coxeter(build_finite("BC", rank))
+    assert spheres(bc) == _poincare_b(rank)
+    if rank > 1:
+        assert spheres(finite_coxeter(build_finite("B", rank))) == _poincare_b(rank)
+    for g in enumerate_ball(bc, rank * rank):
+        _check_against_oracle(g)
+        assert length(g) == len(reduced_word(g).letters) == len(reflections_T(g))
+
+
 def test_descents_of_extended_elements_match_length_drops(aff_a2):
     # X^{coweight_1} w leaves W_S; descents must still be the length drops
     x = ExtAffineWeylElement.translation(aff_a2, (1, 0))
