@@ -24,11 +24,14 @@ CASES = {
     "weyl_g2_tsv": "weyl --type G --rank 2 --word 0,1,2,1,2,0,1 --format tsv",
     "relative_c2": "relative --type C --rank 2 --sigma 1",
     "relative_a3": "relative --type A --rank 3 --sigma 1,3",
+    "relative_bc2": "relative --type BC --rank 2 --sigma 1",
     "complex_facets_a2": "complex facets --type A --rank 2 --radius 2",
     "table_facets_a2": "table facets --type A --rank 2 --radius 2",
     "table_facets_a2_tsv": "table facets --type A --rank 2 --radius 2 --format tsv",
     "complex_relpos_c2": "complex relpos --type C --rank 2 --itype 1 --nuprime 0,1,0",
+    "complex_relpos_g2": "complex relpos --type G --rank 2 --itype 1 --nuprime 2,1,2,1,2",
     "complex_fixed_c2": "complex fixed --type C --rank 2 --sigma 1 --radius 4",
+    "complex_fixed_bc2": "complex fixed --type BC --rank 2 --sigma 1 --radius 4",
     "certify_b2": "certify --type B --rank 2 --sigma 1 --radius 3 --depth 2",
     "certify_a3_finite": "certify --type A --rank 3 --finite --sigma= --radius 2 --depth 1",
     "certify_a2_depth3": "certify --type A --rank 2 --sigma= --radius 2 --depth 3",
