@@ -31,8 +31,7 @@ from .root_system import (
 from .weyl import (
     BallTooLarge,
     ExtAffineWeylElement,
-    act_on_affine_root,
-    canonical_reflection_key,
+    conjugate_reflections,
     element_to_json,
     enumerate_ball,
     has_left_descent,
@@ -116,13 +115,14 @@ def _parse_c_map(s) -> dict[int, Fraction]:
 
 
 def _parse_window(s) -> tuple[int, int]:
-    if isinstance(s, (list, tuple)) and len(s) == 2:
-        return int(s[0]), int(s[1])
     try:
-        lo, hi = str(s).split(":")
-        return int(lo), int(hi)
-    except ValueError as exc:
+        lo, hi = s if isinstance(s, (list, tuple)) and len(s) == 2 else str(s).split(":")
+        lo, hi = int(lo), int(hi)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad window {s!r}; use lo:hi") from exc
+    if lo > hi:
+        raise ConfigError(f"bad window {s!r}; lo must not exceed hi")
+    return lo, hi
 
 
 def resolve_config(args) -> dict:
@@ -137,22 +137,9 @@ def resolve_config(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         config.update(loaded)
-    overrides = {
-        "type": getattr(args, "type", None),
-        "rank": getattr(args, "rank", None),
-        "sigma": getattr(args, "sigma", None),
-        "theta": getattr(args, "theta", None),
-        "m": getattr(args, "m", None),
-        "d": getattr(args, "d", None),
-        "c": getattr(args, "c", None),
-        "radius": getattr(args, "radius", None),
-        "depth": getattr(args, "depth", None),
-        "window": getattr(args, "window", None),
-        "lam0": getattr(args, "lam0", None),
-        "format": getattr(args, "format", None),
-        "seed": getattr(args, "seed", None),
-    }
-    for key, value in overrides.items():
+    # every key but affine and order_cap has a flag of the same name
+    for key in DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     if getattr(args, "finite", False):
@@ -339,7 +326,7 @@ def cmd_complex(args) -> tuple[int, str]:
     if sub == "fixed":
         try:
             report = cx.fixed_chambers(ambient, config["sigma"], config["radius"])
-        except rel.NotAdmissible as exc:
+        except (rel.NotAdmissible, cx.BallTooSmall) as exc:
             raise ConfigError(str(exc)) from exc
         data = {
             "chambers": [
@@ -576,7 +563,7 @@ def certify_checks(config, ambient) -> list[dict]:
     for _ in range(10):
         g = rng.choice(sample)
         h = rng.choice(sample)
-        if reflections_T(g * h) <= reflections_T(g) | _conj_T(g, h):
+        if reflections_T(g * h) <= reflections_T(g) | conjugate_reflections(g, reflections_T(h)):
             pairs_checked += 1
         else:
             eta_ok = False
@@ -588,12 +575,6 @@ def certify_checks(config, ambient) -> list[dict]:
         }
     )
     return checks
-
-
-def _conj_T(g, h):
-    return frozenset(
-        canonical_reflection_key(act_on_affine_root(g, t)) for t in reflections_T(h)
-    )
 
 
 def cmd_certify(args) -> tuple[int, str]:

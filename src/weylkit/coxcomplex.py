@@ -18,18 +18,16 @@ from .root_system import AffineFunction, AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
     act_on_affine_root,
-    canonical_reflection_key,
     closure,
+    conjugate_reflections,
     double_coset_min_rep,
     enumerate_ball,
     length,
     min_coset_rep,
 )
 from .relative import (
-    NotAdmissible,
     ParabolicSubset,
     in_relative_group,
-    is_admissible,
     relative_ball,
     relative_system,
 )
@@ -157,10 +155,7 @@ def project_point(ambient: AffineRootSystem, x: Vec, sp: AffineSpan) -> Vec:
 
 def facet_stabilizer_reflections(f: Facet) -> frozenset[AffineRoot]:
     """Reflection set of Stab(f) = rep W_J rep^{-1}, as canonical keys."""
-    p = ParabolicSubset(f.ambient, f.type_labels)
-    return frozenset(
-        canonical_reflection_key(act_on_affine_root(f.rep, t)) for t in p.reflections()
-    )
+    return conjugate_reflections(f.rep, ParabolicSubset(f.ambient, f.type_labels).reflections())
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +241,9 @@ def act_relative(w: ExtAffineWeylElement, f: Facet) -> Facet:
 def relative_position(f: Facet, g: Facet) -> RelativePosition:
     """The W_I-double coset of the pair, its good/bad classification by span
     comparison, and for good pairs the unique relative-group element in the
-    coset W_I (rep_f^-1 rep_g), which moves g onto f under act_relative."""
+    coset W_I (rep_f^-1 rep_g), which moves g onto f under act_relative.
+    An element of the relative group has no reflection of T_I in its T, so
+    it can only be the minimal element of that coset."""
     if f.type_labels != g.type_labels:
         raise TypesDiffer(
             f"types {sorted(f.type_labels)} and {sorted(g.type_labels)} differ"
@@ -257,14 +254,10 @@ def relative_position(f: Facet, g: Facet) -> RelativePosition:
     good = span(f) == span(g)
     rel_elt = None
     if good:
-        ambient = f.ambient
-        matches = []
-        for u in ParabolicSubset(ambient, labels).elements():
-            cand = u * base
-            if in_relative_group(ambient, cand, labels):
-                matches.append(cand)
-        assert len(matches) == 1, "good pair without a unique relative element"
-        rel_elt = matches[0]
+        rel_elt = min_coset_rep(base, labels, "left")
+        assert in_relative_group(f.ambient, rel_elt, labels), (
+            "good pair without a relative element"
+        )
         assert act_relative(rel_elt, g) == f
     return RelativePosition(w, good, rel_elt)
 
@@ -326,9 +319,7 @@ def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambe
     """Chambers of the fixed subcomplex: facets in the ball whose stabilizer
     equals W_Sigma, with the relative-group action table on them."""
     sigma = frozenset(int(l) for l in sigma)
-    ok, cert = is_admissible(ambient, sigma)
-    if not ok:
-        raise NotAdmissible(f"{sorted(sigma)} is not admissible: {cert}")
+    rel = relative_system(ambient, sigma)
     t_sigma = ParabolicSubset(ambient, sigma).reflections()
     k = len(sigma)
     candidate_types = [
@@ -343,7 +334,6 @@ def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambe
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
 
-    rel = relative_system(ambient, sigma)
     interior = {f for f in found if length(f.rep) < radius}
     boundary_cut = tuple(sorted(found - interior, key=lambda f: length(f.rep)))
     action = {}

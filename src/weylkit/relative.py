@@ -10,6 +10,12 @@ kept on the ambient object (itself one object per system), and that object
 caches its finiteness, w0^Sigma and T_Sigma.  Every membership test and
 normalizer check of the module therefore computes each of them once per
 subset and system.
+
+Admissibility, membership in the relative group, normalizer pairs and the
+chain decomposition all ask whether y conjugates the simple reflections of
+one parabolic into T of another.  Since y s_a y^-1 = s_{y(a)}, that is one
+question, `_normalizes`, answered by acting on the simple roots with
+`weyl.conjugate_reflections` and comparing canonical keys with T_Sigma.
 """
 
 from dataclasses import dataclass, field
@@ -20,16 +26,15 @@ from . import linalg
 from .root_system import AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
-    NotAReflection,
     canonical_reflection_key,
     closure,
+    conjugate_reflections,
     coxeter_order,
     enumerate_ball,
     has_left_descent,
     has_right_descent,
     length,
     min_coset_rep,
-    reflection_root_of,
     reflections_T,
 )
 
@@ -123,9 +128,6 @@ class ParabolicSubset:
                 self._reflections = reflections_T(self.longest_element())
         return self._reflections
 
-    def contains_reflection(self, g: ExtAffineWeylElement) -> bool:
-        return reflection_root_of(g) in self.reflections()
-
     def elements(self) -> frozenset[ExtAffineWeylElement]:
         gens = [ExtAffineWeylElement.simple(self.ambient, l) for l in sorted(self.sigma)]
         return frozenset(closure(ExtAffineWeylElement.identity(self.ambient), gens))
@@ -137,6 +139,13 @@ def is_parabolic_finite(ambient: AffineRootSystem, sigma) -> bool:
 
 def longest_element(ambient: AffineRootSystem, sigma) -> ExtAffineWeylElement:
     return ParabolicSubset(ambient, sigma).longest_element()
+
+
+def _normalizes(y: ExtAffineWeylElement, left: ParabolicSubset, right: ParabolicSubset) -> bool:
+    """Whether y conjugates every simple reflection of `left` into T of
+    `right`."""
+    simples = [left.ambient.simple_by_label(l) for l in left.sigma]
+    return conjugate_reflections(y, simples) <= right.reflections()
 
 
 def is_admissible(ambient: AffineRootSystem, sigma) -> tuple[bool, list[frozenset[int]]]:
@@ -152,13 +161,8 @@ def is_admissible(ambient: AffineRootSystem, sigma) -> tuple[bool, list[frozense
             big = ParabolicSubset(ambient, base.sigma | set(extra))
             if not big.is_finite():
                 continue
-            w0 = big.longest_element()
-            w0inv = w0.inverse()
-            for l in sorted(base.sigma):
-                s = ExtAffineWeylElement.simple(ambient, l)
-                if not base.contains_reflection(w0 * s * w0inv):
-                    violations.append(big.sigma)
-                    break
+            if not _normalizes(big.longest_element(), base, base):
+                violations.append(big.sigma)
     return not violations, violations
 
 
@@ -222,17 +226,7 @@ def relative_system(
 def in_relative_group(ambient: AffineRootSystem, g: ExtAffineWeylElement, sigma) -> bool:
     """Membership in W-tilde: minimal in its W_Sigma-coset and normalising."""
     base = ParabolicSubset(ambient, sigma)
-    if reflections_T(g) & base.reflections():
-        return False
-    ginv = g.inverse()
-    for l in sorted(base.sigma):
-        s = ExtAffineWeylElement.simple(ambient, l)
-        try:
-            if not base.contains_reflection(g * s * ginv):
-                return False
-        except NotAReflection:
-            return False
-    return True
+    return not reflections_T(g) & base.reflections() and _normalizes(g, base, base)
 
 
 def relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> list[int]:
@@ -312,26 +306,17 @@ def normalizer_pairs(
         ball = enumerate_ball(ambient, radius)
     out = []
     for y in ball:
-        if _is_normalizer_pair(ambient, y, left, right):
+        if _is_normalizer_pair(y, left, right):
             out.append(y)
     return sorted(out, key=lambda y: (length(y), y.mu, y.matrix))
 
 
-def _is_normalizer_pair(ambient, y, left: ParabolicSubset, right: ParabolicSubset) -> bool:
+def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> bool:
     if min_coset_rep(y, left.sigma, "right") != y:
         return False
     if min_coset_rep(y, right.sigma, "left") != y:
         return False
-    yinv = y.inverse()
-    for l in sorted(left.sigma):
-        s = ExtAffineWeylElement.simple(ambient, l)
-        if not right.contains_reflection(y * s * yinv):
-            return False
-    for l in sorted(right.sigma):
-        s = ExtAffineWeylElement.simple(ambient, l)
-        if not left.contains_reflection(yinv * s * y):
-            return False
-    return True
+    return _normalizes(y, left, right) and _normalizes(y.inverse(), right, left)
 
 
 @dataclass(frozen=True)
@@ -345,18 +330,13 @@ class ElementaryMove:
 def _conjugate_labels(ambient, z: ExtAffineWeylElement, labels) -> frozenset[int]:
     """Image of a set of simple labels under Int_z, which must send simples
     to simples."""
-    out = set()
-    zinv = z.inverse()
-    for l in labels:
-        s = ExtAffineWeylElement.simple(ambient, l)
-        key = reflection_root_of(z * s * zinv)
-        for cand, lab in zip(ambient.simples, ambient.labels):
-            if canonical_reflection_key(cand) == key:
-                out.add(lab)
-                break
-        else:
-            raise NotANormalizerElement("conjugation does not preserve the simple system")
-    return frozenset(out)
+    simple_labels = {
+        canonical_reflection_key(a): l for a, l in zip(ambient.simples, ambient.labels)
+    }
+    keys = conjugate_reflections(z, [ambient.simple_by_label(l) for l in labels])
+    if not keys <= simple_labels.keys():
+        raise NotANormalizerElement("conjugation does not preserve the simple system")
+    return frozenset(simple_labels[k] for k in keys)
 
 
 def lien_decompose(
@@ -368,7 +348,7 @@ def lien_decompose(
     right = ParabolicSubset(ambient, sigma_prime)
     if not (left.is_finite() and right.is_finite()):
         raise NotANormalizerElement("both parabolic subgroups must be finite")
-    if not _is_normalizer_pair(ambient, y, left, right):
+    if not _is_normalizer_pair(y, left, right):
         raise NotANormalizerElement(
             f"element is not in N({sorted(left.sigma)}, {sorted(right.sigma)})"
         )

@@ -374,6 +374,12 @@ def canonical_reflection_key(a: AffineRoot) -> AffineRoot:
     return a if first > 0 else a.negate()
 
 
+def conjugate_reflections(y: ExtAffineWeylElement, roots) -> frozenset[AffineRoot]:
+    """Canonical keys of y s_a y^-1 = s_{y(a)} for each affine root a in
+    `roots`: conjugating a reflection is acting on its root."""
+    return frozenset(canonical_reflection_key(act_on_affine_root(y, a)) for a in roots)
+
+
 def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     """Recover the affine root (canonical key) of a reflection element: s_a
     for a = gamma + k negates the positive root gamma and has translation

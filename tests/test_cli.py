@@ -86,6 +86,32 @@ def test_config_file_and_override(tmp_path, capsys):
     assert payload2["config"]["type"] == "A"
 
 
+def test_config_file_keys_without_flags_and_every_flag_override(tmp_path, capsys):
+    from weylkit.cli import DEFAULTS, _parser, resolve_config
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"type": "C", "rank": 2, "affine": False, "order_cap": 5}))
+    config = resolve_config(_parser().parse_args(["root", "--config", str(cfg)]))
+    assert (config["type"], config["rank"], config["affine"], config["order_cap"]) == (
+        "C", 2, False, 5,
+    )
+    flags = {
+        "type": "B", "rank": "3", "sigma": "1,2", "theta": "1,0,0", "m": "2", "d": "3",
+        "c": "0=1", "radius": "1", "depth": "0", "window": "-1:2", "lam0": "1/2",
+        "format": "tsv", "seed": "7",
+    }
+    assert set(flags) == set(DEFAULTS) - {"affine", "order_cap"}
+    argv = ["root", "--config", str(cfg)]
+    for key, value in flags.items():
+        argv.append(f"--{key}={value}")
+    config = resolve_config(_parser().parse_args(argv))
+    assert config == {
+        "type": "B", "rank": 3, "affine": False, "sigma": [1, 2], "theta": "1,0,0",
+        "m": 2, "d": 3, "c": "0=1", "radius": 1, "depth": 0, "order_cap": 5,
+        "window": [-1, 2], "lam0": "1/2", "format": "tsv", "seed": 7,
+    }
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
@@ -175,6 +201,27 @@ def test_certify_pass_and_fail(capsys):
     assert "[1, 2]" in admissible["detail"]  # witness superset
 
 
+def test_complex_fixed_not_admissible_reports_sorted_supersets(capsys):
+    code, out, err = run(
+        capsys, ["complex", "fixed", "--type", "A", "--rank", "2", "--sigma", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: Sigma = [1] is not admissible; "
+        "violating supersets: [[0, 1], [1, 2]]\n"
+    )
+
+
+def test_certify_reports_a_small_ball_as_a_failed_check(capsys):
+    code, payload = run_json(
+        capsys, ["certify", "--type", "C", "--rank", "2", "--sigma", "1", "--radius", "0"]
+    )
+    assert code == 1
+    fixed = next(c for c in payload["result"]["checks"] if c["check"] == "fixed-chambers")
+    assert not fixed["ok"]
+    assert "strictly inside the ball" in fixed["detail"]
+
+
 def test_certify_empty_sigma_degenerate_pass(capsys):
     code, payload = run_json(
         capsys, ["certify", "--type", "A", "--rank", "2", "--finite", "--sigma", ""]
@@ -235,6 +282,15 @@ def test_unknown_subcommand_exit_2(capsys):
         ["complex", "fixed", "--type", "A", "--rank", "2", "--sigma", "9", "--radius", "2"],
         ["relative", "--type", "A", "--rank", "2", "--sigma", "5"],
         ["table", "relpos", "--type", "A", "--rank", "2", "--sigma", "5"],
+        # no fixed chamber lies strictly inside the ball
+        ["complex", "fixed", "--type", "C", "--rank", "2", "--sigma", "1", "--radius", "0"],
+        ["complex", "fixed", "--type", "A", "--rank", "3", "--sigma", "1,3", "--radius", "0"],
+        ["complex", "fixed", "--type", "B", "--rank", "2", "--finite", "--sigma", "1",
+         "--radius", "0"],
+        # an empty degree window
+        ["spiral", "--type", "A", "--rank", "2", "--theta", "1,1", "--m", "3", "--lam", "0,0",
+         "--window", "3:1"],
+        ["table", "spiral", "--window", "3:1"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylkit import coxcomplex as cx
-from weylkit.relative import NotAdmissible, ParabolicSubset
+from weylkit.relative import NotAdmissible, ParabolicSubset, in_relative_group
 from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length
 
@@ -168,6 +168,30 @@ def test_relative_position_good_iff_span_equal(aff_c2):
         else:
             seen_bad += 1
     assert seen_good >= 2 and seen_bad >= 1
+
+
+@pytest.mark.parametrize("typ", ["C", "G"])
+def test_relative_element_against_the_coset_enumeration(typ):
+    # the relative element of a good pair is the one member of the coset
+    # W_I (rep_f^-1 rep_g) that lies in the relative group
+    ambient = affinize(build_finite(typ, 2))
+    labels = ambient.labels
+    good = 0
+    for mask in range(2 ** len(labels) - 1):
+        itype = frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+        group = ParabolicSubset(ambient, itype).elements()
+        sources = cx.facets_in_ball(ambient, 2, types=[itype])
+        for f in sources:
+            for g in cx.facets_in_ball(ambient, 4, types=[itype]):
+                rp = cx.relative_position(f, g)
+                if not rp.good:
+                    assert rp.relative_element is None
+                    continue
+                good += 1
+                coset = f.rep.inverse() * g.rep
+                matches = [u * coset for u in group if in_relative_group(ambient, u * coset, itype)]
+                assert matches == [rp.relative_element]
+    assert good >= 20
 
 
 def test_relative_position_w_invariant(aff_c2):

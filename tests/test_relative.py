@@ -7,7 +7,17 @@ import pytest
 from weylkit import linalg
 from weylkit import relative as rel
 from weylkit.root_system import affinize, build_finite, finite_coxeter
-from weylkit.weyl import ExtAffineWeylElement, length, reflections_T
+from weylkit.weyl import (
+    ExtAffineWeylElement,
+    NotAReflection,
+    conjugate_reflections,
+    enumerate_ball,
+    has_left_descent,
+    length,
+    min_coset_rep,
+    reflection_root_of,
+    reflections_T,
+)
 
 
 def s(ambient, label):
@@ -208,3 +218,128 @@ def test_lien_rejects_non_normalizer():
     a3 = finite_coxeter(build_finite("A", 3))
     with pytest.raises(rel.NotANormalizerElement):
         rel.lien_decompose(a3, s(a3, 1), {1}, {3})
+
+
+# ---------------------------------------------------------------------------
+# The conjugation primitive against the elements it stands for
+# ---------------------------------------------------------------------------
+
+# every Sigma of these systems, with a length ball reaching past the longest
+# elements of their finite parabolics
+CONJUGATION_SYSTEMS = [
+    (affinize(build_finite("A", 2)), 4),
+    (affinize(build_finite("C", 2)), 4),
+    (affinize(build_finite("G", 2)), 4),
+    (affinize(build_finite("BC", 2)), 4),
+    (finite_coxeter(build_finite("B", 3)), 9),
+    (finite_coxeter(build_finite("BC", 3)), 9),
+]
+CONJUGATION_IDS = ["affine A2", "affine C2", "affine G2", "affine BC2", "finite B3", "finite BC3"]
+
+
+def _finite_subsets(ambient):
+    labels = ambient.labels
+    return [
+        sigma
+        for k in range(len(labels) + 1)
+        for sigma in map(frozenset, combinations(labels, k))
+        if rel.is_parabolic_finite(ambient, sigma)
+    ]
+
+
+def _oracle_reflections(ambient, sigma):
+    """T_Sigma as the roots of the reflections among the elements of W_Sigma."""
+    out = set()
+    for g in rel.ParabolicSubset(ambient, sigma).elements():
+        try:
+            out.add(reflection_root_of(g))
+        except NotAReflection:
+            pass
+    return frozenset(out)
+
+
+def _oracle_normalizes(y, sigma, t_right):
+    """Whether y s y^-1, formed as an element, is a reflection of T_right for
+    every simple s of Sigma."""
+    yinv = y.inverse()
+    for l in sorted(sigma):
+        try:
+            if reflection_root_of(y * s(y.ambient, l) * yinv) not in t_right:
+                return False
+        except NotAReflection:
+            return False
+    return True
+
+
+def _oracle_longest(ambient, sigma):
+    group = rel.ParabolicSubset(ambient, sigma).elements()
+    return max(group, key=length)
+
+
+@pytest.mark.parametrize(("ambient", "radius"), CONJUGATION_SYSTEMS, ids=CONJUGATION_IDS)
+def test_conjugate_reflections_against_the_conjugated_element(ambient, radius):
+    ball = sorted(enumerate_ball(ambient, min(radius, 3)), key=lambda g: (g.mu, g.matrix))
+    for y in ball:
+        yinv = y.inverse()
+        for h in ball:
+            ts = reflections_T(h)
+            expected = {
+                reflection_root_of(y * ExtAffineWeylElement.reflection(ambient, t) * yinv)
+                for t in ts
+            }
+            assert conjugate_reflections(y, ts) == expected
+
+
+@pytest.mark.parametrize(("ambient", "radius"), CONJUGATION_SYSTEMS, ids=CONJUGATION_IDS)
+def test_normalizer_checks_against_conjugated_elements(ambient, radius):
+    subsets = _finite_subsets(ambient)
+    t_oracle = {sigma: _oracle_reflections(ambient, sigma) for sigma in subsets}
+    labels = sorted(ambient.labels)
+    for sigma in subsets:
+        # admissibility: w0 of every finite enlargement normalises W_Sigma
+        others = [l for l in labels if l not in sigma]
+        expected = [
+            sigma | set(extra)
+            for k in range(len(others) + 1)
+            for extra in combinations(others, k)
+            if rel.is_parabolic_finite(ambient, sigma | set(extra))
+            and not _oracle_normalizes(
+                _oracle_longest(ambient, sigma | set(extra)), sigma, t_oracle[sigma]
+            )
+        ]
+        assert rel.is_admissible(ambient, sigma) == (not expected, expected)
+    ball = enumerate_ball(ambient, radius)
+    for sigma in subsets:
+        # W-tilde: minimal in W_Sigma g (no left descent in Sigma) and normalising
+        for g in ball:
+            expected = not any(has_left_descent(g, l) for l in sigma) and _oracle_normalizes(
+                g, sigma, t_oracle[sigma]
+            )
+            assert rel.in_relative_group(ambient, g, sigma) is expected
+    small = enumerate_ball(ambient, min(radius, 4))
+    for sigma in subsets:
+        for sigma_prime in subsets:
+            expected = [
+                y
+                for y in small
+                if min_coset_rep(y, sigma, "right") == y
+                and min_coset_rep(y, sigma_prime, "left") == y
+                and _oracle_normalizes(y, sigma, t_oracle[sigma_prime])
+                and _oracle_normalizes(y.inverse(), sigma_prime, t_oracle[sigma])
+            ]
+            got = rel.normalizer_pairs(ambient, sigma, sigma_prime, 0, ball=small)
+            assert set(got) == set(expected) and len(got) == len(expected)
+
+
+@pytest.mark.parametrize(("ambient", "radius"), CONJUGATION_SYSTEMS, ids=CONJUGATION_IDS)
+def test_conjugate_labels_against_conjugated_elements(ambient, radius):
+    simple_keys = {reflection_root_of(s(ambient, l)): l for l in ambient.labels}
+    for z in enumerate_ball(ambient, min(radius, 3)):
+        zinv = z.inverse()
+        for sigma in _finite_subsets(ambient):
+            keys = {reflection_root_of(z * s(ambient, l) * zinv) for l in sigma}
+            if keys <= simple_keys.keys():
+                assert rel._conjugate_labels(ambient, z, sigma) == {simple_keys[k] for k in keys}
+            else:
+                with pytest.raises(rel.NotANormalizerElement):
+                    rel._conjugate_labels(ambient, z, sigma)
