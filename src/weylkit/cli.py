@@ -76,15 +76,21 @@ def point_str(p) -> str:
     return ",".join(frac_str(c) for c in p)
 
 
+def _config_int(value, name: str) -> int:
+    """An int (not a bool) or an integer string, from a flag or a config file."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _parse_int_list(s) -> list[int]:
     if s is None or s == "":
         return []
-    if isinstance(s, list):
-        return [int(v) for v in s]
-    try:
-        return [int(tok) for tok in str(s).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {s!r}") from exc
+    tokens = s if isinstance(s, list) else [tok for tok in str(s).split(",") if tok != ""]
+    return [_config_int(tok, "every list entry") for tok in tokens]
 
 
 def _parse_frac_list(s) -> list[Fraction]:
@@ -115,11 +121,10 @@ def _parse_c_map(s) -> dict[int, Fraction]:
 
 
 def _parse_window(s) -> tuple[int, int]:
-    try:
-        lo, hi = s if isinstance(s, (list, tuple)) and len(s) == 2 else str(s).split(":")
-        lo, hi = int(lo), int(hi)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad window {s!r}; use lo:hi") from exc
+    bounds = s if isinstance(s, (list, tuple)) else str(s).split(":")
+    if len(bounds) != 2:
+        raise ConfigError(f"bad window {s!r}; use lo:hi")
+    lo, hi = [_config_int(b, "every window bound") for b in bounds]
     if lo > hi:
         raise ConfigError(f"bad window {s!r}; lo must not exceed hi")
     return lo, hi
@@ -144,18 +149,17 @@ def resolve_config(args) -> dict:
             config[key] = value
     if getattr(args, "finite", False):
         config["affine"] = False
+    if not isinstance(config["affine"], bool):
+        raise ConfigError(f"config key affine must be true or false, got {config['affine']!r}")
     config["sigma"] = _parse_int_list(config["sigma"])
     config["window"] = list(_parse_window(config["window"]))
     if config["format"] not in ("json", "tsv"):
         raise ConfigError(f"unknown format {config['format']!r}")
     for key in ("rank", "m", "d", "radius", "depth", "seed", "order_cap"):
-        try:
-            config[key] = int(config[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key} must be an integer") from exc
-    for key in ("radius", "depth"):
-        if config[key] < 0:
-            raise ConfigError(f"config key {key} must be non-negative, got {config[key]}")
+        config[key] = _config_int(config[key], key)
+    for key, low in (("radius", 0), ("depth", 0), ("order_cap", 1)):
+        if config[key] < low:
+            raise ConfigError(f"config key {key} must be at least {low}, got {config[key]}")
     return config
 
 
@@ -276,12 +280,13 @@ def cmd_relative(args) -> tuple[int, str]:
     config = resolve_config(args)
     ambient = build_ambient(config)
     sigma = config["sigma"]
-    ok, cert = rel.is_admissible(ambient, sigma)
-    data = {"admissible": ok, "sigma": sorted(sigma)}
-    if not ok:
-        data["violating_supersets"] = [sorted(c) for c in cert]
+    data = {"admissible": False, "sigma": sorted(sigma)}
+    try:
+        system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
+    except rel.NotAdmissible as exc:
+        data["violating_supersets"] = [sorted(c) for c in exc.violating]
         return 1, emit(config, "relative", data)
-    system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
+    data["admissible"] = True
     data["sigma_complement"] = list(system.sigma_complement)
     data["degenerate_single_complement"] = system.degenerate_single_complement
     simples = []
@@ -325,7 +330,8 @@ def cmd_complex(args) -> tuple[int, str]:
         return 0, emit(config, "complex.relpos", data)
     if sub == "fixed":
         try:
-            report = cx.fixed_chambers(ambient, config["sigma"], config["radius"])
+            system = rel.relative_system(ambient, config["sigma"], order_cap=config["order_cap"])
+            report = cx.fixed_chambers(system, config["radius"])
         except (rel.NotAdmissible, cx.BallTooSmall) as exc:
             raise ConfigError(str(exc)) from exc
         data = {
@@ -453,18 +459,13 @@ def certify_checks(config, ambient) -> list[dict]:
     radius = config["radius"]
     rng = random.Random(config["seed"])
 
-    ok, cert = rel.is_admissible(ambient, sigma)
-    checks.append(
-        {
-            "check": "admissible",
-            "ok": ok,
-            "detail": "" if ok else f"violating supersets {[sorted(c) for c in cert]}",
-        }
-    )
-    if not ok:
+    try:
+        system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
+    except rel.NotAdmissible as exc:
+        detail = f"violating supersets {[sorted(c) for c in exc.violating]}"
+        checks.append({"check": "admissible", "ok": False, "detail": detail})
         return checks
-
-    system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
+    checks.append({"check": "admissible", "ok": True, "detail": ""})
     # relative BFS distance is relative length, and a product of two elements
     # of the depth ball lies within twice the depth: one ball serves the
     # sphere sizes, the depth ball (a prefix in BFS order) and the products
@@ -541,7 +542,7 @@ def certify_checks(config, ambient) -> list[dict]:
     )
 
     try:
-        report = cx.fixed_chambers(ambient, sigma, radius)
+        report = cx.fixed_chambers(system, radius)
         type_ok = all(f.type_labels == frozenset(sigma) for f in report.chambers)
         checks.append(
             {
@@ -750,13 +751,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, text = args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
-    except (BallTooLarge, rel.NotFinite, dd.PowerTooLarge) as exc:
-        sys.stderr.write(f"resource cap: {exc}\n")
-        return 3
     except (
+        ConfigError,
         dd.LiteralSyntaxError,
         cx.TypesDiffer,
         cx.TypeNotContained,
@@ -764,6 +760,9 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
+    except (BallTooLarge, rel.NotFinite, rel.OrderCapTooLarge, dd.PowerTooLarge) as exc:
+        sys.stderr.write(f"resource cap: {exc}\n")
+        return 3
     sys.stdout.write(text)
     return code
 

@@ -5,7 +5,8 @@ proper subset of the simple-wall labels; it carries an exact geometric
 realisation: a rational interior point and the affine span cut out by the
 J-walls of the defining alcove.  On top of facets the module computes point
 stabilizers, the grading point x = theta-tilde / m, relative positions with
-the good/bad dichotomy, orbit sets and the fixed subcomplex of a parabolic.
+the good/bad dichotomy, orbit sets and the fixed subcomplex of an
+admissible parabolic, computed from its relative system.
 """
 
 from dataclasses import dataclass, field
@@ -27,9 +28,9 @@ from .weyl import (
 )
 from .relative import (
     ParabolicSubset,
+    RelativeCoxeterSystem,
     in_relative_group,
     relative_ball,
-    relative_system,
 )
 
 
@@ -240,10 +241,11 @@ def act_relative(w: ExtAffineWeylElement, f: Facet) -> Facet:
 
 def relative_position(f: Facet, g: Facet) -> RelativePosition:
     """The W_I-double coset of the pair, its good/bad classification by span
-    comparison, and for good pairs the unique relative-group element in the
-    coset W_I (rep_f^-1 rep_g), which moves g onto f under act_relative.
-    An element of the relative group has no reflection of T_I in its T, so
-    it can only be the minimal element of that coset."""
+    comparison, and for good pairs the relative-group element that moves g
+    onto f under act_relative: base = rep_f^-1 rep_g itself.  With minimal
+    reps and equal spans, base maps the positive roots of I onto themselves,
+    so it has no left descent in I and is the one relative-group element of
+    W_I base; the asserts catch a facet built with another rep."""
     if f.type_labels != g.type_labels:
         raise TypesDiffer(
             f"types {sorted(f.type_labels)} and {sorted(g.type_labels)} differ"
@@ -252,14 +254,12 @@ def relative_position(f: Facet, g: Facet) -> RelativePosition:
     base = f.rep.inverse() * g.rep
     w = double_coset_min_rep(base, labels, labels)
     good = span(f) == span(g)
-    rel_elt = None
     if good:
-        rel_elt = min_coset_rep(base, labels, "left")
-        assert in_relative_group(f.ambient, rel_elt, labels), (
+        assert in_relative_group(f.ambient, base, labels), (
             "good pair without a relative element"
         )
-        assert act_relative(rel_elt, g) == f
-    return RelativePosition(w, good, rel_elt)
+        assert act_relative(base, g) == f
+    return RelativePosition(w, good, base if good else None)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +315,13 @@ class FixedChambersReport:
     boundary_excluded: tuple[Facet, ...] = ()
 
 
-def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambersReport:
-    """Chambers of the fixed subcomplex: facets in the ball whose stabilizer
-    equals W_Sigma, with the relative-group action table on them."""
-    sigma = frozenset(int(l) for l in sigma)
-    rel = relative_system(ambient, sigma)
-    t_sigma = ParabolicSubset(ambient, sigma).reflections()
+def fixed_chambers(system: RelativeCoxeterSystem, radius: int) -> FixedChambersReport:
+    """Chambers of the fixed subcomplex of an admissible Sigma, given by its
+    relative system: facets in the ball whose stabilizer equals W_Sigma, with
+    the relative-group action table on them."""
+    ambient = system.ambient
+    sigma = system.base.sigma
+    t_sigma = system.base.reflections()
     k = len(sigma)
     candidate_types = [
         t
@@ -339,7 +340,7 @@ def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambe
     action = {}
     closed = True
     for f in interior:
-        for l, st in rel.simples.items():
+        for l, st in system.simples.items():
             image = act(st, f)
             if image in found:
                 action[(l, f)] = image
@@ -355,7 +356,7 @@ def fixed_chambers(ambient: AffineRootSystem, sigma, radius: int) -> FixedChambe
     single_free = base in found
     if single_free:
         seen = {}
-        for g, d in relative_ball(rel, radius).items():
+        for g, d in relative_ball(system, radius).items():
             image = act(g, base)
             if image in found:
                 if image in seen and seen[image] != g:

@@ -147,30 +147,14 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
 
 
 def is_positive_definite(g: Mat) -> bool:
-    """Leading principal minors all positive."""
-    n = len(g)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in g[:k]]
-        if _det(minor) <= 0:
+    """Sylvester's criterion by one symmetric elimination without row
+    exchange: the k-th pivot is the ratio of the k-th and (k-1)-th leading
+    minors, so every pivot is positive exactly when every minor is."""
+    rows = [list(map(Fraction, row)) for row in g]
+    for c, pivot_row in enumerate(rows):
+        if pivot_row[c] <= 0:
             return False
+        for row in rows[c + 1 :]:
+            f = row[c] / pivot_row[c]
+            row[:] = [a - f * b for a, b in zip(row, pivot_row)]
     return True
-
-
-def _det(rows) -> Fraction:
-    rows = [list(map(Fraction, r)) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det

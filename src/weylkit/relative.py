@@ -11,6 +11,9 @@ caches its finiteness, w0^Sigma and T_Sigma.  Every membership test and
 normalizer check of the module therefore computes each of them once per
 subset and system.
 
+`relative_system` is the admissibility gate: it raises NotAdmissible with
+the violating supersets, and callers pass the system it builds along.
+
 Admissibility, membership in the relative group, normalizer pairs and the
 chain decomposition all ask whether y conjugates the simple reflections of
 one parabolic into T of another.  Since y s_a y^-1 = s_{y(a)}, that is one
@@ -44,7 +47,10 @@ class NotFinite(ValueError):
 
 
 class NotAdmissible(ValueError):
-    pass
+    def __init__(self, sigma, violating):
+        self.violating = violating
+        cert = [sorted(c) for c in violating]
+        super().__init__(f"Sigma = {sorted(sigma)} is not admissible; violating supersets: {cert}")
 
 
 class NotInRelativeGroup(ValueError):
@@ -57,6 +63,16 @@ class NotANormalizerElement(ValueError):
 
 class UnknownLabels(ValueError):
     pass
+
+
+class OrderCapTooLarge(RuntimeError):
+    pass
+
+
+# the largest order_cap accepted: coxeter_order takes one product (about
+# 10 us) per step and runs the whole cap on every pair of infinite order, so
+# 1000 keeps that to about 10 ms a pair, far above the default of 12
+MAX_ORDER_CAP = 1000
 
 
 class ParabolicSubset:
@@ -187,12 +203,12 @@ class RelativeCoxeterSystem:
 def relative_system(
     ambient: AffineRootSystem, sigma, order_cap: int = 12
 ) -> RelativeCoxeterSystem:
+    """The relative Coxeter system of Sigma, or NotAdmissible if there is none."""
+    if order_cap > MAX_ORDER_CAP:
+        raise OrderCapTooLarge(f"order_cap {order_cap} exceeds the cap of {MAX_ORDER_CAP}")
     ok, cert = is_admissible(ambient, sigma)
     if not ok:
-        raise NotAdmissible(
-            f"Sigma = {sorted(sigma)} is not admissible; violating supersets: "
-            f"{[sorted(c) for c in cert]}"
-        )
+        raise NotAdmissible(sigma, cert)
     base = ParabolicSubset(ambient, sigma)
     w0_sigma = base.longest_element()
     complement = []
@@ -312,9 +328,8 @@ def normalizer_pairs(
 
 
 def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> bool:
+    # normalising both ways makes y W_Sigma = W_Sigma' y, so one minimality check covers both
     if min_coset_rep(y, left.sigma, "right") != y:
-        return False
-    if min_coset_rep(y, right.sigma, "left") != y:
         return False
     return _normalizes(y, left, right) and _normalizes(y.inverse(), right, left)
 

@@ -140,7 +140,7 @@ def test_acceptance_5_fixed_subcomplex():
         if not rel.is_admissible(ambient, sigma)[0]:
             ok = False
             continue
-        fc = cx.fixed_chambers(ambient, sigma, 6)
+        fc = cx.fixed_chambers(rel.relative_system(ambient, sigma), 6)
         if not fc.chambers:
             ok = False
             continue

@@ -339,3 +339,94 @@ def test_bad_parameter_label_in_config_file_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["ddaha", "--config", str(cfg)])
     assert code == 2
     assert out == "" and err.startswith("configuration error:")
+
+
+COMMANDS = [
+    ["root"],
+    ["weyl", "--word", "1"],
+    ["relative"],
+    ["complex", "fixed"],
+    ["spiral", "--lam", "0"],
+    ["ddaha", "--expr", "s1"],
+    ["certify"],
+    ["table", "weyl-ball"],
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "loaded",
+    [
+        {"sigma": ["x"]},
+        {"sigma": [1.5]},
+        {"sigma": [True]},
+        {"rank": 2.7},
+        {"rank": True},
+        {"seed": 1.9},
+        {"window": [1.5, 2]},
+        {"affine": "no"},
+        {"affine": 0},
+        {"order_cap": 0},
+        {"order_cap": -3},
+    ],
+    ids=json.dumps,
+)
+def test_bad_config_file_value_exits_2(tmp_path, capsys, command, loaded):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    code, out, err = run(capsys, command + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error:")
+
+
+def test_integer_strings_in_config_file_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"type": "C", "rank": "2", "sigma": "1", "window": "-1:2"}))
+    code, payload = run_json(capsys, ["relative", "--config", str(cfg)])
+    assert code == 0
+    assert (payload["config"]["rank"], payload["config"]["sigma"]) == (2, [1])
+    assert payload["config"]["window"] == [-1, 2]
+
+
+@pytest.mark.parametrize("command", [["relative"], ["complex", "fixed"], ["certify"]])
+def test_order_cap_above_the_limit_exits_3(tmp_path, capsys, command):
+    from weylkit.relative import MAX_ORDER_CAP
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"type": "C", "rank": 2, "sigma": [1], "order_cap": MAX_ORDER_CAP + 1}))
+    code, out, err = run(capsys, command + ["--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap:")
+
+
+def test_order_cap_at_the_limit_is_accepted(tmp_path, capsys):
+    from weylkit.relative import MAX_ORDER_CAP
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"type": "C", "rank": 2, "sigma": [1], "order_cap": MAX_ORDER_CAP}))
+    code, payload = run_json(capsys, ["relative", "--config", str(cfg)])
+    assert code == 0
+    assert payload["result"]["coxeter_matrix"]["0,2"] == "infinity-or-above-cap"
+
+
+def test_runtime_imports_only_the_standard_library():
+    import os
+    import subprocess
+    import sys
+
+    import weylkit
+
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import weylkit.cli, weylkit.spiral, weylkit.ddaha\n"
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(weylkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    new = set(done.stdout.split())
+    assert "weylkit" in new
+    assert new - {"weylkit"} <= sys.stdlib_module_names, new - sys.stdlib_module_names

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylkit import coxcomplex as cx
-from weylkit.relative import NotAdmissible, ParabolicSubset, in_relative_group
+from weylkit.relative import ParabolicSubset, in_relative_group, relative_system
 from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length
 
@@ -219,14 +219,14 @@ def test_xi_orbit(aff_a1):
 def test_fixed_chambers_b2():
     # [DERIVED] C(Sigma) = {W_Sigma, w0 s1 W_Sigma}, free Z/2 action
     b2 = finite_coxeter(build_finite("B", 2))
-    rep = cx.fixed_chambers(b2, {1}, radius=5)
+    rep = cx.fixed_chambers(relative_system(b2, {1}), radius=5)
     assert len(rep.chambers) == 2
     assert rep.single_free_orbit and rep.ball_complete
     assert {cx.facet_type(c) for c in rep.chambers} == {frozenset({1})}
 
 
 def test_fixed_chambers_affine_c2(aff_c2):
-    rep = cx.fixed_chambers(aff_c2, {1}, radius=6)
+    rep = cx.fixed_chambers(relative_system(aff_c2, {1}), radius=6)
     assert rep.chambers
     assert all(cx.facet_type(c) == frozenset({1}) for c in rep.chambers)
     assert rep.single_free_orbit
@@ -234,14 +234,8 @@ def test_fixed_chambers_affine_c2(aff_c2):
     assert rep.ball_complete
 
 
-def test_fixed_chambers_not_admissible():
-    a2 = finite_coxeter(build_finite("A", 2))
-    with pytest.raises(NotAdmissible):
-        cx.fixed_chambers(a2, {1}, radius=4)
-
-
 def test_fixed_chambers_empty_sigma(aff_a1):
-    rep = cx.fixed_chambers(aff_a1, set(), radius=3)
+    rep = cx.fixed_chambers(relative_system(aff_a1, set()), radius=3)
     # chambers are all alcoves, W-tilde = W acts simply transitively
     assert all(cx.facet_type(c) == frozenset() for c in rep.chambers)
     assert rep.single_free_orbit

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from weylkit import linalg
@@ -46,3 +47,38 @@ def test_solve_affine():
 def test_positive_definite():
     assert linalg.is_positive_definite(linalg.mat([[2, -1], [-1, 2]]))
     assert not linalg.is_positive_definite(linalg.mat([[1, 2], [2, 1]]))
+
+
+def test_positive_definite_zero_leading_entry_and_singular():
+    # a zero leading entry stops the elimination at once: no row exchange
+    assert not linalg.is_positive_definite(linalg.mat([[0, 1], [1, 2]]))
+    assert not linalg.is_positive_definite(linalg.mat([[0, 0], [0, 1]]))
+    # positive semi-definite but singular: the last pivot is exactly 0
+    assert not linalg.is_positive_definite(linalg.mat([[1, 1], [1, 1]]))
+    assert not linalg.is_positive_definite(linalg.mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+
+
+def _det(m):
+    """Laplace expansion along the first row: the test oracle for minors."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def test_positive_definite_matches_leading_minors():
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.randint(-1, 5)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        minors_positive = all(_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
+        assert linalg.is_positive_definite(linalg.mat(g)) == minors_positive, g
+        verdicts.add(minors_positive)
+    assert verdicts == {True, False}

@@ -145,9 +145,15 @@ def test_relative_system_affine_c2(aff_c2):
 
 
 def test_relative_not_admissible_raises():
-    a2 = finite_coxeter(build_finite("A", 2))
-    with pytest.raises(rel.NotAdmissible):
-        rel.relative_system(a2, {1})
+    # relative_system is the admissibility gate, so fixed chambers of a
+    # non-admissible Sigma cannot even be asked for
+    for a2 in (finite_coxeter(build_finite("A", 2)), affinize(build_finite("A", 2))):
+        with pytest.raises(rel.NotAdmissible) as exc:
+            rel.relative_system(a2, {1})
+        assert exc.value.violating == rel.is_admissible(a2, {1})[1]
+    assert str(exc.value) == (
+        "Sigma = [1] is not admissible; violating supersets: [[0, 1], [1, 2]]"
+    )
 
 
 def test_empty_sigma_recovers_full_group(fin_b2):

@@ -152,3 +152,35 @@ def test_json_roundtrip():
     bad["cartan"] = [[2, -1], [-1, 2]]
     with pytest.raises(ValueError):
         root_data_from_json(bad)
+
+
+def test_root_data_match_sympy():
+    """Cartan matrices (up to transpose), |R+| and, up to rank 3, |W| against
+    sympy.liealgebras for every legal (type, rank) it accepts."""
+    cartan_type = pytest.importorskip("sympy.liealgebras.cartan_type")
+    from sympy.liealgebras.weyl_group import WeylGroup
+
+    from weylkit.weyl import enumerate_ball
+
+    rejected = []
+    for t in "ABCDEFG":
+        for n in range(1, 9):
+            try:
+                finite = build_finite(t, n)
+            except IllegalType:
+                continue
+            try:
+                theirs = cartan_type.CartanType(f"{t}{n}")
+                their_cartan = theirs.cartan_matrix().tolist()
+                their_positive = len(theirs.positive_roots())
+            except (IndexError, ValueError):
+                rejected.append(f"{t}{n}")
+                continue
+            ours = [list(row) for row in finite.cartan_matrix]
+            assert their_cartan in (ours, [list(col) for col in zip(*ours)]), (t, n)
+            assert len(finite.positive_roots()) == their_positive, (t, n)
+            if n <= 3:
+                # the longest element has length |R+|, so that ball is all of W
+                ball = enumerate_ball(finite_coxeter(finite), their_positive)
+                assert len(ball) == WeylGroup(f"{t}{n}").group_order(), (t, n)
+    assert rejected == ["A1", "C2"]
