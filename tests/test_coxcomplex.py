@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from weylkit import coxcomplex as cx
-from weylkit.relative import ParabolicSubset, in_relative_group, relative_system
+from weylkit.relative import (
+    NotAdmissible,
+    ParabolicSubset,
+    in_relative_group,
+    relative_system,
+)
 from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length
 
@@ -232,6 +237,15 @@ def test_fixed_chambers_affine_c2(aff_c2):
     assert rep.single_free_orbit
     # every interior chamber has all its generator-images inside the found set
     assert rep.ball_complete
+
+
+def test_fixed_chambers_not_admissible():
+    # fixed_chambers reads its system from relative_system, which refuses a
+    # non-admissible Sigma before any chamber is enumerated
+    a2 = finite_coxeter(build_finite("A", 2))
+    with pytest.raises(NotAdmissible) as exc:
+        cx.fixed_chambers(relative_system(a2, {1}), radius=4)
+    assert exc.value.violating
 
 
 def test_fixed_chambers_empty_sigma(aff_a1):
