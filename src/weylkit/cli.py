@@ -116,6 +116,8 @@ def _parse_c_map(s) -> dict[int, Fraction]:
             label = int(k)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameter label {k!r}; use an integer label") from exc
+        if label in out:
+            raise ConfigError(f"parameter label {label} is given twice")
         out[label] = parse_frac(v)
     return out
 
@@ -130,12 +132,23 @@ def _parse_window(s) -> tuple[int, int]:
     return lo, hi
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object of a config file; a key given twice raises ConfigError
+    (json.load alone would keep the last)."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ConfigError(f"config key {k!r} is given twice")
+        out[k] = v
+    return out
+
+
 def resolve_config(args) -> dict:
     config = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=_unique_keys)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         unknown = set(loaded) - set(DEFAULTS)
@@ -152,6 +165,8 @@ def resolve_config(args) -> dict:
     if not isinstance(config["affine"], bool):
         raise ConfigError(f"config key affine must be true or false, got {config['affine']!r}")
     config["sigma"] = _parse_int_list(config["sigma"])
+    if len(set(config["sigma"])) != len(config["sigma"]):
+        raise ConfigError(f"sigma repeats a label: {config['sigma']}")
     config["window"] = list(_parse_window(config["window"]))
     if config["format"] not in ("json", "tsv"):
         raise ConfigError(f"unknown format {config['format']!r}")

@@ -30,6 +30,7 @@ from .relative import (
     ParabolicSubset,
     RelativeCoxeterSystem,
     in_relative_group,
+    int_labels,
     relative_ball,
 )
 
@@ -59,7 +60,7 @@ class Facet:
 
 
 def facet(ambient: AffineRootSystem, y: ExtAffineWeylElement, labels) -> Facet:
-    labels = frozenset(int(l) for l in labels)
+    labels = int_labels(labels, TypeNotContained)
     if not labels <= set(ambient.labels):
         raise TypeNotContained(f"unknown labels {sorted(labels - set(ambient.labels))}")
     if labels == set(ambient.labels):
@@ -72,7 +73,7 @@ def facet_type(f: Facet) -> frozenset[int]:
 
 
 def boundary(f: Facet, coarser_labels) -> Facet:
-    coarser = frozenset(int(l) for l in coarser_labels)
+    coarser = int_labels(coarser_labels, TypeNotContained)
     if not f.type_labels <= coarser:
         raise TypeNotContained(
             f"{sorted(coarser)} does not contain the type {sorted(f.type_labels)}"

@@ -5,20 +5,28 @@ Elements live in the vector space CW tensor C[E] in the normal form
 
     s_a f - s_a(f) s_a = h_a (f - s_a(f)) / a,      h_a = (d / 2m) c_a,
 
-with exact polynomial division, is applied in one step, `_times_simple`: the
-normal form of x * s_a for a whole element x, summed from the images of
-single monomials, each computed once per algebra (a non-exact division
-still raises).  `multiply(x, y)` folds that step over the reduced word of
-each group part of y, with sums accumulated in exponent -> coefficient dicts
-and one Poly built per group element.  The module also provides relation
-verification, truncated standard modules and orbit/stabilizer search for
-category-O weight analysis.
+is applied in one step, `_times_simple`: the normal form of x * s_a for a
+whole element x, summed from the images of single monomials, each computed
+once per algebra by exact polynomial division (a non-exact division still
+raises).  The step runs on integer numerators over one denominator per
+element.  A simple reflection maps each coordinate to an affine form with
+integer coefficients, and each wall a has integer coefficients of content 1,
+so by Gauss's lemma s_a(x^e) and (x^e - s_a(x^e)) / a are integral and only
+h_a carries a denominator, hd_a.  The cached images are hd_a s_a(x^e) and
+hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
+the denominator by hd_a.  `multiply(x, y)` folds the step over the reduced
+word of each group part of y, brings the terms of y to one denominator by
+integer scaling, and builds one Fraction per coefficient of the result;
+`parse_element` folds each factor of a literal straight into that form.  The
+module also provides relation verification, truncated standard modules and
+orbit/stabilizer search for category-O weight analysis.
 """
 
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .poly import DivisionNotExact, Poly, divide_linear, weyl_action
@@ -44,6 +52,10 @@ class NotInGroupSupport(ValueError):
     """An element's group part left the subgroup generated by the simples."""
 
 
+class ImageNotIntegral(ArithmeticError):
+    """A monomial image of the step has a coefficient that is not an integer."""
+
+
 @dataclass(frozen=True)
 class HeckeParameters:
     """Grading integers (m, d) and the orbit-invariant family c."""
@@ -55,9 +67,10 @@ class HeckeParameters:
 
     @staticmethod
     def make(m: int, d: int, c: dict, unsafe: bool = False) -> "HeckeParameters":
-        return HeckeParameters(
-            m, d, tuple(sorted((int(l), Fraction(v)) for l, v in c.items())), unsafe
-        )
+        bad = [l for l in c if type(l) is not int]
+        if bad:
+            raise InvalidParameters(f"parameter labels must be integers, got {bad!r}")
+        return HeckeParameters(m, d, tuple(sorted((l, Fraction(v)) for l, v in c.items())), unsafe)
 
     def c_map(self) -> dict:
         return dict(self.c)
@@ -74,6 +87,12 @@ class DdahaAlgebra:
     # _times_simple), and group element -> reduced word (see _word)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # label -> the denominator hd_a of h_a, read at every letter of the step
+    _hd: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        hd = {label: self.params.h(label).denominator for label, _ in self.params.c}
+        object.__setattr__(self, "_hd", hd)
 
     @property
     def nvars(self) -> int:
@@ -176,10 +195,8 @@ class DdahaElement:
         return max((f.degree() for _, f in self.terms), default=-1)
 
     def __add__(self, other: "DdahaElement") -> "DdahaElement":
-        out = {g: f.as_dict() for g, f in self.terms}
-        for g, f in other.terms:
-            _add_terms(out.setdefault(g, {}), f.terms)
-        return _from_dicts(self.algebra, out)
+        parts = [(*_numerators(self), 1), (*_numerators(other), 1)]
+        return _element(self.algebra, *_combine(parts))
 
     def __sub__(self, other: "DdahaElement") -> "DdahaElement":
         return self + other.scale(-1)
@@ -198,15 +215,38 @@ def _add_terms(out: dict, terms, c=1) -> None:
         out[e] = out.get(e, 0) + c * v
 
 
-def _from_dicts(algebra: DdahaAlgebra, x: dict) -> DdahaElement:
-    """The element of a map g -> {exponents: coefficient}."""
-    return algebra.element({g: Poly._from_dict(algebra.nvars, f) for g, f in x.items()})
+def _numerators(x: DdahaElement) -> tuple[dict, int]:
+    """(N, D) with x = N / D: N maps g -> {exponents: integer}, and D is the
+    least common denominator of the coefficients of x."""
+    den = lcm(*{c.denominator for _, f in x.terms for _, c in f.terms})
+    return {g: {e: c.numerator * (den // c.denominator) for e, c in f.terms} for g, f in x.terms}, den
+
+
+def _combine(parts) -> tuple[dict, int]:
+    """The sum of c N / D over the triples (N, D, c) of parts, as numerators
+    over the least common multiple of the D."""
+    den = lcm(*(d for _, d, _ in parts))
+    out = {}
+    for num, d, c in parts:
+        for g, f in num.items():
+            _add_terms(out.setdefault(g, {}), f.items(), c * (den // d))
+    return out, den
+
+
+def _element(algebra: DdahaAlgebra, num: dict, den: int) -> DdahaElement:
+    """The element N / D, with one Fraction per nonzero coefficient."""
+    n = algebra.nvars
+    return algebra.element(
+        {g: Poly(n, frozenset((e, Fraction(c, den)) for e, c in f.items() if c)) for g, f in num.items()}
+    )
 
 
 def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
-    """The normal form of x * s_label, for x a map g -> {exponents:
-    coefficient}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
-    summed from the cached images of the monomials x^e."""
+    """hd_a times the normal form of x * s_label, for x a map g -> {exponents:
+    integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
+    summed from the cached integral images of the monomials x^e.  hd_a is
+    the denominator of h_a (algebra._hd), which the caller multiplies into
+    its denominator."""
     s = ExtAffineWeylElement.simple(algebra.ambient, label)
     out = {}
     for g, f in x.items():
@@ -223,7 +263,9 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
 
 
 def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
-    """The terms of s_a(x^e) and of h_a (x^e - s_a(x^e)) / a."""
+    """The integer terms of hd_a s_a(x^e) and of hd_a h_a (x^e - s_a(x^e)) / a,
+    integral by Gauss's lemma (see the module docstring); a coefficient that
+    is not an integer raises ImageNotIntegral."""
     x = Poly(algebra.nvars, frozenset({(exps, Fraction(1))}))
     sx = weyl_action(ExtAffineWeylElement.simple(algebra.ambient, label), x)
     try:
@@ -232,30 +274,46 @@ def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
         raise DivisionNotExact(
             f"x^{exps} - s_a(x^{exps}) not divisible by the wall at label {label}: {exc}"
         ) from exc
-    return sx.terms, quotient.scale(algebra.params.h(label)).terms
+    h = algebra.params.h(label)
+    images = (sx.scale(h.denominator), quotient.scale(h.numerator))
+    for image in images:
+        for e, c in image.terms:
+            if c.denominator != 1:
+                raise ImageNotIntegral(
+                    f"the image of x^{exps} at label {label} has the coefficient {c} at x^{e}"
+                )
+    return tuple(tuple((e, c.numerator) for e, c in image.terms) for image in images)
 
 
 def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
     """The normal form of f * s_label: s tensor s_a(f) + e tensor h_a (f - s_a(f)) / a."""
-    e = ExtAffineWeylElement.identity(algebra.ambient)
-    return _from_dicts(algebra, _times_simple(algebra, {e: f.as_dict()}, label))
+    num, den = _numerators(algebra.polynomial(f))
+    return _element(algebra, _times_simple(algebra, num, label), den * algebra._hd[label])
 
 
 def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
-    """x * y as the sum over the terms w tensor q of y of
-    (x * s_l1 * ... * s_lk) * q, for the reduced word l1 ... lk of w."""
-    algebra = x.algebra
-    start = {g: f.as_dict() for g, f in x.terms}
-    out = {}
-    for w, q in y.terms:
-        z = start
+    """x * y on numerators: for x = N / D, each term w tensor q of y gives
+    (N * s_l1 * ... * s_lk) * q over D hd_l1 ... hd_lk, for the reduced word
+    l1 ... lk of w.  The terms are brought to one denominator by integer
+    scaling, and one Fraction is built per coefficient of the result."""
+    algebra, hd = x.algebra, x.algebra._hd
+    (xnum, xden), (ynum, yden) = _numerators(x), _numerators(y)
+    pushed = []
+    for w, q in ynum.items():
+        z, den = xnum, 1
         for label in algebra._word(w):
             z = _times_simple(algebra, z, label)
+            den *= hd[label]
+        pushed.append((z, q, den))
+    common = lcm(*(den for _, _, den in pushed))
+    out = {}
+    for z, q, den in pushed:
+        scale = common // den
         for u, p in z.items():
             acc = out.setdefault(u, {})
-            for e2, c2 in q.terms:
-                _add_terms(acc, ((tuple(map(add, e1, e2)), c1) for e1, c1 in p.items()), c2)
-    return _from_dicts(algebra, out)
+            for e2, c2 in q.items():
+                _add_terms(acc, ((tuple(map(add, e1, e2)), c1) for e1, c1 in p.items()), c2 * scale)
+    return _element(algebra, out, xden * yden * common)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +484,10 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     """Parse the literal grammar `s1*s0*x1^2 + (3/2)*s1`: sums of products of
     generators s<k>, coordinates x<k> with optional integer powers, and exact
     rational literals (parenthesized when fractional, `-` allowed).  A power
-    above MAX_LITERAL_POWER raises PowerTooLarge."""
+    above MAX_LITERAL_POWER raises PowerTooLarge.  Each term is folded
+    factor by factor into numerators over one denominator (a generator
+    applies the step, x<k>^N shifts exponents, a rational scales), and the
+    terms are summed into one element."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -473,16 +534,17 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
-    def parse_factor() -> DdahaElement:
+    def parse_factor(num: dict, den: int) -> tuple[dict, int]:
+        """num / den times the next factor, as numerators over a denominator."""
         tok = peek()
         if tok is None:
             raise LiteralSyntaxError("unexpected end of input")
-        if tok.startswith("s") and tok != "s":
+        if tok.startswith("s"):
             take()
             label = int(tok[1:])
             if label not in algebra.ambient.labels:
                 raise LiteralSyntaxError(f"unknown generator {tok}")
-            return algebra.generator(label)
+            return _times_simple(algebra, num, label), den * algebra._hd[label]
         if tok.startswith("x"):
             take()
             i = int(tok[1:]) - 1
@@ -496,43 +558,44 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     raise PowerTooLarge(
                         f"power {power} in {tok}^{power} exceeds the cap of {MAX_LITERAL_POWER}"
                     )
-            exps = tuple(power if j == i else 0 for j in range(algebra.nvars))
-            return algebra.polynomial(Poly(algebra.nvars, frozenset({(exps, Fraction(1))})))
+            shift = tuple(power if j == i else 0 for j in range(algebra.nvars))
+            return {g: {tuple(map(add, e, shift)): c for e, c in f.items()} for g, f in num.items()}, den
         if tok == "(":
             take()
             value = parse_rational()
             take(")")
-            return algebra.polynomial(Poly.const(algebra.nvars, value))
-        if tok.isdigit():
-            take()
-            return algebra.polynomial(Poly.const(algebra.nvars, int(tok)))
-        raise LiteralSyntaxError(f"unexpected token {tok!r}")
+        elif tok.isdigit():
+            value = Fraction(take_int())
+        else:
+            raise LiteralSyntaxError(f"unexpected token {tok!r}")
+        k = value.numerator
+        return {g: {e: k * c for e, c in f.items()} for g, f in num.items()}, den * value.denominator
 
-    def parse_term() -> DdahaElement:
-        out = parse_factor()
+    one = {ExtAffineWeylElement.identity(algebra.ambient): {(0,) * algebra.nvars: 1}}
+
+    def parse_term() -> tuple[dict, int]:
+        term = parse_factor(one, 1)
         while peek() == "*":
             take()
-            out = multiply(out, parse_factor())
-        return out
+            term = parse_factor(*term)
+        return term
 
-    def parse_sum() -> DdahaElement:
-        negate = False
+    def parse_sum() -> list:
+        """The (numerators, denominator, sign) of each term."""
+        sign = 1
         if peek() == "-":
             take()
-            negate = True
-        out = parse_term()
-        if negate:
-            out = out.scale(-1)
+            sign = -1
+        parts = [(*parse_term(), sign)]
         while peek() in ("+", "-"):
-            op = take()
-            nxt = parse_term()
-            out = out + (nxt.scale(-1) if op == "-" else nxt)
-        return out
+            sign = -1 if take() == "-" else 1
+            parts.append((*parse_term(), sign))
+        return parts
 
-    out = parse_sum()
+    parts = parse_sum()
     if peek() is not None:
         raise LiteralSyntaxError(f"trailing tokens from {peek()!r}")
-    return out
+    return _element(algebra, *_combine(parts))
 
 
 def format_element(x: DdahaElement) -> str:

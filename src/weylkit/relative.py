@@ -75,13 +75,24 @@ class OrderCapTooLarge(RuntimeError):
 MAX_ORDER_CAP = 1000
 
 
+def int_labels(labels, error) -> frozenset:
+    """The labels as a frozenset; a label that is not an int (a bool or a
+    float included, which int() would coerce or truncate) raises error."""
+    labels = frozenset(labels)
+    bad = [l for l in labels if type(l) is not int]
+    if bad:
+        raise error(f"labels must be integers, got {bad!r}")
+    return labels
+
+
 class ParabolicSubset:
     """A subset of the simple walls with cached finiteness data, one object
     per (ambient, Sigma); an unknown label raises UnknownLabels on every
-    call, since nothing is stored for it."""
+    call, since nothing is stored for it, and so does a label that is not an
+    int."""
 
     def __new__(cls, ambient: AffineRootSystem, sigma):
-        sigma = frozenset(int(l) for l in sigma)
+        sigma = int_labels(sigma, UnknownLabels)
         subsets = getattr(ambient, "_parabolic_subsets", None)
         if subsets is None:
             subsets = {}

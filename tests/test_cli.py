@@ -368,6 +368,7 @@ COMMANDS = [
         {"affine": 0},
         {"order_cap": 0},
         {"order_cap": -3},
+        {"sigma": [1, 1]},
     ],
     ids=json.dumps,
 )
@@ -377,6 +378,48 @@ def test_bad_config_file_value_exits_2(tmp_path, capsys, command, loaded):
     code, out, err = run(capsys, command + ["--config", str(cfg)])
     assert (code, out) == (2, "")
     assert err.startswith("configuration error:")
+
+
+REPEATED_LABELS = [
+    ["relative", "--type", "C", "--rank", "2", "--sigma", "1,1"],
+    ["certify", "--type", "C", "--rank", "2", "--sigma", "1,1"],
+    ["complex", "fixed", "--type", "C", "--rank", "2", "--sigma", "1,1"],
+    ["ddaha", "--type", "A", "--rank", "1", "--c", "0=2,1=2,1=4", "--expr", "s1"],
+]
+
+
+@pytest.mark.parametrize("argv", REPEATED_LABELS, ids=["relative", "certify", "fixed", "ddaha"])
+def test_repeated_labels_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["relative"], '{"type": "C", "rank": 2, "sigma": [1, 1]}'),
+        (["certify"], '{"type": "C", "rank": 2, "sigma": [2, 1, 2]}'),
+        (["complex", "fixed"], '{"type": "C", "rank": 2, "sigma": "1,1"}'),
+        (["ddaha", "--expr", "s1"], '{"c": {"0": 2, "1": 2, "01": 4}}'),
+        (["ddaha", "--expr", "s1"], '{"c": "0=2,1=2,1=4"}'),
+        # json.load alone keeps the last of two equal keys
+        (["ddaha", "--expr", "s1"], '{"c": {"0": 2, "1": 2, "1": 4}}'),
+        (["relative"], '{"type": "C", "rank": 2, "rank": 3}'),
+    ],
+)
+def test_repeated_labels_in_config_file_exit_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, command + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error:")
+
+
+def test_word_keeps_repeated_letters(capsys):
+    code, payload = run_json(capsys, ["weyl", "--type", "A", "--rank", "1", "--word", "1,1,0"])
+    assert code == 0
+    assert payload["result"]["length"] == 1
 
 
 def test_integer_strings_in_config_file_are_accepted(tmp_path, capsys):

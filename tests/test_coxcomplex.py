@@ -56,6 +56,16 @@ def test_boundary(aff_a1):
         cx.boundary(vertex, set())
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, 1.0, "1"])
+def test_facet_label_that_is_not_an_int_raises(aff_a2, bad):
+    e = ExtAffineWeylElement.identity(aff_a2)
+    with pytest.raises(cx.TypeNotContained, match="must be integers"):
+        cx.facet(aff_a2, e, {bad})
+    alcove = cx.facet(aff_a2, e, set())
+    with pytest.raises(cx.TypeNotContained, match="must be integers"):
+        cx.boundary(alcove, {0, bad})
+
+
 def test_boundary_functorial(aff_a2):
     rng = random.Random(3)
     ball = sorted(enumerate_ball(aff_a2, 3), key=lambda g: (g.mu, g.matrix))

@@ -62,6 +62,10 @@ def test_parameter_validation():
         dd.build_algebra(amb, dd.HeckeParameters.make(2, 1, {1: 2}))
     # unsafe flag lifts the c >= 2 restriction
     dd.build_algebra(amb, dd.HeckeParameters.make(2, 1, {0: 0, 1: 0}, unsafe=True))
+    # a label that is not an int is refused, not truncated to 1
+    for bad in (1.5, True, "1"):
+        with pytest.raises(dd.InvalidParameters, match="must be integers"):
+            dd.HeckeParameters.make(2, 1, {0: 2, bad: 2})
     # odd-order braid pair in finite A2 forces equal parameters
     a2 = affinize(build_finite("A", 2))
     with pytest.raises(dd.InvalidParameters):
@@ -148,19 +152,88 @@ def recursive_multiply(x, y):
     return algebra.element(out)
 
 
+def case_algebra(type_, rank, m, c, kind):
+    """The algebra of a CROSS_CASES row with c as given ("integer"), zero
+    ("zero", so h = 0), or scaled by 5/3 ("rational", so the denominators
+    hd_a of the h_a differ between labels wherever c does)."""
+    amb = affinize(build_finite(type_, rank))
+    scale = {"integer": 1, "zero": 0, "rational": Fraction(5, 3)}[kind]
+    c = {l: v * scale for l, v in c.items()}
+    return dd.build_algebra(amb, dd.HeckeParameters.make(m, 1, c, unsafe=kind != "integer"))
+
+
 @pytest.mark.parametrize("h_zero", [False, True])
 @pytest.mark.parametrize("type_, rank, m, c", CROSS_CASES)
 def test_multiply_matches_recursive_push(type_, rank, m, c, h_zero):
-    amb = affinize(build_finite(type_, rank))
-    if h_zero:
-        c = {l: 0 for l in c}
-    alg = dd.build_algebra(amb, dd.HeckeParameters.make(m, 1, c, unsafe=h_zero))
     rng = random.Random(f"{type_}{rank}{h_zero}")
-    ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
-    for _ in range(8):
-        x = random_element(alg, rng, ball, support=3, degree=4)
-        y = random_element(alg, rng, ball, support=3, degree=4)
-        assert dd.multiply(x, y) == recursive_multiply(x, y)
+    for kind in ("zero",) if h_zero else ("integer", "rational"):
+        alg = case_algebra(type_, rank, m, c, kind)
+        amb = alg.ambient
+        ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
+        for _ in range(8):
+            x = random_element(alg, rng, ball, support=3, degree=4)
+            y = random_element(alg, rng, ball, support=3, degree=4)
+            assert dd.multiply(x, y) == recursive_multiply(x, y)
+
+
+def random_literal(algebra, rng):
+    """A literal with its oracle value: up to three signed terms, each a
+    product of one to five factors in any order (generators, x<k> with or
+    without a power, x<k>^0, and rationals that may be zero, integers or
+    negative), folded left to right through multiply one factor at a time,
+    as the parser did before it worked on numerators."""
+    labels = sorted(algebra.ambient.labels)
+    n = algebra.nvars
+    text, value = [], algebra.zero()
+    for k in range(rng.randint(1, 3)):
+        sign = rng.choice((1, -1))
+        if k:
+            text.append(" - " if sign < 0 else " + ")
+        elif sign < 0:
+            text.append("-")
+        tokens, term = [], None
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.choice("ssxc")
+            if kind == "s":
+                label = rng.choice(labels)
+                token, factor = f"s{label}", algebra.generator(label)
+            elif kind == "x":
+                i, power = rng.randrange(n), rng.randint(0, 3)
+                token = f"x{i + 1}" if power == 1 and rng.random() < 0.5 else f"x{i + 1}^{power}"
+                exps = tuple(power if j == i else 0 for j in range(n))
+                factor = algebra.polynomial(Poly(n, frozenset({(exps, Fraction(1))})))
+            else:
+                q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                bare = q.denominator == 1 and q >= 0 and rng.random() < 0.5
+                token = str(q) if bare else f"({q})"
+                factor = algebra.polynomial(Poly.const(n, q))
+            tokens.append(token)
+            term = factor if term is None else dd.multiply(term, factor)
+        text.append("*".join(tokens))
+        value = value + (term if sign > 0 else term.scale(-1))
+    return "".join(text), value
+
+
+@pytest.mark.parametrize("kind", ["integer", "zero", "rational"])
+@pytest.mark.parametrize("type_, rank, m, c", CROSS_CASES)
+def test_parse_element_matches_factor_by_factor_fold(type_, rank, m, c, kind):
+    alg = case_algebra(type_, rank, m, c, kind)
+    if kind == "rational" and (type_, rank) != ("A", 2):
+        assert len(set(alg._hd.values())) > 1
+    rng = random.Random(f"{type_}{rank}{kind}")
+    for _ in range(15):
+        text, expected = random_literal(alg, rng)
+        assert dd.parse_element(alg, text) == expected, text
+
+
+def test_non_integral_image_raises(monkeypatch):
+    alg = case_algebra("A", 1, 2, {0: 2, 1: 2}, "integer")
+    wall_poly = dd.DdahaAlgebra.wall_poly
+    # a wall of content 3: (x - s_a(x)) / 3a has the coefficient 2/3
+    monkeypatch.setattr(dd.DdahaAlgebra, "wall_poly", lambda self, l: wall_poly(self, l).scale(3))
+    with pytest.raises(dd.ImageNotIntegral):
+        dd.cross_multiply(alg, 1, Poly.variable(1, 0))
+    assert (1, (1,)) not in alg._images
 
 
 def test_sum_and_difference_of_an_element_with_itself(alg_a2):

@@ -99,6 +99,17 @@ def test_unknown_label_raises_on_every_call(aff_c2):
     assert rel.ParabolicSubset(aff_c2, {1}).sigma == {1}
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_label_that_is_not_an_int_raises(aff_c2, bad):
+    # int() would read 1.5, 1.0, True and "1" all as the label 1
+    rel.ParabolicSubset(aff_c2, {1})  # a cached {1} must not answer for them
+    for _ in range(2):
+        with pytest.raises(rel.UnknownLabels, match="must be integers"):
+            rel.ParabolicSubset(aff_c2, {bad})
+        with pytest.raises(rel.UnknownLabels):
+            rel.is_admissible(aff_c2, [0, bad])
+
+
 def test_admissibility_oracles(fin_b2):
     # [DERIVED] worked example: B2 with Sigma = {s1} is admissible
     ok, cert = rel.is_admissible(fin_b2, {1})
