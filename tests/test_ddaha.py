@@ -168,8 +168,7 @@ def test_multiply_matches_recursive_push(type_, rank, m, c, h_zero):
     rng = random.Random(f"{type_}{rank}{h_zero}")
     for kind in ("zero",) if h_zero else ("integer", "rational"):
         alg = case_algebra(type_, rank, m, c, kind)
-        amb = alg.ambient
-        ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
+        ball = sorted(enumerate_ball(alg.ambient, 2), key=lambda g: (length(g), g.mu, g.matrix))
         for _ in range(8):
             x = random_element(alg, rng, ball, support=3, degree=4)
             y = random_element(alg, rng, ball, support=3, degree=4)
