@@ -37,6 +37,10 @@ CASES = {
     "certify_a2_depth3": "certify --type A --rank 2 --sigma= --radius 2 --depth 3",
     "certify_c2_depth3": "certify --type C --rank 2 --sigma 1 --radius 3 --depth 3",
     "table_weyl_ball_g2": "table weyl-ball --type G --rank 2 --radius 3",
+    "table_weyl_ball_b3_finite": "table weyl-ball --type B --rank 3 --finite --radius 4",
+    "table_facets_g2": "table facets --type G --rank 2 --radius 3",
+    "table_facets_b3_finite": "table facets --type B --rank 3 --finite --radius 3",
+    "table_relpos_g2": "table relpos --type G --rank 2 --sigma 1 --radius 3",
     "table_relpos_c2_tsv": "table relpos --type C --rank 2 --sigma 1 --radius 3 --format tsv",
     "ddaha_weights": "ddaha --lam0 1/3 --depth 2 --weights",
     "ddaha_times_a2": "ddaha --type A --rank 2 --expr 's1*s0*x1^2 + (3/2)*s1' --times 's2*x2 - x1^3'",
