@@ -76,6 +76,11 @@ def point_str(p) -> str:
     return ",".join(frac_str(c) for c in p)
 
 
+def _word_str(letters) -> str:
+    """A word or a set of labels as "l1,l2,...", or "-" when empty."""
+    return ",".join(map(str, letters)) or "-"
+
+
 def _config_int(value, name: str) -> int:
     """An int (not a bool) or an integer string, from a flag or a config file."""
     try:
@@ -351,10 +356,7 @@ def cmd_complex(args) -> tuple[int, str]:
             raise ConfigError(str(exc)) from exc
         data = {
             "chambers": [
-                {
-                    "type": sorted(f.type_labels),
-                    "word": list(reduced_word(f.rep).letters),
-                }
+                {"type": sorted(f.type_labels), "word": list(report.ball.word(f.rep))}
                 for f in report.chambers
             ],
             "single_free_orbit": report.single_free_orbit,
@@ -432,7 +434,7 @@ def _weight_rows(config, ambient, algebra) -> list[list]:
     rows = []
     for g in module.basis:
         w = module.weight_of(g)
-        rows.append([",".join(map(str, reduced_word(g).letters)) or "-", point_str(w), mults[w]])
+        rows.append([_word_str(reduced_word(g).letters), point_str(w), mults[w]])
     return rows
 
 
@@ -613,10 +615,11 @@ def cmd_table(args) -> tuple[int, str]:
     ambient = build_ambient(config)
     which = args.which
     if which == "weyl-ball":
-        ball = enumerate_ball(ambient, config["radius"])
+        ball = cx.Ball(ambient, config["radius"])
+        lengths = ball.lengths
         rows = []
-        for g in sorted(ball, key=lambda g: (ball[g], g.mu, g.matrix)):
-            rows.append([ball[g], ",".join(map(str, reduced_word(g).letters)) or "-"])
+        for g in sorted(lengths, key=lambda g: (lengths[g], g.mu, g.matrix)):
+            rows.append([lengths[g], _word_str(ball.word(g))])
         data = {"count": len(rows), "rows": [dict(zip(("length", "word"), r)) for r in rows]}
         return 0, emit(config, "table.weyl-ball", data, (["length", "word"], rows))
     if which == "facets":
@@ -631,18 +634,17 @@ def cmd_table(args) -> tuple[int, str]:
     if which == "relpos":
         itype = frozenset(config["sigma"])
         base = cx.facet(ambient, ExtAffineWeylElement.identity(ambient), itype)
+        ball = cx.Ball(ambient, config["radius"])
+        lengths = ball.lengths
         rows = []
         for f in sorted(
-            cx.facets_in_ball(ambient, config["radius"], types=[itype]),
-            key=lambda f: (length(f.rep), f.rep.mu, f.rep.matrix),
+            cx.facets_in_ball(ambient, config["radius"], types=[itype], ball=ball),
+            key=lambda f: (lengths[f.rep], f.rep.mu, f.rep.matrix),
         ):
             rp = cx.relative_position(base, f)
+            # the double coset's minimal rep is no longer than f.rep: in the ball
             rows.append(
-                [
-                    ",".join(map(str, reduced_word(f.rep).letters)) or "-",
-                    ",".join(map(str, reduced_word(rp.double_coset).letters)) or "-",
-                    int(rp.good),
-                ]
+                [_word_str(ball.word(f.rep)), _word_str(ball.word(rp.double_coset)), int(rp.good)]
             )
         data = {"rows": [dict(zip(("facet", "coset", "good"), r)) for r in rows]}
         return 0, emit(config, "table.relpos", data, (["facet", "coset", "good"], rows))
@@ -655,15 +657,17 @@ def cmd_table(args) -> tuple[int, str]:
 
 def _facets_table(config, ambient, command) -> tuple[int, str]:
     """Every facet of the length ball with its type, word and interior point."""
-    facets = cx.facets_in_ball(ambient, config["radius"])
+    ball = cx.Ball(ambient, config["radius"])
+    lengths = ball.lengths
+    facets = cx.facets_in_ball(ambient, config["radius"], ball=ball)
     rows = []
     for f in sorted(
-        facets, key=lambda f: (sorted(f.type_labels), length(f.rep), f.rep.mu, f.rep.matrix)
+        facets, key=lambda f: (sorted(f.type_labels), lengths[f.rep], f.rep.mu, f.rep.matrix)
     ):
         rows.append(
             [
-                ",".join(map(str, sorted(f.type_labels))) or "-",
-                ",".join(map(str, reduced_word(f.rep).letters)) or "-",
+                _word_str(sorted(f.type_labels)),
+                _word_str(ball.word(f.rep)),
                 point_str(cx.interior_point(f)),
             ]
         )

@@ -23,7 +23,8 @@ from .weyl import (
     conjugate_reflections,
     double_coset_min_rep,
     enumerate_ball,
-    length,
+    has_left_descent,
+    has_right_descent,
     min_coset_rep,
 )
 from .relative import (
@@ -55,16 +56,19 @@ class Facet:
     rep: ExtAffineWeylElement = None
     type_labels: frozenset[int] = frozenset()
 
-    def __repr__(self):
-        return f"Facet(type={sorted(self.type_labels)}, rep_len={length(self.rep)})"
 
-
-def facet(ambient: AffineRootSystem, y: ExtAffineWeylElement, labels) -> Facet:
+def _facet_type(ambient: AffineRootSystem, labels) -> frozenset[int]:
+    """The labels as a facet type: a proper subset of the simple walls."""
     labels = int_labels(labels, TypeNotContained)
     if not labels <= set(ambient.labels):
         raise TypeNotContained(f"unknown labels {sorted(labels - set(ambient.labels))}")
     if labels == set(ambient.labels):
         raise TypeNotContained("a facet type must be a proper subset of the walls")
+    return labels
+
+
+def facet(ambient: AffineRootSystem, y: ExtAffineWeylElement, labels) -> Facet:
+    labels = _facet_type(ambient, labels)
     return Facet(ambient, min_coset_rep(y, labels, "right"), labels)
 
 
@@ -268,22 +272,59 @@ def relative_position(f: Facet, g: Facet) -> RelativePosition:
 # ---------------------------------------------------------------------------
 
 
+class Ball:
+    """The length ball of W_S: its elements mapped to their lengths (in BFS
+    order, from `enumerate_ball`), and their reduced words on demand."""
+
+    def __init__(self, ambient: AffineRootSystem, radius: int):
+        self.ambient = ambient
+        self.radius = radius
+        self.lengths = enumerate_ball(ambient, radius)
+        self._labels = sorted(ambient.labels)
+        self._steps = {}  # g -> (lowest left descent l, s_l g)
+
+    def word(self, g: ExtAffineWeylElement) -> tuple[int, ...]:
+        """The letters of reduced_word(g) for g in the ball.  reduced_word
+        strips the lowest left descent l first, so the word of g is l
+        followed by the word of s_l g, one shorter and again in the ball: a
+        loop down to the identity, each element's descent searched once."""
+        letters = []
+        while self.lengths[g]:
+            step = self._steps.get(g)
+            if step is None:
+                l = next(l for l in self._labels if has_left_descent(g, l))
+                step = (l, ExtAffineWeylElement.simple(self.ambient, l) * g)
+                self._steps[g] = step
+            letters.append(step[0])
+            g = step[1]
+        return tuple(letters)
+
+
 def facets_in_ball(
-    ambient: AffineRootSystem, radius: int, types=None
+    ambient: AffineRootSystem, radius: int, types=None, ball: Ball | None = None
 ) -> frozenset[Facet]:
     """All facets with a representative in the length ball; `types` restricts
-    the facet types, default all proper subsets of the walls."""
+    the facet types, default all proper subsets of the walls.  y is the
+    minimal representative of y W_J exactly when y has no right descent in J
+    (the parabolic quotient W^J; Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.4), so each element of the ball gives one facet of every type
+    disjoint from its right descent set.  `ball` is the caller's Ball of this
+    radius, used instead of enumerating a second one."""
+    labels = ambient.labels
     if types is None:
-        all_labels = list(ambient.labels)
-        types = []
-        for mask in range(2 ** len(all_labels) - 1):
-            types.append(
-                frozenset(l for k, l in enumerate(all_labels) if mask >> k & 1)
-            )
-    out = set()
-    for y in enumerate_ball(ambient, radius):
-        for t in types:
-            out.add(facet(ambient, y, t))
+        types = [
+            frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+            for mask in range(2 ** len(labels) - 1)
+        ]
+    else:
+        types = [_facet_type(ambient, t) for t in types]
+    if ball is None:
+        ball = Ball(ambient, radius)
+    assert ball.radius == radius
+    out = []
+    for y in ball.lengths:
+        descents = {l for l in labels if has_right_descent(y, l)}
+        out.extend(Facet(ambient, y, t) for t in types if descents.isdisjoint(t))
     return frozenset(out)
 
 
@@ -294,16 +335,18 @@ def xi_orbit(
     enumeration ball; the flag reports whether the ball saw every E-alcove
     candidate strictly inside (no representative at the boundary length)."""
     target = span(nu0)
+    ball = Ball(point.ambient, radius)
     alcoves = {
         f
-        for f in facets_in_ball(point.ambient, radius, types=[nu0.type_labels])
+        for f in facets_in_ball(point.ambient, radius, types=[nu0.type_labels], ball=ball)
         if span(f) == target
     }
     orbit = set()
     for w in point.stabilizer():
         for f in alcoves:
             orbit.add(act(w, f))
-    complete = all(length(f.rep) < radius for f in orbit)
+    # a rep outside the ball is longer than the radius
+    complete = all(ball.lengths.get(f.rep, radius) < radius for f in orbit)
     return frozenset(orbit), complete
 
 
@@ -311,6 +354,7 @@ def xi_orbit(
 class FixedChambersReport:
     chambers: tuple[Facet, ...]
     action: dict = field(compare=False)  # (generator label, facet) -> facet or None
+    ball: Ball = field(compare=False)  # the length ball the chambers were found in
     single_free_orbit: bool = False
     ball_complete: bool = False
     boundary_excluded: tuple[Facet, ...] = ()
@@ -329,15 +373,17 @@ def fixed_chambers(system: RelativeCoxeterSystem, radius: int) -> FixedChambersR
         for t in map(frozenset, combinations(ambient.labels, k))
         if t != frozenset(ambient.labels) and ParabolicSubset(ambient, t).is_finite()
     ]
+    ball = Ball(ambient, radius)
+    lengths = ball.lengths
     found = set()
-    for f in facets_in_ball(ambient, radius, types=candidate_types):
+    for f in facets_in_ball(ambient, radius, types=candidate_types, ball=ball):
         if facet_stabilizer_reflections(f) == t_sigma:
             found.add(f)
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
 
-    interior = {f for f in found if length(f.rep) < radius}
-    boundary_cut = tuple(sorted(found - interior, key=lambda f: length(f.rep)))
+    interior = {f for f in found if lengths[f.rep] < radius}
+    boundary_cut = tuple(sorted(found - interior, key=lambda f: lengths[f.rep]))
     action = {}
     closed = True
     for f in interior:
@@ -367,11 +413,12 @@ def fixed_chambers(system: RelativeCoxeterSystem, radius: int) -> FixedChambersR
         else:
             single_free = single_free and set(seen) >= interior
     chambers = tuple(
-        sorted(found, key=lambda f: (length(f.rep), f.rep.mu, f.rep.matrix))
+        sorted(found, key=lambda f: (lengths[f.rep], f.rep.mu, f.rep.matrix))
     )
     return FixedChambersReport(
         chambers=chambers,
         action=action,
+        ball=ball,
         single_free_orbit=single_free,
         ball_complete=closed,
         boundary_excluded=boundary_cut,

@@ -423,8 +423,19 @@ class AffineRootSystem:
 
     def facet_interior_point(self, wall_labels: frozenset[int]) -> Vec:
         """A rational relative-interior point of the face of the fundamental
-        alcove on which exactly the given simple walls vanish."""
+        alcove on which exactly the given simple walls vanish, computed once
+        per face and kept on the system object (one per system)."""
         wall_labels = frozenset(wall_labels)
+        points = getattr(self, "_facet_points", None)
+        if points is None:
+            points = {}
+            object.__setattr__(self, "_facet_points", points)
+        point = points.get(wall_labels)
+        if point is None:
+            point = points[wall_labels] = self._face_point(wall_labels)
+        return point
+
+    def _face_point(self, wall_labels: frozenset[int]) -> Vec:
         if not wall_labels <= set(self.labels):
             raise ValueError(f"unknown wall labels {sorted(wall_labels - set(self.labels))}")
         if wall_labels == set(self.labels):

@@ -18,9 +18,9 @@ of one affine root image.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
-from . import linalg
 from .linalg import Vec, dot, mat_inv, mat_mul, mat_vec, transpose
 from .root_system import AffineRoot, AffineRootSystem
 
@@ -187,8 +187,17 @@ class ExtAffineWeylElement:
     # -- actions ----------------------------------------------------------
 
     def act_point(self, x: Vec) -> Vec:
-        moved = mat_vec(_point_matrix(self.matrix), tuple(Fraction(c) for c in x))
-        return linalg.vec_add(moved, self.mu)
+        """P x + mu on integers: x as numerators over one common denominator,
+        then one Fraction per coordinate."""
+        x = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in x]
+        if len(x) != len(self.mu):
+            raise ValueError(f"point of dimension {len(x)}, expected {len(self.mu)}")
+        den = lcm(*(c.denominator for c in x))
+        nums = [c.numerator * (den // c.denominator) for c in x]
+        return tuple(
+            Fraction(sum(map(mul, row, nums)) + den * m, den)
+            for row, m in zip(_point_matrix(self.matrix), self.mu)
+        )
 
     def act_gradient(self, gradient: Vec) -> Vec:
         return mat_vec(self.matrix, tuple(Fraction(c) for c in gradient))

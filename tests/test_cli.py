@@ -291,6 +291,8 @@ def test_unknown_subcommand_exit_2(capsys):
         ["spiral", "--type", "A", "--rank", "2", "--theta", "1,1", "--m", "3", "--lam", "0,0",
          "--window", "3:1"],
         ["table", "spiral", "--window", "3:1"],
+        # a facet type made of every wall
+        ["table", "relpos", "--type", "A", "--rank", "2", "--sigma", "0,1,2"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -11,7 +11,7 @@ from weylkit.relative import (
     relative_system,
 )
 from weylkit.root_system import affinize, build_finite, finite_coxeter
-from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length
+from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length, reduced_word
 
 
 def s(ambient, label):
@@ -31,6 +31,31 @@ def aff_a2():
 @pytest.fixture(scope="module")
 def aff_c2():
     return affinize(build_finite("C", 2))
+
+
+# (type, rank, affine) of the systems the ball-aware enumeration is checked on
+ORACLE_SYSTEMS = [("A", 2, True), ("C", 2, True), ("G", 2, True), ("B", 3, True), ("B", 3, False)]
+
+
+def oracle_system(type_label, rank, affine):
+    finite = build_finite(type_label, rank)
+    return affinize(finite) if affine else finite_coxeter(finite)
+
+
+def proper_types(ambient):
+    labels = ambient.labels
+    return [
+        frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+        for mask in range(2 ** len(labels) - 1)
+    ]
+
+
+def facets_by_coset_strip(ambient, radius, types):
+    """The facets of the length ball by one min_coset_rep strip (inside
+    `facet`) per element and type: the enumeration that reading right
+    descent sets replaced."""
+    ball = enumerate_ball(ambient, radius)
+    return frozenset(cx.facet(ambient, y, t) for y in ball for t in types)
 
 
 def test_facet_canonicalization(aff_a2):
@@ -263,3 +288,88 @@ def test_fixed_chambers_empty_sigma(aff_a1):
     # chambers are all alcoves, W-tilde = W acts simply transitively
     assert all(cx.facet_type(c) == frozenset() for c in rep.chambers)
     assert rep.single_free_orbit
+
+
+@pytest.mark.parametrize("type_label,rank,affine", ORACLE_SYSTEMS)
+def test_facets_in_ball_match_the_coset_strip(type_label, rank, affine):
+    ambient = oracle_system(type_label, rank, affine)
+    types = proper_types(ambient)
+    for radius in range(5):
+        ball = cx.Ball(ambient, radius)
+        for t in types:
+            got = cx.facets_in_ball(ambient, radius, types=[t], ball=ball)
+            assert got == facets_by_coset_strip(ambient, radius, [t])
+        assert cx.facets_in_ball(ambient, radius) == facets_by_coset_strip(ambient, radius, types)
+
+
+def _series(numerator, denominator, r):
+    """The coefficients of u^0..u^r in numerator(u)/denominator(u), both
+    given as coefficient lists, with denominator[0] == 1."""
+    out = []
+    for k in range(r + 1):
+        c = numerator[k] if k < len(numerator) else 0
+        c -= sum(denominator[i] * out[k - i] for i in range(1, min(k, len(denominator) - 1) + 1))
+        out.append(c)
+    return out
+
+
+def test_facet_counts_from_the_growth_series(aff_a2):
+    # [DERIVED] Bott's formula (Humphreys, Reflection Groups and Coxeter
+    # Groups, 8.9): W(u) = (1+u)(1+u+u^2) / ((1-u)(1-u^2)) for affine A2.
+    # W(u) = W^J(u) W_J(u), and a facet of type J has one minimal rep, so
+    # the facets of type J with a rep of length <= r number the first r+1
+    # coefficients of W(u)/W_J(u), summed.  W_J is trivial, A1 or A2.
+    denominator = [1, -1, -1, 1]
+    numerators = {0: [1, 2, 2, 1], 1: [1, 1, 1], 2: [1]}  # W(u) W_J(u)^-1 (1-u)(1-u^2)
+    for t in proper_types(aff_a2):
+        expected = sum(_series(numerators[len(t)], denominator, 4))
+        assert len(cx.facets_in_ball(aff_a2, 4, types=[t])) == expected
+    counts = [len(cx.facets_in_ball(aff_a2, 4, types=[t])) for t in ([], [0], [1], [0, 1])]
+    assert counts == [31, 19, 19, 9]
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ({0, 1, 2}, "a facet type must be a proper subset of the walls"),
+        ({7}, r"unknown labels \[7\]"),
+    ],
+)
+def test_facets_in_ball_bad_type_raises(aff_a2, labels, message):
+    with pytest.raises(cx.TypeNotContained, match=message):
+        cx.facets_in_ball(aff_a2, 2, types=[labels])
+    with pytest.raises(cx.TypeNotContained, match=message):
+        cx.facets_in_ball(aff_a2, 2, types=[{0}, labels])
+
+
+@pytest.mark.parametrize("type_label,rank,affine", ORACLE_SYSTEMS)
+def test_ball_words_are_reduced_words(type_label, rank, affine):
+    ambient = oracle_system(type_label, rank, affine)
+    ball = cx.Ball(ambient, 4)
+    for g, d in ball.lengths.items():
+        word = ball.word(g)
+        assert word == reduced_word(g).letters
+        assert len(word) == d
+
+
+def test_ball_words_at_a_radius_beyond_the_recursion_limit(aff_a1):
+    radius = 3000
+    ball = cx.Ball(aff_a1, radius)
+    assert len(ball.lengths) == 2 * radius + 1
+    longest = [g for g, d in ball.lengths.items() if d == radius]
+    assert len(longest) == 2
+    for g in longest:
+        word = ball.word(g)
+        assert word == reduced_word(g).letters
+        # [DERIVED] the reduced words of affine A1 alternate the two letters
+        assert len(word) == radius and all(a != b for a, b in zip(word, word[1:]))
+
+
+def test_equal_spans_hash_equal(aff_a2):
+    # two alcoves span the whole plane: equal spans, different base points
+    e = ExtAffineWeylElement.identity(aff_a2)
+    a = cx.span(cx.facet(aff_a2, e, set()))
+    b = cx.span(cx.facet(aff_a2, s(aff_a2, 0), set()))
+    assert a == b and a.base != b.base
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

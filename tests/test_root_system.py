@@ -138,6 +138,15 @@ def test_alcove_vertices():
     assert x == (Fraction(0), Fraction(0))
 
 
+def test_facet_interior_point_is_kept_per_face():
+    aff = affinize(build_finite("B", 2))
+    x = aff.facet_interior_point({1})
+    assert aff.facet_interior_point(frozenset({1})) is x
+    for _ in range(2):  # a bad type is refused every time, nothing is kept for it
+        with pytest.raises(ValueError, match="proper subset"):
+            aff.facet_interior_point({0, 1, 2})
+
+
 def test_finite_mode_contains_level_zero_only():
     fin = finite_coxeter(build_finite("A", 2))
     assert fin.contains((1, 0), 0)

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from weylkit.linalg import mat_vec, vec_add
 from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     BallTooLarge,
     DifferentComponents,
     ExtAffineWeylElement,
     NotAReflection,
+    _point_matrix,
     act_on_affine_root,
     automorphism_part,
     bruhat_leq,
@@ -370,3 +372,37 @@ def test_actions_stay_exact(aff_a2):
     assert all(type(c) is Fraction for c in point + grad + (const,))
     assert g.inverse().act_point(point) == (Fraction(1, 3), Fraction(1, 5))
 
+
+
+def _act_point_oracle(g, x):
+    """g(x) = P x + mu in Fractions, the rational form the integer kernel of
+    act_point replaces."""
+    return vec_add(mat_vec(_point_matrix(g.matrix), tuple(Fraction(c) for c in x)), g.mu)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("BC", 2)])
+def test_act_point_matches_the_rational_form(type_label, rank):
+    ambient = affinize(build_finite(type_label, rank))
+    rng = random.Random(17)
+    for _ in range(20):
+        g = ExtAffineWeylElement.identity(ambient)
+        for _ in range(rng.randrange(9)):
+            g = g * ExtAffineWeylElement.simple(ambient, rng.choice(ambient.labels))
+        g = g * ExtAffineWeylElement.translation(
+            ambient, tuple(rng.randrange(-3, 4) for _ in range(rank))
+        )
+        points = [
+            tuple(rng.randrange(-5, 6) for _ in range(rank)),  # ints
+            tuple(Fraction(rng.randrange(-9, 10), 7) for _ in range(rank)),  # one denominator
+            tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 13)) for _ in range(rank)),
+            (Fraction(1, 6),) + tuple(rng.randrange(-2, 3) for _ in range(rank - 1)),  # mixed
+        ]
+        for x in points:
+            got = g.act_point(x)
+            assert got == _act_point_oracle(g, x)
+            assert all(type(c) is Fraction for c in got)
+
+
+def test_act_point_rejects_a_point_of_the_wrong_dimension(aff_a2):
+    with pytest.raises(ValueError, match="dimension"):
+        s(aff_a2, 0).act_point((Fraction(1, 2),))
