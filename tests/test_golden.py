@@ -47,6 +47,11 @@ CASES = {
     "ddaha_times_g2": "ddaha --type G --rank 2 --expr 's1*s2*x1 + x2^2' --times 's0*s2*x1*x2 - (1/2)*s1'",
     "root_bc2": "root --type BC --rank 2",
     "spiral_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --d 1 --lam 0,0 --window=-2:2",
+    "table_spiral_a2": "table spiral --type A --rank 2 --theta 1,1 --m 3 --window=-2:2",
+    "table_weights_a1_tsv": "table weights --type A --rank 1 --lam0 1/3 --depth 2 --format tsv",
+    "spiral_facet_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --facet-word 0,1 --facet-type 1 --window=-2:2",
+    "spiral_facet_g2_tsv": "spiral --type G --rank 2 --theta 1,1 --m 4 --facet-word 0,1,2 --facet-type 2 --window=-3:3 --format tsv",
+    "ddaha_relations_c2": "ddaha --type C --rank 2 --m 4 --seed 3",
 }
 
 
