@@ -253,14 +253,19 @@ def emit(config, command, result, rows=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def emit_rows(config, command, key, header, rows, extra=None) -> str:
+    """A row table: in JSON one object per row, keyed by the header, under
+    `key` next to the extra result fields; in tsv the header and the rows."""
+    result = {**(extra or {}), key: [dict(zip(header, r)) for r in rows]}
+    return emit(config, command, result, (header, rows))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_root(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_root(args, config, ambient) -> tuple[int, str]:
     finite = ambient.finite_base
     data = root_data_to_json(finite)
     data["roots_count"] = len(finite.roots)
@@ -279,9 +284,7 @@ def cmd_root(args) -> tuple[int, str]:
     return 0, emit(config, "root", data, rows)
 
 
-def cmd_weyl(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_weyl(args, config, ambient) -> tuple[int, str]:
     g = _word_to_element(ambient, getattr(args, "word", None) or "")
     rw = reduced_word(g)
     data = {
@@ -296,9 +299,7 @@ def cmd_weyl(args) -> tuple[int, str]:
     return 0, emit(config, "weyl", data)
 
 
-def cmd_relative(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_relative(args, config, ambient) -> tuple[int, str]:
     sigma = config["sigma"]
     data = {"admissible": False, "sigma": sorted(sigma)}
     try:
@@ -328,9 +329,7 @@ def cmd_relative(args) -> tuple[int, str]:
     return 0, emit(config, "relative", data)
 
 
-def cmd_complex(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_complex(args, config, ambient) -> tuple[int, str]:
     sub = args.complex_command
     if sub == "facets":
         return _facets_table(config, ambient, "complex.facets")
@@ -383,9 +382,7 @@ def _spiral_rows(spiral, window):
     return rows
 
 
-def cmd_spiral(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_spiral(args, config, ambient) -> tuple[int, str]:
     datum = _graded_datum(config, ambient)
     if getattr(args, "lam", None) is not None:
         lam = tuple(_parse_frac_list(args.lam))
@@ -407,10 +404,9 @@ def cmd_spiral(args) -> tuple[int, str]:
         "lambda": [frac_str(c) for c in spiral.lam],
         "epsilon": spiral.epsilon,
         "partition_ok": report.partition_ok,
-        "table": [dict(zip(("n", "part", "members"), r)) for r in rows],
     }
     code = 0 if report.partition_ok else 1
-    return code, emit(config, "spiral", data, (["n", "part", "members"], rows))
+    return code, emit_rows(config, "spiral", "table", ["n", "part", "members"], rows, data)
 
 
 def _build_ddaha(config, ambient) -> dd.DdahaAlgebra:
@@ -426,9 +422,12 @@ def _build_ddaha(config, ambient) -> dd.DdahaAlgebra:
         raise ConfigError(str(exc)) from exc
 
 
+WEIGHT_HEADER = ["word", "weight", "multiplicity"]
+
+
 def _weight_rows(config, ambient, algebra) -> list[list]:
-    """Word, weight and multiplicity of each basis element of the standard
-    module, in basis order."""
+    """Word, weight and multiplicity (WEIGHT_HEADER) of each basis element of
+    the standard module, in basis order."""
     module = dd.standard_module(algebra, _lam0_vec(config, ambient), config["depth"])
     mults = module.weight_multiplicities()
     rows = []
@@ -438,9 +437,7 @@ def _weight_rows(config, ambient, algebra) -> list[list]:
     return rows
 
 
-def cmd_ddaha(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_ddaha(args, config, ambient) -> tuple[int, str]:
     algebra = _build_ddaha(config, ambient)
     if getattr(args, "expr", None):
         x = dd.parse_element(algebra, args.expr)
@@ -450,11 +447,8 @@ def cmd_ddaha(args) -> tuple[int, str]:
         return 0, emit(config, "ddaha", data)
     if getattr(args, "weights", False):
         rows = _weight_rows(config, ambient, algebra)
-        data = {
-            "dimension": len(rows),
-            "weights": [dict(zip(("word", "weight", "multiplicity"), r)) for r in rows],
-        }
-        return 0, emit(config, "ddaha.weights", data, (["word", "weight", "multiplicity"], rows))
+        data = {"dimension": len(rows)}
+        return 0, emit_rows(config, "ddaha.weights", "weights", WEIGHT_HEADER, rows, data)
     report = dd.verify_relations(algebra, seed=config["seed"], n_random=10)
     data = {
         "squares_ok": report.squares_ok,
@@ -525,7 +519,7 @@ def certify_checks(config, ambient) -> list[dict]:
     )
 
     bad_t = sum(
-        1 for g in enumerate_ball(ambient, min(radius, 3)) if length(g) != len(reflections_T(g))
+        1 for g, d in enumerate_ball(ambient, min(radius, 3)).items() if d != len(reflections_T(g))
     )
     checks.append(
         {
@@ -575,7 +569,7 @@ def certify_checks(config, ambient) -> list[dict]:
     except cx.BallTooSmall as exc:
         checks.append({"check": "fixed-chambers", "ok": False, "detail": str(exc)})
 
-    sample = sorted(small, key=lambda g: (length(g), g.mu, g.matrix))
+    sample = sorted(small, key=lambda g: (small_lengths[g], g.mu, g.matrix))
     pairs_checked = 0
     eta_ok = True
     for _ in range(10):
@@ -595,9 +589,7 @@ def certify_checks(config, ambient) -> list[dict]:
     return checks
 
 
-def cmd_certify(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_certify(args, config, ambient) -> tuple[int, str]:
     checks = certify_checks(config, ambient)
     all_ok = all(c["ok"] for c in checks)
     data = {"ok": all_ok, "checks": checks}
@@ -610,9 +602,7 @@ def cmd_certify(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_table(args) -> tuple[int, str]:
-    config = resolve_config(args)
-    ambient = build_ambient(config)
+def cmd_table(args, config, ambient) -> tuple[int, str]:
     which = args.which
     if which == "weyl-ball":
         ball = cx.Ball(ambient, config["radius"])
@@ -620,8 +610,8 @@ def cmd_table(args) -> tuple[int, str]:
         rows = []
         for g in sorted(lengths, key=lambda g: (lengths[g], g.mu, g.matrix)):
             rows.append([lengths[g], _word_str(ball.word(g))])
-        data = {"count": len(rows), "rows": [dict(zip(("length", "word"), r)) for r in rows]}
-        return 0, emit(config, "table.weyl-ball", data, (["length", "word"], rows))
+        data = {"count": len(rows)}
+        return 0, emit_rows(config, "table.weyl-ball", "rows", ["length", "word"], rows, data)
     if which == "facets":
         return _facets_table(config, ambient, "table.facets")
     if which == "spiral":
@@ -629,8 +619,7 @@ def cmd_table(args) -> tuple[int, str]:
         lam = tuple(Fraction(0) for _ in range(ambient.rank))
         spiral = spr.spiral_from_cochar(datum, lam)
         rows = _spiral_rows(spiral, config["window"])
-        data = {"table": [dict(zip(("n", "part", "members"), r)) for r in rows]}
-        return 0, emit(config, "table.spiral", data, (["n", "part", "members"], rows))
+        return 0, emit_rows(config, "table.spiral", "table", ["n", "part", "members"], rows)
     if which == "relpos":
         itype = frozenset(config["sigma"])
         base = cx.facet(ambient, ExtAffineWeylElement.identity(ambient), itype)
@@ -646,12 +635,10 @@ def cmd_table(args) -> tuple[int, str]:
             rows.append(
                 [_word_str(ball.word(f.rep)), _word_str(ball.word(rp.double_coset)), int(rp.good)]
             )
-        data = {"rows": [dict(zip(("facet", "coset", "good"), r)) for r in rows]}
-        return 0, emit(config, "table.relpos", data, (["facet", "coset", "good"], rows))
+        return 0, emit_rows(config, "table.relpos", "rows", ["facet", "coset", "good"], rows)
     if which == "weights":
         rows = _weight_rows(config, ambient, _build_ddaha(config, ambient))
-        data = {"rows": [dict(zip(("word", "weight", "multiplicity"), r)) for r in rows]}
-        return 0, emit(config, "table.weights", data, (["word", "weight", "multiplicity"], rows))
+        return 0, emit_rows(config, "table.weights", "rows", WEIGHT_HEADER, rows)
     raise ConfigError(f"unknown table {which!r}")
 
 
@@ -671,8 +658,8 @@ def _facets_table(config, ambient, command) -> tuple[int, str]:
                 point_str(cx.interior_point(f)),
             ]
         )
-    data = {"count": len(rows), "facets": [dict(zip(("type", "word", "interior"), r)) for r in rows]}
-    return 0, emit(config, command, data, (["type", "word", "interior"], rows))
+    header = ["type", "word", "interior"]
+    return 0, emit_rows(config, command, "facets", header, rows, {"count": len(rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +756,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code, text = args.func(args)
+        config = resolve_config(args)
+        code, text = args.func(args, config, build_ambient(config))
     except (
         ConfigError,
         dd.LiteralSyntaxError,

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import linalg
 from .linalg import Vec, dot, mat_vec
-from .root_system import AffineFunction, AffineRoot, AffineRootSystem
+from .root_system import AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
     act_on_affine_root,
@@ -72,10 +72,6 @@ def facet(ambient: AffineRootSystem, y: ExtAffineWeylElement, labels) -> Facet:
     return Facet(ambient, min_coset_rep(y, labels, "right"), labels)
 
 
-def facet_type(f: Facet) -> frozenset[int]:
-    return f.type_labels
-
-
 def boundary(f: Facet, coarser_labels) -> Facet:
     coarser = int_labels(coarser_labels, TypeNotContained)
     if not f.type_labels <= coarser:
@@ -91,16 +87,6 @@ def act(w: ExtAffineWeylElement, f: Facet) -> Facet:
 
 def interior_point(f: Facet) -> Vec:
     return f.rep.act_point(f.ambient.facet_interior_point(f.type_labels))
-
-
-def wall_functions(f: Facet) -> tuple[AffineFunction, ...]:
-    """The affine roots (as functions) vanishing on f among the walls of its
-    defining alcove: the rep-images of the J-labelled simple roots."""
-    out = []
-    for l in sorted(f.type_labels):
-        a = act_on_affine_root(f.rep, f.ambient.simple_by_label(l))
-        out.append(a.as_function())
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,11 @@ class AffineSpan:
 def span(f: Facet) -> AffineSpan:
     ambient = f.ambient
     base = interior_point(f)
-    grads = tuple(fn.gradient for fn in wall_functions(f))
+    # the walls of the defining alcove through f: rep-images of the J-simples
+    grads = tuple(
+        act_on_affine_root(f.rep, ambient.simple_by_label(l)).direction
+        for l in sorted(f.type_labels)
+    )
     if grads:
         directions = linalg.nullspace(grads)
     else:

@@ -18,8 +18,8 @@ the denominator by hd_a.  `multiply(x, y)` folds the step over the reduced
 word of each group part of y, brings the terms of y to one denominator by
 integer scaling, and builds one Fraction per coefficient of the result;
 `parse_element` folds each factor of a literal straight into that form.  The
-module also provides relation verification, truncated standard modules and
-orbit/stabilizer search for category-O weight analysis.
+module also provides relation verification and truncated standard modules
+for category-O weight analysis.
 """
 
 import random
@@ -438,25 +438,8 @@ class StandardModule:
 def standard_module(algebra: DdahaAlgebra, lam0, depth: int) -> StandardModule:
     lam0 = tuple(Fraction(c) for c in lam0)
     ball = enumerate_ball(algebra.ambient, depth)
-    basis = tuple(sorted(ball, key=lambda g: (length(g), g.mu, g.matrix)))
+    basis = tuple(sorted(ball, key=lambda g: (ball[g], g.mu, g.matrix)))
     return StandardModule(algebra, lam0, depth, basis)
-
-
-def orbit(ambient: AffineRootSystem, lam0, radius: int) -> tuple[frozenset, bool]:
-    """W-orbit points of lam0 seen in the length ball, with a ball-complete
-    flag (True when the ball boundary added no new point)."""
-    lam0 = tuple(Fraction(c) for c in lam0)
-    ball = enumerate_ball(ambient, radius)
-    pts = {g.act_point(lam0) for g in ball}
-    inner = {g.act_point(lam0) for g, l in ball.items() if l < radius}
-    return frozenset(pts), pts == inner
-
-
-def stabilizer(ambient: AffineRootSystem, lam0, radius: int) -> frozenset:
-    lam0 = tuple(Fraction(c) for c in lam0)
-    return frozenset(
-        g for g in enumerate_ball(ambient, radius) if g.act_point(lam0) == lam0
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ the coordinates; division by an affine-linear polynomial is exact via a
 change of variables, with a hard error on a nonzero remainder.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -117,9 +117,6 @@ class Poly:
         if c == 0:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, frozenset((e, c * co) for e, co in self.terms))
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
 
     def substitute(self, mapping: dict) -> "Poly":
         """Replace variable i by mapping[i] (a Poly); unmapped variables stay."""

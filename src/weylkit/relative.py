@@ -87,9 +87,9 @@ def int_labels(labels, error) -> frozenset:
 
 class ParabolicSubset:
     """A subset of the simple walls with cached finiteness data, one object
-    per (ambient, Sigma); an unknown label raises UnknownLabels on every
-    call, since nothing is stored for it, and so does a label that is not an
-    int."""
+    per (ambient, Sigma), so equal subsets are the same object; an unknown
+    label raises UnknownLabels on every call, since nothing is stored for
+    it, and so does a label that is not an int."""
 
     def __new__(cls, ambient: AffineRootSystem, sigma):
         sigma = int_labels(sigma, UnknownLabels)
@@ -110,12 +110,6 @@ class ParabolicSubset:
             self._reflections = None
             subsets[sigma] = self
         return self
-
-    def __eq__(self, other):
-        return isinstance(other, ParabolicSubset) and self.sigma == other.sigma
-
-    def __hash__(self):
-        return hash(self.sigma)
 
     def __repr__(self):
         return f"ParabolicSubset({sorted(self.sigma)})"
@@ -158,14 +152,6 @@ class ParabolicSubset:
     def elements(self) -> frozenset[ExtAffineWeylElement]:
         gens = [ExtAffineWeylElement.simple(self.ambient, l) for l in sorted(self.sigma)]
         return frozenset(closure(ExtAffineWeylElement.identity(self.ambient), gens))
-
-
-def is_parabolic_finite(ambient: AffineRootSystem, sigma) -> bool:
-    return ParabolicSubset(ambient, sigma).is_finite()
-
-
-def longest_element(ambient: AffineRootSystem, sigma) -> ExtAffineWeylElement:
-    return ParabolicSubset(ambient, sigma).longest_element()
 
 
 def _normalizes(y: ExtAffineWeylElement, left: ParabolicSubset, right: ParabolicSubset) -> bool:
@@ -335,7 +321,7 @@ def normalizer_pairs(
     for y in ball:
         if _is_normalizer_pair(y, left, right):
             out.append(y)
-    return sorted(out, key=lambda y: (length(y), y.mu, y.matrix))
+    return sorted(out, key=lambda y: (ball[y], y.mu, y.matrix))
 
 
 def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> bool:

@@ -432,28 +432,30 @@ class AffineRootSystem:
             object.__setattr__(self, "_facet_points", points)
         point = points.get(wall_labels)
         if point is None:
-            point = points[wall_labels] = self._face_point(wall_labels)
+            point = points[wall_labels] = self.face_point(wall_labels)
         return point
 
-    def _face_point(self, wall_labels: frozenset[int]) -> Vec:
+    def face_point(self, wall_labels, weights=None) -> Vec:
+        """A rational point in the relative interior of the face on which
+        exactly the given simple walls vanish: the barycenter of the alcove
+        vertices off those walls with the given positive weights (in label
+        order, equal by default).  Finite mode: the weighted sum of the ray
+        points of the chamber cone."""
+        wall_labels = frozenset(wall_labels)
         if not wall_labels <= set(self.labels):
             raise ValueError(f"unknown wall labels {sorted(wall_labels - set(self.labels))}")
         if wall_labels == set(self.labels):
             raise ValueError("the facet type must be a proper subset of the walls")
-        if self.affine:
-            verts = self.alcove_vertices()
-            chosen = [verts[l] for l in self.labels if l not in wall_labels]
-            k = len(chosen)
-            acc = [Fraction(0)] * self.rank
-            for v in chosen:
-                for i, c in enumerate(v):
-                    acc[i] += c
-            return tuple(c / k for c in acc)
-        point = [Fraction(0)] * self.rank
-        for l in self.labels:
-            if l not in wall_labels:
-                point[l - 1] = Fraction(1)
-        return tuple(point)
+        verts = self.alcove_vertices()
+        chosen = [verts[l] for l in self.labels if l not in wall_labels]
+        if weights is None:
+            weights = [1] * len(chosen)
+        total = sum(weights) if self.affine else 1
+        acc = [Fraction(0)] * self.rank
+        for w, v in zip(weights, chosen, strict=True):
+            for i, c in enumerate(v):
+                acc[i] += w * c
+        return tuple(c / total for c in acc)
 
 
 def affinize(finite: FiniteRootSystem) -> AffineRootSystem:

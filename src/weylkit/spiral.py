@@ -127,22 +127,16 @@ def spiral_from_cochar(datum: GradedRootDatum, lam: Vec, epsilon: int | None = N
     return Spiral(datum, tuple(lam), epsilon)
 
 
-def _facet_sample_points(nu: Facet, count: int = 3) -> list[Vec]:
-    """Distinct rational points in the relative interior of the facet:
-    differently-weighted barycenters of its defining vertex set."""
+def _facet_sample_points(nu: Facet) -> list[Vec]:
+    """Three distinct rational points in the relative interior of the facet:
+    differently-weighted barycenters of its defining vertex set, the first
+    with equal weights."""
     ambient = nu.ambient
-    verts = ambient.alcove_vertices()
-    chosen = [verts[l] for l in ambient.labels if l not in nu.type_labels]
-    out = []
-    for t in range(count):
-        weights = [Fraction(1 + t * i) for i in range(1, len(chosen) + 1)]
-        total = sum(weights)
-        acc = [Fraction(0)] * ambient.rank
-        for w, v in zip(weights, chosen):
-            for i, c in enumerate(v):
-                acc[i] += w * c / total
-        out.append(nu.rep.act_point(tuple(acc)))
-    return out
+    k = len(ambient.labels) - len(nu.type_labels)
+    return [
+        nu.rep.act_point(ambient.face_point(nu.type_labels, [1 + t * i for i in range(1, k + 1)]))
+        for t in range(3)
+    ]
 
 
 def spiral_from_facet(datum: GradedRootDatum, nu: Facet, window: int = 4) -> Spiral:

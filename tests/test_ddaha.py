@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylkit import ddaha as dd
+from weylkit.coxcomplex import stabilizer_group
 from weylkit.poly import Poly, divide_linear, weyl_action
 from weylkit.root_system import affinize, build_finite
 from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length, reduced_word
@@ -383,15 +384,19 @@ def test_standard_module_wall_point(alg_a1):
 
 def test_orbit_and_stabilizer(alg_a1):
     amb = alg_a1.ambient
-    pts, complete = dd.orbit(amb, (Fraction(1, 3),), 3)
+    lam0 = (Fraction(1, 3),)
+    ball = enumerate_ball(amb, 3)
+    pts = {g.act_point(lam0) for g in ball}
     # [DERIVED] infinite dihedral orbit: 2 radius + 1 points for interior lam0
     assert len(pts) == 7
-    assert not complete
-    assert dd.stabilizer(amb, (Fraction(1, 3),), 3) == frozenset(
-        {ExtAffineWeylElement.identity(amb)}
-    )
-    stab = dd.stabilizer(amb, (Fraction(0),), 3)
-    assert ExtAffineWeylElement.simple(amb, 1) in stab
+    # the boundary of the ball still adds orbit points
+    assert pts != {g.act_point(lam0) for g, l in ball.items() if l < 3}
+    # oracle: the elements of the ball that fix the point, for a stabilizer
+    # that lies inside the ball
+    for x in (lam0, (Fraction(0),)):
+        assert stabilizer_group(amb, x) == {g for g in ball if g.act_point(x) == x}
+    assert stabilizer_group(amb, lam0) == {ExtAffineWeylElement.identity(amb)}
+    assert ExtAffineWeylElement.simple(amb, 1) in stabilizer_group(amb, (Fraction(0),))
 
 
 def test_literal_roundtrip(alg_a2):

@@ -35,19 +35,19 @@ def aff_c2():
 
 
 def test_finiteness_by_gradients(aff_c2):
-    assert rel.is_parabolic_finite(aff_c2, {1, 2})
-    assert rel.is_parabolic_finite(aff_c2, {0, 2})
-    assert not rel.is_parabolic_finite(aff_c2, {0, 1, 2})
+    assert rel.ParabolicSubset(aff_c2, {1, 2}).is_finite()
+    assert rel.ParabolicSubset(aff_c2, {0, 2}).is_finite()
+    assert not rel.ParabolicSubset(aff_c2, {0, 1, 2}).is_finite()
     with pytest.raises(rel.NotFinite):
-        rel.longest_element(aff_c2, {0, 1, 2})
+        rel.ParabolicSubset(aff_c2, {0, 1, 2}).longest_element()
 
 
 def test_longest_element(fin_b2):
-    w0 = rel.longest_element(fin_b2, {1, 2})
+    w0 = rel.ParabolicSubset(fin_b2, {1, 2}).longest_element()
     assert length(w0) == 4
     assert (w0 * w0).is_identity()
-    assert length(rel.longest_element(fin_b2, {1})) == 1
-    assert rel.longest_element(fin_b2, set()).is_identity()
+    assert length(rel.ParabolicSubset(fin_b2, {1}).longest_element()) == 1
+    assert rel.ParabolicSubset(fin_b2, set()).longest_element().is_identity()
 
 
 def test_parabolic_reflections(fin_b2):
@@ -135,7 +135,7 @@ def test_relative_system_b2(fin_b2):
     system = rel.relative_system(fin_b2, {1})
     assert system.sigma_complement == (2,)
     st = system.generator(2)
-    w0 = rel.longest_element(fin_b2, {1, 2})
+    w0 = rel.ParabolicSubset(fin_b2, {1, 2}).longest_element()
     assert st == w0 * s(fin_b2, 1)
     assert length(st) == 3
     assert rel.relative_length(system, st) == 1
@@ -177,7 +177,7 @@ def test_empty_sigma_recovers_full_group(fin_b2):
 
 
 def test_membership(fin_b2):
-    w0 = rel.longest_element(fin_b2, {1, 2})
+    w0 = rel.ParabolicSubset(fin_b2, {1, 2}).longest_element()
     assert rel.in_relative_group(fin_b2, w0 * s(fin_b2, 1), {1})
     assert not rel.in_relative_group(fin_b2, s(fin_b2, 1), {1})
     assert not rel.in_relative_group(fin_b2, s(fin_b2, 2), {1})
@@ -260,7 +260,7 @@ def _finite_subsets(ambient):
         sigma
         for k in range(len(labels) + 1)
         for sigma in map(frozenset, combinations(labels, k))
-        if rel.is_parabolic_finite(ambient, sigma)
+        if rel.ParabolicSubset(ambient, sigma).is_finite()
     ]
 
 
@@ -319,7 +319,7 @@ def test_normalizer_checks_against_conjugated_elements(ambient, radius):
             sigma | set(extra)
             for k in range(len(others) + 1)
             for extra in combinations(others, k)
-            if rel.is_parabolic_finite(ambient, sigma | set(extra))
+            if rel.ParabolicSubset(ambient, sigma | set(extra)).is_finite()
             and not _oracle_normalizes(
                 _oracle_longest(ambient, sigma | set(extra)), sigma, t_oracle[sigma]
             )

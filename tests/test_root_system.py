@@ -147,6 +147,34 @@ def test_facet_interior_point_is_kept_per_face():
             aff.facet_interior_point({0, 1, 2})
 
 
+@pytest.mark.parametrize(
+    "system", [affinize(build_finite("G", 2)), finite_coxeter(build_finite("B", 3))]
+)
+def test_face_point_lies_on_exactly_its_walls(system):
+    labels = system.labels
+    for mask in range(2 ** len(labels) - 1):
+        walls = frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+        k = len(labels) - len(walls)
+        assert system.face_point(walls) == system.facet_interior_point(walls)
+        for weights in ([1] * k, list(range(1, k + 1)), list(range(2 * k, k, -1))):
+            x = system.face_point(walls, weights)
+            for l, a in zip(labels, system.simples):
+                value = a.as_function()(x)
+                assert value == 0 if l in walls else value > 0
+    with pytest.raises(ValueError):
+        system.face_point(frozenset(), [1])
+
+
+def test_reprs():
+    # pytest failure messages show these in place of the whole root system
+    from weylkit.spiral import CARTAN
+
+    a2 = build_finite("A", 2)
+    assert repr(AffineRoot(a2, (1, 1), 1)) == "AffineRoot((1, 1), +1)"
+    assert repr(AffineRoot(a2, (-1, 0), -2)) == "AffineRoot((-1, 0), -2)"
+    assert repr(CARTAN) == "Cartan"
+
+
 def test_finite_mode_contains_level_zero_only():
     fin = finite_coxeter(build_finite("A", 2))
     assert fin.contains((1, 0), 0)
