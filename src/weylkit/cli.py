@@ -33,7 +33,7 @@ from .weyl import (
     ExtAffineWeylElement,
     conjugate_reflections,
     element_to_json,
-    enumerate_ball,
+    enumerate_ball,  # noqa: F401  (bound here for perfbench's tracer and selftest)
     has_left_descent,
     has_right_descent,
     length,
@@ -518,8 +518,10 @@ def certify_checks(config, ambient) -> list[dict]:
         }
     )
 
+    # one length ball serves this check (to radius 3) and the fixed chambers
+    length_ball = cx.Ball(ambient, radius)
     bad_t = sum(
-        1 for g, d in enumerate_ball(ambient, min(radius, 3)).items() if d != len(reflections_T(g))
+        1 for g, d in length_ball.lengths.items() if d <= 3 and d != len(reflections_T(g))
     )
     checks.append(
         {
@@ -553,7 +555,7 @@ def certify_checks(config, ambient) -> list[dict]:
     )
 
     try:
-        report = cx.fixed_chambers(system, radius)
+        report = cx.fixed_chambers(system, radius, ball=length_ball)
         type_ok = all(f.type_labels == frozenset(sigma) for f in report.chambers)
         checks.append(
             {

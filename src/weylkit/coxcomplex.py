@@ -350,10 +350,13 @@ class FixedChambersReport:
     boundary_excluded: tuple[Facet, ...] = ()
 
 
-def fixed_chambers(system: RelativeCoxeterSystem, radius: int) -> FixedChambersReport:
+def fixed_chambers(
+    system: RelativeCoxeterSystem, radius: int, ball: Ball | None = None
+) -> FixedChambersReport:
     """Chambers of the fixed subcomplex of an admissible Sigma, given by its
     relative system: facets in the ball whose stabilizer equals W_Sigma, with
-    the relative-group action table on them."""
+    the relative-group action table on them.  `ball` is the caller's Ball of
+    this radius, used instead of enumerating a second one."""
     ambient = system.ambient
     sigma = system.base.sigma
     t_sigma = system.base.reflections()
@@ -363,7 +366,8 @@ def fixed_chambers(system: RelativeCoxeterSystem, radius: int) -> FixedChambersR
         for t in map(frozenset, combinations(ambient.labels, k))
         if t != frozenset(ambient.labels) and ParabolicSubset(ambient, t).is_finite()
     ]
-    ball = Ball(ambient, radius)
+    if ball is None:
+        ball = Ball(ambient, radius)
     lengths = ball.lengths
     found = set()
     for f in facets_in_ball(ambient, radius, types=candidate_types, ball=ball):

@@ -8,25 +8,29 @@ Elements live in the vector space CW tensor C[E] in the normal form
 is applied in one step, `_times_simple`: the normal form of x * s_a for a
 whole element x, summed from the images of single monomials, each computed
 once per algebra by exact polynomial division (a non-exact division still
-raises).  The step runs on integer numerators over one denominator per
-element.  A simple reflection maps each coordinate to an affine form with
-integer coefficients, and each wall a has integer coefficients of content 1,
-so by Gauss's lemma s_a(x^e) and (x^e - s_a(x^e)) / a are integral and only
-h_a carries a denominator, hd_a.  The cached images are hd_a s_a(x^e) and
+raises).  An element is stored as integer numerators over one positive
+denominator, in lowest terms, and the step runs on that form.  A simple
+reflection maps each coordinate to an affine form with integer coefficients,
+and each wall a has integer coefficients of content 1, so by Gauss's lemma
+s_a(x^e) and (x^e - s_a(x^e)) / a are integral and only h_a carries a
+denominator, hd_a.  The cached images are hd_a s_a(x^e) and
 hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
 the denominator by hd_a.  `multiply(x, y)` folds the step over the reduced
 word of each group part of y, brings the terms of y to one denominator by
-integer scaling, and builds one Fraction per coefficient of the result;
-`parse_element` folds each factor of a literal straight into that form.  The
-module also provides relation verification and truncated standard modules
-for category-O weight analysis.
+integer scaling, and reduces the result to lowest terms; `parse_element`
+folds each factor of a literal straight into that form, and
+`format_element` prints each coefficient in lowest terms from one gcd.
+Fractions are built only in the `terms` view, where a value leaves the
+algebra (`as_dict`, `StandardModule.action_matrix`).  The module also
+provides relation verification and truncated standard modules for
+category-O weight analysis.
 """
 
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .poly import DivisionNotExact, Poly, divide_linear, weyl_action
@@ -101,13 +105,13 @@ class DdahaAlgebra:
     # -- element constructors --------------------------------------------
 
     def zero(self) -> "DdahaElement":
-        return DdahaElement(self, frozenset())
+        return DdahaElement(self, {})
 
     def one(self) -> "DdahaElement":
         return self.group(ExtAffineWeylElement.identity(self.ambient))
 
     def group(self, g: ExtAffineWeylElement) -> "DdahaElement":
-        return self.element({g: Poly.const(self.nvars, 1)})
+        return DdahaElement(self, {g: {(0,) * self.nvars: 1}})
 
     def generator(self, label: int) -> "DdahaElement":
         return self.group(ExtAffineWeylElement.simple(self.ambient, label))
@@ -116,9 +120,13 @@ class DdahaAlgebra:
         return self.element({ExtAffineWeylElement.identity(self.ambient): f})
 
     def element(self, mapping: dict) -> "DdahaElement":
-        return DdahaElement(
-            self, frozenset((g, f) for g, f in mapping.items() if not f.is_zero())
-        )
+        """The element sum of g tensor f over the pairs (g, Poly f) of mapping."""
+        den = lcm(*{c.denominator for f in mapping.values() for _, c in f.terms})
+        num = {
+            g: {e: c.numerator * (den // c.denominator) for e, c in f.terms}
+            for g, f in mapping.items()
+        }
+        return _element(self, num, den)
 
     # -- internals --------------------------------------------------------
 
@@ -175,34 +183,55 @@ def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAl
     return DdahaAlgebra(ambient, params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DdahaElement:
-    """Normal form: a finitely supported map g -> nonzero polynomial."""
+    """The element num / den: num maps g -> {exponents: integer}, in lowest
+    terms (den > 0, no zero coefficient, no empty group part, and gcd 1 of
+    den and every numerator), so equal elements have equal fields.  Build
+    one with `_element` or the algebra's constructors."""
 
-    algebra: DdahaAlgebra = field(compare=False)
-    terms: frozenset = frozenset()  # pairs (group element, Poly)
+    algebra: DdahaAlgebra
+    num: dict
+    den: int = 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DdahaElement) and self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.den, frozenset((g, frozenset(f.items())) for g, f in self.num.items())))
+
+    @property
+    def terms(self) -> frozenset:
+        """The pairs (group element, Poly), one Fraction per coefficient."""
+        n = self.algebra.nvars
+        return frozenset(
+            (g, Poly(n, frozenset((e, Fraction(c, self.den)) for e, c in f.items())))
+            for g, f in self.num.items()
+        )
 
     def as_dict(self) -> dict:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def support_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(length(g) for g, _ in self.terms))
+        return tuple(sorted(length(g) for g in self.num))
 
     def max_degree(self) -> int:
-        return max((f.degree() for _, f in self.terms), default=-1)
+        return max((sum(e) for f in self.num.values() for e in f), default=-1)
 
     def __add__(self, other: "DdahaElement") -> "DdahaElement":
-        parts = [(*_numerators(self), 1), (*_numerators(other), 1)]
+        parts = [(self.num, self.den, 1), (other.num, other.den, 1)]
         return _element(self.algebra, *_combine(parts))
 
     def __sub__(self, other: "DdahaElement") -> "DdahaElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "DdahaElement":
-        return self.algebra.element({g: f.scale(c) for g, f in self.terms})
+        c = Fraction(c)
+        num = {g: {e: c.numerator * v for e, v in f.items()} for g, f in self.num.items()}
+        return _element(self.algebra, num, self.den * c.denominator)
 
     def __mul__(self, other: "DdahaElement") -> "DdahaElement":
         return multiply(self, other)
@@ -213,13 +242,6 @@ def _add_terms(out: dict, terms, c=1) -> None:
     exponent -> coefficient dict out."""
     for e, v in terms:
         out[e] = out.get(e, 0) + c * v
-
-
-def _numerators(x: DdahaElement) -> tuple[dict, int]:
-    """(N, D) with x = N / D: N maps g -> {exponents: integer}, and D is the
-    least common denominator of the coefficients of x."""
-    den = lcm(*{c.denominator for _, f in x.terms for _, c in f.terms})
-    return {g: {e: c.numerator * (den // c.denominator) for e, c in f.terms} for g, f in x.terms}, den
 
 
 def _combine(parts) -> tuple[dict, int]:
@@ -234,11 +256,13 @@ def _combine(parts) -> tuple[dict, int]:
 
 
 def _element(algebra: DdahaAlgebra, num: dict, den: int) -> DdahaElement:
-    """The element N / D, with one Fraction per nonzero coefficient."""
-    n = algebra.nvars
-    return algebra.element(
-        {g: Poly(n, frozenset((e, Fraction(c, den)) for e, c in f.items() if c)) for g, f in num.items()}
-    )
+    """The element num / den (den > 0) in lowest terms: zero coefficients
+    and empty group parts dropped, and num and den divided by their gcd."""
+    num = {g: p for g, f in num.items() if (p := {e: c for e, c in f.items() if c})}
+    k = gcd(den, *(c for f in num.values() for c in f.values()))
+    if k > 1:
+        num = {g: {e: c // k for e, c in f.items()} for g, f in num.items()}
+    return DdahaElement(algebra, num, den // k)
 
 
 def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
@@ -287,20 +311,19 @@ def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
 
 def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
     """The normal form of f * s_label: s tensor s_a(f) + e tensor h_a (f - s_a(f)) / a."""
-    num, den = _numerators(algebra.polynomial(f))
-    return _element(algebra, _times_simple(algebra, num, label), den * algebra._hd[label])
+    x = algebra.polynomial(f)
+    return _element(algebra, _times_simple(algebra, x.num, label), x.den * algebra._hd[label])
 
 
 def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
     """x * y on numerators: for x = N / D, each term w tensor q of y gives
     (N * s_l1 * ... * s_lk) * q over D hd_l1 ... hd_lk, for the reduced word
     l1 ... lk of w.  The terms are brought to one denominator by integer
-    scaling, and one Fraction is built per coefficient of the result."""
+    scaling, and the result is reduced to lowest terms."""
     algebra, hd = x.algebra, x.algebra._hd
-    (xnum, xden), (ynum, yden) = _numerators(x), _numerators(y)
     pushed = []
-    for w, q in ynum.items():
-        z, den = xnum, 1
+    for w, q in y.num.items():
+        z, den = x.num, 1
         for label in algebra._word(w):
             z = _times_simple(algebra, z, label)
             den *= hd[label]
@@ -313,7 +336,7 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
             acc = out.setdefault(u, {})
             for e2, c2 in q.items():
                 _add_terms(acc, ((tuple(map(add, e1, e2)), c1) for e1, c1 in p.items()), c2 * scale)
-    return _element(algebra, out, xden * yden * common)
+    return _element(algebra, out, x.den * y.den * common)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +492,9 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     rational literals (parenthesized when fractional, `-` allowed).  A power
     above MAX_LITERAL_POWER raises PowerTooLarge.  Each term is folded
     factor by factor into numerators over one denominator (a generator
-    applies the step, x<k>^N shifts exponents, a rational scales), and the
-    terms are summed into one element."""
+    applies the step, or starts the term after its leading rationals,
+    x<k>^N shifts exponents, a rational scales), and the terms are summed
+    into one element."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -527,6 +551,10 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             label = int(tok[1:])
             if label not in algebra.ambient.labels:
                 raise LiteralSyntaxError(f"unknown generator {tok}")
+            scalar = num.get(identity) if len(num) == 1 else None
+            if scalar is not None and scalar.keys() == {zero}:
+                # the term so far is a scalar c, and c * s_a needs no step
+                return {ExtAffineWeylElement.simple(algebra.ambient, label): scalar}, den
             return _times_simple(algebra, num, label), den * algebra._hd[label]
         if tok.startswith("x"):
             take()
@@ -554,7 +582,8 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
         k = value.numerator
         return {g: {e: k * c for e, c in f.items()} for g, f in num.items()}, den * value.denominator
 
-    one = {ExtAffineWeylElement.identity(algebra.ambient): {(0,) * algebra.nvars: 1}}
+    identity, zero = ExtAffineWeylElement.identity(algebra.ambient), (0,) * algebra.nvars
+    one = {identity: {zero: 1}}
 
     def parse_term() -> tuple[dict, int]:
         term = parse_factor(one, 1)
@@ -585,21 +614,22 @@ def format_element(x: DdahaElement) -> str:
     """Deterministic normal-form printer emitting the literal grammar."""
     if x.is_zero():
         return "0"
-    algebra = x.algebra
+    algebra, den = x.algebra, x.den
     items = []
-    for g, f in x.terms:
+    for g, f in x.num.items():
         word = algebra._word(g)
-        for exps, coeff in sorted(f.terms, key=lambda t: (sum(t[0]), t[0])):
+        for exps, c in f.items():
             # word is reduced, so len(word) is the length of g
-            items.append((len(word), word, sum(exps), exps, coeff))
-    items.sort(key=lambda it: (it[0], it[1], it[2], it[3]))
+            items.append((len(word), word, sum(exps), exps, c))
+    items.sort(key=lambda it: it[:4])
     chunks = []
-    for k, (_, word, _, exps, coeff) in enumerate(items):
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
+    for k, (_, word, _, exps, c) in enumerate(items):
+        sign = "-" if c < 0 else "+"
+        d = gcd(c, den)  # |c| / den in lowest terms is (|c| // d) / (den // d)
+        mag, mag_den = abs(c) // d, den // d
         factors = [f"s{l}" for l in word]
-        if mag != 1 or (not factors and not any(exps)):
-            factors.append(str(mag) if mag.denominator == 1 else f"({mag})")
+        if (mag, mag_den) != (1, 1) or (not factors and not any(exps)):
+            factors.append(str(mag) if mag_den == 1 else f"({mag}/{mag_den})")
         for i, e in enumerate(exps):
             if e == 1:
                 factors.append(f"x{i + 1}")

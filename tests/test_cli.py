@@ -201,6 +201,25 @@ def test_certify_pass_and_fail(capsys):
     assert "[1, 2]" in admissible["detail"]  # witness superset
 
 
+def test_certify_enumerates_one_length_ball(capsys, monkeypatch):
+    import weylkit
+    from weylkit import weyl
+
+    radii = []
+
+    def counted(ambient, radius):
+        radii.append(radius)
+        return weyl.enumerate_ball(ambient, radius)
+
+    for module in vars(weylkit).values():
+        if getattr(module, "enumerate_ball", None) is weyl.enumerate_ball and module is not weyl:
+            monkeypatch.setattr(module, "enumerate_ball", counted)
+    argv = ["certify", "--type", "B", "--rank", "2", "--sigma", "1", "--radius", "3", "--depth", "2"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and payload["result"]["ok"] is True
+    assert radii == [3]
+
+
 def test_complex_fixed_not_admissible_reports_sorted_supersets(capsys):
     code, out, err = run(
         capsys, ["complex", "fixed", "--type", "A", "--rank", "2", "--sigma", "1"]

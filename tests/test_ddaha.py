@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -224,6 +225,83 @@ def test_parse_element_matches_factor_by_factor_fold(type_, rank, m, c, kind):
     for _ in range(15):
         text, expected = random_literal(alg, rng)
         assert dd.parse_element(alg, text) == expected, text
+
+
+def assert_lowest_terms(x):
+    """x = num / den in the normal form: den > 0, no zero coefficient, no
+    empty group part, and gcd 1 of den and every numerator."""
+    assert type(x.den) is int and x.den > 0
+    values = [c for f in x.num.values() for c in f.values()]
+    assert all(type(c) is int and c for c in values)
+    assert all(x.num.values())
+    assert gcd(x.den, *values) == 1
+
+
+def fraction_terms(x):
+    """Oracle for the terms view: each group part summed monomial by
+    monomial as Polys with coefficient Fraction(c) / den."""
+    n = x.algebra.nvars
+    out = set()
+    for g, f in x.num.items():
+        p = Poly.zero(n)
+        for e, c in f.items():
+            p = p + Poly(n, frozenset({(e, Fraction(c) / x.den)}))
+        out.add((g, p))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("kind", ["integer", "zero", "rational"])
+@pytest.mark.parametrize("type_, rank, m, c", CROSS_CASES)
+def test_every_constructor_returns_the_lowest_terms_form(type_, rank, m, c, kind):
+    alg = case_algebra(type_, rank, m, c, kind)
+    rng = random.Random(f"normal{type_}{rank}{kind}")
+    ball = sorted(enumerate_ball(alg.ambient, 2), key=lambda g: (length(g), g.mu, g.matrix))
+    built = [alg.zero(), alg.one(), alg.generator(0), alg.group(ball[-1])]
+    for _ in range(6):
+        x = dd.parse_element(alg, random_literal(alg, rng)[0])
+        y = random_element(alg, rng, ball, support=3, degree=3)
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        f = dd.random_polynomial(rng, alg.nvars, degree=3)
+        built += [x, y, x * y, y * x, x + y, x - y, x - x, y.scale(q), y.scale(0)]
+        built += [alg.polynomial(f), alg.element({ball[1]: f, ball[2]: f - f})]
+    for x in built:
+        assert_lowest_terms(x)
+        assert x.terms == fraction_terms(x)
+        assert x.as_dict() == dict(fraction_terms(x))
+    assert alg.zero().num == {} and alg.zero().den == 1
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_parsed_and_polynomial_built_elements_are_equal_and_hash_equal(kind):
+    alg = case_algebra("C", 2, 4, {0: 2, 1: 3, 2: 4}, kind)
+    amb, n = alg.ambient, alg.nvars
+    e = ExtAffineWeylElement.identity(amb)
+    s1, s2 = (ExtAffineWeylElement.simple(amb, l) for l in (1, 2))
+    x1, x2 = Poly.variable(n, 0), Poly.variable(n, 1)
+    cases = [
+        # s1*s1 runs the step, so its denominator hd_1 must cancel
+        ("(1/2)*s1*s1", {e: Poly.const(n, Fraction(1, 2))}),
+        ("(2/3)*x1 + (1/3)*x1", {e: x1}),
+        ("(6/4)*s1*x2^2 - (1/2)*s1*x2^2", {s1: x2 * x2}),
+        ("s1*x1 - s1*x1", {}),
+        ("s1*s1*x1", {e: x1}),
+        # leading rationals, then a generator that starts the term without a step
+        ("(0)*s1*x1 + 2*(-3/4)*s1*s2", {s1 * s2: Poly.const(n, Fraction(-3, 2))}),
+        ("(3/5)*s1 + (1/10)*x1*x2", {
+            s1: Poly.const(n, Fraction(3, 5)),
+            e: (x1 * x2).scale(Fraction(1, 10)),
+        }),
+    ]
+    rng = random.Random(f"routes{kind}")
+    ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
+    for _ in range(10):
+        x = random_element(alg, rng, ball, support=3, degree=3)
+        cases.append((dd.format_element(x), x.as_dict()))
+    for text, mapping in cases:
+        parsed, built = dd.parse_element(alg, text), alg.element(mapping)
+        assert parsed == built, text
+        assert hash(parsed) == hash(built), text
+        assert (parsed.num, parsed.den) == (built.num, built.den), text
 
 
 def test_non_integral_image_raises(monkeypatch):
