@@ -57,7 +57,6 @@ DEFAULTS = {
     "c": None,
     "radius": 4,
     "depth": 2,
-    "order_cap": 12,
     "window": [-4, 4],
     "lam0": None,
     "format": "json",
@@ -160,7 +159,7 @@ def resolve_config(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         config.update(loaded)
-    # every key but affine and order_cap has a flag of the same name
+    # every key but affine has a flag of the same name
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -175,9 +174,9 @@ def resolve_config(args) -> dict:
     config["window"] = list(_parse_window(config["window"]))
     if config["format"] not in ("json", "tsv"):
         raise ConfigError(f"unknown format {config['format']!r}")
-    for key in ("rank", "m", "d", "radius", "depth", "seed", "order_cap"):
+    for key in ("rank", "m", "d", "radius", "depth", "seed"):
         config[key] = _config_int(config[key], key)
-    for key, low in (("radius", 0), ("depth", 0), ("order_cap", 1)):
+    for key, low in (("radius", 0), ("depth", 0)):
         if config[key] < low:
             raise ConfigError(f"config key {key} must be at least {low}, got {config[key]}")
     return config
@@ -303,7 +302,7 @@ def cmd_relative(args, config, ambient) -> tuple[int, str]:
     sigma = config["sigma"]
     data = {"admissible": False, "sigma": sorted(sigma)}
     try:
-        system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
+        system = rel.relative_system(ambient, sigma)
     except rel.NotAdmissible as exc:
         data["violating_supersets"] = [sorted(c) for c in exc.violating]
         return 1, emit(config, "relative", data)
@@ -323,7 +322,7 @@ def cmd_relative(args, config, ambient) -> tuple[int, str]:
         )
     data["simples"] = simples
     data["coxeter_matrix"] = {
-        f"{s},{t}": (order if order is not None else "infinity-or-above-cap")
+        f"{s},{t}": (order if order is not None else "infinity")
         for (s, t), order in sorted(system.coxeter_matrix.items())
     }
     return 0, emit(config, "relative", data)
@@ -349,7 +348,7 @@ def cmd_complex(args, config, ambient) -> tuple[int, str]:
         return 0, emit(config, "complex.relpos", data)
     if sub == "fixed":
         try:
-            system = rel.relative_system(ambient, config["sigma"], order_cap=config["order_cap"])
+            system = rel.relative_system(ambient, config["sigma"])
             report = cx.fixed_chambers(system, config["radius"])
         except (rel.NotAdmissible, cx.BallTooSmall) as exc:
             raise ConfigError(str(exc)) from exc
@@ -471,7 +470,7 @@ def certify_checks(config, ambient) -> list[dict]:
     rng = random.Random(config["seed"])
 
     try:
-        system = rel.relative_system(ambient, sigma, order_cap=config["order_cap"])
+        system = rel.relative_system(ambient, sigma)
     except rel.NotAdmissible as exc:
         detail = f"violating supersets {[sorted(c) for c in exc.violating]}"
         checks.append({"check": "admissible", "ok": False, "detail": detail})
@@ -769,7 +768,7 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    except (BallTooLarge, rel.NotFinite, rel.OrderCapTooLarge, dd.PowerTooLarge) as exc:
+    except (BallTooLarge, rel.NotFinite, dd.PowerTooLarge) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
     sys.stdout.write(text)

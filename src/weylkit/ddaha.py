@@ -30,6 +30,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import add
 
@@ -146,17 +147,11 @@ class DdahaAlgebra:
 
 def _finite_order_pairs(ambient: AffineRootSystem):
     """(s, t, order of s_s s_t) for the label pairs s < t whose product has
-    finite order (found up to 12)."""
-    labels = sorted(ambient.labels)
-    for i, s in enumerate(labels):
-        for t in labels[i + 1 :]:
-            order = coxeter_order(
-                ExtAffineWeylElement.simple(ambient, s),
-                ExtAffineWeylElement.simple(ambient, t),
-                cap=12,
-            )
-            if order is not None:
-                yield s, t, order
+    finite order: exactly those whose parabolic W_{s,t} is finite."""
+    simples = {l: ExtAffineWeylElement.simple(ambient, l) for l in ambient.labels}
+    for s, t in combinations(sorted(simples), 2):
+        if ambient.parabolic_is_finite((s, t)):
+            yield s, t, coxeter_order(simples[s], simples[t])
 
 
 def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAlgebra:

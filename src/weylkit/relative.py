@@ -22,10 +22,8 @@ question, `_normalizes`, answered by acting on the simple roots with
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
 from .root_system import AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
@@ -63,16 +61,6 @@ class NotANormalizerElement(ValueError):
 
 class UnknownLabels(ValueError):
     pass
-
-
-class OrderCapTooLarge(RuntimeError):
-    pass
-
-
-# the largest order_cap accepted: coxeter_order takes one product (about
-# 10 us) per step and runs the whole cap on every pair of infinite order, so
-# 1000 keeps that to about 10 ms a pair, far above the default of 12
-MAX_ORDER_CAP = 1000
 
 
 def int_labels(labels, error) -> frozenset:
@@ -115,19 +103,17 @@ class ParabolicSubset:
         return f"ParabolicSubset({sorted(self.sigma)})"
 
     def is_finite(self) -> bool:
-        """W_Sigma is finite exactly when the wall gradients are linearly
-        independent, in which case the group fixes a point of E."""
+        """Whether W_Sigma is finite, by `AffineRootSystem.parabolic_is_finite`."""
         if self._finite is None:
-            grads = [
-                tuple(map(Fraction, self.ambient.simple_by_label(l).direction))
-                for l in sorted(self.sigma)
-            ]
-            self._finite = linalg.rank(tuple(grads)) == len(grads)
+            self._finite = self.ambient.parabolic_is_finite(self.sigma)
         return self._finite
 
-    def longest_element(self) -> ExtAffineWeylElement:
+    def _require_finite(self):
         if not self.is_finite():
             raise NotFinite(f"W_Sigma is infinite for Sigma = {sorted(self.sigma)}")
+
+    def longest_element(self) -> ExtAffineWeylElement:
+        self._require_finite()
         if self._longest is None:
             # climb right ascents, lowest label first, up to w0^Sigma
             labels = sorted(self.sigma)
@@ -150,6 +136,7 @@ class ParabolicSubset:
         return self._reflections
 
     def elements(self) -> frozenset[ExtAffineWeylElement]:
+        self._require_finite()
         gens = [ExtAffineWeylElement.simple(self.ambient, l) for l in sorted(self.sigma)]
         return frozenset(closure(ExtAffineWeylElement.identity(self.ambient), gens))
 
@@ -186,8 +173,7 @@ class RelativeCoxeterSystem:
     sigma_complement: tuple[int, ...] = ()
     simples: dict = field(compare=False, default=None)  # label -> s-tilde element
     simple_lengths: dict = field(compare=False, default=None)  # label -> length of s-tilde
-    coxeter_matrix: dict = field(compare=False, default=None)  # (s,t) -> order or None
-    order_cap: int = 12
+    coxeter_matrix: dict = field(compare=False, default=None)  # (s,t) -> order, None if infinite
     degenerate_single_complement: bool = False
 
     def simple_labels(self):
@@ -197,41 +183,34 @@ class RelativeCoxeterSystem:
         return self.simples[label]
 
 
-def relative_system(
-    ambient: AffineRootSystem, sigma, order_cap: int = 12
-) -> RelativeCoxeterSystem:
-    """The relative Coxeter system of Sigma, or NotAdmissible if there is none."""
-    if order_cap > MAX_ORDER_CAP:
-        raise OrderCapTooLarge(f"order_cap {order_cap} exceeds the cap of {MAX_ORDER_CAP}")
+def relative_system(ambient: AffineRootSystem, sigma) -> RelativeCoxeterSystem:
+    """The relative Coxeter system of Sigma, or NotAdmissible if there is none.
+
+    s-tilde and t-tilde lie in W_{Sigma+s+t}, so their product has finite
+    order exactly when that parabolic is finite (Howlett 1980); the order
+    is None for an infinite one and is computed only for a finite one."""
     ok, cert = is_admissible(ambient, sigma)
     if not ok:
         raise NotAdmissible(sigma, cert)
     base = ParabolicSubset(ambient, sigma)
     w0_sigma = base.longest_element()
-    complement = []
     simples = {}
     for l in sorted(set(ambient.labels) - base.sigma):
         enlarged = ParabolicSubset(ambient, base.sigma | {l})
-        if not enlarged.is_finite():
-            continue
-        complement.append(l)
-        simples[l] = enlarged.longest_element() * w0_sigma
-    cox = {}
+        if enlarged.is_finite():
+            simples[l] = enlarged.longest_element() * w0_sigma
     labels = sorted(simples)
-    for s in labels:
-        cox[(s, s)] = 1
+    cox = {(s, s): 1 for s in labels}
     for s, t in combinations(labels, 2):
-        order = coxeter_order(simples[s], simples[t], cap=order_cap)
-        cox[(s, t)] = order
-        cox[(t, s)] = order
+        finite = ParabolicSubset(ambient, base.sigma | {s, t}).is_finite()
+        cox[(s, t)] = cox[(t, s)] = coxeter_order(simples[s], simples[t]) if finite else None
     return RelativeCoxeterSystem(
         ambient=ambient,
         base=base,
-        sigma_complement=tuple(complement),
+        sigma_complement=tuple(labels),
         simples=simples,
         simple_lengths={l: length(st) for l, st in simples.items()},
         coxeter_matrix=cox,
-        order_cap=order_cap,
         degenerate_single_complement=(len(set(ambient.labels) - base.sigma) == 1),
     )
 

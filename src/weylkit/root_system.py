@@ -396,6 +396,13 @@ class AffineRootSystem:
     def simple_by_label(self, label: int) -> AffineRoot:
         return self.simples[self.labels.index(label)]
 
+    def parabolic_is_finite(self, labels) -> bool:
+        """Whether the walls `labels` generate a finite group: exactly when
+        their gradients are linearly independent, in which case the group
+        fixes a point of E."""
+        grads = tuple(self.simple_by_label(l).direction for l in labels)
+        return linalg.rank(grads) == len(grads)
+
     def a0(self) -> AffineRoot:
         if not self.affine:
             raise NotIrreducible("finite-mode system has no affine simple root")

@@ -519,18 +519,23 @@ def enumerate_ball(
     return ball
 
 
-def coxeter_order(
-    x: ExtAffineWeylElement, y: ExtAffineWeylElement, cap: int = 50
-) -> int | None:
-    """Order of the product xy, or None if it exceeds the cap (infinite or
-    merely large; callers decide how to report)."""
+# no element of a finite Weyl group of rank <= 8 (the largest rank built)
+# has order above 30 (E8, B8/C8), so a product still not the identity after
+# this many powers lies in no finite parabolic
+_ORDER_BOUND = 60
+
+
+def coxeter_order(x: ExtAffineWeylElement, y: ExtAffineWeylElement) -> int:
+    """Order of the product xy, for x and y in one finite parabolic
+    subgroup; ValueError if xy does not reach the identity within
+    `_ORDER_BOUND` powers, as it never does when the order is infinite."""
     p = x * y
     acc = p
-    for k in range(1, cap + 1):
+    for k in range(1, _ORDER_BOUND + 1):
         if acc.is_identity():
             return k
         acc = acc * p
-    return None
+    raise ValueError(f"xy has no finite order up to {_ORDER_BOUND}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_relative_schema(capsys):
     assert {s["s"]: s["rel_length"] for s in r["simples"]} == {0: 1, 2: 1}
     assert {s["s"]: s["length"] for s in r["simples"]} == {0: 3, 2: 3}
     # [DERIVED] affine C2 relative to {1} is infinite dihedral
-    assert r["coxeter_matrix"]["0,2"] == "infinity-or-above-cap"
+    assert r["coxeter_matrix"]["0,2"] == "infinity"
 
 
 def test_relative_not_admissible_exit_1(capsys):
@@ -90,9 +90,9 @@ def test_config_file_keys_without_flags_and_every_flag_override(tmp_path, capsys
     from weylkit.cli import DEFAULTS, _parser, resolve_config
 
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"type": "C", "rank": 2, "affine": False, "order_cap": 5}))
+    cfg.write_text(json.dumps({"type": "C", "rank": 2, "affine": False, "depth": 5}))
     config = resolve_config(_parser().parse_args(["root", "--config", str(cfg)]))
-    assert (config["type"], config["rank"], config["affine"], config["order_cap"]) == (
+    assert (config["type"], config["rank"], config["affine"], config["depth"]) == (
         "C", 2, False, 5,
     )
     flags = {
@@ -100,14 +100,14 @@ def test_config_file_keys_without_flags_and_every_flag_override(tmp_path, capsys
         "c": "0=1", "radius": "1", "depth": "0", "window": "-1:2", "lam0": "1/2",
         "format": "tsv", "seed": "7",
     }
-    assert set(flags) == set(DEFAULTS) - {"affine", "order_cap"}
+    assert set(flags) == set(DEFAULTS) - {"affine"}
     argv = ["root", "--config", str(cfg)]
     for key, value in flags.items():
         argv.append(f"--{key}={value}")
     config = resolve_config(_parser().parse_args(argv))
     assert config == {
         "type": "B", "rank": 3, "affine": False, "sigma": [1, 2], "theta": "1,0,0",
-        "m": 2, "d": 3, "c": "0=1", "radius": 1, "depth": 0, "order_cap": 5,
+        "m": 2, "d": 3, "c": "0=1", "radius": 1, "depth": 0,
         "window": [-1, 2], "lam0": "1/2", "format": "tsv", "seed": 7,
     }
 
@@ -387,6 +387,7 @@ COMMANDS = [
         {"window": [1.5, 2]},
         {"affine": "no"},
         {"affine": 0},
+        # not a config key
         {"order_cap": 0},
         {"order_cap": -3},
         {"sigma": [1, 1]},
@@ -452,25 +453,28 @@ def test_integer_strings_in_config_file_are_accepted(tmp_path, capsys):
     assert payload["config"]["window"] == [-1, 2]
 
 
-@pytest.mark.parametrize("command", [["relative"], ["complex", "fixed"], ["certify"]])
-def test_order_cap_above_the_limit_exits_3(tmp_path, capsys, command):
-    from weylkit.relative import MAX_ORDER_CAP
-
+def test_order_cap_in_config_file_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"type": "C", "rank": 2, "sigma": [1], "order_cap": MAX_ORDER_CAP + 1}))
-    code, out, err = run(capsys, command + ["--config", str(cfg)])
-    assert (code, out) == (3, "")
-    assert err.startswith("resource cap:")
+    cfg.write_text(json.dumps({"type": "C", "rank": 2, "sigma": [1], "order_cap": 12}))
+    code, out, err = run(capsys, ["relative", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "unknown config keys ['order_cap']" in err
 
 
-def test_order_cap_at_the_limit_is_accepted(tmp_path, capsys):
-    from weylkit.relative import MAX_ORDER_CAP
-
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"type": "C", "rank": 2, "sigma": [1], "order_cap": MAX_ORDER_CAP}))
-    code, payload = run_json(capsys, ["relative", "--config", str(cfg)])
+@pytest.mark.parametrize("cartan_type", ["A", "B"])
+def test_certify_finite_rank_2_coxeter_ball_sizes(capsys, cartan_type):
+    # the whole finite group: the relative system is W itself, whose product
+    # s1 s2 has order 3 (A2) or 4 (B2), so the balls reach the longest element
+    code, payload = run_json(capsys, ["certify", "--type", cartan_type, "--rank", "2", "--finite"])
     assert code == 0
-    assert payload["result"]["coxeter_matrix"]["0,2"] == "infinity-or-above-cap"
+    sizes = next(c for c in payload["result"]["checks"] if c["check"] == "coxeter-ball-sizes")
+    assert sizes["ok"], sizes["detail"]
+
+
+def test_relative_finite_g2_prints_the_order_6(capsys):
+    code, payload = run_json(capsys, ["relative", "--type", "G", "--rank", "2", "--finite"])
+    assert code == 0
+    assert payload["result"]["coxeter_matrix"]["1,2"] == 6
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -42,6 +42,15 @@ def test_finiteness_by_gradients(aff_c2):
         rel.ParabolicSubset(aff_c2, {0, 1, 2}).longest_element()
 
 
+def test_elements_of_an_infinite_parabolic_raise_at_once(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure run on an infinite parabolic")
+
+    monkeypatch.setattr(rel, "closure", no_closure)
+    with pytest.raises(rel.NotFinite):
+        rel.ParabolicSubset(affinize(build_finite("A", 2)), {0, 1, 2}).elements()
+
+
 def test_longest_element(fin_b2):
     w0 = rel.ParabolicSubset(fin_b2, {1, 2}).longest_element()
     assert length(w0) == 4
@@ -360,3 +369,50 @@ def test_conjugate_labels_against_conjugated_elements(ambient, radius):
             else:
                 with pytest.raises(rel.NotANormalizerElement):
                     rel._conjugate_labels(ambient, z, sigma)
+
+
+# ---------------------------------------------------------------------------
+# Coxeter orders against the product loop they replace
+# ---------------------------------------------------------------------------
+
+ORDER_SYSTEMS = {
+    "affine A2": affinize(build_finite("A", 2)),
+    "affine A3": affinize(build_finite("A", 3)),
+    "affine B3": affinize(build_finite("B", 3)),
+    "affine C3": affinize(build_finite("C", 3)),
+    "affine G2": affinize(build_finite("G", 2)),
+    "affine BC2": affinize(build_finite("BC", 2)),
+    "finite A3": finite_coxeter(build_finite("A", 3)),
+    "finite B3": finite_coxeter(build_finite("B", 3)),
+    "finite D4": finite_coxeter(build_finite("D", 4)),
+}
+
+
+def _oracle_order(x, y, bound=1000):
+    """The order of xy found by multiplying up to `bound`; None, standing for
+    infinity, if xy has not reached the identity by then."""
+    p = x * y
+    acc = p
+    for k in range(1, bound + 1):
+        if acc.is_identity():
+            return k
+        acc = acc * p
+    return None
+
+
+@pytest.mark.parametrize("name", ORDER_SYSTEMS)
+def test_coxeter_matrix_against_the_product_loop(name):
+    ambient = ORDER_SYSTEMS[name]
+    labels = ambient.labels
+    checked = 0
+    for k in range(len(labels) + 1):
+        for sigma in combinations(labels, k):
+            if not rel.is_admissible(ambient, sigma)[0]:
+                continue
+            system = rel.relative_system(ambient, sigma)
+            simples = system.simples
+            assert set(system.coxeter_matrix) == {(a, b) for a in simples for b in simples}
+            for (a, b), order in system.coxeter_matrix.items():
+                assert order == _oracle_order(simples[a], simples[b]), (sigma, a, b)
+                checked += 1
+    assert checked
