@@ -194,8 +194,9 @@ def relative_system(ambient: AffineRootSystem, sigma) -> RelativeCoxeterSystem:
         raise NotAdmissible(sigma, cert)
     base = ParabolicSubset(ambient, sigma)
     w0_sigma = base.longest_element()
+    complement = sorted(set(ambient.labels) - base.sigma)
     simples = {}
-    for l in sorted(set(ambient.labels) - base.sigma):
+    for l in complement:
         enlarged = ParabolicSubset(ambient, base.sigma | {l})
         if enlarged.is_finite():
             simples[l] = enlarged.longest_element() * w0_sigma
@@ -207,11 +208,11 @@ def relative_system(ambient: AffineRootSystem, sigma) -> RelativeCoxeterSystem:
     return RelativeCoxeterSystem(
         ambient=ambient,
         base=base,
-        sigma_complement=tuple(labels),
+        sigma_complement=tuple(complement),
         simples=simples,
         simple_lengths={l: length(st) for l, st in simples.items()},
         coxeter_matrix=cox,
-        degenerate_single_complement=(len(set(ambient.labels) - base.sigma) == 1),
+        degenerate_single_complement=(len(complement) == 1),
     )
 
 

@@ -5,8 +5,11 @@ as tuples of Python ints: a translation vector in the coweight basis (it lies
 in the coweight lattice P^v) together with the matrix of the finite part
 acting on functionals in the simple-root basis (integral, since the finite
 part permutes the roots, also in types BC and G2).  Products and inverses are
-integer arithmetic; the matrix of the finite part acting on points is
-computed once per finite part and cached.  Actions on points and functionals
+integer arithmetic.  So is the matrix P = (m^T)^-1 of the finite part acting
+on points: P is multiplicative, so the group operations form it from their
+factors' (a product's P is the product of theirs, a reflection's is its
+transpose, an inverse's is m^T) and keep it per finite part.  Only a matrix
+given from outside is inverted, once.  Actions on points and functionals
 take and return Fractions.
 
 The inversions of an element are read in closed form, root by root
@@ -61,13 +64,21 @@ def _mat_vec(m: IntMat, v: IntVec) -> IntVec:
 
 
 def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    # list comprehensions: in CPython 3.11, tuple() of a generator costs
+    # about 15% more on the rank-2 products that DDAHA steps make most
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+# finite part m -> its point matrix P(m) = (m^T)^-1, read by _point_matrix
+_point_matrices: dict[IntMat, IntMat] = {}
 
 
 @lru_cache(maxsize=None)
 def _identity(n: int) -> IntMat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    _point_matrices[eye] = eye
+    return eye
 
 
 def _image(matrix: IntMat, mu: IntVec, direction: IntVec, level: int) -> tuple[IntVec, int]:
@@ -122,12 +133,17 @@ def _system_data(ambient: AffineRootSystem) -> _SystemData:
     return data
 
 
-@lru_cache(maxsize=None)
 def _point_matrix(m: IntMat) -> IntMat:
     """Matrix of the same isometry acting on points, given its matrix m on
     functionals: the inverse transpose, integral because the finite part
-    preserves P^v.  One exact inversion per finite part."""
-    return tuple(tuple(map(_integral, row)) for row in mat_inv(transpose(m)))
+    preserves P^v.  The group operations record it for every finite part
+    they form, from products (P(m1 m2) = P(m1) P(m2)); only a matrix given
+    from outside (`element_from_json`, the constructor) is inverted, once."""
+    p = _point_matrices.get(m)
+    if p is None:
+        p = tuple(tuple(map(_integral, row)) for row in mat_inv(transpose(m)))
+        _point_matrices[m] = p
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +192,20 @@ class ExtAffineWeylElement:
         p = _point_matrix(self.matrix)
         omu = other.mu
         mu = tuple(a + sum(map(mul, row, omu)) for a, row in zip(self.mu, p))
-        return _element(self.ambient, mu, _mat_mul(self.matrix, other.matrix))
+        matrix = _mat_mul(self.matrix, other.matrix)
+        if matrix not in _point_matrices:
+            _point_matrices[matrix] = _mat_mul(p, _point_matrix(other.matrix))
+        return _element(self.ambient, mu, matrix)
 
     def inverse(self) -> "ExtAffineWeylElement":
-        return _element(self.ambient, *_inverse_parts(self))
+        """g^-1 = (-m^T mu, P^T), with P the point matrix of g; the point
+        matrix of g^-1 is then m^T."""
+        m = self.matrix
+        mu = tuple(-sum(map(mul, col, self.mu)) for col in zip(*m))
+        matrix = transpose(_point_matrix(m))
+        if matrix not in _point_matrices:
+            _point_matrices[matrix] = transpose(m)
+        return _element(self.ambient, mu, matrix)
 
     def is_identity(self) -> bool:
         return not any(self.mu) and self.matrix == _identity(len(self.mu))
@@ -222,19 +248,16 @@ def _reflection(
 ) -> ExtAffineWeylElement:
     """s_a from the integer coroot of its direction gamma: the coweight
     coordinates of the coroot are the pairings <gamma_check, alpha_j>, so
-    s_gamma(alpha_j) = alpha_j - corovec[j] gamma."""
+    s_gamma(alpha_j) = alpha_j - corovec[j] gamma.  A reflection is an
+    involution, so its point matrix is its transpose."""
     gamma = a.direction
     n = len(gamma)
     rows = tuple(
         tuple(int(k == j) - corovec[j] * gamma[k] for j in range(n)) for k in range(n)
     )
+    if rows not in _point_matrices:
+        _point_matrices[rows] = transpose(rows)
     return _element(ambient, tuple(-a.level * c for c in corovec), rows)
-
-
-def _inverse_parts(g: ExtAffineWeylElement) -> tuple[IntVec, IntMat]:
-    """(mu, matrix) of g^-1 = (-m^T mu, P^T), with P the cached point matrix."""
-    mu = tuple(-sum(map(mul, col, g.mu)) for col in zip(*g.matrix))
-    return mu, transpose(_point_matrix(g.matrix))
 
 
 def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
@@ -284,11 +307,13 @@ def length(g: ExtAffineWeylElement) -> int:
 
 
 def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
-    """Whether g^-1(a_label) is negative, read from the parts of g^-1 without
-    building the element."""
+    """Whether g^-1(a_label) is negative.  g^-1 = (-m^T mu, P^T) maps the
+    affine root (d, k) to (P^T d, k + <d, mu>), as P m^T = I, so neither g^-1
+    nor its translation is formed."""
     a = g.ambient.simple_by_label(label)
-    mu, matrix = _inverse_parts(g)
-    return _is_negative(*_image(matrix, mu, a.direction, a.level))
+    d = a.direction
+    grad = tuple(sum(map(mul, col, d)) for col in zip(*_point_matrix(g.matrix)))
+    return _is_negative(grad, a.level + sum(map(mul, d, g.mu)))
 
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:

@@ -56,6 +56,17 @@ def test_relative_schema(capsys):
     assert r["coxeter_matrix"]["0,2"] == "infinity"
 
 
+def test_relative_sigma_complement_keeps_labels_without_a_generator(capsys):
+    code, payload = run_json(
+        capsys, ["relative", "--type", "A", "--rank", "2", "--sigma", "0,1"]
+    )
+    assert code == 0
+    r = payload["result"]
+    assert r["sigma_complement"] == [2]
+    assert r["simples"] == []
+    assert r["degenerate_single_complement"] is True
+
+
 def test_relative_not_admissible_exit_1(capsys):
     code, payload = run_json(
         capsys,

@@ -22,6 +22,8 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = {
     "weyl_a2": "weyl --type A --rank 2 --word 0,1,2,1,0,2",
     "weyl_g2_tsv": "weyl --type G --rank 2 --word 0,1,2,1,2,0,1 --format tsv",
+    "weyl_e6": "weyl --type E --rank 6 --word 0,2,4,3,1,5,6,4,2,0,3,4,5,1,2,6,4,0",
+    "weyl_f4_tsv": "weyl --type F --rank 4 --word 0,1,2,3,4,3,2,1,0,2,3,2,4,1,2,3,0 --format tsv",
     "relative_c2": "relative --type C --rank 2 --sigma 1",
     "relative_a3": "relative --type A --rank 3 --sigma 1,3",
     "relative_bc2": "relative --type BC --rank 2 --sigma 1",

@@ -164,6 +164,15 @@ def test_relative_system_affine_c2(aff_c2):
         assert rel.relative_length(system, g) == d
 
 
+def test_sigma_complement_is_every_label_outside_sigma():
+    # affine A2 with Sigma = {0, 1}: W_{0,1,2} is infinite, so label 2 gives
+    # no generator, but it still lies outside Sigma
+    system = rel.relative_system(affinize(build_finite("A", 2)), {0, 1})
+    assert system.sigma_complement == (2,)
+    assert system.simple_labels() == ()
+    assert system.degenerate_single_complement
+
+
 def test_relative_not_admissible_raises():
     # relative_system is the admissibility gate, so fixed chambers of a
     # non-admissible Sigma cannot even be asked for

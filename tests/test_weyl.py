@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit.linalg import mat_vec, vec_add
+from weylkit.linalg import mat_inv, mat_vec, vec_add
 from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     BallTooLarge,
     DifferentComponents,
     ExtAffineWeylElement,
     NotAReflection,
+    ReducedWord,
+    _point_matrices,
     _point_matrix,
     act_on_affine_root,
     automorphism_part,
@@ -312,6 +314,65 @@ def test_integer_kernel_against_inversion_oracle(type_label, rank, radius):
 def test_integer_kernel_against_inversion_oracle_finite(type_label, rank, radius):
     for g in enumerate_ball(finite_coxeter(build_finite(type_label, rank)), radius):
         _check_against_oracle(g)
+
+
+def _is_point_matrix_of(p, m):
+    """Whether p m^T = I in exact integers."""
+    n = len(m)
+    return all(type(c) is int for row in p for c in row) and all(
+        sum(p[i][k] * m[j][k] for k in range(n)) == int(i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def test_recorded_point_matrices_invert_their_transposes(monkeypatch):
+    # the oracle balls above (again here, so that the test stands alone) and
+    # their inverses fill the dict from products, reflections and inverses
+    for type_label, rank, radius in ORACLE_BALLS:
+        for g in enumerate_ball(affinize(build_finite(type_label, rank)), radius):
+            g.inverse()
+    # a matrix from outside, whose entry is removed first, is inverted once
+    aff_g2 = affinize(build_finite("G", 2))
+    g = s(aff_g2, 0) * s(aff_g2, 1) * s(aff_g2, 2) * s(aff_g2, 1)
+    expected = _point_matrices.pop(g.matrix)
+    inversions = []
+
+    def counted_mat_inv(m):
+        inversions.append(m)
+        return mat_inv(m)
+
+    monkeypatch.setattr("weylkit.weyl.mat_inv", counted_mat_inv)
+    h = element_from_json(aff_g2, element_to_json(g))
+    assert _point_matrix(h.matrix) == expected and len(inversions) == 1
+    assert _point_matrix(h.matrix) == expected and len(inversions) == 1  # kept
+    assert len(_point_matrices) > 100
+    for m, p in _point_matrices.items():
+        assert _is_point_matrix_of(p, m), m
+
+
+def test_group_operations_never_invert(monkeypatch):
+    # 40-letter words on E6, F4 and G2 reach finite parts that no other test
+    # forms, so this fails wherever a point matrix is still inverted
+    def refuse(m):
+        raise AssertionError("the group kernel inverted a matrix")
+
+    monkeypatch.setattr("weylkit.weyl.mat_inv", refuse)
+    rng = random.Random(40)
+    for type_label, rank in [("E", 6), ("F", 4), ("G", 2)]:
+        ambient = affinize(build_finite(type_label, rank))
+        one = ExtAffineWeylElement.identity(ambient)
+        for _ in range(5):
+            letters = tuple(rng.choice(ambient.labels) for _ in range(40))
+            g = ReducedWord(ambient, one, letters).evaluate()
+            h = g.inverse()
+            assert (g * h).is_identity() and (h * g).is_identity()
+            word = reduced_word(g)
+            assert word.evaluate() == g and len(word) == length(g)
+            assert reduced_word(h).evaluate() == h
+            x = tuple(Fraction(rng.randrange(-9, 10), 7) for _ in range(rank))
+            assert h.act_point(g.act_point(x)) == x
+            assert g.act_point(x) == _act_point_oracle(g, x)
 
 
 def _poincare_b(n):
