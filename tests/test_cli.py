@@ -332,6 +332,17 @@ def test_bad_input_exits_2(capsys, argv):
     assert err.startswith("configuration error:")
 
 
+def test_non_adjoint_theta_names_the_first_root_and_its_pairing(capsys):
+    argv = ["spiral", "--type", "A", "--rank", "2", "--theta", "1/2,1", "--m", "3",
+            "--facet-word", "0", "--facet-type", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "configuration error: theta-tilde is not an adjoint cocharacter: "
+        "<(-1, -1), theta> = -3/2\n"
+    )
+
+
 @pytest.mark.parametrize(
     "expr",
     ["x1^100000000", f"x1^{MAX_LITERAL_POWER + 1}", f"s1*x1^{MAX_LITERAL_POWER + 1}"],

@@ -373,3 +373,28 @@ def test_equal_spans_hash_equal(aff_a2):
     assert a == b and a.base != b.base
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,affine",
+    [("C", 2, True), ("G", 2, True), ("BC", 2, True), ("B", 3, True), ("B", 3, False)],
+)
+def test_relative_position_good_iff_spans_agree_on_every_pair(type_label, rank, affine):
+    # relative_position reads `good` off the stabilizer reflections; the span
+    # route (interior point, nullspace, every root through the point) is the
+    # independent oracle
+    ambient = oracle_system(type_label, rank, affine)
+    by_type = {}
+    for f in cx.facets_in_ball(ambient, 2):
+        by_type.setdefault(f.type_labels, []).append(f)
+    assert set(by_type) == set(proper_types(ambient))
+    good = bad = 0
+    for facets in by_type.values():
+        spans = {f: cx.span(f) for f in facets}
+        for f in facets:
+            for g in facets:
+                rp = cx.relative_position(f, g)
+                assert rp.good == (spans[f] == spans[g])
+                good += rp.good
+                bad += not rp.good
+    assert good > 0 and bad > 0

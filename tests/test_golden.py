@@ -5,13 +5,19 @@ Each file in tests/golden/ holds one command's exit code on its first line
 rules, so a DDAHA literal with spaces is one argument.  The files are written
 from a commit known to be correct, never to make a failing comparison pass:
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [--overwrite] [NAME ...]
+
+writes the files of the named cases, or, with no names, of every case that
+has no file yet.  A named case whose file exists is rewritten only with
+--overwrite.  Every file written is printed.
 """
 
+import argparse
 import contextlib
 import io
 import os
 import shlex
+import sys
 
 import pytest
 
@@ -53,6 +59,9 @@ CASES = {
     "table_weights_a1_tsv": "table weights --type A --rank 1 --lam0 1/3 --depth 2 --format tsv",
     "spiral_facet_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --facet-word 0,1 --facet-type 1 --window=-2:2",
     "spiral_facet_g2_tsv": "spiral --type G --rank 2 --theta 1,1 --m 4 --facet-word 0,1,2 --facet-type 2 --window=-3:3 --format tsv",
+    "spiral_facet_bc2_neg_tsv": "spiral --type BC --rank 2 --theta 1,1 --m 3 --d -2 --facet-word 0,1,2 --facet-type 1 --window=-3:3 --format tsv",
+    "spiral_facet_c3_neg": "spiral --type C --rank 3 --theta 1,0,1 --m 4 --d -1 --facet-word 3,2,1 --facet-type 0,2 --window=-3:3",
+    "spiral_lam_frac_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --lam 1/2,-1/3 --window=-3:3",
     "ddaha_relations_c2": "ddaha --type C --rank 2 --m 4 --seed 3",
 }
 
@@ -64,15 +73,40 @@ def run_case(command: str) -> bytes:
     return f"exit {code}\n".encode() + out.getvalue().encode()
 
 
+def golden_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name}.txt")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
-    with open(os.path.join(GOLDEN_DIR, f"{name}.txt"), "rb") as fh:
+    with open(golden_path(name), "rb") as fh:
         expected = fh.read()
     assert run_case(CASES[name]) == expected
 
 
-if __name__ == "__main__":
+def record(argv) -> int:
+    """Write golden files as the module docstring says; exit 2, writing
+    nothing, on an unknown name or an existing file without --overwrite."""
+    parser = argparse.ArgumentParser(description="Record golden CLI outputs.")
+    parser.add_argument("names", nargs="*", help="cases to write (default: those without a file)")
+    parser.add_argument("--overwrite", action="store_true", help="rewrite existing files")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.names) - set(CASES))
+    if unknown:
+        sys.stderr.write(f"unknown cases {unknown}\n")
+        return 2
+    names = args.names or [n for n in sorted(CASES) if not os.path.exists(golden_path(n))]
+    existing = [n for n in names if os.path.exists(golden_path(n))]
+    if existing and not args.overwrite:
+        sys.stderr.write(f"files exist for {existing}; pass --overwrite to rewrite them\n")
+        return 2
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, command in sorted(CASES.items()):
-        with open(os.path.join(GOLDEN_DIR, f"{name}.txt"), "wb") as fh:
-            fh.write(run_case(command))
+    for name in names:
+        with open(golden_path(name), "wb") as fh:
+            fh.write(run_case(CASES[name]))
+        print(golden_path(name))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(record(sys.argv[1:]))

@@ -8,6 +8,15 @@ from weylkit import spiral as sp
 from weylkit.root_system import affinize, build_finite
 from weylkit.weyl import ExtAffineWeylElement
 
+# the affine systems of the integer-table oracle, each with an adjoint
+# theta-tilde and a modulus
+ORACLE_DATA = [
+    ("A", (1, 1), 3),
+    ("C", (1, 0), 4),
+    ("G", (1, 1), 4),
+    ("BC", (1, 1), 3),
+]
+
 
 @pytest.fixture(scope="module")
 def a1_datum():
@@ -230,3 +239,59 @@ def test_pseudo_levi_not_relevant(a1_datum):
     bad = cx.AffineSpan((Fraction(1, 3),), (), frozenset())
     with pytest.raises(sp.NotRelevant):
         sp.pseudo_levi_from_subspace(a1_datum, bad)
+
+
+def _fraction_table(spiral):
+    """degree -> [(root, <alpha, lambda>)], the weights as Fractions paired
+    root by root with `finite.pair`, the degrees from <alpha, theta-tilde>."""
+    datum = spiral.datum
+    finite = datum.finite
+    table = {}
+    for root in finite.roots:
+        rf = tuple(map(Fraction, root))
+        degree = int(finite.pair(rf, datum.theta_tilde)) % datum.m
+        table.setdefault(degree, []).append((root, finite.pair(rf, spiral.lam)))
+    return table
+
+
+def _assert_matches_fraction_table(spiral):
+    table = _fraction_table(spiral)
+    weights = [abs(w) for rows in table.values() for _, w in rows]
+    bound = int(max(weights, default=Fraction(0))) + spiral.datum.m + 1
+    assert spiral.support_bound() == bound
+    for n in range(-bound, bound + 1):
+        k = n % spiral.datum.m
+        target = spiral.epsilon * n
+        for piece, keep in (
+            (spiral.p_n(n), lambda w: w >= target),
+            (spiral.l_n(n), lambda w: w == target),
+            (spiral.u_n(n), lambda w: w > target),
+        ):
+            expected = {r for r, w in table.get(k, ()) if keep(w)}
+            if k == 0 and keep(0):
+                expected.add(sp.CARTAN)
+            assert piece == frozenset(expected)
+
+
+@pytest.mark.parametrize("type_label,theta,m", ORACLE_DATA, ids=[t[0] for t in ORACLE_DATA])
+@pytest.mark.parametrize("d", [1, -1])
+def test_facet_spirals_against_the_fraction_table(type_label, theta, m, d):
+    fin = build_finite(type_label, 2)
+    datum = sp.GradedRootDatum(fin, tuple(map(Fraction, theta)), m, d)
+    facets = cx.facets_in_ball(affinize(fin), 3)
+    for f in facets:
+        spiral = sp.spiral_from_facet(datum, f)
+        assert spiral.epsilon == d
+        _assert_matches_fraction_table(spiral)
+
+
+@pytest.mark.parametrize("type_label,theta,m", ORACLE_DATA, ids=[t[0] for t in ORACLE_DATA])
+@pytest.mark.parametrize(
+    "lam",
+    [(0, 0), (Fraction(1, 2), Fraction(-3, 2)), (Fraction(-2, 3), 1), (Fraction(5, 6), Fraction(-1, 3))],
+    ids=["zero", "den2", "den3", "den6"],
+)
+def test_cochar_spirals_against_the_fraction_table(type_label, theta, m, lam):
+    datum = sp.GradedRootDatum(build_finite(type_label, 2), tuple(map(Fraction, theta)), m, 1)
+    for epsilon in (1, -1):
+        _assert_matches_fraction_table(sp.spiral_from_cochar(datum, lam, epsilon))
