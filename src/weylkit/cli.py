@@ -176,9 +176,20 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"unknown format {config['format']!r}")
     for key in ("rank", "m", "d", "radius", "depth", "seed"):
         config[key] = _config_int(config[key], key)
-    for key, low in (("radius", 0), ("depth", 0)):
+    for key, low in (("radius", 0), ("depth", 0), ("m", 1)):
         if config[key] < low:
             raise ConfigError(f"config key {key} must be at least {low}, got {config[key]}")
+    if config["d"] == 0:
+        raise ConfigError("config key d must be nonzero")
+    # the syntax of the keys only some commands read is checked for every
+    # command; the config keeps the values as given, for the output header
+    for key, parse in (
+        ("theta", _parse_frac_list),
+        ("lam0", _parse_frac_list),
+        ("c", _parse_c_map),
+    ):
+        if config[key] is not None:
+            parse(config[key])
     return config
 
 

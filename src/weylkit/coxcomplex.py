@@ -237,10 +237,13 @@ def act_relative(w: ExtAffineWeylElement, f: Facet) -> Facet:
 def relative_position(f: Facet, g: Facet) -> RelativePosition:
     """The W_I-double coset of the pair, its good/bad classification by span
     comparison, and for good pairs the relative-group element that moves g
-    onto f under act_relative: base = rep_f^-1 rep_g itself.  With minimal
-    reps and equal spans, base maps the positive roots of I onto themselves,
-    so it has no left descent in I and is the one relative-group element of
-    W_I base; the asserts catch a facet built with another rep."""
+    onto f under act_relative: base = rep_f^-1 rep_g itself.  The affine-root
+    hyperplanes through a facet are the reflections of its stabilizer
+    rep W_I rep^-1, and facets of one type span subspaces of one dimension,
+    so the spans agree exactly when the stabilizer reflections do.  With
+    minimal reps and equal spans, base maps the positive roots of I onto
+    themselves, so it has no left descent in I and is the one relative-group
+    element of W_I base; the asserts catch a facet built with another rep."""
     if f.type_labels != g.type_labels:
         raise TypesDiffer(
             f"types {sorted(f.type_labels)} and {sorted(g.type_labels)} differ"
@@ -248,7 +251,7 @@ def relative_position(f: Facet, g: Facet) -> RelativePosition:
     labels = f.type_labels
     base = f.rep.inverse() * g.rep
     w = double_coset_min_rep(base, labels, labels)
-    good = span(f) == span(g)
+    good = facet_stabilizer_reflections(f) == facet_stabilizer_reflections(g)
     if good:
         assert in_relative_group(f.ambient, base, labels), (
             "good pair without a relative element"

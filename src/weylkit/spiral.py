@@ -4,12 +4,16 @@ relevant-subspace-to-graded-pseudo-Levi map.
 
 The graded Lie algebra is represented by its root set plus a Cartan marker;
 every statement in scope reduces to pairings of roots against rational
-cocharacters and to root addition.  A `Spiral` computes the grading degree
-<alpha, theta-tilde> mod m and the weight <alpha, lambda> of every root once,
-on first use, and keeps them on the spiral; P_n, L_n, U_n and the support
-bound read that table.
+cocharacters and to root addition.  Both pairings run on integers: the datum
+pairs every root with theta-tilde once, as integer numerators over the lcm of
+theta-tilde's denominators, and keeps <alpha, theta-tilde> per root; a
+`Spiral` writes lambda as integer numerators over one positive denominator D
+(the lcm of its denominators) and keeps, per grading degree, every root with
+the numerator D <alpha, lambda>, built once on first use.  P_n, L_n and U_n
+compare that numerator with epsilon n D, and the support bound reads it.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +47,8 @@ class GradedRootDatum:
     theta_tilde: Vec = ()
     m: int = 1
     d: int = 1
+    # root -> <alpha, theta-tilde>, an integer, filled by __post_init__
+    theta_pairs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -52,12 +58,16 @@ class GradedRootDatum:
             raise ValueError("m must be a positive integer")
         if self.d == 0:
             raise ValueError("d must be nonzero")
-        for root in self.finite.roots:
-            v = self.finite.pair(tuple(map(Fraction, root)), self.theta_tilde)
-            if v.denominator != 1:
+        nums, den = _common_denominator(self.theta_tilde)
+        pairs = {}
+        for root, num in _pairings(self.finite.roots, nums):
+            if num % den:
                 raise ValueError(
-                    f"theta-tilde is not an adjoint cocharacter: <{root}, theta> = {v}"
+                    "theta-tilde is not an adjoint cocharacter: "
+                    f"<{root}, theta> = {Fraction(num, den)}"
                 )
+            pairs[root] = num // den
+        object.__setattr__(self, "theta_pairs", pairs)
 
     @property
     def epsilon(self) -> int:
@@ -65,8 +75,22 @@ class GradedRootDatum:
 
     def grading_degree(self, root) -> int:
         """<alpha, theta-tilde> mod m, in {0, .., m-1}."""
-        v = self.finite.pair(tuple(map(Fraction, root)), self.theta_tilde)
-        return int(v) % self.m
+        return self.theta_pairs[tuple(root)] % self.m
+
+
+def _common_denominator(vec: Vec) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over one positive denominator D, the lcm of the
+    coordinates' denominators: vec = nums / D."""
+    den = math.lcm(*(c.denominator for c in vec))
+    return tuple(c.numerator * (den // c.denominator) for c in vec), den
+
+
+def _pairings(roots, nums):
+    """Each root with its pairing against the integer point nums; roots are in
+    simple-root coordinates and points in coweight coordinates, so the
+    pairing is the plain dot product."""
+    for root in roots:
+        yield root, sum(a * x for a, x in zip(root, nums))
 
 
 @dataclass(frozen=True)
@@ -84,23 +108,25 @@ class Spiral:
             raise ValueError("epsilon must be +1 or -1")
 
     @cached_property
-    def _by_degree(self) -> dict:
-        """The roots of each grading degree mod m, each with its weight
-        <alpha, lambda>: the per-root table every degree n reads, built once
-        per spiral."""
-        finite = self.datum.finite
+    def _by_degree(self) -> tuple[int, dict]:
+        """D, the lcm of lambda's denominators, and the roots of each grading
+        degree mod m, each with the integer D <alpha, lambda>: the per-root
+        table every degree n reads, built once per spiral."""
+        datum = self.datum
+        nums, den = _common_denominator(self.lam)
         table = {}
-        for root in finite.roots:
-            weight = finite.pair(tuple(map(Fraction, root)), self.lam)
-            table.setdefault(self.datum.grading_degree(root), []).append((root, weight))
-        return {k: tuple(rows) for k, rows in table.items()}
+        for root, num in _pairings(datum.finite.roots, nums):
+            table.setdefault(datum.theta_pairs[root] % datum.m, []).append((root, num))
+        return den, {k: tuple(rows) for k, rows in table.items()}
 
     def _piece(self, n: int, keep) -> frozenset:
         """The roots of degree n mod m whose weight w has keep(w, epsilon n),
-        plus the Cartan in degree 0 when keep(0, epsilon n)."""
-        bound = self.epsilon * n
+        plus the Cartan in degree 0 when keep(0, epsilon n).  As D > 0, keep
+        holds there exactly when it holds on D w and D epsilon n."""
+        den, table = self._by_degree
+        bound = self.epsilon * n * den
         k = n % self.datum.m
-        out = {r for r, w in self._by_degree.get(k, ()) if keep(w, bound)}
+        out = {r for r, w in table.get(k, ()) if keep(w, bound)}
         if k == 0 and keep(0, bound):
             out.add(CARTAN)
         return frozenset(out)
@@ -116,9 +142,9 @@ class Spiral:
 
     def support_bound(self) -> int:
         """P_n can differ from L_n = U_n = empty only for |n| below this."""
-        weights = [abs(w) for rows in self._by_degree.values() for _, w in rows]
-        top = max(weights, default=Fraction(0))
-        return int(top) + self.datum.m + 1
+        den, table = self._by_degree
+        top = max((abs(w) for rows in table.values() for _, w in rows), default=0)
+        return top // den + self.datum.m + 1
 
 
 def spiral_from_cochar(datum: GradedRootDatum, lam: Vec, epsilon: int | None = None) -> Spiral:
@@ -207,10 +233,7 @@ def pseudo_levi_from_subspace(
         raise NotRelevant("subspace is not an intersection of root hyperplanes")
     # alpha sits in L_n of any spanning facet's spiral exactly for
     # n = <alpha, theta-tilde> + m * level, independent of epsilon
-    grading = {}
-    for root, lvl in levels.items():
-        pair = int(finite.pair(tuple(map(Fraction, root)), datum.theta_tilde))
-        grading[root] = pair + datum.m * lvl
+    grading = {root: datum.theta_pairs[root] + datum.m * lvl for root, lvl in levels.items()}
     levi = GradedPseudoLevi(datum, tuple(sorted(levels)), grading)
     _check_pseudo_levi(levi)
     if ambient is not None:

@@ -323,6 +323,16 @@ def test_unknown_subcommand_exit_2(capsys):
         ["table", "spiral", "--window", "3:1"],
         # a facet type made of every wall
         ["table", "relpos", "--type", "A", "--rank", "2", "--sigma", "0,1,2"],
+        # bad values of keys the command does not read
+        ["weyl", "--type", "A", "--rank", "2", "--word", "1", "--theta", "1/0,x", "--c", "0=-1",
+         "--m", "-1", "--lam0", "q"],
+        ["complex", "relpos", "--type", "A", "--rank", "2", "--itype", "1", "--nuprime", "0",
+         "--d", "0", "--c", "x"],
+        ["weyl", "--type", "A", "--rank", "2", "--word", "1", "--theta", "1/0,1"],
+        ["root", "--type", "A", "--rank", "2", "--lam0", "q"],
+        ["relative", "--type", "C", "--rank", "2", "--sigma", "1", "--c", "0=2,0=2"],
+        ["certify", "--type", "A", "--rank", "2", "--finite", "--m", "0"],
+        ["table", "weyl-ball", "--type", "A", "--rank", "1", "--radius", "1", "--d", "0"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
