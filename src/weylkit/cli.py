@@ -232,13 +232,12 @@ def _word_to_element(ambient, word_str) -> ExtAffineWeylElement:
     return g
 
 
-def _config_for_output(config) -> dict:
-    out = {}
-    for k, v in sorted(config.items()):
-        if isinstance(v, Fraction):
-            v = frac_str(v)
-        out[k] = v
-    return out
+def _refuse_flags(args, dests, why: str) -> None:
+    """Raise ConfigError naming the first of the flags `dests` that was given:
+    a flag the chosen mode does not read is an error, not a silent no-op."""
+    for dest in dests:
+        if getattr(args, dest) not in (None, False):
+            raise ConfigError(f"--{dest.replace('_', '-')} {why}")
 
 
 def emit(config, command, result, rows=None) -> str:
@@ -246,11 +245,11 @@ def emit(config, command, result, rows=None) -> str:
     if config["format"] == "json":
         payload = {
             "command": command,
-            "config": _config_for_output(config),
+            "config": config,
             "result": result,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    lines = [f"# {k}\t{v}" for k, v in sorted(_config_for_output(config).items())]
+    lines = [f"# {k}\t{v}" for k, v in sorted(config.items())]
     lines.append(f"# command\t{command}")
     if rows is None:
         for k, v in sorted(result.items()):
@@ -341,6 +340,8 @@ def cmd_relative(args, config, ambient) -> tuple[int, str]:
 
 def cmd_complex(args, config, ambient) -> tuple[int, str]:
     sub = args.complex_command
+    if sub != "relpos":
+        _refuse_flags(args, ("nu", "nuprime", "itype"), "is read only by complex relpos")
     if sub == "facets":
         return _facets_table(config, ambient, "complex.facets")
     if sub == "relpos":
@@ -394,7 +395,8 @@ def _spiral_rows(spiral, window):
 
 def cmd_spiral(args, config, ambient) -> tuple[int, str]:
     datum = _graded_datum(config, ambient)
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
+        _refuse_flags(args, ("facet_word", "facet_type"), "is not read with --lam")
         lam = tuple(_parse_frac_list(args.lam))
         if len(lam) != ambient.rank:
             raise ConfigError(f"lambda must have {ambient.rank} coordinates")
@@ -404,10 +406,10 @@ def cmd_spiral(args, config, ambient) -> tuple[int, str]:
             raise ConfigError("facet spirals need the affine arrangement")
         nu = cx.facet(
             ambient,
-            _word_to_element(ambient, getattr(args, "facet_word", None) or ""),
-            frozenset(_parse_int_list(getattr(args, "facet_type", None) or "")),
+            _word_to_element(ambient, args.facet_word or ""),
+            frozenset(_parse_int_list(args.facet_type or "")),
         )
-        spiral = spr.spiral_from_facet(datum, nu, window=max(map(abs, config["window"])))
+        spiral = spr.spiral_from_facet(datum, nu)
     rows = _spiral_rows(spiral, config["window"])
     report = spr.levi_decomposition_check(spiral, tuple(config["window"]))
     data = {
@@ -448,14 +450,18 @@ def _weight_rows(config, ambient, algebra) -> list[list]:
 
 
 def cmd_ddaha(args, config, ambient) -> tuple[int, str]:
+    if args.expr is not None:
+        _refuse_flags(args, ("weights",), "is not read with --expr")
+    if not args.expr:
+        _refuse_flags(args, ("times",), "is not read without --expr")
     algebra = _build_ddaha(config, ambient)
-    if getattr(args, "expr", None):
+    if args.expr:
         x = dd.parse_element(algebra, args.expr)
-        if getattr(args, "times", None):
+        if args.times:
             x = dd.multiply(x, dd.parse_element(algebra, args.times))
         data = {"normal_form": dd.format_element(x)}
         return 0, emit(config, "ddaha", data)
-    if getattr(args, "weights", False):
+    if args.weights:
         rows = _weight_rows(config, ambient, algebra)
         data = {"dimension": len(rows)}
         return 0, emit_rows(config, "ddaha.weights", "weights", WEIGHT_HEADER, rows, data)

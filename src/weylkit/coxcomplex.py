@@ -1,12 +1,17 @@
 """The Coxeter complex of an affine (or spherical) root system.
 
 A facet is a coset y W_J with y a minimal-length representative and J a
-proper subset of the simple-wall labels; it carries an exact geometric
-realisation: a rational interior point and the affine span cut out by the
-J-walls of the defining alcove.  On top of facets the module computes point
-stabilizers, the grading point x = theta-tilde / m, relative positions with
-the good/bad dichotomy, orbit sets and the fixed subcomplex of an
-admissible parabolic, computed from its relative system.
+proper subset of the simple-wall labels.  The walls through it are the
+y-images of the J-walls, so its stabilizer reflections are integer data read
+off y and J.  It also has an exact geometric realisation: one rational
+interior point per facet (listed by the facet tables, and the point a facet
+spiral is read at) and the affine span cut out by the J-walls of the
+defining alcove.  Spans are computed from Fraction points; `xi_orbit` and
+the graded pseudo-Levi cross-check compare them, and they are the
+independent oracle of the good/bad test.  On top of facets the module
+computes point stabilizers, the grading point x = theta-tilde / m, relative
+positions with the good/bad dichotomy, orbit sets and the fixed subcomplex
+of an admissible parabolic, computed from its relative system.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .linalg import Vec, dot, mat_vec
+from .linalg import Vec, dot
 from .root_system import AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
@@ -126,27 +131,6 @@ def span(f: Facet) -> AffineSpan:
     else:
         directions = tuple(linalg.identity(ambient.rank))
     return AffineSpan(base, directions, frozenset(_roots_through(ambient, base, directions)))
-
-
-def project_point(ambient: AffineRootSystem, x: Vec, sp: AffineSpan) -> Vec:
-    """Orthogonal projection of x onto the subspace, for the point form."""
-    x = tuple(Fraction(c) for c in x)
-    if not sp.directions:
-        return sp.base
-    gram = ambient.finite_base.gram_coweight
-    diff = linalg.vec_sub(x, sp.base)
-    rows = []
-    rhs = []
-    for d in sp.directions:
-        gd = mat_vec(gram, d)
-        rows.append(tuple(dot(gd, e) for e in sp.directions))
-        rhs.append(dot(gd, diff))
-    coeffs = linalg.solve_affine(tuple(rows), tuple(rhs))
-    assert coeffs is not None
-    out = sp.base
-    for c, d in zip(coeffs, sp.directions):
-        out = linalg.vec_add(out, linalg.vec_scale(c, d))
-    return out
 
 
 def facet_stabilizer_reflections(f: Facet) -> frozenset[AffineRoot]:

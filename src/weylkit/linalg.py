@@ -2,7 +2,7 @@
 
 Vectors are tuples, matrices are tuples of row tuples, and entries are ints
 or Fractions.  Products (dot, mat_vec, mat_mul, vec_scale) and the
-eliminations return Fractions; vec_add, vec_sub and transpose keep the types
+eliminations return Fractions; vec_add and transpose keep the types
 of their entries.  Everything returns fresh immutable values; nothing here
 ever touches a float.  The integral group elements of `weyl` multiply with
 their own int-only kernels.
@@ -15,20 +15,12 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
 
-def vec(*entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c, v: Vec) -> Vec:

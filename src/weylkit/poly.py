@@ -71,15 +71,6 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e, _ in self.terms), default=-1)
 
-    def coefficient(self, exps) -> Fraction:
-        for e, c in self.terms:
-            if e == tuple(exps):
-                return c
-        return Fraction(0)
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
-
     def as_dict(self) -> dict:
         return dict(self.terms)
 

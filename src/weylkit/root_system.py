@@ -1,4 +1,6 @@
-"""Finite and affine root systems with exact rational reflection calculus.
+"""Finite and affine root systems: exact root data, affine roots and the
+fundamental alcove.  Reflections, and the group action on points and on
+affine roots, are integer operations of `weyl`.
 
 Coordinate conventions, fixed once for the whole library:
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .linalg import Mat, Vec, dot, frac_str, mat_inv, mat_vec, vec_scale, vec_sub
+from .linalg import Mat, Vec, dot, frac_str, mat_vec, vec_scale
 
 
 class IllegalType(ValueError):
@@ -33,7 +35,7 @@ class NotIrreducible(ValueError):
 
 
 class ConstantFunction(ValueError):
-    """Raised when a reflection or coroot is requested for a constant function."""
+    """Raised when a coroot, and so a reflection, is asked of the zero functional."""
 
 
 _LEGAL_RANKS = {
@@ -117,7 +119,6 @@ class FiniteRootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     gram_matrix: Mat  # scalar products of simple roots
     roots: tuple[tuple[int, ...], ...]  # all roots, simple-root coordinates
-    gram_coweight: Mat = field(repr=False)  # scalar products of points (coweight basis)
 
     # -- pairings ---------------------------------------------------------
 
@@ -128,10 +129,6 @@ class FiniteRootSystem:
     def inner(self, f: Vec, g: Vec) -> Fraction:
         """Scalar product of two functionals (gradient coordinates)."""
         return dot(mat_vec(self.gram_matrix, tuple(map(Fraction, g))), tuple(map(Fraction, f)))
-
-    def point_inner(self, x: Vec, y: Vec) -> Fraction:
-        """Scalar product of two points/translations of E."""
-        return dot(mat_vec(self.gram_coweight, y), x)
 
     def coroot_vector(self, root: Vec) -> Vec:
         """The coroot of a functional, as a translation vector of E."""
@@ -242,81 +239,13 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
             if img not in roots:
                 frontier.append(img)
 
-    # Gram of points in the coweight basis is the inverse functional Gram.
-    gram_coweight = mat_inv(gram)
-
     return FiniteRootSystem(
         type_label=type_label,
         rank=rank,
         cartan_matrix=cartan,
         gram_matrix=gram,
         roots=tuple(sorted(roots)),
-        gram_coweight=gram_coweight,
     )
-
-
-# ---------------------------------------------------------------------------
-# Affine functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineFunction:
-    """An affine function on E: a gradient functional plus a constant."""
-
-    system: FiniteRootSystem = field(compare=False)
-    gradient: Vec
-    constant: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "gradient", tuple(Fraction(c) for c in self.gradient))
-        object.__setattr__(self, "constant", Fraction(self.constant))
-
-    def __call__(self, point: Vec) -> Fraction:
-        return self.system.pair(self.gradient, point) + self.constant
-
-    def is_constant(self) -> bool:
-        return all(c == 0 for c in self.gradient)
-
-    def scale(self, c) -> "AffineFunction":
-        c = Fraction(c)
-        return AffineFunction(self.system, vec_scale(c, self.gradient), c * self.constant)
-
-    def add(self, other: "AffineFunction") -> "AffineFunction":
-        return AffineFunction(
-            self.system,
-            tuple(a + b for a, b in zip(self.gradient, other.gradient)),
-            self.constant + other.constant,
-        )
-
-
-def pairing(f: AffineFunction, g: AffineFunction) -> Fraction:
-    """Scalar product of two affine functions: constants are ignored."""
-    return f.system.inner(f.gradient, g.gradient)
-
-
-def coroot(f: AffineFunction) -> AffineFunction:
-    """f -> 2f / |f|^2."""
-    norm = pairing(f, f)
-    if norm == 0:
-        raise ConstantFunction("coroot of a constant function")
-    return f.scale(Fraction(2) / norm)
-
-
-def reflect_point(f: AffineFunction, x: Vec) -> Vec:
-    """Reflection of a point of E across the zero locus of f."""
-    if f.is_constant():
-        raise ConstantFunction("cannot reflect across a constant function")
-    corovec = f.system.coroot_vector(f.gradient)
-    return vec_sub(tuple(map(Fraction, x)), vec_scale(f(tuple(map(Fraction, x))), corovec))
-
-
-def reflect_fn(f: AffineFunction, g: AffineFunction) -> AffineFunction:
-    """s_f(g) = g - <f_check, g> f."""
-    if f.is_constant():
-        raise ConstantFunction("cannot reflect across a constant function")
-    c = pairing(coroot(f), g)
-    return g.add(f.scale(-c))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +272,6 @@ class AffineRoot:
                 f"root {d} lies in 2Q_R; only odd levels are affine roots "
                 f"(got level {self.level})"
             )
-
-    def as_function(self) -> AffineFunction:
-        return AffineFunction(self.system, self.direction, Fraction(self.level))
 
     def negate(self) -> "AffineRoot":
         return AffineRoot(self.system, tuple(-c for c in self.direction), -self.level)
@@ -430,39 +356,28 @@ class AffineRootSystem:
 
     def facet_interior_point(self, wall_labels: frozenset[int]) -> Vec:
         """A rational relative-interior point of the face of the fundamental
-        alcove on which exactly the given simple walls vanish, computed once
-        per face and kept on the system object (one per system)."""
+        alcove on which exactly the given simple walls vanish: the barycenter
+        of the alcove vertices off those walls (finite mode: the sum of the
+        ray points of the chamber cone).  Computed once per face and kept on
+        the system object (one per system)."""
         wall_labels = frozenset(wall_labels)
         points = getattr(self, "_facet_points", None)
         if points is None:
             points = {}
             object.__setattr__(self, "_facet_points", points)
         point = points.get(wall_labels)
-        if point is None:
-            point = points[wall_labels] = self.face_point(wall_labels)
-        return point
-
-    def face_point(self, wall_labels, weights=None) -> Vec:
-        """A rational point in the relative interior of the face on which
-        exactly the given simple walls vanish: the barycenter of the alcove
-        vertices off those walls with the given positive weights (in label
-        order, equal by default).  Finite mode: the weighted sum of the ray
-        points of the chamber cone."""
-        wall_labels = frozenset(wall_labels)
+        if point is not None:
+            return point
         if not wall_labels <= set(self.labels):
             raise ValueError(f"unknown wall labels {sorted(wall_labels - set(self.labels))}")
         if wall_labels == set(self.labels):
             raise ValueError("the facet type must be a proper subset of the walls")
         verts = self.alcove_vertices()
         chosen = [verts[l] for l in self.labels if l not in wall_labels]
-        if weights is None:
-            weights = [1] * len(chosen)
-        total = sum(weights) if self.affine else 1
-        acc = [Fraction(0)] * self.rank
-        for w, v in zip(weights, chosen, strict=True):
-            for i, c in enumerate(v):
-                acc[i] += w * c
-        return tuple(c / total for c in acc)
+        total = len(chosen) if self.affine else 1
+        point = tuple(sum(coords) / total for coords in zip(*chosen))
+        points[wall_labels] = point
+        return point
 
 
 def affinize(finite: FiniteRootSystem) -> AffineRootSystem:
@@ -499,7 +414,7 @@ def _build_affinization(finite: FiniteRootSystem) -> AffineRootSystem:
         theta=theta,
         alcove_interior_point=interior,
     )
-    assert all(a.as_function()(interior) > 0 for a in sys.simples)
+    assert all(finite.pair(a.direction, interior) + a.level > 0 for a in sys.simples)
     return sys
 
 

@@ -1,6 +1,7 @@
 """Z/m-graded root combinatorics: gradings from a lifted cocharacter, spirals
-with their splittings and nilpotent radicals, the facet-to-spiral map and the
-relevant-subspace-to-graded-pseudo-Levi map.
+with their splittings and nilpotent radicals, the facet-to-spiral map (read
+at one interior point of the facet) and the map from relevant subspaces to
+graded pseudo-Levi subalgebras.
 
 The graded Lie algebra is represented by its root set plus a Cartan marker;
 every statement in scope reduces to pairings of roots against rational
@@ -22,7 +23,7 @@ from functools import cached_property
 from . import linalg
 from .linalg import Vec, dot
 from .root_system import FiniteRootSystem
-from .coxcomplex import AffineSpan, Facet, facets_in_ball, span
+from .coxcomplex import AffineSpan, Facet, facets_in_ball, interior_point, span
 
 
 class NotRelevant(ValueError):
@@ -153,36 +154,21 @@ def spiral_from_cochar(datum: GradedRootDatum, lam: Vec, epsilon: int | None = N
     return Spiral(datum, tuple(lam), epsilon)
 
 
-def _facet_sample_points(nu: Facet) -> list[Vec]:
-    """Three distinct rational points in the relative interior of the facet:
-    differently-weighted barycenters of its defining vertex set, the first
-    with equal weights."""
-    ambient = nu.ambient
-    k = len(ambient.labels) - len(nu.type_labels)
-    return [
-        nu.rep.act_point(ambient.face_point(nu.type_labels, [1 + t * i for i in range(1, k + 1)]))
-        for t in range(3)
-    ]
-
-
-def spiral_from_facet(datum: GradedRootDatum, nu: Facet, window: int = 4) -> Spiral:
+def spiral_from_facet(datum: GradedRootDatum, nu: Facet) -> Spiral:
     """The spiral of a facet of the affine arrangement: lambda_y =
-    epsilon (theta-tilde - m y) for any y in the facet; independence of the
-    choice is validated on sample points over the degree window."""
+    epsilon (theta-tilde - m y), read at the facet's interior point y.  For
+    a root alpha of degree n mod m, <alpha, theta-tilde> = n + k m with k an
+    integer, so <alpha, lambda_y> - epsilon n = epsilon m (k - <alpha, y>):
+    an affine function whose zero set is a wall of the arrangement, of
+    constant sign on the facet.  Every point of the facet therefore gives
+    the same P_n, L_n and U_n (Lusztig-Yun).  A facet of the finite
+    arrangement is a cone on which lambda_y changes, so it is refused."""
+    if not nu.ambient.affine:
+        raise ValueError("facet spirals need the affine arrangement")
     eps = datum.epsilon
-    spirals = []
-    for y in _facet_sample_points(nu):
-        lam = tuple(
-            eps * (t - datum.m * c) for t, c in zip(datum.theta_tilde, y)
-        )
-        spirals.append(Spiral(datum, lam, eps))
-    first = spirals[0]
-    for other in spirals[1:]:
-        for n in range(-window, window + 1):
-            assert first.p_n(n) == other.p_n(n), (
-                "facet spiral depends on the sample point"
-            )
-    return first
+    y = interior_point(nu)
+    lam = tuple(eps * (t - datum.m * c) for t, c in zip(datum.theta_tilde, y))
+    return Spiral(datum, lam, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +247,7 @@ def _cross_check_with_facets(datum, sp, ambient, radius, levi) -> None:
     ]
     bound = max((abs(n) for n in levi.grading.values()), default=0) + datum.m
     for f in spanning[:2]:
-        spi = spiral_from_facet(datum, f, window=bound)
+        spi = spiral_from_facet(datum, f)
         for n in range(-bound, bound + 1):
             expected = levi.degree_piece(n)
             got = spi.l_n(n)

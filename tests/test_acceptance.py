@@ -6,12 +6,14 @@ terminal-summary hook in conftest.py so it survives output capture), then
 asserts the verdict.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
+import weylkit
 from weylkit import coxcomplex as cx
 from weylkit import ddaha as dd
 from weylkit import relative as rel
@@ -342,8 +344,12 @@ def test_acceptance_10_determinism():
         sys.executable, "-m", "weylkit.cli",
         "certify", "--type", "C", "--rank", "2", "--sigma", "1", "--seed", "5",
     ]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    # the child imports the same weylkit as this process, installed or not
+    src = os.path.dirname(os.path.dirname(weylkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(argv, capture_output=True, env=env)
+    second = subprocess.run(argv, capture_output=True, env=env)
     ok = (
         first.returncode == second.returncode == 0
         and first.stdout == second.stdout

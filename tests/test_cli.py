@@ -333,6 +333,14 @@ def test_unknown_subcommand_exit_2(capsys):
         ["relative", "--type", "C", "--rank", "2", "--sigma", "1", "--c", "0=2,0=2"],
         ["certify", "--type", "A", "--rank", "2", "--finite", "--m", "0"],
         ["table", "weyl-ball", "--type", "A", "--rank", "1", "--radius", "1", "--d", "0"],
+        # flags the chosen mode does not read
+        ["ddaha", "--type", "A", "--rank", "1", "--times", "x1^"],
+        ["ddaha", "--expr", "s1", "--weights", "--lam0", "1/3"],
+        ["spiral", "--lam", "0", "--facet-word", "x", "--facet-type", "y"],
+        ["spiral", "--type", "A", "--rank", "2", "--lam", "0,0", "--facet-type", "1"],
+        ["complex", "facets", "--nu", "x"],
+        ["complex", "facets", "--type", "A", "--rank", "2", "--radius", "1", "--nuprime", "1"],
+        ["complex", "fixed", "--type", "C", "--rank", "2", "--sigma", "1", "--itype", "q"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -3,20 +3,16 @@ from fractions import Fraction
 import pytest
 
 from weylkit.root_system import (
-    AffineFunction,
     AffineRoot,
     ConstantFunction,
     IllegalType,
     affinize,
     build_finite,
-    coroot,
     finite_coxeter,
-    pairing,
-    reflect_fn,
-    reflect_point,
     root_data_from_json,
     root_data_to_json,
 )
+from weylkit.weyl import ExtAffineWeylElement, act_on_affine_root
 
 # [DERIVED] root counts from the classification tables
 ROOT_COUNTS = {
@@ -91,17 +87,37 @@ def test_pairing_is_dot_product():
             assert sys.pair(f, x) == (1 if i == j else 0)
 
 
+def _value(a, x):
+    """The affine root a evaluated at the point x."""
+    return a.system.pair(a.direction, x) + a.level
+
+
 def test_reflection_formulas():
-    # [PAPER] s_f(x) = x - f(x) grad-f-check and s_f(g) = g - <f-check, g> f
-    sys = build_finite("A", 2)
-    a1 = AffineFunction(sys, (1, 0), 0)
-    a2 = AffineFunction(sys, (0, 1), 0)
-    assert reflect_fn(a1, a2).gradient == (Fraction(1), Fraction(1))
-    x = (Fraction(1), Fraction(0))
-    assert reflect_point(a1, x) == (Fraction(-1), Fraction(1))
-    assert pairing(coroot(a1), a1) == 2
+    # [PAPER] s_a(x) = x - a(x) a-check and s_a(b) = b - <a-check, b> a, on
+    # the integer group kernel, for the affine roots of levels -1 to 1
+    points = [(Fraction(1, 3), Fraction(-2, 5)), (Fraction(0), Fraction(2))]
+    for tl in ("A", "C", "G", "BC"):
+        aff = affinize(build_finite(tl, 2))
+        fin = aff.finite_base
+        roots = [aff.root(r, n) for r in fin.roots for n in (-1, 0, 1) if aff.contains(r, n)]
+        for a in roots:
+            s_a = ExtAffineWeylElement.reflection(aff, a)
+            corovec = fin.coroot_vector(a.direction)
+            for x in points + [aff.alcove_interior_point]:
+                assert s_a.act_point(x) == tuple(
+                    c - _value(a, x) * v for c, v in zip(x, corovec)
+                )
+            for b in roots:
+                k = fin.pair(b.direction, corovec)
+                assert k.denominator == 1
+                expected = AffineRoot(
+                    fin,
+                    tuple(q - k * p for p, q in zip(a.direction, b.direction)),
+                    b.level - k * a.level,
+                )
+                assert act_on_affine_root(s_a, b) == expected
     with pytest.raises(ConstantFunction):
-        coroot(AffineFunction(sys, (0, 0), 1))
+        build_finite("A", 2).coroot_vector((0, 0))
 
 
 def test_bc_parity_twist():
@@ -123,7 +139,7 @@ def test_affinize_base():
     assert a0.direction == (-1, -1) and a0.level == 1
     # interior point is strictly inside every simple wall
     for a in aff.simples:
-        assert a.as_function()(aff.alcove_interior_point) > 0
+        assert _value(a, aff.alcove_interior_point) > 0
 
 
 def test_alcove_vertices():
@@ -154,15 +170,12 @@ def test_face_point_lies_on_exactly_its_walls(system):
     labels = system.labels
     for mask in range(2 ** len(labels) - 1):
         walls = frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
-        k = len(labels) - len(walls)
-        assert system.face_point(walls) == system.facet_interior_point(walls)
-        for weights in ([1] * k, list(range(1, k + 1)), list(range(2 * k, k, -1))):
-            x = system.face_point(walls, weights)
-            for l, a in zip(labels, system.simples):
-                value = a.as_function()(x)
-                assert value == 0 if l in walls else value > 0
-    with pytest.raises(ValueError):
-        system.face_point(frozenset(), [1])
+        x = system.facet_interior_point(walls)
+        for l, a in zip(labels, system.simples):
+            value = _value(a, x)
+            assert value == 0 if l in walls else value > 0
+    with pytest.raises(ValueError, match="unknown wall labels"):
+        system.facet_interior_point(frozenset({9}))
 
 
 def test_reprs():

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 from weylkit import coxcomplex as cx
 from weylkit import spiral as sp
-from weylkit.root_system import affinize, build_finite
-from weylkit.weyl import ExtAffineWeylElement
+from weylkit.root_system import affinize, build_finite, finite_coxeter
+from weylkit.weyl import ExtAffineWeylElement, act_on_affine_root
 
 # the affine systems of the integer-table oracle, each with an adjoint
 # theta-tilde and a modulus
@@ -175,7 +176,7 @@ def test_spiral_from_facet_at_x(a1_datum):
     # [TRIVIAL] the facet containing x = theta/m yields the lambda = 0 P-sets
     ambient = affinize(a1_datum.finite)
     alcove = cx.facet(ambient, ExtAffineWeylElement.identity(ambient), set())
-    got = sp.spiral_from_facet(a1_datum, alcove, window=5)
+    got = sp.spiral_from_facet(a1_datum, alcove)
     ref = sp.spiral_from_cochar(a1_datum, (Fraction(0),), 1)
     for n in range(-5, 6):
         assert got.p_n(n) == ref.p_n(n)
@@ -184,7 +185,7 @@ def test_spiral_from_facet_at_x(a1_datum):
 def test_facet_point_independence_exhaustive(a1_datum):
     ambient = affinize(a1_datum.finite)
     for f in cx.facets_in_ball(ambient, 3):
-        sp.spiral_from_facet(a1_datum, f, window=4)  # asserts internally
+        _assert_facet_spiral_matches_its_points(a1_datum, f)
 
 
 def test_facet_spiral_equivariance(a1_datum):
@@ -193,8 +194,8 @@ def test_facet_spiral_equivariance(a1_datum):
     gp = cx.GradingPoint(ambient, a1_datum.theta_tilde, a1_datum.m)
     nu = cx.facet(ambient, ExtAffineWeylElement.simple(ambient, 1), set())
     for w in gp.stabilizer():
-        left = sp.spiral_from_facet(a1_datum, cx.act(w, nu), window=4)
-        right = sp.spiral_from_facet(a1_datum, nu, window=4)
+        left = sp.spiral_from_facet(a1_datum, cx.act(w, nu))
+        right = sp.spiral_from_facet(a1_datum, nu)
         for n in range(-4, 5):
             mapped = set()
             for r in right.p_n(n):
@@ -241,36 +242,88 @@ def test_pseudo_levi_not_relevant(a1_datum):
         sp.pseudo_levi_from_subspace(a1_datum, bad)
 
 
-def _fraction_table(spiral):
-    """degree -> [(root, <alpha, lambda>)], the weights as Fractions paired
-    root by root with `finite.pair`, the degrees from <alpha, theta-tilde>."""
-    datum = spiral.datum
-    finite = datum.finite
+@functools.cache
+def _degrees(datum):
+    """root -> <alpha, theta-tilde> mod m, paired in Fractions."""
+    return {
+        root: int(sum(a * t for a, t in zip(root, datum.theta_tilde))) % datum.m
+        for root in datum.finite.roots
+    }
+
+
+def _fraction_table(datum, lam):
+    """degree -> [(root, <alpha, lambda>)], the weights paired root by root
+    in Fractions (a root in simple-root coordinates pairs with a point in
+    coweight coordinates by the plain dot product)."""
     table = {}
-    for root in finite.roots:
-        rf = tuple(map(Fraction, root))
-        degree = int(finite.pair(rf, datum.theta_tilde)) % datum.m
-        table.setdefault(degree, []).append((root, finite.pair(rf, spiral.lam)))
+    for root, degree in _degrees(datum).items():
+        table.setdefault(degree, []).append((root, sum(a * c for a, c in zip(root, lam))))
     return table
 
 
-def _assert_matches_fraction_table(spiral):
-    table = _fraction_table(spiral)
+def _table_bound(table, m):
     weights = [abs(w) for rows in table.values() for _, w in rows]
-    bound = int(max(weights, default=Fraction(0))) + spiral.datum.m + 1
-    assert spiral.support_bound() == bound
+    return int(max(weights, default=Fraction(0))) + m + 1
+
+
+def _assert_pieces_match(spiral, tables, bound):
+    """P_n, L_n and U_n of the spiral against each table, for |n| <= bound."""
     for n in range(-bound, bound + 1):
         k = n % spiral.datum.m
         target = spiral.epsilon * n
-        for piece, keep in (
-            (spiral.p_n(n), lambda w: w >= target),
-            (spiral.l_n(n), lambda w: w == target),
-            (spiral.u_n(n), lambda w: w > target),
-        ):
-            expected = {r for r, w in table.get(k, ()) if keep(w)}
-            if k == 0 and keep(0):
-                expected.add(sp.CARTAN)
-            assert piece == frozenset(expected)
+        got = (spiral.p_n(n), spiral.l_n(n), spiral.u_n(n))
+        for table in tables:
+            rows = table.get(k, ())
+            expected = (
+                {r for r, w in rows if w >= target},
+                {r for r, w in rows if w == target},
+                {r for r, w in rows if w > target},
+            )
+            if k == 0:
+                for piece, keep in zip(expected, (0 >= target, 0 == target, 0 > target)):
+                    if keep:
+                        piece.add(sp.CARTAN)
+            assert got == tuple(map(frozenset, expected))
+
+
+def _facet_points(f):
+    """Three points of the facet f, built here from the alcove vertices: the
+    barycenters of the vertices off the type's walls with weights 1 + t i
+    (i = 1, .., k) for t = 0, 1, 2, moved by the rep.  Each one vanishes on
+    exactly the rep-images of the type's walls and is positive on the images
+    of the other walls, so it lies in the facet."""
+    ambient = f.ambient
+    finite = ambient.finite_base
+    verts = ambient.alcove_vertices()
+    chosen = [verts[l] for l in ambient.labels if l not in f.type_labels]
+    walls = [(l, act_on_affine_root(f.rep, a)) for l, a in zip(ambient.labels, ambient.simples)]
+    points = []
+    for t in range(3):
+        weights = [1 + t * i for i in range(1, len(chosen) + 1)]
+        x = tuple(
+            sum(w * v[j] for w, v in zip(weights, chosen)) / sum(weights)
+            for j in range(ambient.rank)
+        )
+        y = f.rep.act_point(x)
+        for l, b in walls:
+            value = finite.pair(b.direction, y) + b.level
+            assert value == 0 if l in f.type_labels else value > 0
+        points.append(y)
+    return points
+
+
+def _assert_facet_spiral_matches_its_points(datum, f):
+    """The library's facet spiral against the Fraction table of lambda_y =
+    epsilon (theta-tilde - m y) at each of three points y of the facet, over
+    the largest of their support bounds."""
+    spiral = sp.spiral_from_facet(datum, f)
+    assert spiral.epsilon == datum.epsilon
+    tables = []
+    for y in _facet_points(f):
+        lam = tuple(datum.epsilon * (t - datum.m * c) for t, c in zip(datum.theta_tilde, y))
+        tables.append(_fraction_table(datum, lam))
+    bound = max([spiral.support_bound()] + [_table_bound(t, datum.m) for t in tables])
+    _assert_pieces_match(spiral, tables, bound)
 
 
 @pytest.mark.parametrize("type_label,theta,m", ORACLE_DATA, ids=[t[0] for t in ORACLE_DATA])
@@ -278,11 +331,28 @@ def _assert_matches_fraction_table(spiral):
 def test_facet_spirals_against_the_fraction_table(type_label, theta, m, d):
     fin = build_finite(type_label, 2)
     datum = sp.GradedRootDatum(fin, tuple(map(Fraction, theta)), m, d)
-    facets = cx.facets_in_ball(affinize(fin), 3)
+    for f in cx.facets_in_ball(affinize(fin), 3):
+        _assert_facet_spiral_matches_its_points(datum, f)
+
+
+def test_facet_spirals_of_affine_b3_against_the_fraction_table():
+    # rank 3, all 217 facets of the radius-3 ball, epsilon = -1
+    fin = build_finite("B", 3)
+    datum = sp.GradedRootDatum(fin, (Fraction(1), Fraction(0), Fraction(1)), 4, -1)
+    for f in cx.facets_in_ball(affinize(fin), 3):
+        _assert_facet_spiral_matches_its_points(datum, f)
+
+
+def test_facet_spirals_refuse_finite_mode_facets():
+    # a facet of the finite arrangement is a cone, and lambda_y changes along
+    # it, so it has no spiral: every facet of finite B3 to radius 3 is refused
+    fin = build_finite("B", 3)
+    datum = sp.GradedRootDatum(fin, (Fraction(1), Fraction(0), Fraction(1)), 4, 1)
+    facets = cx.facets_in_ball(finite_coxeter(fin), 3)
+    assert facets
     for f in facets:
-        spiral = sp.spiral_from_facet(datum, f)
-        assert spiral.epsilon == d
-        _assert_matches_fraction_table(spiral)
+        with pytest.raises(ValueError, match="affine arrangement"):
+            sp.spiral_from_facet(datum, f)
 
 
 @pytest.mark.parametrize("type_label,theta,m", ORACLE_DATA, ids=[t[0] for t in ORACLE_DATA])
@@ -293,5 +363,9 @@ def test_facet_spirals_against_the_fraction_table(type_label, theta, m, d):
 )
 def test_cochar_spirals_against_the_fraction_table(type_label, theta, m, lam):
     datum = sp.GradedRootDatum(build_finite(type_label, 2), tuple(map(Fraction, theta)), m, 1)
+    table = _fraction_table(datum, lam)
+    bound = _table_bound(table, m)
     for epsilon in (1, -1):
-        _assert_matches_fraction_table(sp.spiral_from_cochar(datum, lam, epsilon))
+        spiral = sp.spiral_from_cochar(datum, lam, epsilon)
+        assert spiral.support_bound() == bound
+        _assert_pieces_match(spiral, [table], bound)
