@@ -450,17 +450,15 @@ def _weight_rows(config, ambient, algebra) -> list[list]:
 
 
 def cmd_ddaha(args, config, ambient) -> tuple[int, str]:
+    algebra = _build_ddaha(config, ambient)
     if args.expr is not None:
         _refuse_flags(args, ("weights",), "is not read with --expr")
-    if not args.expr:
-        _refuse_flags(args, ("times",), "is not read without --expr")
-    algebra = _build_ddaha(config, ambient)
-    if args.expr:
         x = dd.parse_element(algebra, args.expr)
-        if args.times:
+        if args.times is not None:
             x = dd.multiply(x, dd.parse_element(algebra, args.times))
         data = {"normal_form": dd.format_element(x)}
         return 0, emit(config, "ddaha", data)
+    _refuse_flags(args, ("times",), "is not read without --expr")
     if args.weights:
         rows = _weight_rows(config, ambient, algebra)
         data = {"dimension": len(rows)}

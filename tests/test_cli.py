@@ -336,6 +336,9 @@ def test_unknown_subcommand_exit_2(capsys):
         # flags the chosen mode does not read
         ["ddaha", "--type", "A", "--rank", "1", "--times", "x1^"],
         ["ddaha", "--expr", "s1", "--weights", "--lam0", "1/3"],
+        # an empty literal is read, and rejected, not taken for an absent flag
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", ""],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "s1", "--times", ""],
         ["spiral", "--lam", "0", "--facet-word", "x", "--facet-type", "y"],
         ["spiral", "--type", "A", "--rank", "2", "--lam", "0,0", "--facet-type", "1"],
         ["complex", "facets", "--nu", "x"],
