@@ -402,14 +402,15 @@ def cmd_spiral(args, config, ambient) -> tuple[int, str]:
             raise ConfigError(f"lambda must have {ambient.rank} coordinates")
         spiral = spr.spiral_from_cochar(datum, lam)
     else:
-        if not config["affine"]:
-            raise ConfigError("facet spirals need the affine arrangement")
         nu = cx.facet(
             ambient,
             _word_to_element(ambient, args.facet_word or ""),
             frozenset(_parse_int_list(args.facet_type or "")),
         )
-        spiral = spr.spiral_from_facet(datum, nu)
+        try:
+            spiral = spr.spiral_from_facet(datum, nu)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     rows = _spiral_rows(spiral, config["window"])
     report = spr.levi_decomposition_check(spiral, tuple(config["window"]))
     data = {

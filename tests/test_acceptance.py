@@ -30,6 +30,8 @@ from weylkit.weyl import (
     reflections_T,
 )
 
+from spiral_oracle import assert_facet_spiral_matches_its_points
+
 
 REPORT_LINES = []
 
@@ -239,11 +241,14 @@ def test_acceptance_7_spiral_algebra():
                 ok = False
             if not _bracket_checks(spiral, finite, 8):
                 ok = False
-        # facet-point independence on every facet of a radius-3 ball;
-        # spiral_from_facet itself asserts agreement across 3 sample points
+        # facet-point independence on every facet of a radius-3 ball: the
+        # facet spiral against the Fraction tables of three facet points
         ambient = affinize(finite)
         for f in cx.facets_in_ball(ambient, 3):
-            spr.spiral_from_facet(datum, f)
+            try:
+                assert_facet_spiral_matches_its_points(datum, f)
+            except AssertionError:
+                ok = False
     report(7, "spiral algebra", ok)
 
 

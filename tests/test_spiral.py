@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 
@@ -7,7 +6,14 @@ import pytest
 from weylkit import coxcomplex as cx
 from weylkit import spiral as sp
 from weylkit.root_system import affinize, build_finite, finite_coxeter
-from weylkit.weyl import ExtAffineWeylElement, act_on_affine_root
+from weylkit.weyl import ExtAffineWeylElement
+
+from spiral_oracle import (
+    assert_facet_spiral_matches_its_points,
+    assert_pieces_match,
+    fraction_table,
+    table_bound,
+)
 
 # the affine systems of the integer-table oracle, each with an adjoint
 # theta-tilde and a modulus
@@ -185,7 +191,7 @@ def test_spiral_from_facet_at_x(a1_datum):
 def test_facet_point_independence_exhaustive(a1_datum):
     ambient = affinize(a1_datum.finite)
     for f in cx.facets_in_ball(ambient, 3):
-        _assert_facet_spiral_matches_its_points(a1_datum, f)
+        assert_facet_spiral_matches_its_points(a1_datum, f)
 
 
 def test_facet_spiral_equivariance(a1_datum):
@@ -242,95 +248,13 @@ def test_pseudo_levi_not_relevant(a1_datum):
         sp.pseudo_levi_from_subspace(a1_datum, bad)
 
 
-@functools.cache
-def _degrees(datum):
-    """root -> <alpha, theta-tilde> mod m, paired in Fractions."""
-    return {
-        root: int(sum(a * t for a, t in zip(root, datum.theta_tilde))) % datum.m
-        for root in datum.finite.roots
-    }
-
-
-def _fraction_table(datum, lam):
-    """degree -> [(root, <alpha, lambda>)], the weights paired root by root
-    in Fractions (a root in simple-root coordinates pairs with a point in
-    coweight coordinates by the plain dot product)."""
-    table = {}
-    for root, degree in _degrees(datum).items():
-        table.setdefault(degree, []).append((root, sum(a * c for a, c in zip(root, lam))))
-    return table
-
-
-def _table_bound(table, m):
-    weights = [abs(w) for rows in table.values() for _, w in rows]
-    return int(max(weights, default=Fraction(0))) + m + 1
-
-
-def _assert_pieces_match(spiral, tables, bound):
-    """P_n, L_n and U_n of the spiral against each table, for |n| <= bound."""
-    for n in range(-bound, bound + 1):
-        k = n % spiral.datum.m
-        target = spiral.epsilon * n
-        pieces = (
-            (spiral.p_n(n), lambda w: w >= target),
-            (spiral.l_n(n), lambda w: w == target),
-            (spiral.u_n(n), lambda w: w > target),
-        )
-        for table in tables:
-            for piece, keep in pieces:
-                expected = {r for r, w in table.get(k, ()) if keep(w)}
-                if k == 0 and keep(0):
-                    expected.add(sp.CARTAN)
-                assert piece == frozenset(expected)
-
-
-def _facet_points(f):
-    """Three points of the facet f, built here from the alcove vertices: the
-    barycenters of the vertices off the type's walls with weights 1 + t i
-    (i = 1, .., k) for t = 0, 1, 2, moved by the rep.  Each one vanishes on
-    exactly the rep-images of the type's walls and is positive on the images
-    of the other walls, so it lies in the facet."""
-    ambient = f.ambient
-    finite = ambient.finite_base
-    verts = ambient.alcove_vertices()
-    chosen = [verts[l] for l in ambient.labels if l not in f.type_labels]
-    walls = [(l, act_on_affine_root(f.rep, a)) for l, a in zip(ambient.labels, ambient.simples)]
-    points = []
-    for t in range(3):
-        weights = [1 + t * i for i in range(1, len(chosen) + 1)]
-        x = tuple(
-            sum(w * v[j] for w, v in zip(weights, chosen)) / sum(weights)
-            for j in range(ambient.rank)
-        )
-        y = f.rep.act_point(x)
-        for l, b in walls:
-            value = finite.pair(b.direction, y) + b.level
-            assert value == 0 if l in f.type_labels else value > 0
-        points.append(y)
-    return points
-
-
-def _assert_facet_spiral_matches_its_points(datum, f):
-    """The library's facet spiral against the Fraction table of lambda_y =
-    epsilon (theta-tilde - m y) at each of three points y of the facet, over
-    the largest of their support bounds."""
-    spiral = sp.spiral_from_facet(datum, f)
-    assert spiral.epsilon == datum.epsilon
-    tables = []
-    for y in _facet_points(f):
-        lam = tuple(datum.epsilon * (t - datum.m * c) for t, c in zip(datum.theta_tilde, y))
-        tables.append(_fraction_table(datum, lam))
-    bound = max([spiral.support_bound()] + [_table_bound(t, datum.m) for t in tables])
-    _assert_pieces_match(spiral, tables, bound)
-
-
 @pytest.mark.parametrize("type_label,theta,m", ORACLE_DATA, ids=[t[0] for t in ORACLE_DATA])
 @pytest.mark.parametrize("d", [1, -1])
 def test_facet_spirals_against_the_fraction_table(type_label, theta, m, d):
     fin = build_finite(type_label, 2)
     datum = sp.GradedRootDatum(fin, tuple(map(Fraction, theta)), m, d)
     for f in cx.facets_in_ball(affinize(fin), 3):
-        _assert_facet_spiral_matches_its_points(datum, f)
+        assert_facet_spiral_matches_its_points(datum, f)
 
 
 def test_facet_spirals_of_affine_b3_against_the_fraction_table():
@@ -338,7 +262,7 @@ def test_facet_spirals_of_affine_b3_against_the_fraction_table():
     fin = build_finite("B", 3)
     datum = sp.GradedRootDatum(fin, (Fraction(1), Fraction(0), Fraction(1)), 4, -1)
     for f in cx.facets_in_ball(affinize(fin), 3):
-        _assert_facet_spiral_matches_its_points(datum, f)
+        assert_facet_spiral_matches_its_points(datum, f)
 
 
 def test_facet_spirals_refuse_finite_mode_facets():
@@ -361,9 +285,9 @@ def test_facet_spirals_refuse_finite_mode_facets():
 )
 def test_cochar_spirals_against_the_fraction_table(type_label, theta, m, lam):
     datum = sp.GradedRootDatum(build_finite(type_label, 2), tuple(map(Fraction, theta)), m, 1)
-    table = _fraction_table(datum, lam)
-    bound = _table_bound(table, m)
+    table = fraction_table(datum, lam)
+    bound = table_bound(table, m)
     for epsilon in (1, -1):
         spiral = sp.spiral_from_cochar(datum, lam, epsilon)
         assert spiral.support_bound() == bound
-        _assert_pieces_match(spiral, [table], bound)
+        assert_pieces_match(spiral, [table], bound)
