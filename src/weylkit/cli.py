@@ -210,7 +210,7 @@ def _graded_datum(config, ambient) -> spr.GradedRootDatum:
             raise ConfigError(f"theta must have {ambient.rank} coordinates")
     try:
         return spr.GradedRootDatum(ambient.finite_base, theta, config["m"], config["d"])
-    except ValueError as exc:
+    except spr.NotAdjoint as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -409,7 +409,7 @@ def cmd_spiral(args, config, ambient) -> tuple[int, str]:
         )
         try:
             spiral = spr.spiral_from_facet(datum, nu)
-        except ValueError as exc:
+        except spr.FiniteFacet as exc:
             raise ConfigError(str(exc)) from exc
     rows = _spiral_rows(spiral, config["window"])
     report = spr.levi_decomposition_check(spiral, tuple(config["window"]))

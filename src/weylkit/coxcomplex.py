@@ -6,9 +6,9 @@ y-images of the J-walls, so its stabilizer reflections are integer data read
 off y and J.  It also has an exact geometric realisation: one rational
 interior point per facet (listed by the facet tables, and the point a facet
 spiral is read at) and the affine span cut out by the J-walls of the
-defining alcove.  Spans are computed from Fraction points; `xi_orbit` and
-the graded pseudo-Levi cross-check compare them, and they are the
-independent oracle of the good/bad test.  On top of facets the module
+defining alcove.  Spans are computed from Fraction points; the graded
+pseudo-Levi cross-check compares them, and they are the independent oracle
+of the good/bad test and of `xi_orbit`.  On top of facets the module
 computes point stabilizers, the grading point x = theta-tilde / m, relative
 positions with the good/bad dichotomy, orbit sets and the fixed subcomplex
 of an admissible parabolic, computed from its relative system.
@@ -310,13 +310,15 @@ def xi_orbit(
 ) -> tuple[frozenset[Facet], bool]:
     """The orbit Xi = W_x . (E-alcoves of span(nu0)) intersected with the
     enumeration ball; the flag reports whether the ball saw every E-alcove
-    candidate strictly inside (no representative at the boundary length)."""
-    target = span(nu0)
+    candidate strictly inside (no representative at the boundary length).
+    A facet of nu0's type spans span(nu0) exactly when it has nu0's
+    stabilizer reflections, as in `relative_position`."""
+    target = facet_stabilizer_reflections(nu0)
     ball = Ball(point.ambient, radius)
     alcoves = {
         f
         for f in facets_in_ball(point.ambient, radius, types=[nu0.type_labels], ball=ball)
-        if span(f) == target
+        if facet_stabilizer_reflections(f) == target
     }
     orbit = set()
     for w in point.stabilizer():

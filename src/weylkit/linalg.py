@@ -2,10 +2,12 @@
 
 Vectors are tuples, matrices are tuples of row tuples, and entries are ints
 or Fractions.  Products (dot, mat_vec, mat_mul, vec_scale) and the
-eliminations return Fractions; vec_add and transpose keep the types
-of their entries.  Everything returns fresh immutable values; nothing here
-ever touches a float.  The integral group elements of `weyl` multiply with
-their own int-only kernels.
+eliminations return Fractions; transpose keeps the types of its entries.
+Everything returns fresh immutable values; nothing here ever touches a
+float.  The integral group elements of `weyl` multiply with their own
+int-only kernels.  No command reaches the Gaussian elimination `_echelon`:
+rank, nullspace and mat_inv serve spans, the pseudo-Levi relevance check and
+the point matrices of elements built from outside.
 """
 
 from fractions import Fraction
@@ -17,10 +19,6 @@ Mat = tuple[tuple[Fraction, ...], ...]
 
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c, v: Vec) -> Vec:
@@ -99,25 +97,6 @@ def mat_inv(m: Mat) -> Mat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def solve_affine(m: Mat, b: Vec) -> Vec | None:
-    """One exact solution of m x = b, or None if inconsistent."""
-    if not m:
-        return zero_vec(0)
-    n = len(m[0])
-    aug = [list(chain(map(Fraction, row), [Fraction(bi)])) for row, bi in zip(m, b)]
-    rows, pivots = _echelon(aug)
-    for row in rows:
-        if all(e == 0 for e in row[:n]) and row[n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c < n:
-            x[c] = rows[r][n]
-        elif rows[r][n] != 0:
-            return None
-    return tuple(x)
 
 
 def nullspace(m: Mat) -> tuple[Vec, ...]:

@@ -7,9 +7,8 @@ labels whose enlarged parabolic stays finite.
 
 `ParabolicSubset(ambient, sigma)` returns one object per (ambient, Sigma),
 kept on the ambient object (itself one object per system), and that object
-caches its finiteness, w0^Sigma and T_Sigma.  Every membership test and
-normalizer check of the module therefore computes each of them once per
-subset and system.
+caches w0^Sigma and T_Sigma.  Every membership test and normalizer check of
+the module therefore computes each of them once per subset and system.
 
 `relative_system` is the admissibility gate: it raises NotAdmissible with
 the violating supersets, and callers pass the system it builds along.
@@ -93,7 +92,6 @@ class ParabolicSubset:
             self = super().__new__(cls)
             self.ambient = ambient
             self.sigma = sigma
-            self._finite = None
             self._longest = None
             self._reflections = None
             subsets[sigma] = self
@@ -104,9 +102,7 @@ class ParabolicSubset:
 
     def is_finite(self) -> bool:
         """Whether W_Sigma is finite, by `AffineRootSystem.parabolic_is_finite`."""
-        if self._finite is None:
-            self._finite = self.ambient.parabolic_is_finite(self.sigma)
-        return self._finite
+        return self.ambient.parabolic_is_finite(self.sigma)
 
     def _require_finite(self):
         if not self.is_finite():
@@ -217,9 +213,11 @@ def relative_system(ambient: AffineRootSystem, sigma) -> RelativeCoxeterSystem:
 
 
 def in_relative_group(ambient: AffineRootSystem, g: ExtAffineWeylElement, sigma) -> bool:
-    """Membership in W-tilde: minimal in its W_Sigma-coset and normalising."""
+    """Membership in W-tilde = N(Sigma, Sigma): minimal in its W_Sigma-coset
+    and normalising; then g W_Sigma = W_Sigma g, so either coset's check does."""
     base = ParabolicSubset(ambient, sigma)
-    return not reflections_T(g) & base.reflections() and _normalizes(g, base, base)
+    base._require_finite()
+    return _is_normalizer_pair(g, base, base)
 
 
 def relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> list[int]:

@@ -55,7 +55,8 @@ _MAX_RANK = 8
 def _ambient_simple_roots(type_label: str, rank: int):
     """Simple roots in an ambient orthonormal basis, plus the scaling of the
     standard dot product that realises the documented Gram normalisation and
-    any extra seed roots needed to enumerate non-reduced systems."""
+    any extra seed roots, in simple-root coordinates, needed to enumerate
+    non-reduced systems."""
     F = Fraction
     n = rank
 
@@ -105,8 +106,8 @@ def _ambient_simple_roots(type_label: str, rank: int):
         return simples, F(1, 3), []
     if type_label == "BC":
         simples = [e_diff(i, i + 1, n) for i in range(n - 1)] + [e(n - 1, n)]
-        seed = e(n - 1, n, 2)  # the doubled root 2*e_n, not a Weyl image of a simple
-        return simples, F(1), [seed]
+        # the doubled root 2 alpha_n = 2 e_n, not a Weyl image of a simple
+        return simples, F(1), [(0,) * (n - 1) + (2,)]
     raise IllegalType(f"unknown type label {type_label!r}")
 
 
@@ -126,27 +127,15 @@ class FiniteRootSystem:
         """Canonical pairing of a functional against a point of E."""
         return dot(tuple(map(Fraction, functional)), point)
 
-    def inner(self, f: Vec, g: Vec) -> Fraction:
-        """Scalar product of two functionals (gradient coordinates)."""
-        return dot(mat_vec(self.gram_matrix, tuple(map(Fraction, g))), tuple(map(Fraction, f)))
-
     def coroot_vector(self, root: Vec) -> Vec:
-        """The coroot of a functional, as a translation vector of E."""
-        norm = self.inner(root, root)
+        """The coroot of a functional, as a translation vector of E: the
+        Gram image t = G r, whose j-th coweight coordinate is the scalar
+        product of r with alpha_j, scaled by 2 / (r, r) = 2 / <r, t>."""
+        t = mat_vec(self.gram_matrix, tuple(map(Fraction, root)))
+        norm = dot(t, root)
         if norm == 0:
             raise ConstantFunction("zero functional has no coroot")
-        t = self.functional_to_vector(root)
         return vec_scale(Fraction(2) / norm, t)
-
-    def functional_to_vector(self, f: Vec) -> Vec:
-        """Image of a functional under the Gram identification V* -> V: the
-        j-th coweight coordinate is the scalar product against alpha_j."""
-        out = [Fraction(0)] * self.rank
-        for i, c in enumerate(f):
-            if c:
-                for j in range(self.rank):
-                    out[j] += Fraction(c) * self.gram_matrix[i][j]
-        return tuple(out)
 
     # -- root-set queries -------------------------------------------------
 
@@ -217,15 +206,8 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
         return tuple(out)
 
     basis_coords = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seed_coords = list(basis_coords)
-    for s in seeds:
-        sol = linalg.solve_affine(
-            linalg.transpose(linalg.mat(ambient)), tuple(map(Fraction, s))
-        )
-        assert sol is not None and all(c.denominator == 1 for c in sol)
-        seed_coords.append(tuple(int(c) for c in sol))
     roots = set()
-    frontier = list(seed_coords)
+    frontier = basis_coords + seeds
     while frontier:
         r = frontier.pop()
         if r in roots:
@@ -325,9 +307,11 @@ class AffineRootSystem:
     def parabolic_is_finite(self, labels) -> bool:
         """Whether the walls `labels` generate a finite group: exactly when
         their gradients are linearly independent, in which case the group
-        fixes a point of E."""
-        grads = tuple(self.simple_by_label(l).direction for l in labels)
-        return linalg.rank(grads) == len(grads)
+        fixes a point of E.  The finite-mode simples are a basis.  The affine
+        gradients -theta, alpha_1 .. alpha_n have one linear relation,
+        theta = sum c_i alpha_i with every mark c_i >= 1 (BC included), and
+        it uses all n + 1 walls: so exactly the proper subsets are finite."""
+        return not self.affine or frozenset(labels) < frozenset(self.labels)
 
     def a0(self) -> AffineRoot:
         if not self.affine:

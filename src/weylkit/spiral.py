@@ -30,6 +30,14 @@ class NotRelevant(ValueError):
     pass
 
 
+class NotAdjoint(ValueError):
+    """Raised for a theta-tilde that pairs some root to a non-integer."""
+
+
+class FiniteFacet(ValueError):
+    """Raised for a spiral asked of a facet of the finite arrangement."""
+
+
 class _CartanMarker:
     __slots__ = ()
 
@@ -63,7 +71,7 @@ class GradedRootDatum:
         pairs = {}
         for root, num in _pairings(self.finite.roots, nums):
             if num % den:
-                raise ValueError(
+                raise NotAdjoint(
                     "theta-tilde is not an adjoint cocharacter: "
                     f"<{root}, theta> = {Fraction(num, den)}"
                 )
@@ -164,7 +172,7 @@ def spiral_from_facet(datum: GradedRootDatum, nu: Facet) -> Spiral:
     the same P_n, L_n and U_n (Lusztig-Yun).  A facet of the finite
     arrangement is a cone on which lambda_y changes, so it is refused."""
     if not nu.ambient.affine:
-        raise ValueError("facet spirals need the affine arrangement")
+        raise FiniteFacet("facet spirals need the affine arrangement")
     eps = datum.epsilon
     y = interior_point(nu)
     lam = tuple(eps * (t - datum.m * c) for t, c in zip(datum.theta_tilde, y))
@@ -193,13 +201,13 @@ class GradedPseudoLevi:
 
 
 def pseudo_levi_from_subspace(
-    datum: GradedRootDatum, sp: AffineSpan, ambient=None, radius: int = 3
+    datum: GradedRootDatum, sp: AffineSpan, ambient=None
 ) -> GradedPseudoLevi:
     """The graded pseudo-Levi attached to a relevant subspace: roots whose
     hyperplanes (at the forced integer level) contain the subspace, graded by
     <alpha, theta-tilde> + m * level.  When an ambient system is
     supplied, independence of the spanning facet is cross-checked against the
-    splittings of facets spanning the subspace in a small ball."""
+    splittings of facets spanning the subspace in the length ball of radius 3."""
     finite = datum.finite
     levels = {}
     for root in finite.roots:
@@ -223,7 +231,7 @@ def pseudo_levi_from_subspace(
     levi = GradedPseudoLevi(datum, tuple(sorted(levels)), grading)
     _check_pseudo_levi(levi)
     if ambient is not None:
-        _cross_check_with_facets(datum, sp, ambient, radius, levi)
+        _cross_check_with_facets(datum, sp, ambient, levi)
     return levi
 
 
@@ -239,12 +247,8 @@ def _check_pseudo_levi(levi: GradedPseudoLevi) -> None:
                 assert levi.grading[s] == levi.grading[a] + levi.grading[b]
 
 
-def _cross_check_with_facets(datum, sp, ambient, radius, levi) -> None:
-    spanning = [
-        f
-        for f in facets_in_ball(ambient, radius)
-        if span(f) == sp
-    ]
+def _cross_check_with_facets(datum, sp, ambient, levi) -> None:
+    spanning = [f for f in facets_in_ball(ambient, 3) if span(f) == sp]
     bound = max((abs(n) for n in levi.grading.values()), default=0) + datum.m
     for f in spanning[:2]:
         spi = spiral_from_facet(datum, f)

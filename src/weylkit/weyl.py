@@ -533,12 +533,11 @@ def closure(
     return dist
 
 
-def enumerate_ball(
-    ambient: AffineRootSystem, radius: int, cap: int = 10**6
-) -> dict[ExtAffineWeylElement, int]:
-    """All elements of W_S with length <= radius, mapped to their lengths."""
+def enumerate_ball(ambient: AffineRootSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
+    """All elements of W_S with length <= radius, mapped to their lengths;
+    more than `closure`'s default cap raise BallTooLarge."""
     gens = [ExtAffineWeylElement.simple(ambient, l) for l in ambient.labels]
-    ball = closure(ExtAffineWeylElement.identity(ambient), gens, radius, cap)
+    ball = closure(ExtAffineWeylElement.identity(ambient), gens, radius)
     for g, d in ball.items():
         assert length(g) == d
     return ball

@@ -364,6 +364,14 @@ def test_non_adjoint_theta_names_the_first_root_and_its_pairing(capsys):
     )
 
 
+def test_finite_facet_spiral_is_a_configuration_error(capsys):
+    argv = ["spiral", "--type", "A", "--rank", "2", "--finite", "--theta", "1,1", "--m", "3",
+            "--facet-word", "1", "--facet-type", "2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "configuration error: facet spirals need the affine arrangement\n"
+
+
 @pytest.mark.parametrize(
     "expr",
     ["x1^100000000", f"x1^{MAX_LITERAL_POWER + 1}", f"s1*x1^{MAX_LITERAL_POWER + 1}"],

@@ -244,6 +244,38 @@ def test_xi_orbit(aff_a1):
     assert len(orbit) >= 4
 
 
+def xi_orbit_by_spans(point, nu0, radius):
+    """Xi read off the Fraction spans: the route `xi_orbit` replaced by
+    stabilizer reflections."""
+    target = cx.span(nu0)
+    ball = cx.Ball(point.ambient, radius)
+    facets = cx.facets_in_ball(point.ambient, radius, types=[nu0.type_labels], ball=ball)
+    alcoves = {f for f in facets if cx.span(f) == target}
+    orbit = {cx.act(w, f) for w in point.stabilizer() for f in alcoves}
+    return frozenset(orbit), all(ball.lengths.get(f.rep, radius) < radius for f in orbit)
+
+
+# (type, rank, radius) of the Xi-orbit oracle, at x = 0 and x = (1, .., 1) / m
+XI_SYSTEMS = [("A", 2, 3), ("C", 2, 3), ("G", 2, 3), ("BC", 2, 3), ("B", 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,radius", XI_SYSTEMS, ids=[f"{t}{n}" for t, n, _ in XI_SYSTEMS]
+)
+def test_xi_orbit_against_spans(type_label, rank, radius):
+    ambient = affinize(build_finite(type_label, rank))
+    points = [cx.GradingPoint(ambient, (0,) * rank, 1)]
+    points += [cx.GradingPoint(ambient, (1,) * rank, m) for m in (2, 3)]
+    sizes = set()
+    for point in points:
+        for t in proper_types(ambient):
+            nu0 = cx.facet(ambient, ExtAffineWeylElement.identity(ambient), t)
+            orbit, complete = cx.xi_orbit(point, nu0, radius)
+            assert (orbit, complete) == xi_orbit_by_spans(point, nu0, radius), (point.x, t)
+            sizes.add(len(orbit))
+    assert len(sizes) >= 3
+
+
 def test_fixed_chambers_b2():
     # [DERIVED] C(Sigma) = {W_Sigma, w0 s1 W_Sigma}, free Z/2 action
     b2 = finite_coxeter(build_finite("B", 2))

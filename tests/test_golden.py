@@ -15,8 +15,10 @@ has no file yet.  A named case whose file exists is rewritten only with
 import argparse
 import contextlib
 import io
+import json
 import os
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -82,6 +84,52 @@ def test_golden_output(name):
     with open(golden_path(name), "rb") as fh:
         expected = fh.read()
     assert run_case(CASES[name]) == expected
+
+
+# Run in a fresh interpreter, so that no root system is built (and cached)
+# before Gaussian elimination is refused: prints the cases whose output
+# differs from their golden file.
+_NO_ELIMINATION = """
+import json, sys
+import weylkit.linalg
+
+def refuse(rows):
+    raise AssertionError("Gaussian elimination on a command path")
+
+weylkit.linalg._echelon = refuse
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, golden_path, run_case
+
+bad = []
+for name in sorted(CASES):
+    with open(golden_path(name), "rb") as fh:
+        expected = fh.read()
+    try:
+        ok = run_case(CASES[name]) == expected
+    except AssertionError:
+        ok = False
+    if not ok:
+        bad.append(name)
+print(json.dumps(bad))
+"""
+
+
+def test_golden_commands_never_eliminate():
+    # parabolic finiteness, BC roots and coroots are integer data, so no
+    # command runs a Fraction elimination (linalg._echelon)
+    import weylkit
+
+    src = os.path.dirname(os.path.dirname(weylkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    here = os.path.dirname(os.path.abspath(__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_ELIMINATION, here],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
 
 
 def record(argv) -> int:

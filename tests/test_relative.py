@@ -40,6 +40,10 @@ def test_finiteness_by_gradients(aff_c2):
     assert not rel.ParabolicSubset(aff_c2, {0, 1, 2}).is_finite()
     with pytest.raises(rel.NotFinite):
         rel.ParabolicSubset(aff_c2, {0, 1, 2}).longest_element()
+    # W-tilde is not defined for an infinite W_Sigma, whatever the element
+    for l in (0, 1, 2):
+        with pytest.raises(rel.NotFinite):
+            rel.in_relative_group(aff_c2, s(aff_c2, l), {0, 1, 2})
 
 
 def test_elements_of_an_infinite_parabolic_raise_at_once(monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylkit import linalg
 from weylkit.root_system import (
     AffineRoot,
     ConstantFunction,
@@ -56,15 +57,58 @@ def test_cartan_matrices():
     assert build_finite("G", 2).cartan_matrix == ((2, -1), (-3, 2))
 
 
+def _norm(system, r):
+    """r^T G r, the squared length of a root in simple-root coordinates."""
+    g = system.gram_matrix
+    return sum(r[i] * g[i][j] * r[j] for i in range(len(r)) for j in range(len(r)))
+
+
 def test_gram_normalisation():
     # long roots have squared length 2 in the reduced types
     for tl, rk in [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]:
         sys = build_finite(tl, rk)
-        assert max(sys.inner(r, r) for r in sys.roots) == 2
+        assert max(_norm(sys, r) for r in sys.roots) == 2
     # [PAPER] BC convention: |alpha|^2 = 1 for short, 4 for doubled roots
     bc = build_finite("BC", 2)
-    norms = sorted({bc.inner(r, r) for r in bc.roots})
+    norms = sorted({_norm(bc, r) for r in bc.roots})
     assert norms == [Fraction(1), Fraction(2), Fraction(4)]
+
+
+def test_bc_roots_are_b_roots_with_doubled_short_roots():
+    # BC_n has the simple roots of B_n, so one coordinate system serves
+    # both: R(BC_n) = R(B_n) with 2r added for every short root r
+    assert set(build_finite("BC", 1).roots) == {(1,), (-1,), (2,), (-2,)}
+    for n in range(2, 9):
+        b = build_finite("B", n)
+        doubled = {tuple(2 * c for c in r) for r in b.roots if _norm(b, r) == 1}
+        assert len(doubled) == 2 * n
+        assert set(build_finite("BC", n).roots) == set(b.roots) | doubled
+
+
+def _legal_systems(max_rank):
+    for tl in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rk in range(1, max_rank + 1):
+            try:
+                finite = build_finite(tl, rk)
+            except IllegalType:
+                continue
+            yield affinize(finite)
+            yield finite_coxeter(finite)
+
+
+def test_parabolic_finiteness_against_the_rank_of_the_gradients():
+    # W_J is finite exactly when the gradients of the J-walls are linearly
+    # independent; the rule reads that off whether J is a proper subset
+    seen = set()
+    for system in _legal_systems(6):
+        labels = system.labels
+        for mask in range(2 ** len(labels)):
+            walls = [l for k, l in enumerate(labels) if mask >> k & 1]
+            grads = tuple(system.simple_by_label(l).direction for l in walls)
+            independent = linalg.rank(grads) == len(grads)
+            assert system.parabolic_is_finite(walls) is independent, (system.labels, walls)
+            seen.add((system.affine, independent))
+    assert seen == {(True, True), (True, False), (False, True)}
 
 
 def test_highest_roots():

@@ -38,7 +38,7 @@ def a2_datum():
 
 def test_datum_validation():
     fin = build_finite("A", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(sp.NotAdjoint):
         sp.GradedRootDatum(fin, (Fraction(1, 2),), 2, 1)  # <alpha, theta> = 1/2
     with pytest.raises(ValueError):
         sp.GradedRootDatum(fin, (Fraction(1),), 0, 1)
@@ -273,7 +273,7 @@ def test_facet_spirals_refuse_finite_mode_facets():
     facets = cx.facets_in_ball(finite_coxeter(fin), 3)
     assert facets
     for f in facets:
-        with pytest.raises(ValueError, match="affine arrangement"):
+        with pytest.raises(sp.FiniteFacet, match="affine arrangement"):
             sp.spiral_from_facet(datum, f)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit.linalg import mat_inv, mat_vec, vec_add
+from weylkit.linalg import mat_inv, mat_vec
 from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     BallTooLarge,
@@ -440,7 +440,8 @@ def test_actions_stay_exact(aff_a2):
 def _act_point_oracle(g, x):
     """g(x) = P x + mu in Fractions, the rational form the integer kernel of
     act_point replaces."""
-    return vec_add(mat_vec(_point_matrix(g.matrix), tuple(Fraction(c) for c in x)), g.mu)
+    px = mat_vec(_point_matrix(g.matrix), tuple(Fraction(c) for c in x))
+    return tuple(a + b for a, b in zip(px, g.mu, strict=True))
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("BC", 2)])
