@@ -115,7 +115,7 @@ print(json.dumps(bad))
 
 
 def test_golden_commands_never_eliminate():
-    # parabolic finiteness, BC roots and coroots are integer data, so no
+    # parabolic finiteness and the BC roots are read off integers, so no
     # command runs a Fraction elimination (linalg._echelon)
     import weylkit
 
