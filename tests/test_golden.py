@@ -56,6 +56,11 @@ CASES = {
     "ddaha_times_a2": "ddaha --type A --rank 2 --expr 's1*s0*x1^2 + (3/2)*s1' --times 's2*x2 - x1^3'",
     "ddaha_times_g2": "ddaha --type G --rank 2 --expr 's1*s2*x1 + x2^2' --times 's0*s2*x1*x2 - (1/2)*s1'",
     "root_bc2": "root --type BC --rank 2",
+    "root_c3": "root --type C --rank 3",
+    "root_d4": "root --type D --rank 4",
+    "root_e6": "root --type E --rank 6",
+    "root_f4": "root --type F --rank 4",
+    "root_g2": "root --type G --rank 2",
     "spiral_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --d 1 --lam 0,0 --window=-2:2",
     "table_spiral_a2": "table spiral --type A --rank 2 --theta 1,1 --m 3 --window=-2:2",
     "table_weights_a1_tsv": "table weights --type A --rank 1 --lam0 1/3 --depth 2 --format tsv",
