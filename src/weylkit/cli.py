@@ -358,23 +358,22 @@ def cmd_complex(args, config, ambient) -> tuple[int, str]:
                 reduced_word(rp.relative_element).letters
             )
         return 0, emit(config, "complex.relpos", data)
-    if sub == "fixed":
-        try:
-            system = rel.relative_system(ambient, config["sigma"])
-            report = cx.fixed_chambers(system, config["radius"])
-        except (rel.NotAdmissible, cx.BallTooSmall) as exc:
-            raise ConfigError(str(exc)) from exc
-        data = {
-            "chambers": [
-                {"type": sorted(f.type_labels), "word": list(report.ball.word(f.rep))}
-                for f in report.chambers
-            ],
-            "single_free_orbit": report.single_free_orbit,
-            "ball_complete": report.ball_complete,
-            "boundary_excluded": len(report.boundary_excluded),
-        }
-        return 0, emit(config, "complex.fixed", data)
-    raise ConfigError(f"unknown complex subcommand {sub!r}")
+    # sub == "fixed", the last of the parser's choices
+    try:
+        system = rel.relative_system(ambient, config["sigma"])
+        report = cx.fixed_chambers(system, config["radius"])
+    except (rel.NotAdmissible, cx.BallTooSmall) as exc:
+        raise ConfigError(str(exc)) from exc
+    data = {
+        "chambers": [
+            {"type": sorted(f.type_labels), "word": list(report.ball.word(f.rep))}
+            for f in report.chambers
+        ],
+        "single_free_orbit": report.single_free_orbit,
+        "ball_complete": report.ball_complete,
+        "boundary_excluded": len(report.boundary_excluded),
+    }
+    return 0, emit(config, "complex.fixed", data)
 
 
 def _spiral_rows(spiral, window):
@@ -653,10 +652,9 @@ def cmd_table(args, config, ambient) -> tuple[int, str]:
                 [_word_str(ball.word(f.rep)), _word_str(ball.word(rp.double_coset)), int(rp.good)]
             )
         return 0, emit_rows(config, "table.relpos", "rows", ["facet", "coset", "good"], rows)
-    if which == "weights":
-        rows = _weight_rows(config, ambient, _build_ddaha(config, ambient))
-        return 0, emit_rows(config, "table.weights", "rows", WEIGHT_HEADER, rows)
-    raise ConfigError(f"unknown table {which!r}")
+    # which == "weights", the last of the parser's choices
+    rows = _weight_rows(config, ambient, _build_ddaha(config, ambient))
+    return 0, emit_rows(config, "table.weights", "rows", WEIGHT_HEADER, rows)
 
 
 def _facets_table(config, ambient, command) -> tuple[int, str]:
@@ -686,17 +684,17 @@ def _facets_table(config, ambient, command) -> tuple[int, str]:
 
 def _add_common(p):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--format", choices=("json", "tsv"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--type", dest="type", help="root system type letter")
-    p.add_argument("--rank", type=int)
+    p.add_argument("--format", help="json or tsv")
+    p.add_argument("--seed")
+    p.add_argument("--radius")
+    p.add_argument("--depth")
+    p.add_argument("--type", help="root system type letter")
+    p.add_argument("--rank")
     p.add_argument("--finite", action="store_true", help="spherical (non-affine) system")
     p.add_argument("--sigma", help="comma-separated simple labels")
     p.add_argument("--theta", help="comma-separated rational coweight coordinates")
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--m")
+    p.add_argument("--d")
     p.add_argument("--c", help="Hecke parameters as label=value,label=value")
     p.add_argument("--window", help="degree window lo:hi")
     p.add_argument("--lam0", help="comma-separated rational point coordinates")

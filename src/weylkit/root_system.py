@@ -2,6 +2,12 @@
 fundamental alcove.  Reflections, and the group action on points and on
 affine roots, are integer operations of `weyl`.
 
+The root data of a finite system are read off its Dynkin diagram, with no
+realisation in an orthonormal basis: the bonds and the short simple roots
+give the Gram matrix of the simple roots, the Gram matrix gives the Cartan
+matrix, and the roots are the closure of the simple roots (and, in type BC,
+of the doubled root 2 alpha_n) under the simple reflections.
+
 Coordinate conventions, fixed once for the whole library:
 
 * functionals on the ambient euclidean space (roots, gradients of affine
@@ -52,63 +58,27 @@ _LEGAL_RANKS = {
 _MAX_RANK = 8
 
 
-def _ambient_simple_roots(type_label: str, rank: int):
-    """Simple roots in an ambient orthonormal basis, plus the scaling of the
-    standard dot product that realises the documented Gram normalisation and
-    any extra seed roots, in simple-root coordinates, needed to enumerate
-    non-reduced systems."""
-    F = Fraction
+def _simple_gram(type_label: str, rank: int) -> Mat:
+    """Scalar products of the simple roots, read off the Dynkin diagram in
+    Bourbaki's numbering.  The diagonal holds the squared lengths: 2 for long
+    roots, 1 for short ones (2/3 for the short root of G2).  At a bond i - j,
+    (alpha_i, alpha_j) = -max(|alpha_i|^2, |alpha_j|^2) / 2; elsewhere 0.
+    Bonds run along the chain i - (i+1), except that alpha_n of D_n is bonded
+    to alpha_(n-2), and E_n has the bonds 1-3, 2-4, 3-4, 4-5, ...  The code
+    counts the nodes from 0."""
     n = rank
-
-    def e(i, dim, c=1):
-        v = [F(0)] * dim
-        v[i] = F(c)
-        return v
-
-    def e_diff(i, j, dim):
-        v = [F(0)] * dim
-        v[i] = F(1)
-        v[j] = F(-1)
-        return v
-
-    if type_label == "A":
-        simples = [e_diff(i, i + 1, n + 1) for i in range(n)]
-        return simples, F(1), []
-    if type_label == "B":
-        simples = [e_diff(i, i + 1, n) for i in range(n - 1)] + [e(n - 1, n)]
-        return simples, F(1), []
-    if type_label == "C":
-        simples = [e_diff(i, i + 1, n) for i in range(n - 1)] + [e(n - 1, n, 2)]
-        return simples, F(1, 2), []
+    short = {"B": {n - 1}, "BC": {n - 1}, "C": set(range(n - 1)), "F": {2, 3}, "G": {0}}
+    short_sq = Fraction(2, 3) if type_label == "G" else Fraction(1)
+    sq = [short_sq if i in short.get(type_label, ()) else Fraction(2) for i in range(n)]
+    bonds = {(i, i + 1) for i in range(n - 1)}
     if type_label == "D":
-        simples = [e_diff(i, i + 1, n) for i in range(n - 1)]
-        last = [F(0)] * n
-        last[n - 2] = F(1)
-        last[n - 1] = F(1)
-        simples.append(last)
-        return simples, F(1), []
+        bonds ^= {(n - 3, n - 1), (n - 2, n - 1)}
     if type_label == "E":
-        # Bourbaki E8 realisation, truncated to E6/E7 by dropping trailing nodes.
-        a1 = [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(1, 2)]
-        a2 = [F(1), F(1)] + [F(0)] * 6
-        simples8 = [a1, a2] + [e_diff(i - 2, i - 3, 8) for i in range(3, 9)]
-        return simples8[:n], F(1), []
-    if type_label == "F":
-        simples = [
-            [F(0), F(1), F(-1), F(0)],
-            [F(0), F(0), F(1), F(-1)],
-            [F(0), F(0), F(0), F(1)],
-            [F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2)],
-        ]
-        return simples, F(1), []
-    if type_label == "G":
-        simples = [[F(1), F(-1), F(0)], [F(-2), F(1), F(1)]]
-        return simples, F(1, 3), []
-    if type_label == "BC":
-        simples = [e_diff(i, i + 1, n) for i in range(n - 1)] + [e(n - 1, n)]
-        # the doubled root 2 alpha_n = 2 e_n, not a Weyl image of a simple
-        return simples, F(1), [(0,) * (n - 1) + (2,)]
-    raise IllegalType(f"unknown type label {type_label!r}")
+        bonds ^= {(0, 1), (1, 2), (0, 2), (1, 3)}
+    gram = [[sq[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        gram[i][j] = gram[j][i] = -max(sq[i], sq[j]) / 2
+    return tuple(map(tuple, gram))
 
 
 @dataclass(frozen=True)
@@ -181,23 +151,16 @@ def build_finite(type_label: str, rank: int) -> FiniteRootSystem:
 
 @lru_cache(maxsize=None)
 def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
-    ambient, scale, seeds = _ambient_simple_roots(type_label, rank)
+    gram = _simple_gram(type_label, rank)
     n = rank
-
-    def prod(u, v):
-        return scale * dot(tuple(u), tuple(v))
-
     # cartan[i][j] = <alpha_i, alpha_j-check>
-    cartan = tuple(
-        tuple(int(2 * prod(ambient[i], ambient[j]) / prod(ambient[j], ambient[j])) for j in range(n))
-        for i in range(n)
-    )
-    gram = tuple(tuple(prod(ambient[i], ambient[j]) for j in range(n)) for i in range(n))
+    cartan = tuple(tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(n)) for i in range(n))
     if not linalg.is_positive_definite(gram):
         raise IllegalType(f"Gram matrix of ({type_label}, {rank}) is not positive definite")
 
-    # Enumerate R by closing the simple roots (plus non-reduced seeds) under
-    # the simple reflections, in simple-root coordinates.
+    # Enumerate R by closing the simple roots under the simple reflections,
+    # in simple-root coordinates; BC_n adds its doubled root 2 alpha_n, which
+    # is not a Weyl image of a simple root.
     def reflect(coords, i):
         # s_i(beta) = beta - <beta, alpha_i-check> alpha_i
         shift = sum(coords[j] * cartan[j][i] for j in range(n))
@@ -207,7 +170,7 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
 
     basis_coords = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set()
-    frontier = basis_coords + seeds
+    frontier = basis_coords + ([(0,) * (n - 1) + (2,)] if type_label == "BC" else [])
     while frontier:
         r = frontier.pop()
         if r in roots:

@@ -269,23 +269,14 @@ def _cross_check_with_facets(datum, sp, ambient, levi) -> None:
 class LeviDecompositionReport:
     window: tuple[int, int]
     partition_ok: bool
-    u_agreement_ok: bool | None = None  # None when no comparison spiral given
 
 
-def levi_decomposition_check(
-    spi: Spiral, window: tuple[int, int], other: Spiral | None = None
-) -> LeviDecompositionReport:
-    """Check P_n = L_n disjoint-union U_n over the window, and (optionally)
-    that a second spiral with the same P-sets has the same U-sets."""
+def levi_decomposition_check(spi: Spiral, window: tuple[int, int]) -> LeviDecompositionReport:
+    """Check P_n = L_n disjoint-union U_n over the window."""
     lo, hi = window
     partition_ok = True
     for n in range(lo, hi + 1):
         ln, un, pn = spi.l_n(n), spi.u_n(n), spi.p_n(n)
         if ln & un or ln | un != pn:
             partition_ok = False
-    u_ok = None
-    if other is not None:
-        same_p = all(spi.p_n(n) == other.p_n(n) for n in range(lo, hi + 1))
-        if same_p:
-            u_ok = all(spi.u_n(n) == other.u_n(n) for n in range(lo, hi + 1))
-    return LeviDecompositionReport((lo, hi), partition_ok, u_ok)
+    return LeviDecompositionReport((lo, hi), partition_ok)

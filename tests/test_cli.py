@@ -344,6 +344,10 @@ def test_unknown_subcommand_exit_2(capsys):
         ["complex", "facets", "--nu", "x"],
         ["complex", "facets", "--type", "A", "--rank", "2", "--radius", "1", "--nuprime", "1"],
         ["complex", "fixed", "--type", "C", "--rank", "2", "--sigma", "1", "--itype", "q"],
+        # flag values are parsed as config-file values are, with the same message
+        ["root", "--type", "A", "--rank", "x"],
+        ["ddaha", "--type", "C", "--rank", "2", "--m", "4", "--seed", "1.5"],
+        ["root", "--type", "A", "--rank", "2", "--format", "xml"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

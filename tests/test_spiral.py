@@ -169,15 +169,6 @@ def test_bracket_compatibility(a2_datum):
                             assert s in spiral.u_n(a_deg + b_deg)
 
 
-def test_u_agreement_report(a2_datum):
-    # lambda shifted by a root-orthogonal vector leaves P and U unchanged;
-    # in A2 only the zero shift is orthogonal, so compare equal spirals
-    s1 = sp.spiral_from_cochar(a2_datum, (Fraction(1), Fraction(0)), 1)
-    s2 = sp.spiral_from_cochar(a2_datum, (Fraction(1), Fraction(0)), 1)
-    report = sp.levi_decomposition_check(s1, (-6, 6), s2)
-    assert report.partition_ok and report.u_agreement_ok
-
-
 def test_spiral_from_facet_at_x(a1_datum):
     # [TRIVIAL] the facet containing x = theta/m yields the lambda = 0 P-sets
     ambient = affinize(a1_datum.finite)
