@@ -55,6 +55,8 @@ CASES = {
     "ddaha_weights": "ddaha --lam0 1/3 --depth 2 --weights",
     "ddaha_times_a2": "ddaha --type A --rank 2 --expr 's1*s0*x1^2 + (3/2)*s1' --times 's2*x2 - x1^3'",
     "ddaha_times_g2": "ddaha --type G --rank 2 --expr 's1*s2*x1 + x2^2' --times 's0*s2*x1*x2 - (1/2)*s1'",
+    "ddaha_times_a1": "ddaha --type A --rank 1 --m 2 --expr 's1*s0*x1^2 + (2/3)*s0*x1 - 3' --times 's1*s0*s1*x1 - (1/2)*x1^2'",
+    "ddaha_times_c2": "ddaha --type C --rank 2 --m 4 --expr 's1*s2*x1^2 + (3/2)*s0*x2' --times 's2*s1*s0*x1*x2 - x2^2'",
     "root_bc2": "root --type BC --rank 2",
     "root_c3": "root --type C --rank 3",
     "root_d4": "root --type D --rank 4",
