@@ -8,12 +8,13 @@ Elements live in the vector space CW tensor C[E] in the normal form
 is applied in one step, `_times_simple`: the normal form of x * s_a for a
 whole element x, summed from the images of single monomials, each computed
 once per algebra by exact polynomial division (a non-exact division still
-raises).  An element is stored as integer numerators over one positive
-denominator, in lowest terms, and the step runs on that form.  A simple
-reflection maps each coordinate to an affine form with integer coefficients,
-and each wall a has integer coefficients of content 1, so by Gauss's lemma
-s_a(x^e) and (x^e - s_a(x^e)) / a are integral and only h_a carries a
-denominator, hd_a.  The cached images are hd_a s_a(x^e) and
+raises).  The group products g * s_a of the step are kept per algebra too,
+in the table `DdahaAlgebra._products`, so each is formed once.  An element
+is stored as integer numerators over one positive denominator, in lowest
+terms, and the step runs on that form.  A simple reflection maps each
+coordinate to an affine form with integer coefficients, and each wall a has
+integer coefficients of content 1, so by Gauss's lemma s_a(x^e) and
+(x^e - s_a(x^e)) / a are integral and only h_a carries a denominator, hd_a.  The cached images are hd_a s_a(x^e) and
 hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
 the denominator by hd_a.  `multiply(x, y)` folds the step over the reduced
 word of each group part of y, brings the terms of y to one denominator by
@@ -88,9 +89,11 @@ class HeckeParameters:
 class DdahaAlgebra:
     ambient: AffineRootSystem = field(compare=False)
     params: HeckeParameters = None
-    # filled on first use: (label, exponents) -> monomial images (see
-    # _times_simple), and group element -> reduced word (see _word)
+    # filled on first use: (label, exponents) -> monomial images and
+    # (group element g, label) -> g * s_label (see _times_simple), and group
+    # element -> reduced word (see _word)
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # label -> the denominator hd_a of h_a, read at every letter of the step
     _hd: dict = field(init=False, repr=False, compare=False)
@@ -265,11 +268,15 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
     integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
     summed from the cached integral images of the monomials x^e.  hd_a is
     the denominator of h_a (algebra._hd), which the caller multiplies into
-    its denominator."""
-    s = ExtAffineWeylElement.simple(algebra.ambient, label)
+    its denominator.  Each product g * s_a is formed once per algebra and
+    read from algebra._products."""
+    products = algebra._products
     out = {}
     for g, f in x.items():
-        reflected, demazure = out.setdefault(g * s, {}), out.setdefault(g, {})
+        gs = products.get((g, label))
+        if gs is None:
+            gs = products[g, label] = g * ExtAffineWeylElement.simple(algebra.ambient, label)
+        reflected, demazure = out.setdefault(gs, {}), out.setdefault(g, {})
         for exps, c in f.items():
             if not c:
                 continue
@@ -475,17 +482,20 @@ class PowerTooLarge(RuntimeError):
     pass
 
 
-# the largest power N accepted in an x<k>^N literal: the literal itself is one
-# monomial, but every group letter that later moves past it substitutes an
-# affine-linear form into x^N, which expands (affine)^N
+# the largest total degree N of a monomial in an element literal, after its
+# x<k>^n factors are folded together: the literal itself holds the monomial,
+# but every group letter that later moves past it substitutes affine-linear
+# forms into it, which expands a product of N of them
 MAX_LITERAL_POWER = 64
 
 
 def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     """Parse the literal grammar `s1*s0*x1^2 + (3/2)*s1`: sums of products of
     generators s<k>, coordinates x<k> with optional integer powers, and exact
-    rational literals (parenthesized when fractional, `-` allowed).  A power
-    above MAX_LITERAL_POWER raises PowerTooLarge.  Each term is folded
+    rational literals (parenthesized when fractional, `-` allowed).  A
+    monomial of total degree above MAX_LITERAL_POWER, as the x<k>^N factors
+    of a term fold together (x1^40*x1^40 reaches 80), raises PowerTooLarge.
+    Each term is folded
     factor by factor into numerators over one denominator (a generator
     applies the step, or starts the term after its leading rationals,
     x<k>^N shifts exponents, a rational scales), and the terms are summed
@@ -560,12 +570,15 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             if peek() == "^":
                 take()
                 power = take_int()
-                if power > MAX_LITERAL_POWER:
-                    raise PowerTooLarge(
-                        f"power {power} in {tok}^{power} exceeds the cap of {MAX_LITERAL_POWER}"
-                    )
             shift = tuple(power if j == i else 0 for j in range(algebra.nvars))
-            return {g: {tuple(map(add, e, shift)): c for e, c in f.items()} for g, f in num.items()}, den
+            num = {g: {tuple(map(add, e, shift)): c for e, c in f.items()} for g, f in num.items()}
+            degree = max((sum(e) for f in num.values() for e in f), default=0)
+            if degree > MAX_LITERAL_POWER:
+                raise PowerTooLarge(
+                    f"a monomial of degree {degree} at {tok}^{power} exceeds the cap of "
+                    f"{MAX_LITERAL_POWER}"
+                )
+            return num, den
         if tok == "(":
             take()
             value = parse_rational()

@@ -378,7 +378,14 @@ def test_finite_facet_spiral_is_a_configuration_error(capsys):
 
 @pytest.mark.parametrize(
     "expr",
-    ["x1^100000000", f"x1^{MAX_LITERAL_POWER + 1}", f"s1*x1^{MAX_LITERAL_POWER + 1}"],
+    [
+        "x1^100000000",
+        f"x1^{MAX_LITERAL_POWER + 1}",
+        f"s1*x1^{MAX_LITERAL_POWER + 1}",
+        # the cap bounds the folded monomial, not each factor
+        f"x1^{MAX_LITERAL_POWER}*x1^{MAX_LITERAL_POWER}",
+        "x1^40*x1^40*s0",
+    ],
 )
 def test_literal_power_above_the_cap_exits_3(capsys, expr):
     code, out, err = run(capsys, ["ddaha", "--type", "A", "--rank", "1", "--expr", expr])
@@ -392,6 +399,14 @@ def test_literal_power_at_the_cap_is_accepted(capsys):
     code, payload = run_json(capsys, ["ddaha", "--type", "A", "--rank", "1", "--expr", expr])
     assert code == 0
     assert payload["result"]["normal_form"] == expr
+
+
+def test_folded_literal_power_at_the_cap_is_accepted(capsys):
+    half = MAX_LITERAL_POWER // 2
+    argv = ["ddaha", "--type", "A", "--rank", "1", "--expr", f"x1^{half}*x1^{half}"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["result"]["normal_form"] == f"x1^{MAX_LITERAL_POWER}"
 
 
 @pytest.mark.parametrize(

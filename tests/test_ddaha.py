@@ -350,6 +350,50 @@ def test_word_cache_matches_reduced_word(alg_a2):
         assert alg_a2._word(g) == reduced_word(g).letters
 
 
+# the algebras of the ddaha_assoc benchmark: (type, rank, m), every c = 2
+TABLE_CASES = [("A", 1, 2), ("A", 2, 3), ("C", 2, 4)]
+
+
+def _algebra_with_c2(type_, rank, m):
+    amb = affinize(build_finite(type_, rank))
+    return dd.build_algebra(amb, dd.HeckeParameters.make(m, 1, {l: 2 for l in amb.labels}))
+
+
+def _random_triples(alg, seed, count):
+    rng = random.Random(seed)
+    ball = sorted(enumerate_ball(alg.ambient, 2), key=lambda g: (length(g), g.mu, g.matrix))
+    return [tuple(random_element(alg, rng, ball) for _ in range(3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("type_, rank, m", TABLE_CASES)
+def test_product_table_holds_the_group_products(type_, rank, m):
+    alg = _algebra_with_c2(type_, rank, m)
+    for x, y, z in _random_triples(alg, 100 * rank + m, 6):
+        assert dd.multiply(dd.multiply(x, y), z) == dd.multiply(x, dd.multiply(y, z))
+    assert alg._products
+    for (g, label), gs in alg._products.items():
+        assert gs == g * ExtAffineWeylElement.simple(alg.ambient, label)
+
+
+@pytest.mark.parametrize("type_, rank, m", TABLE_CASES)
+def test_repeated_multiply_forms_no_group_product(type_, rank, m, monkeypatch):
+    alg = _algebra_with_c2(type_, rank, m)
+    calls = []
+    group_mul = ExtAffineWeylElement.__mul__
+
+    def counting_mul(g, h):
+        calls.append(1)
+        return group_mul(g, h)
+
+    monkeypatch.setattr(ExtAffineWeylElement, "__mul__", counting_mul)
+    pairs = [(x, dd.multiply(y, z)) for x, y, z in _random_triples(alg, 200 * rank + m, 4)]
+    first = [dd.multiply(x, yz) for x, yz in pairs]
+    assert calls  # the first products fill the table
+    calls.clear()
+    assert [dd.multiply(x, yz) for x, yz in pairs] == first
+    assert not calls
+
+
 def test_length_zero_part_raises_on_every_call():
     amb = affinize(build_finite("A", 1))
     alg = dd.build_algebra(amb, dd.HeckeParameters.make(2, 1, {0: 2, 1: 2}))
@@ -361,6 +405,7 @@ def test_length_zero_part_raises_on_every_call():
         with pytest.raises(dd.NotInGroupSupport):
             dd.multiply(alg.one(), x)
     assert t not in alg._words
+    assert all(g != t for g, _ in alg._products)
 
 
 def test_polynomial_subalgebra(alg_a1):
