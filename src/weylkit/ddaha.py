@@ -14,13 +14,14 @@ is stored as integer numerators over one positive denominator, in lowest
 terms, and the step runs on that form.  A simple reflection maps each
 coordinate to an affine form with integer coefficients, and each wall a has
 integer coefficients of content 1, so by Gauss's lemma s_a(x^e) and
-(x^e - s_a(x^e)) / a are integral and only h_a carries a denominator, hd_a.  The cached images are hd_a s_a(x^e) and
-hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
-the denominator by hd_a.  `multiply(x, y)` folds the step over the reduced
-word of each group part of y, brings the terms of y to one denominator by
-integer scaling, and reduces the result to lowest terms; `parse_element`
-folds each factor of a literal straight into that form, and
-`format_element` prints each coefficient in lowest terms from one gcd.
+(x^e - s_a(x^e)) / a are integral and only h_a carries a denominator, hd_a.
+The cached images are hd_a s_a(x^e) and hd_a h_a (x^e - s_a(x^e)) / a as
+integer terms, and each letter multiplies the denominator by hd_a.
+`multiply(x, y)` folds the step over the reduced word of each group part of
+y, brings the terms of y to one denominator by integer scaling, and reduces
+the result to lowest terms; `parse_element` folds each factor of a literal
+straight into that form, and `format_element` prints each coefficient in
+lowest terms from one gcd.
 Fractions are built only in the `terms` view, where a value leaves the
 algebra (`as_dict`, `StandardModule.action_matrix`).  The module also
 provides relation verification and truncated standard modules for
@@ -495,11 +496,10 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     rational literals (parenthesized when fractional, `-` allowed).  A
     monomial of total degree above MAX_LITERAL_POWER, as the x<k>^N factors
     of a term fold together (x1^40*x1^40 reaches 80), raises PowerTooLarge.
-    Each term is folded
-    factor by factor into numerators over one denominator (a generator
-    applies the step, or starts the term after its leading rationals,
-    x<k>^N shifts exponents, a rational scales), and the terms are summed
-    into one element."""
+    Each term is folded factor by factor into numerators over one
+    denominator (a generator applies the step, or starts the term after its
+    leading rationals, x<k>^N shifts exponents, a rational scales), and the
+    terms are summed into one element."""
     tokens = []
     pos = 0
     while pos < len(text):

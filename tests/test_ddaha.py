@@ -354,7 +354,7 @@ def test_word_cache_matches_reduced_word(alg_a2):
 TABLE_CASES = [("A", 1, 2), ("A", 2, 3), ("C", 2, 4)]
 
 
-def _algebra_with_c2(type_, rank, m):
+def _table_algebra(type_, rank, m):
     amb = affinize(build_finite(type_, rank))
     return dd.build_algebra(amb, dd.HeckeParameters.make(m, 1, {l: 2 for l in amb.labels}))
 
@@ -367,7 +367,7 @@ def _random_triples(alg, seed, count):
 
 @pytest.mark.parametrize("type_, rank, m", TABLE_CASES)
 def test_product_table_holds_the_group_products(type_, rank, m):
-    alg = _algebra_with_c2(type_, rank, m)
+    alg = _table_algebra(type_, rank, m)
     for x, y, z in _random_triples(alg, 100 * rank + m, 6):
         assert dd.multiply(dd.multiply(x, y), z) == dd.multiply(x, dd.multiply(y, z))
     assert alg._products
@@ -377,7 +377,7 @@ def test_product_table_holds_the_group_products(type_, rank, m):
 
 @pytest.mark.parametrize("type_, rank, m", TABLE_CASES)
 def test_repeated_multiply_forms_no_group_product(type_, rank, m, monkeypatch):
-    alg = _algebra_with_c2(type_, rank, m)
+    alg = _table_algebra(type_, rank, m)
     calls = []
     group_mul = ExtAffineWeylElement.__mul__
 
@@ -385,8 +385,8 @@ def test_repeated_multiply_forms_no_group_product(type_, rank, m, monkeypatch):
         calls.append(1)
         return group_mul(g, h)
 
-    monkeypatch.setattr(ExtAffineWeylElement, "__mul__", counting_mul)
     pairs = [(x, dd.multiply(y, z)) for x, y, z in _random_triples(alg, 200 * rank + m, 4)]
+    monkeypatch.setattr(ExtAffineWeylElement, "__mul__", counting_mul)
     first = [dd.multiply(x, yz) for x, yz in pairs]
     assert calls  # the first products fill the table
     calls.clear()
