@@ -57,6 +57,7 @@ CASES = {
     "ddaha_times_g2": "ddaha --type G --rank 2 --expr 's1*s2*x1 + x2^2' --times 's0*s2*x1*x2 - (1/2)*s1'",
     "ddaha_times_a1": "ddaha --type A --rank 1 --m 2 --expr 's1*s0*x1^2 + (2/3)*s0*x1 - 3' --times 's1*s0*s1*x1 - (1/2)*x1^2'",
     "ddaha_times_c2": "ddaha --type C --rank 2 --m 4 --expr 's1*s2*x1^2 + (3/2)*s0*x2' --times 's2*s1*s0*x1*x2 - x2^2'",
+    "ddaha_times_a2_power": "ddaha --type A --rank 2 --expr 's1*x1^12*x2^8 - 2*x2' --times 's0*x1'",
     "root_bc2": "root --type BC --rank 2",
     "root_c3": "root --type C --rank 3",
     "root_d4": "root --type D --rank 4",
