@@ -37,6 +37,7 @@ from .weyl import (
     has_left_descent,
     has_right_descent,
     length,
+    mul_simple,
     reduced_word,
     reflections_T,
 )
@@ -228,7 +229,7 @@ def _word_to_element(ambient, word_str) -> ExtAffineWeylElement:
     for l in _parse_int_list(word_str):
         if l not in ambient.labels:
             raise ConfigError(f"unknown simple label {l}")
-        g = g * ExtAffineWeylElement.simple(ambient, l)
+        g = mul_simple(g, l)
     return g
 
 

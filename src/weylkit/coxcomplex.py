@@ -31,6 +31,7 @@ from .weyl import (
     has_left_descent,
     has_right_descent,
     min_coset_rep,
+    simple_mul,
 )
 from .relative import (
     ParabolicSubset,
@@ -270,7 +271,7 @@ class Ball:
             step = self._steps.get(g)
             if step is None:
                 l = next(l for l in self._labels if has_left_descent(g, l))
-                step = (l, ExtAffineWeylElement.simple(self.ambient, l) * g)
+                step = (l, simple_mul(l, g))
                 self._steps[g] = step
             letters.append(step[0])
             g = step[1]

@@ -9,9 +9,10 @@ is applied in one step, `_times_simple`: the normal form of x * s_a for a
 whole element x, summed from the images of single monomials, each computed
 once per algebra by exact polynomial division (a non-exact division still
 raises).  The group products g * s_a of the step are kept per algebra too,
-in the table `DdahaAlgebra._products`, so each is formed once.  An element
-is stored as integer numerators over one positive denominator, in lowest
-terms, and the step runs on that form.  A simple reflection maps each
+in the table `DdahaAlgebra._products`, so each is formed once: a miss forms
+it by the rank-one update `weyl.mul_simple`, with no matrix product.  An
+element is stored as integer numerators over one positive denominator, in
+lowest terms, and the step runs on that form.  A simple reflection maps each
 coordinate to an affine form with integer coefficients, and each wall a has
 integer coefficients of content 1, so by Gauss's lemma s_a(x^e) and
 (x^e - s_a(x^e)) / a are integral and only h_a carries a denominator, hd_a.
@@ -43,6 +44,7 @@ from .weyl import (
     coxeter_order,
     enumerate_ball,
     length,
+    mul_simple,
     reduced_word,
 )
 
@@ -269,14 +271,14 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
     integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
     summed from the cached integral images of the monomials x^e.  hd_a is
     the denominator of h_a (algebra._hd), which the caller multiplies into
-    its denominator.  Each product g * s_a is formed once per algebra and
-    read from algebra._products."""
+    its denominator.  Each product g * s_a is formed once per algebra, by
+    `mul_simple`, and read from algebra._products."""
     products = algebra._products
     out = {}
     for g, f in x.items():
         gs = products.get((g, label))
         if gs is None:
-            gs = products[g, label] = g * ExtAffineWeylElement.simple(algebra.ambient, label)
+            gs = products[g, label] = mul_simple(g, label)
         reflected, demazure = out.setdefault(gs, {}), out.setdefault(g, {})
         for exps, c in f.items():
             if not c:

@@ -9,10 +9,23 @@ change of variables, with a hard error on a nonzero remainder.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 class DivisionNotExact(ArithmeticError):
     pass
+
+
+def _product(left, right) -> dict:
+    """The terms of a product, as a dict exponents -> coefficient, from the
+    (exponents, coefficient) pairs of its factors; zero sums are kept."""
+    right = list(right)
+    out = {}
+    for e1, c1 in left:
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,12 +109,7 @@ class Poly:
         return self + other.scale(-1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly._from_dict(self.nvars, out)
+        return Poly._from_dict(self.nvars, _product(self.terms, other.terms))
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -110,18 +118,24 @@ class Poly:
         return Poly(self.nvars, frozenset((e, c * co) for e, co in self.terms))
 
     def substitute(self, mapping: dict) -> "Poly":
-        """Replace variable i by mapping[i] (a Poly); unmapped variables stay."""
-        out = Poly.zero(self.nvars)
+        """Replace variable i by mapping[i] (a Poly); unmapped variables stay.
+        Each power of a mapped form is built once per call, from the one
+        below it; an unmapped variable keeps its exponent, so a term starts
+        as c times its unmapped part, and every term is summed into one
+        dict."""
+        powers = {i: [{(0,) * self.nvars: 1}] for i in mapping}
+        out = {}
         for exps, c in self.terms:
-            term = Poly.const(self.nvars, c)
+            term = {tuple(0 if i in powers else e for i, e in enumerate(exps)): c}
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                base = mapping.get(i, Poly.variable(self.nvars, i))
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
+                if e and i in powers:
+                    table = powers[i]
+                    while len(table) <= e:
+                        table.append(_product(table[-1].items(), mapping[i].terms))
+                    term = _product(term.items(), table[e].items())
+            for e, v in term.items():
+                out[e] = out.get(e, 0) + v
+        return Poly._from_dict(self.nvars, out)
 
 
 def weyl_action(g, f: Poly) -> Poly:

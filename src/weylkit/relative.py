@@ -35,7 +35,9 @@ from .weyl import (
     has_right_descent,
     length,
     min_coset_rep,
+    mul_simple,
     reflections_T,
+    simple_mul,
 )
 
 
@@ -118,7 +120,7 @@ class ParabolicSubset:
                 l = next((l for l in labels if not has_right_descent(g, l)), None)
                 if l is None:
                     break
-                g = g * ExtAffineWeylElement.simple(self.ambient, l)
+                g = mul_simple(g, l)
             self._longest = g
         return self._longest
 
@@ -133,8 +135,8 @@ class ParabolicSubset:
 
     def elements(self) -> frozenset[ExtAffineWeylElement]:
         self._require_finite()
-        gens = [ExtAffineWeylElement.simple(self.ambient, l) for l in sorted(self.sigma)]
-        return frozenset(closure(ExtAffineWeylElement.identity(self.ambient), gens))
+        identity = ExtAffineWeylElement.identity(self.ambient)
+        return frozenset(closure(identity, sorted(self.sigma), step=simple_mul))
 
 
 def _normalizes(y: ExtAffineWeylElement, left: ParabolicSubset, right: ParabolicSubset) -> bool:

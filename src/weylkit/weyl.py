@@ -12,10 +12,21 @@ transpose, an inverse's is m^T) and keep it per finite part.  Only a matrix
 given from outside is inverted, once.  Actions on points and functionals
 take and return Fractions.
 
+A product with a simple reflection s = s_a, a = gamma + k, is a rank-one
+update: s acts on functionals by I - gamma gamma_check^T and on points by
+I - gamma_check gamma^T (Humphreys, Reflection Groups and Coxeter Groups,
+1.1 and 4.1), so `mul_simple` (g s) and `simple_mul` (s g) change each row
+of m and of P by one multiple of a fixed vector, with no matrix product.
+Words, reduced words, descent stripping and the length balls multiply by
+simple reflections only through these two kernels; `__mul__` is the one
+general product.
+
 The inversions of an element are read in closed form, root by root
 (Iwahori-Matsumoto): each root's inverted levels form one range, which the
 length counts and T(w) lists.  Word and descent algorithms reduce to the sign
-of one affine root image.
+of one affine root image.  All coordinates of a root have one sign, so that
+sign is the sign of its height, the sum of its coordinates: the height of
+m alpha is alpha paired with the column sums of m, and no image is formed.
 """
 
 from dataclasses import dataclass, field
@@ -91,22 +102,27 @@ def _image(matrix: IntMat, mu: IntVec, direction: IntVec, level: int) -> tuple[I
 
 def _is_negative(grad: IntVec, level: int) -> bool:
     """Whether the affine root (grad, level) lies in S-: a negative level, or
-    level 0 and a negative root, whose coordinates are all <= 0."""
-    return level < 0 or (level == 0 and min(grad) < 0)
+    level 0 and a negative root, whose height is negative."""
+    return level < 0 or (level == 0 and sum(grad) < 0)
 
 
 class _SystemData:
     """Group data built once per ambient system: the simple reflections by
-    label, for every root alpha the first level n with alpha + n in S+ and
-    whether only odd levels are affine roots, and the integer coroots of the
-    roots, each filled in on first use."""
+    label, the wall (gamma, integer coroot, level) of each label, for every
+    root alpha the first level n with alpha + n in S+ and whether only odd
+    levels are affine roots, and the integer coroots of the roots, each
+    filled in on first use."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
         self.finite = finite
         self.coroots = {}
+        self.walls = {
+            l: (a.direction, self.coroot(a.direction), a.level)
+            for l, a in zip(ambient.labels, ambient.simples)
+        }
         self.simples = {
-            l: _reflection(ambient, a, self.coroot(a.direction))
+            l: _reflection(ambient, a, self.walls[l][1])
             for l, a in zip(ambient.labels, ambient.simples)
         }
         self.roots = tuple(
@@ -260,6 +276,61 @@ def _reflection(
     return _element(ambient, tuple(-a.level * c for c in corovec), rows)
 
 
+def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int]:
+    try:
+        return _system_data(ambient).walls[label]
+    except KeyError:
+        raise ValueError(f"unknown simple label {label}") from None
+
+
+def _times_reflector(rows: IntMat, a: IntVec, b: IntVec) -> IntMat:
+    """rows (I - a b^T): each row r becomes r - <r, a> b."""
+    out = []
+    for r in rows:
+        c = sum(map(mul, r, a))
+        out.append(tuple([x - c * y for x, y in zip(r, b)]) if c else r)
+    return tuple(out)
+
+
+def _reflector_times(a: IntVec, b: IntVec, rows: IntMat) -> IntMat:
+    """(I - a b^T) rows: row i becomes r_i - a_i (b^T rows)."""
+    v = [0] * len(rows[0])
+    for c, r in zip(b, rows):
+        if c:
+            v = [x + c * y for x, y in zip(v, r)]
+    return tuple([tuple([x - c * y for x, y in zip(r, v)]) if c else r for c, r in zip(a, rows)])
+
+
+def mul_simple(g: ExtAffineWeylElement, label: int) -> ExtAffineWeylElement:
+    """g s_label, for the wall a = gamma + k: mu - k P gamma_check, m (I -
+    gamma gamma_check^T) and P (I - gamma_check gamma^T), P recorded only
+    for a new finite part."""
+    gamma, corovec, k = _wall(g.ambient, label)
+    m, mu = g.matrix, g.mu
+    p = _point_matrix(m)
+    if k:
+        mu = tuple([a - k * sum(map(mul, row, corovec)) for a, row in zip(mu, p)])
+    matrix = _times_reflector(m, gamma, corovec)
+    if matrix not in _point_matrices:
+        _point_matrices[matrix] = _times_reflector(p, corovec, gamma)
+    return _element(g.ambient, mu, matrix)
+
+
+def simple_mul(label: int, g: ExtAffineWeylElement) -> ExtAffineWeylElement:
+    """s_label g, for the wall a = gamma + k: mu - (<gamma, mu> + k)
+    gamma_check, (I - gamma gamma_check^T) m and (I - gamma_check gamma^T) P,
+    P recorded only for a new finite part."""
+    gamma, corovec, k = _wall(g.ambient, label)
+    m, mu = g.matrix, g.mu
+    c = sum(map(mul, gamma, mu)) + k
+    if c:
+        mu = tuple([a - c * y for a, y in zip(mu, corovec)])
+    matrix = _reflector_times(gamma, corovec, m)
+    if matrix not in _point_matrices:
+        _point_matrices[matrix] = _reflector_times(corovec, gamma, _point_matrix(m))
+    return _element(g.ambient, mu, matrix)
+
+
 def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
     grad, level = _image(g.matrix, g.mu, a.direction, a.level)
     return AffineRoot(g.ambient.finite_base, grad, level)
@@ -277,23 +348,28 @@ def _inverted_levels(g: ExtAffineWeylElement) -> list[tuple[IntVec, range]]:
     polynomials, section 2).  On the affine roots alpha + n, g lowers the
     level by c = <g(alpha), mu> = <alpha, m^T mu>: the levels n in [start, c)
     are inverted, those in 2Q_R only when odd, and the level n = c when
-    g(alpha) is negative.  m^T mu is formed once, so a root costs one
-    pairing, and g(alpha) is formed only for the level n = c."""
-    m = g.matrix
-    nu = _mat_vec(transpose(m), g.mu)
+    g(alpha) is negative.  m^T mu and the column sums of m are formed once,
+    so a root costs one pairing, and the sign of g(alpha) one more: that of
+    its height, alpha paired with the column sums."""
+    mu = g.mu
+    cols = list(zip(*g.matrix))
+    nu = [sum(map(mul, col, mu)) for col in cols]
+    heights = [sum(col) for col in cols]
     affine = g.ambient.affine
     out = []
     for alpha, start, odd_only in _system_data(g.ambient).roots:
         c = sum(map(mul, alpha, nu))
         if not affine:
             # only level 0 is a root, and it lies in S+ only for alpha > 0;
-            # a 2Q_R root is affine only at odd levels
-            if start == 0 and not odd_only and _is_negative(_mat_vec(m, alpha), -c):
+            # a 2Q_R root is affine only at odd levels; g(alpha) has level -c
+            if start == 0 and not odd_only and (
+                c > 0 or (c == 0 and sum(map(mul, alpha, heights)) < 0)
+            ):
                 out.append((alpha, range(1)))
             continue
         if c < start:
             continue
-        if (c % 2 or not odd_only) and _is_negative(_mat_vec(m, alpha), 0):
+        if (c % 2 or not odd_only) and sum(map(mul, alpha, heights)) < 0:
             c += 1
         levels = range(1, c, 2) if odd_only else range(start, c)
         if levels:
@@ -309,11 +385,13 @@ def length(g: ExtAffineWeylElement) -> int:
 def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
     """Whether g^-1(a_label) is negative.  g^-1 = (-m^T mu, P^T) maps the
     affine root (d, k) to (P^T d, k + <d, mu>), as P m^T = I, so neither g^-1
-    nor its translation is formed."""
-    a = g.ambient.simple_by_label(label)
-    d = a.direction
-    grad = tuple(sum(map(mul, col, d)) for col in zip(*_point_matrix(g.matrix)))
-    return _is_negative(grad, a.level + sum(map(mul, d, g.mu)))
+    nor its translation is formed.  A nonzero level decides; at level 0 the
+    root P^T d has the height <d, row sums of P>."""
+    d, _, k = _wall(g.ambient, label)
+    level = k + sum(map(mul, d, g.mu))
+    if level:
+        return level < 0
+    return sum(map(mul, d, map(sum, _point_matrix(g.matrix)))) < 0
 
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
@@ -339,7 +417,7 @@ class ReducedWord:
     def evaluate(self) -> ExtAffineWeylElement:
         g = self.pi
         for l in self.letters:
-            g = g * ExtAffineWeylElement.simple(self.ambient, l)
+            g = mul_simple(g, l)
         return g
 
     def __len__(self):
@@ -374,8 +452,7 @@ def _strip_descents(
         label = next((l for l in labels if is_descent(g, l)), None)
         if label is None:
             return g, tuple(letters)
-        s = ExtAffineWeylElement.simple(g.ambient, label)
-        g = s * g if side == "left" else g * s
+        g = simple_mul(label, g) if side == "left" else mul_simple(g, label)
         letters.append(label)
 
 
@@ -480,10 +557,9 @@ def _bruhat_ws(u, v, lu, lv):
     if lv == 0:
         return lu == 0
     label = next(l for l in sorted(v.ambient.labels) if has_left_descent(v, l))
-    s = ExtAffineWeylElement.simple(v.ambient, label)
-    sv = s * v
+    sv = simple_mul(label, v)
     if has_left_descent(u, label):
-        return _bruhat_ws(s * u, sv, lu - 1, lv - 1)
+        return _bruhat_ws(simple_mul(label, u), sv, lu - 1, lv - 1)
     return _bruhat_ws(u, sv, lu, lv - 1)
 
 
@@ -508,9 +584,14 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
 
 
 def closure(
-    start: ExtAffineWeylElement, gens, radius: int | None = None, cap: int = 10**6
+    start: ExtAffineWeylElement,
+    gens,
+    radius: int | None = None,
+    cap: int = 10**6,
+    step=mul,
 ) -> dict[ExtAffineWeylElement, int]:
-    """Breadth-first search from `start` by left multiplication with `gens`:
+    """Breadth-first search from `start` by left multiplication with `gens`,
+    each step(s, g) = s g (`simple_mul` when `gens` are simple labels):
     every element at most `radius` steps away (all of them when radius is
     None), mapped to its distance.  More than `cap` elements raise
     BallTooLarge."""
@@ -523,7 +604,7 @@ def closure(
         nxt = []
         for g in frontier:
             for s in gens:
-                h = s * g
+                h = step(s, g)
                 if h not in dist:
                     dist[h] = d
                     nxt.append(h)
@@ -536,8 +617,7 @@ def closure(
 def enumerate_ball(ambient: AffineRootSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
     """All elements of W_S with length <= radius, mapped to their lengths;
     more than `closure`'s default cap raise BallTooLarge."""
-    gens = [ExtAffineWeylElement.simple(ambient, l) for l in ambient.labels]
-    ball = closure(ExtAffineWeylElement.identity(ambient), gens, radius)
+    ball = closure(ExtAffineWeylElement.identity(ambient), ambient.labels, radius, step=simple_mul)
     for g, d in ball.items():
         assert length(g) == d
     return ball

@@ -122,22 +122,63 @@ print(json.dumps(bad))
 """
 
 
-def test_golden_commands_never_eliminate():
-    # parabolic finiteness and the BC roots are read off integers, so no
-    # command runs a Fraction elimination (linalg._echelon)
+# Counts the general matrix products (weyl._mat_mul) of each weyl_* case,
+# also in a fresh interpreter: {name: [output equals golden, products]}.
+_MATRIX_PRODUCTS = """
+import json, sys
+import weylkit.weyl
+
+calls = []
+product = weylkit.weyl._mat_mul
+
+def counted(a, b):
+    calls.append(1)
+    return product(a, b)
+
+weylkit.weyl._mat_mul = counted
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, golden_path, run_case
+
+out = {}
+for name in sorted(n for n in CASES if n.startswith("weyl_")):
+    with open(golden_path(name), "rb") as fh:
+        expected = fh.read()
+    calls.clear()
+    out[name] = [run_case(CASES[name]) == expected, len(calls)]
+print(json.dumps(out))
+"""
+
+
+def _run_fresh(script: str):
+    """The JSON that `script` prints, run in a fresh interpreter on this
+    checkout's weylkit with the tests directory as its argument."""
     import weylkit
 
     src = os.path.dirname(os.path.dirname(weylkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     here = os.path.dirname(os.path.abspath(__file__))
     child = subprocess.run(
-        [sys.executable, "-c", _NO_ELIMINATION, here],
+        [sys.executable, "-c", script, here],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
         text=True,
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == []
+    return json.loads(child.stdout)
+
+
+def test_golden_commands_never_eliminate():
+    # parabolic finiteness and the BC roots are read off integers, so no
+    # command runs a Fraction elimination (linalg._echelon)
+    assert _run_fresh(_NO_ELIMINATION) == []
+
+
+def test_weyl_commands_form_no_matrix_product():
+    # a word, its reduced word and its descents multiply by simple
+    # reflections only, through the rank-one kernels of weyl
+    names = sorted(n for n in CASES if n.startswith("weyl_"))
+    assert len(names) == 4
+    assert _run_fresh(_MATRIX_PRODUCTS) == {name: [True, 0] for name in names}
 
 
 def record(argv) -> int:

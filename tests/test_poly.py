@@ -33,6 +33,39 @@ def test_substitute():
     assert g.evaluate((Fraction(2),)) == f.evaluate((Fraction(3),))
 
 
+def _random_poly(rng, nvars, terms, max_exp):
+    out = Poly.zero(nvars)
+    for _ in range(terms):
+        exps = tuple(rng.randrange(max_exp + 1) for _ in range(nvars))
+        coeff = Fraction(rng.randrange(1, 10) * rng.choice((-1, 1)), rng.randrange(1, 5))
+        out = out + Poly(nvars, frozenset({(exps, coeff)}))
+    return out
+
+
+def _substitute_by_repeated_products(f, mapping):
+    """The reference: each term as its coefficient times every variable's
+    image multiplied in once per unit of its exponent, summed with +."""
+    out = Poly.zero(f.nvars)
+    for exps, c in f.terms:
+        term = Poly.const(f.nvars, c)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * mapping.get(i, Poly.variable(f.nvars, i))
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_substitute_matches_repeated_products(seed):
+    # one to all variables mapped (to forms that may use them), the rest kept
+    rng = random.Random(seed)
+    nvars = 1 + seed % 3
+    f = _random_poly(rng, nvars, 6, 5)
+    mapped = rng.sample(range(nvars), 1 + rng.randrange(nvars))
+    mapping = {i: _random_poly(rng, nvars, 3, 1) for i in mapped}
+    assert f.substitute(mapping) == _substitute_by_repeated_products(f, mapping)
+
+
 def test_weyl_action_a1():
     amb = affinize(build_finite("A", 1))
     x = Poly.variable(1, 0)

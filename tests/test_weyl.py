@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from weylkit.linalg import mat_inv, mat_vec
-from weylkit.root_system import AffineRoot, affinize, build_finite, finite_coxeter
+from weylkit import weyl
+from weylkit.linalg import mat_inv, mat_vec, transpose
+from weylkit.root_system import (
+    AffineRoot,
+    IllegalType,
+    affinize,
+    build_finite,
+    finite_coxeter,
+)
 from weylkit.weyl import (
     BallTooLarge,
     DifferentComponents,
@@ -28,9 +35,11 @@ from weylkit.weyl import (
     has_right_descent,
     length,
     min_coset_rep,
+    mul_simple,
     reduced_word,
     reflection_root_of,
     reflections_T,
+    simple_mul,
 )
 
 
@@ -470,3 +479,58 @@ def test_act_point_matches_the_rational_form(type_label, rank):
 def test_act_point_rejects_a_point_of_the_wrong_dimension(aff_a2):
     with pytest.raises(ValueError, match="dimension"):
         s(aff_a2, 0).act_point((Fraction(1, 2),))
+
+
+# (type, rank, affine): every label of these radius-3 balls in both kernels
+KERNEL_BALLS = [
+    ("A", 2, True), ("C", 2, True), ("G", 2, True), ("BC", 2, True), ("B", 3, True),
+    ("D", 4, True), ("F", 4, True), ("E", 6, True), ("A", 3, False), ("B", 3, False),
+]
+
+
+@pytest.mark.parametrize("type_label,rank,affine", KERNEL_BALLS)
+def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkeypatch):
+    """g s_l and s_l g from the rank-one kernels equal the general product,
+    and the point matrix each kernel records is (m^T)^-1 of the product: the
+    kernel runs with only g's point matrix recorded, so it records its
+    product's itself."""
+    finite = build_finite(type_label, rank)
+    ambient = affinize(finite) if affine else finite_coxeter(finite)
+    recorded = weyl._point_matrices
+    oracle = {}
+    for g in enumerate_ball(ambient, 3):
+        for l in ambient.labels:
+            got = []
+            for kernel in (lambda: mul_simple(g, l), lambda: simple_mul(l, g)):
+                monkeypatch.setattr(weyl, "_point_matrices", {g.matrix: recorded[g.matrix]})
+                h = kernel()
+                m = h.matrix
+                if m not in oracle:
+                    oracle[m] = mat_inv(transpose(m))
+                assert weyl._point_matrices[m] == oracle[m]
+                got.append(h)
+            monkeypatch.setattr(weyl, "_point_matrices", recorded)
+            assert got == [g * s(ambient, l), s(ambient, l) * g]
+
+
+def test_kernels_reject_an_unknown_label(aff_a2):
+    e = ExtAffineWeylElement.identity(aff_a2)
+    for call in (lambda: mul_simple(e, 3), lambda: simple_mul(3, e)):
+        with pytest.raises(ValueError, match="unknown simple label"):
+            call()
+
+
+def test_root_sign_is_the_sign_of_its_height():
+    """All coordinates of a root share one sign, so the sign of its height
+    decides it: on every root of all 40 legal finite systems."""
+    systems = []
+    for type_label in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rank in range(1, 9):
+            try:
+                systems.append(build_finite(type_label, rank))
+            except IllegalType:
+                pass
+    assert len(systems) == 40
+    for finite in systems:
+        for v in finite.roots:
+            assert (sum(v) < 0) == (min(v) < 0) == weyl._is_negative(v, 0), (finite, v)

@@ -1,21 +1,24 @@
 """Hypothesis properties of the group layer on random elements of affine A2,
-C2 and G2: the group axioms, length(g) = |T(g)|, and the exchange property
-against reduced_word."""
+C2 and G2: the group axioms, length(g) = |T(g)|, the exchange property
+against reduced_word, and the rank-one kernels against the general product."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.root_system import affinize, build_finite
 from weylkit.weyl import (
     ExtAffineWeylElement,
+    automorphism_part,
     has_right_descent,
     length,
+    mul_simple,
     reduced_word,
     reflections_T,
+    simple_mul,
 )
 
 AMBIENTS = {f"{t}2": affinize(build_finite(t, 2)) for t in ("A", "C", "G")}
@@ -89,3 +92,26 @@ def test_exchange_property_against_reduced_word(case):
             from_word(ambient, rw.letters[:i] + rw.letters[i + 1 :]) for i in range(len(rw.letters))
         )
         assert any(rw.pi * d == xs for d in deletions)
+
+
+# X^{coweight_1} s_0 s_1 in A2, whose length-0 part pi is not the identity
+_A2 = AMBIENTS["A2"]
+_OFF_W_S = from_word(_A2, (0, 1), (1, 0))
+
+
+def test_the_translated_example_lies_off_w_s():
+    assert not automorphism_part(_OFF_W_S).is_identity()
+
+
+@PROPERTY
+@given(triples())
+@example((_A2, _OFF_W_S, _OFF_W_S.inverse(), _OFF_W_S * _OFF_W_S))
+def test_simple_kernels_are_the_general_product(case):
+    """g s_l and s_l g from the rank-one kernels equal the general product,
+    on translated elements too, whose length-0 part can differ from e."""
+    ambient, x, y, z = case
+    for g in (x, y, z):
+        for l in ambient.labels:
+            sl = ExtAffineWeylElement.simple(ambient, l)
+            assert mul_simple(g, l) == g * sl
+            assert simple_mul(l, g) == sl * g
