@@ -277,6 +277,7 @@ def _reflection(
 
 
 def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int]:
+    """(gamma, integer coroot, level k) of the simple wall a = gamma + k."""
     try:
         return _system_data(ambient).walls[label]
     except KeyError:
@@ -584,11 +585,7 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
 
 
 def closure(
-    start: ExtAffineWeylElement,
-    gens,
-    radius: int | None = None,
-    cap: int = 10**6,
-    step=mul,
+    start: ExtAffineWeylElement, gens, radius: int | None = None, cap: int = 10**6, step=mul
 ) -> dict[ExtAffineWeylElement, int]:
     """Breadth-first search from `start` by left multiplication with `gens`,
     each step(s, g) = s g (`simple_mul` when `gens` are simple labels):
