@@ -18,6 +18,12 @@ chain decomposition all ask whether y conjugates the simple reflections of
 one parabolic into T of another.  Since y s_a y^-1 = s_{y(a)}, that is one
 question, `_normalizes`, answered by acting on the simple roots with
 `weyl.conjugate_reflections` and comparing canonical keys with T_Sigma.
+
+For g in W-tilde, s-tilde shortens g exactly when s is a left descent of g:
+g^-1 permutes Phi+_Sigma, and by the dichotomy sends every root of
+Phi+_{Sigma+s} - Phi_Sigma, a_s among them, to one sign (tier-1 oracle:
+test_relative_descents_are_the_length_drops).  Off W-tilde the criteria
+differ, so only `relative_reduced_word`, which checks membership first, loops.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +32,7 @@ from itertools import combinations
 from .root_system import AffineRoot, AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
+    _strip_descents,
     canonical_reflection_key,
     closure,
     conjugate_reflections,
@@ -34,7 +41,6 @@ from .weyl import (
     has_left_descent,
     has_right_descent,
     length,
-    min_coset_rep,
     mul_simple,
     reflections_T,
     simple_mul,
@@ -127,10 +133,7 @@ class ParabolicSubset:
     def reflections(self) -> frozenset[AffineRoot]:
         """T_Sigma, as canonical reflection keys: exactly T(w0^Sigma)."""
         if self._reflections is None:
-            if not self.sigma:
-                self._reflections = frozenset()
-            else:
-                self._reflections = reflections_T(self.longest_element())
+            self._reflections = reflections_T(self.longest_element())
         return self._reflections
 
     def elements(self) -> frozenset[ExtAffineWeylElement]:
@@ -170,7 +173,6 @@ class RelativeCoxeterSystem:
     base: ParabolicSubset = field(compare=False)
     sigma_complement: tuple[int, ...] = ()
     simples: dict = field(compare=False, default=None)  # label -> s-tilde element
-    simple_lengths: dict = field(compare=False, default=None)  # label -> length of s-tilde
     coxeter_matrix: dict = field(compare=False, default=None)  # (s,t) -> order, None if infinite
     degenerate_single_complement: bool = False
 
@@ -208,7 +210,6 @@ def relative_system(ambient: AffineRootSystem, sigma) -> RelativeCoxeterSystem:
         base=base,
         sigma_complement=tuple(complement),
         simples=simples,
-        simple_lengths={l: length(st) for l, st in simples.items()},
         coxeter_matrix=cox,
         degenerate_single_complement=(len(complement) == 1),
     )
@@ -223,31 +224,24 @@ def in_relative_group(ambient: AffineRootSystem, g: ExtAffineWeylElement, sigma)
 
 
 def relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> list[int]:
-    """Labels s whose relative simple reflection shortens g on the left,
-    by the length-subtraction criterion."""
-    lg = length(g)
-    out = []
-    for l, st in sorted(rel.simples.items()):
-        if length(st * g) == lg - rel.simple_lengths[l]:
-            out.append(l)
-    return out
+    """Labels s whose relative simple reflection shortens g on the left: the
+    ambient left descents s of g.  Valid only for g in W-tilde."""
+    return [l for l in sorted(rel.simples) if has_left_descent(g, l)]
 
 
 def relative_length(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> int:
-    if not in_relative_group(rel.ambient, g, rel.base.sigma):
-        raise NotInRelativeGroup(f"element is not in the relative group of {rel.base}")
     return len(relative_reduced_word(rel, g))
 
 
 def relative_reduced_word(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> tuple[int, ...]:
-    letters = []
-    while not g.is_identity():
-        ds = relative_descents(rel, g)
-        if not ds:
-            raise NotInRelativeGroup("element has no relative reduced word")
-        letters.append(ds[0])
-        g = rel.simples[ds[0]] * g
-    return tuple(letters)
+    """Strip relative descents, lowest label first; NotInRelativeGroup off
+    W-tilde or when a length-0 element other than e is left."""
+    if not in_relative_group(rel.ambient, g, rel.base.sigma):
+        raise NotInRelativeGroup(f"element is not in the relative group of {rel.base}")
+    rest, letters = _strip_descents(g, rel.simples, "left", lambda l, h: rel.simples[l] * h)
+    if not rest.is_identity():
+        raise NotInRelativeGroup("element has no relative reduced word")
+    return letters
 
 
 def relative_ball(rel: RelativeCoxeterSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
@@ -306,7 +300,7 @@ def normalizer_pairs(
 
 def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> bool:
     # normalising both ways makes y W_Sigma = W_Sigma' y, so one minimality check covers both
-    if min_coset_rep(y, left.sigma, "right") != y:
+    if any(has_right_descent(y, l) for l in left.sigma):
         return False
     return _normalizes(y, left, right) and _normalizes(y.inverse(), right, left)
 

@@ -440,20 +440,25 @@ def _delta_permutation(pi: ExtAffineWeylElement) -> dict[int, int]:
 
 
 def _strip_descents(
-    g: ExtAffineWeylElement, labels, side: str
+    g: ExtAffineWeylElement, labels, side: str, step=None
 ) -> tuple[ExtAffineWeylElement, tuple[int, ...]]:
     """Strip descents of g among `labels` on `side` ('left' or 'right'),
-    always the lowest such label first, until none is left.  Returns (h,
-    letters) with g = s_{l1} ... s_{lq} h on the left, or g = h s_{lq} ...
-    s_{l1} on the right."""
+    lowest label first, until none is left: (h, letters) with g = s_{l1} ...
+    s_{lq} h on the left, or g = h s_{lq} ... s_{l1} on the right.  `step`
+    multiplies by a label's generator on `side`, step(l, h) on the left and
+    step(h, l) on the right; it defaults to s_l (`simple_mul` /
+    `mul_simple`), and a relative system passes its s-tilde."""
     labels = sorted(labels)
-    is_descent = has_left_descent if side == "left" else has_right_descent
+    left = side == "left"
+    is_descent = has_left_descent if left else has_right_descent
+    if step is None:
+        step = simple_mul if left else mul_simple
     letters = []
     while True:
         label = next((l for l in labels if is_descent(g, l)), None)
         if label is None:
             return g, tuple(letters)
-        g = simple_mul(label, g) if side == "left" else mul_simple(g, label)
+        g = step(label, g) if left else step(g, label)
         letters.append(label)
 
 

@@ -122,25 +122,26 @@ print(json.dumps(bad))
 """
 
 
-# Counts the general matrix products (weyl._mat_mul) of each weyl_* case,
-# also in a fresh interpreter: {name: [output equals golden, products]}.
-_MATRIX_PRODUCTS = """
-import json, sys
-import weylkit.weyl
+# Counts the calls of one module attribute (argv[2], argv[3]) while the
+# cases named argv[4]* run, also in a fresh interpreter: {name: [output
+# equals golden, calls]}.
+_COUNTED_CALLS = """
+import importlib, json, sys
 
+module = importlib.import_module(sys.argv[2])
+original = getattr(module, sys.argv[3])
 calls = []
-product = weylkit.weyl._mat_mul
 
-def counted(a, b):
+def counted(*args):
     calls.append(1)
-    return product(a, b)
+    return original(*args)
 
-weylkit.weyl._mat_mul = counted
+setattr(module, sys.argv[3], counted)
 sys.path.insert(0, sys.argv[1])
 from test_golden import CASES, golden_path, run_case
 
 out = {}
-for name in sorted(n for n in CASES if n.startswith("weyl_")):
+for name in sorted(n for n in CASES if n.startswith(sys.argv[4])):
     with open(golden_path(name), "rb") as fh:
         expected = fh.read()
     calls.clear()
@@ -149,16 +150,16 @@ print(json.dumps(out))
 """
 
 
-def _run_fresh(script: str):
+def _run_fresh(script: str, *args: str):
     """The JSON that `script` prints, run in a fresh interpreter on this
-    checkout's weylkit with the tests directory as its argument."""
+    checkout's weylkit with the tests directory and `args` as its arguments."""
     import weylkit
 
     src = os.path.dirname(os.path.dirname(weylkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     here = os.path.dirname(os.path.abspath(__file__))
     child = subprocess.run(
-        [sys.executable, "-c", script, here],
+        [sys.executable, "-c", script, here, *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
         text=True,
@@ -178,7 +179,17 @@ def test_weyl_commands_form_no_matrix_product():
     # reflections only, through the rank-one kernels of weyl
     names = sorted(n for n in CASES if n.startswith("weyl_"))
     assert len(names) == 4
-    assert _run_fresh(_MATRIX_PRODUCTS) == {name: [True, 0] for name in names}
+    counts = _run_fresh(_COUNTED_CALLS, "weylkit.weyl", "_mat_mul", "weyl_")
+    assert counts == {name: [True, 0] for name in names}
+
+
+def test_relative_commands_compute_no_relative_length():
+    # relative descents and words are read off the ambient descent test,
+    # so no relative command counts the inversions of an element
+    names = sorted(n for n in CASES if n.startswith("relative_"))
+    assert len(names) == 3
+    counts = _run_fresh(_COUNTED_CALLS, "weylkit.relative", "length", "relative_")
+    assert counts == {name: [True, 0] for name in names}
 
 
 def record(argv) -> int:

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -10,6 +10,7 @@ from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     ExtAffineWeylElement,
     NotAReflection,
+    automorphism_part,
     conjugate_reflections,
     enumerate_ball,
     has_left_descent,
@@ -218,13 +219,66 @@ def test_length_dichotomy(aff_c2):
             assert diff in (length(st), -length(st))
 
 
-def test_relative_descents_are_the_length_drops(aff_c2):
-    system = rel.relative_system(aff_c2, {1})
-    assert system.simple_lengths == {l: length(st) for l, st in system.simples.items()}
-    for g in rel.relative_ball(system, 4):
-        assert rel.relative_descents(system, g) == [
-            l for l, st in sorted(system.simples.items()) if length(st * g) < length(g)
-        ]
+# every admissible Sigma with a relative generator of these types, affine
+# and finite, over its relative ball of radius 6 cut at 1000 elements
+DESCENT_TYPES = [
+    ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2),
+    ("C", 3), ("G", 2), ("BC", 2), ("BC", 3), ("D", 4), ("F", 4),
+]
+
+
+def test_relative_descents_are_the_length_drops():
+    # on W-tilde the ambient left descents are the labels whose s-tilde
+    # lowers the length
+    checked = 0
+    for kind, rank in DESCENT_TYPES:
+        for make in (affinize, finite_coxeter):
+            ambient = make(build_finite(kind, rank))
+            for k in range(len(ambient.labels) + 1):
+                for sigma in combinations(ambient.labels, k):
+                    if not rel.is_admissible(ambient, sigma)[0]:
+                        continue
+                    system = rel.relative_system(ambient, sigma)
+                    if not system.simples:
+                        continue
+                    for g in islice(rel.relative_ball(system, 6), 1000):
+                        drops = [
+                            l
+                            for l, st in sorted(system.simples.items())
+                            if length(st * g) < length(g)
+                        ]
+                        assert rel.relative_descents(system, g) == drops, (kind, rank, sigma)
+                        checked += 1
+    assert checked == 4174
+
+
+def test_relative_word_checks_membership_first(fin_b2):
+    # off W-tilde the criteria differ: 2 is a left descent of s2, but
+    # s-tilde_2 = s2 s1 s2 lengthens it, and stripping by ambient descents
+    # would cycle s2 -> s2 s1 -> s2; so membership is checked before the
+    # loop (s1 first, which fails by the message, not by a hang)
+    system = rel.relative_system(fin_b2, {1})
+    g = s(fin_b2, 2)
+    assert rel.relative_descents(system, g) == [2]
+    assert length(system.simples[2] * g) > length(g)
+    for h in (s(fin_b2, 1), g):
+        with pytest.raises(rel.NotInRelativeGroup, match="not in the relative group"):
+            rel.relative_reduced_word(system, h)
+
+
+def test_length_zero_elements_have_no_relative_word():
+    # a length-0 pi != e normalises W_Sigma for Sigma empty, so it lies in
+    # W-tilde, but the s-tilde do not generate it
+    ambient = affinize(build_finite("A", 2))
+    pi = automorphism_part(ExtAffineWeylElement.translation(ambient, (1, 0)))
+    assert length(pi) == 0 and not pi.is_identity()
+    system = rel.relative_system(ambient, set())
+    assert rel.in_relative_group(ambient, pi, set())
+    for g in (pi, s(ambient, 1) * pi):
+        with pytest.raises(rel.NotInRelativeGroup):
+            rel.relative_length(system, g)
+        with pytest.raises(rel.NotInRelativeGroup):
+            rel.relative_reduced_word(system, g)
 
 
 def test_relative_reduced_word(aff_c2):
