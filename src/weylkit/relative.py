@@ -23,7 +23,7 @@ For g in W-tilde, s-tilde shortens g exactly when s is a left descent of g:
 g^-1 permutes Phi+_Sigma, and by the dichotomy sends every root of
 Phi+_{Sigma+s} - Phi_Sigma, a_s among them, to one sign (tier-1 oracle:
 test_relative_descents_are_the_length_drops).  Off W-tilde the criteria
-differ, so only `relative_reduced_word`, which checks membership first, loops.
+differ, so only the membership-checked `relative_reduced_word` strips by them.
 """
 
 from dataclasses import dataclass, field

@@ -256,7 +256,8 @@ def test_relative_word_checks_membership_first(fin_b2):
     # off W-tilde the criteria differ: 2 is a left descent of s2, but
     # s-tilde_2 = s2 s1 s2 lengthens it, and stripping by ambient descents
     # would cycle s2 -> s2 s1 -> s2; so membership is checked before the
-    # loop (s1 first, which fails by the message, not by a hang)
+    # loop (s1 comes first: without the check it raises the other message
+    # instead of hanging)
     system = rel.relative_system(fin_b2, {1})
     g = s(fin_b2, 2)
     assert rel.relative_descents(system, g) == [2]
