@@ -586,13 +586,18 @@ def certify_checks(config, ambient) -> list[dict]:
     except cx.BallTooSmall as exc:
         checks.append({"check": "fixed-chambers", "ok": False, "detail": str(exc)})
 
+    # T(x) of each sampled element is formed once and read as g or as h
     sample = sorted(small, key=lambda g: (small_lengths[g], g.mu, g.matrix))
+    sample_t = {}
     pairs_checked = 0
     eta_ok = True
     for _ in range(10):
         g = rng.choice(sample)
         h = rng.choice(sample)
-        if reflections_T(g * h) <= reflections_T(g) | conjugate_reflections(g, reflections_T(h)):
+        for x in (g, h):
+            if x not in sample_t:
+                sample_t[x] = reflections_T(x)
+        if reflections_T(g * h) <= sample_t[g] | conjugate_reflections(g, sample_t[h]):
             pairs_checked += 1
         else:
             eta_ok = False

@@ -17,6 +17,17 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 
 
+def integral(c) -> int:
+    """An int equal to c (an int, a Fraction, a float or a rational string);
+    ValueError if c is not an integer."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    if q.denominator != 1:
+        raise ValueError(f"{c} is not an integer")
+    return q.numerator
+
+
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .linalg import Mat, Vec, dot, frac_str, mat_vec, vec_scale
+from .linalg import Mat, Vec, dot, frac_str, integral, mat_vec, vec_scale
 
 
 class IllegalType(ValueError):
@@ -207,9 +207,9 @@ class AffineRoot:
     level: int = 0
 
     def __post_init__(self):
-        d = tuple(int(c) for c in self.direction)
+        d = tuple(map(integral, self.direction))
         object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "level", integral(self.level))
         if not self.system.is_root(d):
             raise ValueError(f"{d} is not a root of the finite system")
         if self.system.in_two_q_r(d) and self.level % 2 == 0:
@@ -219,7 +219,7 @@ class AffineRoot:
             )
 
     def negate(self) -> "AffineRoot":
-        return AffineRoot(self.system, tuple(-c for c in self.direction), -self.level)
+        return _affine_root(self.system, tuple([-c for c in self.direction]), -self.level)
 
     def is_positive(self) -> bool:
         """Positivity on the fundamental alcove: level >= 1, or level 0 with
@@ -230,6 +230,19 @@ class AffineRoot:
 
     def __repr__(self):
         return f"AffineRoot({self.direction}, {self.level:+d})"
+
+
+def _affine_root(system: FiniteRootSystem, direction: tuple[int, ...], level: int) -> AffineRoot:
+    """An affine root from an int tuple and an int that are known to form
+    one, skipping the checks of __post_init__: the constructor of the roots
+    the kernel derives from roots (the simples, images g(a), negatives and
+    reflection keys), which W permutes.  Roots from outside go through
+    `AffineRoot(...)` or `AffineRootSystem.root`, which validate."""
+    a = object.__new__(AffineRoot)
+    object.__setattr__(a, "system", system)
+    object.__setattr__(a, "direction", direction)
+    object.__setattr__(a, "level", level)
+    return a
 
 
 @dataclass(frozen=True)
@@ -249,7 +262,11 @@ class AffineRootSystem:
         return self.finite_base.rank
 
     def contains(self, direction, level: int) -> bool:
-        direction = tuple(int(c) for c in direction)
+        try:
+            direction = tuple(map(integral, direction))
+            level = integral(level)
+        except ValueError:
+            return False
         if not self.finite_base.is_root(direction):
             return False
         if not self.affine:
@@ -265,7 +282,10 @@ class AffineRootSystem:
         return AffineRoot(self.finite_base, tuple(direction), level)
 
     def simple_by_label(self, label: int) -> AffineRoot:
-        return self.simples[self.labels.index(label)]
+        try:
+            return self.simples[self.labels.index(label)]
+        except ValueError:
+            raise ValueError(f"unknown simple label {label}") from None
 
     def parabolic_is_finite(self, labels) -> bool:
         """Whether the walls `labels` generate a finite group: exactly when
@@ -344,11 +364,11 @@ def _build_affinization(finite: FiniteRootSystem) -> AffineRootSystem:
     _check_irreducible(finite)
     n = finite.rank
     theta = finite.highest_root()
-    simples = [AffineRoot(finite, tuple(-c for c in theta), 1)]
+    simples = [_affine_root(finite, tuple(-c for c in theta), 1)]
     labels = [0]
     for i in range(n):
         coords = tuple(1 if j == i else 0 for j in range(n))
-        simples.append(AffineRoot(finite, coords, 0))
+        simples.append(_affine_root(finite, coords, 0))
         labels.append(i + 1)
     height = sum(theta)
     t = Fraction(1, height + 1)
@@ -369,7 +389,7 @@ def _build_finite_coxeter(finite: FiniteRootSystem) -> AffineRootSystem:
     _check_irreducible(finite)
     n = finite.rank
     simples = tuple(
-        AffineRoot(finite, tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
+        _affine_root(finite, tuple(1 if j == i else 0 for j in range(n)), 0) for i in range(n)
     )
     interior = tuple(Fraction(1) for _ in range(n))
     return AffineRootSystem(

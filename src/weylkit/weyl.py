@@ -27,6 +27,11 @@ length counts and T(w) lists.  Word and descent algorithms reduce to the sign
 of one affine root image.  All coordinates of a root have one sign, so that
 sign is the sign of its height, the sum of its coordinates: the height of
 m alpha is alpha paired with the column sums of m, and no image is formed.
+
+W permutes the affine roots, so the roots the kernel derives from roots
+(images g(a), their negatives, the keys of T(w) and of conjugated
+reflections) are built by `root_system._affine_root`, without the checks of
+the public `AffineRoot` constructor; tier-1 checks them against it.
 """
 
 from dataclasses import dataclass, field
@@ -35,8 +40,8 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .linalg import Vec, dot, mat_inv, mat_mul, mat_vec, transpose
-from .root_system import AffineRoot, AffineRootSystem
+from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, transpose
+from .root_system import AffineRoot, AffineRootSystem, _affine_root
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -57,17 +62,6 @@ class BallTooLarge(RuntimeError):
 # ---------------------------------------------------------------------------
 # Integer kernels
 # ---------------------------------------------------------------------------
-
-
-def _integral(c) -> int:
-    """An int equal to c (an int, a Fraction or a rational string); ValueError
-    if c is not an integer."""
-    if type(c) is int:
-        return c
-    q = Fraction(c)
-    if q.denominator != 1:
-        raise ValueError(f"group element entry {c} is not an integer")
-    return q.numerator
 
 
 def _mat_vec(m: IntMat, v: IntVec) -> IntVec:
@@ -134,7 +128,7 @@ class _SystemData:
         """The coweight coordinates of the coroot of `root`, as ints."""
         corovec = self.coroots.get(root)
         if corovec is None:
-            corovec = tuple(map(_integral, self.finite.coroot_vector(root)))
+            corovec = tuple(map(integral, self.finite.coroot_vector(root)))
             self.coroots[root] = corovec
         return corovec
 
@@ -157,7 +151,7 @@ def _point_matrix(m: IntMat) -> IntMat:
     from outside (`element_from_json`, the constructor) is inverted, once."""
     p = _point_matrices.get(m)
     if p is None:
-        p = tuple(tuple(map(_integral, row)) for row in mat_inv(transpose(m)))
+        p = tuple(tuple(map(integral, row)) for row in mat_inv(transpose(m)))
         _point_matrices[m] = p
     return p
 
@@ -174,9 +168,9 @@ class ExtAffineWeylElement:
     matrix: IntMat = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(map(_integral, self.mu)))
+        object.__setattr__(self, "mu", tuple(map(integral, self.mu)))
         object.__setattr__(
-            self, "matrix", tuple(tuple(map(_integral, row)) for row in self.matrix)
+            self, "matrix", tuple(tuple(map(integral, row)) for row in self.matrix)
         )
 
     # -- constructors -----------------------------------------------------
@@ -333,8 +327,9 @@ def simple_mul(label: int, g: ExtAffineWeylElement) -> ExtAffineWeylElement:
 
 
 def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
+    """g(a), a root because W permutes the affine roots."""
     grad, level = _image(g.matrix, g.mu, a.direction, a.level)
-    return AffineRoot(g.ambient.finite_base, grad, level)
+    return _affine_root(g.ambient.finite_base, grad, level)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +392,8 @@ def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
     """Whether g(a_label) is negative."""
-    a = g.ambient.simple_by_label(label)
-    return _is_negative(*_image(g.matrix, g.mu, a.direction, a.level))
+    d, _, k = _wall(g.ambient, label)
+    return _is_negative(*_image(g.matrix, g.mu, d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +481,24 @@ def automorphism_part(g: ExtAffineWeylElement) -> ExtAffineWeylElement:
 
 def canonical_reflection_key(a: AffineRoot) -> AffineRoot:
     """Canonical affine root of the reflection s_a: the representative with
-    lexicographically positive direction."""
-    first = next(c for c in a.direction if c != 0)
-    return a if first > 0 else a.negate()
+    positive direction, that is, of positive height."""
+    return a.negate() if sum(a.direction) < 0 else a
 
 
 def conjugate_reflections(y: ExtAffineWeylElement, roots) -> frozenset[AffineRoot]:
     """Canonical keys of y s_a y^-1 = s_{y(a)} for each affine root a in
-    `roots`: conjugating a reflection is acting on its root."""
-    return frozenset(canonical_reflection_key(act_on_affine_root(y, a)) for a in roots)
+    `roots`: conjugating a reflection is acting on its root.  The key is
+    the image or its negative, whichever has the positive direction, read
+    off the sign of the image's height."""
+    finite = y.ambient.finite_base
+    m, mu = y.matrix, y.mu
+    keys = []
+    for a in roots:
+        grad, level = _image(m, mu, a.direction, a.level)
+        if sum(grad) < 0:
+            grad, level = tuple([-c for c in grad]), -level
+        keys.append(_affine_root(finite, grad, level))
+    return frozenset(keys)
 
 
 def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
@@ -524,9 +528,9 @@ def reflections_T(g: ExtAffineWeylElement) -> frozenset[AffineRoot]:
     finite = g.ambient.finite_base
     keys = []
     for alpha, levels in _inverted_levels(g.inverse()):
-        sign = 1 if max(alpha) > 0 else -1
-        direction = tuple(sign * c for c in alpha)
-        keys.extend(AffineRoot(finite, direction, sign * n) for n in levels)
+        if sum(alpha) < 0:
+            alpha, levels = tuple([-c for c in alpha]), [-n for n in levels]
+        keys.extend([_affine_root(finite, alpha, n) for n in levels])
     return frozenset(keys)
 
 

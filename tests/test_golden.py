@@ -122,26 +122,30 @@ print(json.dumps(bad))
 """
 
 
-# Counts the calls of one module attribute (argv[2], argv[3]) while the
-# cases named argv[4]* run, also in a fresh interpreter: {name: [output
-# equals golden, calls]}.
+# Counts the calls of one attribute of a module (argv[2]; argv[3], a dotted
+# path such as "Class.method") while the cases whose names start with one of
+# argv[4:] run, also in a fresh interpreter: {name: [output equals golden,
+# calls]}.
 _COUNTED_CALLS = """
 import importlib, json, sys
 
-module = importlib.import_module(sys.argv[2])
-original = getattr(module, sys.argv[3])
+owner = importlib.import_module(sys.argv[2])
+*path, attr = sys.argv[3].split(".")
+for part in path:
+    owner = getattr(owner, part)
+original = getattr(owner, attr)
 calls = []
 
 def counted(*args):
     calls.append(1)
     return original(*args)
 
-setattr(module, sys.argv[3], counted)
+setattr(owner, attr, counted)
 sys.path.insert(0, sys.argv[1])
 from test_golden import CASES, golden_path, run_case
 
 out = {}
-for name in sorted(n for n in CASES if n.startswith(sys.argv[4])):
+for name in sorted(n for n in CASES if n.startswith(tuple(sys.argv[4:]))):
     with open(golden_path(name), "rb") as fh:
         expected = fh.read()
     calls.clear()
@@ -189,6 +193,19 @@ def test_relative_commands_compute_no_relative_length():
     names = sorted(n for n in CASES if n.startswith("relative_"))
     assert len(names) == 3
     counts = _run_fresh(_COUNTED_CALLS, "weylkit.relative", "length", "relative_")
+    assert counts == {name: [True, 0] for name in names}
+
+
+def test_kernel_roots_are_not_revalidated():
+    # W permutes the affine roots, so the images, negatives and reflection
+    # keys that certify, the complex commands and the weyl commands derive
+    # are built without the checks of the public AffineRoot constructor
+    prefixes = ("certify_", "complex_", "weyl_")
+    names = sorted(n for n in CASES if n.startswith(prefixes))
+    assert len(names) == 13
+    counts = _run_fresh(
+        _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__post_init__", *prefixes
+    )
     assert counts == {name: [True, 0] for name in names}
 
 

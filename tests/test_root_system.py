@@ -177,6 +177,24 @@ def test_bc_parity_twist():
         AffineRoot(bc, (2,), 0)
 
 
+def test_non_integral_coordinates_are_rejected():
+    # a coordinate or level that is not an integer is not truncated
+    a2 = build_finite("A", 2)
+    aff = affinize(a2)
+    assert not aff.contains((1.5, 0), 0)
+    assert not aff.contains((1, 0), 0.5)
+    assert not aff.contains((Fraction(3, 2), 0), 0)
+    for direction, level in (((1.9, 0), 0.5), ((1.9, 0), 0), ((1, 0), 0.5), ((1, "1/2"), 1)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            AffineRoot(a2, direction, level)
+        with pytest.raises(ValueError):
+            aff.root(direction, level)
+    # integral values of other types are converted to ints
+    a = AffineRoot(a2, (Fraction(1), 1.0), "-2")
+    assert a == AffineRoot(a2, (1, 1), -2) and aff.contains((1.0, Fraction(1)), Fraction(4, 2))
+    assert all(type(c) is int for c in a.direction) and type(a.level) is int
+
+
 def test_affinize_base():
     aff = affinize(build_finite("A", 2))
     assert aff.labels == (0, 1, 2)

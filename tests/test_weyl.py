@@ -520,6 +520,58 @@ def test_kernels_reject_an_unknown_label(aff_a2):
             call()
 
 
+def test_descent_tests_and_simple_by_label_reject_an_unknown_label(aff_a2):
+    e = ExtAffineWeylElement.identity(aff_a2)
+    for call in (
+        lambda: has_left_descent(e, 7),
+        lambda: has_right_descent(e, 7),
+        lambda: aff_a2.simple_by_label(7),
+    ):
+        with pytest.raises(ValueError, match="^unknown simple label 7$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "tl,rk,affine",
+    [
+        ("A", 2, True),
+        ("C", 2, True),
+        ("G", 2, True),
+        ("BC", 2, True),
+        ("B", 3, True),
+        ("B", 3, False),
+    ],
+)
+def test_kernel_roots_pass_the_validating_constructor(tl, rk, affine):
+    """The roots the kernel builds unchecked (`root_system._affine_root`):
+    the simples, every image g(a) of a simple root, its negative, T(g) and
+    the conjugates of the reflections of every facet type, for every g of
+    the radius-3 ball, are affine roots of int coordinates that the
+    validating constructor and `contains` accept unchanged."""
+    from weylkit.relative import ParabolicSubset
+
+    finite = build_finite(tl, rk)
+    ambient = affinize(finite) if affine else finite_coxeter(finite)
+    labels = ambient.labels
+    types = [
+        frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+        for mask in range(2 ** len(labels) - 1)
+    ]
+    type_reflections = [ParabolicSubset(ambient, t).reflections() for t in types]
+    seen = set(ambient.simples)
+    for g in enumerate_ball(ambient, 3):
+        images = [act_on_affine_root(g, a) for a in ambient.simples]
+        seen.update(images)
+        seen.update(a.negate() for a in images)
+        seen.update(reflections_T(g))
+        for ts in type_reflections:
+            seen.update(weyl.conjugate_reflections(g, ts))
+    for a in seen:
+        assert all(type(c) is int for c in a.direction) and type(a.level) is int, a
+        assert AffineRoot(finite, a.direction, a.level) == a
+        assert ambient.contains(a.direction, a.level), a
+
+
 def test_root_sign_is_the_sign_of_its_height():
     """All coordinates of a root share one sign, so the sign of its height
     decides it: on every root of all 40 legal finite systems."""
