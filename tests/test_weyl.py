@@ -514,15 +514,11 @@ def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkey
 
 
 def test_kernels_reject_an_unknown_label(aff_a2):
-    e = ExtAffineWeylElement.identity(aff_a2)
-    for call in (lambda: mul_simple(e, 3), lambda: simple_mul(3, e)):
-        with pytest.raises(ValueError, match="unknown simple label"):
-            call()
-
-
-def test_descent_tests_and_simple_by_label_reject_an_unknown_label(aff_a2):
+    # the product kernels, both descent tests and simple_by_label
     e = ExtAffineWeylElement.identity(aff_a2)
     for call in (
+        lambda: mul_simple(e, 7),
+        lambda: simple_mul(7, e),
         lambda: has_left_descent(e, 7),
         lambda: has_right_descent(e, 7),
         lambda: aff_a2.simple_by_label(7),
@@ -558,14 +554,15 @@ def test_kernel_roots_pass_the_validating_constructor(tl, rk, affine):
         for mask in range(2 ** len(labels) - 1)
     ]
     type_reflections = [ParabolicSubset(ambient, t).reflections() for t in types]
-    seen = set(ambient.simples)
+    # a list, not a set: a set keeps one of two equal roots, and 1.0 == 1
+    seen = list(ambient.simples)
     for g in enumerate_ball(ambient, 3):
         images = [act_on_affine_root(g, a) for a in ambient.simples]
-        seen.update(images)
-        seen.update(a.negate() for a in images)
-        seen.update(reflections_T(g))
+        seen += images
+        seen += [a.negate() for a in images]
+        seen += reflections_T(g)
         for ts in type_reflections:
-            seen.update(weyl.conjugate_reflections(g, ts))
+            seen += weyl.conjugate_reflections(g, ts)
     for a in seen:
         assert all(type(c) is int for c in a.direction) and type(a.level) is int, a
         assert AffineRoot(finite, a.direction, a.level) == a
