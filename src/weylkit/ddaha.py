@@ -35,13 +35,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .poly import DivisionNotExact, Poly, divide_linear, weyl_action
 from .root_system import AffineRootSystem
 from .weyl import (
     ExtAffineWeylElement,
-    coxeter_order,
+    _wall,
     enumerate_ball,
     length,
     mul_simple,
@@ -151,13 +151,20 @@ class DdahaAlgebra:
         return letters
 
 
+# the order m of s_a s_b from the product of the Cartan integers
+# <a, b_check><b, a_check> = 4 cos^2(pi / m) of two simple walls
+_ORDER_OF_CARTAN_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
 def _finite_order_pairs(ambient: AffineRootSystem):
     """(s, t, order of s_s s_t) for the label pairs s < t whose product has
     finite order: exactly those whose parabolic W_{s,t} is finite."""
-    simples = {l: ExtAffineWeylElement.simple(ambient, l) for l in ambient.labels}
-    for s, t in combinations(sorted(simples), 2):
+    walls = {l: _wall(ambient, l)[:2] for l in ambient.labels}  # (gamma, integer coroot)
+    for s, t in combinations(sorted(walls), 2):
         if ambient.parabolic_is_finite((s, t)):
-            yield s, t, coxeter_order(simples[s], simples[t])
+            (a, a_check), (b, b_check) = walls[s], walls[t]
+            cartan = sum(map(mul, a, b_check)) * sum(map(mul, b, a_check))
+            yield s, t, _ORDER_OF_CARTAN_PRODUCT[cartan]
 
 
 def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAlgebra:

@@ -3,7 +3,9 @@ minimal-length normalizer representatives, its simple system and length.
 
 A parabolic subset is a set of simple-wall labels.  The relative simple
 reflections are the elements w0^{Sigma+s} * w0^Sigma for s ranging over the
-labels whose enlarged parabolic stays finite.
+labels whose enlarged parabolic stays finite; the same product is each move
+of the chain decomposition.  The Coxeter matrix and the normalizer pairs are
+read off the sizes of the cached reflection sets T_J, with l(w0^J) = |T_J|.
 
 `ParabolicSubset(ambient, sigma)` returns one object per (ambient, Sigma),
 kept on the ambient object (itself one object per system), and that object
@@ -36,7 +38,6 @@ from .weyl import (
     canonical_reflection_key,
     closure,
     conjugate_reflections,
-    coxeter_order,
     enumerate_ball,
     has_left_descent,
     has_right_descent,
@@ -149,6 +150,13 @@ def _normalizes(y: ExtAffineWeylElement, left: ParabolicSubset, right: Parabolic
     return conjugate_reflections(y, simples) <= right.reflections()
 
 
+def _move(ambient: AffineRootSystem, sigma: frozenset[int], s: int) -> ExtAffineWeylElement:
+    """w0^{Sigma+s} w0^Sigma: the relative simple reflection s-tilde of Sigma,
+    and each elementary move of the chain decomposition."""
+    enlarged = ParabolicSubset(ambient, sigma | {s})
+    return enlarged.longest_element() * ParabolicSubset(ambient, sigma).longest_element()
+
+
 def is_admissible(ambient: AffineRootSystem, sigma) -> tuple[bool, list[frozenset[int]]]:
     """Check the two normalisation hypotheses; on failure the certificate
     lists every enlarged subset whose longest element moves W_Sigma."""
@@ -157,7 +165,8 @@ def is_admissible(ambient: AffineRootSystem, sigma) -> tuple[bool, list[frozense
         return False, [base.sigma]
     violations = []
     others = sorted(set(ambient.labels) - base.sigma)
-    for k in range(len(others) + 1):
+    # k = 0 would test w0^Sigma against Sigma itself, which always passes
+    for k in range(1, len(others) + 1):
         for extra in combinations(others, k):
             big = ParabolicSubset(ambient, base.sigma | set(extra))
             if not big.is_finite():
@@ -186,25 +195,34 @@ class RelativeCoxeterSystem:
 def relative_system(ambient: AffineRootSystem, sigma) -> RelativeCoxeterSystem:
     """The relative Coxeter system of Sigma, or NotAdmissible if there is none.
 
-    s-tilde and t-tilde lie in W_{Sigma+s+t}, so their product has finite
-    order exactly when that parabolic is finite (Howlett 1980); the order
-    is None for an infinite one and is computed only for a finite one."""
+    s-tilde and t-tilde lie in W_K, K = Sigma+s+t, so their product has
+    finite order exactly when W_K is finite (Howlett 1980); the order is None
+    for an infinite one.  For a finite one, w0^K is the alternating word of
+    m letters s-tilde, t-tilde times w0^Sigma, all lengths adding (for odd m
+    the two are conjugate, of one length); as l(w0^J) = |T_J|, that gives
+    m = 2 (|T_K| - |T_Sigma|) / (l(s-tilde) + l(t-tilde))."""
     ok, cert = is_admissible(ambient, sigma)
     if not ok:
         raise NotAdmissible(sigma, cert)
     base = ParabolicSubset(ambient, sigma)
-    w0_sigma = base.longest_element()
     complement = sorted(set(ambient.labels) - base.sigma)
+
+    def excess(extra):  # l(w0^{Sigma+extra}) - l(w0^Sigma)
+        big = ParabolicSubset(ambient, base.sigma | extra)
+        return len(big.reflections()) - len(base.reflections())
+
     simples = {}
     for l in complement:
-        enlarged = ParabolicSubset(ambient, base.sigma | {l})
-        if enlarged.is_finite():
-            simples[l] = enlarged.longest_element() * w0_sigma
+        if ParabolicSubset(ambient, base.sigma | {l}).is_finite():
+            simples[l] = _move(ambient, base.sigma, l)
     labels = sorted(simples)
     cox = {(s, s): 1 for s in labels}
     for s, t in combinations(labels, 2):
-        finite = ParabolicSubset(ambient, base.sigma | {s, t}).is_finite()
-        cox[(s, t)] = cox[(t, s)] = coxeter_order(simples[s], simples[t]) if finite else None
+        order = None
+        if ParabolicSubset(ambient, base.sigma | {s, t}).is_finite():
+            order, rest = divmod(2 * excess({s, t}), excess({s}) + excess({t}))
+            assert not rest, "relative dihedral lengths do not add up"
+        cox[(s, t)] = cox[(t, s)] = order
     return RelativeCoxeterSystem(
         ambient=ambient,
         base=base,
@@ -299,10 +317,12 @@ def normalizer_pairs(
 
 
 def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> bool:
-    # normalising both ways makes y W_Sigma = W_Sigma' y, so one minimality check covers both
+    # y W_Sigma y^-1 is then generated by y T_Sigma y^-1, a subset of T_Sigma'
+    # that conjugation fills injectively: equal counts make it all of T_Sigma',
+    # so y W_Sigma = W_Sigma' y and one minimality check covers both cosets
     if any(has_right_descent(y, l) for l in left.sigma):
         return False
-    return _normalizes(y, left, right) and _normalizes(y.inverse(), right, left)
+    return _normalizes(y, left, right) and len(left.reflections()) == len(right.reflections())
 
 
 @dataclass(frozen=True)
@@ -353,21 +373,13 @@ def _lien_recurse(ambient, y, sigma, sigma_prime) -> list[ElementaryMove]:
         return []
     s = next(l for l in sorted(ambient.labels) if has_left_descent(y, l))
     assert s not in sigma_prime
-    enlarged = ParabolicSubset(ambient, set(sigma_prime) | {s})
-    z = enlarged.longest_element() * ParabolicSubset(ambient, sigma_prime).longest_element()
+    z = _move(ambient, sigma_prime, s)
     sigma_second = _conjugate_labels(ambient, z, sigma_prime)
-    rest = z * y
-    moves = _lien_recurse(ambient, rest, sigma, sigma_second)
-    zinv = z.inverse()
-    s_q = None
-    for cand in sorted(set(ambient.labels) - sigma_second):
-        cand_parab = ParabolicSubset(ambient, sigma_second | {cand})
-        if not cand_parab.is_finite():
-            continue
-        w = cand_parab.longest_element() * ParabolicSubset(ambient, sigma_second).longest_element()
-        if w == zinv:
-            s_q = cand
-            break
-    assert s_q is not None, "inverse move is not of the w0*w0 form"
-    moves.append(ElementaryMove(frozenset(sigma_second), frozenset(sigma_prime), s_q, zinv))
+    moves = _lien_recurse(ambient, z * y, sigma, sigma_second)
+    # w0^K (K = Sigma' + s) conjugates Sigma' onto Sigma'' inside K, so
+    # z^-1 = w0^Sigma' w0^K = w0^K w0^Sigma'': the move of the one label of K - Sigma''
+    (s_q,) = (sigma_prime | {s}) - sigma_second
+    zinv = _move(ambient, sigma_second, s_q)
+    assert zinv == z.inverse(), "inverse move is not of the w0*w0 form"
+    moves.append(ElementaryMove(sigma_second, sigma_prime, s_q, zinv))
     return moves

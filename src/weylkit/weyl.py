@@ -422,15 +422,13 @@ class ReducedWord:
 
 def _delta_permutation(pi: ExtAffineWeylElement) -> dict[int, int]:
     """The permutation of simple labels induced by a length-0 element."""
+    labels = dict(zip(pi.ambient.simples, pi.ambient.labels))
     out = {}
-    for a, lab in zip(pi.ambient.simples, pi.ambient.labels):
-        image = act_on_affine_root(pi, a)
-        for b, lab2 in zip(pi.ambient.simples, pi.ambient.labels):
-            if image == b:
-                out[lab] = lab2
-                break
-        else:
+    for a, lab in labels.items():
+        image = labels.get(act_on_affine_root(pi, a))
+        if image is None:
             raise ValueError("element of length 0 does not permute the base")
+        out[lab] = image
     return out
 
 
@@ -585,12 +583,13 @@ def min_coset_rep(g: ExtAffineWeylElement, sigma, side: str = "right") -> ExtAff
 
 
 def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAffineWeylElement:
-    """Minimal-length representative of W_I g W_J."""
-    while True:
-        h = min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
-        if h == g:
-            return h
-        g = h
+    """Minimal-length representative of W_I g W_J: strip left descents in I,
+    then right descents in J.  The second strip keeps the element minimal in
+    its W_I-coset (Deodhar's lemma: for h minimal in W_I h and s in S, either
+    hs is minimal in W_I hs or hs = t h with t in I, and the latter makes
+    l(hs) > l(h), so not for a right descent s), so one pass of each
+    suffices."""
+    return min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
 
 
 def closure(
@@ -627,25 +626,6 @@ def enumerate_ball(ambient: AffineRootSystem, radius: int) -> dict[ExtAffineWeyl
     for g, d in ball.items():
         assert length(g) == d
     return ball
-
-
-# no element of a finite Weyl group of rank <= 8 (the largest rank built)
-# has order above 30 (E8, B8/C8), so a product still not the identity after
-# this many powers lies in no finite parabolic
-_ORDER_BOUND = 60
-
-
-def coxeter_order(x: ExtAffineWeylElement, y: ExtAffineWeylElement) -> int:
-    """Order of the product xy, for x and y in one finite parabolic
-    subgroup; ValueError if xy does not reach the identity within
-    `_ORDER_BOUND` powers, as it never does when the order is infinite."""
-    p = x * y
-    acc = p
-    for k in range(1, _ORDER_BOUND + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * p
-    raise ValueError(f"xy has no finite order up to {_ORDER_BOUND}")
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,18 @@ def test_certify_empty_sigma_degenerate_pass(capsys):
     assert payload["result"]["ok"] is True
 
 
+def test_certify_relative_rank_zero_pass(capsys):
+    # affine A1 with Sigma = {0}: the enlargement {0, 1} is infinite, so no s-tilde
+    code, payload = run_json(capsys, ["certify", "--type", "A", "--rank", "1", "--sigma", "0"])
+    assert code == 0
+    sizes = next(c for c in payload["result"]["checks"] if c["check"] == "coxeter-ball-sizes")
+    assert sizes == {
+        "check": "coxeter-ball-sizes",
+        "ok": True,
+        "detail": "got [1, 0, 0, 0, 0] expected [1, 0, 0, 0, 0]",
+    }
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["certify", "--type", "C", "--rank", "2", "--sigma", "1", "--seed", "7"]
     code1, out1, _ = run(capsys, argv)
@@ -307,6 +319,13 @@ def test_unknown_subcommand_exit_2(capsys):
         ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1^-1"],
         ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1^"],
         ["ddaha", "--type", "A", "--rank", "1", "--expr", "x1", "--times", "(1/0)"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "(3/2"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "x9"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "s1)"],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "s1*/2"],
+        # a point with the wrong number of coordinates
+        ["spiral", "--type", "A", "--rank", "2", "--theta", "1", "--lam", "0,0"],
+        ["table", "weights", "--type", "A", "--rank", "2", "--lam0", "1"],
         # a Sigma label that is not a simple label of the system
         ["certify", "--type", "A", "--rank", "2", "--sigma", "5"],
         ["complex", "fixed", "--type", "A", "--rank", "2", "--sigma", "9", "--radius", "2"],

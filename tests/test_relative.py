@@ -6,7 +6,8 @@ import pytest
 
 from weylkit import linalg
 from weylkit import relative as rel
-from weylkit.root_system import affinize, build_finite, finite_coxeter
+from weylkit.ddaha import _finite_order_pairs
+from weylkit.root_system import IllegalType, affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     ExtAffineWeylElement,
     NotAReflection,
@@ -484,3 +485,61 @@ def test_coxeter_matrix_against_the_product_loop(name):
                 assert order == _oracle_order(simples[a], simples[b]), (sigma, a, b)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("finite", [False, True], ids=["affine", "finite"])
+def test_simple_pair_orders_against_the_product_loop(finite):
+    """`ddaha._finite_order_pairs` reads each order off two Cartan integers:
+    on every simple pair of every legal system, the finite orders are those
+    of the product loop, and only the pairs whose product has infinite order
+    are left out."""
+    systems = []
+    for type_label in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rank in range(1, 9):
+            try:
+                base = build_finite(type_label, rank)
+            except IllegalType:
+                continue
+            systems.append(finite_coxeter(base) if finite else affinize(base))
+    assert len(systems) == 40
+    checked = 0
+    for ambient in systems:
+        got = {(a, b): order for a, b, order in _finite_order_pairs(ambient)}
+        for a, b in combinations(sorted(ambient.labels), 2):
+            assert got.get((a, b)) == _oracle_order(s(ambient, a), s(ambient, b)), (ambient, a, b)
+            checked += 1
+    assert checked == (487 if finite else 686)
+
+
+# every normalizer pair (Sigma, Sigma', y) with y in the radius-4 ball of the
+# affine systems and anywhere in the finite groups: 302 pairs
+LIEN_SYSTEMS = [(ambient, 4) for ambient, _ in CONJUGATION_SYSTEMS[:4]] + [
+    CONJUGATION_SYSTEMS[4],
+    (finite_coxeter(build_finite("A", 3)), 6),
+]
+LIEN_IDS = CONJUGATION_IDS[:5] + ["finite A3"]
+
+
+def _oracle_move_label(ambient, sigma, element):
+    """Every label s whose w0^{Sigma+s} w0^Sigma is `element`, by trying each."""
+    w0 = rel.ParabolicSubset(ambient, sigma).longest_element()
+    out = []
+    for l in sorted(set(ambient.labels) - sigma):
+        enlarged = rel.ParabolicSubset(ambient, sigma | {l})
+        if enlarged.is_finite() and enlarged.longest_element() * w0 == element:
+            out.append(l)
+    return out
+
+
+@pytest.mark.parametrize(("ambient", "radius"), LIEN_SYSTEMS, ids=LIEN_IDS)
+def test_lien_move_labels_against_the_label_search(ambient, radius):
+    ball = enumerate_ball(ambient, radius)
+    subsets = _finite_subsets(ambient)
+    pairs = 0
+    for sigma in subsets:
+        for sigma_prime in subsets:
+            for y in rel.normalizer_pairs(ambient, sigma, sigma_prime, 0, ball=ball):
+                pairs += 1
+                for mv in rel.lien_decompose(ambient, y, sigma, sigma_prime):
+                    assert _oracle_move_label(ambient, mv.sigma_from, mv.element) == [mv.s]
+    assert pairs

@@ -175,6 +175,9 @@ def test_bc_parity_twist():
     assert not aff.contains((2,), 0) and not aff.contains((2,), 2)
     with pytest.raises(ValueError):
         AffineRoot(bc, (2,), 0)
+    # a direction that is no root at any level
+    with pytest.raises(ValueError, match="is not a root of the finite system"):
+        AffineRoot(build_finite("A", 2), (2, 0), 1)
 
 
 def test_non_integral_coordinates_are_rejected():

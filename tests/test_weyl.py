@@ -25,7 +25,6 @@ from weylkit.weyl import (
     bruhat_leq,
     canonical_reflection_key,
     closure,
-    coxeter_order,
     double_coset_min_rep,
     element_from_json,
     element_to_json,
@@ -151,6 +150,11 @@ def test_reduced_word_roundtrip(aff_a2):
         assert len(rw) == length(g)
 
 
+def test_delta_permutation_rejects_an_element_of_positive_length(aff_a2):
+    with pytest.raises(ValueError, match="^element of length 0 does not permute the base$"):
+        weyl._delta_permutation(s(aff_a2, 1))
+
+
 def test_automorphism_part_of_lattice_translation(aff_a2):
     # X^{coweight_1} lies outside W_S: its length-0 part is a diagram rotation
     x = ExtAffineWeylElement.translation(aff_a2, (Fraction(1), Fraction(0)))
@@ -220,6 +224,11 @@ def test_eta_sign(fin_b2):
     t = fin_b2.root((1, 0), 0)
     assert eta(w0, t) == -1
     assert eta(ExtAffineWeylElement.identity(fin_b2), t) == 1
+    # a reflection element and its root give one sign
+    g = s(fin_b2, 1) * s(fin_b2, 2)
+    assert eta(g, s(fin_b2, 1)) == eta(g, fin_b2.simple_by_label(1)) == -1
+    with pytest.raises(NotAReflection):
+        eta(g, "x")
 
 
 def test_T_multiplicativity(aff_a2):
@@ -258,12 +267,33 @@ def test_min_coset_rep(fin_b2):
     assert double_coset_min_rep(g, {2}, {1}).is_identity()
 
 
-def test_coxeter_order(fin_b2):
-    assert coxeter_order(s(fin_b2, 1), s(fin_b2, 2)) == 4
-    aff = affinize(build_finite("A", 1))
-    # s0 s1 is a translation of infinite order: no bound is ever reached
-    with pytest.raises(ValueError):
-        coxeter_order(s(aff, 0), s(aff, 1))
+def _oracle_double_coset_min_rep(g, left_set, right_set):
+    """Strip on both sides until nothing changes: the loop that one pass of
+    each strip replaced."""
+    while True:
+        h = min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
+        if h == g:
+            return h
+        g = h
+
+
+@pytest.mark.parametrize(
+    "tl,rk,affine",
+    [("A", 2, True), ("C", 2, True), ("G", 2, True), ("BC", 2, True), ("B", 3, False)],
+)
+def test_double_coset_min_rep_against_the_fixpoint_loop(tl, rk, affine):
+    finite = build_finite(tl, rk)
+    ambient = affinize(finite) if affine else finite_coxeter(finite)
+    labels = ambient.labels
+    subsets = [
+        frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+        for mask in range(2 ** len(labels))
+    ]
+    for g in enumerate_ball(ambient, 3):
+        for left in subsets:
+            for right in subsets:
+                got = double_coset_min_rep(g, left, right)
+                assert got == _oracle_double_coset_min_rep(g, left, right), (g, left, right)
 
 
 def test_element_json_roundtrip(aff_a2):
@@ -274,6 +304,12 @@ def test_element_json_roundtrip(aff_a2):
     bad["w"] = [["1", "1"], ["0", "1"]]
     with pytest.raises(ValueError):
         element_from_json(aff_a2, bad)
+    with pytest.raises(ValueError, match="length-2 mu"):
+        element_from_json(aff_a2, {**data, "mu": ["0", "0", "0"]})
+    # on finite A2 both simple roots map to roots, so only the Gram form refuses it
+    fin_a2 = finite_coxeter(build_finite("A", 2))
+    with pytest.raises(ValueError, match="not orthogonal for the Gram form"):
+        element_from_json(fin_a2, bad)
 
 
 # (type, rank, radius) of the affine balls checked against the brute-force
@@ -514,7 +550,7 @@ def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkey
 
 
 def test_kernels_reject_an_unknown_label(aff_a2):
-    # the product kernels, both descent tests and simple_by_label
+    # the product kernels, both descent tests, simple_by_label and the simple reflection
     e = ExtAffineWeylElement.identity(aff_a2)
     for call in (
         lambda: mul_simple(e, 7),
@@ -522,6 +558,7 @@ def test_kernels_reject_an_unknown_label(aff_a2):
         lambda: has_left_descent(e, 7),
         lambda: has_right_descent(e, 7),
         lambda: aff_a2.simple_by_label(7),
+        lambda: ExtAffineWeylElement.simple(aff_a2, 7),
     ):
         with pytest.raises(ValueError, match="^unknown simple label 7$"):
             call()
