@@ -464,7 +464,7 @@ def cmd_ddaha(args, config, ambient) -> tuple[int, str]:
         rows = _weight_rows(config, ambient, algebra)
         data = {"dimension": len(rows)}
         return 0, emit_rows(config, "ddaha.weights", "weights", WEIGHT_HEADER, rows, data)
-    report = dd.verify_relations(algebra, seed=config["seed"], n_random=10)
+    report = dd.verify_relations(algebra, seed=config["seed"])
     data = {
         "squares_ok": report.squares_ok,
         "braid_ok": report.braid_ok,

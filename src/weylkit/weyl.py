@@ -592,13 +592,17 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
     return min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
 
 
+# the most elements a `closure` search may reach
+BALL_CAP = 10**6
+
+
 def closure(
-    start: ExtAffineWeylElement, gens, radius: int | None = None, cap: int = 10**6, step=mul
+    start: ExtAffineWeylElement, gens, radius: int | None = None, step=mul
 ) -> dict[ExtAffineWeylElement, int]:
     """Breadth-first search from `start` by left multiplication with `gens`,
     each step(s, g) = s g (`simple_mul` when `gens` are simple labels):
     every element at most `radius` steps away (all of them when radius is
-    None), mapped to its distance.  More than `cap` elements raise
+    None), mapped to its distance.  More than BALL_CAP elements raise
     BallTooLarge."""
     gens = list(gens)
     dist = {start: 0}
@@ -613,15 +617,15 @@ def closure(
                 if h not in dist:
                     dist[h] = d
                     nxt.append(h)
-                    if len(dist) > cap:
-                        raise BallTooLarge(f"ball exceeds cap of {cap} elements")
+                    if len(dist) > BALL_CAP:
+                        raise BallTooLarge(f"ball exceeds cap of {BALL_CAP} elements")
         frontier = nxt
     return dist
 
 
 def enumerate_ball(ambient: AffineRootSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
     """All elements of W_S with length <= radius, mapped to their lengths;
-    more than `closure`'s default cap raise BallTooLarge."""
+    more than `closure`'s BALL_CAP elements raise BallTooLarge."""
     ball = closure(ExtAffineWeylElement.identity(ambient), ambient.labels, radius, step=simple_mul)
     for g, d in ball.items():
         assert length(g) == d

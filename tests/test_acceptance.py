@@ -281,7 +281,7 @@ def test_acceptance_8_ddaha_consistency():
         ambient = affinize(build_finite(type_label, n))
         params = dd.HeckeParameters.make(m, 1, {l: 2 for l in ambient.labels})
         algebra = dd.build_algebra(ambient, params)
-        if not dd.verify_relations(algebra, seed=8, n_random=10).ok():
+        if not dd.verify_relations(algebra, seed=8).ok():
             ok = False
         rng = random.Random(80 + n)
         ball = _sorted_ball(ambient, 2)

@@ -417,7 +417,7 @@ def test_polynomial_subalgebra(alg_a1):
 
 def test_square_and_relations(alg_a1, alg_a2):
     for alg in (alg_a1, alg_a2):
-        report = dd.verify_relations(alg, seed=5, n_random=8)
+        report = dd.verify_relations(alg, seed=5)
         assert report.ok(), report.failures
 
 
@@ -554,3 +554,13 @@ def test_literal_examples(alg_a1):
         dd.parse_element(alg_a1, "y1")
     with pytest.raises(dd.LiteralSyntaxError):
         dd.parse_element(alg_a1, "(-3/0)")
+    # whitespace between tokens, and leading zeros in an index
+    assert dd.parse_element(alg_a1, "x1 ^ 2") == dd.parse_element(alg_a1, "x1^2")
+    assert dd.parse_element(alg_a1, "( - 3 / 2 )*s1") == dd.parse_element(alg_a1, "(-3/2)*s1")
+    assert dd.parse_element(alg_a1, "s01") == alg_a1.generator(1)
+    for text in ("s 1", "1 2", "+x1", "--3", "3/2", ""):
+        with pytest.raises(dd.LiteralSyntaxError):
+            dd.parse_element(alg_a1, text)
+    # the whole literal is matched before the power x1^65 is folded
+    with pytest.raises(dd.LiteralSyntaxError):
+        dd.parse_element(alg_a1, "x1^65 + +")

@@ -99,12 +99,13 @@ def test_ball_sizes_affine_a1(aff_a1):
     assert len(ball) == 11
 
 
-def test_closure_without_radius_hits_the_cap(aff_a1):
+def test_closure_without_radius_hits_the_cap(aff_a1, monkeypatch):
     e = ExtAffineWeylElement.identity(aff_a1)
     gens = [s(aff_a1, 0), s(aff_a1, 1)]
     # the infinite dihedral group never closes: the cap ends the search
-    with pytest.raises(BallTooLarge):
-        closure(e, gens, cap=50)
+    monkeypatch.setattr(weyl, "BALL_CAP", 50)
+    with pytest.raises(BallTooLarge, match="cap of 50 elements"):
+        closure(e, gens)
     assert closure(e, gens, radius=3) == enumerate_ball(aff_a1, 3)
 
 
