@@ -58,7 +58,7 @@ def build(key):
 def outcome(algebra, text):
     try:
         return dd.format_element(dd.parse_element(algebra, text))
-    except Exception as exc:  # the class is the recorded outcome
+    except (dd.LiteralSyntaxError, dd.PowerTooLarge) as exc:
         return type(exc).__name__
 
 
