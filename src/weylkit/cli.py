@@ -241,15 +241,35 @@ def _refuse_flags(args, dests, why: str) -> None:
             raise ConfigError(f"--{dest.replace('_', '-')} {why}")
 
 
+def _json(v, nl="\n") -> str:
+    """json.dumps(v, sort_keys=True, indent=2) nested at the indentation that
+    the newline `nl` carries, without the pure-Python encoder that `indent`
+    selects: strings go through the C quoter, and ints, bools, None, lists,
+    tuples and dicts of str keys are written here.  Any other value, and a
+    dict with a key that is not a str, goes to json.dumps itself (raising
+    TypeError where it does); JSON text holds no raw newline, so re-indenting
+    its lines is exact."""
+    t = type(v)
+    if t is str:
+        return json.encoder.encode_basestring_ascii(v)
+    if t is int:
+        return repr(v)
+    if v is None or t is bool:
+        return "null" if v is None else "true" if v else "false"
+    inner = nl + "  "
+    if t is list or t is tuple:
+        items = [_json(x, inner) for x in v]
+        return "[" + inner + f",{inner}".join(items) + nl + "]" if items else "[]"
+    if t is dict and all(type(k) is str for k in v):
+        items = [f"{_json(k)}: {_json(v[k], inner)}" for k in sorted(v)]
+        return "{" + inner + f",{inner}".join(items) + nl + "}" if items else "{}"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
+
+
 def emit(config, command, result, rows=None) -> str:
     """result: JSON-ready dict; rows: optional (header, rows) for tsv mode."""
     if config["format"] == "json":
-        payload = {
-            "command": command,
-            "config": config,
-            "result": result,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json({"command": command, "config": config, "result": result}) + "\n"
     lines = [f"# {k}\t{v}" for k, v in sorted(config.items())]
     lines.append(f"# command\t{command}")
     if rows is None:
@@ -707,60 +727,46 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser; its `subcommands` maps each subcommand name to that
+    subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="weylkit",
         description="Exact computations in affine Weyl groups, relative Coxeter "
         "systems, spirals and degenerate double affine Hecke algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}
 
-    p = sub.add_parser("root", help="root datum of the configured system")
-    _add_common(p)
-    p.set_defaults(func=cmd_root)
+    def command(name, func, help):
+        p = parser.subcommands[name] = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("weyl", help="analyze one group element given by a word")
-    _add_common(p)
+    command("root", cmd_root, "root datum of the configured system")
+    p = command("weyl", cmd_weyl, "analyze one group element given by a word")
     p.add_argument("--word", help="comma-separated simple labels")
-    p.set_defaults(func=cmd_weyl)
-
-    p = sub.add_parser("relative", help="relative Coxeter system of sigma")
-    _add_common(p)
-    p.set_defaults(func=cmd_relative)
-
-    p = sub.add_parser("complex", help="Coxeter complex queries")
-    _add_common(p)
+    command("relative", cmd_relative, "relative Coxeter system of sigma")
+    p = command("complex", cmd_complex, "Coxeter complex queries")
     p.add_argument(
         "complex_command", choices=("facets", "relpos", "fixed"), help="query kind"
     )
     p.add_argument("--nu", help="word for the first facet representative")
     p.add_argument("--nuprime", help="word for the second facet representative")
     p.add_argument("--itype", help="comma-separated facet type labels")
-    p.set_defaults(func=cmd_complex)
-
-    p = sub.add_parser("spiral", help="P/L/U membership tables")
-    _add_common(p)
+    p = command("spiral", cmd_spiral, "P/L/U membership tables")
     p.add_argument("--lam", help="cocharacter coordinates (else use a facet)")
     p.add_argument("--facet-word", dest="facet_word")
     p.add_argument("--facet-type", dest="facet_type")
-    p.set_defaults(func=cmd_spiral)
-
-    p = sub.add_parser("ddaha", help="Hecke algebra computations")
-    _add_common(p)
+    p = command("ddaha", cmd_ddaha, "Hecke algebra computations")
     p.add_argument("--expr", help="element literal, e.g. 's1*s0*x1^2 + (3/2)*s1'")
     p.add_argument("--times", help="second literal to multiply on the right")
     p.add_argument("--weights", action="store_true", help="standard module weights")
-    p.set_defaults(func=cmd_ddaha)
-
-    p = sub.add_parser("certify", help="run the invariant suite for the config")
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("table", help="emit one of the canonical tables")
-    _add_common(p)
+    command("certify", cmd_certify, "run the invariant suite for the config")
+    p = command("table", cmd_table, "emit one of the canonical tables")
     p.add_argument(
         "which", choices=("weyl-ball", "facets", "spiral", "relpos", "weights")
     )
-    p.set_defaults(func=cmd_table)
     return parser
 
 
@@ -770,10 +776,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """What the whole parser's parse_args(argv) gives, or the same SystemExit.
+    An argv that starts with a subcommand name is parsed by that subcommand's
+    parser alone, and its leftover words are reported as the whole parser
+    reports them; any other argv goes to the whole parser, whose help and
+    errors list the subcommands."""
     parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

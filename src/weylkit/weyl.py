@@ -440,19 +440,27 @@ def _strip_descents(
     s_{lq} h on the left, or g = h s_{lq} ... s_{l1} on the right.  `step`
     multiplies by a label's generator on `side`, step(l, h) on the left and
     step(h, l) on the right; it defaults to s_l (`simple_mul` /
-    `mul_simple`), and a relative system passes its s-tilde."""
+    `mul_simple`), and a relative system passes its s-tilde.  Each step
+    lowers the length, so a strip of g takes at most l(g) steps: past
+    BALL_CAP steps that bound is checked, and a strip that exceeds it (a
+    wrong descent test) raises RuntimeError instead of running forever."""
     labels = sorted(labels)
     left = side == "left"
     is_descent = has_left_descent if left else has_right_descent
     if step is None:
         step = simple_mul if left else mul_simple
-    letters = []
+    start, letters, steps, bound = g, [], 0, BALL_CAP
     while True:
         label = next((l for l in labels if is_descent(g, l)), None)
         if label is None:
             return g, tuple(letters)
         g = step(label, g) if left else step(g, label)
         letters.append(label)
+        steps += 1
+        if steps > bound:
+            bound = length(start)
+            if steps > bound:
+                raise RuntimeError(f"a descent strip ran {steps} steps from length {bound}")
 
 
 def reduced_word(g: ExtAffineWeylElement) -> ReducedWord:
@@ -592,7 +600,8 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
     return min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
 
 
-# the most elements a `closure` search may reach
+# the most elements a `closure` search may reach, and the steps after which
+# a descent strip checks that it has not outrun the length
 BALL_CAP = 10**6
 
 

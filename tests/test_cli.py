@@ -367,6 +367,10 @@ def test_unknown_subcommand_exit_2(capsys):
         ["root", "--type", "A", "--rank", "x"],
         ["ddaha", "--type", "C", "--rank", "2", "--m", "4", "--seed", "1.5"],
         ["root", "--type", "A", "--rank", "2", "--format", "xml"],
+        # digit runs past Python's integer-string limit: a generator label
+        # and a rational
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "s" + "1" * 5000],
+        ["ddaha", "--type", "A", "--rank", "1", "--expr", "(" + "9" * 5000 + ")"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -404,6 +408,8 @@ def test_finite_facet_spiral_is_a_configuration_error(capsys):
         # the cap bounds the folded monomial, not each factor
         f"x1^{MAX_LITERAL_POWER}*x1^{MAX_LITERAL_POWER}",
         "x1^40*x1^40*s0",
+        # a power past Python's integer-string limit
+        pytest.param("x1^" + "9" * 5000, id="x1^(5000 nines)"),
     ],
 )
 def test_literal_power_above_the_cap_exits_3(capsys, expr):

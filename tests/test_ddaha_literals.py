@@ -7,8 +7,9 @@ the benchmark (read from perfbench/reference/ddaha_assoc.json), the `--expr`
 and `--times` literals of the golden commands, and seeded fuzz literals on
 affine A1, A2, C2 and G2: random token strings, and sums with whitespace,
 signs, `^0`, `(-0/5)`, `s01`, powers above the cap and one-character
-corruptions.  The file is written from a commit known to be correct, never
-to make a failing comparison pass:
+corruptions; last, three digit runs longer than Python converts to an int.
+The file is written from a commit known to be correct, never to make a
+failing comparison pass:
 
     PYTHONPATH=src python3 tests/test_ddaha_literals.py [--overwrite]
 """
@@ -174,11 +175,18 @@ def fuzz_literals(count=2000):
     return out
 
 
+def long_digit_literals():
+    """Digit runs past Python's integer-string limit, in a power, a generator
+    label and a rational."""
+    runs = ("x1^" + "9" * 5000, "s" + "1" * 5000, "(" + "9" * 5000 + ")")
+    return [("A2m1", text) for text in runs]
+
+
 def record(overwrite):
     if os.path.exists(CORPUS) and not overwrite:
         raise SystemExit(f"{CORPUS} exists; pass --overwrite to rewrite it")
     algebras = {key: build(key) for key in ALGEBRAS}
-    cases = pool_literals() + golden_literals() + fuzz_literals()
+    cases = pool_literals() + golden_literals() + fuzz_literals() + long_digit_literals()
     lines = ",\n".join(json.dumps([key, text, outcome(algebras[key], text)], separators=(",", ":")) for key, text in cases)
     with open(CORPUS, "w") as fh:
         fh.write(f'{{"cases": [\n{lines}\n]}}\n')

@@ -109,6 +109,19 @@ def test_closure_without_radius_hits_the_cap(aff_a1, monkeypatch):
     assert closure(e, gens, radius=3) == enumerate_ball(aff_a1, 3)
 
 
+def test_strip_outrunning_the_length_raises(aff_a1, monkeypatch):
+    g = s(aff_a1, 0) * s(aff_a1, 1) * s(aff_a1, 0)
+    word = weyl.reduced_word(g).letters
+    # a strip longer than BALL_CAP steps is checked against l(g), which
+    # bounds every strip of g, and a true one runs on
+    monkeypatch.setattr(weyl, "BALL_CAP", 1)
+    assert weyl.reduced_word(g).letters == word == (0, 1, 0)
+    # a descent test that never says no would strip forever
+    monkeypatch.setattr(weyl, "has_left_descent", lambda g, label: True)
+    with pytest.raises(RuntimeError, match="ran 4 steps from length 3"):
+        weyl.reduced_word(g)
+
+
 def test_longest_element_a2():
     a2 = finite_coxeter(build_finite("A", 2))
     w0 = s(a2, 1) * s(a2, 2) * s(a2, 1)
