@@ -506,16 +506,6 @@ _FACTOR = re.compile(
 )
 
 
-def _literal_int(digits: str) -> int | None:
-    """The value of a digit run of a literal, or None when its significant
-    digits pass Python's integer-string limit (4300 by default): no label,
-    coordinate or power is that long, and a rational that long is refused."""
-    try:
-        return int(digits.lstrip("0") or "0")
-    except ValueError:
-        return None
-
-
 def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     """Parse the literal grammar `s1*s0*x1^2 + (3/2)*s1`: sums of products of
     generators s<k>, coordinates x<k> with optional integer powers, and exact
@@ -524,12 +514,12 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     raises LiteralSyntaxError before any factor is folded.  A monomial of
     total degree above MAX_LITERAL_POWER, as the x<k>^N factors of a term
     fold together (x1^40*x1^40 reaches 80), raises PowerTooLarge, as does a
-    power longer than Python's integer-string limit; a label, coordinate or
-    rational that long raises LiteralSyntaxError.  Each term
-    is folded factor by factor into numerators over one denominator (a
-    generator applies the step, or starts the term after its leading
-    rationals, x<k>^N shifts exponents, a rational scales), and the terms
-    are summed into one element."""
+    power with more digits than Python converts to an int (4300 by default);
+    a label, coordinate or rational that long raises LiteralSyntaxError.
+    Each term is folded factor by factor into numerators over one
+    denominator (a generator applies the step, or starts the term after its
+    leading rationals, x<k>^N shifts exponents, a rational scales), and the
+    terms are summed into one element."""
     factors, pos = [], 0
     while pos < len(text) or not factors:
         m = _FACTOR.match(text, pos)
@@ -544,7 +534,10 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             parts.append(({identity: {zero: 1}}, 1, -1 if m["op"] == "-" else 1))
         num, den, sign = parts[-1]
         if m["gen"] is not None:
-            label = _literal_int(m["gen"][1:])
+            try:
+                label = int(m["gen"][1:])
+            except ValueError:  # more digits than Python converts: no label
+                label = None
             if label not in algebra.ambient.labels:
                 raise LiteralSyntaxError(f"unknown generator {m['gen']}")
             scalar = num.get(identity) if len(num) == 1 else None
@@ -554,13 +547,20 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             else:
                 num, den = _times_simple(algebra, num, label), den * algebra._hd[label]
         elif m["coord"] is not None:
-            name, power = m["coord"], _literal_int(m["power"] or "1")
-            i = _literal_int(name[1:])
-            if i is None or not 0 < i <= algebra.nvars:
+            name = m["coord"]
+            try:
+                i = int(name[1:]) - 1
+            except ValueError:  # more digits than Python converts
+                i = -1
+            if not 0 <= i < algebra.nvars:
                 raise LiteralSyntaxError(f"unknown coordinate {name}")
-            if power is None:
-                raise PowerTooLarge(f"the power of {name} exceeds the cap of {MAX_LITERAL_POWER}")
-            shift = tuple(power if j == i - 1 else 0 for j in range(algebra.nvars))
+            try:
+                power = int(m["power"] or 1)
+            except ValueError:
+                raise PowerTooLarge(
+                    f"the power of {name} exceeds the cap of {MAX_LITERAL_POWER}"
+                ) from None
+            shift = tuple(power if j == i else 0 for j in range(algebra.nvars))
             num = {g: {tuple(map(add, e, shift)): c for e, c in f.items()} for g, f in num.items()}
             degree = max((sum(e) for f in num.values() for e in f), default=0)
             if degree > MAX_LITERAL_POWER:
@@ -569,10 +569,10 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     f"{MAX_LITERAL_POWER}"
                 )
         else:
-            p, q = _literal_int(m["int"] or m["p"]), _literal_int(m["q"] or "1")
-            if p is None or q is None:
-                raise LiteralSyntaxError("a rational has more digits than Python converts")
-            p = -p if m["neg"] else p
+            try:
+                p, q = int(m["int"] or m["neg"] + m["p"]), int(m["q"] or 1)
+            except ValueError:
+                raise LiteralSyntaxError("a rational has too many digits to convert") from None
             if not q:
                 raise LiteralSyntaxError(f"zero denominator in {p}/0")
             value = Fraction(p, q)
