@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from weylkit.cli import main
+from weylkit.cli import build_parser, main, parse_args
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PINS = os.path.join(HERE, "cli_pins.json")
@@ -74,6 +74,27 @@ def test_pins_cover_every_argv(pins):
 def test_front_end_output_is_pinned(pins, index, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(pins[index][0]) == pins[index]
+
+
+def parse_outcome(parse, argv):
+    """(namespace attributes or None, exit code or None, stdout, stderr) of
+    one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            found, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            found, code = None, exc.code
+    return found, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("index", range(len(ARGVS)))
+def test_dispatch_parses_as_the_whole_parser(index, monkeypatch):
+    # main hands an argv that starts with a subcommand name to that
+    # subcommand's parser alone; the whole parser is the reference
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ARGVS[index]
+    assert parse_outcome(parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
 
 
 def record(overwrite):

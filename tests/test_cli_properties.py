@@ -2,11 +2,14 @@
 every flag, with good and bad values, on systems of rank at most 3 and balls
 of radius at most 2.  Whatever the argv, `main` returns an exit code from 0
 to 3 and raises nothing; exits 2 and 3 print nothing on stdout; exit 1 comes
-only with output that names a failing check; JSON output parses."""
+only with output that names a failing check; JSON output parses.  The same
+argvs, with stray words added, parse as the whole argparse parser parses
+them, and the JSON writer matches json.dumps on random values."""
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylkit.cli import main
+from weylkit.cli import _json, build_parser, main, parse_args
+from test_cli_pins import parse_outcome
 
 SUBCOMMANDS = [
     ["root"],
@@ -155,3 +159,58 @@ def test_every_argv_exits_0_to_3_with_consistent_output(configs):
             assert names_a_failing_check(text, tsv)
 
     check()
+
+
+# words argparse reads in unusual places: help, `--`, unknown flags, an
+# extra positional, an abbreviation and a subcommand name
+STRAY = ("-h", "--", "--bogus", "-x", "extra", "--wo", "--ra", "root", "facets")
+
+
+@st.composite
+def stray_argvs(draw):
+    argv = draw(argvs(["good.json", "bad.json"]))
+    for word in draw(st.lists(st.sampled_from(STRAY), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+def test_dispatch_parses_as_the_whole_parser():
+    whole = build_parser().parse_args
+
+    @settings(PROPERTY, max_examples=200)
+    @given(stray_argvs())
+    def check(argv):
+        assert parse_outcome(parse_args, argv) == parse_outcome(whole, argv)
+
+    check()
+
+
+# strings and keys with non-ASCII, quote, backslash and control characters;
+# floats and int-keyed dicts take the writer's json.dumps fallback
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\U0001f600'), max_size=4)
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(-(10**30), 10**30)
+    | st.floats() | TEXT
+)
+VALUES = st.recursive(
+    SCALARS | st.dictionaries(st.integers(), TEXT, max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(VALUES)
+def test_json_writer_matches_indented_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), {"a": [1, Fraction(1, 2)]}, {1: "x", "a": "y"}, [{"a"}]]
+)
+def test_json_writer_raises_where_dumps_raises(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json(value)

@@ -209,6 +209,15 @@ def test_kernel_roots_are_not_revalidated():
     assert counts == {name: [True, 0] for name in names}
 
 
+def test_json_goldens_skip_the_pure_python_encoder():
+    # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
+    # indent); emit writes indented JSON from C-quoted strings instead, and
+    # tsv output calls json.dumps without indent
+    assert sum("--format tsv" not in command for command in CASES.values()) == 38
+    counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
+    assert counts == {name: [True, 0] for name in CASES}
+
+
 def record(argv) -> int:
     """Write golden files as the module docstring says; exit 2, writing
     nothing, on an unknown name or an existing file without --overwrite."""
