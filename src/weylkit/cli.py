@@ -809,7 +809,7 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    except (BallTooLarge, rel.NotFinite, dd.PowerTooLarge) as exc:
+    except (BallTooLarge, rel.NotFinite, dd.PowerTooLarge, dd.CoefficientTooLarge) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
     sys.stdout.write(text)

@@ -14,7 +14,6 @@ positions with the good/bad dichotomy, orbit sets and the fixed subcomplex
 of an admissible parabolic, computed from its relative system.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,13 +53,23 @@ class BallTooSmall(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class Facet:
     """The coset rep * W_J, rep minimal in its right W_J-coset."""
 
-    ambient: AffineRootSystem = field(compare=False)
-    rep: ExtAffineWeylElement = None
-    type_labels: frozenset[int] = frozenset()
+    __slots__ = ("ambient", "rep", "type_labels")
+
+    def __init__(self, ambient: AffineRootSystem, rep=None, type_labels=frozenset()):
+        self.ambient, self.rep, self.type_labels = ambient, rep, type_labels
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Facet)
+            and self.rep == other.rep
+            and self.type_labels == other.type_labels
+        )
+
+    def __hash__(self):
+        return hash((self.rep, self.type_labels))
 
 
 def _facet_type(ambient: AffineRootSystem, labels) -> frozenset[int]:
@@ -95,15 +104,15 @@ def interior_point(f: Facet) -> Vec:
     return f.rep.act_point(f.ambient.facet_interior_point(f.type_labels))
 
 
-@dataclass(frozen=True)
 class AffineSpan:
     """An affine subspace of E: a rational base point, a basis of the
     direction space, and the full set of affine-root hyperplanes through it
     (canonical keys), which pins the subspace down exactly."""
 
-    base: Vec
-    directions: tuple[Vec, ...]
-    vanishing_roots: frozenset[AffineRoot] = field(compare=False)
+    __slots__ = ("base", "directions", "vanishing_roots")
+
+    def __init__(self, base: Vec, directions: tuple[Vec, ...], vanishing_roots: frozenset):
+        self.base, self.directions, self.vanishing_roots = base, directions, vanishing_roots
 
     def __eq__(self, other):
         return (
@@ -174,20 +183,24 @@ def stabilizer_group(ambient: AffineRootSystem, x: Vec) -> frozenset[ExtAffineWe
     return frozenset(closure(ExtAffineWeylElement.identity(ambient), gens))
 
 
-@dataclass(frozen=True)
 class GradingPoint:
     """x = theta_tilde / m with its stabilizer data."""
 
-    ambient: AffineRootSystem = field(compare=False)
-    theta_tilde: Vec = ()
-    m: int = 1
+    __slots__ = ("ambient", "theta_tilde", "m")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "theta_tilde", tuple(Fraction(c) for c in self.theta_tilde)
-        )
-        if self.m <= 0:
+    def __init__(self, ambient: AffineRootSystem, theta_tilde: Vec = (), m: int = 1):
+        self.ambient, self.theta_tilde, self.m = ambient, tuple(map(Fraction, theta_tilde)), m
+        if m <= 0:
             raise ValueError("m must be a positive integer")
+
+    def _key(self) -> tuple:
+        return self.theta_tilde, self.m
+
+    def __eq__(self, other):
+        return isinstance(other, GradingPoint) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def x(self) -> Vec:
@@ -205,11 +218,20 @@ class GradingPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RelativePosition:
-    double_coset: ExtAffineWeylElement
-    good: bool
-    relative_element: ExtAffineWeylElement | None = None
+    __slots__ = ("double_coset", "good", "relative_element")
+
+    def __init__(self, double_coset: ExtAffineWeylElement, good: bool, relative_element=None):
+        self.double_coset, self.good, self.relative_element = double_coset, good, relative_element
+
+    def _key(self) -> tuple:
+        return self.double_coset, self.good, self.relative_element
+
+    def __eq__(self, other):
+        return isinstance(other, RelativePosition) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def act_relative(w: ExtAffineWeylElement, f: Facet) -> Facet:
@@ -330,14 +352,30 @@ def xi_orbit(
     return frozenset(orbit), complete
 
 
-@dataclass(frozen=True)
 class FixedChambersReport:
-    chambers: tuple[Facet, ...]
-    action: dict = field(compare=False)  # (generator label, facet) -> facet or None
-    ball: Ball = field(compare=False)  # the length ball the chambers were found in
-    single_free_orbit: bool = False
-    ball_complete: bool = False
-    boundary_excluded: tuple[Facet, ...] = ()
+    """The chambers, the action table (generator label, facet) -> facet or
+    None, the length ball the chambers were found in, and the checks."""
+
+    __slots__ = (
+        "chambers", "action", "ball", "single_free_orbit", "ball_complete", "boundary_excluded"
+    )
+
+    def __init__(
+        self, chambers: tuple[Facet, ...], action: dict, ball: Ball, single_free_orbit=False,
+        ball_complete=False, boundary_excluded: tuple[Facet, ...] = (),
+    ):
+        self.chambers, self.action, self.ball = chambers, action, ball
+        self.single_free_orbit, self.ball_complete = single_free_orbit, ball_complete
+        self.boundary_excluded = boundary_excluded
+
+    def _key(self) -> tuple:
+        return self.chambers, self.single_free_orbit, self.ball_complete, self.boundary_excluded
+
+    def __eq__(self, other):
+        return isinstance(other, FixedChambersReport) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def fixed_chambers(

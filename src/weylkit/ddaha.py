@@ -31,7 +31,7 @@ category-O weight analysis.
 
 import random
 import re
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -65,14 +65,23 @@ class ImageNotIntegral(ArithmeticError):
     """A monomial image of the step has a coefficient that is not an integer."""
 
 
-@dataclass(frozen=True)
 class HeckeParameters:
-    """Grading integers (m, d) and the orbit-invariant family c."""
+    """Grading integers (m, d) and the orbit-invariant family c, as sorted
+    (label, value) pairs."""
 
-    m: int
-    d: int
-    c: tuple = ()  # sorted (label, value) pairs
-    unsafe: bool = False
+    __slots__ = ("m", "d", "c", "unsafe")
+
+    def __init__(self, m: int, d: int, c: tuple = (), unsafe: bool = False):
+        self.m, self.d, self.c, self.unsafe = m, d, c, unsafe
+
+    def _key(self) -> tuple:
+        return self.m, self.d, self.c, self.unsafe
+
+    def __eq__(self, other):
+        return isinstance(other, HeckeParameters) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def make(m: int, d: int, c: dict, unsafe: bool = False) -> "HeckeParameters":
@@ -88,22 +97,26 @@ class HeckeParameters:
         return Fraction(self.d, 2 * self.m) * self.c_map()[label]
 
 
-@dataclass(frozen=True)
 class DdahaAlgebra:
-    ambient: AffineRootSystem = field(compare=False)
-    params: HeckeParameters = None
-    # filled on first use: (label, exponents) -> monomial images and
-    # (group element g, label) -> g * s_label (see _times_simple), and group
-    # element -> reduced word (see _word)
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # label -> the denominator hd_a of h_a, read at every letter of the step
-    _hd: dict = field(init=False, repr=False, compare=False)
+    """The algebra of an ambient system and its parameters; equal and hashed
+    by the parameters."""
 
-    def __post_init__(self):
-        hd = {label: self.params.h(label).denominator for label, _ in self.params.c}
-        object.__setattr__(self, "_hd", hd)
+    __slots__ = ("ambient", "params", "_images", "_products", "_words", "_hd")
+
+    def __init__(self, ambient: AffineRootSystem, params: HeckeParameters = None):
+        self.ambient, self.params = ambient, params
+        # filled on first use: (label, exponents) -> monomial images and
+        # (group element g, label) -> g * s_label (see _times_simple), and group
+        # element -> reduced word (see _word)
+        self._images, self._products, self._words = {}, {}, {}
+        # label -> the denominator hd_a of h_a, read at every letter of the step
+        self._hd = {label: params.h(label).denominator for label, _ in params.c}
+
+    def __eq__(self, other):
+        return isinstance(other, DdahaAlgebra) and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.params,))
 
     @property
     def nvars(self) -> int:
@@ -191,16 +204,16 @@ def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAl
     return DdahaAlgebra(ambient, params)
 
 
-@dataclass(frozen=True, eq=False)
 class DdahaElement:
     """The element num / den: num maps g -> {exponents: integer}, in lowest
     terms (den > 0, no zero coefficient, no empty group part, and gcd 1 of
     den and every numerator), so equal elements have equal fields.  Build
     one with `_element` or the algebra's constructors."""
 
-    algebra: DdahaAlgebra
-    num: dict
-    den: int = 1
+    __slots__ = ("algebra", "num", "den")
+
+    def __init__(self, algebra: DdahaAlgebra, num: dict, den: int = 1):
+        self.algebra, self.num, self.den = algebra, num, den
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DdahaElement) and self.den == other.den and self.num == other.num
@@ -356,12 +369,21 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RelationReport:
-    squares_ok: bool
-    braid_ok: bool
-    cross_ok: bool
-    failures: tuple = ()
+    __slots__ = ("squares_ok", "braid_ok", "cross_ok", "failures")
+
+    def __init__(self, squares_ok: bool, braid_ok: bool, cross_ok: bool, failures: tuple = ()):
+        self.squares_ok, self.braid_ok, self.cross_ok = squares_ok, braid_ok, cross_ok
+        self.failures = failures
+
+    def _key(self) -> tuple:
+        return self.squares_ok, self.braid_ok, self.cross_ok, self.failures
+
+    def __eq__(self, other):
+        return isinstance(other, RelationReport) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def ok(self) -> bool:
         return self.squares_ok and self.braid_ok and self.cross_ok
@@ -426,15 +448,24 @@ def verify_relations(algebra: DdahaAlgebra, seed: int = 0) -> RelationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StandardModule:
     """The induced module with highest weight lam0, truncated to basis
-    vectors g with l(g) <= depth."""
+    vectors g with l(g) <= depth: the group elements of the basis, sorted
+    by (length, mu, matrix)."""
 
-    algebra: DdahaAlgebra = field(compare=False)
-    lam0: tuple = ()
-    depth: int = 0
-    basis: tuple = ()  # group elements, sorted by (length, mu, matrix)
+    __slots__ = ("algebra", "lam0", "depth", "basis")
+
+    def __init__(self, algebra: DdahaAlgebra, lam0: tuple = (), depth: int = 0, basis: tuple = ()):
+        self.algebra, self.lam0, self.depth, self.basis = algebra, lam0, depth, basis
+
+    def _key(self) -> tuple:
+        return self.lam0, self.depth, self.basis
+
+    def __eq__(self, other):
+        return isinstance(other, StandardModule) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def weight_of(self, g: ExtAffineWeylElement) -> tuple:
         return g.act_point(self.lam0)
@@ -490,6 +521,10 @@ class LiteralSyntaxError(ValueError):
 
 class PowerTooLarge(RuntimeError):
     pass
+
+
+class CoefficientTooLarge(RuntimeError):
+    """A coefficient to print has more digits than Python converts to a string."""
 
 
 # the largest total degree N of a monomial in an element literal, after its
@@ -584,7 +619,9 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
 
 
 def format_element(x: DdahaElement) -> str:
-    """Deterministic normal-form printer emitting the literal grammar."""
+    """Deterministic normal-form printer emitting the literal grammar; a
+    coefficient past Python's int-to-string digit limit (4300 by default)
+    raises CoefficientTooLarge."""
     if x.is_zero():
         return "0"
     algebra, den = x.algebra, x.den
@@ -602,7 +639,13 @@ def format_element(x: DdahaElement) -> str:
         mag, mag_den = abs(c) // d, den // d
         factors = [f"s{l}" for l in word]
         if (mag, mag_den) != (1, 1) or (not factors and not any(exps)):
-            factors.append(str(mag) if mag_den == 1 else f"({mag}/{mag_den})")
+            try:
+                factors.append(str(mag) if mag_den == 1 else f"({mag}/{mag_den})")
+            except ValueError:
+                raise CoefficientTooLarge(
+                    f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                    "the most Python converts to a string"
+                ) from None
         for i, e in enumerate(exps):
             if e == 1:
                 factors.append(f"x{i + 1}")

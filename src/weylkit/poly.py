@@ -7,7 +7,6 @@ the coordinates; division by an affine-linear polynomial is exact via a
 change of variables, with a hard error on a nonzero remainder.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -28,16 +27,22 @@ def _product(left, right) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class Poly:
-    """Map from exponent tuples to nonzero rational coefficients."""
+    """Map from exponent tuples to nonzero rational coefficients, held as a
+    frozenset of (exponents, coefficient) pairs."""
 
-    nvars: int
-    terms: frozenset = frozenset()  # frozenset of (exponents, coefficient)
+    __slots__ = ("nvars", "terms")
 
-    def __post_init__(self):
-        for exps, c in self.terms:
-            assert len(exps) == self.nvars and c != 0
+    def __init__(self, nvars: int, terms: frozenset = frozenset()):
+        for exps, c in terms:
+            assert len(exps) == nvars and c != 0
+        self.nvars, self.terms = nvars, terms
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, self.terms))
 
     # -- constructors -----------------------------------------------------
 

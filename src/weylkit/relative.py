@@ -28,7 +28,6 @@ test_relative_descents_are_the_length_drops).  Off W-tilde the criteria
 differ, so only the membership-checked `relative_reduced_word` strips by them.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .root_system import AffineRoot, AffineRootSystem
@@ -89,10 +88,7 @@ class ParabolicSubset:
 
     def __new__(cls, ambient: AffineRootSystem, sigma):
         sigma = int_labels(sigma, UnknownLabels)
-        subsets = getattr(ambient, "_parabolic_subsets", None)
-        if subsets is None:
-            subsets = {}
-            object.__setattr__(ambient, "_parabolic_subsets", subsets)
+        subsets = ambient.__dict__.setdefault("_parabolic_subsets", {})
         self = subsets.get(sigma)
         if self is None:
             unknown = sigma - set(ambient.labels)
@@ -176,14 +172,32 @@ def is_admissible(ambient: AffineRootSystem, sigma) -> tuple[bool, list[frozense
     return not violations, violations
 
 
-@dataclass(frozen=True)
 class RelativeCoxeterSystem:
-    ambient: AffineRootSystem = field(compare=False)
-    base: ParabolicSubset = field(compare=False)
-    sigma_complement: tuple[int, ...] = ()
-    simples: dict = field(compare=False, default=None)  # label -> s-tilde element
-    coxeter_matrix: dict = field(compare=False, default=None)  # (s,t) -> order, None if infinite
-    degenerate_single_complement: bool = False
+    """The relative system of a base parabolic: its simples map each label
+    to s-tilde, and its Coxeter matrix each (s, t) to the order of s-tilde
+    t-tilde, None if infinite."""
+
+    __slots__ = (
+        "ambient", "base", "sigma_complement", "simples", "coxeter_matrix",
+        "degenerate_single_complement",
+    )
+
+    def __init__(
+        self, ambient: AffineRootSystem, base: ParabolicSubset, sigma_complement=(),
+        simples: dict = None, coxeter_matrix: dict = None, degenerate_single_complement=False,
+    ):
+        self.ambient, self.base, self.sigma_complement = ambient, base, sigma_complement
+        self.simples, self.coxeter_matrix = simples, coxeter_matrix
+        self.degenerate_single_complement = degenerate_single_complement
+
+    def _key(self) -> tuple:
+        return self.sigma_complement, self.degenerate_single_complement
+
+    def __eq__(self, other):
+        return isinstance(other, RelativeCoxeterSystem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def simple_labels(self):
         return tuple(sorted(self.simples))
@@ -325,12 +339,20 @@ def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> boo
     return _normalizes(y, left, right) and len(left.reflections()) == len(right.reflections())
 
 
-@dataclass(frozen=True)
 class ElementaryMove:
-    sigma_from: frozenset[int]
-    sigma_to: frozenset[int]
-    s: int
-    element: ExtAffineWeylElement = field(compare=False)
+    __slots__ = ("sigma_from", "sigma_to", "s", "element")
+
+    def __init__(self, sigma_from: frozenset[int], sigma_to: frozenset[int], s: int, element):
+        self.sigma_from, self.sigma_to, self.s, self.element = sigma_from, sigma_to, s, element
+
+    def _key(self) -> tuple:
+        return self.sigma_from, self.sigma_to, self.s
+
+    def __eq__(self, other):
+        return isinstance(other, ElementaryMove) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _conjugate_labels(ambient, z: ExtAffineWeylElement, labels) -> frozenset[int]:

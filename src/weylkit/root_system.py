@@ -24,7 +24,6 @@ reserved for the extra affine root a0 = 1 - theta; a finite system used as a
 Coxeter system keeps labels 1..n.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -81,15 +80,23 @@ def _simple_gram(type_label: str, rank: int) -> Mat:
     return tuple(map(tuple, gram))
 
 
-@dataclass(frozen=True)
 class FiniteRootSystem:
-    """Exact root data of an irreducible finite root system, reduced or not."""
+    """Exact root data of an irreducible finite root system, reduced or not:
+    the Gram matrix holds the scalar products of the simple roots, and the
+    roots are all roots, in simple-root coordinates."""
 
-    type_label: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    gram_matrix: Mat  # scalar products of simple roots
-    roots: tuple[tuple[int, ...], ...]  # all roots, simple-root coordinates
+    def __init__(self, type_label: str, rank: int, cartan_matrix, gram_matrix: Mat, roots):
+        self.type_label, self.rank, self.cartan_matrix = type_label, rank, cartan_matrix
+        self.gram_matrix, self.roots, self._root_set = gram_matrix, roots, frozenset(roots)
+
+    def _key(self) -> tuple:
+        return self.type_label, self.rank, self.cartan_matrix, self.gram_matrix, self.roots
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteRootSystem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- pairings ---------------------------------------------------------
 
@@ -111,10 +118,6 @@ class FiniteRootSystem:
 
     def is_root(self, coords) -> bool:
         return tuple(coords) in self._root_set
-
-    @cached_property
-    def _root_set(self) -> frozenset:
-        return frozenset(self.roots)
 
     # -- the systems built on this one, once each -------------------------
 
@@ -198,25 +201,30 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AffineRoot:
     """An affine root: a finite root direction plus an integer level."""
 
-    system: FiniteRootSystem = field(compare=False)
-    direction: tuple[int, ...] = ()
-    level: int = 0
+    __slots__ = ("system", "direction", "level")
 
-    def __post_init__(self):
-        d = tuple(map(integral, self.direction))
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "level", integral(self.level))
-        if not self.system.is_root(d):
+    def __init__(self, system: FiniteRootSystem, direction: tuple[int, ...] = (), level: int = 0):
+        d, level = tuple(map(integral, direction)), integral(level)
+        if not system.is_root(d):
             raise ValueError(f"{d} is not a root of the finite system")
-        if self.system.in_two_q_r(d) and self.level % 2 == 0:
+        if system.in_two_q_r(d) and level % 2 == 0:
             raise ValueError(
-                f"root {d} lies in 2Q_R; only odd levels are affine roots "
-                f"(got level {self.level})"
+                f"root {d} lies in 2Q_R; only odd levels are affine roots (got level {level})"
             )
+        self.system, self.direction, self.level = system, d, level
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AffineRoot)
+            and self.direction == other.direction
+            and self.level == other.level
+        )
+
+    def __hash__(self):
+        return hash((self.direction, self.level))
 
     def negate(self) -> "AffineRoot":
         return _affine_root(self.system, tuple([-c for c in self.direction]), -self.level)
@@ -234,28 +242,39 @@ class AffineRoot:
 
 def _affine_root(system: FiniteRootSystem, direction: tuple[int, ...], level: int) -> AffineRoot:
     """An affine root from an int tuple and an int that are known to form
-    one, skipping the checks of __post_init__: the constructor of the roots
-    the kernel derives from roots (the simples, images g(a), negatives and
+    one, skipping the checks of __init__: the constructor of the roots the
+    kernel derives from roots (the simples, images g(a), negatives and
     reflection keys), which W permutes.  Roots from outside go through
     `AffineRoot(...)` or `AffineRootSystem.root`, which validate."""
     a = object.__new__(AffineRoot)
-    object.__setattr__(a, "system", system)
-    object.__setattr__(a, "direction", direction)
-    object.__setattr__(a, "level", level)
+    a.system, a.direction, a.level = system, direction, level
     return a
 
 
-@dataclass(frozen=True)
 class AffineRootSystem:
     """Either the affinisation of a finite system, or the finite system itself
-    packaged as a (spherical) Coxeter system with level-0 roots only."""
+    packaged as a (spherical) Coxeter system with level-0 roots only.  The
+    simple roots are aligned with their labels."""
 
-    finite_base: FiniteRootSystem
-    affine: bool
-    simples: tuple[AffineRoot, ...]  # aligned with `labels`
-    labels: tuple[int, ...]
-    theta: tuple[int, ...]
-    alcove_interior_point: Vec
+    def __init__(
+        self, finite_base: FiniteRootSystem, affine: bool, simples: tuple[AffineRoot, ...],
+        labels: tuple[int, ...], theta: tuple[int, ...], alcove_interior_point: Vec,
+    ):
+        self.finite_base, self.affine, self.simples = finite_base, affine, simples
+        self.labels, self.theta, self.alcove_interior_point = labels, theta, alcove_interior_point
+        self._facet_points = {}  # wall labels -> interior point of that face
+
+    def _key(self) -> tuple:
+        return (
+            self.finite_base, self.affine, self.simples, self.labels, self.theta,
+            self.alcove_interior_point,
+        )
+
+    def __eq__(self, other):
+        return isinstance(other, AffineRootSystem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -328,10 +347,7 @@ class AffineRootSystem:
         ray points of the chamber cone).  Computed once per face and kept on
         the system object (one per system)."""
         wall_labels = frozenset(wall_labels)
-        points = getattr(self, "_facet_points", None)
-        if points is None:
-            points = {}
-            object.__setattr__(self, "_facet_points", points)
+        points = self._facet_points
         point = points.get(wall_labels)
         if point is not None:
             return point

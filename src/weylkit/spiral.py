@@ -16,7 +16,6 @@ compare that numerator with epsilon n D, and the support bound reads it.
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -48,35 +47,37 @@ class _CartanMarker:
 CARTAN = _CartanMarker()
 
 
-@dataclass(frozen=True)
 class GradedRootDatum:
     """A finite root system with the grading data (theta-tilde, m, d)."""
 
-    finite: FiniteRootSystem
-    theta_tilde: Vec = ()
-    m: int = 1
-    d: int = 1
-    # root -> <alpha, theta-tilde>, an integer, filled by __post_init__
-    theta_pairs: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("finite", "theta_tilde", "m", "d", "theta_pairs")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "theta_tilde", tuple(Fraction(c) for c in self.theta_tilde)
-        )
-        if self.m <= 0:
+    def __init__(self, finite: FiniteRootSystem, theta_tilde: Vec = (), m: int = 1, d: int = 1):
+        self.finite, self.theta_tilde = finite, tuple(map(Fraction, theta_tilde))
+        self.m, self.d = m, d
+        if m <= 0:
             raise ValueError("m must be a positive integer")
-        if self.d == 0:
+        if d == 0:
             raise ValueError("d must be nonzero")
         nums, den = _common_denominator(self.theta_tilde)
-        pairs = {}
-        for root, num in _pairings(self.finite.roots, nums):
+        # root -> <alpha, theta-tilde>, an integer
+        self.theta_pairs = {}
+        for root, num in _pairings(finite.roots, nums):
             if num % den:
                 raise NotAdjoint(
                     "theta-tilde is not an adjoint cocharacter: "
                     f"<{root}, theta> = {Fraction(num, den)}"
                 )
-            pairs[root] = num // den
-        object.__setattr__(self, "theta_pairs", pairs)
+            self.theta_pairs[root] = num // den
+
+    def _key(self) -> tuple:
+        return self.finite, self.theta_tilde, self.m, self.d
+
+    def __eq__(self, other):
+        return isinstance(other, GradedRootDatum) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def epsilon(self) -> int:
@@ -102,19 +103,23 @@ def _pairings(roots, nums):
         yield root, sum(a * x for a, x in zip(root, nums))
 
 
-@dataclass(frozen=True)
 class Spiral:
     """Membership predicates for the graded pieces P_n (spiral), L_n
     (splitting) and U_n (nilpotent radical), evaluated per degree."""
 
-    datum: GradedRootDatum
-    lam: Vec = ()
-    epsilon: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(Fraction(c) for c in self.lam))
-        if self.epsilon not in (1, -1):
+    def __init__(self, datum: GradedRootDatum, lam: Vec = (), epsilon: int = 1):
+        self.datum, self.lam, self.epsilon = datum, tuple(map(Fraction, lam)), epsilon
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
+
+    def _key(self) -> tuple:
+        return self.datum, self.lam, self.epsilon
+
+    def __eq__(self, other):
+        return isinstance(other, Spiral) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def _by_degree(self) -> tuple[int, dict]:
@@ -184,14 +189,20 @@ def spiral_from_facet(datum: GradedRootDatum, nu: Facet) -> Spiral:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GradedPseudoLevi:
     """Roots constant at integer levels on a relevant subspace, with their
-    integral grading; the Cartan sits in degree 0."""
+    integral grading root -> int; the Cartan sits in degree 0."""
 
-    datum: GradedRootDatum = field(compare=False)
-    roots: tuple = ()
-    grading: dict = field(compare=False, default=None)  # root -> int
+    __slots__ = ("datum", "roots", "grading")
+
+    def __init__(self, datum: GradedRootDatum, roots: tuple = (), grading: dict = None):
+        self.datum, self.roots, self.grading = datum, roots, grading
+
+    def __eq__(self, other):
+        return isinstance(other, GradedPseudoLevi) and self.roots == other.roots
+
+    def __hash__(self):
+        return hash((self.roots,))
 
     def degree_piece(self, n: int) -> frozenset:
         out = {r for r in self.roots if self.grading[r] == n}
@@ -265,10 +276,20 @@ def _cross_check_with_facets(datum, sp, ambient, levi) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LeviDecompositionReport:
-    window: tuple[int, int]
-    partition_ok: bool
+    __slots__ = ("window", "partition_ok")
+
+    def __init__(self, window: tuple[int, int], partition_ok: bool):
+        self.window, self.partition_ok = window, partition_ok
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LeviDecompositionReport)
+            and (self.window, self.partition_ok) == (other.window, other.partition_ok)
+        )
+
+    def __hash__(self):
+        return hash((self.window, self.partition_ok))
 
 
 def levi_decomposition_check(spi: Spiral, window: tuple[int, int]) -> LeviDecompositionReport:

@@ -34,7 +34,6 @@ reflections) are built by `root_system._affine_root`, without the checks of
 the public `AffineRoot` constructor; tier-1 checks them against it.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -138,8 +137,7 @@ def _system_data(ambient: AffineRootSystem) -> _SystemData:
     object itself (one object per system, see `affinize`)."""
     data = getattr(ambient, "_group_data", None)
     if data is None:
-        data = _SystemData(ambient)
-        object.__setattr__(ambient, "_group_data", data)
+        data = ambient._group_data = _SystemData(ambient)
     return data
 
 
@@ -161,17 +159,28 @@ def _point_matrix(m: IntMat) -> IntMat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExtAffineWeylElement:
-    ambient: AffineRootSystem = field(compare=False)
-    mu: IntVec = ()
-    matrix: IntMat = ()
+    """(mu, matrix) over an ambient system; equal and hashed by (mu, matrix),
+    the hash computed on first use and kept."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(map(integral, self.mu)))
-        object.__setattr__(
-            self, "matrix", tuple(tuple(map(integral, row)) for row in self.matrix)
+    __slots__ = ("ambient", "mu", "matrix", "_hash")
+
+    def __init__(self, ambient: AffineRootSystem, mu: IntVec = (), matrix: IntMat = ()):
+        self.ambient, self.mu, self._hash = ambient, tuple(map(integral, mu)), None
+        self.matrix = tuple(tuple(map(integral, row)) for row in matrix)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExtAffineWeylElement)
+            and self.mu == other.mu
+            and self.matrix == other.matrix
         )
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.mu, self.matrix))
+        return h
 
     # -- constructors -----------------------------------------------------
 
@@ -247,9 +256,7 @@ def _element(ambient: AffineRootSystem, mu: IntVec, matrix: IntMat) -> ExtAffine
     """An element from int tuples, skipping the conversion in __init__: the
     constructor of the group operations, whose results are ints already."""
     g = object.__new__(ExtAffineWeylElement)
-    object.__setattr__(g, "ambient", ambient)
-    object.__setattr__(g, "mu", mu)
-    object.__setattr__(g, "matrix", matrix)
+    g.ambient, g.mu, g.matrix, g._hash = ambient, mu, matrix, None
     return g
 
 
@@ -401,14 +408,23 @@ def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReducedWord:
     """Reduced decomposition pi * s_{l_1} * ... * s_{l_q} with an optional
     lattice-automorphism prefix pi (identity for elements of W_S)."""
 
-    ambient: AffineRootSystem = field(compare=False)
-    pi: ExtAffineWeylElement = None
-    letters: tuple[int, ...] = ()
+    __slots__ = ("ambient", "pi", "letters")
+
+    def __init__(self, ambient: AffineRootSystem, pi: ExtAffineWeylElement = None, letters=()):
+        self.ambient, self.pi, self.letters = ambient, pi, letters
+
+    def _key(self) -> tuple:
+        return self.pi, self.letters
+
+    def __eq__(self, other):
+        return isinstance(other, ReducedWord) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def evaluate(self) -> ExtAffineWeylElement:
         g = self.pi

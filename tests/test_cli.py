@@ -419,6 +419,19 @@ def test_literal_power_above_the_cap_exits_3(capsys, expr):
     assert err.startswith("resource cap:")
 
 
+@pytest.mark.parametrize("factor", ["9" * 4000, "1/" + "9" * 4000])
+def test_coefficient_past_the_digit_limit_exits_3(capsys, factor):
+    # each literal converts, but their product has more digits than
+    # Python converts back to a string
+    expr = f"({factor})*({factor})"
+    code, out, err = run(capsys, ["ddaha", "--type", "A", "--rank", "1", "--expr", expr])
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: a coefficient has more than 4300 digits, the most Python converts to a "
+        "string\n"
+    )
+
+
 def test_literal_power_at_the_cap_is_accepted(capsys):
     expr = f"x1^{MAX_LITERAL_POWER}"
     code, payload = run_json(capsys, ["ddaha", "--type", "A", "--rank", "1", "--expr", expr])

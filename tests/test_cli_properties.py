@@ -4,7 +4,9 @@ of radius at most 2.  Whatever the argv, `main` returns an exit code from 0
 to 3 and raises nothing; exits 2 and 3 print nothing on stdout; exit 1 comes
 only with output that names a failing check; JSON output parses.  The same
 argvs, with stray words added, parse as the whole argparse parser parses
-them, and the JSON writer matches json.dumps on random values."""
+them, and the JSON writer matches json.dumps on random values.  A DDAHA
+literal drawn from the literal alphabet, with digit runs past Python's
+int-to-string limit, exits 0, 2 or 3 and raises nothing."""
 
 import contextlib
 import io
@@ -15,7 +17,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.cli import _json, build_parser, main, parse_args
@@ -159,6 +161,41 @@ def test_every_argv_exits_0_to_3_with_consistent_output(configs):
             assert names_a_failing_check(text, tsv)
 
     check()
+
+
+# literals built from the factors of the grammar, with digit runs on both
+# sides of Python's 4300-digit int-to-string limit, then with up to two
+# characters of the literal alphabet inserted anywhere
+LITERAL_ALPHABET = "sx^0123456789*+-/() "
+DIGITS = st.sampled_from(["1", "12", "9" * 4299, "9" * 4301])
+FACTORS = st.one_of(
+    st.sampled_from(["s0", "s1", "s2", "x1", "x2"]),
+    DIGITS,
+    DIGITS.map(lambda d: f"x1^{d}"),
+    st.tuples(DIGITS, DIGITS).map(lambda pq: f"(-{pq[0]}/{pq[1]})"),
+)
+
+
+@st.composite
+def literals(draw):
+    text = draw(FACTORS)
+    for _ in range(draw(st.integers(0, 4))):
+        text += draw(st.sampled_from(["*", " * ", "*", " + ", "-"])) + draw(FACTORS)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(LITERAL_ALPHABET)) + text[i:]
+    return text
+
+
+@settings(PROPERTY, max_examples=300)
+@given(literals())
+@example("(" + "9" * 4000 + ")*(" + "9" * 4000 + ")")
+def test_no_literal_raises(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["ddaha", "--type", "A", "--rank", "1", "--expr", text])
+    assert code in (0, 2, 3)
+    assert (out.getvalue() == "") == (code != 0)
 
 
 # words argparse reads in unusual places: help, `--`, unknown flags, an

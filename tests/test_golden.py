@@ -204,9 +204,33 @@ def test_kernel_roots_are_not_revalidated():
     names = sorted(n for n in CASES if n.startswith(prefixes))
     assert len(names) == 13
     counts = _run_fresh(
-        _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__post_init__", *prefixes
+        _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__init__", *prefixes
     )
     assert counts == {name: [True, 0] for name in names}
+
+
+# Runs one case (argv[2], golden file argv[3]) on the CLI in a fresh
+# interpreter, after importing the CLI and the DDAHA module, without the
+# test modules (pytest imports both modules it lists): prints whether the
+# output equals the golden and which of `dataclasses` and `inspect` are loaded.
+_LOADED_MODULES = """
+import contextlib, io, json, shlex, sys
+import weylkit.cli, weylkit.ddaha
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = weylkit.cli.main(shlex.split(sys.argv[2]))
+with open(sys.argv[3], "rb") as fh:
+    ok = f"exit {code}\\n".encode() + out.getvalue().encode() == fh.read()
+print(json.dumps([ok, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are plain classes, so a CLI process does not pay for
+    # importing dataclasses, which pulls in inspect, ast and dis
+    name = "ddaha_times_a2"
+    assert _run_fresh(_LOADED_MODULES, CASES[name], golden_path(name)) == [True, []]
 
 
 def test_json_goldens_skip_the_pure_python_encoder():
