@@ -26,11 +26,8 @@ from .weyl import (
     closure,
     conjugate_reflections,
     double_coset_min_rep,
-    enumerate_ball,
-    has_left_descent,
-    has_right_descent,
+    length_ball,
     min_coset_rep,
-    simple_mul,
 )
 from .relative import (
     ParabolicSubset,
@@ -273,30 +270,24 @@ def relative_position(f: Facet, g: Facet) -> RelativePosition:
 
 
 class Ball:
-    """The length ball of W_S: its elements mapped to their lengths (in BFS
-    order, from `enumerate_ball`), and their reduced words on demand."""
+    """The length ball of W_S from one `length_ball` search: its elements
+    mapped to their lengths (in BFS order), their left-descent sets, and
+    their reduced words read off the recorded steps."""
 
     def __init__(self, ambient: AffineRootSystem, radius: int):
         self.ambient = ambient
         self.radius = radius
-        self.lengths = enumerate_ball(ambient, radius)
-        self._labels = sorted(ambient.labels)
-        self._steps = {}  # g -> (lowest left descent l, s_l g)
+        self.lengths, self.descents, self._steps = length_ball(ambient, radius)
 
     def word(self, g: ExtAffineWeylElement) -> tuple[int, ...]:
         """The letters of reduced_word(g) for g in the ball.  reduced_word
         strips the lowest left descent l first, so the word of g is l
-        followed by the word of s_l g, one shorter and again in the ball: a
-        loop down to the identity, each element's descent searched once."""
+        followed by the word of s_l g, one shorter: the search recorded that
+        step for g, and the word walks the steps down to the identity."""
         letters = []
         while self.lengths[g]:
-            step = self._steps.get(g)
-            if step is None:
-                l = next(l for l in self._labels if has_left_descent(g, l))
-                step = (l, simple_mul(l, g))
-                self._steps[g] = step
-            letters.append(step[0])
-            g = step[1]
+            l, g = self._steps[g]
+            letters.append(l)
         return tuple(letters)
 
 
@@ -308,8 +299,10 @@ def facets_in_ball(
     minimal representative of y W_J exactly when y has no right descent in J
     (the parabolic quotient W^J; Bjorner-Brenti, Combinatorics of Coxeter
     Groups, 2.4), so each element of the ball gives one facet of every type
-    disjoint from its right descent set.  `ball` is the caller's Ball of this
-    radius, used instead of enumerating a second one."""
+    disjoint from its right descent set.  The right descents of y are the
+    left descents of y^-1, which the ball, closed under inversion, has
+    recorded.  `ball` is the caller's Ball of this radius, used instead of
+    enumerating a second one."""
     labels = ambient.labels
     if types is None:
         types = [
@@ -321,10 +314,11 @@ def facets_in_ball(
     if ball is None:
         ball = Ball(ambient, radius)
     assert ball.radius == radius
+    descents = ball.descents
     out = []
     for y in ball.lengths:
-        descents = {l for l in labels if has_right_descent(y, l)}
-        out.extend(Facet(ambient, y, t) for t in types if descents.isdisjoint(t))
+        right = descents[y.inverse()]
+        out.extend(Facet(ambient, y, t) for t in types if right.isdisjoint(t))
     return frozenset(out)
 
 

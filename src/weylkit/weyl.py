@@ -616,8 +616,8 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
     return min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
 
 
-# the most elements a `closure` search may reach, and the steps after which
-# a descent strip checks that it has not outrun the length
+# the most elements a `closure` or `length_ball` search may reach, and the
+# steps after which a descent strip checks that it has not outrun the length
 BALL_CAP = 10**6
 
 
@@ -648,13 +648,53 @@ def closure(
     return dist
 
 
+def length_ball(ambient: AffineRootSystem, radius: int) -> tuple[dict, dict, dict]:
+    """(lengths, descents, steps) of the elements of W_S with length <=
+    radius, from one breadth-first search by s_l g: each element mapped to
+    its length (in BFS order), to its set of left descents, and, past the
+    identity, to (l, s_l g) for its lowest left descent l.
+
+    g at level d is multiplied only by the labels that are not its left
+    descents, and each h = s_l g found so gets l as a left descent.  Every
+    left descent l of h arises so, from s_l h one level down, so the set of
+    h is complete once that level is visited.  A new h is checked by one
+    descent test: l(s_l g) = l(g) + 1 exactly when l is a left descent of
+    s_l g (Humphreys, Reflection Groups and Coxeter Groups, 5.2-5.4), so
+    its level is its length by induction; a rediscovered h must sit one
+    level up as well.  More than BALL_CAP elements raise BallTooLarge."""
+    e = ExtAffineWeylElement.identity(ambient)
+    labels = ambient.labels
+    lengths, descents, steps = {e: 0}, {e: set()}, {}
+    frontier, d = [e], 0
+    while frontier and d < radius:
+        d += 1
+        nxt = []
+        for g in frontier:
+            below = descents[g]
+            for l in labels:
+                if l in below:
+                    continue
+                h = simple_mul(l, g)
+                known = descents.get(h)
+                if known is None:
+                    assert has_left_descent(h, l)
+                    lengths[h], descents[h], steps[h] = d, {l}, (l, g)
+                    nxt.append(h)
+                    if len(lengths) > BALL_CAP:
+                        raise BallTooLarge(f"ball exceeds cap of {BALL_CAP} elements")
+                else:
+                    assert lengths[h] == d
+                    known.add(l)
+                    if l < steps[h][0]:
+                        steps[h] = (l, g)
+        frontier = nxt
+    return lengths, descents, steps
+
+
 def enumerate_ball(ambient: AffineRootSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
-    """All elements of W_S with length <= radius, mapped to their lengths;
-    more than `closure`'s BALL_CAP elements raise BallTooLarge."""
-    ball = closure(ExtAffineWeylElement.identity(ambient), ambient.labels, radius, step=simple_mul)
-    for g, d in ball.items():
-        assert length(g) == d
-    return ball
+    """All elements of W_S with length <= radius, mapped to their lengths in
+    BFS order: the lengths of `length_ball`."""
+    return length_ball(ambient, radius)[0]
 
 
 # ---------------------------------------------------------------------------

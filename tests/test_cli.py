@@ -217,18 +217,41 @@ def test_certify_enumerates_one_length_ball(capsys, monkeypatch):
     from weylkit import weyl
 
     radii = []
+    search = weyl.length_ball
 
     def counted(ambient, radius):
         radii.append(radius)
-        return weyl.enumerate_ball(ambient, radius)
+        return search(ambient, radius)
 
+    # every binding, weyl's own included, so a ball built through
+    # enumerate_ball is counted as well as a coxcomplex.Ball
     for module in vars(weylkit).values():
-        if getattr(module, "enumerate_ball", None) is weyl.enumerate_ball and module is not weyl:
-            monkeypatch.setattr(module, "enumerate_ball", counted)
+        if getattr(module, "length_ball", None) is search:
+            monkeypatch.setattr(module, "length_ball", counted)
     argv = ["certify", "--type", "B", "--rank", "2", "--sigma", "1", "--radius", "3", "--depth", "2"]
     code, payload = run_json(capsys, argv)
     assert code == 0 and payload["result"]["ok"] is True
     assert radii == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "weyl-ball", "--type", "C", "--rank", "2", "--radius", "3"],
+        ["table", "facets", "--type", "C", "--rank", "2", "--radius", "3"],
+        ["complex", "fixed", "--type", "C", "--rank", "2", "--sigma", "1", "--radius", "3"],
+        ["certify", "--type", "C", "--rank", "2", "--sigma", "1", "--radius", "3"],
+    ],
+)
+def test_length_ball_past_the_cap_exits_3(capsys, monkeypatch, argv):
+    from weylkit import weyl
+
+    # affine C2 has 1, 3, 5 and 8 elements of length 0 to 3: the length
+    # ball of radius 3 passes a cap of 12, the relative data stay below it
+    monkeypatch.setattr(weyl, "BALL_CAP", 12)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "resource cap: ball exceeds cap of 12 elements\n"
 
 
 def test_complex_fixed_not_admissible_reports_sorted_supersets(capsys):

@@ -11,7 +11,18 @@ from weylkit.relative import (
     relative_system,
 )
 from weylkit.root_system import affinize, build_finite, finite_coxeter
-from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, reduced_word
+from weylkit import weyl
+from weylkit.weyl import (
+    BallTooLarge,
+    ExtAffineWeylElement,
+    closure,
+    enumerate_ball,
+    has_left_descent,
+    has_right_descent,
+    length,
+    reduced_word,
+    simple_mul,
+)
 
 
 def s(ambient, label):
@@ -370,6 +381,57 @@ def test_ball_words_are_reduced_words(type_label, rank, affine):
         word = ball.word(g)
         assert word == reduced_word(g).letters
         assert len(word) == d
+
+
+# (type, rank, affine, radius) of every ball the complex_queries benchmark
+# pool and the goldens build, and finite systems at radii past l(w0)
+SEARCHED_BALLS = (
+    [(t, 2, True, r) for t in ("A", "C", "G") for r in range(1, 6)]
+    + [("B", 2, True, 3), ("BC", 2, True, 4)]
+    + [("A", 3, False, 2), ("B", 3, False, 3), ("B", 3, False, 4)]
+    + [("A", 2, False, 4), ("B", 2, False, 5), ("G", 2, False, 7), ("A", 3, False, 7)]
+    + [("B", 3, False, 10), ("C", 3, False, 10), ("D", 4, False, 13)]
+)
+
+
+def facets_by_right_descents(ambient, ball, types):
+    """The facets of the ball with every label's right descent tested on
+    every element: the comprehension that reading the left descents of
+    y^-1 replaced."""
+    out = []
+    for y in ball.lengths:
+        descents = {l for l in ambient.labels if has_right_descent(y, l)}
+        out.extend(cx.Facet(ambient, y, t) for t in types if descents.isdisjoint(t))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("type_label,rank,affine,radius", SEARCHED_BALLS)
+def test_length_ball_search_against_the_generic_closure(type_label, rank, affine, radius):
+    ambient = oracle_system(type_label, rank, affine)
+    ball = cx.Ball(ambient, radius)
+    e = ExtAffineWeylElement.identity(ambient)
+    bfs = closure(e, ambient.labels, radius, step=simple_mul)
+    assert list(ball.lengths.items()) == list(bfs.items())
+    assert enumerate_ball(ambient, radius) == ball.lengths
+    assert ball.descents.keys() == ball.lengths.keys()
+    for g, d in ball.lengths.items():
+        assert length(g) == d
+        assert ball.word(g) == reduced_word(g).letters
+        assert ball.descents[g] == {l for l in ambient.labels if has_left_descent(g, l)}
+    types = proper_types(ambient)
+    facets = cx.facets_in_ball(ambient, radius, ball=ball)
+    assert facets == facets_by_right_descents(ambient, ball, types)
+
+
+def test_length_ball_search_hits_the_cap(aff_a1, monkeypatch):
+    # 1 + 2 per level: radius 3 holds 7 elements, radius 4 one level more
+    monkeypatch.setattr(weyl, "BALL_CAP", 7)
+    assert len(cx.Ball(aff_a1, 3).lengths) == 7
+    with pytest.raises(BallTooLarge) as info:
+        cx.Ball(aff_a1, 4)
+    assert str(info.value) == "ball exceeds cap of 7 elements"
+    with pytest.raises(BallTooLarge, match="^ball exceeds cap of 7 elements$"):
+        enumerate_ball(aff_a1, 4)
 
 
 def test_ball_words_at_a_radius_beyond_the_recursion_limit(aff_a1):
