@@ -206,9 +206,50 @@ CASES = {
 }
 
 
+# name -> the field tuple whose hash is the record's hash; a record's hash
+# fixes the iteration order of the sets and dicts it is kept in
+HASHED = {
+    "ExtAffineWeylElement": lambda r: (r.mu, r.matrix),
+    "ReducedWord": lambda r: (r.pi, r.letters),
+    "FiniteRootSystem": lambda r: (r.type_label, r.rank, r.cartan_matrix, r.gram_matrix, r.roots),
+    "AffineRoot": lambda r: (r.direction, r.level),
+    "AffineRootSystem": lambda r: (
+        r.finite_base, r.affine, r.simples, r.labels, r.theta, r.alcove_interior_point
+    ),
+    "Poly": lambda r: (r.nvars, r.terms),
+    "HeckeParameters": lambda r: (r.m, r.d, r.c, r.unsafe),
+    "DdahaAlgebra": lambda r: (r.params,),
+    "DdahaElement": lambda r: (
+        r.den, frozenset((g, frozenset(f.items())) for g, f in r.num.items())
+    ),
+    "RelationReport": lambda r: (r.squares_ok, r.braid_ok, r.cross_ok, r.failures),
+    "StandardModule": lambda r: (r.lam0, r.depth, r.basis),
+    "Facet": lambda r: (r.rep, r.type_labels),
+    "AffineSpan": lambda r: (frozenset(r.vanishing_roots), len(r.directions)),
+    "GradingPoint": lambda r: (r.theta_tilde, r.m),
+    "RelativePosition": lambda r: (r.double_coset, r.good, r.relative_element),
+    "FixedChambersReport": lambda r: (
+        r.chambers, r.single_free_orbit, r.ball_complete, r.boundary_excluded
+    ),
+    "RelativeCoxeterSystem": lambda r: (r.sigma_complement, r.degenerate_single_complement),
+    "ElementaryMove": lambda r: (r.sigma_from, r.sigma_to, r.s),
+    "GradedRootDatum": lambda r: (r.finite, r.theta_tilde, r.m, r.d),
+    "Spiral": lambda r: (r.datum, r.lam, r.epsilon),
+    "GradedPseudoLevi": lambda r: (r.roots,),
+    "LeviDecompositionReport": lambda r: (r.window, r.partition_ok),
+}
+
+
 def test_every_record_class_is_covered():
     assert sorted(cls.__name__ for cls in SIGNATURES) == sorted(CASES)
     assert len(CASES) == 22
+
+
+@pytest.mark.parametrize("name", sorted(HASHED))
+def test_hash_is_pinned_to_the_field_tuple(name):
+    assert sorted(HASHED) == sorted(CASES)
+    for r in CASES[name]():
+        assert hash(r) == hash(HASHED[name](r))
 
 
 @pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
