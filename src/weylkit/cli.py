@@ -154,8 +154,14 @@ def resolve_config(args) -> dict:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh, object_pairs_hook=_unique_keys)
-        except (OSError, json.JSONDecodeError) as exc:
+        except ConfigError:
+            raise
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+        # past the integer-string limit; RecursionError: nesting too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if type(loaded) is not dict:
+            raise ConfigError("the config file must hold a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")

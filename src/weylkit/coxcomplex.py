@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import linalg
 from .linalg import Vec, dot
-from .root_system import AffineRoot, AffineRootSystem
+from .root_system import AffineRoot, AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
     act_on_affine_root,
@@ -101,7 +101,7 @@ def interior_point(f: Facet) -> Vec:
     return f.rep.act_point(f.ambient.facet_interior_point(f.type_labels))
 
 
-class AffineSpan:
+class AffineSpan(Record):
     """An affine subspace of E: a rational base point, a basis of the
     direction space, and the full set of affine-root hyperplanes through it
     (canonical keys), which pins the subspace down exactly."""
@@ -111,15 +111,8 @@ class AffineSpan:
     def __init__(self, base: Vec, directions: tuple[Vec, ...], vanishing_roots: frozenset):
         self.base, self.directions, self.vanishing_roots = base, directions, vanishing_roots
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineSpan)
-            and self.vanishing_roots == other.vanishing_roots
-            and len(self.directions) == len(other.directions)
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.vanishing_roots), len(self.directions)))
+    def _key(self) -> tuple:
+        return frozenset(self.vanishing_roots), len(self.directions)
 
     def dim(self) -> int:
         return len(self.directions)
@@ -180,7 +173,7 @@ def stabilizer_group(ambient: AffineRootSystem, x: Vec) -> frozenset[ExtAffineWe
     return frozenset(closure(ExtAffineWeylElement.identity(ambient), gens))
 
 
-class GradingPoint:
+class GradingPoint(Record):
     """x = theta_tilde / m with its stabilizer data."""
 
     __slots__ = ("ambient", "theta_tilde", "m")
@@ -192,12 +185,6 @@ class GradingPoint:
 
     def _key(self) -> tuple:
         return self.theta_tilde, self.m
-
-    def __eq__(self, other):
-        return isinstance(other, GradingPoint) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def x(self) -> Vec:
@@ -215,7 +202,7 @@ class GradingPoint:
 # ---------------------------------------------------------------------------
 
 
-class RelativePosition:
+class RelativePosition(Record):
     __slots__ = ("double_coset", "good", "relative_element")
 
     def __init__(self, double_coset: ExtAffineWeylElement, good: bool, relative_element=None):
@@ -223,12 +210,6 @@ class RelativePosition:
 
     def _key(self) -> tuple:
         return self.double_coset, self.good, self.relative_element
-
-    def __eq__(self, other):
-        return isinstance(other, RelativePosition) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def act_relative(w: ExtAffineWeylElement, f: Facet) -> Facet:
@@ -346,7 +327,7 @@ def xi_orbit(
     return frozenset(orbit), complete
 
 
-class FixedChambersReport:
+class FixedChambersReport(Record):
     """The chambers, the action table (generator label, facet) -> facet or
     None, the length ball the chambers were found in, and the checks."""
 
@@ -364,12 +345,6 @@ class FixedChambersReport:
 
     def _key(self) -> tuple:
         return self.chambers, self.single_free_orbit, self.ball_complete, self.boundary_excluded
-
-    def __eq__(self, other):
-        return isinstance(other, FixedChambersReport) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def fixed_chambers(

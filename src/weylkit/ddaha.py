@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .poly import DivisionNotExact, Poly, divide_linear, weyl_action
-from .root_system import AffineRootSystem
+from .root_system import AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
     _wall,
@@ -65,7 +65,7 @@ class ImageNotIntegral(ArithmeticError):
     """A monomial image of the step has a coefficient that is not an integer."""
 
 
-class HeckeParameters:
+class HeckeParameters(Record):
     """Grading integers (m, d) and the orbit-invariant family c, as sorted
     (label, value) pairs."""
 
@@ -76,12 +76,6 @@ class HeckeParameters:
 
     def _key(self) -> tuple:
         return self.m, self.d, self.c, self.unsafe
-
-    def __eq__(self, other):
-        return isinstance(other, HeckeParameters) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @staticmethod
     def make(m: int, d: int, c: dict, unsafe: bool = False) -> "HeckeParameters":
@@ -97,7 +91,7 @@ class HeckeParameters:
         return Fraction(self.d, 2 * self.m) * self.c_map()[label]
 
 
-class DdahaAlgebra:
+class DdahaAlgebra(Record):
     """The algebra of an ambient system and its parameters; equal and hashed
     by the parameters."""
 
@@ -112,11 +106,8 @@ class DdahaAlgebra:
         # label -> the denominator hd_a of h_a, read at every letter of the step
         self._hd = {label: params.h(label).denominator for label, _ in params.c}
 
-    def __eq__(self, other):
-        return isinstance(other, DdahaAlgebra) and self.params == other.params
-
-    def __hash__(self):
-        return hash((self.params,))
+    def _key(self) -> tuple:
+        return (self.params,)
 
     @property
     def nvars(self) -> int:
@@ -369,7 +360,7 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
 # ---------------------------------------------------------------------------
 
 
-class RelationReport:
+class RelationReport(Record):
     __slots__ = ("squares_ok", "braid_ok", "cross_ok", "failures")
 
     def __init__(self, squares_ok: bool, braid_ok: bool, cross_ok: bool, failures: tuple = ()):
@@ -378,12 +369,6 @@ class RelationReport:
 
     def _key(self) -> tuple:
         return self.squares_ok, self.braid_ok, self.cross_ok, self.failures
-
-    def __eq__(self, other):
-        return isinstance(other, RelationReport) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def ok(self) -> bool:
         return self.squares_ok and self.braid_ok and self.cross_ok
@@ -448,7 +433,7 @@ def verify_relations(algebra: DdahaAlgebra, seed: int = 0) -> RelationReport:
 # ---------------------------------------------------------------------------
 
 
-class StandardModule:
+class StandardModule(Record):
     """The induced module with highest weight lam0, truncated to basis
     vectors g with l(g) <= depth: the group elements of the basis, sorted
     by (length, mu, matrix)."""
@@ -460,12 +445,6 @@ class StandardModule:
 
     def _key(self) -> tuple:
         return self.lam0, self.depth, self.basis
-
-    def __eq__(self, other):
-        return isinstance(other, StandardModule) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def weight_of(self, g: ExtAffineWeylElement) -> tuple:
         return g.act_point(self.lam0)

@@ -10,6 +10,8 @@ change of variables, with a hard error on a nonzero remainder.
 from fractions import Fraction
 from operator import add
 
+from .root_system import Record
+
 
 class DivisionNotExact(ArithmeticError):
     pass
@@ -27,7 +29,7 @@ def _product(left, right) -> dict:
     return out
 
 
-class Poly:
+class Poly(Record):
     """Map from exponent tuples to nonzero rational coefficients, held as a
     frozenset of (exponents, coefficient) pairs."""
 
@@ -38,11 +40,8 @@ class Poly:
             assert len(exps) == nvars and c != 0
         self.nvars, self.terms = nvars, terms
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, self.terms))
+    def _key(self) -> tuple:
+        return self.nvars, self.terms
 
     # -- constructors -----------------------------------------------------
 

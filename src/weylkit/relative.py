@@ -30,7 +30,7 @@ differ, so only the membership-checked `relative_reduced_word` strips by them.
 
 from itertools import combinations
 
-from .root_system import AffineRoot, AffineRootSystem
+from .root_system import AffineRoot, AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
     _strip_descents,
@@ -172,7 +172,7 @@ def is_admissible(ambient: AffineRootSystem, sigma) -> tuple[bool, list[frozense
     return not violations, violations
 
 
-class RelativeCoxeterSystem:
+class RelativeCoxeterSystem(Record):
     """The relative system of a base parabolic: its simples map each label
     to s-tilde, and its Coxeter matrix each (s, t) to the order of s-tilde
     t-tilde, None if infinite."""
@@ -192,12 +192,6 @@ class RelativeCoxeterSystem:
 
     def _key(self) -> tuple:
         return self.sigma_complement, self.degenerate_single_complement
-
-    def __eq__(self, other):
-        return isinstance(other, RelativeCoxeterSystem) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def simple_labels(self):
         return tuple(sorted(self.simples))
@@ -339,7 +333,7 @@ def _is_normalizer_pair(y, left: ParabolicSubset, right: ParabolicSubset) -> boo
     return _normalizes(y, left, right) and len(left.reflections()) == len(right.reflections())
 
 
-class ElementaryMove:
+class ElementaryMove(Record):
     __slots__ = ("sigma_from", "sigma_to", "s", "element")
 
     def __init__(self, sigma_from: frozenset[int], sigma_to: frozenset[int], s: int, element):
@@ -347,12 +341,6 @@ class ElementaryMove:
 
     def _key(self) -> tuple:
         return self.sigma_from, self.sigma_to, self.s
-
-    def __eq__(self, other):
-        return isinstance(other, ElementaryMove) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def _conjugate_labels(ambient, z: ExtAffineWeylElement, labels) -> frozenset[int]:

@@ -80,7 +80,21 @@ def _simple_gram(type_label: str, rank: int) -> Mat:
     return tuple(map(tuple, gram))
 
 
-class FiniteRootSystem:
+class Record:
+    """Value semantics for the record classes: a record equals another of the
+    same class with an equal `_key()`, the tuple of its compared fields, and
+    hashes as that tuple.  Each subclass defines `_key()`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class FiniteRootSystem(Record):
     """Exact root data of an irreducible finite root system, reduced or not:
     the Gram matrix holds the scalar products of the simple roots, and the
     roots are all roots, in simple-root coordinates."""
@@ -91,12 +105,6 @@ class FiniteRootSystem:
 
     def _key(self) -> tuple:
         return self.type_label, self.rank, self.cartan_matrix, self.gram_matrix, self.roots
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteRootSystem) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     # -- pairings ---------------------------------------------------------
 
@@ -251,7 +259,7 @@ def _affine_root(system: FiniteRootSystem, direction: tuple[int, ...], level: in
     return a
 
 
-class AffineRootSystem:
+class AffineRootSystem(Record):
     """Either the affinisation of a finite system, or the finite system itself
     packaged as a (spherical) Coxeter system with level-0 roots only.  The
     simple roots are aligned with their labels."""
@@ -269,12 +277,6 @@ class AffineRootSystem:
             self.finite_base, self.affine, self.simples, self.labels, self.theta,
             self.alcove_interior_point,
         )
-
-    def __eq__(self, other):
-        return isinstance(other, AffineRootSystem) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def rank(self) -> int:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import Vec, dot
-from .root_system import FiniteRootSystem
+from .root_system import FiniteRootSystem, Record
 from .coxcomplex import AffineSpan, Facet, facets_in_ball, interior_point, span
 
 
@@ -47,7 +47,7 @@ class _CartanMarker:
 CARTAN = _CartanMarker()
 
 
-class GradedRootDatum:
+class GradedRootDatum(Record):
     """A finite root system with the grading data (theta-tilde, m, d)."""
 
     __slots__ = ("finite", "theta_tilde", "m", "d", "theta_pairs")
@@ -73,12 +73,6 @@ class GradedRootDatum:
     def _key(self) -> tuple:
         return self.finite, self.theta_tilde, self.m, self.d
 
-    def __eq__(self, other):
-        return isinstance(other, GradedRootDatum) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def epsilon(self) -> int:
         return 1 if self.d > 0 else -1
@@ -103,7 +97,7 @@ def _pairings(roots, nums):
         yield root, sum(a * x for a, x in zip(root, nums))
 
 
-class Spiral:
+class Spiral(Record):
     """Membership predicates for the graded pieces P_n (spiral), L_n
     (splitting) and U_n (nilpotent radical), evaluated per degree."""
 
@@ -114,12 +108,6 @@ class Spiral:
 
     def _key(self) -> tuple:
         return self.datum, self.lam, self.epsilon
-
-    def __eq__(self, other):
-        return isinstance(other, Spiral) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def _by_degree(self) -> tuple[int, dict]:
@@ -189,7 +177,7 @@ def spiral_from_facet(datum: GradedRootDatum, nu: Facet) -> Spiral:
 # ---------------------------------------------------------------------------
 
 
-class GradedPseudoLevi:
+class GradedPseudoLevi(Record):
     """Roots constant at integer levels on a relevant subspace, with their
     integral grading root -> int; the Cartan sits in degree 0."""
 
@@ -198,11 +186,8 @@ class GradedPseudoLevi:
     def __init__(self, datum: GradedRootDatum, roots: tuple = (), grading: dict = None):
         self.datum, self.roots, self.grading = datum, roots, grading
 
-    def __eq__(self, other):
-        return isinstance(other, GradedPseudoLevi) and self.roots == other.roots
-
-    def __hash__(self):
-        return hash((self.roots,))
+    def _key(self) -> tuple:
+        return (self.roots,)
 
     def degree_piece(self, n: int) -> frozenset:
         out = {r for r in self.roots if self.grading[r] == n}
@@ -276,20 +261,14 @@ def _cross_check_with_facets(datum, sp, ambient, levi) -> None:
 # ---------------------------------------------------------------------------
 
 
-class LeviDecompositionReport:
+class LeviDecompositionReport(Record):
     __slots__ = ("window", "partition_ok")
 
     def __init__(self, window: tuple[int, int], partition_ok: bool):
         self.window, self.partition_ok = window, partition_ok
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeviDecompositionReport)
-            and (self.window, self.partition_ok) == (other.window, other.partition_ok)
-        )
-
-    def __hash__(self):
-        return hash((self.window, self.partition_ok))
+    def _key(self) -> tuple:
+        return self.window, self.partition_ok
 
 
 def levi_decomposition_check(spi: Spiral, window: tuple[int, int]) -> LeviDecompositionReport:

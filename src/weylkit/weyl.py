@@ -40,7 +40,7 @@ from math import lcm
 from operator import mul
 
 from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, transpose
-from .root_system import AffineRoot, AffineRootSystem, _affine_root
+from .root_system import AffineRoot, AffineRootSystem, Record, _affine_root
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -408,7 +408,7 @@ def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ReducedWord:
+class ReducedWord(Record):
     """Reduced decomposition pi * s_{l_1} * ... * s_{l_q} with an optional
     lattice-automorphism prefix pi (identity for elements of W_S)."""
 
@@ -419,12 +419,6 @@ class ReducedWord:
 
     def _key(self) -> tuple:
         return self.pi, self.letters
-
-    def __eq__(self, other):
-        return isinstance(other, ReducedWord) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def evaluate(self) -> ExtAffineWeylElement:
         g = self.pi

@@ -592,6 +592,32 @@ def test_order_cap_in_config_file_is_an_unknown_key(tmp_path, capsys):
     assert "unknown config keys ['order_cap']" in err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # a top-level value that is not an object
+        b"5",
+        b"null",
+        b"true",
+        b"[]",
+        b'[["type", "B"]]',
+        # bytes that are not UTF-8
+        b'\xff\xfe{"type": "B"}',
+        # an integer past the integer-string limit
+        b'{"rank": ' + b"1" * 4301 + b"}",
+        # nesting past the recursion limit
+        b"[" * 100000 + b"]" * 100000,
+    ],
+    ids=["int", "null", "bool", "empty-list", "pairs", "not-utf8", "long-int", "deep"],
+)
+def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    code, out, err = run(capsys, ["root", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error:")
+
+
 @pytest.mark.parametrize("cartan_type", ["A", "B"])
 def test_certify_finite_rank_2_coxeter_ball_sizes(capsys, cartan_type):
     # the whole finite group: the relative system is W itself, whose product

@@ -97,14 +97,15 @@ PROPERTY = settings(
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     """Config files: a good one first, then one with a bad value of a key
-    few commands read, one with an unknown key, malformed JSON, and a
-    missing path."""
+    few commands read, one with an unknown key, malformed JSON, JSON that
+    is not an object, and a missing path."""
     root = tmp_path_factory.mktemp("configs")
     files = {
         "good.json": '{"type": "C", "rank": 2, "sigma": [1]}',
         "bad_theta.json": '{"theta": "1/0"}',
         "unknown.json": '{"order_cap": 3}',
         "malformed.json": '{"type": ',
+        "not_object.json": '[["type", "B"]]',
     }
     for name, text in files.items():
         (root / name).write_text(text)

@@ -9,13 +9,17 @@ import pytest
 
 from weylkit import coxcomplex as cx
 from weylkit import ddaha as dd
+from weylkit import poly
 from weylkit import relative as rel
+from weylkit import root_system
 from weylkit import spiral as sp
+from weylkit import weyl
 from weylkit.poly import Poly
 from weylkit.root_system import (
     AffineRoot,
     AffineRootSystem,
     FiniteRootSystem,
+    Record,
     affinize,
     build_finite,
     finite_coxeter,
@@ -280,6 +284,33 @@ def test_own_equality_of_ddaha_elements_and_spans():
     assert cx.AffineSpan.__eq__(a, "a") is False
     assert hash(a) == hash((a.vanishing_roots, len(a.directions)))
 
+
+# the classes a command reaches on every op keep their own inline equality and
+# hash; every other record takes both from Record through its _key()
+HOT = {ExtAffineWeylElement, AffineRoot, cx.Facet, dd.DdahaElement}
+# the records that keep per-object caches in an instance __dict__
+UNSLOTTED = {FiniteRootSystem, AffineRootSystem, sp.Spiral}
+
+
+def test_one_value_semantics_primitive():
+    modules = (root_system, weyl, poly, dd, cx, rel, sp)
+    classes = {
+        c for m in modules for c in vars(m).values()
+        if isinstance(c, type) and c.__module__ == m.__name__
+    }
+    own = {c for c in classes if "__eq__" in vars(c) or "__hash__" in vars(c)}
+    assert own == {Record, *HOT}
+
+    for cls in SIGNATURES:
+        assert issubclass(cls, Record) is (cls not in HOT)
+        x = CASES[cls.__name__]()[0]
+        assert hasattr(x, "__dict__") is (cls in UNSLOTTED)
+
+    # equal keys in two different record classes are still two values
+    report = sp.LeviDecompositionReport((-1, 1), True)
+    system = rel.RelativeCoxeterSystem(AFF, None, (-1, 1), {}, {}, True)
+    assert report._key() == system._key() and hash(report) == hash(system)
+    assert report != system and not report == system
 
 def test_construction_converts_and_checks():
     g = ExtAffineWeylElement(AFF, [Fraction(1), 0], [[1, 0], [Fraction(0), 1]])
