@@ -156,7 +156,7 @@ def resolve_config(args) -> dict:
                 loaded = json.load(fh, object_pairs_hook=_unique_keys)
         except ConfigError:
             raise
-        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+        # ValueError: malformed JSON, bytes that do not decode, or an integer
         # past the integer-string limit; RecursionError: nesting too deep
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc

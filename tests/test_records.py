@@ -249,9 +249,8 @@ def test_every_record_class_is_covered():
     assert len(CASES) == 22
 
 
-@pytest.mark.parametrize("name", sorted(HASHED))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_hash_is_pinned_to_the_field_tuple(name):
-    assert sorted(HASHED) == sorted(CASES)
     for r in CASES[name]():
         assert hash(r) == hash(HASHED[name](r))
 
