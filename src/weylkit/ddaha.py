@@ -7,17 +7,21 @@ Elements live in the vector space CW tensor C[E] in the normal form
 
 is applied in one step, `_times_simple`: the normal form of x * s_a for a
 whole element x, summed from the images of single monomials, each computed
-once per algebra by exact polynomial division (a non-exact division still
-raises).  The group products g * s_a of the step are kept per algebra too,
-in the table `DdahaAlgebra._products`, so each is formed once: a miss forms
-it by the rank-one update `weyl.mul_simple`, with no matrix product.  An
-element is stored as integer numerators over one positive denominator, in
-lowest terms, and the step runs on that form.  A simple reflection maps each
-coordinate to an affine form with integer coefficients, and each wall a has
-integer coefficients of content 1, so by Gauss's lemma s_a(x^e) and
-(x^e - s_a(x^e)) / a are integral and only h_a carries a denominator, hd_a.
-The cached images are hd_a s_a(x^e) and hd_a h_a (x^e - s_a(x^e)) / a as
-integer terms, and each letter multiplies the denominator by hd_a.
+once per algebra.  The group products g * s_a of the step are kept per
+algebra too, in the table `DdahaAlgebra._products`, so each is formed once:
+a miss forms it by the rank-one update `weyl.mul_simple`, with no matrix
+product.  An element is stored as integer numerators over one positive
+denominator, in lowest terms, and the step runs on that form.  A simple
+reflection maps each coordinate x_i to an affine form s_a(x_i) with integer
+coefficients, and x_i - s_a(x_i) = k_i a with k_i an integer; they are read
+once per label and coordinate by `weyl_action` and exact division by the
+wall (`divide_linear`), where a non-integral one raises.  The divided
+difference (1 - s_a) / a is a twisted derivation (Bernstein-Gelfand-Gelfand,
+Demazure), so s_a(x^e) and (x^e - s_a(x^e)) / a follow from the images of
+x^e / x_i by integer products with s_a(x_i), and only h_a carries a
+denominator, hd_a.  The cached images are hd_a s_a(x^e) and
+hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
+the denominator by hd_a.
 `multiply(x, y)` folds the step over the reduced word of each group part of
 y, brings the terms of y to one denominator by integer scaling, and reduces
 the result to lowest terms; `parse_element` folds each factor of a literal
@@ -37,7 +41,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
 
-from .poly import DivisionNotExact, Poly, divide_linear, weyl_action
+from .poly import DivisionNotExact, Poly, _product, divide_linear, weyl_action
 from .root_system import AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
@@ -95,14 +99,15 @@ class DdahaAlgebra(Record):
     """The algebra of an ambient system and its parameters; equal and hashed
     by the parameters."""
 
-    __slots__ = ("ambient", "params", "_images", "_products", "_words", "_hd")
+    __slots__ = ("ambient", "params", "_images", "_forms", "_products", "_words", "_hd")
 
     def __init__(self, ambient: AffineRootSystem, params: HeckeParameters = None):
         self.ambient, self.params = ambient, params
-        # filled on first use: (label, exponents) -> monomial images and
-        # (group element g, label) -> g * s_label (see _times_simple), and group
-        # element -> reduced word (see _word)
-        self._images, self._products, self._words = {}, {}, {}
+        # filled on first use: (label, exponents) -> monomial images, label ->
+        # the images of the coordinates they are built from (see
+        # _monomial_images), (group element g, label) -> g * s_label (see
+        # _times_simple), and group element -> reduced word (see _word)
+        self._images, self._forms, self._products, self._words = {}, {}, {}, {}
         # label -> the denominator hd_a of h_a, read at every letter of the step
         self._hd = {label: params.h(label).denominator for label, _ in params.c}
 
@@ -280,11 +285,12 @@ def _element(algebra: DdahaAlgebra, num: dict, den: int) -> DdahaElement:
 def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
     """hd_a times the normal form of x * s_label, for x a map g -> {exponents:
     integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
-    summed from the cached integral images of the monomials x^e.  hd_a is
-    the denominator of h_a (algebra._hd), which the caller multiplies into
-    its denominator.  Each product g * s_a is formed once per algebra, by
-    `mul_simple`, and read from algebra._products."""
-    products = algebra._products
+    summed from the cached integral images of the monomials x^e (see
+    `_monomial_images`) in one loop per image, with no helper call per
+    term.  hd_a is the denominator of h_a (algebra._hd), which the caller
+    multiplies into its denominator.  Each product g * s_a is formed once
+    per algebra, by `mul_simple`, and read from algebra._products."""
+    products, images = algebra._products, algebra._images
     out = {}
     for g, f in x.items():
         gs = products.get((g, label))
@@ -294,35 +300,79 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
         for exps, c in f.items():
             if not c:
                 continue
-            images = algebra._images.get((label, exps))
-            if images is None:
-                images = algebra._images[label, exps] = _monomial_images(algebra, label, exps)
-            _add_terms(reflected, images[0], c)
-            _add_terms(demazure, images[1], c)
+            pair = images.get((label, exps))
+            if pair is None:
+                pair = _monomial_images(algebra, label, exps)
+            for e, v in pair[0].items():
+                reflected[e] = reflected.get(e, 0) + c * v
+            for e, v in pair[1].items():
+                demazure[e] = demazure.get(e, 0) + c * v
     return out
 
 
+def _coordinate_images(algebra: DdahaAlgebra, label: int) -> tuple:
+    """For each coordinate x_i, the pair (integer terms of the affine form
+    s_a(x_i), integer k_i) with x_i - s_a(x_i) = k_i a: `weyl_action` of x_i,
+    then `divide_linear` by the wall.  Kept per label in algebra._forms.  A
+    coefficient of s_a(x_i), or a k_i, that is not an integer raises
+    ImageNotIntegral, and nothing is kept."""
+    forms = algebra._forms.get(label)
+    if forms is not None:
+        return forms
+    n, wall = algebra.nvars, algebra.wall_poly(label)
+    s = ExtAffineWeylElement.simple(algebra.ambient, label)
+    forms = []
+    for i in range(n):
+        x = Poly.variable(n, i)
+        sx = weyl_action(s, x)
+        try:
+            quotient = divide_linear(x - sx, wall)
+        except DivisionNotExact as exc:
+            raise DivisionNotExact(
+                f"x{i + 1} - s_a(x{i + 1}) not divisible by the wall at label {label}: {exc}"
+            ) from exc
+        k = quotient.as_dict().get((0,) * n, Fraction(0))
+        if any(c.denominator != 1 for c in (k, *(c for _, c in sx.terms))):
+            raise ImageNotIntegral(
+                f"at label {label}, s_a(x{i + 1}) = x{i + 1} - k a with k = {k}: k and the "
+                f"coefficients of s_a(x{i + 1}) must be integers"
+            )
+        forms.append((tuple((e, c.numerator) for e, c in sx.terms), k.numerator))
+    forms = algebra._forms[label] = tuple(forms)
+    return forms
+
+
 def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
-    """The integer terms of hd_a s_a(x^e) and of hd_a h_a (x^e - s_a(x^e)) / a,
-    integral by Gauss's lemma (see the module docstring); a coefficient that
-    is not an integer raises ImageNotIntegral."""
-    x = Poly(algebra.nvars, frozenset({(exps, Fraction(1))}))
-    sx = weyl_action(ExtAffineWeylElement.simple(algebra.ambient, label), x)
-    try:
-        quotient = divide_linear(x - sx, algebra.wall_poly(label))
-    except DivisionNotExact as exc:
-        raise DivisionNotExact(
-            f"x^{exps} - s_a(x^{exps}) not divisible by the wall at label {label}: {exc}"
-        ) from exc
-    h = algebra.params.h(label)
-    images = (sx.scale(h.denominator), quotient.scale(h.numerator))
-    for image in images:
-        for e, c in image.terms:
-            if c.denominator != 1:
-                raise ImageNotIntegral(
-                    f"the image of x^{exps} at label {label} has the coefficient {c} at x^{e}"
-                )
-    return tuple(tuple((e, c.numerator) for e, c in image.terms) for image in images)
+    """The images hd_a s_a(x^e) and hn_a (x^e - s_a(x^e)) / a, for h_a =
+    hn_a / hd_a, as dicts exponents -> nonzero integer, kept in
+    algebra._images.  Write e = e' + delta_i, i the first nonzero
+    coordinate of e.  The divided difference (1 - s_a) / a is a twisted
+    derivation, so with x_i - s_a(x_i) = k_i a (`_coordinate_images`):
+
+        hd s_a(x^e)   = s_a(x_i) hd s_a(x^e'),
+        hn Delta(x^e) = hn k_i x^e' + s_a(x_i) hn Delta(x^e'),
+
+    from the image (hd, 0) of x^0.  The images from the nearest kept one up
+    to x^e are built and kept, on integers only."""
+    images, forms = algebra._images, _coordinate_images(algebra, label)
+    chain = []
+    while (label, exps) not in images and any(exps):
+        i = next(j for j, v in enumerate(exps) if v)
+        chain.append((exps, i))
+        exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+    pair = images.get((label, exps))
+    if pair is None:
+        pair = images[label, exps] = ({exps: algebra._hd[label]}, {})
+    hn = algebra.params.h(label).numerator
+    for e, i in reversed(chain):
+        form, k = forms[i]
+        reflected, demazure = (_product(image.items(), form) for image in pair)
+        demazure[exps] = demazure.get(exps, 0) + hn * k
+        pair = images[label, e] = tuple(
+            {u: c for u, c in image.items() if c} for image in (reflected, demazure)
+        )
+        exps = e
+    return pair
 
 
 def cross_multiply(algebra: DdahaAlgebra, label: int, f: Poly) -> DdahaElement:
@@ -351,7 +401,10 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
         for u, p in z.items():
             acc = out.setdefault(u, {})
             for e2, c2 in q.items():
-                _add_terms(acc, ((tuple(map(add, e1, e2)), c1) for e1, c1 in p.items()), c2 * scale)
+                c2 *= scale
+                for e1, c1 in p.items():
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
     return _element(algebra, out, x.den * y.den * common)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -312,6 +313,70 @@ def test_non_integral_image_raises(monkeypatch):
     with pytest.raises(dd.ImageNotIntegral):
         dd.cross_multiply(alg, 1, Poly.variable(1, 0))
     assert (1, (1,)) not in alg._images
+
+
+def test_non_integral_coordinate_constant_names_label_and_coordinate(monkeypatch):
+    alg = case_algebra("A", 2, 3, {0: 2, 1: 2, 2: 2}, "integer")
+    wall_poly = dd.DdahaAlgebra.wall_poly
+    # only the wall of label 2 gets content 3: x1 - s_2(x1) = k a with k = -1/3
+    monkeypatch.setattr(
+        dd.DdahaAlgebra, "wall_poly", lambda self, l: wall_poly(self, l).scale(3 if l == 2 else 1)
+    )
+    x = dd.parse_element(alg, "x1^3*x2")
+    with pytest.raises(dd.ImageNotIntegral, match=r"at label 2, s_a\(x1\) .* k = -1/3"):
+        dd.multiply(x, alg.generator(2))
+    assert alg._images == {} and alg._forms == {}
+    # the other labels are untouched, and label 2 raises again on the next call
+    dd.multiply(x, alg.generator(1))
+    assert {label for label, _ in alg._images} == {1} and set(alg._forms) == {1}
+    with pytest.raises(dd.ImageNotIntegral, match="at label 2"):
+        dd.cross_multiply(alg, 2, Poly.variable(2, 1))
+    assert 2 not in alg._forms
+
+
+def division_images(algebra, label, exps):
+    """Oracle: the images hd_a s_a(x^e) and hn_a (x^e - s_a(x^e)) / a of the
+    whole monomial x^e, by Fraction substitution and exact division, as
+    dicts exponents -> integer."""
+    x = Poly(algebra.nvars, frozenset({(exps, Fraction(1))}))
+    sx = weyl_action(ExtAffineWeylElement.simple(algebra.ambient, label), x)
+    quotient = divide_linear(x - sx, algebra.wall_poly(label))
+    h = algebra.params.h(label)
+    images = (sx.scale(h.denominator), quotient.scale(h.numerator))
+    assert all(c.denominator == 1 for image in images for _, c in image.terms)
+    return tuple({e: c.numerator for e, c in image.terms} for image in images)
+
+
+# (type, rank, m, d, c, largest degree) of the algebras whose monomial
+# images are checked against division; the last row has c and so h_a
+# = (d / 2m) c_a differ in numerator and denominator from label to label
+IMAGE_CASES = (
+    ("A", 1, 2, 1, {0: 2, 1: 3}, 8),
+    ("A", 2, 3, 1, {0: 2, 1: 2, 2: 2}, 8),
+    ("C", 2, 4, 1, {0: 2, 1: 3, 2: 4}, 8),
+    ("G", 2, 6, 1, {0: 3, 1: 2, 2: 3}, 8),
+    ("B", 3, 2, 1, {0: 2, 1: 2, 2: 2, 3: 2}, 5),
+    ("C", 3, 2, 1, {0: 2, 1: 2, 2: 2, 3: 2}, 5),
+    ("C", 2, 4, 3, {0: 2, 1: 3, 2: 4}, 8),
+)
+
+
+@pytest.mark.parametrize("type_, rank, m, d, c, degree", IMAGE_CASES)
+def test_monomial_images_match_exact_division(type_, rank, m, d, c, degree):
+    amb = affinize(build_finite(type_, rank))
+    alg = dd.build_algebra(amb, dd.HeckeParameters.make(m, d, c))
+    monomials = [e for e in product(range(degree + 1), repeat=rank) if sum(e) <= degree]
+    # highest degree first, so most images are read from the table filled
+    # on the way down to x^0
+    monomials.sort(key=lambda e: (-sum(e), e))
+    for label in amb.labels:
+        for exps in monomials:
+            assert dd._monomial_images(alg, label, exps) == division_images(alg, label, exps)
+    assert set(alg._images) == {(label, e) for label in amb.labels for e in monomials}
+    if d == 3:
+        assert {l: (alg.params.h(l).numerator, alg._hd[l]) for l in amb.labels} == {
+            0: (3, 4), 1: (9, 8), 2: (3, 2)
+        }
 
 
 def test_sum_and_difference_of_an_element_with_itself(alg_a2):

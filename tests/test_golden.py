@@ -58,6 +58,7 @@ CASES = {
     "ddaha_times_a1": "ddaha --type A --rank 1 --m 2 --expr 's1*s0*x1^2 + (2/3)*s0*x1 - 3' --times 's1*s0*s1*x1 - (1/2)*x1^2'",
     "ddaha_times_c2": "ddaha --type C --rank 2 --m 4 --expr 's1*s2*x1^2 + (3/2)*s0*x2' --times 's2*s1*s0*x1*x2 - x2^2'",
     "ddaha_times_a2_power": "ddaha --type A --rank 2 --expr 's1*x1^12*x2^8 - 2*x2' --times 's0*x1'",
+    "ddaha_times_a2_x64": "ddaha --type A --rank 2 --expr 'x1^64' --times s0",
     "root_bc2": "root --type BC --rank 2",
     "root_c3": "root --type C --rank 3",
     "root_d4": "root --type D --rank 4",
@@ -209,6 +210,54 @@ def test_kernel_roots_are_not_revalidated():
     assert counts == {name: [True, 0] for name in names}
 
 
+# Runs the `ddaha --expr` cases in a fresh interpreter, so that no monomial
+# image is cached before them, and records the largest degree of a
+# polynomial that Poly.substitute is called on and the calls of the DDAHA
+# module's divide_linear: {name: [output equals golden, degree, calls]}.
+_DDAHA_POLY_WORK = """
+import json, sys
+import weylkit.ddaha
+from weylkit.poly import Poly
+
+substitute, divide_linear = Poly.substitute, weylkit.ddaha.divide_linear
+degrees, calls = [], []
+
+def recorded(self, mapping):
+    degrees.append(self.degree())
+    return substitute(self, mapping)
+
+def counted(f, a):
+    calls.append(1)
+    return divide_linear(f, a)
+
+Poly.substitute, weylkit.ddaha.divide_linear = recorded, counted
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, golden_path, run_case
+
+out = {}
+for name in sorted(n for n in CASES if "--expr" in CASES[n]):
+    with open(golden_path(name), "rb") as fh:
+        expected = fh.read()
+    degrees.clear()
+    calls.clear()
+    out[name] = [run_case(CASES[name]) == expected, max(degrees, default=-1), len(calls)]
+print(json.dumps(out))
+"""
+
+
+def test_ddaha_products_substitute_only_linear_forms():
+    # the monomial images are built on integers by the twisted Leibniz rule
+    # from s_a(x_i) and k_i, which are read once per label and coordinate
+    # from weyl_action and divide_linear on affine forms; the division
+    # route substituted into every monomial, up to x1^64
+    counts = _run_fresh(_DDAHA_POLY_WORK)
+    assert len(counts) == 6
+    for name, (ok, degree, calls) in counts.items():
+        argv = shlex.split(CASES[name])
+        rank = int(argv[argv.index("--rank") + 1])  # affine: rank + 1 labels
+        assert ok and degree <= 1 and calls <= rank * (rank + 1), (name, degree, calls)
+
+
 # Runs one case (argv[2], golden file argv[3]) on the CLI in a fresh
 # interpreter, after importing the CLI and the DDAHA module, without the
 # test modules (pytest imports both modules it lists): prints whether the
@@ -237,7 +286,7 @@ def test_json_goldens_skip_the_pure_python_encoder():
     # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
     # indent); emit writes indented JSON from C-quoted strings instead, and
     # tsv output calls json.dumps without indent
-    assert sum("--format tsv" not in command for command in CASES.values()) == 38
+    assert sum("--format tsv" not in command for command in CASES.values()) == 39
     counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
     assert counts == {name: [True, 0] for name in CASES}
 
