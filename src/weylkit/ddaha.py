@@ -303,9 +303,9 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
             pair = images.get((label, exps))
             if pair is None:
                 pair = _monomial_images(algebra, label, exps)
-            for e, v in pair[0].items():
+            for e, v in pair[0]:
                 reflected[e] = reflected.get(e, 0) + c * v
-            for e, v in pair[1].items():
+            for e, v in pair[1]:
                 demazure[e] = demazure.get(e, 0) + c * v
     return out
 
@@ -344,7 +344,7 @@ def _coordinate_images(algebra: DdahaAlgebra, label: int) -> tuple:
 
 def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
     """The images hd_a s_a(x^e) and hn_a (x^e - s_a(x^e)) / a, for h_a =
-    hn_a / hd_a, as dicts exponents -> nonzero integer, kept in
+    hn_a / hd_a, as (exponents, nonzero integer) pairs, kept in
     algebra._images.  Write e = e' + delta_i, i the first nonzero
     coordinate of e.  The divided difference (1 - s_a) / a is a twisted
     derivation, so with x_i - s_a(x_i) = k_i a (`_coordinate_images`):
@@ -362,14 +362,14 @@ def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
         exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
     pair = images.get((label, exps))
     if pair is None:
-        pair = images[label, exps] = ({exps: algebra._hd[label]}, {})
+        pair = images[label, exps] = (((exps, algebra._hd[label]),), ())
     hn = algebra.params.h(label).numerator
     for e, i in reversed(chain):
         form, k = forms[i]
-        reflected, demazure = (_product(image.items(), form) for image in pair)
+        reflected, demazure = (_product(image, form) for image in pair)
         demazure[exps] = demazure.get(exps, 0) + hn * k
         pair = images[label, e] = tuple(
-            {u: c for u, c in image.items() if c} for image in (reflected, demazure)
+            tuple((u, c) for u, c in image.items() if c) for image in (reflected, demazure)
         )
         exps = e
     return pair
