@@ -114,9 +114,6 @@ class AffineSpan(Record):
     def _key(self) -> tuple:
         return frozenset(self.vanishing_roots), len(self.directions)
 
-    def dim(self) -> int:
-        return len(self.directions)
-
 
 def span(f: Facet) -> AffineSpan:
     ambient = f.ambient
@@ -189,9 +186,6 @@ class GradingPoint(Record):
     @property
     def x(self) -> Vec:
         return tuple(c / self.m for c in self.theta_tilde)
-
-    def stabilizer_roots(self) -> tuple[AffineRoot, ...]:
-        return stabilizer_of_point(self.ambient, self.x)
 
     def stabilizer(self) -> frozenset[ExtAffineWeylElement]:
         return stabilizer_group(self.ambient, self.x)

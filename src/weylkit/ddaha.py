@@ -187,9 +187,7 @@ def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAl
     for l, v in c.items():
         if not params.unsafe:
             if v.denominator != 1 or v < 2:
-                raise InvalidParameters(
-                    f"c_{l} = {v} must be an integer >= 2 (or pass unsafe=True)"
-                )
+                raise InvalidParameters(f"c_{l} = {v} must be an integer >= 2")
     # invariance over conjugation orbits: s and t are conjugate inside their
     # dihedral subgroup exactly when the order of st is odd
     for s, t, order in _finite_order_pairs(ambient):
@@ -231,12 +229,6 @@ class DdahaElement:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def support_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(length(g) for g in self.num))
-
-    def max_degree(self) -> int:
-        return max((sum(e) for f in self.num.values() for e in f), default=-1)
 
     def __add__(self, other: "DdahaElement") -> "DdahaElement":
         parts = [(self.num, self.den, 1), (other.num, other.den, 1)]

@@ -47,10 +47,6 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def mat(rows) -> Mat:
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
 def identity(n: int) -> Mat:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)

@@ -317,11 +317,6 @@ class AffineRootSystem(Record):
         it uses all n + 1 walls: so exactly the proper subsets are finite."""
         return not self.affine or frozenset(labels) < frozenset(self.labels)
 
-    def a0(self) -> AffineRoot:
-        if not self.affine:
-            raise NotIrreducible("finite-mode system has no affine simple root")
-        return self.simple_by_label(0)
-
     def alcove_vertices(self) -> dict[int, Vec]:
         """Vertices of the fundamental alcove keyed by the label of the wall
         they avoid.  Finite mode: the chamber cone has the origin as its only
@@ -435,7 +430,7 @@ def _check_irreducible(finite: FiniteRootSystem) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip for root data
+# Root data as JSON, as the CLI prints them
 # ---------------------------------------------------------------------------
 
 
@@ -446,14 +441,3 @@ def root_data_to_json(finite: FiniteRootSystem) -> dict:
         "cartan": [list(row) for row in finite.cartan_matrix],
         "gram": [[frac_str(e) for e in row] for row in finite.gram_matrix],
     }
-
-
-def root_data_from_json(data: dict) -> FiniteRootSystem:
-    finite = build_finite(data["type"], int(data["rank"]))
-    cartan = tuple(tuple(int(e) for e in row) for row in data["cartan"])
-    gram = tuple(tuple(Fraction(e) for e in row) for row in data["gram"])
-    if cartan != finite.cartan_matrix:
-        raise ValueError("Cartan matrix does not match the stated type")
-    if gram != finite.gram_matrix:
-        raise ValueError("Gram matrix does not match the documented normalisation")
-    return finite

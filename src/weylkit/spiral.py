@@ -11,7 +11,7 @@ theta-tilde's denominators, and keeps <alpha, theta-tilde> per root; a
 `Spiral` writes lambda as integer numerators over one positive denominator D
 (the lcm of its denominators) and keeps, per grading degree, every root with
 the numerator D <alpha, lambda>, built once on first use.  P_n, L_n and U_n
-compare that numerator with epsilon n D, and the support bound reads it.
+compare that numerator with epsilon n D.
 """
 
 import math
@@ -141,12 +141,6 @@ class Spiral(Record):
 
     def u_n(self, n: int) -> frozenset:
         return self._piece(n, operator.gt)
-
-    def support_bound(self) -> int:
-        """P_n can differ from L_n = U_n = empty only for |n| below this."""
-        den, table = self._by_degree
-        top = max((abs(w) for rows in table.values() for _, w in rows), default=0)
-        return top // den + self.datum.m + 1
 
 
 def spiral_from_cochar(datum: GradedRootDatum, lam: Vec, epsilon: int | None = None) -> Spiral:

@@ -40,7 +40,7 @@ from math import lcm
 from operator import mul
 
 from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, transpose
-from .root_system import AffineRoot, AffineRootSystem, Record, _affine_root
+from .root_system import AffineRoot, AffineRootSystem, Record, _affine_root, finite_coxeter
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -704,10 +704,19 @@ def element_to_json(g: ExtAffineWeylElement) -> dict:
 
 
 def element_from_json(ambient: AffineRootSystem, data: dict) -> ExtAffineWeylElement:
-    """The element serialized by `element_to_json`.  ValueError if an entry
-    is not an integer, the shape is wrong, or the matrix is not that of an
-    isometry permuting the roots."""
-    g = ExtAffineWeylElement(ambient, tuple(data["mu"]), tuple(map(tuple, data["w"])))
+    """The element serialized by `element_to_json`: ValueError unless it lies
+    in the group of `ambient`, W0 x| P^v (W0 alone on a finite system).  So
+    every entry must be an integer, the shape right, the matrix that of an
+    isometry permuting the roots, and that isometry in W0: stripping its
+    finite descents must reach the identity, which refuses a diagram
+    automorphism (it fixes the chamber)."""
+    try:
+        mu, rows = data["mu"], data["w"]
+        if not all(isinstance(v, list) for v in (mu, rows, *rows)):
+            raise TypeError
+        g = ExtAffineWeylElement(ambient, mu, rows)
+    except (KeyError, TypeError):
+        raise ValueError('element must be an object with "mu" and "w" lists of integers') from None
     n = ambient.rank
     if len(g.mu) != n or len(g.matrix) != n or any(len(row) != n for row in g.matrix):
         raise ValueError(f"element must have a length-{n} mu and an {n}x{n} matrix")
@@ -718,4 +727,10 @@ def element_from_json(ambient: AffineRootSystem, data: dict) -> ExtAffineWeylEle
     gram = finite.gram_matrix
     if mat_mul(transpose(g.matrix), mat_mul(gram, g.matrix)) != gram:
         raise ValueError("matrix is not orthogonal for the Gram form")
+    spherical = finite_coxeter(finite)
+    m = _element(spherical, (0,) * n, g.matrix)
+    if not _strip_descents(m, spherical.labels, "left")[0].is_identity():
+        raise ValueError("matrix is not in the finite Weyl group")
+    if any(g.mu) and not ambient.affine:
+        raise ValueError("a finite system has no translations")
     return g

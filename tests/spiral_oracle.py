@@ -81,16 +81,13 @@ def facet_points(f):
 def assert_facet_spiral_matches_its_points(datum, f):
     """The library's facet spiral against the Fraction table of lambda_y =
     epsilon (theta-tilde - m y) at each of three points y of the facet, over
-    the largest of their support bounds.  The support bound depends on the
-    point; the library reads lambda at the equal-weight point (t = 0), so its
-    bound is that point's table bound."""
+    the largest of their table bounds."""
     spiral = sp.spiral_from_facet(datum, f)
     assert spiral.epsilon == datum.epsilon
     tables = []
     for y in facet_points(f):
         lam = tuple(datum.epsilon * (t - datum.m * c) for t, c in zip(datum.theta_tilde, y))
         tables.append(fraction_table(datum, lam))
-    assert spiral.support_bound() == table_bound(tables[0], datum.m)
     bound = max(table_bound(t, datum.m) for t in tables)
     assert_pieces_match(spiral, tables, bound)
 

@@ -422,6 +422,12 @@ def test_finite_facet_spiral_is_a_configuration_error(capsys):
     assert err == "configuration error: facet spirals need the affine arrangement\n"
 
 
+def test_hecke_parameter_below_2_exits_2_naming_no_flag(capsys):
+    code, out, err = run(capsys, ["ddaha", "--c", "0=1/2,1=1/2"])
+    assert (code, out) == (2, "")
+    assert err == "configuration error: c_0 = 1/2 must be an integer >= 2\n"
+
+
 @pytest.mark.parametrize(
     "expr",
     [

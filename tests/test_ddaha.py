@@ -511,9 +511,11 @@ def test_filtration_and_degree_bounds(alg_a2):
         prod = dd.multiply(x, y)
         if prod.is_zero():
             continue
-        bound = max(x.support_lengths()) + max(y.support_lengths())
-        assert max(prod.support_lengths()) <= bound
-        assert prod.max_degree() <= x.max_degree() + y.max_degree()
+        # the longest group part and the top polynomial degree, read off num
+        lengths = [max(map(length, z.num)) for z in (x, y, prod)]
+        assert lengths[2] <= lengths[0] + lengths[1]
+        degrees = [max(sum(e) for f in z.num.values() for e in f) for z in (x, y, prod)]
+        assert degrees[2] <= degrees[0] + degrees[1]
 
 
 def test_smash_product_degeneration():

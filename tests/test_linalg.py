@@ -4,6 +4,10 @@ from fractions import Fraction
 from weylkit import linalg
 
 
+def _mat(rows):
+    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+
+
 def test_vec_ops():
     u = (Fraction(1), Fraction(2))
     v = (Fraction(1, 2), Fraction(3))
@@ -12,7 +16,7 @@ def test_vec_ops():
 
 
 def test_mat_inverse_roundtrip():
-    m = linalg.mat([[2, -1], [-2, 2]])
+    m = _mat([[2, -1], [-2, 2]])
     inv = linalg.mat_inv(m)
     assert linalg.mat_mul(m, inv) == linalg.identity(2)
     # [DERIVED] hand inverse of the B2 Cartan matrix
@@ -23,11 +27,11 @@ def test_singular_matrix_rejected():
     import pytest
 
     with pytest.raises(ValueError):
-        linalg.mat_inv(linalg.mat([[1, 2], [2, 4]]))
+        linalg.mat_inv(_mat([[1, 2], [2, 4]]))
 
 
 def test_rank_and_nullspace():
-    m = linalg.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    m = _mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(m) == 2
     ns = linalg.nullspace(m)
     assert len(ns) == 1
@@ -36,17 +40,17 @@ def test_rank_and_nullspace():
 
 
 def test_positive_definite():
-    assert linalg.is_positive_definite(linalg.mat([[2, -1], [-1, 2]]))
-    assert not linalg.is_positive_definite(linalg.mat([[1, 2], [2, 1]]))
+    assert linalg.is_positive_definite(_mat([[2, -1], [-1, 2]]))
+    assert not linalg.is_positive_definite(_mat([[1, 2], [2, 1]]))
 
 
 def test_positive_definite_zero_leading_entry_and_singular():
     # a zero leading entry stops the elimination at once: no row exchange
-    assert not linalg.is_positive_definite(linalg.mat([[0, 1], [1, 2]]))
-    assert not linalg.is_positive_definite(linalg.mat([[0, 0], [0, 1]]))
+    assert not linalg.is_positive_definite(_mat([[0, 1], [1, 2]]))
+    assert not linalg.is_positive_definite(_mat([[0, 0], [0, 1]]))
     # positive semi-definite but singular: the last pivot is exactly 0
-    assert not linalg.is_positive_definite(linalg.mat([[1, 1], [1, 1]]))
-    assert not linalg.is_positive_definite(linalg.mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+    assert not linalg.is_positive_definite(_mat([[1, 1], [1, 1]]))
+    assert not linalg.is_positive_definite(_mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
 
 
 def _det(m):
@@ -70,6 +74,6 @@ def test_positive_definite_matches_leading_minors():
             for j in range(i):
                 g[i][j] = g[j][i] = rng.randint(-3, 3)
         minors_positive = all(_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
-        assert linalg.is_positive_definite(linalg.mat(g)) == minors_positive, g
+        assert linalg.is_positive_definite(_mat(g)) == minors_positive, g
         verdicts.add(minors_positive)
     assert verdicts == {True, False}

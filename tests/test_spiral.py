@@ -143,14 +143,13 @@ def test_spiral_table_against_definition(type_label, m):
                 assert [spiral.p_n(n), spiral.l_n(n), spiral.u_n(n)] == (
                     _pieces_by_definition(spiral, n)
                 )
-            top = max(abs(fin.pair(r, lam)) for r in fin.roots)
-            assert spiral.support_bound() == int(top) + m + 1
 
 
 def test_bracket_compatibility(a2_datum):
     fin = a2_datum.finite
-    spiral = sp.spiral_from_cochar(a2_datum, (Fraction(1, 2), Fraction(-1, 3)), 1)
-    bound = spiral.support_bound()
+    lam = (Fraction(1, 2), Fraction(-1, 3))
+    spiral = sp.spiral_from_cochar(a2_datum, lam, 1)
+    bound = table_bound(fraction_table(a2_datum, lam), a2_datum.m)
     for a_deg in range(-bound, bound + 1):
         pa = spiral.p_n(a_deg)
         for b_deg in range(-bound, bound + 1):
@@ -280,5 +279,4 @@ def test_cochar_spirals_against_the_fraction_table(type_label, theta, m, lam):
     bound = table_bound(table, m)
     for epsilon in (1, -1):
         spiral = sp.spiral_from_cochar(datum, lam, epsilon)
-        assert spiral.support_bound() == bound
         assert_pieces_match(spiral, [table], bound)

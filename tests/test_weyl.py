@@ -326,6 +326,45 @@ def test_element_json_roundtrip(aff_a2):
         element_from_json(fin_a2, bad)
 
 
+@pytest.mark.parametrize("affine", [True, False], ids=["affine", "finite"])
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", 2), ("A", 3), ("B", 3), ("C", 2), ("G", 2), ("BC", 2), ("D", 4), ("E", 6), ("F", 4)],
+)
+def test_element_json_reads_back_every_ball_element(type_label, rank, affine):
+    finite = build_finite(type_label, rank)
+    ambient = affinize(finite) if affine else finite_coxeter(finite)
+    shifts = [ExtAffineWeylElement.identity(ambient)]
+    if affine:  # X^{coweight_1} w leaves W_S: a nontrivial length-0 part
+        shifts.append(ExtAffineWeylElement.translation(ambient, (1,) + (0,) * (rank - 1)))
+    for w in enumerate_ball(ambient, 3):
+        for g in (x * w for x in shifts):
+            assert element_from_json(ambient, element_to_json(g)) == g
+
+
+def test_element_json_refuses_what_is_not_in_the_group():
+    a1, a2 = build_finite("A", 1), build_finite("A", 2)
+    # the diagram flip permutes the roots and keeps the form, but is not in W0
+    flip = {"mu": ["0", "0"], "w": [["0", "1"], ["1", "0"]]}
+    for ambient in (affinize(a2), finite_coxeter(a2)):
+        with pytest.raises(ValueError, match="not in the finite Weyl group"):
+            element_from_json(ambient, flip)
+    with pytest.raises(ValueError, match="no translations"):
+        element_from_json(finite_coxeter(a1), {"mu": ["1"], "w": [["1"]]})
+    # a missing key, a non-list (a string is not read digit by digit), a
+    # non-number entry, or no object at all
+    for bad in (
+        {"w": [["1"]]},
+        {"mu": 1, "w": [["1"]]},
+        {"mu": "1", "w": [["1"]]},
+        {"mu": ["0"], "w": ["1"]},
+        {"mu": [None], "w": [["1"]]},
+        None,
+    ):
+        with pytest.raises(ValueError, match="lists of integers"):
+            element_from_json(affinize(a1), bad)
+
+
 # (type, rank, radius) of the affine balls checked against the brute-force
 # inversion count, including the non-reduced BC systems and G2
 ORACLE_BALLS = [
