@@ -24,9 +24,12 @@ hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
 the denominator by hd_a.
 `multiply(x, y)` folds the step over the reduced word of each group part of
 y, brings the terms of y to one denominator by integer scaling, and reduces
-the result to lowest terms; `parse_element` folds each factor of a literal
-straight into that form, and `format_element` prints each coefficient in
-lowest terms from one gcd.
+the result to lowest terms.  `parse_element` reads each term of a literal as
+one monomial g (k x^e) over a denominator, until a generator follows a
+coordinate, and from there folds each factor into that form through the
+step; its degree cap counts the term's written powers, whatever the
+coefficient.  `format_element` prints each coefficient in lowest terms from
+one gcd.
 Fractions are built only in the `terms` view, where a value leaves the
 algebra (`as_dict`, `StandardModule.action_matrix`).  The module also
 provides relation verification and truncated standard modules for
@@ -551,10 +554,10 @@ class CoefficientTooLarge(RuntimeError):
     """A coefficient to print has more digits than Python converts to a string."""
 
 
-# the largest total degree N of a monomial in an element literal, after its
-# x<k>^n factors are folded together: the literal itself holds the monomial,
-# but every group letter that later moves past it substitutes affine-linear
-# forms into it, which expands a product of N of them
+# the largest sum N of the x<k>^n powers of a term of an element literal, the
+# top degree of the term: the literal itself holds the monomial, but every
+# group letter that later moves past it substitutes affine-linear forms into
+# it, which expands a product of N of them
 MAX_LITERAL_POWER = 64
 
 # one factor of a literal with the operator before it (none at the start):
@@ -570,75 +573,94 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     generators s<k>, coordinates x<k> with optional integer powers, and exact
     rational literals (parenthesized when fractional, `-` allowed).  The
     whole literal is matched factor by factor first, so a malformed one
-    raises LiteralSyntaxError before any factor is folded.  A monomial of
-    total degree above MAX_LITERAL_POWER, as the x<k>^N factors of a term
-    fold together (x1^40*x1^40 reaches 80), raises PowerTooLarge, as does a
+    raises LiteralSyntaxError before any factor is folded.  A term whose
+    x<k>^N powers sum to more than MAX_LITERAL_POWER (x1^40*x1^40, or
+    x1^40*s0*x1^25) raises PowerTooLarge whatever its coefficient, as does a
     power with more digits than Python converts to an int (4300 by default);
     a label, coordinate or rational that long raises LiteralSyntaxError.
-    Each term is folded factor by factor into numerators over one
-    denominator (a generator applies the step, or starts the term after its
-    leading rationals, x<k>^N shifts exponents, a rational scales), and the
+    A term is kept as one monomial g (k x^e) / den: a generator multiplies
+    g, read from the product table (k s_a needs no step, as s_a(1) = 1 and
+    the divided difference of 1 is 0), x<k>^N adds to e and a rational
+    scales k and den.  Once a generator follows x^e != 1 the term becomes
+    numerators over den, and each later factor folds into them (a generator
+    applies the step, x<k>^N shifts exponents, a rational scales).  The
     terms are summed into one element."""
-    factors, pos = [], 0
-    while pos < len(text) or not factors:
+    terms, pos = [], 0  # the factor matches of each term
+    while pos < len(text) or not terms:
         m = _FACTOR.match(text, pos)
-        if m is None or m["op"] not in (("*", "+", "-") if factors else ("", "-")):
+        if m is None or m["op"] not in (("*", "+", "-") if terms else ("", "-")):
             raise LiteralSyntaxError(f"cannot parse at: {text[pos:]!r}")
-        factors.append(m)
-        pos = m.end()
-    identity, zero = ExtAffineWeylElement.identity(algebra.ambient), (0,) * algebra.nvars
-    parts = []  # (numerators, denominator, sign) of each term
-    for m in factors:
         if m["op"] != "*":
-            parts.append(({identity: {zero: 1}}, 1, -1 if m["op"] == "-" else 1))
-        num, den, sign = parts[-1]
-        if m["gen"] is not None:
-            try:
-                label = int(m["gen"][1:])
-            except ValueError:  # more digits than Python converts: no label
-                label = None
-            if label not in algebra.ambient.labels:
-                raise LiteralSyntaxError(f"unknown generator {m['gen']}")
-            scalar = num.get(identity) if len(num) == 1 else None
-            if scalar is not None and scalar.keys() == {zero}:
-                # the term so far is a scalar c, and c * s_a needs no step
-                num = {ExtAffineWeylElement.simple(algebra.ambient, label): scalar}
+            terms.append([])
+        terms[-1].append(m)
+        pos = m.end()
+    n, labels, products = algebra.nvars, algebra.ambient.labels, algebra._products
+    identity = ExtAffineWeylElement.identity(algebra.ambient)
+    parts = []  # (numerators, denominator, sign) of each term
+    for factors in terms:
+        # the monomial g (k x^e) / den, until a generator follows x^e != 1;
+        # from there the numerators num
+        g, e, k, den, num, degree = identity, [0] * n, 1, 1, None, 0
+        for m in factors:
+            if (gen := m["gen"]) is not None:
+                try:
+                    label = int(gen[1:])
+                except ValueError:  # more digits than Python converts: no label
+                    label = None
+                if label not in labels:
+                    raise LiteralSyntaxError(f"unknown generator {gen}")
+                if num is None and not any(e):
+                    # k * s_a needs no step: the product g * s_a, as the step keeps it
+                    gs = products.get((g, label))
+                    if gs is None:
+                        gs = products[g, label] = mul_simple(g, label)
+                    g = gs
+                else:
+                    if num is None:
+                        num = {g: {tuple(e): k}}
+                    num, den = _times_simple(algebra, num, label), den * algebra._hd[label]
+            elif (coord := m["coord"]) is not None:
+                try:
+                    i = int(coord[1:]) - 1
+                except ValueError:  # more digits than Python converts
+                    i = -1
+                if not 0 <= i < n:
+                    raise LiteralSyntaxError(f"unknown coordinate {coord}")
+                try:
+                    power = int(m["power"] or 1)
+                except ValueError:
+                    raise PowerTooLarge(
+                        f"the power of {coord} exceeds the cap of {MAX_LITERAL_POWER}"
+                    ) from None
+                # the step keeps the top degree, so the term's is the sum of its powers
+                degree += power
+                if degree > MAX_LITERAL_POWER:
+                    raise PowerTooLarge(
+                        f"a monomial of degree {degree} at {coord}^{power} exceeds the cap of "
+                        f"{MAX_LITERAL_POWER}"
+                    )
+                if num is None:
+                    e[i] += power
+                else:
+                    num = {
+                        u: {x[:i] + (x[i] + power,) + x[i + 1 :]: c for x, c in f.items()}
+                        for u, f in num.items()
+                    }
             else:
-                num, den = _times_simple(algebra, num, label), den * algebra._hd[label]
-        elif m["coord"] is not None:
-            name = m["coord"]
-            try:
-                i = int(name[1:]) - 1
-            except ValueError:  # more digits than Python converts
-                i = -1
-            if not 0 <= i < algebra.nvars:
-                raise LiteralSyntaxError(f"unknown coordinate {name}")
-            try:
-                power = int(m["power"] or 1)
-            except ValueError:
-                raise PowerTooLarge(
-                    f"the power of {name} exceeds the cap of {MAX_LITERAL_POWER}"
-                ) from None
-            shift = tuple(power if j == i else 0 for j in range(algebra.nvars))
-            num = {g: {tuple(map(add, e, shift)): c for e, c in f.items()} for g, f in num.items()}
-            degree = max((sum(e) for f in num.values() for e in f), default=0)
-            if degree > MAX_LITERAL_POWER:
-                raise PowerTooLarge(
-                    f"a monomial of degree {degree} at {name}^{power} exceeds the cap of "
-                    f"{MAX_LITERAL_POWER}"
-                )
-        else:
-            try:
-                p, q = int(m["int"] or m["neg"] + m["p"]), int(m["q"] or 1)
-            except ValueError:
-                raise LiteralSyntaxError("a rational has too many digits to convert") from None
-            if not q:
-                raise LiteralSyntaxError(f"zero denominator in {p}/0")
-            value = Fraction(p, q)
-            k = value.numerator
-            num = {g: {e: k * c for e, c in f.items()} for g, f in num.items()}
-            den *= value.denominator
-        parts[-1] = num, den, sign
+                try:
+                    p, q = int(m["int"] or m["neg"] + m["p"]), int(m["q"] or 1)
+                except ValueError:
+                    raise LiteralSyntaxError("a rational has too many digits to convert") from None
+                if not q:
+                    raise LiteralSyntaxError(f"zero denominator in {p}/0")
+                if num is None:
+                    k *= p
+                else:
+                    num = {u: {x: p * c for x, c in f.items()} for u, f in num.items()}
+                den *= q
+        if num is None:
+            num = {g: {tuple(e): k}}
+        parts.append((num, den, -1 if factors[0]["op"] == "-" else 1))
     return _element(algebra, *_combine(parts))
 
 

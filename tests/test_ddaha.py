@@ -128,6 +128,47 @@ def test_cross_multiply_matches_whole_polynomial_formula(type_, rank, m, c):
             assert dd.cross_multiply(alg, label, f) == expected
 
 
+def represent(algebra, x, p):
+    """Oracle: x acting on the polynomial p in the polynomial representation
+    H tensor_{CW} triv = C[E] (Lusztig 1989): a polynomial acts by
+    multiplication and s_a by s_a + h_a Delta_a, Delta_a f = (f - s_a f) / a,
+    so g tensor f acts as the product of the s_a over a reduced word of g,
+    after f.  Fraction Polys through `weyl_action` and `divide_linear` only."""
+    out = Poly.zero(algebra.nvars)
+    for g, f in x.terms:
+        q = f * p
+        for label in reversed(reduced_word(g).letters):
+            s = ExtAffineWeylElement.simple(algebra.ambient, label)
+            sq = weyl_action(s, q)
+            q = sq + divide_linear(q - sq, algebra.wall_poly(label)).scale(algebra.params.h(label))
+        out = out + q
+    return out
+
+
+# (type, rank, m, c) of the algebras on which multiply is checked against
+# the polynomial representation
+REPRESENTATION_CASES = (
+    ("A", 1, 2, {0: 2, 1: 3}),
+    ("A", 2, 3, {0: 2, 1: 2, 2: 2}),
+    ("C", 2, 4, {0: 2, 1: 3, 2: 4}),
+    ("B", 3, 2, {0: 2, 1: 2, 2: 2, 3: 3}),
+    ("G", 2, 6, {0: 2, 1: 3, 2: 2}),
+)
+
+
+@pytest.mark.parametrize("type_, rank, m, c", REPRESENTATION_CASES)
+def test_multiply_is_the_product_of_the_polynomial_representation(type_, rank, m, c):
+    # the operands are built directly over the radius-2 ball, not parsed,
+    # so no literal runs through the step before multiply does
+    alg = dd.build_algebra(affinize(build_finite(type_, rank)), dd.HeckeParameters.make(m, 1, c))
+    rng = random.Random(f"represent{type_}{rank}")
+    ball = sorted(enumerate_ball(alg.ambient, 2), key=lambda g: (length(g), g.mu, g.matrix))
+    for _ in range(6):
+        x, y = (random_element(alg, rng, ball, support=2, degree=1) for _ in range(2))
+        p = dd.random_polynomial(rng, alg.nvars, degree=2)
+        assert represent(alg, dd.multiply(x, y), p) == represent(alg, x, represent(alg, y, p))
+
+
 def _push(algebra, f, letters):
     """Oracle: the normal form of f * s_l1 * ... * s_lq as a map g -> Poly,
     by recursion on the word, crossing a whole polynomial at each letter."""
@@ -292,6 +333,14 @@ def test_parsed_and_polynomial_built_elements_are_equal_and_hash_equal(kind):
             s1: Poly.const(n, Fraction(3, 5)),
             e: (x1 * x2).scale(Fraction(1, 10)),
         }),
+        # a generator-only term whose word cancels, read off the product table
+        ("(3/2)*s1*s2*s2*s1", {e: Poly.const(n, Fraction(3, 2))}),
+        # x1^0 leaves the monomial constant, so the generators need no step
+        ("x1^0*s1*s2", {s1 * s2: Poly.const(n, 1)}),
+        # a generator after a coordinate runs the step, then x2^2 shifts its terms
+        ("x1*s1*x2^2", {g: p * x2 * x2 for g, p in whole_polynomial_cross(alg, 1, x1).terms}),
+        # rationals between the generators and coordinates of one monomial
+        ("s1*(2/3)*x1*(-3)*x2", {s1: (x1 * x2).scale(-2)}),
     ]
     rng = random.Random(f"routes{kind}")
     ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
@@ -303,6 +352,20 @@ def test_parsed_and_polynomial_built_elements_are_equal_and_hash_equal(kind):
         assert parsed == built, text
         assert hash(parsed) == hash(built), text
         assert (parsed.num, parsed.den) == (built.num, built.den), text
+
+
+def test_degree_cap_counts_the_written_powers_of_a_term(alg_a1):
+    # the step keeps the top degree, so a term's degree is the sum of its
+    # powers; a zero coefficient, which the step drops, does not hide it
+    for text in ("(0)*s0*x1^70", "(0)*s0*s1*x1^70", "0*x1*s0*x1^70", "x1^40*s0*x1^25"):
+        with pytest.raises(dd.PowerTooLarge, match="exceeds the cap of 64"):
+            dd.parse_element(alg_a1, text)
+    x40, x24 = (alg_a1.polynomial(Poly(1, frozenset({((k,), Fraction(1))}))) for k in (40, 24))
+    at_cap = dd.parse_element(alg_a1, "x1^40*s0*x1^24")
+    assert at_cap == x40 * alg_a1.generator(0) * x24
+    assert max(sum(e) for f in at_cap.num.values() for e in f) == 64
+    assert dd.parse_element(alg_a1, "(0)*s0*x1^64") == alg_a1.zero()
+    assert dd.parse_element(alg_a1, "x1*(0)*s0") == alg_a1.zero()
 
 
 def test_non_integral_image_raises(monkeypatch):
