@@ -132,8 +132,9 @@ def represent(algebra, x, p):
     """Oracle: x acting on the polynomial p in the polynomial representation
     H tensor_{CW} triv = C[E] (Lusztig 1989): a polynomial acts by
     multiplication and s_a by s_a + h_a Delta_a, Delta_a f = (f - s_a f) / a,
-    so g tensor f acts as the product of the s_a over a reduced word of g,
-    after f.  Fraction Polys through `weyl_action` and `divide_linear` only."""
+    so g tensor f multiplies by f, then applies rho(s_l1) ... rho(s_lk) for a
+    reduced word l1 ... lk of g, the last letter first.  Fraction Polys
+    through `weyl_action` and `divide_linear` only."""
     out = Poly.zero(algebra.nvars)
     for g, f in x.terms:
         q = f * p
