@@ -13,9 +13,8 @@ a miss forms it by the rank-one update `weyl.mul_simple`, with no matrix
 product.  An element is stored as integer numerators over one positive
 denominator, in lowest terms, and the step runs on that form.  A simple
 reflection maps each coordinate x_i to an affine form s_a(x_i) with integer
-coefficients, and x_i - s_a(x_i) = k_i a with k_i an integer; they are read
-once per label and coordinate by `weyl_action` and exact division by the
-wall (`divide_linear`), where a non-integral one raises.  The divided
+coefficients, and x_i - s_a(x_i) = k_i a with k_i an integer: the algebra
+reads both off the integer coroot of each wall when it is built.  The divided
 difference (1 - s_a) / a is a twisted derivation (Bernstein-Gelfand-Gelfand,
 Demazure), so s_a(x^e) and (x^e - s_a(x^e)) / a follow from the images of
 x^e / x_i by integer products with s_a(x_i), and only h_a carries a
@@ -25,11 +24,10 @@ the denominator by hd_a.
 `multiply(x, y)` folds the step over the reduced word of each group part of
 y, brings the terms of y to one denominator by integer scaling, and reduces
 the result to lowest terms.  `parse_element` reads each term of a literal as
-one monomial g (k x^e) over a denominator, until a generator follows a
-coordinate, and from there folds each factor into that form through the
-step; its degree cap counts the term's written powers, whatever the
-coefficient.  `format_element` prints each coefficient in lowest terms from
-one gcd.
+a rational times monomials g x^e, a generator after a coordinate starting
+the next one, and forms their product with `multiply`; its degree cap counts
+the term's written powers, whatever the coefficient.  `format_element`
+prints each coefficient in lowest terms from one gcd.
 Fractions are built only in the `terms` view, where a value leaves the
 algebra (`as_dict`, `StandardModule.action_matrix`).  The module also
 provides relation verification and truncated standard modules for
@@ -40,11 +38,12 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
 
-from .poly import DivisionNotExact, Poly, _product, divide_linear, weyl_action
+from .poly import Poly, _product, divide_linear, weyl_action
 from .root_system import AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
@@ -66,10 +65,6 @@ class TriangularityViolated(RuntimeError):
 
 class NotInGroupSupport(ValueError):
     """An element's group part left the subgroup generated by the simples."""
-
-
-class ImageNotIntegral(ArithmeticError):
-    """A monomial image of the step has a coefficient that is not an integer."""
 
 
 class HeckeParameters(Record):
@@ -106,13 +101,14 @@ class DdahaAlgebra(Record):
 
     def __init__(self, ambient: AffineRootSystem, params: HeckeParameters = None):
         self.ambient, self.params = ambient, params
-        # filled on first use: (label, exponents) -> monomial images, label ->
-        # the images of the coordinates they are built from (see
+        # filled on first use: (label, exponents) -> monomial images (see
         # _monomial_images), (group element g, label) -> g * s_label (see
         # _times_simple), and group element -> reduced word (see _word)
-        self._images, self._forms, self._products, self._words = {}, {}, {}, {}
+        self._images, self._products, self._words = {}, {}, {}
         # label -> the denominator hd_a of h_a, read at every letter of the step
         self._hd = {label: params.h(label).denominator for label, _ in params.c}
+        # label -> the coordinate forms the monomial images are built from
+        self._forms = {label: _coordinate_forms(ambient, label) for label in ambient.labels}
 
     def _key(self) -> tuple:
         return (self.params,)
@@ -305,36 +301,22 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
     return out
 
 
-def _coordinate_images(algebra: DdahaAlgebra, label: int) -> tuple:
+def _coordinate_forms(ambient: AffineRootSystem, label: int) -> tuple:
     """For each coordinate x_i, the pair (integer terms of the affine form
-    s_a(x_i), integer k_i) with x_i - s_a(x_i) = k_i a: `weyl_action` of x_i,
-    then `divide_linear` by the wall.  Kept per label in algebra._forms.  A
-    coefficient of s_a(x_i), or a k_i, that is not an integer raises
-    ImageNotIntegral, and nothing is kept."""
-    forms = algebra._forms.get(label)
-    if forms is not None:
-        return forms
-    n, wall = algebra.nvars, algebra.wall_poly(label)
-    s = ExtAffineWeylElement.simple(algebra.ambient, label)
+    s_a(x_i), integer k_i) with x_i - s_a(x_i) = k_i a, read off the wall
+    (gamma, integer coroot, level) of a = gamma + level.  s_a moves a point p
+    to p - a(p) gamma_check (Humphreys, Reflection Groups and Coxeter Groups,
+    4.1), so s_a(x_i) = x_i - gamma_check_i (<gamma, x> + level) and k_i is
+    the i-th coweight coordinate of the coroot."""
+    gamma, corovec, level = _wall(ambient, label)
+    n = len(gamma)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)] + [(0,) * n]
     forms = []
-    for i in range(n):
-        x = Poly.variable(n, i)
-        sx = weyl_action(s, x)
-        try:
-            quotient = divide_linear(x - sx, wall)
-        except DivisionNotExact as exc:
-            raise DivisionNotExact(
-                f"x{i + 1} - s_a(x{i + 1}) not divisible by the wall at label {label}: {exc}"
-            ) from exc
-        k = quotient.as_dict().get((0,) * n, Fraction(0))
-        if any(c.denominator != 1 for c in (k, *(c for _, c in sx.terms))):
-            raise ImageNotIntegral(
-                f"at label {label}, s_a(x{i + 1}) = x{i + 1} - k a with k = {k}: k and the "
-                f"coefficients of s_a(x{i + 1}) must be integers"
-            )
-        forms.append((tuple((e, c.numerator) for e, c in sx.terms), k.numerator))
-    forms = algebra._forms[label] = tuple(forms)
-    return forms
+    for i, k in enumerate(corovec):
+        coeffs = [-k * c for c in gamma] + [-k * level]
+        coeffs[i] += 1
+        forms.append((tuple((e, c) for e, c in zip(units, coeffs) if c), k))
+    return tuple(forms)
 
 
 def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
@@ -342,14 +324,14 @@ def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
     hn_a / hd_a, as (exponents, nonzero integer) pairs, kept in
     algebra._images.  Write e = e' + delta_i, i the first nonzero
     coordinate of e.  The divided difference (1 - s_a) / a is a twisted
-    derivation, so with x_i - s_a(x_i) = k_i a (`_coordinate_images`):
+    derivation, so with x_i - s_a(x_i) = k_i a (`_coordinate_forms`):
 
         hd s_a(x^e)   = s_a(x_i) hd s_a(x^e'),
         hn Delta(x^e) = hn k_i x^e' + s_a(x_i) hn Delta(x^e'),
 
     from the image (hd, 0) of x^0.  The images from the nearest kept one up
     to x^e are built and kept, on integers only."""
-    images, forms = algebra._images, _coordinate_images(algebra, label)
+    images, forms = algebra._images, algebra._forms[label]
     chain = []
     while (label, exps) not in images and any(exps):
         i = next(j for j, v in enumerate(exps) if v)
@@ -578,13 +560,13 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     x1^40*s0*x1^25) raises PowerTooLarge whatever its coefficient, as does a
     power with more digits than Python converts to an int (4300 by default);
     a label, coordinate or rational that long raises LiteralSyntaxError.
-    A term is kept as one monomial g (k x^e) / den: a generator multiplies
-    g, read from the product table (k s_a needs no step, as s_a(1) = 1 and
-    the divided difference of 1 is 0), x<k>^N adds to e and a rational
-    scales k and den.  Once a generator follows x^e != 1 the term becomes
-    numerators over den, and each later factor folds into them (a generator
-    applies the step, x<k>^N shifts exponents, a rational scales).  The
-    terms are summed into one element."""
+    A term is k / den times a product of monomials g x^e: a generator
+    multiplies g, read from the product table (s_a needs no step past 1, as
+    s_a(1) = 1 and the divided difference of 1 is 0), x<k>^N adds to e and
+    a rational scales k and den.  A generator that follows x^e != 1 closes
+    the monomial and starts the next one.  A term of one monomial is added
+    as it stands; the monomials of a longer one are multiplied from left to
+    right by `multiply`.  The terms are summed into one element."""
     terms, pos = [], 0  # the factor matches of each term
     while pos < len(text) or not terms:
         m = _FACTOR.match(text, pos)
@@ -596,11 +578,11 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
         pos = m.end()
     n, labels, products = algebra.nvars, algebra.ambient.labels, algebra._products
     identity = ExtAffineWeylElement.identity(algebra.ambient)
-    parts = []  # (numerators, denominator, sign) of each term
+    parts = []  # (numerators, denominator, coefficient) of each term
     for factors in terms:
-        # the monomial g (k x^e) / den, until a generator follows x^e != 1;
-        # from there the numerators num
-        g, e, k, den, num, degree = identity, [0] * n, 1, 1, None, 0
+        # k / den times the product of the closed monomials and the open one
+        # g x^e; a generator that follows x^e != 1 closes it
+        g, e, k, den, closed, degree = identity, [0] * n, 1, 1, [], 0
         for m in factors:
             if (gen := m["gen"]) is not None:
                 try:
@@ -609,16 +591,14 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     label = None
                 if label not in labels:
                     raise LiteralSyntaxError(f"unknown generator {gen}")
-                if num is None and not any(e):
-                    # k * s_a needs no step: the product g * s_a, as the step keeps it
-                    gs = products.get((g, label))
-                    if gs is None:
-                        gs = products[g, label] = mul_simple(g, label)
-                    g = gs
-                else:
-                    if num is None:
-                        num = {g: {tuple(e): k}}
-                    num, den = _times_simple(algebra, num, label), den * algebra._hd[label]
+                if any(e):
+                    closed.append(DdahaElement(algebra, {g: {tuple(e): 1}}))
+                    g, e = identity, [0] * n
+                # g * s_a, as the step keeps it
+                gs = products.get((g, label))
+                if gs is None:
+                    gs = products[g, label] = mul_simple(g, label)
+                g = gs
             elif (coord := m["coord"]) is not None:
                 try:
                     i = int(coord[1:]) - 1
@@ -639,13 +619,7 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                         f"a monomial of degree {degree} at {coord}^{power} exceeds the cap of "
                         f"{MAX_LITERAL_POWER}"
                     )
-                if num is None:
-                    e[i] += power
-                else:
-                    num = {
-                        u: {x[:i] + (x[i] + power,) + x[i + 1 :]: c for x, c in f.items()}
-                        for u, f in num.items()
-                    }
+                e[i] += power
             else:
                 try:
                     p, q = int(m["int"] or m["neg"] + m["p"]), int(m["q"] or 1)
@@ -653,14 +627,13 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     raise LiteralSyntaxError("a rational has too many digits to convert") from None
                 if not q:
                     raise LiteralSyntaxError(f"zero denominator in {p}/0")
-                if num is None:
-                    k *= p
-                else:
-                    num = {u: {x: p * c for x, c in f.items()} for u, f in num.items()}
-                den *= q
-        if num is None:
-            num = {g: {tuple(e): k}}
-        parts.append((num, den, -1 if factors[0]["op"] == "-" else 1))
+                k, den = k * p, den * q
+        num = {g: {tuple(e): 1}}
+        if closed:
+            # left to right, so each monomial's group part moves only what precedes it
+            x = reduce(multiply, [*closed, DdahaElement(algebra, num)])
+            num, den = x.num, x.den * den
+        parts.append((num, den, -k if factors[0]["op"] == "-" else k))
     return _element(algebra, *_combine(parts))
 
 

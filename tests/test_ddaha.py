@@ -8,7 +8,7 @@ import pytest
 from weylkit import ddaha as dd
 from weylkit.coxcomplex import stabilizer_group
 from weylkit.poly import Poly, divide_linear, weyl_action
-from weylkit.root_system import affinize, build_finite
+from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import ExtAffineWeylElement, enumerate_ball, length, reduced_word
 
 
@@ -369,33 +369,30 @@ def test_degree_cap_counts_the_written_powers_of_a_term(alg_a1):
     assert dd.parse_element(alg_a1, "x1*(0)*s0") == alg_a1.zero()
 
 
-def test_non_integral_image_raises(monkeypatch):
-    alg = case_algebra("A", 1, 2, {0: 2, 1: 2}, "integer")
-    wall_poly = dd.DdahaAlgebra.wall_poly
-    # a wall of content 3: (x - s_a(x)) / 3a has the coefficient 2/3
-    monkeypatch.setattr(dd.DdahaAlgebra, "wall_poly", lambda self, l: wall_poly(self, l).scale(3))
-    with pytest.raises(dd.ImageNotIntegral):
-        dd.cross_multiply(alg, 1, Poly.variable(1, 0))
-    assert (1, (1,)) not in alg._images
+# the systems whose coordinate forms are checked against the division route
+FORM_SYSTEMS = (
+    [("A", r) for r in range(1, 6)]
+    + [(t, r) for t in "BC" for r in range(2, 6)]
+    + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    + [("BC", r) for r in range(1, 5)]
+)
 
 
-def test_non_integral_coordinate_constant_names_label_and_coordinate(monkeypatch):
-    alg = case_algebra("A", 2, 3, {0: 2, 1: 2, 2: 2}, "integer")
-    wall_poly = dd.DdahaAlgebra.wall_poly
-    # only the wall of label 2 gets content 3: x1 - s_2(x1) = k a with k = -1/3
-    monkeypatch.setattr(
-        dd.DdahaAlgebra, "wall_poly", lambda self, l: wall_poly(self, l).scale(3 if l == 2 else 1)
-    )
-    x = dd.parse_element(alg, "x1^3*x2")
-    with pytest.raises(dd.ImageNotIntegral, match=r"at label 2, s_a\(x1\) .* k = -1/3"):
-        dd.multiply(x, alg.generator(2))
-    assert alg._images == {} and alg._forms == {}
-    # the other labels are untouched, and label 2 raises again on the next call
-    dd.multiply(x, alg.generator(1))
-    assert {label for label, _ in alg._images} == {1} and set(alg._forms) == {1}
-    with pytest.raises(dd.ImageNotIntegral, match="at label 2"):
-        dd.cross_multiply(alg, 2, Poly.variable(2, 1))
-    assert 2 not in alg._forms
+@pytest.mark.parametrize("affine", [True, False], ids=["affine", "finite"])
+@pytest.mark.parametrize("type_, rank", FORM_SYSTEMS)
+def test_coordinate_forms_match_exact_division(type_, rank, affine):
+    finite = build_finite(type_, rank)
+    amb = affinize(finite) if affine else finite_coxeter(finite)
+    alg = dd.build_algebra(amb, dd.HeckeParameters.make(2, 1, {l: 2 for l in amb.labels}))
+    assert set(alg._forms) == set(amb.labels)
+    for label in amb.labels:
+        s = ExtAffineWeylElement.simple(amb, label)
+        for i, (form, k) in enumerate(alg._forms[label]):
+            x = Poly.variable(rank, i)
+            sx = weyl_action(s, x)
+            assert Poly(rank, frozenset((e, Fraction(c)) for e, c in form)) == sx
+            assert divide_linear(x - sx, alg.wall_poly(label)) == Poly.const(rank, k)
+            assert type(k) is int and all(type(c) is int for _, c in form)
 
 
 def division_images(algebra, label, exps):

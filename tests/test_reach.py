@@ -4,7 +4,13 @@ benchmark's layer table or the bindings its selftest requires.  A name that
 is public for the paper, an oracle or an input builder, with no caller in the
 library, is listed in KEEP with the reason it stays.  So a helper that only
 tests reach fails here by name, and a KEEP entry that no longer needs to be
-listed fails too.  Dunder methods are reached by Python itself."""
+listed fails too.  Dunder methods are reached by Python itself.
+
+A method `Cls.name` is reached only through an attribute reference: `Cls.name`
+(or through a subclass that inherits it) reaches only that method, and
+`obj.name` on anything that is not a class of the library reaches every method
+of that name.  A bare local name reaches no method.
+"""
 
 import ast
 import collections
@@ -23,46 +29,106 @@ KEEP = {
     "normalizer_pairs": "the normalizer pairs of the relative system",
     "lien_decompose": "the relative decomposition of an element",
     "pseudo_levi_from_subspace": "the graded pseudo-Levi of a relevant subspace",
-    "grading_degree": "the Z/m grading itself",
+    "GradedRootDatum.grading_degree": "the Z/m grading itself",
     "eta": "the sign eta(g, t) of a reflection",
     "bruhat_leq": "the Bruhat order",
     # acceptance 9 reads the nilpotent part at a wall point off it
-    "action_matrix": "the matrix of a polynomial on a standard module",
+    "StandardModule.action_matrix": "the matrix of a polynomial on a standard module",
     # input builders
-    "translation": "builds a translation element from a coweight",
+    "ExtAffineWeylElement.translation": "builds a translation element from a coweight",
     "element_from_json": "the inverse of the serializer the CLI prints with",
+    "DdahaAlgebra.zero": "the zero element, next to one, group and generator",
+    "Poly.const": "builds a constant polynomial",
+    # the validating constructor of an affine root of the system
+    "AffineRootSystem.root": "builds an affine root, checked against the system",
 }
 
 
-def _names(node):
+def _trees():
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                yield fname, ast.parse(fh.read(), fname)
+
+
+def _definitions(tree):
+    """(node, key) of every definition: `Cls.name` for a method, the bare
+    name for anything else."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item, f"{node.name}.{item.name}"
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef) or (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not isinstance(node, ast.ClassDef)
+            ):
+                yield item, item.name
+
+
+def _class_table(trees):
+    """class name -> (base class names, method names) over the library."""
+    table = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                methods = {
+                    f.name
+                    for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                }
+                table[node.name] = (bases, methods)
+    return table
+
+
+def _owner(classes, cls, name):
+    """The class whose method `cls.name` resolves to, or None."""
+    if cls not in classes:
+        return None
+    bases, methods = classes[cls]
+    if name in methods:
+        return cls
+    return next((o for b in bases if (o := _owner(classes, b, name))), None)
+
+
+def _references(node, classes):
+    """The keys that the references inside node reach."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            yield n.attr  # a module-level name read off its module
+            value = n.value.id if isinstance(n.value, ast.Name) else None
+            if value in classes:
+                owner = _owner(classes, value, n.attr)
+                if owner is not None:
+                    yield f"{owner}.{n.attr}"
+            else:
+                for cls, (_, methods) in classes.items():
+                    if n.attr in methods:
+                        yield f"{cls}.{n.attr}"
 
 
 def _definitions_and_references():
-    """(file, line, name) of every definition, and how often each name is
+    """(file, line, key) of every definition, and how often each key is
     referenced outside the definitions that carry it."""
+    trees = list(_trees())
+    classes = _class_table(trees)
     defs, refs = [], collections.Counter()
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fname)) as fh:
-            tree = ast.parse(fh.read(), fname)
-        refs.update(_names(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((fname, node.lineno, node.name))
-                refs[node.name] -= sum(1 for n in _names(node) if n == node.name)
+    for fname, tree in trees:
+        refs.update(_references(tree, classes))
+        for node, key in _definitions(tree):
+            defs.append((fname, node.lineno, key))
+            refs[key] -= sum(1 for k in _references(node, classes) if k == key)
     return defs, refs
 
 
 def _pinned_by_the_benchmark():
     """The function names of the layer table and the names the selftest
     requires weylkit modules to bind."""
-    pinned = {qual.rsplit(".", 1)[-1] for _, qual, _ in _layer_table()["functions"]()}
+    pinned = {qual for _, qual, _ in _layer_table()["functions"]()}
     with open(SELFTEST_PY) as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
@@ -79,11 +145,11 @@ def _unreached():
     defs, refs = _definitions_and_references()
     pinned = _pinned_by_the_benchmark()
     return {
-        (fname, line, name)
-        for fname, line, name in defs
-        if not (name.startswith("__") and name.endswith("__"))
-        and refs[name] <= 0
-        and name not in pinned
+        (fname, line, key)
+        for fname, line, key in defs
+        if not ((name := key.rsplit(".", 1)[-1]).startswith("__") and name.endswith("__"))
+        and refs[key] <= 0
+        and key not in pinned
     }
 
 
