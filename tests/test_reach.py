@@ -21,6 +21,7 @@ from test_benchmark_table import _layer_table
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "weylkit")
 SELFTEST_PY = os.path.join(ROOT, "perfbench", "selftest.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 KEEP = {
     # paper-facing: checked by tests, reached by no command
@@ -55,15 +56,10 @@ def _definitions(tree):
     """(node, key) of every definition: `Cls.name` for a method, the bare
     name for anything else."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item, f"{node.name}.{item.name}"
         for item in ast.iter_child_nodes(node):
-            if isinstance(item, ast.ClassDef) or (
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not isinstance(node, ast.ClassDef)
-            ):
+            if isinstance(item, FUNCTIONS) and isinstance(node, ast.ClassDef):
+                yield item, f"{node.name}.{item.name}"
+            elif isinstance(item, (*FUNCTIONS, ast.ClassDef)):
                 yield item, item.name
 
 
@@ -74,11 +70,7 @@ def _class_table(trees):
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
-                methods = {
-                    f.name
-                    for f in node.body
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                }
+                methods = {f.name for f in node.body if isinstance(f, FUNCTIONS)}
                 table[node.name] = (bases, methods)
     return table
 
