@@ -13,13 +13,14 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import coxcomplex as cx
 from . import ddaha as dd
 from . import relative as rel
 from . import spiral as spr
-from .linalg import frac_str
+from .linalg import frac_str, numerators, numerators_str
 from .root_system import (
     AffineRootSystem,
     IllegalType,
@@ -70,10 +71,6 @@ def parse_frac(s) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {s!r}: {exc}") from exc
-
-
-def point_str(p) -> str:
-    return ",".join(frac_str(c) for c in p)
 
 
 def _word_str(letters) -> str:
@@ -468,12 +465,12 @@ def _weight_rows(config, ambient, algebra) -> list[list]:
     """Word, weight and multiplicity (WEIGHT_HEADER) of each basis element of
     the standard module, in basis order."""
     module = dd.standard_module(algebra, _lam0_vec(config, ambient), config["depth"])
-    mults = module.weight_multiplicities()
-    rows = []
-    for g in module.basis:
-        w = module.weight_of(g)
-        rows.append([_word_str(reduced_word(g).letters), point_str(w), mults[w]])
-    return rows
+    weights, den = module.weights()
+    mults = Counter(weights)
+    return [
+        [_word_str(reduced_word(g).letters), numerators_str(w, den), mults[w]]
+        for g, w in zip(module.basis, weights)
+    ]
 
 
 def cmd_ddaha(args, config, ambient) -> tuple[int, str]:
@@ -690,19 +687,23 @@ def cmd_table(args, config, ambient) -> tuple[int, str]:
 
 
 def _facets_table(config, ambient, command) -> tuple[int, str]:
-    """Every facet of the length ball with its type, word and interior point."""
+    """Every facet of the length ball with its type, word and interior point,
+    acted on and printed as numerators over the denominator of its type's."""
     ball = cx.Ball(ambient, config["radius"])
     lengths = ball.lengths
     facets = cx.facets_in_ball(ambient, config["radius"], ball=ball)
+    types = {f.type_labels for f in facets}
+    points = {t: numerators(ambient.facet_interior_point(t)) for t in types}
     rows = []
     for f in sorted(
         facets, key=lambda f: (sorted(f.type_labels), lengths[f.rep], f.rep.mu, f.rep.matrix)
     ):
+        nums, den = points[f.type_labels]
         rows.append(
             [
                 _word_str(sorted(f.type_labels)),
                 _word_str(ball.word(f.rep)),
-                point_str(cx.interior_point(f)),
+                numerators_str(f.rep.act_numerators(nums, den), den),
             ]
         )
     header = ["type", "word", "interior"]

@@ -37,12 +37,14 @@ category-O weight analysis.
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import add, mul
 
+from .linalg import numerators
 from .poly import Poly, _product, divide_linear, weyl_action
 from .root_system import AffineRootSystem, Record
 from .weyl import (
@@ -99,7 +101,7 @@ class DdahaAlgebra(Record):
 
     __slots__ = ("ambient", "params", "_images", "_forms", "_products", "_words", "_hd")
 
-    def __init__(self, ambient: AffineRootSystem, params: HeckeParameters = None):
+    def __init__(self, ambient: AffineRootSystem, params: HeckeParameters):
         self.ambient, self.params = ambient, params
         # filled on first use: (label, exponents) -> monomial images (see
         # _monomial_images), (group element g, label) -> g * s_label (see
@@ -265,12 +267,21 @@ def _combine(parts) -> tuple[dict, int]:
 
 def _element(algebra: DdahaAlgebra, num: dict, den: int) -> DdahaElement:
     """The element num / den (den > 0) in lowest terms: zero coefficients
-    and empty group parts dropped, and num and den divided by their gcd."""
-    num = {g: p for g, f in num.items() if (p := {e: c for e, c in f.items() if c})}
-    k = gcd(den, *(c for f in num.values() for c in f.values()))
+    and empty group parts dropped, and num and den divided by their gcd.
+    A part of num (a fresh dict) is copied only to drop a zero, and the gcd
+    is taken part by part until it reaches 1."""
+    out, k = {}, den
+    for g, f in num.items():
+        if not f or 0 in f.values():
+            f = {e: c for e, c in f.items() if c}
+            if not f:
+                continue
+        out[g] = f
+        if k > 1:
+            k = gcd(k, *f.values())
     if k > 1:
-        num = {g: {e: c // k for e, c in f.items()} for g, f in num.items()}
-    return DdahaElement(algebra, num, den // k)
+        out = {g: {e: c // k for e, c in f.items()} for g, f in out.items()}
+    return DdahaElement(algebra, out, den // k)
 
 
 def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
@@ -479,14 +490,16 @@ class StandardModule(Record):
     def weight_of(self, g: ExtAffineWeylElement) -> tuple:
         return g.act_point(self.lam0)
 
-    def weights(self) -> tuple:
-        return tuple(self.weight_of(g) for g in self.basis)
+    def weights(self) -> tuple[tuple, int]:
+        """The weights g(lam0) of the basis, in basis order, as integer
+        numerator tuples over one denominator: (numerators, den)."""
+        nums, den = numerators(self.lam0)
+        return tuple(g.act_numerators(nums, den) for g in self.basis), den
 
     def weight_multiplicities(self) -> dict:
-        out = {}
-        for w in self.weights():
-            out[w] = out.get(w, 0) + 1
-        return out
+        """Weight (as Fractions) -> the number of basis elements with it."""
+        weights, den = self.weights()
+        return {tuple(Fraction(n, den) for n in w): k for w, k in Counter(weights).items()}
 
     def action_matrix(self, f: Poly):
         """Matrix of the polynomial f on the truncation, columns indexed by

@@ -12,6 +12,7 @@ the point matrices of elements built from outside.
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -45,6 +46,22 @@ def frac_str(x) -> str:
     """A rational as "p/q", or "p" when it is an integer."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def numerators(x) -> tuple[tuple[int, ...], int]:
+    """A rational point as (integer numerators, their least common
+    denominator), the form `ExtAffineWeylElement.act_numerators` acts on."""
+    x = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in x]
+    den = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (den // c.denominator) for c in x), den
+
+
+def numerators_str(nums, den: int) -> str:
+    """The point nums / den (den > 0) as comma-joined frac_str coordinates,
+    each reduced by one gcd, with no Fraction built."""
+    return ",".join(
+        str(n // k) if (k := gcd(n, den)) == den else f"{n // k}/{den // k}" for n in nums
+    )
 
 
 def identity(n: int) -> Mat:

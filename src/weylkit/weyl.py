@@ -36,10 +36,9 @@ the public `AffineRoot` constructor; tier-1 checks them against it.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
-from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, transpose
+from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, numerators, transpose
 from .root_system import AffineRoot, AffineRootSystem, Record, _affine_root, finite_coxeter
 
 IntVec = tuple[int, ...]
@@ -231,18 +230,23 @@ class ExtAffineWeylElement:
 
     # -- actions ----------------------------------------------------------
 
-    def act_point(self, x: Vec) -> Vec:
-        """P x + mu on integers: x as numerators over one common denominator,
-        then one Fraction per coordinate."""
-        x = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in x]
-        if len(x) != len(self.mu):
-            raise ValueError(f"point of dimension {len(x)}, expected {len(self.mu)}")
-        den = lcm(*(c.denominator for c in x))
-        nums = [c.numerator * (den // c.denominator) for c in x]
+    def act_numerators(self, nums, den: int) -> tuple[int, ...]:
+        """g on a point given as integer numerators over one denominator:
+        x = nums / den maps to (P nums + den mu) / den, P the integer point
+        matrix, so the result is the numerators over the same den."""
         return tuple(
-            Fraction(sum(map(mul, row, nums)) + den * m, den)
+            sum(map(mul, row, nums)) + den * m
             for row, m in zip(_point_matrix(self.matrix), self.mu)
         )
+
+    def act_point(self, x: Vec) -> Vec:
+        """g(x) = P x + mu as Fractions, for a point that enters or leaves as
+        a value: x split into numerators over their lcm (`linalg.numerators`),
+        acted on by `act_numerators`, and one Fraction built per coordinate."""
+        nums, den = numerators(x)
+        if len(nums) != len(self.mu):
+            raise ValueError(f"point of dimension {len(nums)}, expected {len(self.mu)}")
+        return tuple(Fraction(n, den) for n in self.act_numerators(nums, den))
 
     def act_gradient(self, gradient: Vec) -> Vec:
         return mat_vec(self.matrix, tuple(Fraction(c) for c in gradient))

@@ -270,6 +270,11 @@ def test_parse_element_matches_factor_by_factor_fold(type_, rank, m, c, kind):
         assert dd.parse_element(alg, text) == expected, text
 
 
+def test_algebra_requires_its_parameters(alg_a1):
+    with pytest.raises(TypeError, match="params"):
+        dd.DdahaAlgebra(alg_a1.ambient)
+
+
 def assert_lowest_terms(x):
     """x = num / den in the normal form: den > 0, no zero coefficient, no
     empty group part, and gcd 1 of den and every numerator."""

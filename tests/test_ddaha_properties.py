@@ -1,5 +1,8 @@
 """Hypothesis properties of the DDAHA product on generated literals:
-associativity, distributivity on both sides, and s_a s_a = 1."""
+associativity, distributivity on both sides, and s_a s_a = 1; and of the
+lowest-terms constructor `_element` against its two-pass formula."""
+
+from math import gcd
 
 import pytest
 
@@ -72,3 +75,31 @@ def test_simple_reflection_squares_to_one(case, k):
     assert s * s == algebra.one()
     assert (x * s) * s == x
     assert s * (s * x) == x
+
+
+def _element_two_pass(num, den):
+    """The lowest-terms form as first written: drop zeros and empty parts in
+    one comprehension, then divide by the gcd of den and every numerator."""
+    num = {g: p for g, f in num.items() if (p := {e: c for e, c in f.items() if c})}
+    k = gcd(den, *(c for f in num.values() for c in f.values()))
+    return {g: {e: c // k for e, c in f.items()} for g, f in num.items()}, den // k
+
+
+# group parts keyed by small ints (_element reads no key), exponent -> int
+# coefficient maps that may be empty or hold zeros, scaled so gcds above 1
+# are common
+parts = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=4
+)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(0, 5), parts, max_size=4),
+    st.integers(1, 12),
+    st.sampled_from([1, 2, 6]),
+)
+def test_element_matches_the_two_pass_formula(num, den, scale):
+    num = {g: {e: c * scale for e, c in f.items()} for g, f in num.items()}
+    x = dd._element(ALGEBRAS["A1"], num, den * scale)
+    assert (x.num, x.den) == _element_two_pass(num, den * scale)

@@ -75,6 +75,9 @@ CASES = {
     "spiral_facet_c3_neg": "spiral --type C --rank 3 --theta 1,0,1 --m 4 --d -1 --facet-word 3,2,1 --facet-type 0,2 --window=-3:3",
     "spiral_lam_frac_a2": "spiral --type A --rank 2 --theta 1,1 --m 3 --lam 1/2,-1/3 --window=-3:3",
     "ddaha_relations_c2": "ddaha --type C --rank 2 --m 4 --seed 3",
+    "table_facets_c3_tsv": "table facets --type C --rank 3 --radius 2 --format tsv",
+    "table_facets_f4_tsv": "table facets --type F --rank 4 --radius 1 --format tsv",
+    "table_weights_c2_tsv": "table weights --type C --rank 2 --lam0 1/3,-1/2 --depth 2 --format tsv",
 }
 
 
@@ -213,6 +216,20 @@ def test_kernel_roots_are_not_revalidated():
     assert len(names) == 13
     counts = _run_fresh(
         _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__init__", *prefixes
+    )
+    assert counts == {name: [True, 0] for name in names}
+
+
+def test_point_tables_build_no_fraction_point():
+    # the facet and weight tables act on each point as integer numerators
+    # over one denominator and print them by one gcd per coordinate, so no
+    # command that prints them calls the Fraction route act_point
+    prefixes = ("table_facets_", "complex_facets_", "table_weights_", "ddaha_weights")
+    names = sorted(n for n in CASES if n.startswith(prefixes))
+    assert {"table_facets_c3_tsv", "table_weights_c2_tsv"} <= set(names)
+    assert len(names) == 10
+    counts = _run_fresh(
+        _COUNTED_CALLS, "weylkit.weyl", "ExtAffineWeylElement.act_point", *prefixes
     )
     assert counts == {name: [True, 0] for name in names}
 

@@ -33,8 +33,10 @@ KEEP = {
     "GradedRootDatum.grading_degree": "the Z/m grading itself",
     "eta": "the sign eta(g, t) of a reflection",
     "bruhat_leq": "the Bruhat order",
-    # acceptance 9 reads the nilpotent part at a wall point off it
+    # acceptance 9 reads the weights, and the nilpotent part at a wall point,
+    # off these; the weights table counts numerators instead
     "StandardModule.action_matrix": "the matrix of a polynomial on a standard module",
+    "StandardModule.weight_multiplicities": "the weights of a standard module as values",
     # input builders
     "ExtAffineWeylElement.translation": "builds a translation element from a coweight",
     "element_from_json": "the inverse of the serializer the CLI prints with",

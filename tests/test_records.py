@@ -43,7 +43,7 @@ SIGNATURES = {
     ],
     Poly: [("nvars", REQ), ("terms", frozenset())],
     dd.HeckeParameters: [("m", REQ), ("d", REQ), ("c", ()), ("unsafe", False)],
-    dd.DdahaAlgebra: [("ambient", REQ), ("params", None)],
+    dd.DdahaAlgebra: [("ambient", REQ), ("params", REQ)],
     dd.DdahaElement: [("algebra", REQ), ("num", REQ), ("den", 1)],
     dd.RelationReport: [
         ("squares_ok", REQ), ("braid_ok", REQ), ("cross_ok", REQ), ("failures", ()),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weylkit import weyl
-from weylkit.linalg import mat_inv, mat_vec, transpose
+from weylkit.linalg import frac_str, mat_inv, mat_vec, numerators, numerators_str, transpose
 from weylkit.root_system import (
     AffineRoot,
     IllegalType,
@@ -563,6 +563,40 @@ def test_act_point_matches_the_rational_form(type_label, rank):
             got = g.act_point(x)
             assert got == _act_point_oracle(g, x)
             assert all(type(c) is Fraction for c in got)
+
+
+def _printed_by_fractions(g, x):
+    """g(x) printed by the Fraction route: the rational form, then frac_str."""
+    return ",".join(frac_str(c) for c in _act_point_oracle(g, x))
+
+
+def _printed_by_numerators(g, x):
+    nums, den = numerators(x)
+    return numerators_str(g.act_numerators(nums, den), den)
+
+
+@pytest.mark.parametrize("affine", [True, False], ids=["affine", "finite"])
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("BC", 2)]
+)
+def test_act_numerators_prints_as_the_fraction_route(type_label, rank, affine):
+    # every element of the radius-2 ball on every facet type's interior point
+    finite = build_finite(type_label, rank)
+    ambient = affinize(finite) if affine else finite_coxeter(finite)
+    labels = ambient.labels
+    types = [
+        frozenset(l for k, l in enumerate(labels) if mask >> k & 1)
+        for mask in range(2 ** len(labels) - 1)
+    ]
+    points = [ambient.facet_interior_point(t) for t in types]
+    # mixed denominators (over 6, -1/2 is -3/6 and prints reduced), zero,
+    # negative and integral coordinates
+    points.append((Fraction(1, 3), Fraction(-1, 2), 0, -2)[:rank])
+    points.append((Fraction(-3, 2),) + (0,) * (rank - 1))
+    for g in enumerate_ball(ambient, 2):
+        for x in points:
+            assert _printed_by_numerators(g, x) == _printed_by_fractions(g, x)
+            assert g.act_point(x) == _act_point_oracle(g, x)
 
 
 def test_act_point_rejects_a_point_of_the_wrong_dimension(aff_a2):
