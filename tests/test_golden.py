@@ -78,6 +78,8 @@ CASES = {
     "table_facets_c3_tsv": "table facets --type C --rank 3 --radius 2 --format tsv",
     "table_facets_f4_tsv": "table facets --type F --rank 4 --radius 1 --format tsv",
     "table_weights_c2_tsv": "table weights --type C --rank 2 --lam0 1/3,-1/2 --depth 2 --format tsv",
+    "weyl_bc2": "weyl --type BC --rank 2 --word 0,1,2,1,0,2,1",
+    "weyl_b3_finite": "weyl --type B --rank 3 --finite --word 1,2,3,2,1,3,2",
 }
 
 
@@ -193,7 +195,7 @@ def test_weyl_commands_form_no_matrix_product():
     # a word, its reduced word and its descents multiply by simple
     # reflections only, through the rank-one kernels of weyl
     names = sorted(n for n in CASES if n.startswith("weyl_"))
-    assert len(names) == 4
+    assert len(names) == 6
     counts = _run_fresh(_COUNTED_CALLS, "weylkit.weyl", "_mat_mul", "weyl_")
     assert counts == {name: [True, 0] for name in names}
 
@@ -213,7 +215,7 @@ def test_kernel_roots_are_not_revalidated():
     # are built without the checks of the public AffineRoot constructor
     prefixes = ("certify_", "complex_", "weyl_")
     names = sorted(n for n in CASES if n.startswith(prefixes))
-    assert len(names) == 13
+    assert len(names) == 15
     counts = _run_fresh(
         _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__init__", *prefixes
     )
@@ -308,7 +310,7 @@ def test_json_goldens_skip_the_pure_python_encoder():
     # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
     # indent); emit writes indented JSON from C-quoted strings instead, and
     # tsv output calls json.dumps without indent
-    assert sum("--format tsv" not in command for command in CASES.values()) == 39
+    assert sum("--format tsv" not in command for command in CASES.values()) == 41
     counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
     assert counts == {name: [True, 0] for name in CASES}
 
