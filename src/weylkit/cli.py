@@ -688,20 +688,24 @@ def cmd_table(args, config, ambient) -> tuple[int, str]:
 
 def _facets_table(config, ambient, command) -> tuple[int, str]:
     """Every facet of the length ball with its type, word and interior point,
-    acted on and printed as numerators over the denominator of its type's."""
+    acted on and printed as numerators over the denominator of its type's.
+    Each type's sorted labels, their printed form and its point's numerators
+    are formed once per command."""
     ball = cx.Ball(ambient, config["radius"])
     lengths = ball.lengths
     facets = cx.facets_in_ball(ambient, config["radius"], ball=ball)
-    types = {f.type_labels for f in facets}
-    points = {t: numerators(ambient.facet_interior_point(t)) for t in types}
+    types = {}
+    for t in {f.type_labels for f in facets}:
+        labels = sorted(t)
+        types[t] = (labels, _word_str(labels), *numerators(ambient.facet_interior_point(t)))
     rows = []
     for f in sorted(
-        facets, key=lambda f: (sorted(f.type_labels), lengths[f.rep], f.rep.mu, f.rep.matrix)
+        facets, key=lambda f: (types[f.type_labels][0], lengths[f.rep], f.rep.mu, f.rep.matrix)
     ):
-        nums, den = points[f.type_labels]
+        _, name, nums, den = types[f.type_labels]
         rows.append(
             [
-                _word_str(sorted(f.type_labels)),
+                name,
                 _word_str(ball.word(f.rep)),
                 numerators_str(f.rep.act_numerators(nums, den), den),
             ]

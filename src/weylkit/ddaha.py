@@ -319,7 +319,7 @@ def _coordinate_forms(ambient: AffineRootSystem, label: int) -> tuple:
     to p - a(p) gamma_check (Humphreys, Reflection Groups and Coxeter Groups,
     4.1), so s_a(x_i) = x_i - gamma_check_i (<gamma, x> + level) and k_i is
     the i-th coweight coordinate of the coroot."""
-    gamma, corovec, level = _wall(ambient, label)
+    gamma, corovec, level, _ = _wall(ambient, label)
     n = len(gamma)
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)] + [(0,) * n]
     forms = []

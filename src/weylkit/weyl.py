@@ -8,15 +8,20 @@ part permutes the roots, also in types BC and G2).  Products and inverses are
 integer arithmetic.  So is the matrix P = (m^T)^-1 of the finite part acting
 on points: P is multiplicative, so the group operations form it from their
 factors' (a product's P is the product of theirs, a reflection's is its
-transpose, an inverse's is m^T) and keep it per finite part.  Only a matrix
-given from outside is inverted, once.  Actions on points and functionals
-take and return Fractions.
+transpose, an inverse's is m^T).  Each finite part is interned once, as one
+record (`_FinitePart`) that holds m, P and what is read off them; an element
+holds its translation and that record, so no group operation looks its
+matrix up again.  Only a matrix given from outside is inverted, once.
+Actions on points and functionals take and return Fractions.
 
 A product with a simple reflection s = s_a, a = gamma + k, is a rank-one
 update: s acts on functionals by I - gamma gamma_check^T and on points by
 I - gamma_check gamma^T (Humphreys, Reflection Groups and Coxeter Groups,
 1.1 and 4.1), so `mul_simple` (g s) and `simple_mul` (s g) change each row
 of m and of P by one multiple of a fixed vector, with no matrix product.
+Each record links to its neighbours under the walls it has been multiplied
+by, on either side, so a finite part is updated once per wall and side; the
+translation then takes one vector step, read off the link on the right.
 Words, reduced words, descent stripping and the length balls multiply by
 simple reflections only through these two kernels; `__mul__` is the one
 general product.
@@ -73,15 +78,55 @@ def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
-# finite part m -> its point matrix P(m) = (m^T)^-1, read by _point_matrix
-_point_matrices: dict[IntMat, IntMat] = {}
+class _FinitePart:
+    """One finite part of the group: its matrix m on functionals, its point
+    matrix p = (m^T)^-1 and, each built on first use, the column sums of m
+    (`heights`), the row sums of p (`p_sums`) and its neighbours by wall id
+    (see `_wall_ids`): `left[w]` the record of (I - gamma gamma_check^T) m and
+    `right[w]` the pair (record of m (I - gamma gamma_check^T), p
+    gamma_check)."""
+
+    __slots__ = ("m", "p", "heights", "p_sums", "left", "right")
+
+    def __init__(self, m: IntMat, p: IntMat):
+        self.m, self.p = m, p
+
+    def __getattr__(self, name):
+        # reached only while the slot `name` is empty
+        if name == "heights":
+            value = tuple(map(sum, zip(*self.m)))
+        elif name == "p_sums":
+            value = tuple(map(sum, self.p))
+        elif name in ("left", "right"):
+            value = {}
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+
+# finite part m -> its record, one per finite part the process has formed
+_finite_parts: dict[IntMat, _FinitePart] = {}
+
+# (gamma, integer coroot) -> a small int naming the wall, which keys the
+# links of a record: systems share finite parts (the identity, for one) but
+# not walls, and an int hashes faster than the pair
+_wall_ids: dict[tuple[IntVec, IntVec], int] = {}
+
+
+def _intern(m: IntMat, point, *args) -> _FinitePart:
+    """The record of finite part m; a new one gets the point matrix
+    point(*args), formed only then."""
+    fin = _finite_parts.get(m)
+    if fin is None:
+        fin = _finite_parts[m] = _FinitePart(m, point(*args))
+    return fin
 
 
 @lru_cache(maxsize=None)
-def _identity(n: int) -> IntMat:
+def _identity(n: int) -> _FinitePart:
     eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    _point_matrices[eye] = eye
-    return eye
+    return _intern(eye, lambda: eye)
 
 
 def _image(matrix: IntMat, mu: IntVec, direction: IntVec, level: int) -> tuple[IntVec, int]:
@@ -100,19 +145,20 @@ def _is_negative(grad: IntVec, level: int) -> bool:
 
 class _SystemData:
     """Group data built once per ambient system: the simple reflections by
-    label, the wall (gamma, integer coroot, level) of each label, for every
-    root alpha the first level n with alpha + n in S+ and whether only odd
-    levels are affine roots, and the integer coroots of the roots, each
-    filled in on first use."""
+    label, the wall (gamma, integer coroot, level, wall id) of each label,
+    for every root alpha the first level n with alpha + n in S+ and whether
+    only odd levels are affine roots, and the integer coroots of the roots,
+    each filled in on first use."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
         self.finite = finite
         self.coroots = {}
-        self.walls = {
-            l: (a.direction, self.coroot(a.direction), a.level)
-            for l, a in zip(ambient.labels, ambient.simples)
-        }
+        self.walls = {}
+        for l, a in zip(ambient.labels, ambient.simples):
+            gamma, corovec = a.direction, self.coroot(a.direction)
+            wall = _wall_ids.setdefault((gamma, corovec), len(_wall_ids))
+            self.walls[l] = (gamma, corovec, a.level, wall)
         self.simples = {
             l: _reflection(ambient, a, self.walls[l][1])
             for l, a in zip(ambient.labels, ambient.simples)
@@ -140,17 +186,13 @@ def _system_data(ambient: AffineRootSystem) -> _SystemData:
     return data
 
 
-def _point_matrix(m: IntMat) -> IntMat:
-    """Matrix of the same isometry acting on points, given its matrix m on
-    functionals: the inverse transpose, integral because the finite part
-    preserves P^v.  The group operations record it for every finite part
-    they form, from products (P(m1 m2) = P(m1) P(m2)); only a matrix given
-    from outside (`element_from_json`, the constructor) is inverted, once."""
-    p = _point_matrices.get(m)
-    if p is None:
-        p = tuple(tuple(map(integral, row)) for row in mat_inv(transpose(m)))
-        _point_matrices[m] = p
-    return p
+def _finite_part(m: IntMat) -> _FinitePart:
+    """The record of a matrix given from outside (`element_from_json`, the
+    constructor): if it is new, its point matrix is the inverse transpose,
+    integral because the finite part preserves P^v.  The group operations
+    make the records of the parts they form from their factors' (P(m1 m2) =
+    P(m1) P(m2)), so each matrix is inverted at most once."""
+    return _intern(m, lambda: tuple(tuple(map(integral, row)) for row in mat_inv(transpose(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +201,31 @@ def _point_matrix(m: IntMat) -> IntMat:
 
 
 class ExtAffineWeylElement:
-    """(mu, matrix) over an ambient system; equal and hashed by (mu, matrix),
-    the hash computed on first use and kept."""
+    """(mu, matrix) over an ambient system, the matrix held as the record of
+    its finite part; equal and hashed by (mu, matrix), the hash computed on
+    first use and kept."""
 
-    __slots__ = ("ambient", "mu", "matrix", "_hash")
+    __slots__ = ("ambient", "mu", "fin", "_hash")
 
     def __init__(self, ambient: AffineRootSystem, mu: IntVec = (), matrix: IntMat = ()):
         self.ambient, self.mu, self._hash = ambient, tuple(map(integral, mu)), None
-        self.matrix = tuple(tuple(map(integral, row)) for row in matrix)
+        self.fin = _finite_part(tuple(tuple(map(integral, row)) for row in matrix))
+
+    @property
+    def matrix(self) -> IntMat:
+        return self.fin.m
 
     def __eq__(self, other):
         return (
             isinstance(other, ExtAffineWeylElement)
             and self.mu == other.mu
-            and self.matrix == other.matrix
+            and self.fin.m == other.fin.m
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.mu, self.matrix))
+            h = self._hash = hash((self.mu, self.fin.m))
         return h
 
     # -- constructors -----------------------------------------------------
@@ -190,7 +237,7 @@ class ExtAffineWeylElement:
 
     @staticmethod
     def translation(ambient: AffineRootSystem, mu: Vec) -> "ExtAffineWeylElement":
-        return ExtAffineWeylElement(ambient, tuple(mu), _identity(ambient.rank))
+        return _element(ambient, tuple(map(integral, mu)), _identity(ambient.rank))
 
     @staticmethod
     def reflection(ambient: AffineRootSystem, a: AffineRoot) -> "ExtAffineWeylElement":
@@ -207,26 +254,21 @@ class ExtAffineWeylElement:
     # -- group structure --------------------------------------------------
 
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
-        p = _point_matrix(self.matrix)
+        f, h = self.fin, other.fin
         omu = other.mu
-        mu = tuple(a + sum(map(mul, row, omu)) for a, row in zip(self.mu, p))
-        matrix = _mat_mul(self.matrix, other.matrix)
-        if matrix not in _point_matrices:
-            _point_matrices[matrix] = _mat_mul(p, _point_matrix(other.matrix))
-        return _element(self.ambient, mu, matrix)
+        mu = tuple(a + sum(map(mul, row, omu)) for a, row in zip(self.mu, f.p))
+        fin = _intern(_mat_mul(f.m, h.m), _mat_mul, f.p, h.p)
+        return _element(self.ambient, mu, fin)
 
     def inverse(self) -> "ExtAffineWeylElement":
         """g^-1 = (-m^T mu, P^T), with P the point matrix of g; the point
         matrix of g^-1 is then m^T."""
-        m = self.matrix
+        m = self.fin.m
         mu = tuple(-sum(map(mul, col, self.mu)) for col in zip(*m))
-        matrix = transpose(_point_matrix(m))
-        if matrix not in _point_matrices:
-            _point_matrices[matrix] = transpose(m)
-        return _element(self.ambient, mu, matrix)
+        return _element(self.ambient, mu, _intern(transpose(self.fin.p), transpose, m))
 
     def is_identity(self) -> bool:
-        return not any(self.mu) and self.matrix == _identity(len(self.mu))
+        return not any(self.mu) and self.fin.m == _identity(len(self.mu)).m
 
     # -- actions ----------------------------------------------------------
 
@@ -236,7 +278,7 @@ class ExtAffineWeylElement:
         matrix, so the result is the numerators over the same den."""
         return tuple(
             sum(map(mul, row, nums)) + den * m
-            for row, m in zip(_point_matrix(self.matrix), self.mu)
+            for row, m in zip(self.fin.p, self.mu)
         )
 
     def act_point(self, x: Vec) -> Vec:
@@ -249,18 +291,19 @@ class ExtAffineWeylElement:
         return tuple(Fraction(n, den) for n in self.act_numerators(nums, den))
 
     def act_gradient(self, gradient: Vec) -> Vec:
-        return mat_vec(self.matrix, tuple(Fraction(c) for c in gradient))
+        return mat_vec(self.fin.m, tuple(Fraction(c) for c in gradient))
 
     def act_affine(self, gradient: Vec, constant: Fraction) -> tuple[Vec, Fraction]:
         grad = self.act_gradient(gradient)
         return grad, Fraction(constant) - dot(grad, self.mu)
 
 
-def _element(ambient: AffineRootSystem, mu: IntVec, matrix: IntMat) -> ExtAffineWeylElement:
-    """An element from int tuples, skipping the conversion in __init__: the
-    constructor of the group operations, whose results are ints already."""
+def _element(ambient: AffineRootSystem, mu: IntVec, fin: _FinitePart) -> ExtAffineWeylElement:
+    """An element from an int tuple and a record, skipping the conversion in
+    __init__: the constructor of the group operations, whose results are
+    ints already."""
     g = object.__new__(ExtAffineWeylElement)
-    g.ambient, g.mu, g.matrix, g._hash = ambient, mu, matrix, None
+    g.ambient, g.mu, g.fin, g._hash = ambient, mu, fin, None
     return g
 
 
@@ -276,13 +319,12 @@ def _reflection(
     rows = tuple(
         tuple(int(k == j) - corovec[j] * gamma[k] for j in range(n)) for k in range(n)
     )
-    if rows not in _point_matrices:
-        _point_matrices[rows] = transpose(rows)
-    return _element(ambient, tuple(-a.level * c for c in corovec), rows)
+    return _element(ambient, tuple(-a.level * c for c in corovec), _intern(rows, transpose, rows))
 
 
-def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int]:
-    """(gamma, integer coroot, level k) of the simple wall a = gamma + k."""
+def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int, int]:
+    """(gamma, integer coroot, level k, wall id) of the simple wall a =
+    gamma + k."""
     try:
         return _system_data(ambient).walls[label]
     except KeyError:
@@ -309,37 +351,48 @@ def _reflector_times(a: IntVec, b: IntVec, rows: IntMat) -> IntMat:
 
 def mul_simple(g: ExtAffineWeylElement, label: int) -> ExtAffineWeylElement:
     """g s_label, for the wall a = gamma + k: mu - k P gamma_check, m (I -
-    gamma gamma_check^T) and P (I - gamma_check gamma^T), P recorded only
-    for a new finite part."""
-    gamma, corovec, k = _wall(g.ambient, label)
-    m, mu = g.matrix, g.mu
-    p = _point_matrix(m)
+    gamma gamma_check^T) and P (I - gamma_check gamma^T), the finite part and
+    P gamma_check formed once per record and wall, then read off its right
+    link."""
+    gamma, corovec, k, wall = _wall(g.ambient, label)
+    fin = g.fin
+    link = fin.right.get(wall)
+    if link is None:
+        m, p = fin.m, fin.p
+        link = fin.right[wall] = (
+            _intern(_times_reflector(m, gamma, corovec), _times_reflector, p, corovec, gamma),
+            _mat_vec(p, corovec),
+        )
+    fin, pc = link
+    mu = g.mu
     if k:
-        mu = tuple([a - k * sum(map(mul, row, corovec)) for a, row in zip(mu, p)])
-    matrix = _times_reflector(m, gamma, corovec)
-    if matrix not in _point_matrices:
-        _point_matrices[matrix] = _times_reflector(p, corovec, gamma)
-    return _element(g.ambient, mu, matrix)
+        mu = tuple([a - k * c for a, c in zip(mu, pc)])
+    return _element(g.ambient, mu, fin)
 
 
 def simple_mul(label: int, g: ExtAffineWeylElement) -> ExtAffineWeylElement:
     """s_label g, for the wall a = gamma + k: mu - (<gamma, mu> + k)
     gamma_check, (I - gamma gamma_check^T) m and (I - gamma_check gamma^T) P,
-    P recorded only for a new finite part."""
-    gamma, corovec, k = _wall(g.ambient, label)
-    m, mu = g.matrix, g.mu
+    the finite part formed once per record and wall, then read off its left
+    link."""
+    gamma, corovec, k, wall = _wall(g.ambient, label)
+    mu = g.mu
     c = sum(map(mul, gamma, mu)) + k
     if c:
         mu = tuple([a - c * y for a, y in zip(mu, corovec)])
-    matrix = _reflector_times(gamma, corovec, m)
-    if matrix not in _point_matrices:
-        _point_matrices[matrix] = _reflector_times(corovec, gamma, _point_matrix(m))
-    return _element(g.ambient, mu, matrix)
+    left = g.fin.left
+    fin = left.get(wall)
+    if fin is None:
+        m, p = g.fin.m, g.fin.p
+        fin = left[wall] = _intern(
+            _reflector_times(gamma, corovec, m), _reflector_times, corovec, gamma, p
+        )
+    return _element(g.ambient, mu, fin)
 
 
 def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
     """g(a), a root because W permutes the affine roots."""
-    grad, level = _image(g.matrix, g.mu, a.direction, a.level)
+    grad, level = _image(g.fin.m, g.mu, a.direction, a.level)
     return _affine_root(g.ambient.finite_base, grad, level)
 
 
@@ -357,11 +410,10 @@ def _inverted_levels(g: ExtAffineWeylElement) -> list[tuple[IntVec, range]]:
     are inverted, those in 2Q_R only when odd, and the level n = c when
     g(alpha) is negative.  m^T mu and the column sums of m are formed once,
     so a root costs one pairing, and the sign of g(alpha) one more: that of
-    its height, alpha paired with the column sums."""
+    its height, alpha paired with the column sums, kept on the record."""
     mu = g.mu
-    cols = list(zip(*g.matrix))
-    nu = [sum(map(mul, col, mu)) for col in cols]
-    heights = [sum(col) for col in cols]
+    nu = [sum(map(mul, col, mu)) for col in zip(*g.fin.m)]
+    heights = g.fin.heights
     affine = g.ambient.affine
     out = []
     for alpha, start, odd_only in _system_data(g.ambient).roots:
@@ -393,18 +445,18 @@ def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
     """Whether g^-1(a_label) is negative.  g^-1 = (-m^T mu, P^T) maps the
     affine root (d, k) to (P^T d, k + <d, mu>), as P m^T = I, so neither g^-1
     nor its translation is formed.  A nonzero level decides; at level 0 the
-    root P^T d has the height <d, row sums of P>."""
-    d, _, k = _wall(g.ambient, label)
+    root P^T d has the height <d, row sums of P>, kept on the record."""
+    d, _, k, _ = _wall(g.ambient, label)
     level = k + sum(map(mul, d, g.mu))
     if level:
         return level < 0
-    return sum(map(mul, d, map(sum, _point_matrix(g.matrix)))) < 0
+    return sum(map(mul, d, g.fin.p_sums)) < 0
 
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
     """Whether g(a_label) is negative."""
-    d, _, k = _wall(g.ambient, label)
-    return _is_negative(*_image(g.matrix, g.mu, d, k))
+    d, _, k, _ = _wall(g.ambient, label)
+    return _is_negative(*_image(g.fin.m, g.mu, d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +563,7 @@ def conjugate_reflections(y: ExtAffineWeylElement, roots) -> frozenset[AffineRoo
     the image or its negative, whichever has the positive direction, read
     off the sign of the image's height."""
     finite = y.ambient.finite_base
-    m, mu = y.matrix, y.mu
+    m, mu = y.fin.m, y.mu
     keys = []
     for a in roots:
         grad, level = _image(m, mu, a.direction, a.level)
@@ -529,7 +581,7 @@ def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     finite = ambient.finite_base
     data = _system_data(ambient)
     for gamma, start, _ in data.roots:  # start == 0 exactly for gamma > 0
-        if start or any(a != -b for a, b in zip(_mat_vec(g.matrix, gamma), gamma)):
+        if start or any(a != -b for a, b in zip(_mat_vec(g.fin.m, gamma), gamma)):
             continue
         corovec = data.coroot(gamma)
         j = next(j for j, c in enumerate(corovec) if c)
@@ -718,23 +770,27 @@ def element_from_json(ambient: AffineRootSystem, data: dict) -> ExtAffineWeylEle
         mu, rows = data["mu"], data["w"]
         if not all(isinstance(v, list) for v in (mu, rows, *rows)):
             raise TypeError
-        g = ExtAffineWeylElement(ambient, mu, rows)
+        mu = tuple(map(integral, mu))
+        m = tuple(tuple(map(integral, row)) for row in rows)
     except (KeyError, TypeError):
         raise ValueError('element must be an object with "mu" and "w" lists of integers') from None
     n = ambient.rank
-    if len(g.mu) != n or len(g.matrix) != n or any(len(row) != n for row in g.matrix):
+    if len(mu) != n or len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"element must have a length-{n} mu and an {n}x{n} matrix")
     finite = ambient.finite_base
     for alpha in (s.direction for s in ambient.simples):
-        if not finite.is_root(_mat_vec(g.matrix, alpha)):
+        if not finite.is_root(_mat_vec(m, alpha)):
             raise ValueError("matrix does not permute the root system")
     gram = finite.gram_matrix
-    if mat_mul(transpose(g.matrix), mat_mul(gram, g.matrix)) != gram:
+    if mat_mul(transpose(m), mat_mul(gram, m)) != gram:
         raise ValueError("matrix is not orthogonal for the Gram form")
+    # m is an isometry permuting the roots, so invertible over the integers:
+    # only now is it interned
+    fin = _finite_part(m)
     spherical = finite_coxeter(finite)
-    m = _element(spherical, (0,) * n, g.matrix)
-    if not _strip_descents(m, spherical.labels, "left")[0].is_identity():
+    w = _element(spherical, (0,) * n, fin)
+    if not _strip_descents(w, spherical.labels, "left")[0].is_identity():
         raise ValueError("matrix is not in the finite Weyl group")
-    if any(g.mu) and not ambient.affine:
+    if any(mu) and not ambient.affine:
         raise ValueError("a finite system has no translations")
-    return g
+    return _element(ambient, mu, fin)

@@ -18,8 +18,9 @@ from weylkit.weyl import (
     ExtAffineWeylElement,
     NotAReflection,
     ReducedWord,
-    _point_matrices,
-    _point_matrix,
+    _element,
+    _finite_parts,
+    _FinitePart,
     act_on_affine_root,
     automorphism_part,
     bruhat_leq,
@@ -363,6 +364,16 @@ def test_element_json_refuses_what_is_not_in_the_group():
     ):
         with pytest.raises(ValueError, match="lists of integers"):
             element_from_json(affinize(a1), bad)
+    # matrices outside the group are refused as before, and refused before
+    # their finite part is interned (so none is inverted)
+    for rows, message in (
+        ([[0, 0], [0, 0]], "does not permute the root system"),
+        ([[2, 0], [0, 1]], "does not permute the root system"),
+        ([[1, 0, 0], [0, 1, 0]], "length-2 mu and an 2x2 matrix"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            element_from_json(affinize(a2), {"mu": ["0", "0"], "w": rows})
+        assert tuple(map(tuple, rows)) not in _finite_parts
 
 
 # (type, rank, radius) of the affine balls checked against the brute-force
@@ -426,14 +437,14 @@ def _is_point_matrix_of(p, m):
 
 def test_recorded_point_matrices_invert_their_transposes(monkeypatch):
     # the oracle balls above (again here, so that the test stands alone) and
-    # their inverses fill the dict from products, reflections and inverses
+    # their inverses fill the table from products, reflections and inverses
     for type_label, rank, radius in ORACLE_BALLS:
         for g in enumerate_ball(affinize(build_finite(type_label, rank)), radius):
             g.inverse()
-    # a matrix from outside, whose entry is removed first, is inverted once
+    # a matrix from outside, whose record is removed first, is inverted once
     aff_g2 = affinize(build_finite("G", 2))
     g = s(aff_g2, 0) * s(aff_g2, 1) * s(aff_g2, 2) * s(aff_g2, 1)
-    expected = _point_matrices.pop(g.matrix)
+    expected = _finite_parts.pop(g.matrix).p
     inversions = []
 
     def counted_mat_inv(m):
@@ -442,11 +453,12 @@ def test_recorded_point_matrices_invert_their_transposes(monkeypatch):
 
     monkeypatch.setattr("weylkit.weyl.mat_inv", counted_mat_inv)
     h = element_from_json(aff_g2, element_to_json(g))
-    assert _point_matrix(h.matrix) == expected and len(inversions) == 1
-    assert _point_matrix(h.matrix) == expected and len(inversions) == 1  # kept
-    assert len(_point_matrices) > 100
-    for m, p in _point_matrices.items():
-        assert _is_point_matrix_of(p, m), m
+    assert h.fin.p == expected and len(inversions) == 1
+    again = element_from_json(aff_g2, element_to_json(g))
+    assert again.fin is h.fin and len(inversions) == 1  # kept
+    assert len(_finite_parts) > 100
+    for m, fin in _finite_parts.items():
+        assert fin.m is m and _is_point_matrix_of(fin.p, m), m
 
 
 def test_group_operations_never_invert(monkeypatch):
@@ -538,7 +550,7 @@ def test_actions_stay_exact(aff_a2):
 def _act_point_oracle(g, x):
     """g(x) = P x + mu in Fractions, the rational form the integer kernel of
     act_point replaces."""
-    px = mat_vec(_point_matrix(g.matrix), tuple(Fraction(c) for c in x))
+    px = mat_vec(mat_inv(transpose(g.matrix)), tuple(Fraction(c) for c in x))
     return tuple(a + b for a, b in zip(px, g.mu, strict=True))
 
 
@@ -611,28 +623,62 @@ KERNEL_BALLS = [
 ]
 
 
+def test_kernel_links_are_kept_per_wall_not_per_label():
+    """Systems of one rank share finite parts (the identity, for one) but not
+    walls: label 1 of A2, C2, G2 and BC2 is a different wall.  Over the
+    radius-3 balls of these four, affine and finite, formed by the general
+    product alone, the two kernels and both descent tests are interleaved
+    across the systems, element by element, and each result is checked
+    against the general product and against the sign of the image of the
+    simple root under g and under g^-1."""
+    systems = []
+    for type_label in ("A", "C", "G", "BC"):
+        finite = build_finite(type_label, 2)
+        for ambient in (affinize(finite), finite_coxeter(finite)):
+            gens = [s(ambient, l) for l in ambient.labels]
+            ball = list(closure(ExtAffineWeylElement.identity(ambient), gens, 3))
+            systems.append((ambient, ball))
+    checked = 0
+    for i in range(max(len(ball) for _, ball in systems)):
+        for ambient, ball in systems:
+            if i >= len(ball):
+                continue
+            g = ball[i]
+            g_inv = g.inverse()
+            for l, a in zip(ambient.labels, ambient.simples):
+                assert mul_simple(g, l) == g * s(ambient, l)
+                assert simple_mul(l, g) == s(ambient, l) * g
+                image = weyl._image(g_inv.matrix, g_inv.mu, a.direction, a.level)
+                assert has_left_descent(g, l) == weyl._is_negative(*image)
+                image = weyl._image(g.matrix, g.mu, a.direction, a.level)
+                assert has_right_descent(g, l) == weyl._is_negative(*image)
+                checked += 1
+    assert checked > 200
+
+
 @pytest.mark.parametrize("type_label,rank,affine", KERNEL_BALLS)
 def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkeypatch):
     """g s_l and s_l g from the rank-one kernels equal the general product,
     and the point matrix each kernel records is (m^T)^-1 of the product: the
-    kernel runs with only g's point matrix recorded, so it records its
-    product's itself."""
+    kernel runs from a fresh record of g's, with no links, in a table that
+    holds only that record, so it records its product's itself."""
     finite = build_finite(type_label, rank)
     ambient = affinize(finite) if affine else finite_coxeter(finite)
-    recorded = weyl._point_matrices
+    recorded = weyl._finite_parts
     oracle = {}
     for g in enumerate_ball(ambient, 3):
         for l in ambient.labels:
             got = []
-            for kernel in (lambda: mul_simple(g, l), lambda: simple_mul(l, g)):
-                monkeypatch.setattr(weyl, "_point_matrices", {g.matrix: recorded[g.matrix]})
-                h = kernel()
+            for kernel in (mul_simple, lambda x, l: simple_mul(l, x)):
+                fresh = _FinitePart(g.matrix, recorded[g.matrix].p)
+                monkeypatch.setattr(weyl, "_finite_parts", {g.matrix: fresh})
+                h = kernel(_element(ambient, g.mu, fresh), l)
                 m = h.matrix
                 if m not in oracle:
                     oracle[m] = mat_inv(transpose(m))
-                assert weyl._point_matrices[m] == oracle[m]
+                assert weyl._finite_parts[m] is h.fin and h.fin.p == oracle[m]
                 got.append(h)
-            monkeypatch.setattr(weyl, "_point_matrices", recorded)
+            monkeypatch.setattr(weyl, "_finite_parts", recorded)
             assert got == [g * s(ambient, l), s(ambient, l) * g]
 
 
