@@ -414,9 +414,14 @@ def _check_against_oracle(g):
 
 @pytest.mark.parametrize("type_label,rank,radius", ORACLE_BALLS)
 def test_integer_kernel_against_inversion_oracle(type_label, rank, radius):
+    # each ball element g, and g X^{omega_1} and its length-0 part, which
+    # leave W_S wherever omega_1 is not in Q^v
     ambient = affinize(build_finite(type_label, rank))
+    x = ExtAffineWeylElement.translation(ambient, (1,) + (0,) * (rank - 1))
     for g in enumerate_ball(ambient, radius):
-        _check_against_oracle(g)
+        gx = g * x
+        for h in (g, gx, automorphism_part(gx)):
+            _check_against_oracle(h)
 
 
 @pytest.mark.parametrize("type_label,rank,radius", [("B", 3, 9), ("G", 2, 6), ("F", 4, 3)])
