@@ -116,14 +116,19 @@ class ParabolicSubset:
     def longest_element(self) -> ExtAffineWeylElement:
         self._require_finite()
         if self._longest is None:
-            # climb right ascents, lowest label first, up to w0^Sigma
+            # climb right ascents, lowest label first, up to w0^Sigma; a finite
+            # W_Sigma has one reflection per direction, so l(w0^Sigma) <= |R+|,
+            # and a longer climb (a faulty descent test) raises
             labels = sorted(self.sigma)
             g = ExtAffineWeylElement.identity(self.ambient)
-            while True:
+            bound = len(self.ambient.finite_base.positive_roots())
+            for _ in range(bound + 1):
                 l = next((l for l in labels if not has_right_descent(g, l)), None)
                 if l is None:
                     break
                 g = mul_simple(g, l)
+            else:
+                raise RuntimeError(f"the climb to w0^Sigma ran past |R+| = {bound} steps")
             self._longest = g
         return self._longest
 

@@ -26,9 +26,10 @@ Words, reduced words, descent stripping and the length balls multiply by
 simple reflections only through these two kernels; `__mul__` is the one
 general product.
 
-The inversions of an element are read in closed form, root by root
-(Iwahori-Matsumoto): each root's inverted levels form one range, which the
-length counts and T(w) lists.  Word and descent algorithms reduce to the sign
+The inversions of an element are read in closed form over the positive
+roots (Iwahori-Matsumoto): those on alpha and -alpha together form one range,
+which the length counts and T(w) lists; a finite system is the case mu = 0,
+with no branch of its own.  Word and descent algorithms reduce to the sign
 of one affine root image.  All coordinates of a root have one sign, so that
 sign is the sign of its height, the sum of its coordinates: the height of
 m alpha is alpha paired with the column sums of m, and no image is formed.
@@ -146,9 +147,9 @@ def _is_negative(grad: IntVec, level: int) -> bool:
 class _SystemData:
     """Group data built once per ambient system: the simple reflections by
     label, the wall (gamma, integer coroot, level, wall id) of each label,
-    for every root alpha the first level n with alpha + n in S+ and whether
-    only odd levels are affine roots, and the integer coroots of the roots,
-    each filled in on first use."""
+    each positive root alpha with whether only odd levels of it are affine
+    roots (alpha in 2Q_R), and the integer coroots of the roots, each filled
+    in on first use."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
@@ -163,10 +164,7 @@ class _SystemData:
             l: _reflection(ambient, a, self.walls[l][1])
             for l, a in zip(ambient.labels, ambient.simples)
         }
-        self.roots = tuple(
-            (alpha, 0 if finite.is_positive(alpha) else 1, finite.in_two_q_r(alpha))
-            for alpha in finite.roots
-        )
+        self.roots = tuple((alpha, finite.in_two_q_r(alpha)) for alpha in finite.positive_roots())
 
     def coroot(self, root) -> IntVec:
         """The coweight coordinates of the coroot of `root`, as ints."""
@@ -401,44 +399,28 @@ def act_on_affine_root(g: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
 # ---------------------------------------------------------------------------
 
 
-def _inverted_levels(g: ExtAffineWeylElement) -> list[tuple[IntVec, range]]:
-    """(alpha, levels) for every root alpha with inverted levels: the n with
-    alpha + n in S+ and g(alpha + n) in S-, as one range, in closed form
-    (Iwahori-Matsumoto 1965; Macdonald, Affine Hecke algebras and orthogonal
-    polynomials, section 2).  On the affine roots alpha + n, g lowers the
-    level by c = <g(alpha), mu> = <alpha, m^T mu>: the levels n in [start, c)
-    are inverted, those in 2Q_R only when odd, and the level n = c when
-    g(alpha) is negative.  m^T mu and the column sums of m are formed once,
-    so a root costs one pairing, and the sign of g(alpha) one more: that of
-    its height, alpha paired with the column sums, kept on the record."""
+def length(g: ExtAffineWeylElement) -> int:
+    """The number of affine roots a in S+ with g(a) in S-, read over the
+    positive roots alpha (Iwahori-Matsumoto 1965; Macdonald, Affine Hecke
+    algebras and orthogonal polynomials, section 2).  g maps alpha + n to
+    g(alpha) + n - c, c = <alpha, m^T mu>, so with t = c + [g(alpha) < 0]
+    the inversions on alpha and -alpha are alpha + k and -alpha - k for k
+    in [min(0, t), max(0, t)), odd k only for alpha in 2Q_R: |t| of them,
+    or floor(hi / 2) - floor(lo / 2).  m^T mu and the column sums of m,
+    whose pairing with alpha is the height of g(alpha), are formed once.  A
+    finite system needs no branch: mu = 0 there, so t = [g(alpha) < 0], and
+    a 2Q_R root gets no odd k in [0, 1), as it is no root at level 0."""
     mu = g.mu
     nu = [sum(map(mul, col, mu)) for col in zip(*g.fin.m)]
     heights = g.fin.heights
-    affine = g.ambient.affine
-    out = []
-    for alpha, start, odd_only in _system_data(g.ambient).roots:
-        c = sum(map(mul, alpha, nu))
-        if not affine:
-            # only level 0 is a root, and it lies in S+ only for alpha > 0;
-            # a 2Q_R root is affine only at odd levels; g(alpha) has level -c
-            if start == 0 and not odd_only and (
-                c > 0 or (c == 0 and sum(map(mul, alpha, heights)) < 0)
-            ):
-                out.append((alpha, range(1)))
-            continue
-        if c < start:
-            continue
-        if (c % 2 or not odd_only) and sum(map(mul, alpha, heights)) < 0:
-            c += 1
-        levels = range(1, c, 2) if odd_only else range(start, c)
-        if levels:
-            out.append((alpha, levels))
-    return out
-
-
-def length(g: ExtAffineWeylElement) -> int:
-    """The number of affine roots a in S+ with g(a) in S-."""
-    return sum([len(levels) for _, levels in _inverted_levels(g)])
+    total = 0
+    for alpha, odd_only in _system_data(g.ambient).roots:
+        t = sum(map(mul, alpha, nu)) + (sum(map(mul, alpha, heights)) < 0)
+        if odd_only:
+            total += t // 2 if t > 0 else -(t // 2)
+        else:
+            total += t if t > 0 else -t
+    return total
 
 
 def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
@@ -580,8 +562,8 @@ def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     ambient = g.ambient
     finite = ambient.finite_base
     data = _system_data(ambient)
-    for gamma, start, _ in data.roots:  # start == 0 exactly for gamma > 0
-        if start or any(a != -b for a, b in zip(_mat_vec(g.fin.m, gamma), gamma)):
+    for gamma, _ in data.roots:
+        if any(a != -b for a, b in zip(_mat_vec(g.fin.m, gamma), gamma)):
             continue
         corovec = data.coroot(gamma)
         j = next(j for j, c in enumerate(corovec) if c)
@@ -596,13 +578,19 @@ def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
 
 def reflections_T(g: ExtAffineWeylElement) -> frozenset[AffineRoot]:
     """T(g) = set of reflections t with l(tg) < l(g), keyed canonically: the
-    inversions of g^-1, each alpha + n with alpha < 0 keyed as -alpha - n."""
+    inversions of g^-1, read as in `length`, each pair +-(alpha + k) keyed
+    by alpha + k for alpha > 0.  g^-1 = (-m^T mu, P^T) is not formed: its
+    m^T mu is -mu, as P m^T = I, and its column sums are the row sums of P,
+    kept on the record; finite systems need no branch, as for `length`."""
     finite = g.ambient.finite_base
+    mu, sums = g.mu, g.fin.p_sums
     keys = []
-    for alpha, levels in _inverted_levels(g.inverse()):
-        if sum(alpha) < 0:
-            alpha, levels = tuple([-c for c in alpha]), [-n for n in levels]
-        keys.extend([_affine_root(finite, alpha, n) for n in levels])
+    for alpha, odd_only in _system_data(g.ambient).roots:
+        t = (sum(map(mul, alpha, sums)) < 0) - sum(map(mul, alpha, mu))
+        if t:
+            lo, hi = (0, t) if t > 0 else (t, 0)
+            levels = range(lo | 1, hi, 2) if odd_only else range(lo, hi)
+            keys.extend([_affine_root(finite, alpha, k) for k in levels])
     return frozenset(keys)
 
 
