@@ -1,11 +1,15 @@
 """Oracles for the group layer that share none of its representation.
 
-Affine permutations (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.3):
+Affine permutations (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 8):
 the extended affine Weyl group of type A_{n-1} acts on Z by the bijections v
-with v(i + n) = v(i) + n, stored here as the window (v(1), ..., v(n)).  s_i
-swaps the window positions i and i + 1, s_0 swaps positions 0 and 1 across
-the period, and the shift i -> i + 1 has length 0.  Length, descents and
-products are read off the window, with no matrix and no root.
+with v(i + n) = v(i) + n (8.3), and the affine Weyl group of type C_n by the
+bijections u with u(i + N) = u(i) + N and u(-i) = -u(i), N = 2n + 1 (8.4).
+Both are stored as their windows (v(1), ..., v(n)); lengths, descents and
+products are read off the window, with no matrix and no root.  In type A,
+s_i swaps the window positions i and i + 1, s_0 swaps positions 0 and 1
+across the period, and the shift i -> i + 1 has length 0.  In type C, s_0
+swaps 1 and -1, s_i swaps i and i + 1 for 0 < i < n, and s_n swaps n and
+n + 1.
 
 The subword property (Bjorner-Brenti, Theorem 2.2.2): u <= w in the Bruhat
 order exactly when some subword of a reduced word of w evaluates to u.  The
@@ -14,7 +18,7 @@ oracle for `bruhat_leq` uses only products, on every type.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -36,65 +40,129 @@ from weylkit.weyl import (
 # ---------------------------------------------------------------------------
 
 
-def _value(v, i):
-    """v(i) for any integer i, from the window and v(i + n) = v(i) + n."""
-    q, r = divmod(i - 1, len(v))
-    return v[r] + q * len(v)
+class _AffinePermutations:
+    """The window calculus shared by both types: a subclass gives the value
+    v(i) off the window, the inverse window, the generators and the length
+    formula; descents are the i in `labels` with v(i) > v(i + 1)."""
+
+    def __init__(self, n):
+        self.n = n
+        self.one = tuple(range(1, n + 1))
+
+    def compose(self, u, v):
+        """The window of u v: i -> u(v(i))."""
+        return tuple(self.value(u, x) for x in v)
+
+    def word(self, v, letters):
+        for l in letters:
+            v = self.compose(v, self.generator(l))
+        return v
+
+    def right_descents(self, v):
+        return {i for i in self.labels if self.value(v, i) > self.value(v, i + 1)}
+
+    def left_descents(self, v):
+        return self.right_descents(self.inverse(v))
 
 
-def _compose(u, v):
-    """The window of u v: i -> u(v(i))."""
-    return tuple(_value(u, x) for x in v)
+class _TypeA(_AffinePermutations):
+    """A~_{n-1} and its extension by the shift (Bjorner-Brenti 8.3)."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.labels = range(n)
+
+    def value(self, v, i):
+        q, r = divmod(i - 1, self.n)
+        return v[r] + q * self.n
+
+    def inverse(self, v):
+        out = [0] * self.n
+        for j, x in enumerate(v, 1):
+            q, r = divmod(x - 1, self.n)
+            out[r] = j - q * self.n
+        return tuple(out)
+
+    def generator(self, i):
+        window = list(self.one)
+        if i == 0:
+            window[0], window[-1] = 0, self.n + 1
+        else:
+            window[i - 1], window[i] = window[i], window[i - 1]
+        return tuple(window)
+
+    def shift(self):
+        return tuple(range(2, self.n + 2))
+
+    def length(self, v):
+        """sum over 1 <= i < j <= n of |floor((v(j) - v(i)) / n)|
+        (Proposition 8.3.1)."""
+        return sum(abs((v[j] - v[i]) // self.n) for i, j in combinations(range(self.n), 2))
+
+    def is_reflection(self, v):
+        """A transposition t_{a,b}: an involution moving two window positions."""
+        return self.compose(v, v) == self.one and sum(x != i for i, x in enumerate(v, 1)) == 2
 
 
-def _inverse(v):
-    n = len(v)
-    out = [0] * n
-    for j, x in enumerate(v, 1):
-        q, r = divmod(x - 1, n)
-        out[r] = j - q * n
-    return tuple(out)
+class _TypeC(_AffinePermutations):
+    """C~_n (Bjorner-Brenti 8.4), period N = 2n + 1."""
 
+    def __init__(self, n):
+        super().__init__(n)
+        self.labels = range(n + 1)
+        self.period = 2 * n + 1
 
-def _generator(n, i):
-    """s_i: the window positions i and i + 1 swapped; s_0 swaps 0 and 1, so
-    1 -> 0 and n -> n + 1."""
-    window = list(range(1, n + 1))
-    if i == 0:
-        window[0], window[-1] = 0, n + 1
-    else:
-        window[i - 1], window[i] = window[i], window[i - 1]
-    return tuple(window)
+    def value(self, u, i):
+        """u(0) = 0 and u(N - j) = N - u(j) for 1 <= j <= n."""
+        q, r = divmod(i, self.period)
+        if r == 0:
+            x = 0
+        elif r <= self.n:
+            x = u[r - 1]
+        else:
+            x = self.period - u[self.period - r - 1]
+        return x + q * self.period
 
+    def inverse(self, u):
+        out = [0] * self.n
+        for j, x in enumerate(u, 1):
+            q, r = divmod(x, self.period)
+            if r <= self.n:
+                out[r - 1] = j - q * self.period
+            else:  # u(-j + (q + 1) N) = N - r
+                out[self.period - r - 1] = (q + 1) * self.period - j
+        return tuple(out)
 
-def _shift(n):
-    return tuple(range(2, n + 2))
+    def generator(self, i):
+        window = list(self.one)
+        if i == 0:
+            window[0] = -1
+        elif i == self.n:
+            window[-1] = self.n + 1
+        else:
+            window[i - 1], window[i] = window[i], window[i - 1]
+        return tuple(window)
 
+    def length(self, u):
+        """inv_B(u(1), ..., u(n)) plus, over 1 <= i <= j <= n, the floors of
+        |u(i) - u(j)| / N and |u(i) + u(j)| / N (Proposition 8.4.3), where
+        inv_B counts the i < j with u(i) > u(j) and the i <= j with u(i) +
+        u(j) < 0."""
+        n, big = self.n, self.period
+        inv = sum(u[i] > u[j] for i, j in combinations(range(n), 2))
+        nsp = sum(u[i] + u[j] < 0 for i, j in combinations_with_replacement(range(n), 2))
+        floors = sum(
+            abs(u[i] - u[j]) // big + abs(u[i] + u[j]) // big
+            for i, j in combinations_with_replacement(range(n), 2)
+        )
+        return inv + nsp + floors
 
-def _perm_length(v):
-    """sum over 1 <= i < j <= n of |floor((v(j) - v(i)) / n)| (Bjorner-Brenti,
-    Proposition 8.3.1)."""
-    n = len(v)
-    return sum(abs((v[j] - v[i]) // n) for i, j in combinations(range(n), 2))
-
-
-def _right_descents(v):
-    """The i in [0, n - 1] with v(i) > v(i + 1)."""
-    n = len(v)
-    return {i for i in range(n) if _value(v, i) > _value(v, i + 1)}
-
-
-def _left_descents(v):
-    return _right_descents(_inverse(v))
-
-
-def _is_reflection(v):
-    """Whether v is a transposition t_{a,b}: an involution that moves exactly
-    two window positions."""
-    n = len(v)
-    return _compose(v, v) == tuple(range(1, n + 1)) and sum(
-        x != i for i, x in enumerate(v, 1)
-    ) == 2
+    def is_reflection(self, u):
+        """An involution of odd length moving one or two window positions:
+        a product of commuting reflections that moves so few has even
+        length."""
+        moved = sum(x != i for i, x in enumerate(u, 1))
+        return self.compose(u, u) == self.one and moved in (1, 2) and self.length(u) % 2
 
 
 def _order(mul, g, one, cap=12):
@@ -131,68 +199,68 @@ def _ball_words(ambient, radius):
     return words
 
 
-# n -> radius of the ball of A~_{n-1}
-PERM_BALLS = {2: 6, 3: 6, 4: 5, 5: 4}
+# (type, rank) of the affine system -> the radius of its ball
+PERM_BALLS = {("A", 1): 6, ("A", 2): 6, ("A", 3): 5, ("A", 4): 4, ("C", 2): 6, ("C", 3): 4}
+CASES = sorted(PERM_BALLS)
 
 
 @lru_cache(maxsize=None)
-def _model(n):
-    """(ambient, rho, pairs): the ball of A~_{n-1}, each element mapped to
-    the affine permutation of its word under s_l -> s_l, and the same
-    elements times rho^j for j = 1..n-1, mapped to v tau^j, where tau is the
-    shift and rho the element of length 0 that conjugates each s_l to
-    s_{l+1 mod n}, as tau does."""
-    ambient = affinize(build_finite("A", n - 1))
-    one = ExtAffineWeylElement.identity(ambient)
+def _model(case):
+    """(ambient, perms, rho, pairs): the ball of the affine system, each
+    element g mapped to the affine permutation v of its word under s_l ->
+    s_l, with its distance from the identity.  In type A the pairs go on
+    with g rho^j for j = 1..n-1, mapped to v tau^j, where tau is the shift
+    and rho the element of length 0 that conjugates each s_l to s_{l+1 mod
+    n}, as tau does; in type C, rho is None."""
+    type_label, rank = case
+    ambient = affinize(build_finite(type_label, rank))
+    perms = _TypeA(rank + 1) if type_label == "A" else _TypeC(rank)
+    pairs = [
+        (g, perms.word(perms.one, word), len(word))
+        for g, word in _ball_words(ambient, PERM_BALLS[case]).items()
+    ]
+    if type_label != "A":
+        return ambient, perms, None, pairs
+    n = rank + 1
     simple = [ExtAffineWeylElement.simple(ambient, l) for l in range(n)]
     candidates = [
         automorphism_part(ExtAffineWeylElement.translation(ambient, omega))
-        for omega in (tuple(int(i == j) for i in range(n - 1)) for j in range(n - 1))
+        for omega in (tuple(int(i == j) for i in range(rank)) for j in range(rank))
     ]
     rho = next(
         r for r in candidates
         if all(r * simple[l] * r.inverse() == simple[(l + 1) % n] for l in range(n))
     )
-    pairs = []
-    for g, word in _ball_words(ambient, PERM_BALLS[n]).items():
-        v = tuple(range(1, n + 1))
-        for l in word:
-            v = _compose(v, _generator(n, l))
-        pairs.append((g, v, len(word)))
     extended = []
-    r, t = one, tuple(range(1, n + 1))
+    r, t = ExtAffineWeylElement.identity(ambient), perms.one
     for _ in range(n - 1):
-        r, t = r * rho, _compose(t, _shift(n))
-        extended += [(g * r, _compose(v, t), None) for g, v, _ in pairs]
-    return ambient, rho, pairs + extended
+        r, t = r * rho, perms.compose(t, perms.shift())
+        extended += [(g * r, perms.compose(v, t), None) for g, v, _ in pairs]
+    return ambient, perms, rho, pairs + extended
 
 
-def _evaluate_word(n, pi, letters):
-    v = pi
-    for l in letters:
-        v = _compose(v, _generator(n, l))
-    return v
+def _case_id(case):
+    return f"{case[0]}~{case[1]}"
 
 
-NS = sorted(PERM_BALLS)
+cases = pytest.mark.parametrize("case", CASES, ids=_case_id)
 
 
-@pytest.mark.parametrize("n", NS)
-def test_label_map_keeps_the_coxeter_matrix(n):
+@cases
+def test_label_map_keeps_the_coxeter_matrix(case):
     # s_l -> s_l is a homomorphism only if the orders of s_l s_l' agree
-    ambient = affinize(build_finite("A", n - 1))
+    ambient = affinize(build_finite(*case))
+    perms = _model(case)[1]
     one = ExtAffineWeylElement.identity(ambient)
-    ident = tuple(range(1, n + 1))
-    for l in range(n):
-        for k in range(l, n):
-            s, t = ExtAffineWeylElement.simple(ambient, l), ExtAffineWeylElement.simple(ambient, k)
-            expected = _order(_compose, _compose(_generator(n, l), _generator(n, k)), ident)
-            assert _order(lambda a, b: a * b, s * t, one) == expected, (l, k)
+    for l, k in combinations_with_replacement(perms.labels, 2):
+        s, t = ExtAffineWeylElement.simple(ambient, l), ExtAffineWeylElement.simple(ambient, k)
+        expected = _order(perms.compose, perms.word(perms.generator(l), (k,)), perms.one)
+        assert _order(lambda a, b: a * b, s * t, one) == expected, (l, k)
 
 
-@pytest.mark.parametrize("n", NS)
-def test_the_permutation_map_is_a_bijection(n):
-    ambient, _, pairs = _model(n)
+@cases
+def test_the_permutation_map_is_a_bijection(case):
+    ambient, perms, _, pairs = _model(case)
     seen = {}
     for g, v, _ in pairs:
         assert seen.setdefault(v, g) == g, v
@@ -200,75 +268,78 @@ def test_the_permutation_map_is_a_bijection(n):
     # every word to an element lands on its permutation: s_l g -> s_l v
     model = {g: v for g, v, _ in pairs}
     for g, v, _ in pairs:
-        for l in range(n):
+        for l in perms.labels:
             h = ExtAffineWeylElement.simple(ambient, l) * g
             if h in model:
-                assert model[h] == _compose(_generator(n, l), v)
+                assert model[h] == perms.compose(perms.generator(l), v)
 
 
-@pytest.mark.parametrize("n", NS)
-def test_length_is_the_permutation_length(n):
-    _, _, pairs = _model(n)
+@cases
+def test_length_is_the_permutation_length(case):
+    _, perms, _, pairs = _model(case)
     for g, v, dist in pairs:
-        assert length(g) == _perm_length(v), v
+        assert length(g) == perms.length(v), v
         if dist is not None:
-            assert dist == _perm_length(v), v
+            assert dist == perms.length(v), v
 
 
-@pytest.mark.parametrize("n", NS)
-def test_left_descents_are_the_permutation_descents(n):
-    _, _, pairs = _model(n)
+@cases
+def test_left_descents_are_the_permutation_descents(case):
+    _, perms, _, pairs = _model(case)
     for g, v, _ in pairs:
-        assert {l for l in range(n) if has_left_descent(g, l)} == _left_descents(v), v
+        assert {l for l in perms.labels if has_left_descent(g, l)} == perms.left_descents(v), v
 
 
-@pytest.mark.parametrize("n", NS)
-def test_right_descents_are_the_permutation_descents(n):
-    _, _, pairs = _model(n)
+@cases
+def test_right_descents_are_the_permutation_descents(case):
+    _, perms, _, pairs = _model(case)
     for g, v, _ in pairs:
-        assert {l for l in range(n) if has_right_descent(g, l)} == _right_descents(v), v
+        assert {l for l in perms.labels if has_right_descent(g, l)} == perms.right_descents(v), v
 
 
-@pytest.mark.parametrize("n", NS)
-def test_reduced_word_evaluates_to_the_element(n):
-    _, rho, pairs = _model(n)
-    powers = {}
-    r, t = ExtAffineWeylElement.identity(rho.ambient), tuple(range(1, n + 1))
-    for _ in range(n):
-        powers[r] = t
-        r, t = r * rho, _compose(t, _shift(n))
+@cases
+def test_reduced_word_evaluates_to_the_element(case):
+    ambient, perms, rho, pairs = _model(case)
+    powers = {ExtAffineWeylElement.identity(ambient): perms.one}
+    if rho is not None:
+        r, t = rho, perms.shift()
+        while r not in powers:
+            powers[r] = t
+            r, t = r * rho, perms.compose(t, perms.shift())
     for g, v, _ in pairs:
         word = reduced_word(g)
         assert word.evaluate() == g
-        assert _evaluate_word(n, powers[word.pi], word.letters) == v, v
-        assert len(word) == _perm_length(v), v
+        assert perms.word(powers[word.pi], word.letters) == v, v
+        assert len(word) == perms.length(v), v
 
 
-@pytest.mark.parametrize("n", NS)
-def test_reflection_set_is_the_permutation_one(n):
-    # T(g) has l(g) reflections, each a transposition t with l(t v) < l(v),
-    # no two the same; so it is all of T(v)
-    ambient, _, pairs = _model(n)
+@cases
+def test_reflection_set_is_the_permutation_one(case):
+    # T(g) has l(g) reflections, each a reflection t with l(t v) < l(v), no
+    # two the same; so it is all of T(v)
+    ambient, perms, _, pairs = _model(case)
     for g, v, _ in pairs:
         keys = reflections_T(g)
-        assert len(keys) == _perm_length(v), v
+        assert len(keys) == perms.length(v), v
         images = set()
         for a in keys:
             word = reduced_word(ExtAffineWeylElement.reflection(ambient, a))
-            t = _evaluate_word(n, tuple(range(1, n + 1)), word.letters)
-            assert word.pi.is_identity() and _is_reflection(t), a
-            assert _perm_length(_compose(t, v)) < _perm_length(v), (a, v)
+            t = perms.word(perms.one, word.letters)
+            assert word.pi.is_identity() and perms.is_reflection(t), a
+            assert perms.length(perms.compose(t, v)) < perms.length(v), (a, v)
             images.add(t)
         assert len(images) == len(keys)
 
 
-@pytest.mark.parametrize("n", NS)
-def test_shift_has_length_zero_and_rotates_the_labels(n):
-    ambient, rho, _ = _model(n)
-    tau = _shift(n)
-    assert _perm_length(tau) == 0 and not _left_descents(tau) and not _right_descents(tau)
+@pytest.mark.parametrize("case", [c for c in CASES if c[0] == "A"], ids=_case_id)
+def test_shift_has_length_zero_and_rotates_the_labels(case):
+    ambient, perms, rho, _ = _model(case)
+    n, tau = perms.n, perms.shift()
+    assert perms.length(tau) == 0
+    assert not perms.left_descents(tau) and not perms.right_descents(tau)
     for l in range(n):
-        assert _compose(_compose(tau, _generator(n, l)), _inverse(tau)) == _generator(n, (l + 1) % n)
+        rotated = perms.compose(perms.word(tau, (l,)), perms.inverse(tau))
+        assert rotated == perms.generator((l + 1) % n)
     assert length(rho) == 0 and not rho.is_identity()
     assert not any(has_left_descent(rho, l) or has_right_descent(rho, l) for l in range(n))
     assert reflections_T(rho) == frozenset()
@@ -310,7 +381,7 @@ def test_bruhat_leq_is_the_subword_order(type_label, rank, affine, radius):
 
 def test_bruhat_leq_on_extended_elements():
     # u rho <= w rho exactly when u <= w; across components it refuses
-    ambient, rho, _ = _model(3)
+    ambient, _, rho, _ = _model(("A", 2))
     words = _ball_words(ambient, 3)
     for w, word in words.items():
         below = _subword_products(ambient, word)
