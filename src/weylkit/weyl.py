@@ -589,6 +589,7 @@ def reflections_T(g: ExtAffineWeylElement) -> frozenset[AffineRoot]:
         t = (sum(map(mul, alpha, sums)) < 0) - sum(map(mul, alpha, mu))
         if t:
             lo, hi = (0, t) if t > 0 else (t, 0)
+            # lo | 1 is the first odd k >= lo
             levels = range(lo | 1, hi, 2) if odd_only else range(lo, hi)
             keys.extend([_affine_root(finite, alpha, k) for k in levels])
     return frozenset(keys)

@@ -249,8 +249,7 @@ cases = pytest.mark.parametrize("case", CASES, ids=_case_id)
 @cases
 def test_label_map_keeps_the_coxeter_matrix(case):
     # s_l -> s_l is a homomorphism only if the orders of s_l s_l' agree
-    ambient = affinize(build_finite(*case))
-    perms = _model(case)[1]
+    ambient, perms, _, _ = _model(case)
     one = ExtAffineWeylElement.identity(ambient)
     for l, k in combinations_with_replacement(perms.labels, 2):
         s, t = ExtAffineWeylElement.simple(ambient, l), ExtAffineWeylElement.simple(ambient, k)
