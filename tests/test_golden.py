@@ -14,6 +14,7 @@ has no file yet.  A named case whose file exists is rewritten only with
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -99,6 +100,17 @@ def test_golden_output(name):
     with open(golden_path(name), "rb") as fh:
         expected = fh.read()
     assert run_case(CASES[name]) == expected
+
+
+def test_large_facet_table_is_pinned_by_sha1():
+    # affine B6 at radius 4: 1.2 MB of JSON, pinned by its hash rather than
+    # a golden file; the facet table's plan and row writer must keep every byte
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["table", "facets", "--type", "B", "--rank", "6"])
+    text = out.getvalue().encode()
+    assert (code, len(text)) == (0, 1242354)
+    assert hashlib.sha1(text).hexdigest() == "de0f434baaba7b9a72a2bde2c175822965939c26"
 
 
 def test_readme_counts_the_golden_commands():
