@@ -15,6 +15,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 from . import coxcomplex as cx
 from . import ddaha as dd
@@ -248,10 +249,10 @@ def _json(v, nl="\n") -> str:
     """json.dumps(v, sort_keys=True, indent=2) nested at the indentation that
     the newline `nl` carries, without the pure-Python encoder that `indent`
     selects: strings go through the C quoter, and ints, bools, None, lists,
-    tuples and dicts of str keys are written here.  Any other value, and a
-    dict with a key that is not a str, goes to json.dumps itself (raising
-    TypeError where it does); JSON text holds no raw newline, so re-indenting
-    its lines is exact."""
+    tuples, dicts of str keys and row tables (`_RowTable`) are written here.
+    Any other value, and a dict with a key that is not a str, goes to
+    json.dumps itself (raising TypeError where it does); JSON text holds no
+    raw newline, so re-indenting its lines is exact."""
     t = type(v)
     if t is str:
         return json.encoder.encode_basestring_ascii(v)
@@ -261,12 +262,71 @@ def _json(v, nl="\n") -> str:
         return "null" if v is None else "true" if v else "false"
     inner = nl + "  "
     if t is list or t is tuple:
-        items = [_json(x, inner) for x in v]
-        return "[" + inner + f",{inner}".join(items) + nl + "]" if items else "[]"
+        return _enclose("[", [_json(x, inner) for x in v], nl, "]")
     if t is dict and all(type(k) is str for k in v):
-        items = [f"{_json(k)}: {_json(v[k], inner)}" for k in sorted(v)]
-        return "{" + inner + f",{inner}".join(items) + nl + "}" if items else "{}"
+        return _enclose("{", [f"{_json(k)}: {_json(v[k], inner)}" for k in sorted(v)], nl, "}")
+    if t is _RowTable:
+        return v.json(nl)
     return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _enclose(left: str, items: list[str], nl: str, right: str) -> str:
+    """The items one per line, indented two past `nl`, between the brackets.
+    The brackets are joined in with the first and last item, so a large
+    text is copied once, not once per concatenation."""
+    if not items:
+        return left + right
+    inner = nl + "  "
+    items[0] = left + inner + items[0]
+    items[-1] += nl + right
+    return f",{inner}".join(items)
+
+
+class _RowTable:
+    """The rows of a table, each one value per header name, which `_json`
+    writes as the list of dicts dict(zip(header, row)), byte for byte,
+    without building them.  The header's names are sorted once into a row
+    template (a name given twice keeps its last column, as in the dict), and
+    each row fills it: a str through the C quoter, an int through repr, a
+    bool or None as its literal, and any other value through `_json`.  The
+    rows are joined CHUNK at a time, so their texts are not all held apart
+    from the joined text."""
+
+    __slots__ = ("header", "rows")
+
+    CHUNK = 1024
+
+    def __init__(self, header: list, rows: list):
+        self.header, self.rows = header, rows
+
+    def json(self, nl: str) -> str:
+        rows = self.rows
+        inner = nl + "  "
+        field = inner + "  "
+        column = dict(zip(self.header, range(len(self.header))))
+        names = sorted(column)
+        order = [column[k] for k in names]
+        template = _enclose("{", [_json(k).replace("%", "%%") + ": %s" for k in names], inner, "}")
+        quote = json.encoder.encode_basestring_ascii
+        chunks = []
+        for start in range(0, len(rows), self.CHUNK):
+            out = []
+            for row in rows[start : start + self.CHUNK]:
+                values = []
+                for i in order:
+                    v = row[i]
+                    t = type(v)
+                    if t is str:
+                        values.append(quote(v))
+                    elif t is int:
+                        values.append(repr(v))
+                    elif v is None or t is bool:
+                        values.append("null" if v is None else "true" if v else "false")
+                    else:
+                        values.append(_json(v, field))
+                out.append(template % tuple(values))
+            chunks.append(f",{inner}".join(out))
+        return _enclose("[", chunks, nl, "]")
 
 
 def emit(config, command, result, rows=None) -> str:
@@ -288,8 +348,9 @@ def emit(config, command, result, rows=None) -> str:
 
 def emit_rows(config, command, key, header, rows, extra=None) -> str:
     """A row table: in JSON one object per row, keyed by the header, under
-    `key` next to the extra result fields; in tsv the header and the rows."""
-    result = {**(extra or {}), key: [dict(zip(header, r)) for r in rows]}
+    `key` next to the extra result fields, written from one row template
+    (`_RowTable`) with no dict built per row; in tsv the header and the rows."""
+    result = {**(extra or {}), key: _RowTable(header, rows)}
     return emit(config, command, result, (header, rows))
 
 
@@ -688,28 +749,38 @@ def cmd_table(args, config, ambient) -> tuple[int, str]:
 
 def _facets_table(config, ambient, command) -> tuple[int, str]:
     """Every facet of the length ball with its type, word and interior point,
-    acted on and printed as numerators over the denominator of its type's.
-    Each type's sorted labels, their printed form and its point's numerators
-    are formed once per command."""
+    planned per chamber.  A facet is y W_J for y in the ball with no right
+    descent in J (`facets_in_ball`), so the chambers are sorted once by
+    (length, mu, matrix) and each type lists, in label order, the chambers
+    whose right descents miss it.  Its interior point is the barycentre of
+    the alcove vertices off its walls (in finite mode the sum of the rays),
+    and y acts affinely: y acts once on the n + 1 vertices, as numerators
+    over one common denominator, and each facet sums the images off its
+    walls.  `numerators_str` reduces each coordinate by its gcd, so the text
+    does not depend on the denominator."""
     ball = cx.Ball(ambient, config["radius"])
-    lengths = ball.lengths
-    facets = cx.facets_in_ball(ambient, config["radius"], ball=ball)
-    types = {}
-    for t in {f.type_labels for f in facets}:
-        labels = sorted(t)
-        types[t] = (labels, _word_str(labels), *numerators(ambient.facet_interior_point(t)))
-    rows = []
-    for f in sorted(
-        facets, key=lambda f: (types[f.type_labels][0], lengths[f.rep], f.rep.mu, f.rep.matrix)
-    ):
-        _, name, nums, den = types[f.type_labels]
-        rows.append(
-            [
-                name,
-                _word_str(ball.word(f.rep)),
-                numerators_str(f.rep.act_numerators(nums, den), den),
-            ]
+    lengths, descents = ball.lengths, ball.descents
+    labels, n = ambient.labels, ambient.rank
+    vertices = ambient.alcove_vertices()
+    flat, den = numerators([c for l in labels for c in vertices[l]])
+    vertex_nums = [flat[k : k + n] for k in range(0, len(flat), n)]
+    plan = [
+        (
+            descents[y.inverse()],
+            _word_str(ball.word(y)),
+            [y.act_numerators(v, den) for v in vertex_nums],
         )
+        for y in sorted(lengths, key=lambda y: (lengths[y], y.mu, y.matrix))
+    ]
+    rows = []
+    for t in sorted(c for k in range(len(labels)) for c in combinations(labels, k)):
+        name = _word_str(t)
+        off = [k for k, l in enumerate(labels) if l not in t]
+        point_den = den * len(off) if ambient.affine else den
+        for right, word, images in plan:
+            if right.isdisjoint(t):
+                point = map(sum, zip(*[images[k] for k in off]))
+                rows.append([name, word, numerators_str(point, point_den)])
     header = ["type", "word", "interior"]
     return 0, emit_rows(config, command, "facets", header, rows, {"count": len(rows)})
 

@@ -60,7 +60,7 @@ def numerators_str(nums, den: int) -> str:
     """The point nums / den (den > 0) as comma-joined frac_str coordinates,
     each reduced by one gcd, with no Fraction built."""
     return ",".join(
-        str(n // k) if (k := gcd(n, den)) == den else f"{n // k}/{den // k}" for n in nums
+        [str(n // k) if (k := gcd(n, den)) == den else f"{n // k}/{den // k}" for n in nums]
     )
 
 

@@ -235,7 +235,11 @@ class ExtAffineWeylElement:
 
     @staticmethod
     def translation(ambient: AffineRootSystem, mu: Vec) -> "ExtAffineWeylElement":
-        return _element(ambient, tuple(map(integral, mu)), _identity(ambient.rank))
+        """X^mu for an integer coweight mu; a finite system has only mu = 0."""
+        mu = tuple(map(integral, mu))
+        if any(mu) and not ambient.affine:
+            raise ValueError("a finite system has no translations")
+        return _element(ambient, mu, _identity(ambient.rank))
 
     @staticmethod
     def reflection(ambient: AffineRootSystem, a: AffineRoot) -> "ExtAffineWeylElement":
@@ -480,6 +484,13 @@ def _delta_permutation(pi: ExtAffineWeylElement) -> dict[int, int]:
     return out
 
 
+# Steps after which a descent strip compares its count with l(g), once: above
+# every strip that the golden commands and the benchmark pools make (their
+# words have at most 18 letters), so none of them computes l(g), and small, so
+# a wrong descent test raises at once.
+STRIP_CHECK = 64
+
+
 def _strip_descents(
     g: ExtAffineWeylElement, labels, side: str, step=None
 ) -> tuple[ExtAffineWeylElement, tuple[int, ...]]:
@@ -490,14 +501,14 @@ def _strip_descents(
     step(h, l) on the right; it defaults to s_l (`simple_mul` /
     `mul_simple`), and a relative system passes its s-tilde.  Each step
     lowers the length, so a strip of g takes at most l(g) steps: past
-    BALL_CAP steps that bound is checked, and a strip that exceeds it (a
-    wrong descent test) raises RuntimeError instead of running forever."""
+    STRIP_CHECK steps that bound is checked, and a strip that exceeds it (a
+    wrong descent test) raises RuntimeError instead of running on."""
     labels = sorted(labels)
     left = side == "left"
     is_descent = has_left_descent if left else has_right_descent
     if step is None:
         step = simple_mul if left else mul_simple
-    start, letters, steps, bound = g, [], 0, BALL_CAP
+    start, letters, steps, bound = g, [], 0, STRIP_CHECK
     while True:
         label = next((l for l in labels if is_descent(g, l)), None)
         if label is None:

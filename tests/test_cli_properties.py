@@ -4,7 +4,8 @@ of radius at most 2.  Whatever the argv, `main` returns an exit code from 0
 to 3 and raises nothing; exits 2 and 3 print nothing on stdout; exit 1 comes
 only with output that names a failing check; JSON output parses.  The same
 argvs, with stray words added, parse as the whole argparse parser parses
-them, and the JSON writer matches json.dumps on random values.  A DDAHA
+them, and the JSON writer matches json.dumps on random values and row
+tables (the rows written from one template per table).  A DDAHA
 literal drawn from the literal alphabet, with digit runs past Python's
 int-to-string limit, exits 0, 2 or 3 and raises nothing."""
 
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -20,7 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from weylkit.cli import _json, build_parser, main, parse_args
+from weylkit import cli
+from weylkit.cli import _json, build_parser, emit, emit_rows, main, parse_args
 from test_cli_pins import parse_outcome
 
 SUBCOMMANDS = [
@@ -252,3 +255,42 @@ def test_json_writer_raises_where_dumps_raises(value):
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _json(value)
+
+
+# header names with quotes, backslashes, "%" (the row template's format
+# character) and non-ASCII; distinct, as every command's header is
+NAMES = st.text(st.sampled_from('a"\\%/\né€\U0001f600'), max_size=3)
+ROW_VALUES = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | TEXT
+
+
+@st.composite
+def row_tables(draw):
+    """(header, rows) with each row one value per header name."""
+    header = draw(st.lists(NAMES, max_size=4, unique=True))
+    row = st.lists(ROW_VALUES, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(row, max_size=5))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    row_tables(),
+    st.dictionaries(TEXT, SCALARS, max_size=3),
+    NAMES,
+    st.sampled_from([1, 2, 1024]),
+)
+@example((["b", "a"], []), {"count": 0}, "rows", 1024)
+def test_row_tables_match_one_dict_per_row(table, extra, key, chunk):
+    # the JSON is that of one dict per row under `key`, next to the extra
+    # fields, at every chunk size; the tsv is what emit writes of the rows
+    header, rows = table
+    config = {**cli.DEFAULTS, "format": "json"}
+    result = {**extra, key: [dict(zip(header, r)) for r in rows]}
+    expected = json.dumps(
+        {"command": "table.x", "config": config, "result": result}, sort_keys=True, indent=2
+    )
+    with mock.patch.object(cli._RowTable, "CHUNK", chunk):
+        assert emit_rows(config, "table.x", key, header, rows, extra) == expected + "\n"
+    tsv = {**config, "format": "tsv"}
+    assert emit_rows(tsv, "table.x", key, header, rows, extra) == emit(
+        tsv, "table.x", result, (header, rows)
+    )

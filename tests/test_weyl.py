@@ -113,9 +113,9 @@ def test_closure_without_radius_hits_the_cap(aff_a1, monkeypatch):
 def test_strip_outrunning_the_length_raises(aff_a1, monkeypatch):
     g = s(aff_a1, 0) * s(aff_a1, 1) * s(aff_a1, 0)
     word = weyl.reduced_word(g).letters
-    # a strip longer than BALL_CAP steps is checked against l(g), which
+    # a strip longer than STRIP_CHECK steps is checked against l(g), which
     # bounds every strip of g, and a true one runs on
-    monkeypatch.setattr(weyl, "BALL_CAP", 1)
+    monkeypatch.setattr(weyl, "STRIP_CHECK", 1)
     assert weyl.reduced_word(g).letters == word == (0, 1, 0)
     # a descent test that never says no would strip forever
     monkeypatch.setattr(weyl, "has_left_descent", lambda g, label: True)
@@ -541,6 +541,15 @@ def test_element_entries_must_be_integers(aff_a2):
             element_from_json(aff_a2, bad)
     with pytest.raises(ValueError):
         ExtAffineWeylElement.translation(aff_a2, (Fraction(1, 3), Fraction(0)))
+
+
+def test_translation_on_a_finite_system_raises():
+    # X^mu with mu != 0 is not in the finite Weyl group, which the kernel
+    # would answer for (length 2 and |T| = 2 on finite A2); mu = 0 is e
+    a2 = finite_coxeter(build_finite("A", 2))
+    with pytest.raises(ValueError, match="a finite system has no translations"):
+        ExtAffineWeylElement.translation(a2, (1, 0))
+    assert ExtAffineWeylElement.translation(a2, (0, 0)) == ExtAffineWeylElement.identity(a2)
 
 
 def test_actions_stay_exact(aff_a2):
