@@ -262,21 +262,19 @@ def _json(v, nl="\n") -> str:
         return "null" if v is None else "true" if v else "false"
     inner = nl + "  "
     if t is list or t is tuple:
-        return _enclose("[", [_json(x, inner) for x in v], nl, "]")
+        items = [_json(x, inner) for x in v]
+        return f"[{inner}{f',{inner}'.join(items)}{nl}]" if items else "[]"
     if t is dict and all(type(k) is str for k in v):
-        return _enclose("{", [f"{_json(k)}: {_json(v[k], inner)}" for k in sorted(v)], nl, "}")
-    if t is _RowTable:
-        return v.json(nl)
-    return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
-
-
-def _enclose(left: str, items: list[str], nl: str, right: str) -> str:
-    """The items one per line, indented two past `nl`, between the brackets.
-    The brackets are joined in with the first and last item, so a large
-    text is copied once, not once per concatenation."""
+        left, items, right = "{", [f"{_json(k)}: {_json(v[k], inner)}" for k in sorted(v)], "}"
+    elif t is _RowTable:
+        left, items, right = "[", v.chunks(inner), "]"
+    else:
+        return json.dumps(v, sort_keys=True, indent=2).replace("\n", nl)
     if not items:
         return left + right
-    inner = nl + "  "
+    # a row table, and the dicts that hold it, can be megabytes: their
+    # brackets are joined in with the first and last item, so the text is
+    # copied once, not once per concatenation
     items[0] = left + inner + items[0]
     items[-1] += nl + right
     return f",{inner}".join(items)
@@ -288,25 +286,27 @@ class _RowTable:
     without building them.  The header's names are sorted once into a row
     template (a name given twice keeps its last column, as in the dict), and
     each row fills it: a str through the C quoter, an int through repr, a
-    bool or None as its literal, and any other value through `_json`.  The
-    rows are joined CHUNK at a time, so their texts are not all held apart
-    from the joined text."""
+    bool or None as its literal, and any other value through `_json`."""
 
     __slots__ = ("header", "rows")
 
+    # rows per chunk: the row texts are joined a chunk at a time, so they are
+    # not all held next to the joined text
     CHUNK = 1024
 
     def __init__(self, header: list, rows: list):
         self.header, self.rows = header, rows
 
-    def json(self, nl: str) -> str:
+    def chunks(self, nl: str) -> list[str]:
+        """The rows' texts at the indentation of `nl`, joined as `_json`
+        joins list items, CHUNK rows to a string."""
         rows = self.rows
-        inner = nl + "  "
-        field = inner + "  "
+        field = nl + "  "
         column = dict(zip(self.header, range(len(self.header))))
         names = sorted(column)
         order = [column[k] for k in names]
-        template = _enclose("{", [_json(k).replace("%", "%%") + ": %s" for k in names], inner, "}")
+        fields = [_json(k).replace("%", "%%") + ": %s" for k in names]
+        template = "{" + field + f",{field}".join(fields) + nl + "}" if fields else "{}"
         quote = json.encoder.encode_basestring_ascii
         chunks = []
         for start in range(0, len(rows), self.CHUNK):
@@ -325,8 +325,8 @@ class _RowTable:
                     else:
                         values.append(_json(v, field))
                 out.append(template % tuple(values))
-            chunks.append(f",{inner}".join(out))
-        return _enclose("[", chunks, nl, "]")
+            chunks.append(f",{nl}".join(out))
+        return chunks
 
 
 def emit(config, command, result, rows=None) -> str:
