@@ -61,6 +61,7 @@ CASES = {
     "ddaha_times_c2": "ddaha --type C --rank 2 --m 4 --expr 's1*s2*x1^2 + (3/2)*s0*x2' --times 's2*s1*s0*x1*x2 - x2^2'",
     "ddaha_times_a2_power": "ddaha --type A --rank 2 --expr 's1*x1^12*x2^8 - 2*x2' --times 's0*x1'",
     "ddaha_times_a2_x64": "ddaha --type A --rank 2 --expr 'x1^64' --times s0",
+    "ddaha_times_b3": "ddaha --type B --rank 3 --m 2 --expr 's1*x1^2*x3 + (3/2)*s0*x2 - s3*s2' --times 's2*x1*x2 + (1/3)*x3^2*s0'",
     "root_bc2": "root --type BC --rank 2",
     "root_c3": "root --type C --rank 3",
     "root_d4": "root --type D --rank 4",
@@ -289,7 +290,7 @@ def test_ddaha_products_substitute_only_linear_forms():
     # each label, so no product substitutes into or divides any polynomial;
     # the division route substituted into every monomial, up to x1^64
     counts = _run_fresh(_DDAHA_POLY_WORK)
-    assert len(counts) == 6
+    assert len(counts) == 7
     for name, (ok, degree, calls) in counts.items():
         assert ok and degree == -1 and calls == 0, (name, degree, calls)
 
@@ -322,7 +323,7 @@ def test_json_goldens_skip_the_pure_python_encoder():
     # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
     # indent); emit writes indented JSON from C-quoted strings instead, and
     # tsv output calls json.dumps without indent
-    assert sum("--format tsv" not in command for command in CASES.values()) == 41
+    assert sum("--format tsv" not in command for command in CASES.values()) == 42
     counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
     assert counts == {name: [True, 0] for name in CASES}
 
