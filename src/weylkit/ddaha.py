@@ -11,27 +11,41 @@ once per algebra.  The group products g * s_a of the step are kept per
 algebra too, in the table `DdahaAlgebra._products`, so each is formed once:
 a miss forms it by the rank-one update `weyl.mul_simple`, with no matrix
 product.  An element is stored as integer numerators over one positive
-denominator, in lowest terms, and the step runs on that form.  A simple
-reflection maps each coordinate x_i to an affine form s_a(x_i) with integer
-coefficients, and x_i - s_a(x_i) = k_i a with k_i an integer: the algebra
-reads both off the integer coroot of each wall when it is built.  The divided
-difference (1 - s_a) / a is a twisted derivation (Bernstein-Gelfand-Gelfand,
-Demazure), so s_a(x^e) and (x^e - s_a(x^e)) / a follow from the images of
-x^e / x_i by integer products with s_a(x_i), and only h_a carries a
-denominator, hd_a.  The cached images are hd_a s_a(x^e) and
-hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter multiplies
-the denominator by hd_a.
+denominator, in lowest terms, and the step runs on that form.
+
+Each monomial x^e of an element is one int key: the degree |e| in the top
+field, then e_0, ..., e_{n-1} in FIELD-bit fields below it, e_0 highest
+(`_pack`, `_unpack`).  A monomial product is then the sum of the keys, and
+int order is the normal form's order (|e|, e).  Every field of a key of
+degree below 2^FIELD holds its exponent exactly; a key at or above
+2^(FIELD (n + 1)), degree 2^FIELD or more, may hold a field that carried,
+so `multiply` raises PowerTooLarge on forming one and `element` refuses a
+Poly of that degree before forming any key.  Only this module knows the
+keys: `Poly` and everything outside keep exponent tuples, which are
+unpacked in the `terms` view and packed by `element` and `polynomial`.
+
+A simple reflection maps each coordinate x_i to an affine form s_a(x_i)
+with integer coefficients, and x_i - s_a(x_i) = k_i a with k_i an integer:
+the algebra reads both off the integer coroot of each wall when it is built.
+The divided difference (1 - s_a) / a is a twisted derivation
+(Bernstein-Gelfand-Gelfand, Demazure), so s_a(x^e) and (x^e - s_a(x^e)) / a
+follow from the images of x^e / x_i by integer products with s_a(x_i), and
+only h_a carries a denominator, hd_a.  The cached images are hd_a s_a(x^e)
+and hd_a h_a (x^e - s_a(x^e)) / a as integer terms, and each letter
+multiplies the denominator by hd_a.
 `multiply(x, y)` folds the step over the reduced word of each group part of
-y, brings the terms of y to one denominator by integer scaling, and reduces
-the result to lowest terms.  `parse_element` reads each term of a literal as
-a rational times monomials g x^e, a generator after a coordinate starting
-the next one, and forms their product with `multiply`; its degree cap counts
-the term's written powers, whatever the coefficient.  `format_element`
-prints each coefficient in lowest terms from one gcd.
+y, brings the terms of y to one denominator by integer scaling, multiplies
+monomials by adding keys, and reduces the result to lowest terms.
+`parse_element` reads each term of a literal as a rational times monomials
+g x^e, a generator after a coordinate starting the next one, and forms their
+product with `multiply`; its degree cap counts the term's written powers,
+whatever the coefficient.  `format_element` prints each group part's terms
+in key order, each coefficient in lowest terms from one gcd, and builds each
+key's monomial text once (`_monomial_text`).
 Fractions are built only in the `terms` view, where a value leaves the
-algebra (`as_dict`, `StandardModule.action_matrix`).  The module also
-provides relation verification and truncated standard modules for
-category-O weight analysis.
+algebra (`as_dict`, `StandardModule.action_matrix`), and read only in
+`element`, where a Poly enters it.  The module also provides relation
+verification and truncated standard modules for category-O weight analysis.
 """
 
 import random
@@ -39,13 +53,13 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .linalg import numerators
-from .poly import Poly, _product, divide_linear, weyl_action
+from .poly import Poly, divide_linear, weyl_action
 from .root_system import AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
@@ -59,6 +73,31 @@ from .weyl import (
 
 class InvalidParameters(ValueError):
     pass
+
+
+# the width in bits of each exponent field of a monomial key
+FIELD = 32
+
+
+def _pack(exps) -> int:
+    """The key of the monomial x^e: the degree |e| in the top field, then
+    e_0, ..., e_{n-1} in FIELD-bit fields below it, e_0 highest."""
+    key = sum(exps)
+    for e in exps:
+        key = key << FIELD | e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponents e of the n-variable monomial with this key."""
+    mask = (1 << FIELD) - 1
+    return tuple(key >> FIELD * (n - 1 - i) & mask for i in range(n))
+
+
+def _key_limit(n: int) -> int:
+    """The least key of degree 2^FIELD in n variables: a key at or above it
+    may hold a field that carried into the one above."""
+    return 1 << FIELD * (n + 1)
 
 
 class TriangularityViolated(RuntimeError):
@@ -99,18 +138,21 @@ class DdahaAlgebra(Record):
     """The algebra of an ambient system and its parameters; equal and hashed
     by the parameters."""
 
-    __slots__ = ("ambient", "params", "_images", "_forms", "_products", "_words", "_hd")
+    __slots__ = ("ambient", "params", "_images", "_forms", "_products", "_words", "_hd", "_units")
 
     def __init__(self, ambient: AffineRootSystem, params: HeckeParameters):
         self.ambient, self.params = ambient, params
-        # filled on first use: (label, exponents) -> monomial images (see
+        # filled on first use: (label, monomial key) -> monomial images (see
         # _monomial_images), (group element g, label) -> g * s_label (see
         # _times_simple), and group element -> reduced word (see _word)
         self._images, self._products, self._words = {}, {}, {}
         # label -> the denominator hd_a of h_a, read at every letter of the step
         self._hd = {label: params.h(label).denominator for label, _ in params.c}
+        # the keys of the coordinates x_1, ..., x_n
+        n = ambient.rank
+        units = self._units = tuple(_pack([int(j == i) for j in range(n)]) for i in range(n))
         # label -> the coordinate forms the monomial images are built from
-        self._forms = {label: _coordinate_forms(ambient, label) for label in ambient.labels}
+        self._forms = {label: _coordinate_forms(ambient, label, units) for label in ambient.labels}
 
     def _key(self) -> tuple:
         return (self.params,)
@@ -128,7 +170,7 @@ class DdahaAlgebra(Record):
         return self.group(ExtAffineWeylElement.identity(self.ambient))
 
     def group(self, g: ExtAffineWeylElement) -> "DdahaElement":
-        return DdahaElement(self, {g: {(0,) * self.nvars: 1}})
+        return DdahaElement(self, {g: {0: 1}})  # 0 is the key of x^0
 
     def generator(self, label: int) -> "DdahaElement":
         return self.group(ExtAffineWeylElement.simple(self.ambient, label))
@@ -137,10 +179,17 @@ class DdahaAlgebra(Record):
         return self.element({ExtAffineWeylElement.identity(self.ambient): f})
 
     def element(self, mapping: dict) -> "DdahaElement":
-        """The element sum of g tensor f over the pairs (g, Poly f) of mapping."""
+        """The element sum of g tensor f over the pairs (g, Poly f) of mapping;
+        a Poly of degree 2^FIELD or more raises PowerTooLarge, as its key
+        could carry."""
+        for f in mapping.values():
+            if f.degree() >= 1 << FIELD:
+                raise PowerTooLarge(
+                    f"a polynomial of degree {f.degree()} exceeds the cap of 2^{FIELD} - 1"
+                )
         den = lcm(*{c.denominator for f in mapping.values() for _, c in f.terms})
         num = {
-            g: {e: c.numerator * (den // c.denominator) for e, c in f.terms}
+            g: {_pack(e): c.numerator * (den // c.denominator) for e, c in f.terms}
             for g, f in mapping.items()
         }
         return _element(self, num, den)
@@ -200,7 +249,7 @@ def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAl
 
 
 class DdahaElement:
-    """The element num / den: num maps g -> {exponents: integer}, in lowest
+    """The element num / den: num maps g -> {monomial key: integer}, in lowest
     terms (den > 0, no zero coefficient, no empty group part, and gcd 1 of
     den and every numerator), so equal elements have equal fields.  Build
     one with `_element` or the algebra's constructors."""
@@ -221,7 +270,7 @@ class DdahaElement:
         """The pairs (group element, Poly), one Fraction per coefficient."""
         n = self.algebra.nvars
         return frozenset(
-            (g, Poly(n, frozenset((e, Fraction(c, self.den)) for e, c in f.items())))
+            (g, Poly(n, frozenset((_unpack(e, n), Fraction(c, self.den)) for e, c in f.items())))
             for g, f in self.num.items()
         )
 
@@ -248,8 +297,8 @@ class DdahaElement:
 
 
 def _add_terms(out: dict, terms, c=1) -> None:
-    """Add c times the (exponents, coefficient) pairs of terms into the
-    exponent -> coefficient dict out."""
+    """Add c times the (monomial, coefficient) pairs of terms into the
+    monomial -> coefficient dict out."""
     for e, v in terms:
         out[e] = out.get(e, 0) + c * v
 
@@ -285,8 +334,8 @@ def _element(algebra: DdahaAlgebra, num: dict, den: int) -> DdahaElement:
 
 
 def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
-    """hd_a times the normal form of x * s_label, for x a map g -> {exponents:
-    integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
+    """hd_a times the normal form of x * s_label, for x a map g -> {monomial
+    key: integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
     summed from the cached integral images of the monomials x^e (see
     `_monomial_images`) in one loop per image, with no helper call per
     term.  hd_a is the denominator of h_a (algebra._hd), which the caller
@@ -299,12 +348,12 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
         if gs is None:
             gs = products[g, label] = mul_simple(g, label)
         reflected, demazure = out.setdefault(gs, {}), out.setdefault(g, {})
-        for exps, c in f.items():
+        for key, c in f.items():
             if not c:
                 continue
-            pair = images.get((label, exps))
+            pair = images.get((label, key))
             if pair is None:
-                pair = _monomial_images(algebra, label, exps)
+                pair = _monomial_images(algebra, label, key)
             for e, v in pair[0]:
                 reflected[e] = reflected.get(e, 0) + c * v
             for e, v in pair[1]:
@@ -312,16 +361,16 @@ def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
     return out
 
 
-def _coordinate_forms(ambient: AffineRootSystem, label: int) -> tuple:
+def _coordinate_forms(ambient: AffineRootSystem, label: int, units: tuple) -> tuple:
     """For each coordinate x_i, the pair (integer terms of the affine form
     s_a(x_i), integer k_i) with x_i - s_a(x_i) = k_i a, read off the wall
     (gamma, integer coroot, level) of a = gamma + level.  s_a moves a point p
     to p - a(p) gamma_check (Humphreys, Reflection Groups and Coxeter Groups,
     4.1), so s_a(x_i) = x_i - gamma_check_i (<gamma, x> + level) and k_i is
-    the i-th coweight coordinate of the coroot."""
+    the i-th coweight coordinate of the coroot.  The terms are (monomial
+    key, integer) pairs, from units, the keys of the coordinates."""
     gamma, corovec, level, _ = _wall(ambient, label)
-    n = len(gamma)
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)] + [(0,) * n]
+    units = (*units, 0)
     forms = []
     for i, k in enumerate(corovec):
         coeffs = [-k * c for c in gamma] + [-k * level]
@@ -330,36 +379,45 @@ def _coordinate_forms(ambient: AffineRootSystem, label: int) -> tuple:
     return tuple(forms)
 
 
-def _monomial_images(algebra: DdahaAlgebra, label: int, exps: tuple) -> tuple:
-    """The images hd_a s_a(x^e) and hn_a (x^e - s_a(x^e)) / a, for h_a =
-    hn_a / hd_a, as (exponents, nonzero integer) pairs, kept in
-    algebra._images.  Write e = e' + delta_i, i the first nonzero
-    coordinate of e.  The divided difference (1 - s_a) / a is a twisted
+def _monomial_images(algebra: DdahaAlgebra, label: int, key: int) -> tuple:
+    """The images hd_a s_a(x^e) and hn_a (x^e - s_a(x^e)) / a of the monomial
+    x^e with this key, for h_a = hn_a / hd_a, as (monomial key, nonzero
+    integer) pairs, kept in algebra._images.  Write e = e' + delta_i, i the
+    first nonzero coordinate of e, the highest nonzero field of the key
+    below its degree.  The divided difference (1 - s_a) / a is a twisted
     derivation, so with x_i - s_a(x_i) = k_i a (`_coordinate_forms`):
 
         hd s_a(x^e)   = s_a(x_i) hd s_a(x^e'),
         hn Delta(x^e) = hn k_i x^e' + s_a(x_i) hn Delta(x^e'),
 
     from the image (hd, 0) of x^0.  The images from the nearest kept one up
-    to x^e are built and kept, on integers only."""
-    images, forms = algebra._images, algebra._forms[label]
+    to x^e are built and kept, on integers only; no image has a higher
+    degree than its monomial, so no key of them carries."""
+    images, forms, units = algebra._images, algebra._forms[label], algebra._units
+    n = len(units)
+    low = (1 << FIELD * n) - 1  # the exponent fields, without the degree
     chain = []
-    while (label, exps) not in images and any(exps):
-        i = next(j for j, v in enumerate(exps) if v)
-        chain.append((exps, i))
-        exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-    pair = images.get((label, exps))
+    while (label, key) not in images and key:
+        i = n - 1 - ((key & low).bit_length() - 1) // FIELD
+        chain.append((key, i))
+        key -= units[i]
+    pair = images.get((label, key))
     if pair is None:
-        pair = images[label, exps] = (((exps, algebra._hd[label]),), ())
+        pair = images[label, key] = (((key, algebra._hd[label]),), ())
     hn = algebra.params.h(label).numerator
     for e, i in reversed(chain):
         form, k = forms[i]
-        reflected, demazure = (_product(image, form) for image in pair)
-        demazure[exps] = demazure.get(exps, 0) + hn * k
+        reflected, demazure = products = ({}, {})
+        for image, out in zip(pair, products):
+            for u1, c1 in image:
+                for u2, c2 in form:
+                    u = u1 + u2
+                    out[u] = out.get(u, 0) + c1 * c2
+        demazure[key] = demazure.get(key, 0) + hn * k
         pair = images[label, e] = tuple(
-            tuple((u, c) for u, c in image.items() if c) for image in (reflected, demazure)
+            tuple((u, c) for u, c in image.items() if c) for image in products
         )
-        exps = e
+        key = e
     return pair
 
 
@@ -373,7 +431,9 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
     """x * y on numerators: for x = N / D, each term w tensor q of y gives
     (N * s_l1 * ... * s_lk) * q over D hd_l1 ... hd_lk, for the reduced word
     l1 ... lk of w.  The terms are brought to one denominator by integer
-    scaling, and the result is reduced to lowest terms."""
+    scaling, and the result is reduced to lowest terms.  A monomial product
+    is the sum of the keys; one of degree 2^FIELD or more, whose key may
+    have carried, raises PowerTooLarge."""
     algebra, hd = x.algebra, x.algebra._hd
     pushed = []
     for w, q in y.num.items():
@@ -391,8 +451,10 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
             for e2, c2 in q.items():
                 c2 *= scale
                 for e1, c1 in p.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
+    if max(map(max, filter(None, out.values())), default=0) >= _key_limit(algebra.nvars):
+        raise PowerTooLarge(f"a product reaches degree 2^{FIELD} or more")
     return _element(algebra, out, x.den * y.den * common)
 
 
@@ -589,13 +651,14 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
             terms.append([])
         terms[-1].append(m)
         pos = m.end()
-    n, labels, products = algebra.nvars, algebra.ambient.labels, algebra._products
+    labels, products, units = algebra.ambient.labels, algebra._products, algebra._units
+    n = len(units)
     identity = ExtAffineWeylElement.identity(algebra.ambient)
     parts = []  # (numerators, denominator, coefficient) of each term
     for factors in terms:
         # k / den times the product of the closed monomials and the open one
-        # g x^e; a generator that follows x^e != 1 closes it
-        g, e, k, den, closed, degree = identity, [0] * n, 1, 1, [], 0
+        # g x^e, e held as its key; a generator that follows x^e != 1 closes it
+        g, e, k, den, closed, degree = identity, 0, 1, 1, [], 0
         for m in factors:
             if (gen := m["gen"]) is not None:
                 try:
@@ -604,9 +667,9 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     label = None
                 if label not in labels:
                     raise LiteralSyntaxError(f"unknown generator {gen}")
-                if any(e):
-                    closed.append(DdahaElement(algebra, {g: {tuple(e): 1}}))
-                    g, e = identity, [0] * n
+                if e:
+                    closed.append(DdahaElement(algebra, {g: {e: 1}}))
+                    g, e = identity, 0
                 # g * s_a, as the step keeps it
                 gs = products.get((g, label))
                 if gs is None:
@@ -632,7 +695,7 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                         f"a monomial of degree {degree} at {coord}^{power} exceeds the cap of "
                         f"{MAX_LITERAL_POWER}"
                     )
-                e[i] += power
+                e += power * units[i]
             else:
                 try:
                     p, q = int(m["int"] or m["neg"] + m["p"]), int(m["q"] or 1)
@@ -641,7 +704,7 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                 if not q:
                     raise LiteralSyntaxError(f"zero denominator in {p}/0")
                 k, den = k * p, den * q
-        num = {g: {tuple(e): 1}}
+        num = {g: {e: 1}}
         if closed:
             # left to right, so each monomial's group part moves only what precedes it
             x = reduce(multiply, [*closed, DdahaElement(algebra, num)])
@@ -650,42 +713,49 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
     return _element(algebra, *_combine(parts))
 
 
+@lru_cache(maxsize=4096)
+def _monomial_text(key: int, n: int) -> str:
+    """The factors x<i> and x<i>^e of the n-variable monomial with this key,
+    joined by "*"; empty for x^0."""
+    return "*".join(
+        f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(_unpack(key, n), 1) if e
+    )
+
+
 def format_element(x: DdahaElement) -> str:
-    """Deterministic normal-form printer emitting the literal grammar; a
-    coefficient past Python's int-to-string digit limit (4300 by default)
-    raises CoefficientTooLarge."""
+    """Deterministic normal-form printer emitting the literal grammar: the
+    group parts by (length, reduced word), each part's terms by monomial
+    key, which is the order (|e|, e).  A coefficient past Python's
+    int-to-string digit limit (4300 by default) raises CoefficientTooLarge."""
     if x.is_zero():
         return "0"
-    algebra, den = x.algebra, x.den
-    items = []
-    for g, f in x.num.items():
-        word = algebra._word(g)
-        for exps, c in f.items():
-            # word is reduced, so len(word) is the length of g
-            items.append((len(word), word, sum(exps), exps, c))
-    items.sort(key=lambda it: it[:4])
+    algebra, den, n = x.algebra, x.den, x.algebra.nvars
+    # word is reduced, so len(word) is the length of g
+    parts = sorted(
+        ((algebra._word(g), f) for g, f in x.num.items()), key=lambda p: (len(p[0]), p[0])
+    )
     chunks = []
-    for k, (_, word, _, exps, c) in enumerate(items):
-        sign = "-" if c < 0 else "+"
-        d = gcd(c, den)  # |c| / den in lowest terms is (|c| // d) / (den // d)
-        mag, mag_den = abs(c) // d, den // d
-        factors = [f"s{l}" for l in word]
-        if (mag, mag_den) != (1, 1) or (not factors and not any(exps)):
-            try:
-                factors.append(str(mag) if mag_den == 1 else f"({mag}/{mag_den})")
-            except ValueError:
-                raise CoefficientTooLarge(
-                    f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
-                    "the most Python converts to a string"
-                ) from None
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        body = "*".join(factors)
-        if k == 0:
-            chunks.append(body if sign == "+" else f"-{body}")
-        else:
-            chunks.append(f" {sign} {body}")
+    for word, f in parts:
+        word_text = "*".join([f"s{l}" for l in word])
+        prefix = word_text + "*" if word else ""
+        for key in sorted(f):
+            c = f[key]
+            d = gcd(c, den)  # |c| / den in lowest terms is (|c| // d) / (den // d)
+            mag, mag_den = abs(c) // d, den // d
+            monomial = _monomial_text(key, n)
+            if (mag, mag_den) != (1, 1) or not (word or key):
+                try:
+                    coeff = str(mag) if mag_den == 1 else f"({mag}/{mag_den})"
+                except ValueError:
+                    raise CoefficientTooLarge(
+                        f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                        "the most Python converts to a string"
+                    ) from None
+                body = f"{prefix}{coeff}*{monomial}" if monomial else prefix + coeff
+            else:
+                body = prefix + monomial if monomial else word_text
+            if chunks:
+                chunks.append(f" - {body}" if c < 0 else f" + {body}")
+            else:
+                chunks.append(f"-{body}" if c < 0 else body)
     return "".join(chunks)

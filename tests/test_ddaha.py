@@ -287,13 +287,13 @@ def assert_lowest_terms(x):
 
 def fraction_terms(x):
     """Oracle for the terms view: each group part summed monomial by
-    monomial as Polys with coefficient Fraction(c) / den."""
+    monomial, each key decoded, as Polys with coefficient Fraction(c) / den."""
     n = x.algebra.nvars
     out = set()
     for g, f in x.num.items():
         p = Poly.zero(n)
         for e, c in f.items():
-            p = p + Poly(n, frozenset({(e, Fraction(c) / x.den)}))
+            p = p + Poly(n, frozenset({(dd._unpack(e, n), Fraction(c) / x.den)}))
         out.add((g, p))
     return frozenset(out)
 
@@ -369,7 +369,7 @@ def test_degree_cap_counts_the_written_powers_of_a_term(alg_a1):
     x40, x24 = (alg_a1.polynomial(Poly(1, frozenset({((k,), Fraction(1))}))) for k in (40, 24))
     at_cap = dd.parse_element(alg_a1, "x1^40*s0*x1^24")
     assert at_cap == x40 * alg_a1.generator(0) * x24
-    assert max(sum(e) for f in at_cap.num.values() for e in f) == 64
+    assert max(sum(dd._unpack(e, 1)) for f in at_cap.num.values() for e in f) == 64
     assert dd.parse_element(alg_a1, "(0)*s0*x1^64") == alg_a1.zero()
     assert dd.parse_element(alg_a1, "x1*(0)*s0") == alg_a1.zero()
 
@@ -395,7 +395,7 @@ def test_coordinate_forms_match_exact_division(type_, rank, affine):
         for i, (form, k) in enumerate(alg._forms[label]):
             x = Poly.variable(rank, i)
             sx = weyl_action(s, x)
-            assert Poly(rank, frozenset((e, Fraction(c)) for e, c in form)) == sx
+            assert Poly(rank, frozenset((dd._unpack(e, rank), Fraction(c)) for e, c in form)) == sx
             assert divide_linear(x - sx, alg.wall_poly(label)) == Poly.const(rank, k)
             assert type(k) is int and all(type(c) is int for _, c in form)
 
@@ -437,9 +437,10 @@ def test_monomial_images_match_exact_division(type_, rank, m, d, c, degree):
     monomials.sort(key=lambda e: (-sum(e), e))
     for label in amb.labels:
         for exps in monomials:
-            images = tuple(map(dict, dd._monomial_images(alg, label, exps)))
+            images = dd._monomial_images(alg, label, dd._pack(exps))
+            images = tuple({dd._unpack(e, rank): c for e, c in image} for image in images)
             assert images == division_images(alg, label, exps)
-    assert set(alg._images) == {(label, e) for label in amb.labels for e in monomials}
+    assert set(alg._images) == {(label, dd._pack(e)) for label in amb.labels for e in monomials}
     if d == 3:
         assert {l: (alg.params.h(l).numerator, alg._hd[l]) for l in amb.labels} == {
             0: (3, 4), 1: (9, 8), 2: (3, 2)
@@ -580,7 +581,9 @@ def test_filtration_and_degree_bounds(alg_a2):
         # the longest group part and the top polynomial degree, read off num
         lengths = [max(map(length, z.num)) for z in (x, y, prod)]
         assert lengths[2] <= lengths[0] + lengths[1]
-        degrees = [max(sum(e) for f in z.num.values() for e in f) for z in (x, y, prod)]
+        degrees = [
+            max(sum(dd._unpack(e, 2)) for f in z.num.values() for e in f) for z in (x, y, prod)
+        ]
         assert degrees[2] <= degrees[0] + degrees[1]
 
 
