@@ -42,10 +42,11 @@ product with `multiply`; its degree cap counts the term's written powers,
 whatever the coefficient.  `format_element` prints each group part's terms
 in key order, each coefficient in lowest terms from one gcd, and builds each
 key's monomial text once (`_monomial_text`).
-Fractions are built only in the `terms` view, where a value leaves the
-algebra (`as_dict`, `StandardModule.action_matrix`), and read only in
-`element`, where a Poly enters it.  The module also provides relation
-verification and truncated standard modules for category-O weight analysis.
+Fractions and exponent tuples are built only in the `terms` view, where a
+value leaves the algebra (`as_dict`, `StandardModule.action_matrix`); a
+Poly enters it through `element`, which packs its tuples and scales its
+Fractions to integers.  The module also provides relation verification and
+truncated standard modules for category-O weight analysis.
 """
 
 import random
