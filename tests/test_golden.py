@@ -82,6 +82,7 @@ CASES = {
     "table_weights_c2_tsv": "table weights --type C --rank 2 --lam0 1/3,-1/2 --depth 2 --format tsv",
     "weyl_bc2": "weyl --type BC --rank 2 --word 0,1,2,1,0,2,1",
     "weyl_b3_finite": "weyl --type B --rank 3 --finite --word 1,2,3,2,1,3,2",
+    "certify_c3_sigma3": "certify --type C --rank 3 --sigma 3 --radius 3 --depth 2",
 }
 
 
@@ -228,7 +229,7 @@ def test_kernel_roots_are_not_revalidated():
     # are built without the checks of the public AffineRoot constructor
     prefixes = ("certify_", "complex_", "weyl_")
     names = sorted(n for n in CASES if n.startswith(prefixes))
-    assert len(names) == 15
+    assert len(names) == 16
     counts = _run_fresh(
         _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__init__", *prefixes
     )
@@ -323,7 +324,7 @@ def test_json_goldens_skip_the_pure_python_encoder():
     # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
     # indent); emit writes indented JSON from C-quoted strings instead, and
     # tsv output calls json.dumps without indent
-    assert sum("--format tsv" not in command for command in CASES.values()) == 42
+    assert sum("--format tsv" not in command for command in CASES.values()) == 43
     counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
     assert counts == {name: [True, 0] for name in CASES}
 
