@@ -11,8 +11,12 @@ factors' (a product's P is the product of theirs, a reflection's is its
 transpose, an inverse's is m^T).  Each finite part is interned once, as one
 record (`_FinitePart`) that holds m, P and what is read off them; an element
 holds its translation and that record, so no group operation looks its
-matrix up again.  Only a matrix given from outside is inverted, once.
-Actions on points and functionals take and return Fractions.
+matrix up again.  Only a matrix given from outside is inverted, once.  The
+general product and the inverse read their finite part off links of the
+record, each built on first use: `times`, keyed by the right factor's
+record, and `inv`.  So the product of two finite parts is formed once per
+process, and only the translation, mu1 + P1 mu2 or -m^T mu, is computed per
+call.  Actions on points and functionals take and return Fractions.
 
 A product with a simple reflection s = s_a, a = gamma + k, is a rank-one
 update: s acts on functionals by I - gamma gamma_check^T and on points by
@@ -82,12 +86,15 @@ def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
 class _FinitePart:
     """One finite part of the group: its matrix m on functionals, its point
     matrix p = (m^T)^-1 and, each built on first use, the column sums of m
-    (`heights`), the row sums of p (`p_sums`) and its neighbours by wall id
+    (`heights`), the row sums of p (`p_sums`), its neighbours by wall id
     (see `_wall_ids`): `left[w]` the record of (I - gamma gamma_check^T) m and
     `right[w]` the pair (record of m (I - gamma gamma_check^T), p
-    gamma_check)."""
+    gamma_check), its products `times[r]`, the record of m r.m for the
+    record r of a right factor, and `inv`, the record of m^-1 = p^T.  A
+    product or inverse of matrices is the same in every system, so these two
+    links need no system key."""
 
-    __slots__ = ("m", "p", "heights", "p_sums", "left", "right")
+    __slots__ = ("m", "p", "heights", "p_sums", "left", "right", "times", "inv")
 
     def __init__(self, m: IntMat, p: IntMat):
         self.m, self.p = m, p
@@ -98,8 +105,12 @@ class _FinitePart:
             value = tuple(map(sum, zip(*self.m)))
         elif name == "p_sums":
             value = tuple(map(sum, self.p))
-        elif name in ("left", "right"):
+        elif name in ("left", "right", "times"):
             value = {}
+        elif name == "inv":
+            # the point matrix of m^-1 is m^T; m is the inverse of m^-1
+            value = _intern(transpose(self.p), transpose, self.m)
+            value.inv = self
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -259,15 +270,16 @@ class ExtAffineWeylElement:
         f, h = self.fin, other.fin
         omu = other.mu
         mu = tuple(a + sum(map(mul, row, omu)) for a, row in zip(self.mu, f.p))
-        fin = _intern(_mat_mul(f.m, h.m), _mat_mul, f.p, h.p)
+        fin = f.times.get(h)
+        if fin is None:
+            fin = f.times[h] = _intern(_mat_mul(f.m, h.m), _mat_mul, f.p, h.p)
         return _element(self.ambient, mu, fin)
 
     def inverse(self) -> "ExtAffineWeylElement":
-        """g^-1 = (-m^T mu, P^T), with P the point matrix of g; the point
-        matrix of g^-1 is then m^T."""
-        m = self.fin.m
-        mu = tuple(-sum(map(mul, col, self.mu)) for col in zip(*m))
-        return _element(self.ambient, mu, _intern(transpose(self.fin.p), transpose, m))
+        """g^-1 = (-m^T mu, P^T), with P the point matrix of g, its finite
+        part read off the record's `inv` link."""
+        mu = tuple(-sum(map(mul, col, self.mu)) for col in zip(*self.fin.m))
+        return _element(self.ambient, mu, self.fin.inv)
 
     def is_identity(self) -> bool:
         return not any(self.mu) and self.fin.m == _identity(len(self.mu)).m

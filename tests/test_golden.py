@@ -214,6 +214,48 @@ def test_weyl_commands_form_no_matrix_product():
     assert counts == {name: [True, 0] for name in names}
 
 
+# Runs one case (argv[2]) in a fresh interpreter, so that no finite part is
+# linked before it, counting the calls of weyl._mat_mul and the distinct
+# pairs (left record, right record) that the general product sees: prints
+# [output equals golden, calls, pairs, products].
+_PRODUCT_WORK = """
+import json, sys
+import weylkit.weyl as weyl
+
+mat_mul, product = weyl._mat_mul, weyl.ExtAffineWeylElement.__mul__
+calls, pairs, products = [], set(), []
+
+def counted(a, b):
+    calls.append(1)
+    return mat_mul(a, b)
+
+def recorded(self, other):
+    pairs.add((self.fin, other.fin))
+    products.append(1)
+    return product(self, other)
+
+weyl._mat_mul, weyl.ExtAffineWeylElement.__mul__ = counted, recorded
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, golden_path, run_case
+
+with open(golden_path(sys.argv[2]), "rb") as fh:
+    ok = run_case(CASES[sys.argv[2]]) == fh.read()
+print(json.dumps([ok, len(calls), len(pairs), len(products)]))
+"""
+
+
+def test_certify_forms_each_finite_part_product_once():
+    # a product's finite part is read off the left record's link to the
+    # right one, so a fresh certify forms m1 m2 once per pair of records and
+    # P1 P2 once per new record: at most two matrix products per pair, where
+    # forming them per call made one or two per product (86 for certify_b2)
+    names = sorted(n for n in CASES if n.startswith("certify_"))
+    assert len(names) == 5
+    for name in names:
+        ok, calls, pairs, products = _run_fresh(_PRODUCT_WORK, name)
+        assert ok and products > 0 and calls <= 2 * pairs, (name, calls, pairs, products)
+
+
 def test_relative_commands_compute_no_relative_length():
     # relative descents and words are read off the ambient descent test,
     # so no relative command counts the inversions of an element

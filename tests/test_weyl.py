@@ -670,6 +670,46 @@ def test_kernel_links_are_kept_per_wall_not_per_label():
     assert checked > 200
 
 
+def test_product_and_inverse_links_do_not_depend_on_the_system():
+    """A product or inverse of finite parts is the same matrix in every
+    system, so its link is kept on the record with no system key.  Over the
+    radius-3 balls of affine and finite A2, C2, G2 and BC2 and of affine B2
+    (C2 and B2 share finite parts, as do C2 and BC2), interleaved element by
+    element, g is multiplied by every earlier element h on both sides: each
+    product's m is m1 m2, its P is (m^T)^-1, and forming it again returns
+    the same record; g^-1 has point matrix m^T and g g^-1 is the identity."""
+    ambients = []
+    for type_label in ("A", "C", "G", "BC"):
+        finite = build_finite(type_label, 2)
+        ambients += [affinize(finite), finite_coxeter(finite)]
+    ambients.append(affinize(build_finite("B", 2)))
+    systems = [
+        list(closure(ExtAffineWeylElement.identity(a), [s(a, l) for l in a.labels], 3))
+        for a in ambients
+    ]
+    oracle = {}
+    checked = 0
+    for i in range(max(map(len, systems))):
+        for ball in systems:
+            if i >= len(ball):
+                continue
+            g = ball[i]
+            for h in ball[: i + 1]:
+                for x, y in ((g, h), (h, g)):
+                    xy = x * y
+                    m = xy.matrix
+                    assert m == weyl._mat_mul(x.matrix, y.matrix)
+                    if m not in oracle:
+                        oracle[m] = mat_inv(transpose(m))
+                    assert xy.fin.p == oracle[m]
+                    assert (x * y).fin is xy.fin
+                    checked += 1
+            g_inv = g.inverse()
+            assert g_inv.fin.p == transpose(g.matrix)
+            assert (g * g_inv).is_identity() and g.inverse().fin is g_inv.fin
+    assert checked > 1500
+
+
 @pytest.mark.parametrize("type_label,rank,affine", KERNEL_BALLS)
 def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkeypatch):
     """g s_l and s_l g from the rank-one kernels equal the general product,
