@@ -674,10 +674,11 @@ def test_product_and_inverse_links_do_not_depend_on_the_system():
     """A product or inverse of finite parts is the same matrix in every
     system, so its link is kept on the record with no system key.  Over the
     radius-3 balls of affine and finite A2, C2, G2 and BC2 and of affine B2
-    (C2 and B2 share finite parts, as do C2 and BC2), interleaved element by
-    element, g is multiplied by every earlier element h on both sides: each
-    product's m is m1 m2, its P is (m^T)^-1, and forming it again returns
-    the same record; g^-1 has point matrix m^T and g g^-1 is the identity."""
+    (affine B2 and BC2 share every finite part of these balls, and any two
+    systems share some), interleaved element by element, g is multiplied by
+    every earlier element h on both sides: each product's m is m1 m2, its P
+    is (m^T)^-1, and forming it again returns the same record; g^-1 has
+    point matrix m^T and g g^-1 is the identity."""
     ambients = []
     for type_label in ("A", "C", "G", "BC"):
         finite = build_finite(type_label, 2)
