@@ -83,6 +83,8 @@ CASES = {
     "weyl_bc2": "weyl --type BC --rank 2 --word 0,1,2,1,0,2,1",
     "weyl_b3_finite": "weyl --type B --rank 3 --finite --word 1,2,3,2,1,3,2",
     "certify_c3_sigma3": "certify --type C --rank 3 --sigma 3 --radius 3 --depth 2",
+    "certify_b4": "certify --type B --rank 4",
+    "complex_fixed_c3_sigma13": "complex fixed --type C --rank 3 --sigma 1,3 --radius 4",
 }
 
 
@@ -250,7 +252,7 @@ def test_certify_forms_each_finite_part_product_once():
     # P1 P2 once per new record: at most two matrix products per pair, where
     # forming them per call made one or two per product (86 for certify_b2)
     names = sorted(n for n in CASES if n.startswith("certify_"))
-    assert len(names) == 5
+    assert len(names) == 6
     for name in names:
         ok, calls, pairs, products = _run_fresh(_PRODUCT_WORK, name)
         assert ok and products > 0 and calls <= 2 * pairs, (name, calls, pairs, products)
@@ -271,7 +273,7 @@ def test_kernel_roots_are_not_revalidated():
     # are built without the checks of the public AffineRoot constructor
     prefixes = ("certify_", "complex_", "weyl_")
     names = sorted(n for n in CASES if n.startswith(prefixes))
-    assert len(names) == 16
+    assert len(names) == 18
     counts = _run_fresh(
         _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__init__", *prefixes
     )
@@ -366,7 +368,7 @@ def test_json_goldens_skip_the_pure_python_encoder():
     # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
     # indent); emit writes indented JSON from C-quoted strings instead, and
     # tsv output calls json.dumps without indent
-    assert sum("--format tsv" not in command for command in CASES.values()) == 43
+    assert sum("--format tsv" not in command for command in CASES.values()) == 45
     counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
     assert counts == {name: [True, 0] for name in CASES}
 
