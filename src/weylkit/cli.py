@@ -363,7 +363,7 @@ def cmd_root(args, config, ambient) -> tuple[int, str]:
     finite = ambient.finite_base
     data = root_data_to_json(finite)
     data["roots_count"] = len(finite.roots)
-    data["positive_roots"] = [list(r) for r in sorted(finite.positive_roots())]
+    data["positive_roots"] = [list(r) for r in sorted(finite.positive_roots)]
     data["highest_root"] = list(finite.highest_root())
     data["affine"] = ambient.affine
     data["labels"] = list(ambient.labels)
@@ -578,9 +578,11 @@ def certify_checks(config, ambient) -> list[dict]:
     checks.append({"check": "admissible", "ok": True, "detail": ""})
     # relative BFS distance is relative length, and a product of two elements
     # of the depth ball lies within twice the depth: one ball serves the
-    # sphere sizes, the depth ball (a prefix in BFS order) and the products
+    # sphere sizes, the depth ball (a prefix in BFS order), the products and,
+    # when it reaches the radius, the fixed chambers
     depth = min(config["depth"], 3)
-    ball = rel.relative_ball(system, max(min(radius, 4), 2 * depth))
+    ball_radius = max(min(radius, 4), 2 * depth)
+    ball = rel.relative_ball(system, ball_radius)
     got = [0] * (min(radius, 4) + 1)
     for d in ball.values():
         if d < len(got):
@@ -599,14 +601,16 @@ def certify_checks(config, ambient) -> list[dict]:
     except NotImplementedError as exc:
         checks.append({"check": "coxeter-ball-sizes", "ok": True, "detail": f"skipped: {exc}"})
 
+    # l(x) and T(x) of each element are computed once per command, on first
+    # use, and read by every check
+    length_of, reflections_of = functools.cache(length), functools.cache(reflections_T)
     small = {g: d for g, d in ball.items() if d <= depth}
-    small_lengths = {g: length(g) for g in small}
     violations = 0
     for g, lg in small.items():
         for h, lh in small.items():
             gh = g * h
             rel_add = ball[gh] == lg + lh
-            abs_add = length(gh) == small_lengths[g] + small_lengths[h]
+            abs_add = length_of(gh) == length_of(g) + length_of(h)
             if rel_add != abs_add:
                 violations += 1
     checks.append(
@@ -620,7 +624,7 @@ def certify_checks(config, ambient) -> list[dict]:
     # one length ball serves this check (to radius 3) and the fixed chambers
     length_ball = cx.Ball(ambient, radius)
     bad_t = sum(
-        1 for g, d in length_ball.lengths.items() if d <= 3 and d != len(reflections_T(g))
+        1 for g, d in length_ball.lengths.items() if d <= 3 and d != len(reflections_of(g))
     )
     checks.append(
         {
@@ -654,7 +658,9 @@ def certify_checks(config, ambient) -> list[dict]:
     )
 
     try:
-        report = cx.fixed_chambers(system, radius, ball=length_ball)
+        report = cx.fixed_chambers(
+            system, radius, ball=length_ball, rel_ball=ball if ball_radius >= radius else None
+        )
         type_ok = all(f.type_labels == frozenset(sigma) for f in report.chambers)
         checks.append(
             {
@@ -670,18 +676,14 @@ def certify_checks(config, ambient) -> list[dict]:
     except cx.BallTooSmall as exc:
         checks.append({"check": "fixed-chambers", "ok": False, "detail": str(exc)})
 
-    # T(x) of each sampled element is formed once and read as g or as h
-    sample = sorted(small, key=lambda g: (small_lengths[g], g.mu, g.matrix))
-    sample_t = {}
+    sample = sorted(small, key=lambda g: (length_of(g), g.mu, g.matrix))
     pairs_checked = 0
     eta_ok = True
     for _ in range(10):
         g = rng.choice(sample)
         h = rng.choice(sample)
-        for x in (g, h):
-            if x not in sample_t:
-                sample_t[x] = reflections_T(x)
-        if reflections_T(g * h) <= sample_t[g] | conjugate_reflections(g, sample_t[h]):
+        t_g, t_h = reflections_of(g), reflections_of(h)
+        if reflections_of(g * h) <= t_g | conjugate_reflections(g, t_h):
             pairs_checked += 1
         else:
             eta_ok = False

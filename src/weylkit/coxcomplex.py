@@ -146,7 +146,7 @@ def _roots_through(ambient: AffineRootSystem, x: Vec, directions=()) -> list[Aff
     canonical key."""
     finite = ambient.finite_base
     out = []
-    for root in finite.positive_roots():
+    for root in finite.positive_roots:
         rf = tuple(map(Fraction, root))
         if any(dot(rf, d) != 0 for d in directions):
             continue
@@ -342,28 +342,43 @@ class FixedChambersReport(Record):
 
 
 def fixed_chambers(
-    system: RelativeCoxeterSystem, radius: int, ball: Ball | None = None
+    system: RelativeCoxeterSystem,
+    radius: int,
+    ball: Ball | None = None,
+    rel_ball: dict | None = None,
 ) -> FixedChambersReport:
     """Chambers of the fixed subcomplex of an admissible Sigma, given by its
     relative system: facets in the ball whose stabilizer equals W_Sigma, with
     the relative-group action table on them.  `ball` is the caller's Ball of
-    this radius, used instead of enumerating a second one."""
+    this radius, used instead of enumerating a second one; `rel_ball` is the
+    caller's `relative_ball` of at least this radius, whose entries at
+    distance <= radius are this radius's ball, in the same BFS order.
+
+    A facet (y, J) has stabilizer reflections y T_J y^-1, and that set is
+    T_Sigma exactly when |T_J| = |T_Sigma| and y conjugates every simple
+    reflection of J into T_Sigma: then y W_J y^-1 lies in W_Sigma, whose
+    reflections are T_Sigma, and conjugation is injective (Humphreys,
+    Reflection Groups and Coxeter Groups, 5.5).  So the types are filtered
+    by |T_J| once and each facet is tested on the images of J's simple
+    roots."""
     ambient = system.ambient
     sigma = system.base.sigma
     t_sigma = system.base.reflections()
-    k = len(sigma)
-    candidate_types = [
-        t
-        for t in map(frozenset, combinations(ambient.labels, k))
-        if t != frozenset(ambient.labels) and ParabolicSubset(ambient, t).is_finite()
-    ]
+    simples = {}
+    for t in map(frozenset, combinations(ambient.labels, len(sigma))):
+        if t == frozenset(ambient.labels):
+            continue
+        subset = ParabolicSubset(ambient, t)
+        if subset.is_finite() and len(subset.reflections()) == len(t_sigma):
+            simples[t] = [ambient.simple_by_label(l) for l in t]
     if ball is None:
         ball = Ball(ambient, radius)
     lengths = ball.lengths
-    found = set()
-    for f in facets_in_ball(ambient, radius, types=candidate_types, ball=ball):
-        if facet_stabilizer_reflections(f) == t_sigma:
-            found.add(f)
+    found = {
+        f
+        for f in facets_in_ball(ambient, radius, types=simples, ball=ball)
+        if conjugate_reflections(f.rep, simples[f.type_labels]) <= t_sigma
+    }
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
 
@@ -387,8 +402,12 @@ def fixed_chambers(
     base = facet(ambient, ExtAffineWeylElement.identity(ambient), sigma)
     single_free = base in found
     if single_free:
+        if rel_ball is None:
+            rel_ball = relative_ball(system, radius)
         seen = {}
-        for g, d in relative_ball(system, radius).items():
+        for g, d in rel_ball.items():
+            if d > radius:
+                break
             image = act(g, base)
             if image in found:
                 if image in seen and seen[image] != g:

@@ -41,7 +41,6 @@ from .weyl import (
     has_left_descent,
     has_right_descent,
     length,
-    mul_simple,
     reflections_T,
     simple_mul,
 )
@@ -116,17 +115,18 @@ class ParabolicSubset:
     def longest_element(self) -> ExtAffineWeylElement:
         self._require_finite()
         if self._longest is None:
-            # climb right ascents, lowest label first, up to w0^Sigma; a finite
+            # climb left ascents, lowest label first, up to w0^Sigma, the one
+            # element of W_Sigma whose left descents are all of Sigma; a finite
             # W_Sigma has one reflection per direction, so l(w0^Sigma) <= |R+|,
             # and a longer climb (a faulty descent test) raises
             labels = sorted(self.sigma)
             g = ExtAffineWeylElement.identity(self.ambient)
-            bound = len(self.ambient.finite_base.positive_roots())
+            bound = len(self.ambient.finite_base.positive_roots)
             for _ in range(bound + 1):
-                l = next((l for l in labels if not has_right_descent(g, l)), None)
+                l = next((l for l in labels if not has_left_descent(g, l)), None)
                 if l is None:
                     break
-                g = mul_simple(g, l)
+                g = simple_mul(l, g)
             else:
                 raise RuntimeError(f"the climb to w0^Sigma ran past |R+| = {bound} steps")
             self._longest = g

@@ -137,6 +137,7 @@ class FiniteRootSystem(Record):
     def _coxeter_system(self) -> "AffineRootSystem":
         return _build_finite_coxeter(self)
 
+    @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r for r in self.roots if self.is_positive(r))
 
@@ -148,7 +149,7 @@ class FiniteRootSystem(Record):
         return all(c % 2 == 0 for c in root)
 
     def highest_root(self) -> tuple[int, ...]:
-        return max(self.positive_roots(), key=lambda r: (sum(r), r))
+        return max(self.positive_roots, key=lambda r: (sum(r), r))
 
 
 def build_finite(type_label: str, rank: int) -> FiniteRootSystem:

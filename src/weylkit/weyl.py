@@ -175,7 +175,7 @@ class _SystemData:
             l: _reflection(ambient, a, self.walls[l][1])
             for l, a in zip(ambient.labels, ambient.simples)
         }
-        self.roots = tuple((alpha, finite.in_two_q_r(alpha)) for alpha in finite.positive_roots())
+        self.roots = tuple((alpha, finite.in_two_q_r(alpha)) for alpha in finite.positive_roots)
 
     def coroot(self, root) -> IntVec:
         """The coweight coordinates of the coroot of `root`, as ints."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,9 @@ from weylkit import coxcomplex as cx
 from weylkit.relative import (
     NotAdmissible,
     ParabolicSubset,
+    _normalizes,
     in_relative_group,
+    is_admissible,
     relative_system,
 )
 from weylkit.root_system import affinize, build_finite, finite_coxeter
@@ -319,6 +322,47 @@ def test_fixed_chambers_empty_sigma(aff_a1):
     # chambers are all alcoves, W-tilde = W acts simply transitively
     assert all(c.type_labels == frozenset() for c in rep.chambers)
     assert rep.single_free_orbit
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,sigma",
+    [
+        ("A", 2, {1}),
+        ("C", 2, {1}),
+        ("G", 2, {1}),
+        ("BC", 2, {1}),
+        ("A", 3, {1, 3}),
+        ("C", 3, {1, 3}),
+        ("C", 3, {3}),
+    ],
+)
+def test_fixed_chamber_test_against_the_stabilizer_reflections(type_label, rank, sigma):
+    # fixed_chambers keeps the types J with |T_J| = |T_Sigma| and then the
+    # facets whose rep sends J's simple roots into T_Sigma; over every facet
+    # of a finite type of |Sigma| labels in the radius-4 ball that must be
+    # the test y T_J y^-1 = T_Sigma.  Sigma = {1} is not admissible on
+    # affine A2, so only the facet test is checked there.
+    ambient = affinize(build_finite(type_label, rank))
+    base = ParabolicSubset(ambient, sigma)
+    t_sigma = base.reflections()
+    types = [
+        t
+        for t in map(frozenset, combinations(ambient.labels, len(sigma)))
+        if ParabolicSubset(ambient, t).is_finite()
+    ]
+    if (type_label, rank) == ("A", 3):
+        dropped = ParabolicSubset(ambient, {1, 2})
+        assert dropped.sigma in types and len(dropped.reflections()) != len(t_sigma)
+    fixed = set()
+    for f in cx.facets_in_ball(ambient, 4, types=types):
+        subset = ParabolicSubset(ambient, f.type_labels)
+        by_roots = len(subset.reflections()) == len(t_sigma) and _normalizes(f.rep, subset, base)
+        assert by_roots == (cx.facet_stabilizer_reflections(f) == t_sigma), f.rep
+        if by_roots:
+            fixed.add(f)
+    assert fixed
+    if is_admissible(ambient, sigma)[0]:
+        assert set(cx.fixed_chambers(relative_system(ambient, sigma), 4).chambers) == fixed
 
 
 @pytest.mark.parametrize("type_label,rank,affine", ORACLE_SYSTEMS)

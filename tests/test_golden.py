@@ -258,6 +258,53 @@ def test_certify_forms_each_finite_part_product_once():
         assert ok and products > 0 and calls <= 2 * pairs, (name, calls, pairs, products)
 
 
+# Runs one case (argv[2]) in a fresh interpreter, recording the elements
+# that the CLI's bindings of weyl.length and weyl.reflections_T are called
+# on: prints [output equals golden, [calls, distinct elements] of each].
+_CERTIFY_TABLES = """
+import json, sys
+import weylkit.cli as cli
+
+seen = {}
+
+def recorder(name):
+    fn, calls = getattr(cli, name), seen.setdefault(name, [])
+
+    def recorded(g):
+        calls.append(g)
+        return fn(g)
+
+    return recorded
+
+cli.length, cli.reflections_T = recorder("length"), recorder("reflections_T")
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, golden_path, run_case
+
+with open(golden_path(sys.argv[2]), "rb") as fh:
+    ok = run_case(CASES[sys.argv[2]]) == fh.read()
+print(json.dumps([ok] + [[len(seen[n]), len(set(seen[n]))] for n in ("length", "reflections_T")]))
+"""
+
+
+def test_certify_computes_each_length_and_reflection_set_once():
+    # every check of certify reads l(x) and T(x) off one table per command,
+    # so each is computed once per distinct element; the parabolic subsets
+    # keep T(w0^J) apart, once per subset.  Forming them per check called
+    # length 30 times for 9 elements on certify_b2 and 420 for 110 on
+    # certify_b4 (one call per pair of the depth ball).
+    for name in ("certify_b2", "certify_b4", "certify_c3_sigma3"):
+        ok, (calls, distinct), (t_calls, t_distinct) = _run_fresh(_CERTIFY_TABLES, name)
+        assert ok and 0 < calls == distinct and 0 < t_calls == t_distinct, (name, calls, t_calls)
+
+
+def test_certify_builds_one_relative_ball():
+    # the fixed chambers read certify's relative ball, which reaches the
+    # radius in every certify golden, instead of building a second one
+    names = sorted(n for n in CASES if n.startswith("certify_"))
+    counts = _run_fresh(_COUNTED_CALLS, "weylkit.coxcomplex", "relative_ball", "certify_")
+    assert counts == {name: [True, 0] for name in names}
+
+
 def test_relative_commands_compute_no_relative_length():
     # relative descents and words are read off the ambient descent test,
     # so no relative command counts the inversions of an element

@@ -69,9 +69,9 @@ def test_longest_element_climb_is_bounded(aff_c2, monkeypatch):
     # l(w0^Sigma) <= |R+| = 4, reached by Sigma = {1, 2}; a descent test that
     # never says yes raises past that bound instead of climbing forever
     p = rel.ParabolicSubset(aff_c2, {1, 2})
-    assert length(p.longest_element()) == len(aff_c2.finite_base.positive_roots()) == 4
+    assert length(p.longest_element()) == len(aff_c2.finite_base.positive_roots) == 4
     monkeypatch.setattr(p, "_longest", None)
-    monkeypatch.setattr(rel, "has_right_descent", lambda g, l: False)
+    monkeypatch.setattr(rel, "has_left_descent", lambda g, l: False)
     with pytest.raises(RuntimeError, match=r"past \|R\+\| = 4 steps"):
         p.longest_element()
     assert p._longest is None

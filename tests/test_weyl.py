@@ -210,7 +210,7 @@ def test_reflection_recovery_rejects_root_negating_elements(type_label, rank, wo
         g = g * s(ambient, l)
     # several positive roots are negated, so the search reaches its closing check
     negated = [
-        r for r in ambient.finite_base.positive_roots()
+        r for r in ambient.finite_base.positive_roots
         if g.act_gradient(r) == tuple(-c for c in r)
     ]
     assert len(negated) > 1
