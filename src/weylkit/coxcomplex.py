@@ -15,7 +15,7 @@ of an admissible parabolic, computed from its relative system.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 
 from . import linalg
 from .linalg import Vec, dot
@@ -32,6 +32,7 @@ from .weyl import (
 from .relative import (
     ParabolicSubset,
     RelativeCoxeterSystem,
+    _normalizes,
     in_relative_group,
     int_labels,
     relative_ball,
@@ -354,30 +355,28 @@ def fixed_chambers(
     caller's `relative_ball` of at least this radius, whose entries at
     distance <= radius are this radius's ball, in the same BFS order.
 
-    A facet (y, J) has stabilizer reflections y T_J y^-1, and that set is
-    T_Sigma exactly when |T_J| = |T_Sigma| and y conjugates every simple
-    reflection of J into T_Sigma: then y W_J y^-1 lies in W_Sigma, whose
-    reflections are T_Sigma, and conjugation is injective (Humphreys,
-    Reflection Groups and Coxeter Groups, 5.5).  So the types are filtered
-    by |T_J| once and each facet is tested on the images of J's simple
-    roots."""
+    A facet (y, J) with |J| = |Sigma| has stabilizer reflections
+    y T_J y^-1, and that set is T_Sigma exactly when y conjugates every
+    simple reflection of J into T_Sigma (`_normalizes`).  The walls of those
+    |J| independent reflections meet in the affine span of the facet y F_J;
+    lying in T_Sigma, each wall contains the span of F_Sigma, of the same
+    dimension, so the two spans are equal, and the reflections of either
+    stabilizer are those whose walls contain that span.  So each facet is
+    tested on the images of J's simple roots alone."""
     ambient = system.ambient
     sigma = system.base.sigma
-    t_sigma = system.base.reflections()
-    simples = {}
+    subsets = {}
     for t in map(frozenset, combinations(ambient.labels, len(sigma))):
-        if t == frozenset(ambient.labels):
-            continue
         subset = ParabolicSubset(ambient, t)
-        if subset.is_finite() and len(subset.reflections()) == len(t_sigma):
-            simples[t] = [ambient.simple_by_label(l) for l in t]
+        if t != frozenset(ambient.labels) and subset.is_finite():
+            subsets[t] = subset
     if ball is None:
         ball = Ball(ambient, radius)
     lengths = ball.lengths
     found = {
         f
-        for f in facets_in_ball(ambient, radius, types=simples, ball=ball)
-        if conjugate_reflections(f.rep, simples[f.type_labels]) <= t_sigma
+        for f in facets_in_ball(ambient, radius, types=subsets, ball=ball)
+        if _normalizes(f.rep, subsets[f.type_labels], system.base)
     }
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
@@ -405,9 +404,8 @@ def fixed_chambers(
         if rel_ball is None:
             rel_ball = relative_ball(system, radius)
         seen = {}
-        for g, d in rel_ball.items():
-            if d > radius:
-                break
+        within = takewhile(lambda item: item[1] <= radius, rel_ball.items())
+        for g, _ in within:
             image = act(g, base)
             if image in found:
                 if image in seen and seen[image] != g:

@@ -337,11 +337,12 @@ def test_fixed_chambers_empty_sigma(aff_a1):
     ],
 )
 def test_fixed_chamber_test_against_the_stabilizer_reflections(type_label, rank, sigma):
-    # fixed_chambers keeps the types J with |T_J| = |T_Sigma| and then the
-    # facets whose rep sends J's simple roots into T_Sigma; over every facet
-    # of a finite type of |Sigma| labels in the radius-4 ball that must be
-    # the test y T_J y^-1 = T_Sigma.  Sigma = {1} is not admissible on
-    # affine A2, so only the facet test is checked there.
+    # fixed_chambers keeps the facets whose rep sends J's simple roots into
+    # T_Sigma; over every facet of a finite type of |Sigma| labels in the
+    # radius-4 ball that must be the test y T_J y^-1 = T_Sigma, also for a
+    # type with |T_J| != |T_Sigma| (A3's {1, 2} against Sigma = {1, 3}).
+    # Sigma = {1} is not admissible on affine A2, so only the facet test is
+    # checked there.
     ambient = affinize(build_finite(type_label, rank))
     base = ParabolicSubset(ambient, sigma)
     t_sigma = base.reflections()
@@ -350,19 +351,40 @@ def test_fixed_chamber_test_against_the_stabilizer_reflections(type_label, rank,
         for t in map(frozenset, combinations(ambient.labels, len(sigma)))
         if ParabolicSubset(ambient, t).is_finite()
     ]
-    if (type_label, rank) == ("A", 3):
-        dropped = ParabolicSubset(ambient, {1, 2})
-        assert dropped.sigma in types and len(dropped.reflections()) != len(t_sigma)
+    tested = {t: 0 for t in types}
     fixed = set()
     for f in cx.facets_in_ball(ambient, 4, types=types):
-        subset = ParabolicSubset(ambient, f.type_labels)
-        by_roots = len(subset.reflections()) == len(t_sigma) and _normalizes(f.rep, subset, base)
+        by_roots = _normalizes(f.rep, ParabolicSubset(ambient, f.type_labels), base)
         assert by_roots == (cx.facet_stabilizer_reflections(f) == t_sigma), f.rep
+        tested[f.type_labels] += 1
         if by_roots:
             fixed.add(f)
-    assert fixed
+    assert fixed and all(tested.values())
+    if (type_label, rank) == ("A", 3):
+        other = ParabolicSubset(ambient, {1, 2})
+        assert len(other.reflections()) != len(t_sigma)
+        assert all(f.type_labels != other.sigma for f in fixed)
     if is_admissible(ambient, sigma)[0]:
         assert set(cx.fixed_chambers(relative_system(ambient, sigma), 4).chambers) == fixed
+
+
+def test_fixed_chambers_checks_coverage_through_a_larger_relative_ball():
+    # a rel_ball reaching past the radius is read up to the radius, and the
+    # check that every interior chamber is some g(base) still runs: with the
+    # one element that reaches an interior chamber left out, the orbit is
+    # not reported single and free
+    system = relative_system(affinize(build_finite("C", 2)), {1})
+    radius = 4
+    rel = cx.relative_ball(system, radius + 2)
+    assert max(rel.values()) > radius
+    rep = cx.fixed_chambers(system, radius, rel_ball=rel)
+    assert rep.single_free_orbit
+    base = cx.facet(system.ambient, ExtAffineWeylElement.identity(system.ambient), {1})
+    interior = set(rep.chambers) - set(rep.boundary_excluded) - {base}
+    missing = next(g for g, d in rel.items() if d <= radius and cx.act(g, base) in interior)
+    truncated = {g: d for g, d in rel.items() if g != missing}
+    assert max(truncated.values()) > radius
+    assert not cx.fixed_chambers(system, radius, rel_ball=truncated).single_free_orbit
 
 
 @pytest.mark.parametrize("type_label,rank,affine", ORACLE_SYSTEMS)
