@@ -85,6 +85,8 @@ CASES = {
     "certify_c3_sigma3": "certify --type C --rank 3 --sigma 3 --radius 3 --depth 2",
     "certify_b4": "certify --type B --rank 4",
     "complex_fixed_c3_sigma13": "complex fixed --type C --rank 3 --sigma 1,3 --radius 4",
+    "certify_c6_sigma135": "certify --type C --rank 6 --sigma 1,3,5",
+    "complex_fixed_c2_sigma02": "complex fixed --type C --rank 2 --sigma 0,2 --radius 3",
 }
 
 
@@ -115,6 +117,26 @@ def test_large_facet_table_is_pinned_by_sha1():
     text = out.getvalue().encode()
     assert (code, len(text)) == (0, 1242354)
     assert hashlib.sha1(text).hexdigest() == "de0f434baaba7b9a72a2bde2c175822965939c26"
+
+
+@pytest.mark.parametrize(
+    "argv,size,sha1",
+    [
+        ("certify --type C --rank 8 --sigma 1,3,5,7", 1287, "8052dfb8a0f0b3f4f25fe10445b93bbd5dda47b0"),
+        ("certify --type B --rank 8", 1251, "8e4be24d11c56a543540745eca4f39f9964721be"),
+        ("certify --type E --rank 8", 1251, "e72764f6d06935ffb80482ab2317ef29b239e63b"),
+    ],
+    ids=["c8_sigma1357", "b8", "e8"],
+)
+def test_rank_8_certify_is_pinned_by_sha1(argv, size, sha1):
+    # rank-8 certify, with Sigma empty (B8, E8) and with |Sigma| = 4 (C8),
+    # pinned by hash: too slow for a golden run in every fresh-process test
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv.split())
+    text = out.getvalue().encode()
+    assert (code, len(text)) == (0, size)
+    assert hashlib.sha1(text).hexdigest() == sha1
 
 
 def test_readme_counts_the_golden_commands():
@@ -252,7 +274,7 @@ def test_certify_forms_each_finite_part_product_once():
     # P1 P2 once per new record: at most two matrix products per pair, where
     # forming them per call made one or two per product (86 for certify_b2)
     names = sorted(n for n in CASES if n.startswith("certify_"))
-    assert len(names) == 6
+    assert len(names) == 7
     for name in names:
         ok, calls, pairs, products = _run_fresh(_PRODUCT_WORK, name)
         assert ok and products > 0 and calls <= 2 * pairs, (name, calls, pairs, products)
@@ -320,7 +342,7 @@ def test_kernel_roots_are_not_revalidated():
     # are built without the checks of the public AffineRoot constructor
     prefixes = ("certify_", "complex_", "weyl_")
     names = sorted(n for n in CASES if n.startswith(prefixes))
-    assert len(names) == 18
+    assert len(names) == 20
     counts = _run_fresh(
         _COUNTED_CALLS, "weylkit.root_system", "AffineRoot.__init__", *prefixes
     )
@@ -415,7 +437,7 @@ def test_json_goldens_skip_the_pure_python_encoder():
     # json.dumps(indent=2) runs the pure-Python encoder (the C one takes no
     # indent); emit writes indented JSON from C-quoted strings instead, and
     # tsv output calls json.dumps without indent
-    assert sum("--format tsv" not in command for command in CASES.values()) == 45
+    assert sum("--format tsv" not in command for command in CASES.values()) == 47
     counts = _run_fresh(_COUNTED_CALLS, "json.encoder", "_make_iterencode", "")
     assert counts == {name: [True, 0] for name in CASES}
 
