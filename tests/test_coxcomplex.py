@@ -334,15 +334,22 @@ def test_fixed_chambers_empty_sigma(aff_a1):
         ("A", 3, {1, 3}),
         ("C", 3, {1, 3}),
         ("C", 3, {3}),
+        ("C", 2, {0, 2}),
+        ("C", 3, {0}),
+        ("BC", 2, {0}),
+        ("D", 4, {1, 3, 4}),
     ],
 )
 def test_fixed_chamber_test_against_the_stabilizer_reflections(type_label, rank, sigma):
     # fixed_chambers keeps the facets whose rep sends J's simple roots into
     # T_Sigma; over every facet of a finite type of |Sigma| labels in the
-    # radius-4 ball that must be the test y T_J y^-1 = T_Sigma, also for a
-    # type with |T_J| != |T_Sigma| (A3's {1, 2} against Sigma = {1, 3}).
-    # Sigma = {1} is not admissible on affine A2, so only the facet test is
-    # checked there.
+    # radius-4 ball (radius 3 at rank 4) that must be the test
+    # y T_J y^-1 = T_Sigma, also for a type with |T_J| != |T_Sigma| (A3's
+    # {1, 2} against Sigma = {1, 3}).  Sigma = {1} is not admissible on
+    # affine A2, so only the facet test is checked there.  The Sigma holding
+    # label 0 catch a search that keys a_0, whose direction has negative
+    # height, other than canonically.
+    radius = 3 if rank == 4 else 4
     ambient = affinize(build_finite(type_label, rank))
     base = ParabolicSubset(ambient, sigma)
     t_sigma = base.reflections()
@@ -353,7 +360,7 @@ def test_fixed_chamber_test_against_the_stabilizer_reflections(type_label, rank,
     ]
     tested = {t: 0 for t in types}
     fixed = set()
-    for f in cx.facets_in_ball(ambient, 4, types=types):
+    for f in cx.facets_in_ball(ambient, radius, types=types):
         by_roots = _normalizes(f.rep, ParabolicSubset(ambient, f.type_labels), base)
         assert by_roots == (cx.facet_stabilizer_reflections(f) == t_sigma), f.rep
         tested[f.type_labels] += 1
@@ -365,7 +372,8 @@ def test_fixed_chamber_test_against_the_stabilizer_reflections(type_label, rank,
         assert len(other.reflections()) != len(t_sigma)
         assert all(f.type_labels != other.sigma for f in fixed)
     if is_admissible(ambient, sigma)[0]:
-        assert set(cx.fixed_chambers(relative_system(ambient, sigma), 4).chambers) == fixed
+        chambers = cx.fixed_chambers(relative_system(ambient, sigma), radius).chambers
+        assert set(chambers) == fixed
 
 
 def test_fixed_chambers_checks_coverage_through_a_larger_relative_ball():
