@@ -32,10 +32,10 @@ from .weyl import (
 from .relative import (
     ParabolicSubset,
     RelativeCoxeterSystem,
-    _normalizes,
     in_relative_group,
     int_labels,
     relative_ball,
+    simple_labels_by_key,
 )
 
 
@@ -357,32 +357,51 @@ def fixed_chambers(
 
     A facet (y, J) with |J| = |Sigma| has stabilizer reflections
     y T_J y^-1, and that set is T_Sigma exactly when y conjugates every
-    simple reflection of J into T_Sigma (`_normalizes`).  The walls of those
-    |J| independent reflections meet in the affine span of the facet y F_J;
-    lying in T_Sigma, each wall contains the span of F_Sigma, of the same
-    dimension, so the two spans are equal, and the reflections of either
-    stabilizer are those whose walls contain that span.  So each facet is
-    tested on the images of J's simple roots alone."""
+    simple reflection of J into T_Sigma.  The walls of those |J| independent
+    reflections meet in the affine span of the facet y F_J; lying in
+    T_Sigma, each wall contains the span of F_Sigma, of the same dimension,
+    so the two spans are equal, and the reflections of either stabilizer are
+    those whose walls contain that span.
+
+    So the search runs per element y of the ball, not per facet.  S_y, the
+    labels l with y s_l y^-1 in T_Sigma, is read off the |T_Sigma| canonical
+    keys of y^-1 T_Sigma y: the keys of simple roots among them, matched by
+    `simple_labels_by_key` (a_0 = -theta + 1 by its negative, since a key's
+    direction has positive height).  The fixed facets at y are the types
+    J in S_y of |Sigma| labels that miss the right descents of y (as in
+    `facets_in_ball`) and are proper subsets of the walls, so W_J is
+    finite."""
     ambient = system.ambient
     sigma = system.base.sigma
-    subsets = {}
-    for t in map(frozenset, combinations(ambient.labels, len(sigma))):
-        subset = ParabolicSubset(ambient, t)
-        if t != frozenset(ambient.labels) and subset.is_finite():
-            subsets[t] = subset
+    walls = frozenset(ambient.labels)
+    by_key = simple_labels_by_key(ambient)
+    t_sigma = system.base.reflections()
     if ball is None:
         ball = Ball(ambient, radius)
-    lengths = ball.lengths
-    found = {
-        f
-        for f in facets_in_ball(ambient, radius, types=subsets, ball=ball)
-        if _normalizes(f.rep, subsets[f.type_labels], system.base)
-    }
+    assert ball.radius == radius
+    lengths, descents = ball.lengths, ball.descents
+    found = set()
+    for y in lengths:
+        y_inv = y.inverse()
+        right = descents[y_inv]
+        s_y = [
+            l
+            for l in map(by_key.get, conjugate_reflections(y_inv, t_sigma))
+            if l is not None and l not in right
+        ]
+        for t in map(frozenset, combinations(s_y, len(sigma))):
+            if t != walls:
+                found.add(Facet(ambient, y, t))
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
 
+    # one total order for the chambers and the boundary cut alike, so neither
+    # depends on the order in which the search found them
+    chambers = tuple(
+        sorted(found, key=lambda f: (lengths[f.rep], f.rep.mu, f.rep.matrix))
+    )
     interior = {f for f in found if lengths[f.rep] < radius}
-    boundary_cut = tuple(sorted(found - interior, key=lambda f: lengths[f.rep]))
+    boundary_cut = tuple(f for f in chambers if f not in interior)
     action = {}
     closed = True
     for f in interior:
@@ -414,9 +433,6 @@ def fixed_chambers(
                 seen[image] = g
         else:
             single_free = single_free and set(seen) >= interior
-    chambers = tuple(
-        sorted(found, key=lambda f: (lengths[f.rep], f.rep.mu, f.rep.matrix))
-    )
     return FixedChambersReport(
         chambers=chambers,
         action=action,

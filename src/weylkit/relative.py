@@ -348,16 +348,21 @@ class ElementaryMove(Record):
         return self.sigma_from, self.sigma_to, self.s
 
 
+def simple_labels_by_key(ambient: AffineRootSystem) -> dict[AffineRoot, int]:
+    """The label of each simple reflection, keyed by the canonical key of its
+    root, as `conjugate_reflections` keys its images: a_0 = -theta + 1 by its
+    negative, whose direction has positive height."""
+    return {canonical_reflection_key(a): l for a, l in zip(ambient.simples, ambient.labels)}
+
+
 def _conjugate_labels(ambient, z: ExtAffineWeylElement, labels) -> frozenset[int]:
     """Image of a set of simple labels under Int_z, which must send simples
     to simples."""
-    simple_labels = {
-        canonical_reflection_key(a): l for a, l in zip(ambient.simples, ambient.labels)
-    }
+    by_key = simple_labels_by_key(ambient)
     keys = conjugate_reflections(z, [ambient.simple_by_label(l) for l in labels])
-    if not keys <= simple_labels.keys():
+    if not keys <= by_key.keys():
         raise NotANormalizerElement("conjugation does not preserve the simple system")
-    return frozenset(simple_labels[k] for k in keys)
+    return frozenset(by_key[k] for k in keys)
 
 
 def lien_decompose(

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from weylkit import coxcomplex as cx
+from weylkit import relative
 from weylkit.relative import (
     NotAdmissible,
     ParabolicSubset,
@@ -393,6 +394,34 @@ def test_fixed_chambers_checks_coverage_through_a_larger_relative_ball():
     truncated = {g: d for g, d in rel.items() if g != missing}
     assert max(truncated.values()) > radius
     assert not cx.fixed_chambers(system, radius, rel_ball=truncated).single_free_orbit
+
+
+def test_fixed_chambers_conjugate_t_sigma_once_per_ball_element(monkeypatch):
+    # the search reads S_y off y^-1 T_Sigma y, one conjugate_reflections call
+    # per element y of the ball; it lists no facet of the ball and tests
+    # none by _normalizes, which conjugated |J| roots per facet of every
+    # finite type of |Sigma| labels
+    system = relative_system(affinize(build_finite("C", 4)), {1, 3})
+    calls = {"conjugate_reflections": 0, "_normalizes": 0, "facets_in_ball": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(cx, "conjugate_reflections")
+    count(relative, "conjugate_reflections")
+    count(relative, "_normalizes")
+    count(cx, "facets_in_ball")
+    rep = cx.fixed_chambers(system, 4)
+    assert len(rep.chambers) > 1
+    assert calls == {
+        "conjugate_reflections": len(rep.ball.lengths), "_normalizes": 0, "facets_in_ball": 0
+    }
 
 
 @pytest.mark.parametrize("type_label,rank,affine", ORACLE_SYSTEMS)
