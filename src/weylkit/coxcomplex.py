@@ -381,6 +381,7 @@ def fixed_chambers(
     assert ball.radius == radius
     lengths, descents = ball.lengths, ball.descents
     found = set()
+    types = {}  # one frozenset per type, shared by its facets
     for y in lengths:
         y_inv = y.inverse()
         right = descents[y_inv]
@@ -391,7 +392,7 @@ def fixed_chambers(
         ]
         for t in map(frozenset, combinations(s_y, len(sigma))):
             if t != walls:
-                found.add(Facet(ambient, y, t))
+                found.add(Facet(ambient, y, types.setdefault(t, t)))
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
 
