@@ -399,8 +399,7 @@ def test_fixed_chambers_checks_coverage_through_a_larger_relative_ball():
 def test_fixed_chambers_conjugate_t_sigma_once_per_ball_element(monkeypatch):
     # the search reads S_y off y^-1 T_Sigma y, one conjugate_reflections call
     # per element y of the ball; it lists no facet of the ball and tests
-    # none by _normalizes, which conjugated |J| roots per facet of every
-    # finite type of |Sigma| labels
+    # none by _normalizes
     system = relative_system(affinize(build_finite("C", 4)), {1, 3})
     calls = {"conjugate_reflections": 0, "_normalizes": 0, "facets_in_ball": 0}
 
