@@ -119,6 +119,17 @@ def test_large_facet_table_is_pinned_by_sha1():
     assert hashlib.sha1(text).hexdigest() == "de0f434baaba7b9a72a2bde2c175822965939c26"
 
 
+def test_e8_facet_table_is_pinned_by_sha1():
+    # affine E8 at the default radius: 10 MB of JSON, the largest output of
+    # any command, pinned by its hash as the B6 table is
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["table", "facets", "--type", "E", "--rank", "8"])
+    text = out.getvalue().encode()
+    assert (code, len(text)) == (0, 10344089)
+    assert hashlib.sha1(text).hexdigest() == "96b07b4a54e2c5127c70fa3064448800eebecafd"
+
+
 @pytest.mark.parametrize(
     "argv,size,sha1",
     [
