@@ -37,7 +37,6 @@ from .weyl import (
     element_to_json,
     enumerate_ball,  # noqa: F401  (bound here for perfbench's tracer and selftest)
     has_left_descent,
-    has_right_descent,
     length,
     mul_simple,
     reduced_word,
@@ -245,27 +244,42 @@ def _refuse_flags(args, dests, why: str) -> None:
             raise ConfigError(f"--{dest.replace('_', '-')} {why}")
 
 
+# the C string quoter of the json module
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _json(v, nl="\n") -> str:
     """json.dumps(v, sort_keys=True, indent=2) nested at the indentation that
     the newline `nl` carries, without the pure-Python encoder that `indent`
     selects: strings go through the C quoter, and ints, bools, None, lists,
     tuples, dicts of str keys and row tables (`_RowTable`) are written here.
-    Any other value, and a dict with a key that is not a str, goes to
+    A str or int item of a list, and a key or a str or int value of a dict,
+    is written in the loop, with no call of its own (type(x) is int exactly,
+    so a bool is never written as an int).  Any other value, and a dict with a key that is not a str, goes to
     json.dumps itself (raising TypeError where it does); JSON text holds no
     raw newline, so re-indenting its lines is exact."""
     t = type(v)
     if t is str:
-        return json.encoder.encode_basestring_ascii(v)
+        return _quote(v)
     if t is int:
         return repr(v)
     if v is None or t is bool:
         return "null" if v is None else "true" if v else "false"
     inner = nl + "  "
     if t is list or t is tuple:
-        items = [_json(x, inner) for x in v]
+        items = [
+            _quote(x) if type(x) is str else repr(x) if type(x) is int else _json(x, inner)
+            for x in v
+        ]
         return f"[{inner}{f',{inner}'.join(items)}{nl}]" if items else "[]"
     if t is dict and all(type(k) is str for k in v):
-        left, items, right = "{", [f"{_json(k)}: {_json(v[k], inner)}" for k in sorted(v)], "}"
+        items = []
+        for k in sorted(v):
+            x = v[k]
+            tx = type(x)
+            text = _quote(x) if tx is str else repr(x) if tx is int else _json(x, inner)
+            items.append(f"{_quote(k)}: {text}")
+        left, right = "{", "}"
     elif t is _RowTable:
         left, items, right = "[", v.chunks(inner), "]"
     else:
@@ -307,7 +321,7 @@ class _RowTable:
         order = [column[k] for k in names]
         fields = [_json(k).replace("%", "%%") + ": %s" for k in names]
         template = "{" + field + f",{field}".join(fields) + nl + "}" if fields else "{}"
-        quote = json.encoder.encode_basestring_ascii
+        quote = _quote
         chunks = []
         for start in range(0, len(rows), self.CHUNK):
             out = []
@@ -379,7 +393,13 @@ def cmd_root(args, config, ambient) -> tuple[int, str]:
 
 
 def cmd_weyl(args, config, ambient) -> tuple[int, str]:
+    """Length, reduced word, descents and |T(g)| of the element of a word.
+    The right descents of g are read as the left descents of g^-1, as l(g s)
+    < l(g) exactly when l(s g^-1) < l(g^-1): g^-1 is formed once, its
+    finite part off the record's `inv` link, and each label then costs one
+    level test instead of a root image."""
     g = _word_to_element(ambient, getattr(args, "word", None) or "")
+    h = g.inverse()
     rw = reduced_word(g)
     data = {
         "element": element_to_json(g),
@@ -387,7 +407,7 @@ def cmd_weyl(args, config, ambient) -> tuple[int, str]:
         "reduced_word": list(rw.letters),
         "automorphism_trivial": rw.pi.is_identity(),
         "left_descents": [l for l in ambient.labels if has_left_descent(g, l)],
-        "right_descents": [l for l in ambient.labels if has_right_descent(g, l)],
+        "right_descents": [l for l in ambient.labels if has_left_descent(h, l)],
         "reflection_set_size": len(reflections_T(g)),
     }
     return 0, emit(config, "weyl", data)
@@ -673,7 +693,7 @@ def certify_checks(config, ambient) -> list[dict]:
                 ),
             }
         )
-    except cx.BallTooSmall as exc:
+    except (cx.BallTooSmall, cx.TypeNotContained) as exc:
         checks.append({"check": "fixed-chambers", "ok": False, "detail": str(exc)})
 
     sample = sorted(small, key=lambda g: (length_of(g), g.mu, g.matrix))

@@ -369,11 +369,17 @@ def fixed_chambers(
     `simple_labels_by_key` (a_0 = -theta + 1 by its negative, since a key's
     direction has positive height).  The fixed facets at y are the types
     J in S_y of |Sigma| labels that miss the right descents of y (as in
-    `facets_in_ball`) and are proper subsets of the walls, so W_J is
-    finite."""
+    `facets_in_ball`).  A Sigma of every wall, admissible on a finite
+    system, raises TypeNotContained: W_Sigma is then the whole group, the
+    stabilizer of no facet, at any radius; any other type of |Sigma| labels
+    is a proper subset of the walls."""
     ambient = system.ambient
     sigma = system.base.sigma
-    walls = frozenset(ambient.labels)
+    if sigma == frozenset(ambient.labels):
+        raise TypeNotContained(
+            f"Sigma = {sorted(sigma)} holds every wall: W_Sigma is the whole group, "
+            "so no facet has type Sigma"
+        )
     by_key = simple_labels_by_key(ambient)
     t_sigma = system.base.reflections()
     if ball is None:
@@ -391,8 +397,7 @@ def fixed_chambers(
             if l is not None and l not in right
         ]
         for t in map(frozenset, combinations(s_y, len(sigma))):
-            if t != walls:
-                found.add(Facet(ambient, y, types.setdefault(t, t)))
+            found.add(Facet(ambient, y, types.setdefault(t, t)))
     for f in found:
         assert f.type_labels == sigma, "fixed chamber of unexpected type"
 

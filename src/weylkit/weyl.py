@@ -338,9 +338,15 @@ def _reflection(
 
 def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int, int]:
     """(gamma, integer coroot, level k, wall id) of the simple wall a =
-    gamma + k."""
+    gamma + k, read off the ambient's group data in one lookup: the kernels
+    call this once per step, so `_system_data` builds that data only when
+    the ambient has none yet."""
     try:
-        return _system_data(ambient).walls[label]
+        walls = ambient._group_data.walls
+    except AttributeError:
+        walls = _system_data(ambient).walls
+    try:
+        return walls[label]
     except KeyError:
         raise ValueError(f"unknown simple label {label}") from None
 
@@ -511,7 +517,9 @@ def _strip_descents(
     s_{lq} h on the left, or g = h s_{lq} ... s_{l1} on the right.  `step`
     multiplies by a label's generator on `side`, step(l, h) on the left and
     step(h, l) on the right; it defaults to s_l (`simple_mul` /
-    `mul_simple`), and a relative system passes its s-tilde.  Each step
+    `mul_simple`), and a relative system passes its s-tilde.  The labels are
+    scanned by a plain loop (no generator per step), and the descent test is
+    looked up in the module globals at each call.  Each step
     lowers the length, so a strip of g takes at most l(g) steps: past
     STRIP_CHECK steps that bound is checked, and a strip that exceeds it (a
     wrong descent test) raises RuntimeError instead of running on."""
@@ -522,8 +530,10 @@ def _strip_descents(
         step = simple_mul if left else mul_simple
     start, letters, steps, bound = g, [], 0, STRIP_CHECK
     while True:
-        label = next((l for l in labels if is_descent(g, l)), None)
-        if label is None:
+        for label in labels:
+            if is_descent(g, label):
+                break
+        else:
             return g, tuple(letters)
         g = step(label, g) if left else step(g, label)
         letters.append(label)

@@ -42,6 +42,71 @@ def test_weyl_command(capsys):
     assert r["reflection_set_size"] == 3
 
 
+@pytest.mark.parametrize(
+    "tl,rk,finite",
+    [
+        ("A", 2, False),
+        ("C", 2, False),
+        ("G", 2, False),
+        ("B", 3, False),
+        ("D", 4, False),
+        ("F", 4, False),
+        ("E", 6, False),
+        ("BC", 2, False),
+        ("B", 3, True),
+    ],
+)
+def test_weyl_right_descents_agree_with_every_descent_test(capsys, tl, rk, finite):
+    # the command reads the right descents of g as the left descents of g^-1;
+    # over a radius-3 ball that must agree with the root image of g and with
+    # the length of g s
+    from weylkit.root_system import affinize, build_finite, finite_coxeter
+    from weylkit.weyl import (
+        enumerate_ball,
+        has_left_descent,
+        has_right_descent,
+        length,
+        mul_simple,
+        reduced_word,
+    )
+
+    fin = build_finite(tl, rk)
+    ambient = finite_coxeter(fin) if finite else affinize(fin)
+    base = ["weyl", "--type", tl, "--rank", str(rk)] + ["--finite"] * finite
+    for g in enumerate_ball(ambient, 3):
+        word = ",".join(map(str, reduced_word(g).letters))
+        code, payload = run_json(capsys, base + ["--word", word] * bool(word))
+        assert code == 0
+        lg, h = length(g), g.inverse()
+        for l in ambient.labels:
+            want = length(mul_simple(g, l)) < lg
+            assert has_left_descent(h, l) == has_right_descent(g, l) == want
+            assert (l in payload["result"]["right_descents"]) == want
+
+
+def test_weyl_command_work_counts(capsys, monkeypatch):
+    # one E6 `weyl` command: no root image (the right descents are read off
+    # g^-1), the walls read without a group-data lookup each, and the str
+    # and int scalars written by the loops of `_json`
+    from weylkit import cli, weyl
+
+    argv = ["weyl", "--type", "E", "--rank", "6", "--word", "1,2,3,4,5,6,0,2,4,3,1"]
+    assert main(argv) == 0  # the ambient and its group data are built once
+    expected = capsys.readouterr().out
+    counts = {}
+    for module, name in ((weyl, "_image"), (weyl, "_system_data"), (cli, "_json")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert counts.get("_image", 0) == 0
+    assert counts["_system_data"] <= 2
+    assert counts["_json"] <= 22
+
+
 def test_relative_schema(capsys):
     code, payload = run_json(
         capsys, ["relative", "--type", "C", "--rank", "2", "--sigma", "1"]
@@ -401,6 +466,21 @@ def test_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("configuration error:")
+
+
+def test_fixed_chambers_refuse_a_sigma_of_every_wall(capsys):
+    # Sigma = {1, 2} on finite A2 is admissible, but W_Sigma is the whole
+    # group: no radius helps, so the message must not ask for a larger ball
+    message = "Sigma = [1, 2] holds every wall: W_Sigma is the whole group, so no facet has type Sigma"
+    base = ["--type", "A", "--rank", "2", "--finite", "--sigma", "1,2"]
+    for radius in ("3", "8"):
+        code, out, err = run(capsys, ["complex", "fixed", *base, "--radius", radius])
+        assert (code, out, err) == (2, "", f"configuration error: {message}\n")
+    # certify reports it as its failed fixed-chambers check
+    code, payload = run_json(capsys, ["certify", *base])
+    checks = {c["check"]: c for c in payload["result"]["checks"]}
+    assert code == 1 and payload["result"]["ok"] is False
+    assert checks["fixed-chambers"] == {"check": "fixed-chambers", "ok": False, "detail": message}
 
 
 def test_non_adjoint_theta_names_the_first_root_and_its_pairing(capsys):

@@ -737,19 +737,28 @@ def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkey
             assert got == [g * s(ambient, l), s(ambient, l) * g]
 
 
-def test_kernels_reject_an_unknown_label(aff_a2):
-    # the product kernels, both descent tests, simple_by_label and the simple reflection
+def test_kernels_reject_an_unknown_label(aff_a2, monkeypatch):
+    # the product kernels, both descent tests, simple_by_label and the simple
+    # reflection; then each again on an ambient whose group data is not built
+    # yet, which `_wall` builds on its fallback path
     e = ExtAffineWeylElement.identity(aff_a2)
-    for call in (
+    calls = (
         lambda: mul_simple(e, 7),
         lambda: simple_mul(7, e),
         lambda: has_left_descent(e, 7),
         lambda: has_right_descent(e, 7),
         lambda: aff_a2.simple_by_label(7),
         lambda: ExtAffineWeylElement.simple(aff_a2, 7),
-    ):
-        with pytest.raises(ValueError, match="^unknown simple label 7$"):
-            call()
+    )
+    for built in (True, False):
+        for call in calls:
+            if not built:
+                monkeypatch.delattr(aff_a2, "_group_data", raising=False)
+            with pytest.raises(ValueError, match="^unknown simple label 7$"):
+                call()
+    monkeypatch.delattr(aff_a2, "_group_data", raising=False)
+    assert has_left_descent(mul_simple(e, 1), 1)
+    assert simple_mul(2, e) == ExtAffineWeylElement.simple(aff_a2, 2)
 
 
 @pytest.mark.parametrize(
