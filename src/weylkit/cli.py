@@ -37,6 +37,7 @@ from .weyl import (
     element_to_json,
     enumerate_ball,  # noqa: F401  (bound here for perfbench's tracer and selftest)
     has_left_descent,
+    has_right_descent,  # noqa: F401  (bound here for perfbench's tracer and selftest)
     length,
     mul_simple,
     reduced_word,
@@ -255,9 +256,10 @@ def _json(v, nl="\n") -> str:
     tuples, dicts of str keys and row tables (`_RowTable`) are written here.
     A str or int item of a list, and a key or a str or int value of a dict,
     is written in the loop, with no call of its own (type(x) is int exactly,
-    so a bool is never written as an int).  Any other value, and a dict with a key that is not a str, goes to
-    json.dumps itself (raising TypeError where it does); JSON text holds no
-    raw newline, so re-indenting its lines is exact."""
+    so a bool is never written as an int).  Any other value, and a dict
+    with a key that is not a str, goes to json.dumps itself (raising
+    TypeError where it does); JSON text holds no raw newline, so
+    re-indenting its lines is exact."""
     t = type(v)
     if t is str:
         return _quote(v)
