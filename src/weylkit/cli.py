@@ -624,8 +624,16 @@ def certify_checks(config, ambient) -> list[dict]:
         checks.append({"check": "coxeter-ball-sizes", "ok": True, "detail": f"skipped: {exc}"})
 
     # l(x) and T(x) of each element are computed once per command, on first
-    # use, and read by every check
-    length_of, reflections_of = functools.cache(length), functools.cache(reflections_T)
+    # use, and read by every check; the T table starts from the T(w0^J) that
+    # the parabolic subsets already keep
+    length_of, t_table = functools.cache(length), rel.parabolic_reflections(ambient)
+
+    def reflections_of(g):
+        t = t_table.get(g)
+        if t is None:
+            t = t_table[g] = reflections_T(g)
+        return t
+
     small = {g: d for g, d in ball.items() if d <= depth}
     violations = 0
     for g, lg in small.items():

@@ -13,6 +13,16 @@ a miss forms it by the rank-one update `weyl.mul_simple`, with no matrix
 product.  An element is stored as integer numerators over one positive
 denominator, in lowest terms, and the step runs on that form.
 
+Each group part g of an element is a small int, its id in an intern table
+kept per ambient system (`_group_table`: the dict g -> id and the list
+id -> g, with the identity at id 0), so the step, sums and comparisons hash
+and compare ints only.  The product table maps, per label, the id of g to
+the id of g * s_a, and the word table the id of g to its reduced word.
+Group elements appear only where a value enters or leaves the algebra:
+`group` and `element` intern a g, `terms` and `as_dict` map ids back, and a
+miss of either table reads g off the list.  `+` and `multiply` refuse
+elements over two systems, whose ids mean different elements.
+
 Each monomial x^e of an element is one int key: the degree |e| in the top
 field, then e_0, ..., e_{n-1} in FIELD-bit fields below it, e_0 highest
 (`_pack`, `_unpack`).  A monomial product is then the sum of the keys, and
@@ -137,16 +147,22 @@ class HeckeParameters(Record):
 
 class DdahaAlgebra(Record):
     """The algebra of an ambient system and its parameters; equal and hashed
-    by the parameters."""
+    by the parameters.  Group parts are ids in the ambient's intern table
+    (`_group_table`): `_ids` maps g -> id and `_elts` id -> g."""
 
-    __slots__ = ("ambient", "params", "_images", "_forms", "_products", "_words", "_hd", "_units")
+    __slots__ = (
+        "ambient", "params", "_images", "_forms", "_products", "_words", "_hd", "_units",
+        "_ids", "_elts",
+    )
 
     def __init__(self, ambient: AffineRootSystem, params: HeckeParameters):
         self.ambient, self.params = ambient, params
+        self._ids, self._elts = _group_table(ambient)
         # filled on first use: (label, monomial key) -> monomial images (see
-        # _monomial_images), (group element g, label) -> g * s_label (see
-        # _times_simple), and group element -> reduced word (see _word)
-        self._images, self._products, self._words = {}, {}, {}
+        # _monomial_images), label -> {id of g: id of g * s_label} (see
+        # _times_simple), and id of g -> reduced word (see _word)
+        self._images, self._words = {}, {}
+        self._products = {label: {} for label in ambient.labels}
         # label -> the denominator hd_a of h_a, read at every letter of the step
         self._hd = {label: params.h(label).denominator for label, _ in params.c}
         # the keys of the coordinates x_1, ..., x_n
@@ -168,10 +184,10 @@ class DdahaAlgebra(Record):
         return DdahaElement(self, {})
 
     def one(self) -> "DdahaElement":
-        return self.group(ExtAffineWeylElement.identity(self.ambient))
+        return DdahaElement(self, {0: {0: 1}})  # id 0 is the identity, key 0 is x^0
 
     def group(self, g: ExtAffineWeylElement) -> "DdahaElement":
-        return DdahaElement(self, {g: {0: 1}})  # 0 is the key of x^0
+        return DdahaElement(self, {self._id(g): {0: 1}})
 
     def generator(self, label: int) -> "DdahaElement":
         return self.group(ExtAffineWeylElement.simple(self.ambient, label))
@@ -190,7 +206,7 @@ class DdahaAlgebra(Record):
                 )
         den = lcm(*{c.denominator for f in mapping.values() for _, c in f.terms})
         num = {
-            g: {_pack(e): c.numerator * (den // c.denominator) for e, c in f.terms}
+            self._id(g): {_pack(e): c.numerator * (den // c.denominator) for e, c in f.terms}
             for g, f in mapping.items()
         }
         return _element(self, num, den)
@@ -201,14 +217,42 @@ class DdahaAlgebra(Record):
         a = self.ambient.simple_by_label(label)
         return Poly.affine(tuple(map(Fraction, a.direction)), Fraction(a.level))
 
+    def _id(self, g: ExtAffineWeylElement) -> int:
+        """The id of g in the intern table, given it on first use."""
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self._elts)
+            self._elts.append(g)
+        return i
+
     def _word(self, g: ExtAffineWeylElement) -> tuple[int, ...]:
-        letters = self._words.get(g)
+        """The reduced word of g, kept in _words under the id of g.  A g with
+        a nontrivial length-0 part raises NotInGroupSupport on every call,
+        as nothing is kept for it.  `multiply` and `format_element` read
+        _words by id and call this only on a miss."""
+        i = self._id(g)
+        letters = self._words.get(i)
         if letters is None:
             rw = reduced_word(g)
             if not rw.pi.is_identity():
                 raise NotInGroupSupport("group part has a nontrivial length-0 component")
-            letters = self._words[g] = rw.letters
+            letters = self._words[i] = rw.letters
         return letters
+
+
+def _group_table(ambient: AffineRootSystem) -> tuple[dict, list]:
+    """The intern table of the group parts over ambient: the dict g -> id
+    and the list id -> g, with id 0 the identity.  It is built on first use
+    and kept on the ambient object, as its group data is (see
+    `weyl._system_data`), so every algebra over one system reads one table
+    and an id means one g in every element that `+`, `-`, `==` and
+    `multiply` combine; `+` and `multiply` refuse elements over two
+    systems."""
+    table = getattr(ambient, "_ddaha_group_ids", None)
+    if table is None:
+        e = ExtAffineWeylElement.identity(ambient)
+        table = ambient._ddaha_group_ids = ({e: 0}, [e])
+    return table
 
 
 # the order m of s_a s_b from the product of the Cartan integers
@@ -250,10 +294,11 @@ def build_algebra(ambient: AffineRootSystem, params: HeckeParameters) -> DdahaAl
 
 
 class DdahaElement:
-    """The element num / den: num maps g -> {monomial key: integer}, in lowest
-    terms (den > 0, no zero coefficient, no empty group part, and gcd 1 of
-    den and every numerator), so equal elements have equal fields.  Build
-    one with `_element` or the algebra's constructors."""
+    """The element num / den: num maps the id of a group part g (see
+    `_group_table`) -> {monomial key: integer}, in lowest terms (den > 0, no
+    zero coefficient, no empty group part, and gcd 1 of den and every
+    numerator), so equal elements have equal fields.  Equality and hash read
+    ints only.  Build one with `_element` or the algebra's constructors."""
 
     __slots__ = ("algebra", "num", "den")
 
@@ -269,9 +314,9 @@ class DdahaElement:
     @property
     def terms(self) -> frozenset:
         """The pairs (group element, Poly), one Fraction per coefficient."""
-        n = self.algebra.nvars
+        n, den, elts = self.algebra.nvars, self.den, self.algebra._elts
         return frozenset(
-            (g, Poly(n, frozenset((_unpack(e, n), Fraction(c, self.den)) for e, c in f.items())))
+            (elts[g], Poly(n, frozenset((_unpack(e, n), Fraction(c, den)) for e, c in f.items())))
             for g, f in self.num.items()
         )
 
@@ -282,6 +327,7 @@ class DdahaElement:
         return not self.num
 
     def __add__(self, other: "DdahaElement") -> "DdahaElement":
+        _same_system(self, other)
         parts = [(self.num, self.den, 1), (other.num, other.den, 1)]
         return _element(self.algebra, *_combine(parts))
 
@@ -295,6 +341,13 @@ class DdahaElement:
 
     def __mul__(self, other: "DdahaElement") -> "DdahaElement":
         return multiply(self, other)
+
+
+def _same_system(x: DdahaElement, y: DdahaElement) -> None:
+    """Raise ValueError unless x and y are over one ambient system, whose
+    intern table gives their ids one meaning."""
+    if x.algebra.ambient is not y.algebra.ambient:
+        raise ValueError("the elements lie over two different ambient systems")
 
 
 def _add_terms(out: dict, terms, c=1) -> None:
@@ -335,19 +388,20 @@ def _element(algebra: DdahaAlgebra, num: dict, den: int) -> DdahaElement:
 
 
 def _times_simple(algebra: DdahaAlgebra, x: dict, label: int) -> dict:
-    """hd_a times the normal form of x * s_label, for x a map g -> {monomial
-    key: integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
+    """hd_a times the normal form of x * s_label, for x a map id of g ->
+    {monomial key: integer}: g (c x^e) s_a = g s_a (c s_a(x^e)) + g (c h_a (x^e - s_a(x^e)) / a),
     summed from the cached integral images of the monomials x^e (see
     `_monomial_images`) in one loop per image, with no helper call per
     term.  hd_a is the denominator of h_a (algebra._hd), which the caller
     multiplies into its denominator.  Each product g * s_a is formed once
-    per algebra, by `mul_simple`, and read from algebra._products."""
-    products, images = algebra._products, algebra._images
+    per algebra, by `mul_simple`, and read by id from the label's table
+    algebra._products[label], so the loop hashes ints only."""
+    products, images = algebra._products[label], algebra._images
     out = {}
     for g, f in x.items():
-        gs = products.get((g, label))
+        gs = products.get(g)
         if gs is None:
-            gs = products[g, label] = mul_simple(g, label)
+            gs = products[g] = algebra._id(mul_simple(algebra._elts[g], label))
         reflected, demazure = out.setdefault(gs, {}), out.setdefault(g, {})
         for key, c in f.items():
             if not c:
@@ -434,12 +488,18 @@ def multiply(x: DdahaElement, y: DdahaElement) -> DdahaElement:
     l1 ... lk of w.  The terms are brought to one denominator by integer
     scaling, and the result is reduced to lowest terms.  A monomial product
     is the sum of the keys; one of degree 2^FIELD or more, whose key may
-    have carried, raises PowerTooLarge."""
-    algebra, hd = x.algebra, x.algebra._hd
+    have carried, raises PowerTooLarge.  Each group part's word is read by
+    id from algebra._words, and formed by `_word` on a miss."""
+    _same_system(x, y)
+    algebra = x.algebra
+    hd, words = algebra._hd, algebra._words
     pushed = []
     for w, q in y.num.items():
+        word = words.get(w)
+        if word is None:
+            word = algebra._word(algebra._elts[w])
         z, den = x.num, 1
-        for label in algebra._word(w):
+        for label in word:
             z = _times_simple(algebra, z, label)
             den *= hd[label]
         pushed.append((z, q, den))
@@ -654,12 +714,12 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
         pos = m.end()
     labels, products, units = algebra.ambient.labels, algebra._products, algebra._units
     n = len(units)
-    identity = ExtAffineWeylElement.identity(algebra.ambient)
     parts = []  # (numerators, denominator, coefficient) of each term
     for factors in terms:
         # k / den times the product of the closed monomials and the open one
-        # g x^e, e held as its key; a generator that follows x^e != 1 closes it
-        g, e, k, den, closed, degree = identity, 0, 1, 1, [], 0
+        # g x^e, g held as its id (0, the identity, to start) and e as its
+        # key; a generator that follows x^e != 1 closes it
+        g, e, k, den, closed, degree = 0, 0, 1, 1, [], 0
         for m in factors:
             if (gen := m["gen"]) is not None:
                 try:
@@ -670,11 +730,12 @@ def parse_element(algebra: DdahaAlgebra, text: str) -> DdahaElement:
                     raise LiteralSyntaxError(f"unknown generator {gen}")
                 if e:
                     closed.append(DdahaElement(algebra, {g: {e: 1}}))
-                    g, e = identity, 0
+                    g, e = 0, 0
                 # g * s_a, as the step keeps it
-                gs = products.get((g, label))
+                table = products[label]
+                gs = table.get(g)
                 if gs is None:
-                    gs = products[g, label] = mul_simple(g, label)
+                    gs = table[g] = algebra._id(mul_simple(algebra._elts[g], label))
                 g = gs
             elif (coord := m["coord"]) is not None:
                 try:
@@ -731,10 +792,14 @@ def format_element(x: DdahaElement) -> str:
     if x.is_zero():
         return "0"
     algebra, den, n = x.algebra, x.den, x.algebra.nvars
+    words, parts = algebra._words, []
+    for g, f in x.num.items():
+        word = words.get(g)
+        if word is None:
+            word = algebra._word(algebra._elts[g])
+        parts.append((word, f))
     # word is reduced, so len(word) is the length of g
-    parts = sorted(
-        ((algebra._word(g), f) for g, f in x.num.items()), key=lambda p: (len(p[0]), p[0])
-    )
+    parts.sort(key=lambda p: (len(p[0]), p[0]))
     chunks = []
     for word, f in parts:
         word_text = "*".join([f"s{l}" for l in word])

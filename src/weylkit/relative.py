@@ -144,6 +144,14 @@ class ParabolicSubset:
         return frozenset(closure(identity, sorted(self.sigma), step=simple_mul))
 
 
+def parabolic_reflections(ambient: AffineRootSystem) -> dict:
+    """w0^J -> T_J for each parabolic subset J of ambient whose T_J is
+    already kept, so that a caller's own table of T(x) starts from these
+    values instead of computing them again."""
+    subsets = ambient.__dict__.get("_parabolic_subsets", {}).values()
+    return {p._longest: p._reflections for p in subsets if p._reflections is not None}
+
+
 def _normalizes(y: ExtAffineWeylElement, left: ParabolicSubset, right: ParabolicSubset) -> bool:
     """Whether y conjugates every simple reflection of `left` into T of
     `right`."""

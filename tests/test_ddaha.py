@@ -287,14 +287,15 @@ def assert_lowest_terms(x):
 
 def fraction_terms(x):
     """Oracle for the terms view: each group part summed monomial by
-    monomial, each key decoded, as Polys with coefficient Fraction(c) / den."""
+    monomial, each key decoded and each group id read off the intern table,
+    as Polys with coefficient Fraction(c) / den."""
     n = x.algebra.nvars
     out = set()
     for g, f in x.num.items():
         p = Poly.zero(n)
         for e, c in f.items():
             p = p + Poly(n, frozenset({(dd._unpack(e, n), Fraction(c) / x.den)}))
-        out.add((g, p))
+        out.add((x.algebra._elts[g], p))
     return frozenset(out)
 
 
@@ -479,8 +480,9 @@ def test_word_cache_matches_reduced_word(alg_a2):
     ball = enumerate_ball(alg_a2.ambient, 3)
     for g in ball:
         assert alg_a2._word(g) == reduced_word(g).letters
-    for g in ball:  # read back from the cache
+    for g in ball:  # read back from the cache, kept under the id of g
         assert alg_a2._word(g) == reduced_word(g).letters
+        assert alg_a2._words[alg_a2._ids[g]] == reduced_word(g).letters
 
 
 # the algebras of the ddaha_assoc benchmark: (type, rank, m), every c = 2
@@ -503,9 +505,11 @@ def test_product_table_holds_the_group_products(type_, rank, m):
     alg = _table_algebra(type_, rank, m)
     for x, y, z in _random_triples(alg, 100 * rank + m, 6):
         assert dd.multiply(dd.multiply(x, y), z) == dd.multiply(x, dd.multiply(y, z))
-    assert alg._products
-    for (g, label), gs in alg._products.items():
-        assert gs == g * ExtAffineWeylElement.simple(alg.ambient, label)
+    # the table of each label maps the id of g to the id of g * s_label
+    assert any(alg._products.values())
+    for label, table in alg._products.items():
+        for g, gs in table.items():
+            assert alg._elts[gs] == alg._elts[g] * ExtAffineWeylElement.simple(alg.ambient, label)
 
 
 @pytest.mark.parametrize("type_, rank, m", TABLE_CASES)
@@ -537,8 +541,84 @@ def test_length_zero_part_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(dd.NotInGroupSupport):
             dd.multiply(alg.one(), x)
-    assert t not in alg._words
-    assert all(g != t for g, _ in alg._products)
+    assert alg._ids[t] not in alg._words
+    assert all(g != alg._ids[t] for table in alg._products.values() for g in table)
+
+
+# __hash__ and __eq__ calls of ExtAffineWeylElement in the counted round of
+# test_warm_products_hash_and_compare_no_group_element when group parts were
+# keyed by the elements themselves; __eq__ was called 769 times
+PARENT_HASHES = 5052
+
+
+def test_warm_products_hash_and_compare_no_group_element(monkeypatch):
+    # group parts are ids, so once the tables are filled, parsing a triple,
+    # both of its products and the printed normal form compare no group
+    # element and hash almost none
+    rounds = []
+    for type_, rank, m in TABLE_CASES:
+        alg = _table_algebra(type_, rank, m)
+        triples = _random_triples(alg, 300 * rank + m, 8)
+        rounds.append((alg, [tuple(map(dd.format_element, t)) for t in triples]))
+
+    def products_round():
+        for alg, texts in rounds:
+            for triple in texts:
+                x, y, z = (dd.parse_element(alg, text) for text in triple)
+                left = dd.multiply(dd.multiply(x, y), z)
+                assert left == dd.multiply(x, dd.multiply(y, z))
+                dd.format_element(left)
+
+    products_round()  # fills the tables
+    counts = {"__hash__": 0, "__eq__": 0}
+    for name in counts:
+        method = getattr(ExtAffineWeylElement, name)
+
+        def counted(*args, name=name, method=method):
+            counts[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(ExtAffineWeylElement, name, counted)
+    products_round()
+    assert counts["__eq__"] == 0, counts
+    assert counts["__hash__"] < PARENT_HASHES / 10, counts
+
+
+def test_group_ids_agree_between_algebras_over_one_system(monkeypatch):
+    # the intern table is kept per ambient system, so two algebras over one
+    # system, with different c, give a group element one id whichever of
+    # them interned it first, and their elements add, compare and multiply
+    # as their terms do; over two systems + and multiply refuse
+    amb = affinize(build_finite("C", 2))
+    monkeypatch.delattr(amb, "_ddaha_group_ids", raising=False)  # an empty table
+    first = dd.build_algebra(amb, dd.HeckeParameters.make(4, 1, {0: 2, 1: 3, 2: 4}))
+    second = dd.build_algebra(amb, dd.HeckeParameters.make(4, 1, {0: 4, 1: 2, 2: 3}))
+    ball = sorted(enumerate_ball(amb, 2), key=lambda g: (length(g), g.mu, g.matrix))
+    for g in ball:
+        first.group(g)
+    for g in reversed(ball):
+        second.group(g)
+    assert [first.group(g) for g in ball] == [second.group(g) for g in ball]
+    rng = random.Random(61)
+    n = first.nvars
+    for _ in range(10):
+        x = random_element(first, rng, ball, support=3, degree=2)
+        y = random_element(second, rng, ball, support=3, degree=2)
+        for sign, z in ((1, x + y), (-1, x - y), (1, y + x)):
+            terms = dict(x.as_dict())
+            for g, p in y.as_dict().items():
+                terms[g] = terms.get(g, Poly.zero(n)) + p.scale(sign)
+            assert z == first.element(terms)
+        assert x == second.element(x.as_dict()) and second.element(x.as_dict()) == x
+        # the product takes the left factor's parameters, whatever algebra
+        # the right factor was built in
+        assert dd.multiply(x, y) == dd.multiply(x, first.element(y.as_dict()))
+        assert dd.multiply(y, x) == dd.multiply(y, second.element(x.as_dict()))
+    other = _table_algebra("A", 2, 3)
+    x, y = first.generator(1), other.generator(1)
+    for combine in (lambda: x + y, lambda: y - x, lambda: x * y, lambda: dd.multiply(y, x)):
+        with pytest.raises(ValueError, match="two different ambient systems"):
+            combine()
 
 
 def test_polynomial_subalgebra(alg_a1):
@@ -579,7 +659,7 @@ def test_filtration_and_degree_bounds(alg_a2):
         if prod.is_zero():
             continue
         # the longest group part and the top polynomial degree, read off num
-        lengths = [max(map(length, z.num)) for z in (x, y, prod)]
+        lengths = [max(length(z.algebra._elts[g]) for g in z.num) for z in (x, y, prod)]
         assert lengths[2] <= lengths[0] + lengths[1]
         degrees = [
             max(sum(dd._unpack(e, 2)) for f in z.num.values() for e in f) for z in (x, y, prod)

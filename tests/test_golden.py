@@ -330,6 +330,42 @@ def test_certify_computes_each_length_and_reflection_set_once():
         assert ok and 0 < calls == distinct and 0 < t_calls == t_distinct, (name, calls, t_calls)
 
 
+# Runs one case (argv[2]) in a fresh interpreter, recording the elements
+# that every binding of weyl.reflections_T in weylkit is called on: prints
+# [output equals golden, calls, distinct elements].
+_EVERY_REFLECTION_SET = """
+import json, sys
+import weylkit.cli
+from weylkit import weyl
+
+original, seen = weyl.reflections_T, []
+
+def recorded(g):
+    seen.append(g)
+    return original(g)
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("weylkit") and getattr(module, "reflections_T", None) is original:
+        module.reflections_T = recorded
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, golden_path, run_case
+
+with open(golden_path(sys.argv[2]), "rb") as fh:
+    ok = run_case(CASES[sys.argv[2]]) == fh.read()
+print(json.dumps([ok, len(seen), len(set(seen))]))
+"""
+
+
+def test_certify_computes_each_reflection_set_once_in_every_module():
+    # certify's T table starts from the T(w0^J) that the parabolic subsets
+    # of the relative system keep, so no caller computes a T twice; taking
+    # them apart computed 23 sets for 22 elements on certify_b2 and 72 for 57
+    # on certify_b4
+    for name in ("certify_b2", "certify_b4", "certify_c3_sigma3", "certify_c6_sigma135"):
+        ok, calls, distinct = _run_fresh(_EVERY_REFLECTION_SET, name)
+        assert ok and 0 < calls == distinct, (name, calls, distinct)
+
+
 def test_certify_builds_one_relative_ball():
     # the fixed chambers read certify's relative ball, which reaches the
     # radius in every certify golden, instead of building a second one

@@ -348,5 +348,7 @@ def test_construction_converts_and_checks():
 
     algebra, other = _algebras()
     assert algebra._hd == {0: 2, 1: 2, 2: 2} == other._hd
-    assert other._images == other._products == other._words == {}
+    assert other._images == other._words == {} and not any(other._products.values())
+    assert sorted(other._products) == sorted(other.ambient.labels)
+    assert other._elts[0] == ExtAffineWeylElement.identity(other.ambient)
     assert algebra._images is not other._images and algebra._words

@@ -11,6 +11,7 @@ from weylkit.root_system import IllegalType, affinize, build_finite, finite_coxe
 from weylkit.weyl import (
     ExtAffineWeylElement,
     NotAReflection,
+    act_on_affine_root,
     automorphism_part,
     conjugate_reflections,
     enumerate_ball,
@@ -555,3 +556,68 @@ def test_lien_move_labels_against_the_label_search(ambient, radius):
                 for mv in rel.lien_decompose(ambient, y, sigma, sigma_prime):
                     assert _oracle_move_label(ambient, mv.sigma_from, mv.element) == [mv.s]
     assert pairs
+
+
+# Oracles of W-tilde against its definition (Howlett, J. London Math. Soc.
+# 1980; Brink-Howlett, Trans. AMS 1999): the elements of W that map the
+# simple roots of Sigma onto themselves, so that N_W(W_Sigma) = W_Sigma x|
+# W-tilde.  Both read only products, root images and the length ball, none
+# of the w0 w0 construction of `relative`.
+
+
+def _admissible_subsets(ambient):
+    return [sigma for sigma in _finite_subsets(ambient) if rel.is_admissible(ambient, sigma)[0]]
+
+
+def _generated(identity, gens):
+    """The group generated by gens, closed under right products."""
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = list({g * h for g in frontier for h in gens} - seen)
+        seen.update(frontier)
+    return seen
+
+
+NORMALIZER_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("A", 4), ("B", 4), ("D", 4), ("F", 4),
+                      ("A", 5), ("D", 5)]
+
+
+@pytest.mark.parametrize("type_, rank", NORMALIZER_SYSTEMS)
+def test_relative_group_order_is_the_normalizer_index(type_, rank):
+    # |W-tilde| |W_Sigma| = |N_W(W_Sigma)|, the normalizer counted by brute
+    # force: the w with w s w^-1 in W_Sigma for every s in Sigma
+    ambient = finite_coxeter(build_finite(type_, rank))
+    bound = len(ambient.finite_base.positive_roots)  # l(w) <= |R+| in a finite W
+    group = enumerate_ball(ambient, bound)
+    identity = ExtAffineWeylElement.identity(ambient)
+    checked = 0
+    for sigma in _admissible_subsets(ambient):
+        gens = [s(ambient, l) for l in sorted(sigma)]
+        parabolic = _generated(identity, gens)
+        normalizer = sum(
+            1 for w in group if all(w * t * w.inverse() in parabolic for t in gens)
+        )
+        relative = rel.relative_ball(rel.relative_system(ambient, sigma), bound)
+        assert len(relative) * len(parabolic) == normalizer, sorted(sigma)
+        checked += 1
+    assert checked
+
+
+AFFINE_NORMALIZER_SYSTEMS = [("A", 2, 8), ("C", 2, 7), ("G", 2, 6), ("BC", 2, 6), ("A", 3, 5),
+                             ("B", 3, 5), ("C", 3, 5), ("C", 4, 4), ("D", 4, 4), ("F", 4, 4)]
+
+
+@pytest.mark.parametrize("type_, rank, radius", AFFINE_NORMALIZER_SYSTEMS)
+def test_relative_ball_is_the_stabilizer_of_the_simple_roots(type_, rank, radius):
+    # the elements of the length ball that permute the simple affine roots
+    # of Sigma are exactly those of the relative ball of length <= radius
+    ambient = affinize(build_finite(type_, rank))
+    ball = enumerate_ball(ambient, radius)
+    checked = 0
+    for sigma in _admissible_subsets(ambient):
+        roots = {ambient.simple_by_label(l) for l in sigma}
+        stabilizer = {w for w in ball if {act_on_affine_root(w, a) for a in roots} == roots}
+        relative = rel.relative_ball(rel.relative_system(ambient, sigma), radius)
+        assert stabilizer == {g for g in relative if length(g) <= radius}, sorted(sigma)
+        checked += 1
+    assert checked
