@@ -664,9 +664,11 @@ def certify_checks(config, ambient) -> list[dict]:
         }
     )
 
+    # the ball is built from the generators, so it lies in W-tilde and needs
+    # no membership test
     exchange_bad = 0
     for g in small:
-        word = rel.relative_reduced_word(system, g)
+        word = rel.strip_relative_descents(system, g)
         for l in rel.relative_descents(system, g):
             st = system.generator(l)
             prefix = ExtAffineWeylElement.identity(ambient)

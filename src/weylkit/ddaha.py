@@ -147,7 +147,7 @@ class HeckeParameters(Record):
 
 class DdahaAlgebra(Record):
     """The algebra of an ambient system and its parameters; equal and hashed
-    by the parameters.  Group parts are ids in the ambient's intern table
+    by the two.  Group parts are ids in the ambient's intern table
     (`_group_table`): `_ids` maps g -> id and `_elts` id -> g."""
 
     __slots__ = (
@@ -172,7 +172,7 @@ class DdahaAlgebra(Record):
         self._forms = {label: _coordinate_forms(ambient, label, units) for label in ambient.labels}
 
     def _key(self) -> tuple:
-        return (self.params,)
+        return self.ambient, self.params
 
     @property
     def nvars(self) -> int:
@@ -297,8 +297,10 @@ class DdahaElement:
     """The element num / den: num maps the id of a group part g (see
     `_group_table`) -> {monomial key: integer}, in lowest terms (den > 0, no
     zero coefficient, no empty group part, and gcd 1 of den and every
-    numerator), so equal elements have equal fields.  Equality and hash read
-    ints only.  Build one with `_element` or the algebra's constructors."""
+    numerator), so equal elements have equal fields.  Two elements are equal
+    when their algebras are (the same object, tested first, in every product
+    check) and their fields are; the hash reads the ints only.  Build one
+    with `_element` or the algebra's constructors."""
 
     __slots__ = ("algebra", "num", "den")
 
@@ -306,7 +308,12 @@ class DdahaElement:
         self.algebra, self.num, self.den = algebra, num, den
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DdahaElement) and self.den == other.den and self.num == other.num
+        return (
+            isinstance(other, DdahaElement)
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
         return hash((self.den, frozenset((g, frozenset(f.items())) for g, f in self.num.items())))

@@ -1,11 +1,12 @@
 """Small exact linear algebra over the rationals.
 
 Vectors are tuples, matrices are tuples of row tuples, and entries are ints
-or Fractions.  Products (dot, mat_vec, mat_mul, vec_scale) and the
-eliminations return Fractions; transpose keeps the types of its entries.
-Everything returns fresh immutable values; nothing here ever touches a
-float.  The integral group elements of `weyl` multiply with their own
-int-only kernels.  No command reaches the Gaussian elimination `_echelon`:
+or Fractions.  Products (dot, mat_vec, mat_mul) and the eliminations return
+Fractions; transpose keeps the types of its entries.  The definiteness check
+of a root system, `leading_minors_positive`, takes an integer matrix and
+works in ints.  Everything returns fresh immutable values; nothing here ever
+touches a float.  The integral group elements of `weyl` multiply with their
+own int-only kernels.  No command reaches the Gaussian elimination `_echelon`:
 rank, nullspace and mat_inv serve spans, the pseudo-Levi relevance check and
 the point matrices of elements built from outside.
 """
@@ -31,11 +32,6 @@ def integral(c) -> int:
 
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -141,15 +137,21 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-def is_positive_definite(g: Mat) -> bool:
-    """Sylvester's criterion by one symmetric elimination without row
-    exchange: the k-th pivot is the ratio of the k-th and (k-1)-th leading
-    minors, so every pivot is positive exactly when every minor is."""
-    rows = [list(map(Fraction, row)) for row in g]
-    for c, pivot_row in enumerate(rows):
-        if pivot_row[c] <= 0:
+def leading_minors_positive(m) -> bool:
+    """Whether every leading principal minor of the integer matrix m is
+    positive (Sylvester's criterion for a symmetric m), by fraction-free
+    elimination without row exchange (Bareiss, Math. Comp. 22, 1968): each
+    step divides exactly by the previous pivot, so pivot k is the k-th
+    leading minor itself and every entry stays an int."""
+    rows = [list(row) for row in m]
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot <= 0:
             return False
-        for row in rows[c + 1 :]:
-            f = row[c] / pivot_row[c]
-            row[:] = [a - f * b for a, b in zip(row, pivot_row)]
+        tail = pivot_row[k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pivot * a - f * b) // prev for a, b in zip(row[k + 1 :], tail)]
+        prev = pivot
     return True

@@ -25,7 +25,9 @@ For g in W-tilde, s-tilde shortens g exactly when s is a left descent of g:
 g^-1 permutes Phi+_Sigma, and by the dichotomy sends every root of
 Phi+_{Sigma+s} - Phi_Sigma, a_s among them, to one sign (tier-1 oracle:
 test_relative_descents_are_the_length_drops).  Off W-tilde the criteria
-differ, so only the membership-checked `relative_reduced_word` strips by them.
+differ, so only the membership-checked `relative_reduced_word`, and
+`strip_relative_descents` on elements built from the generators, strip by
+them.
 """
 
 from itertools import combinations
@@ -277,6 +279,14 @@ def relative_reduced_word(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -
     W-tilde or when a length-0 element other than e is left."""
     if not in_relative_group(rel.ambient, g, rel.base.sigma):
         raise NotInRelativeGroup(f"element is not in the relative group of {rel.base}")
+    return strip_relative_descents(rel, g)
+
+
+def strip_relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement) -> tuple[int, ...]:
+    """The relative reduced word of g, which the caller knows to lie in
+    W-tilde (an element of `relative_ball`, built from the generators): its
+    relative descents stripped, lowest label first, with no membership
+    test.  NotInRelativeGroup when a length-0 element other than e is left."""
     rest, letters = _strip_descents(g, rel.simples, "left", lambda l, h: rel.simples[l] * h)
     if not rest.is_identity():
         raise NotInRelativeGroup("element has no relative reduced word")

@@ -5,8 +5,10 @@ affine roots, are integer operations of `weyl`.
 The root data of a finite system are read off its Dynkin diagram, with no
 realisation in an orthonormal basis: the bonds and the short simple roots
 give the Gram matrix of the simple roots, the Gram matrix gives the Cartan
-matrix, and the roots are the closure of the simple roots (and, in type BC,
-of the doubled root 2 alpha_n) under the simple reflections.
+matrix, and the positive roots are raised by height from the simple roots
+(and, in type BC, from the doubled root 2 alpha_n) by the simple
+reflections.  Past the Gram matrix, which is kept as Fractions, all of this
+is integer arithmetic on 6G, whose entries are ints.
 
 Coordinate conventions, fixed once for the whole library:
 
@@ -26,9 +28,10 @@ Coxeter system keeps labels 1..n.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import linalg
-from .linalg import Mat, Vec, dot, frac_str, integral, mat_vec, vec_scale
+from .linalg import Mat, Vec, dot, frac_str, integral
 
 
 class IllegalType(ValueError):
@@ -112,22 +115,17 @@ class FiniteRootSystem(Record):
         """Canonical pairing of a functional against a point of E."""
         return dot(tuple(map(Fraction, functional)), point)
 
-    def coroot_vector(self, root: Vec) -> Vec:
-        """The coroot of a functional, as a translation vector of E: the
-        Gram image t = G r, whose j-th coweight coordinate is the scalar
-        product of r with alpha_j, scaled by 2 / (r, r) = 2 / <r, t>."""
-        t = mat_vec(self.gram_matrix, tuple(map(Fraction, root)))
-        norm = dot(t, root)
-        if norm == 0:
-            raise ConstantFunction("zero functional has no coroot")
-        return vec_scale(Fraction(2) / norm, t)
-
     # -- root-set queries -------------------------------------------------
 
     def is_root(self, coords) -> bool:
         return tuple(coords) in self._root_set
 
     # -- the systems built on this one, once each -------------------------
+
+    @cached_property
+    def gram6(self) -> tuple[tuple[int, ...], ...]:
+        """6 times the Gram matrix, in ints (see `_times_six`)."""
+        return _times_six(self.gram_matrix)
 
     @cached_property
     def _affinization(self) -> "AffineRootSystem":
@@ -164,45 +162,54 @@ def build_finite(type_label: str, rank: int) -> FiniteRootSystem:
 @lru_cache(maxsize=None)
 def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
     gram = _simple_gram(type_label, rank)
-    n = rank
-    # cartan[i][j] = <alpha_i, alpha_j-check>
-    cartan = tuple(tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(n)) for i in range(n))
-    if not linalg.is_positive_definite(gram):
+    gram6 = _times_six(gram)
+    # cartan[i][j] = <alpha_i, alpha_j-check> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
+    cartan = tuple(tuple(2 * row[j] // gram6[j][j] for j in range(rank)) for row in gram6)
+    # an indefinite diagram has infinitely many roots: refuse it before the closure
+    if not linalg.leading_minors_positive(gram6):
         raise IllegalType(f"Gram matrix of ({type_label}, {rank}) is not positive definite")
-
-    # Enumerate R by closing the simple roots under the simple reflections,
-    # in simple-root coordinates; BC_n adds its doubled root 2 alpha_n, which
-    # is not a Weyl image of a simple root.
-    def reflect(coords, i):
-        # s_i(beta) = beta - <beta, alpha_i-check> alpha_i
-        shift = sum(coords[j] * cartan[j][i] for j in range(n))
-        out = list(coords)
-        out[i] -= shift
-        return tuple(out)
-
-    basis_coords = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set()
-    frontier = basis_coords + ([(0,) * (n - 1) + (2,)] if type_label == "BC" else [])
-    while frontier:
-        r = frontier.pop()
-        if r in roots:
-            continue
-        roots.add(r)
-        neg = tuple(-c for c in r)
-        if neg not in roots:
-            frontier.append(neg)
-        for i in range(n):
-            img = reflect(r, i)
-            if img not in roots:
-                frontier.append(img)
-
+    positive = _positive_roots(type_label, cartan)
     return FiniteRootSystem(
         type_label=type_label,
         rank=rank,
         cartan_matrix=cartan,
         gram_matrix=gram,
-        roots=tuple(sorted(roots)),
+        roots=tuple(sorted(positive + [tuple([-c for c in r]) for r in positive])),
     )
+
+
+def _times_six(gram: Mat) -> tuple[tuple[int, ...], ...]:
+    """6G in ints: every squared length is 2, 1, 2/3 or 4 and every bond
+    entry half of one, so every denominator of the Gram matrix divides 6."""
+    return tuple(tuple(e.numerator * (6 // e.denominator) for e in row) for row in gram)
+
+
+def _positive_roots(type_label: str, cartan) -> list[tuple[int, ...]]:
+    """The positive roots in simple-root coordinates, raised by height from
+    the simple roots and, in type BC, the doubled root 2 alpha_n, which is
+    not a Weyl image of a simple root.  Every other positive root is
+    s_i(beta) = beta - <beta, alpha_i-check> alpha_i for a lower positive
+    root beta with <beta, alpha_i-check> < 0 (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.6 and 2.9-2.10), and that pairing is beta against
+    column i of the Cartan matrix."""
+    n = len(cartan)
+    columns = list(zip(*cartan))
+    found = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
+    if type_label == "BC":
+        found.append((0,) * (n - 1) + (2,))
+    seen = set(found)
+    # the loop also visits the roots it appends
+    for beta in found:
+        for i, column in enumerate(columns):
+            c = sum(map(mul, beta, column))
+            if c < 0:
+                image = list(beta)
+                image[i] -= c
+                image = tuple(image)
+                if image not in seen:
+                    seen.add(image)
+                    found.append(image)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +392,7 @@ def _build_affinization(finite: FiniteRootSystem) -> AffineRootSystem:
         simples.append(_affine_root(finite, coords, 0))
         labels.append(i + 1)
     height = sum(theta)
-    t = Fraction(1, height + 1)
-    interior = tuple(t for _ in range(n))
+    interior = (Fraction(1, height + 1),) * n
     sys = AffineRootSystem(
         finite_base=finite,
         affine=True,
@@ -395,7 +401,8 @@ def _build_affinization(finite: FiniteRootSystem) -> AffineRootSystem:
         theta=theta,
         alcove_interior_point=interior,
     )
-    assert all(finite.pair(a.direction, interior) + a.level > 0 for a in sys.simples)
+    # each simple root is positive on the interior point: (height + 1) a(x) > 0
+    assert all(sum(a.direction) + a.level * (height + 1) > 0 for a in sys.simples)
     return sys
 
 

@@ -49,7 +49,9 @@ from functools import lru_cache
 from operator import mul
 
 from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, numerators, transpose
-from .root_system import AffineRoot, AffineRootSystem, Record, _affine_root, finite_coxeter
+from .root_system import (
+    AffineRoot, AffineRootSystem, ConstantFunction, Record, _affine_root, finite_coxeter,
+)
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -160,11 +162,11 @@ class _SystemData:
     label, the wall (gamma, integer coroot, level, wall id) of each label,
     each positive root alpha with whether only odd levels of it are affine
     roots (alpha in 2Q_R), and the integer coroots of the roots, each filled
-    in on first use."""
+    in on first use from the integer matrix 6G (`FiniteRootSystem.gram6`)."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
-        self.finite = finite
+        self.gram6 = finite.gram6
         self.coroots = {}
         self.walls = {}
         for l, a in zip(ambient.labels, ambient.simples):
@@ -177,12 +179,24 @@ class _SystemData:
         }
         self.roots = tuple((alpha, finite.in_two_q_r(alpha)) for alpha in finite.positive_roots)
 
-    def coroot(self, root) -> IntVec:
-        """The coweight coordinates of the coroot of `root`, as ints."""
+    def coroot(self, root: IntVec) -> IntVec:
+        """The coweight coordinates of the coroot of `root`, as ints: the
+        scalar products (r, alpha_j) scaled by 2 / (r, r).  With t = 6G r
+        that is 2 t_j / <r, t>, an exact division of ints; ValueError on a
+        remainder, ConstantFunction for the zero functional."""
         corovec = self.coroots.get(root)
         if corovec is None:
-            corovec = tuple(map(integral, self.finite.coroot_vector(root)))
-            self.coroots[root] = corovec
+            t = [sum(map(mul, row, root)) for row in self.gram6]
+            norm = sum(map(mul, t, root))
+            if norm == 0:
+                raise ConstantFunction("zero functional has no coroot")
+            corovec = []
+            for c in t:
+                q, rest = divmod(2 * c, norm)
+                if rest:
+                    raise ValueError(f"{Fraction(2 * c, norm)} is not an integer")
+                corovec.append(q)
+            corovec = self.coroots[root] = tuple(corovec)
         return corovec
 
 

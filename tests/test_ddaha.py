@@ -587,8 +587,9 @@ def test_warm_products_hash_and_compare_no_group_element(monkeypatch):
 def test_group_ids_agree_between_algebras_over_one_system(monkeypatch):
     # the intern table is kept per ambient system, so two algebras over one
     # system, with different c, give a group element one id whichever of
-    # them interned it first, and their elements add, compare and multiply
-    # as their terms do; over two systems + and multiply refuse
+    # them interned it first, and their elements add and multiply as their
+    # terms do, with equal fields but unequal as elements of two algebras;
+    # over two systems + and multiply refuse
     amb = affinize(build_finite("C", 2))
     monkeypatch.delattr(amb, "_ddaha_group_ids", raising=False)  # an empty table
     first = dd.build_algebra(amb, dd.HeckeParameters.make(4, 1, {0: 2, 1: 3, 2: 4}))
@@ -598,18 +599,20 @@ def test_group_ids_agree_between_algebras_over_one_system(monkeypatch):
         first.group(g)
     for g in reversed(ball):
         second.group(g)
-    assert [first.group(g) for g in ball] == [second.group(g) for g in ball]
+    assert [first.group(g).num for g in ball] == [second.group(g).num for g in ball]
     rng = random.Random(61)
     n = first.nvars
     for _ in range(10):
         x = random_element(first, rng, ball, support=3, degree=2)
         y = random_element(second, rng, ball, support=3, degree=2)
-        for sign, z in ((1, x + y), (-1, x - y), (1, y + x)):
+        # a sum lies in its left summand's algebra
+        for sign, z, algebra in ((1, x + y, first), (-1, x - y, first), (1, y + x, second)):
             terms = dict(x.as_dict())
             for g, p in y.as_dict().items():
                 terms[g] = terms.get(g, Poly.zero(n)) + p.scale(sign)
-            assert z == first.element(terms)
-        assert x == second.element(x.as_dict()) and second.element(x.as_dict()) == x
+            assert z == algebra.element(terms)
+        copy = second.element(x.as_dict())
+        assert (copy.num, copy.den) == (x.num, x.den) and x != copy and copy != x
         # the product takes the left factor's parameters, whatever algebra
         # the right factor was built in
         assert dd.multiply(x, y) == dd.multiply(x, first.element(y.as_dict()))
@@ -619,6 +622,24 @@ def test_group_ids_agree_between_algebras_over_one_system(monkeypatch):
     for combine in (lambda: x + y, lambda: y - x, lambda: x * y, lambda: dd.multiply(y, x)):
         with pytest.raises(ValueError, match="two different ambient systems"):
             combine()
+
+
+def test_algebras_and_elements_over_two_systems_are_unequal():
+    # one parameter set fits affine A2 and C2 (labels 0, 1, 2): the algebras
+    # differ by their ambient, and so do their elements, whose group part
+    # ids mean different elements of the two systems
+    params = dd.HeckeParameters.make(2, 1, {0: 2, 1: 2, 2: 2})
+    a2 = dd.build_algebra(affinize(build_finite("A", 2)), params)
+    c2 = dd.build_algebra(affinize(build_finite("C", 2)), params)
+    assert a2 != c2 and not a2 == c2 and len({a2, c2}) == 2
+    x, y = dd.parse_element(a2, "s1"), dd.parse_element(c2, "s1")
+    assert (x.num, x.den) == (y.num, y.den)
+    assert x != y and not x == y and y != x
+    # an algebra built again over the same system and parameters is equal,
+    # and so are the elements it parses
+    again = dd.build_algebra(affinize(build_finite("A", 2)), params)
+    assert again is not a2 and again == a2 and hash(again) == hash(a2)
+    assert dd.parse_element(again, "s1") == x
 
 
 def test_polynomial_subalgebra(alg_a1):

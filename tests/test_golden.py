@@ -383,6 +383,17 @@ def test_relative_commands_compute_no_relative_length():
     assert counts == {name: [True, 0] for name in names}
 
 
+def test_certify_exchange_check_tests_no_membership():
+    # the exchange check strips the relative descents of depth-ball elements,
+    # which the relative BFS built from the generators, so it runs no
+    # membership test (certify_b2 made 5, one per depth-ball element); the
+    # public relative_reduced_word keeps its own
+    names = sorted(n for n in CASES if n.startswith("certify_"))
+    assert len(names) == 7
+    counts = _run_fresh(_COUNTED_CALLS, "weylkit.relative", "in_relative_group", "certify_")
+    assert counts == {name: [True, 0] for name in names}
+
+
 def test_kernel_roots_are_not_revalidated():
     # W permutes the affine roots, so the images, negatives and reflection
     # keys that certify, the complex commands and the weyl commands derive

@@ -12,7 +12,6 @@ def test_vec_ops():
     u = (Fraction(1), Fraction(2))
     v = (Fraction(1, 2), Fraction(3))
     assert linalg.dot(u, v) == Fraction(13, 2)
-    assert linalg.vec_scale(Fraction(2), v) == (Fraction(1), Fraction(6))
 
 
 def test_mat_inverse_roundtrip():
@@ -40,17 +39,17 @@ def test_rank_and_nullspace():
 
 
 def test_positive_definite():
-    assert linalg.is_positive_definite(_mat([[2, -1], [-1, 2]]))
-    assert not linalg.is_positive_definite(_mat([[1, 2], [2, 1]]))
+    assert linalg.leading_minors_positive([[2, -1], [-1, 2]])
+    assert not linalg.leading_minors_positive([[1, 2], [2, 1]])
 
 
 def test_positive_definite_zero_leading_entry_and_singular():
     # a zero leading entry stops the elimination at once: no row exchange
-    assert not linalg.is_positive_definite(_mat([[0, 1], [1, 2]]))
-    assert not linalg.is_positive_definite(_mat([[0, 0], [0, 1]]))
+    assert not linalg.leading_minors_positive([[0, 1], [1, 2]])
+    assert not linalg.leading_minors_positive([[0, 0], [0, 1]])
     # positive semi-definite but singular: the last pivot is exactly 0
-    assert not linalg.is_positive_definite(_mat([[1, 1], [1, 1]]))
-    assert not linalg.is_positive_definite(_mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+    assert not linalg.leading_minors_positive([[1, 1], [1, 1]])
+    assert not linalg.leading_minors_positive([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
 def _det(m):
@@ -74,6 +73,45 @@ def test_positive_definite_matches_leading_minors():
             for j in range(i):
                 g[i][j] = g[j][i] = rng.randint(-3, 3)
         minors_positive = all(_det([row[:k] for row in g[:k]]) > 0 for k in range(1, n + 1))
-        assert linalg.is_positive_definite(_mat(g)) == minors_positive, g
+        assert linalg.leading_minors_positive(g) == minors_positive, g
         verdicts.add(minors_positive)
     assert verdicts == {True, False}
+
+
+def _det_by_elimination(m):
+    """Gaussian elimination in Fractions with row exchange: the oracle for
+    the determinants too large for the Laplace expansion."""
+    rows, det = [list(map(Fraction, row)) for row in m], Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for row in rows[c + 1 :]:
+            f = row[c] / rows[c][c]
+            row[:] = [a - f * b for a, b in zip(row, rows[c])]
+    return det
+
+
+def test_bareiss_pivots_are_the_leading_minors():
+    # the check works on matrices past the random ones' sizes: 6G of every
+    # legal diagram up to rank 8 is positive definite, and lowering its last
+    # diagonal entry past det / (the minor before it) makes only the last
+    # leading minor negative
+    from weylkit.root_system import IllegalType, build_finite
+
+    seen = 0
+    for tl in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rk in range(1, 9):
+            try:
+                g = [list(row) for row in build_finite(tl, rk).gram6]
+            except IllegalType:
+                continue
+            seen += 1
+            assert linalg.leading_minors_positive(g)
+            inner = _det_by_elimination([row[:-1] for row in g[:-1]])
+            g[-1][-1] -= int(_det_by_elimination(g) / inner) + 1
+            assert _det_by_elimination(g) < 0 and not linalg.leading_minors_positive(g), (tl, rk)
+    assert seen == 40

@@ -94,7 +94,7 @@ def _ambient_copy(**changes):
 def _algebras():
     used = dd.DdahaAlgebra(AFF, PARAMS)
     used.generator(1) * used.generator(2)  # fills the algebra's caches
-    return used, dd.DdahaAlgebra(AFF_C2, PARAMS)
+    return used, dd.DdahaAlgebra(AFF, PARAMS)
 
 
 def _ddaha_elements():
@@ -148,9 +148,7 @@ CASES = {
         dd.HeckeParameters.make(2, 1, {2: 2, 1: 2, 0: 2}),
         dd.HeckeParameters.make(2, 1, {0: 2, 1: 2, 2: 2}, unsafe=True),
     ),
-    "DdahaAlgebra": lambda: (
-        *_algebras(), dd.DdahaAlgebra(AFF, dd.HeckeParameters.make(1, 2, {0: 2, 1: 2, 2: 2}))
-    ),
+    "DdahaAlgebra": lambda: (*_algebras(), dd.DdahaAlgebra(AFF_C2, PARAMS)),
     "DdahaElement": _ddaha_elements,
     "RelationReport": lambda: (
         dd.RelationReport(True, True, True),
@@ -159,7 +157,7 @@ CASES = {
     ),
     "StandardModule": lambda: (
         dd.StandardModule(_algebras()[0], (Fraction(1, 3),), 1, (E,)),
-        dd.StandardModule(_algebras()[1], (Fraction(1, 3),), 1, (E,)),
+        dd.StandardModule(dd.DdahaAlgebra(AFF_C2, PARAMS), (Fraction(1, 3),), 1, (E,)),
         dd.StandardModule(_algebras()[0], (Fraction(1, 3),), 2, (E,)),
     ),
     "Facet": lambda: (
@@ -222,7 +220,7 @@ HASHED = {
     ),
     "Poly": lambda r: (r.nvars, r.terms),
     "HeckeParameters": lambda r: (r.m, r.d, r.c, r.unsafe),
-    "DdahaAlgebra": lambda r: (r.params,),
+    "DdahaAlgebra": lambda r: (r.ambient, r.params),
     "DdahaElement": lambda r: (
         r.den, frozenset((g, frozenset(f.items())) for g, f in r.num.items())
     ),
@@ -272,10 +270,13 @@ def test_equality_and_hash(name):
 
 
 def test_own_equality_of_ddaha_elements_and_spans():
-    # DdahaElement compares den and num, whatever the algebra; AffineSpan
-    # compares the roots through it and the dimension, whatever the base
+    # DdahaElement compares its algebra (by identity first) and den and num;
+    # AffineSpan compares the roots through it and the dimension, whatever
+    # the base
     x, y, _ = _ddaha_elements()
-    assert x.algebra.ambient != y.algebra.ambient and x == y
+    assert x.algebra is not y.algebra and x == y
+    over_c2 = dd.DdahaElement(dd.DdahaAlgebra(AFF_C2, PARAMS), dict(x.num), x.den)
+    assert x != over_c2 and not x == over_c2 and hash(x) == hash(over_c2)
     assert dd.DdahaElement.__eq__(x, "x") is False
     assert hash(x) == hash((x.den, frozenset((g, frozenset(f.items())) for g, f in x.num.items())))
     a, b, _ = _span()

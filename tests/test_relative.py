@@ -305,6 +305,8 @@ def test_relative_reduced_word(aff_c2):
         for l in word:
             acc = acc * system.simples[l]
         assert acc == g
+        # the unchecked strip that certify runs on ball elements agrees
+        assert rel.strip_relative_descents(system, g) == word
 
 
 def test_normalizer_pairs_and_lien():
@@ -621,3 +623,25 @@ def test_relative_ball_is_the_stabilizer_of_the_simple_roots(type_, rank, radius
         assert stabilizer == {g for g in relative if length(g) <= radius}, sorted(sigma)
         checked += 1
     assert checked
+
+
+def test_admissibility_certificate_holds_multi_label_supersets():
+    # affine A3 with Sigma = {0}: w0 of {0, 1} and of {0, 3} moves s0 onto
+    # another wall, and so does w0 of {0, 1, 2} and {0, 2, 3}, supersets of
+    # two extra labels that a check of one extra label would never list;
+    # each is checked by conjugating the generator of W_Sigma, as products,
+    # with w0 taken as the longest element of the brute-force parabolic
+    ambient = affinize(build_finite("A", 3))
+    sigma = frozenset({0})
+    gens = [s(ambient, 0)]
+    parabolic = _generated(ExtAffineWeylElement.identity(ambient), gens)
+    expected = []
+    for big in _finite_subsets(ambient):
+        if big > sigma:
+            w0 = _oracle_longest(ambient, big)
+            if not all(w0 * t * w0.inverse() in parabolic for t in gens):
+                expected.append(big)
+    admissible, certificate = rel.is_admissible(ambient, sigma)
+    assert not admissible
+    assert [sorted(c) for c in certificate] == [[0, 1], [0, 3], [0, 1, 2], [0, 2, 3]]
+    assert set(certificate) == set(expected) and len(certificate) == len(expected)

@@ -12,7 +12,7 @@ from weylkit.root_system import (
     finite_coxeter,
     root_data_to_json,
 )
-from weylkit.weyl import ExtAffineWeylElement, act_on_affine_root
+from weylkit.weyl import ExtAffineWeylElement, _system_data, act_on_affine_root
 
 # [DERIVED] root counts from the classification tables
 ROOT_COUNTS = {
@@ -136,6 +136,13 @@ def _value(a, x):
     return a.system.pair(a.direction, x) + a.level
 
 
+def _coroot_vector(system, root):
+    """The Fraction oracle of the integer coroot: the Gram image t = G r,
+    whose j-th coweight coordinate is (r, alpha_j), scaled by 2 / (r, r)."""
+    t = linalg.mat_vec(system.gram_matrix, tuple(map(Fraction, root)))
+    return tuple(Fraction(2) / linalg.dot(t, root) * c for c in t)
+
+
 def test_reflection_formulas():
     # [PAPER] s_a(x) = x - a(x) a-check and s_a(b) = b - <a-check, b> a, on
     # the integer group kernel, for the affine roots of levels -1 to 1
@@ -146,7 +153,7 @@ def test_reflection_formulas():
         roots = [aff.root(r, n) for r in fin.roots for n in (-1, 0, 1) if aff.contains(r, n)]
         for a in roots:
             s_a = ExtAffineWeylElement.reflection(aff, a)
-            corovec = fin.coroot_vector(a.direction)
+            corovec = _coroot_vector(fin, a.direction)
             for x in points + [aff.alcove_interior_point]:
                 assert s_a.act_point(x) == tuple(
                     c - _value(a, x) * v for c, v in zip(x, corovec)
@@ -161,7 +168,7 @@ def test_reflection_formulas():
                 )
                 assert act_on_affine_root(s_a, b) == expected
     with pytest.raises(ConstantFunction):
-        build_finite("A", 2).coroot_vector((0, 0))
+        _system_data(affinize(build_finite("A", 2))).coroot((0, 0))
 
 
 def test_bc_parity_twist():
@@ -300,3 +307,136 @@ def test_root_data_match_sympy():
                 ball = enumerate_ball(finite_coxeter(finite), their_positive)
                 assert len(ball) == WeylGroup(f"{t}{n}").group_order(), (t, n)
     assert rejected == ["A1", "C2"]
+
+
+# -- the integer root data against the Fraction construction they replaced ----
+
+
+def _legal_pairs():
+    for tl in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rk in range(1, 9):
+            try:
+                yield build_finite(tl, rk)
+            except IllegalType:
+                pass
+
+
+LEGAL = list(_legal_pairs())
+
+
+def _reference_root_data(finite):
+    """(Cartan matrix, roots) as they were built before the integer
+    construction: the Cartan matrix in Fractions off the Gram matrix, and
+    the roots as the closure of the simple roots (with 2 alpha_n in type BC)
+    under negation and every simple reflection."""
+    gram, n = finite.gram_matrix, finite.rank
+    cartan = tuple(tuple(int(2 * gram[i][j] / gram[j][j]) for j in range(n)) for i in range(n))
+    frontier = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    if finite.type_label == "BC":
+        frontier.append((0,) * (n - 1) + (2,))
+    roots = set()
+    while frontier:
+        r = frontier.pop()
+        if r in roots:
+            continue
+        roots.add(r)
+        frontier.append(tuple(-c for c in r))
+        for i in range(n):
+            shift = sum(r[j] * cartan[j][i] for j in range(n))
+            frontier.append(tuple(c - shift * (k == i) for k, c in enumerate(r)))
+    return cartan, tuple(sorted(roots))
+
+
+def test_every_legal_pair_is_covered():
+    assert len(LEGAL) == 40
+
+
+@pytest.mark.parametrize("finite", LEGAL, ids=lambda f: f"{f.type_label}{f.rank}")
+def test_integer_root_data_match_the_fraction_closure(finite):
+    cartan, roots = _reference_root_data(finite)
+    assert finite.cartan_matrix == cartan
+    assert finite.roots == roots
+    positive = tuple(r for r in roots if any(c > 0 for c in r))
+    assert finite.positive_roots == positive
+    assert finite.highest_root() == max(positive, key=lambda r: (sum(r), r))
+    assert all(type(c) is int for row in finite.cartan_matrix for c in row)
+    assert all(type(c) is int for r in finite.roots for c in r)
+
+
+@pytest.mark.parametrize("finite", LEGAL, ids=lambda f: f"{f.type_label}{f.rank}")
+def test_integer_coroots_match_the_gram_formula(finite):
+    data = _system_data(affinize(finite))
+    assert finite.gram6 == tuple(tuple(6 * e for e in row) for row in finite.gram_matrix)
+    for r in finite.roots:
+        corovec = data.coroot(r)
+        assert corovec == _coroot_vector(finite, r), r
+        assert all(type(c) is int for c in corovec)
+
+
+def test_integer_coroot_refuses_a_remainder_and_the_zero_functional():
+    data = _system_data(affinize(build_finite("B", 2)))
+    # G = [[2, -1], [-1, 1]]: r = (1, 3) has G r = (-1, 2) and (r, r) = 5, so
+    # its first coordinate would be 2 (-1) / 5
+    for _ in range(2):  # refused every time, nothing is kept for either
+        with pytest.raises(ValueError, match="^-2/5 is not an integer$"):
+            data.coroot((1, 3))
+        with pytest.raises(ConstantFunction, match="zero functional"):
+            data.coroot((0, 0))
+    assert (1, 3) not in data.coroots and (0, 0) not in data.coroots
+
+
+# Builds the root system, affinization and group data of each (type, rank)
+# in argv[2:] in a fresh interpreter, counting each call of a Fraction method
+# by the weylkit function that made it (comprehension frames are read as the
+# function around them; calls inside `fractions` itself are not counted):
+# prints {"function method": calls}.
+_FRACTION_CALLS = """
+import collections, fractions, json, sys
+
+Fraction, counts = fractions.Fraction, collections.Counter()
+METHODS = [
+    name for name, value in vars(Fraction).items()
+    if name.startswith("__") and callable(value) and name not in ("__init_subclass__",)
+]
+
+def counting(name, method):
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        if frame.f_code.co_filename != fractions.__file__:
+            counts[frame.f_code.co_name + " " + name] += 1
+        return method(*args, **kwargs)
+    return counted
+
+for name in METHODS:
+    method = vars(Fraction)[name]
+    if isinstance(method, staticmethod):
+        setattr(Fraction, name, staticmethod(counting(name, method.__func__)))
+    else:
+        setattr(Fraction, name, counting(name, method))
+
+from weylkit.root_system import affinize, build_finite
+from weylkit.weyl import _system_data
+
+counts.clear()
+for spec in sys.argv[2:]:
+    type_label, rank = spec.split(":")
+    _system_data(affinize(build_finite(type_label, int(rank))))
+print(json.dumps(counts))
+"""
+
+
+def test_root_data_run_no_fraction_arithmetic():
+    # the Gram matrix of the diagram, kept for printing and for checking an
+    # element's matrix, is the only Fraction arithmetic of the root data;
+    # the alcove interior point builds one Fraction per system
+    from test_golden import _run_fresh
+
+    counts = _run_fresh(_FRACTION_CALLS, "E:8", "BC:8", "G:2")
+    callers = {key.split()[0] for key in counts}
+    assert callers == {"_simple_gram", "_build_affinization"}, counts
+    assert {key for key in counts if key.startswith("_build_affinization")} == {
+        "_build_affinization __new__"
+    }, counts
+    assert counts["_build_affinization __new__"] == 3
