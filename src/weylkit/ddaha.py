@@ -607,7 +607,8 @@ def verify_relations(algebra: DdahaAlgebra, seed: int = 0) -> RelationReport:
 class StandardModule(Record):
     """The induced module with highest weight lam0, truncated to basis
     vectors g with l(g) <= depth: the group elements of the basis, sorted
-    by (length, mu, matrix)."""
+    by (length, mu, matrix).  Equal by (algebra, lam0, depth, basis), so
+    modules over two algebras differ."""
 
     __slots__ = ("algebra", "lam0", "depth", "basis")
 
@@ -615,7 +616,7 @@ class StandardModule(Record):
         self.algebra, self.lam0, self.depth, self.basis = algebra, lam0, depth, basis
 
     def _key(self) -> tuple:
-        return self.lam0, self.depth, self.basis
+        return self.algebra, self.lam0, self.depth, self.basis
 
     def weight_of(self, g: ExtAffineWeylElement) -> tuple:
         return g.act_point(self.lam0)

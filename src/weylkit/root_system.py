@@ -7,8 +7,10 @@ realisation in an orthonormal basis: the bonds and the short simple roots
 give the Gram matrix of the simple roots, the Gram matrix gives the Cartan
 matrix, and the positive roots are raised by height from the simple roots
 (and, in type BC, from the doubled root 2 alpha_n) by the simple
-reflections.  Past the Gram matrix, which is kept as Fractions, all of this
-is integer arithmetic on 6G, whose entries are ints.
+reflections.  The closure records each raising step, so that the group
+kernel pairs every positive root with a vector by one multiply-add per root
+(`FiniteRootSystem.raising`).  Past the Gram matrix, which is kept as
+Fractions, all of this is integer arithmetic on 6G, whose entries are ints.
 
 Coordinate conventions, fixed once for the whole library:
 
@@ -136,6 +138,13 @@ class FiniteRootSystem(Record):
         return _build_finite_coxeter(self)
 
     @cached_property
+    def raising(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
+        """(positive roots in closure order, chain) of `_positive_roots`:
+        recorded by `build_finite`, raised again only for a system made by
+        the constructor."""
+        return _positive_roots(self.type_label, self.cartan_matrix)
+
+    @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r for r in self.roots if self.is_positive(r))
 
@@ -168,14 +177,17 @@ def _build_finite_cached(type_label: str, rank: int) -> FiniteRootSystem:
     # an indefinite diagram has infinitely many roots: refuse it before the closure
     if not linalg.leading_minors_positive(gram6):
         raise IllegalType(f"Gram matrix of ({type_label}, {rank}) is not positive definite")
-    positive = _positive_roots(type_label, cartan)
-    return FiniteRootSystem(
+    raising = _positive_roots(type_label, cartan)
+    positive = raising[0]
+    finite = FiniteRootSystem(
         type_label=type_label,
         rank=rank,
         cartan_matrix=cartan,
         gram_matrix=gram,
-        roots=tuple(sorted(positive + [tuple([-c for c in r]) for r in positive])),
+        roots=tuple(sorted(positive + tuple([tuple([-c for c in r]) for r in positive]))),
     )
+    finite.raising = raising
+    return finite
 
 
 def _times_six(gram: Mat) -> tuple[tuple[int, ...], ...]:
@@ -184,22 +196,30 @@ def _times_six(gram: Mat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(e.numerator * (6 // e.denominator) for e in row) for row in gram)
 
 
-def _positive_roots(type_label: str, cartan) -> list[tuple[int, ...]]:
-    """The positive roots in simple-root coordinates, raised by height from
-    the simple roots and, in type BC, the doubled root 2 alpha_n, which is
-    not a Weyl image of a simple root.  Every other positive root is
-    s_i(beta) = beta - <beta, alpha_i-check> alpha_i for a lower positive
-    root beta with <beta, alpha_i-check> < 0 (Humphreys, Reflection Groups
-    and Coxeter Groups, 1.6 and 2.9-2.10), and that pairing is beta against
-    column i of the Cartan matrix."""
+def _positive_roots(type_label: str, cartan) -> tuple[tuple, tuple[tuple[int, int, int], ...]]:
+    """The positive roots in simple-root coordinates, in closure order, and
+    the chain that raised them.  They are raised by height from the simple
+    roots and, in type BC, the doubled root 2 alpha_n, which is not a Weyl
+    image of a simple root.  Every other positive root is s_i(beta) = beta +
+    c alpha_i, c = -<beta, alpha_i-check> > 0, for a lower positive root beta
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6 and 2.9-2.10), and
+    that pairing is beta against column i of the Cartan matrix.
+
+    The chain holds one step (j, i, c) for each root past the n simple ones,
+    in order: that root is root j + c alpha_i, and root j comes before it;
+    2 alpha_n is recorded as alpha_n + alpha_n.  So <alpha, v> for every
+    positive root alpha is v itself on the simple roots and then one
+    multiply-add per step (`weyl._root_pairings`)."""
     n = len(cartan)
     columns = list(zip(*cartan))
     found = [tuple([int(j == i) for j in range(n)]) for i in range(n)]
+    chain = []
     if type_label == "BC":
         found.append((0,) * (n - 1) + (2,))
+        chain.append((n - 1, n - 1, 1))
     seen = set(found)
     # the loop also visits the roots it appends
-    for beta in found:
+    for j, beta in enumerate(found):
         for i, column in enumerate(columns):
             c = sum(map(mul, beta, column))
             if c < 0:
@@ -209,7 +229,8 @@ def _positive_roots(type_label: str, cartan) -> list[tuple[int, ...]]:
                 if image not in seen:
                     seen.add(image)
                     found.append(image)
-    return found
+                    chain.append((j, i, -c))
+    return tuple(found), tuple(chain)
 
 
 # ---------------------------------------------------------------------------

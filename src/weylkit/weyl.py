@@ -37,6 +37,10 @@ with no branch of its own.  Word and descent algorithms reduce to the sign
 of one affine root image.  All coordinates of a root have one sign, so that
 sign is the sign of its height, the sum of its coordinates: the height of
 m alpha is alpha paired with the column sums of m, and no image is formed.
+The length and T(w) pair every positive root with a vector along the chain
+that raised the roots (`FiniteRootSystem.raising`): alpha = beta + c alpha_i
+gives <alpha, v> = <beta, v> + c v_i, one multiply-add per root
+(`_root_pairings`) in place of an n-term dot product.
 
 W permutes the affine roots, so the roots the kernel derives from roots
 (images g(a), their negatives, the keys of T(w) and of conjugated
@@ -160,9 +164,11 @@ def _is_negative(grad: IntVec, level: int) -> bool:
 class _SystemData:
     """Group data built once per ambient system: the simple reflections by
     label, the wall (gamma, integer coroot, level, wall id) of each label,
-    each positive root alpha with whether only odd levels of it are affine
-    roots (alpha in 2Q_R), and the integer coroots of the roots, each filled
-    in on first use from the integer matrix 6G (`FiniteRootSystem.gram6`)."""
+    the positive roots in closure order with the chain that raised them
+    (`FiniteRootSystem.raising`, read by `_root_pairings`) and whether only
+    odd levels of each are affine roots (alpha in 2Q_R), and the integer
+    coroots of the roots, each filled in on first use from the integer
+    matrix 6G (`FiniteRootSystem.gram6`)."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
@@ -177,7 +183,8 @@ class _SystemData:
             l: _reflection(ambient, a, self.walls[l][1])
             for l, a in zip(ambient.labels, ambient.simples)
         }
-        self.roots = tuple((alpha, finite.in_two_q_r(alpha)) for alpha in finite.positive_roots)
+        self.positive, self.chain = finite.raising
+        self.odd_only = tuple(map(finite.in_two_q_r, self.positive))
 
     def coroot(self, root: IntVec) -> IntVec:
         """The coweight coordinates of the coroot of `root`, as ints: the
@@ -209,6 +216,19 @@ def _system_data(ambient: AffineRootSystem) -> _SystemData:
     return data
 
 
+def _root_pairings(chain, v: IntVec) -> list[int]:
+    """<alpha, v> for every positive root alpha, in closure order, for an
+    integer vector v: v itself on the simple roots, then <beta, v> + c v_i
+    for each root alpha = beta + c alpha_i of the chain
+    (`FiniteRootSystem.raising`), one multiply-add per root where a dot
+    product takes n."""
+    p = list(v)
+    append = p.append
+    for j, i, c in chain:
+        append(p[j] + c * v[i])
+    return p
+
+
 def _finite_part(m: IntMat) -> _FinitePart:
     """The record of a matrix given from outside (`element_from_json`, the
     constructor): if it is new, its point matrix is the inverse transpose,
@@ -225,7 +245,9 @@ def _finite_part(m: IntMat) -> _FinitePart:
 
 class ExtAffineWeylElement:
     """(mu, matrix) over an ambient system, the matrix held as the record of
-    its finite part; equal and hashed by (mu, matrix), the hash computed on
+    its finite part; equal by (mu, matrix) over one finite root system, so
+    the affine and finite packagings of a system share their elements but
+    two systems do not, and hashed by (mu, matrix), the hash computed on
     first use and kept."""
 
     __slots__ = ("ambient", "mu", "fin", "_hash")
@@ -243,6 +265,10 @@ class ExtAffineWeylElement:
             isinstance(other, ExtAffineWeylElement)
             and self.mu == other.mu
             and self.fin.m == other.fin.m
+            and (
+                self.ambient is other.ambient
+                or self.ambient.finite_base == other.ambient.finite_base
+            )
         )
 
     def __hash__(self):
@@ -442,16 +468,22 @@ def length(g: ExtAffineWeylElement) -> int:
     g(alpha) + n - c, c = <alpha, m^T mu>, so with t = c + [g(alpha) < 0]
     the inversions on alpha and -alpha are alpha + k and -alpha - k for k
     in [min(0, t), max(0, t)), odd k only for alpha in 2Q_R: |t| of them,
-    or floor(hi / 2) - floor(lo / 2).  m^T mu and the column sums of m,
-    whose pairing with alpha is the height of g(alpha), are formed once.  A
-    finite system needs no branch: mu = 0 there, so t = [g(alpha) < 0], and
-    a 2Q_R root gets no odd k in [0, 1), as it is no root at level 0."""
-    mu = g.mu
-    nu = [sum(map(mul, col, mu)) for col in zip(*g.fin.m)]
-    heights = g.fin.heights
+    or floor(hi / 2) - floor(lo / 2).  The pairings of every alpha with m^T
+    mu and with the column sums of m, which give the height of g(alpha),
+    are read along the raising chain (`_root_pairings`), one addition per
+    root.  A finite system needs no branch: mu = 0 there, so t =
+    [g(alpha) < 0], and a 2Q_R root gets no odd k in [0, 1), as it is no
+    root at level 0."""
+    try:
+        data = g.ambient._group_data
+    except AttributeError:
+        data = _system_data(g.ambient)
+    mu, chain = g.mu, data.chain
+    shifts = _root_pairings(chain, [sum(map(mul, col, mu)) for col in zip(*g.fin.m)])
+    heights = _root_pairings(chain, g.fin.heights)
     total = 0
-    for alpha, odd_only in _system_data(g.ambient).roots:
-        t = sum(map(mul, alpha, nu)) + (sum(map(mul, alpha, heights)) < 0)
+    for c, h, odd_only in zip(shifts, heights, data.odd_only):
+        t = c + (h < 0)
         if odd_only:
             total += t // 2 if t > 0 else -(t // 2)
         else:
@@ -609,7 +641,7 @@ def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     ambient = g.ambient
     finite = ambient.finite_base
     data = _system_data(ambient)
-    for gamma, _ in data.roots:
+    for gamma in data.positive:
         if any(a != -b for a, b in zip(_mat_vec(g.fin.m, gamma), gamma)):
             continue
         corovec = data.coroot(gamma)
@@ -628,12 +660,19 @@ def reflections_T(g: ExtAffineWeylElement) -> frozenset[AffineRoot]:
     inversions of g^-1, read as in `length`, each pair +-(alpha + k) keyed
     by alpha + k for alpha > 0.  g^-1 = (-m^T mu, P^T) is not formed: its
     m^T mu is -mu, as P m^T = I, and its column sums are the row sums of P,
-    kept on the record; finite systems need no branch, as for `length`."""
-    finite = g.ambient.finite_base
-    mu, sums = g.mu, g.fin.p_sums
+    kept on the record; both are paired with every alpha along the raising
+    chain, and finite systems need no branch, as for `length`."""
+    ambient = g.ambient
+    try:
+        data = ambient._group_data
+    except AttributeError:
+        data = _system_data(ambient)
+    finite, chain = ambient.finite_base, data.chain
+    heights = _root_pairings(chain, g.fin.p_sums)
+    shifts = _root_pairings(chain, g.mu)
     keys = []
-    for alpha, odd_only in _system_data(g.ambient).roots:
-        t = (sum(map(mul, alpha, sums)) < 0) - sum(map(mul, alpha, mu))
+    for alpha, odd_only, h, c in zip(data.positive, data.odd_only, heights, shifts):
+        t = (h < 0) - c
         if t:
             lo, hi = (0, t) if t > 0 else (t, 0)
             # lo | 1 is the first odd k >= lo

@@ -155,9 +155,11 @@ CASES = {
         dd.RelationReport(True, True, True, ()),
         dd.RelationReport(True, True, True, (("square", 1),)),
     ),
+    # the algebra is compared: y is over a fresh copy of x's algebra (a
+    # module over the C2 algebra differs, test_equality_across_systems)
     "StandardModule": lambda: (
         dd.StandardModule(_algebras()[0], (Fraction(1, 3),), 1, (E,)),
-        dd.StandardModule(dd.DdahaAlgebra(AFF_C2, PARAMS), (Fraction(1, 3),), 1, (E,)),
+        dd.StandardModule(_algebras()[1], (Fraction(1, 3),), 1, (E,)),
         dd.StandardModule(_algebras()[0], (Fraction(1, 3),), 2, (E,)),
     ),
     "Facet": lambda: (
@@ -225,7 +227,7 @@ HASHED = {
         r.den, frozenset((g, frozenset(f.items())) for g, f in r.num.items())
     ),
     "RelationReport": lambda r: (r.squares_ok, r.braid_ok, r.cross_ok, r.failures),
-    "StandardModule": lambda r: (r.lam0, r.depth, r.basis),
+    "StandardModule": lambda r: (r.algebra, r.lam0, r.depth, r.basis),
     "Facet": lambda r: (r.rep, r.type_labels),
     "AffineSpan": lambda r: (frozenset(r.vanishing_roots), len(r.directions)),
     "GradingPoint": lambda r: (r.theta_tilde, r.m),
@@ -283,6 +285,24 @@ def test_own_equality_of_ddaha_elements_and_spans():
     assert a.base != b.base and a == b
     assert cx.AffineSpan.__eq__(a, "a") is False
     assert hash(a) == hash((a.vanishing_roots, len(a.directions)))
+
+
+def test_equality_across_systems():
+    # group elements compare their finite base (the ambient by identity
+    # first), so the identities of affine A2 and C2 differ while the affine
+    # and finite packagings of A2 share theirs; a standard module compares
+    # its algebra, so the depth-1 modules over the A2 and C2 algebras with
+    # one parameter set and lam0 = (1/3, 0) differ too.  The element hash
+    # stays (mu, matrix).
+    e_c2 = ExtAffineWeylElement.identity(AFF_C2)
+    assert E.mu == e_c2.mu and E.matrix == e_c2.matrix and hash(E) == hash(e_c2)
+    assert E != e_c2 and not E == e_c2 and len({E, e_c2}) == 2
+    assert E == ExtAffineWeylElement.identity(FIN) == ExtAffineWeylElement.identity(_ambient_copy())
+    lam0 = (Fraction(1, 3), Fraction(0))
+    a2 = dd.StandardModule(dd.DdahaAlgebra(AFF, PARAMS), lam0, 1, (E,))
+    c2 = dd.StandardModule(dd.DdahaAlgebra(AFF_C2, PARAMS), lam0, 1, (E,))
+    assert a2 != c2 and not a2 == c2
+    assert a2 == dd.StandardModule(dd.DdahaAlgebra(AFF, PARAMS), lam0, 1, (E,))
 
 
 # the classes a command reaches on every op keep their own inline equality and

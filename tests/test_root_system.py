@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -440,3 +441,42 @@ def test_root_data_run_no_fraction_arithmetic():
         "_build_affinization __new__"
     }, counts
     assert counts["_build_affinization __new__"] == 3
+
+
+# -- the raising chain: each positive root as a lower root plus c alpha_i ------
+
+
+@pytest.mark.parametrize("finite", LEGAL, ids=lambda f: f"{f.type_label}{f.rank}")
+def test_raising_chain_rebuilds_the_positive_roots(finite):
+    from weylkit.weyl import _root_pairings
+
+    raised, chain = finite.raising
+    n = finite.rank
+    assert sorted(raised) == sorted(finite.positive_roots) and len(set(raised)) == len(raised)
+    assert raised[:n] == tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    assert len(chain) == len(raised) - n
+    for k, (j, i, c) in enumerate(chain, start=n):
+        assert 0 <= j < k and 0 <= i < n and c > 0  # every parent precedes its child
+        rebuilt = list(raised[j])
+        rebuilt[i] += c
+        assert tuple(rebuilt) == raised[k]
+    # the chain the build records is the one a system made by the
+    # constructor raises again
+    copy = type(finite)(
+        finite.type_label, n, finite.cartan_matrix, finite.gram_matrix, finite.roots
+    )
+    assert copy.raising == finite.raising
+    # the pairing primitive is the dot product with every raised root
+    rng = random.Random(f"{finite.type_label}{n}")
+    for _ in range(5):
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        assert _root_pairings(chain, v) == [sum(a * x for a, x in zip(r, v)) for r in raised]
+
+
+def test_raising_chain_steps_in_bc_and_g2():
+    # BC_n records 2 alpha_n as alpha_n + alpha_n; G2 raises alpha_2 by
+    # 3 alpha_1, alpha_1 being short
+    raised, chain = build_finite("BC", 3).raising
+    assert raised[3] == (0, 0, 2) and chain[0] == (2, 2, 1)
+    raised, chain = build_finite("G", 2).raising
+    assert raised[3] == (3, 1) and chain[1] == (1, 0, 3)

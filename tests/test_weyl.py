@@ -430,6 +430,80 @@ def test_integer_kernel_against_inversion_oracle_finite(type_label, rank, radius
         _check_against_oracle(g)
 
 
+def _length_by_dot_products(g):
+    """`length` as it read before the raising chain: both pairings of every
+    positive root alpha by an n-term dot product."""
+    from operator import mul
+
+    finite = g.ambient.finite_base
+    nu = [sum(map(mul, col, g.mu)) for col in zip(*g.matrix)]
+    heights = [sum(col) for col in zip(*g.matrix)]
+    total = 0
+    for alpha in finite.positive_roots:
+        t = sum(map(mul, alpha, nu)) + (sum(map(mul, alpha, heights)) < 0)
+        if finite.in_two_q_r(alpha):
+            total += t // 2 if t > 0 else -(t // 2)
+        else:
+            total += t if t > 0 else -t
+    return total
+
+
+def _reflections_T_by_dot_products(g):
+    """`reflections_T` as it read before the raising chain."""
+    from operator import mul
+
+    finite = g.ambient.finite_base
+    sums = [sum(row) for row in g.fin.p]
+    keys = []
+    for alpha in finite.positive_roots:
+        t = (sum(map(mul, alpha, sums)) < 0) - sum(map(mul, alpha, g.mu))
+        if t:
+            lo, hi = (0, t) if t > 0 else (t, 0)
+            levels = range(lo | 1, hi, 2) if finite.in_two_q_r(alpha) else range(lo, hi)
+            keys.extend([AffineRoot(finite, alpha, k) for k in levels])
+    return frozenset(keys)
+
+
+def _legal_systems():
+    for type_label in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+        for rank in range(1, 9):
+            try:
+                finite = build_finite(type_label, rank)
+            except IllegalType:
+                continue
+            yield affinize(finite)
+            yield finite_coxeter(finite)
+
+
+LEGAL_SYSTEMS = list(_legal_systems())
+
+
+def test_every_legal_system_is_covered():
+    assert len(LEGAL_SYSTEMS) == 80
+
+
+@pytest.mark.parametrize(
+    "ambient", LEGAL_SYSTEMS,
+    ids=lambda a: f"{a.finite_base.type_label}{a.rank}-{'affine' if a.affine else 'finite'}",
+)
+def test_length_and_T_along_the_chain_match_the_dot_products(ambient):
+    # random words, and in an affine system each word times X^{omega_1} as
+    # well, which leaves W_S wherever omega_1 is not in Q^v: BC_n's 2Q_R
+    # roots reach odd-only levels, and G2's chain raises by c = 3
+    rng = random.Random(f"{ambient.finite_base.type_label}{ambient.rank}")
+    shifts = [()]
+    if ambient.affine:
+        shifts.append(ExtAffineWeylElement.translation(ambient, (1,) + (0,) * (ambient.rank - 1)))
+    for _ in range(30):
+        g = ExtAffineWeylElement.identity(ambient)
+        for _ in range(rng.randint(0, 16)):
+            g = mul_simple(g, rng.choice(ambient.labels))
+        for x in shifts:
+            h = g * x if x else g
+            assert length(h) == _length_by_dot_products(h)
+            assert reflections_T(h) == _reflections_T_by_dot_products(h)
+
+
 def _is_point_matrix_of(p, m):
     """Whether p m^T = I in exact integers."""
     n = len(m)
