@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -433,8 +434,6 @@ def test_integer_kernel_against_inversion_oracle_finite(type_label, rank, radius
 def _length_by_dot_products(g):
     """`length` as it read before the raising chain: both pairings of every
     positive root alpha by an n-term dot product."""
-    from operator import mul
-
     finite = g.ambient.finite_base
     nu = [sum(map(mul, col, g.mu)) for col in zip(*g.matrix)]
     heights = [sum(col) for col in zip(*g.matrix)]
@@ -450,8 +449,6 @@ def _length_by_dot_products(g):
 
 def _reflections_T_by_dot_products(g):
     """`reflections_T` as it read before the raising chain."""
-    from operator import mul
-
     finite = g.ambient.finite_base
     sums = [sum(row) for row in g.fin.p]
     keys = []
