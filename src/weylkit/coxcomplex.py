@@ -9,9 +9,11 @@ spiral is read at) and the affine span cut out by the J-walls of the
 defining alcove.  Spans are computed from Fraction points; the graded
 pseudo-Levi cross-check compares them, and they are the independent oracle
 of the good/bad test and of `xi_orbit`.  On top of facets the module
-computes point stabilizers, the grading point x = theta-tilde / m, relative
-positions with the good/bad dichotomy, orbit sets and the fixed subcomplex
-of an admissible parabolic, computed from its relative system.
+computes point stabilizers (y W_J y^-1, with y^-1 x in the closed alcove
+and J its walls through that point), the grading point x = theta-tilde /
+m, relative positions with the good/bad dichotomy, orbit sets and the
+fixed subcomplex of an admissible parabolic, computed from its relative
+system.
 """
 
 from fractions import Fraction
@@ -23,11 +25,11 @@ from .root_system import AffineRoot, AffineRootSystem, Record
 from .weyl import (
     ExtAffineWeylElement,
     act_on_affine_root,
-    closure,
     conjugate_reflections,
     double_coset_min_rep,
     length_ball,
     min_coset_rep,
+    mul_simple,
 )
 from .relative import (
     ParabolicSubset,
@@ -157,18 +159,30 @@ def _roots_through(ambient: AffineRootSystem, x: Vec, directions=()) -> list[Aff
     return out
 
 
-def stabilizer_of_point(ambient: AffineRootSystem, x: Vec) -> tuple[AffineRoot, ...]:
-    """All affine roots vanishing at x (canonical keys); their reflections
-    generate Stab_W(x)."""
-    out = _roots_through(ambient, tuple(Fraction(c) for c in x))
-    return tuple(sorted(out, key=lambda a: (a.direction, a.level)))
-
-
 def stabilizer_group(ambient: AffineRootSystem, x: Vec) -> frozenset[ExtAffineWeylElement]:
-    gens = [
-        ExtAffineWeylElement.reflection(ambient, a) for a in stabilizer_of_point(ambient, x)
-    ]
-    return frozenset(closure(ExtAffineWeylElement.identity(ambient), gens))
+    """Stab_W(x), generated by the reflections through x: y W_J y^-1 for z =
+    y^-1 x in the closed fundamental alcove and J its walls through z
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.12 and 4.8).  x
+    walks to z by reflections in simple walls whose roots are negative at
+    it, lowest label first; each crosses one of the walls alpha + k between
+    x and the alcove, at most floor(|<alpha, x>|) + 1 per positive root
+    alpha, and a longer walk (a faulty reflection) raises."""
+    finite = ambient.finite_base
+    walls = sorted(zip(ambient.labels, ambient.simples))
+    bound = sum(int(abs(finite.pair(r, x))) + 1 for r in finite.positive_roots)
+    y = ExtAffineWeylElement.identity(ambient)
+    for _ in range(bound + 1):
+        at = {l: finite.pair(a.direction, x) + a.level for l, a in walls}
+        l = next((l for l, v in at.items() if v < 0), None)
+        if l is None:
+            break
+        x = ExtAffineWeylElement.simple(ambient, l).act_point(x)
+        y = mul_simple(y, l)
+    else:
+        raise RuntimeError(f"the walk to the alcove ran past {bound} reflections")
+    y_inv = y.inverse()
+    through = ParabolicSubset(ambient, [l for l, v in at.items() if v == 0])
+    return frozenset(y * w * y_inv for w in through.elements())
 
 
 class GradingPoint(Record):

@@ -27,7 +27,7 @@ Phi+_{Sigma+s} - Phi_Sigma, a_s among them, to one sign (tier-1 oracle:
 test_relative_descents_are_the_length_drops).  Off W-tilde the criteria
 differ, so only the membership-checked `relative_reduced_word`, and
 `strip_relative_descents` on elements built from the generators, strip by
-them.
+them, and `relative_ball` skips them in the one search, `weyl.length_ball`.
 """
 
 from itertools import combinations
@@ -37,12 +37,12 @@ from .weyl import (
     ExtAffineWeylElement,
     _strip_descents,
     canonical_reflection_key,
-    closure,
     conjugate_reflections,
     enumerate_ball,
     has_left_descent,
     has_right_descent,
     length,
+    length_ball,
     reflections_T,
     simple_mul,
 )
@@ -117,12 +117,15 @@ class ParabolicSubset:
     def longest_element(self) -> ExtAffineWeylElement:
         self._require_finite()
         if self._longest is None:
-            # climb left ascents, lowest label first, up to w0^Sigma, the one
-            # element of W_Sigma whose left descents are all of Sigma; a finite
-            # W_Sigma has one reflection per direction, so l(w0^Sigma) <= |R+|,
-            # and a longer climb (a faulty descent test) raises
+            # climb left ascents, lowest label first, from w0 of Sigma minus its
+            # largest label (e if Sigma is empty) to w0^Sigma, the one element of
+            # W_Sigma whose left descents are all of Sigma; a finite W_Sigma has
+            # one reflection per direction, so l(w0^Sigma) <= |R+|, and a longer
+            # climb (a faulty descent test) raises
             labels = sorted(self.sigma)
             g = ExtAffineWeylElement.identity(self.ambient)
+            if labels:
+                g = ParabolicSubset(self.ambient, labels[:-1]).longest_element()
             bound = len(self.ambient.finite_base.positive_roots)
             for _ in range(bound + 1):
                 l = next((l for l in labels if not has_left_descent(g, l)), None)
@@ -142,8 +145,7 @@ class ParabolicSubset:
 
     def elements(self) -> frozenset[ExtAffineWeylElement]:
         self._require_finite()
-        identity = ExtAffineWeylElement.identity(self.ambient)
-        return frozenset(closure(identity, sorted(self.sigma), step=simple_mul))
+        return frozenset(length_ball(self.ambient, None, sorted(self.sigma))[0])
 
 
 def parabolic_reflections(ambient: AffineRootSystem) -> dict:
@@ -294,8 +296,10 @@ def strip_relative_descents(rel: RelativeCoxeterSystem, g: ExtAffineWeylElement)
 
 
 def relative_ball(rel: RelativeCoxeterSystem, radius: int) -> dict[ExtAffineWeylElement, int]:
-    """Elements of W-tilde with relative length <= radius."""
-    return closure(ExtAffineWeylElement.identity(rel.ambient), rel.simples.values(), radius)
+    """Elements of W-tilde with relative length <= radius, mapped to it in
+    BFS order: the `length_ball` search by s-tilde g."""
+    simples = rel.simples
+    return length_ball(rel.ambient, radius, sorted(simples), lambda l, g: simples[l] * g)[0]
 
 
 def dihedral_ball_sizes(order, radius: int) -> list[int]:

@@ -26,9 +26,10 @@ of m and of P by one multiple of a fixed vector, with no matrix product.
 Each record links to its neighbours under the walls it has been multiplied
 by, on either side, so a finite part is updated once per wall and side; the
 translation then takes one vector step, read off the link on the right.
-Words, reduced words, descent stripping and the length balls multiply by
+Words, reduced words, descent stripping and the balls of W_S multiply by
 simple reflections only through these two kernels; `__mul__` is the one
-general product.
+general product.  One breadth-first search, `length_ball`, enumerates the
+balls of W_S, its parabolic subgroups and the relative balls (by s-tilde).
 
 The inversions of an element are read in closed form over the positive
 roots (Iwahori-Matsumoto): those on alpha and -alpha together form one range,
@@ -248,7 +249,8 @@ class ExtAffineWeylElement:
     its finite part; equal by (mu, matrix) over one finite root system, so
     the affine and finite packagings of a system share their elements but
     two systems do not, and hashed by (mu, matrix), the hash computed on
-    first use and kept."""
+    first use and kept.  `_intern` keeps one record per matrix, so equal
+    matrices are one record, compared by identity."""
 
     __slots__ = ("ambient", "mu", "fin", "_hash")
 
@@ -263,8 +265,8 @@ class ExtAffineWeylElement:
     def __eq__(self, other):
         return (
             isinstance(other, ExtAffineWeylElement)
+            and self.fin is other.fin
             and self.mu == other.mu
-            and self.fin.m == other.fin.m
             and (
                 self.ambient is other.ambient
                 or self.ambient.finite_base == other.ambient.finite_base
@@ -322,7 +324,7 @@ class ExtAffineWeylElement:
         return _element(self.ambient, mu, self.fin.inv)
 
     def is_identity(self) -> bool:
-        return not any(self.mu) and self.fin.m == _identity(len(self.mu)).m
+        return not any(self.mu) and self.fin is _identity(len(self.mu))
 
     # -- actions ----------------------------------------------------------
 
@@ -741,57 +743,36 @@ def double_coset_min_rep(g: ExtAffineWeylElement, left_set, right_set) -> ExtAff
     return min_coset_rep(min_coset_rep(g, left_set, "left"), right_set, "right")
 
 
-# the most elements a `closure` or `length_ball` search may reach, and the
-# steps after which a descent strip checks that it has not outrun the length
+# the most elements a `length_ball` search may reach
 BALL_CAP = 10**6
 
 
-def closure(
-    start: ExtAffineWeylElement, gens, radius: int | None = None, step=mul
-) -> dict[ExtAffineWeylElement, int]:
-    """Breadth-first search from `start` by left multiplication with `gens`,
-    each step(s, g) = s g (`simple_mul` when `gens` are simple labels):
-    every element at most `radius` steps away (all of them when radius is
-    None), mapped to its distance.  More than BALL_CAP elements raise
-    BallTooLarge."""
-    gens = list(gens)
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier and (radius is None or d < radius):
-        d += 1
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = step(s, g)
-                if h not in dist:
-                    dist[h] = d
-                    nxt.append(h)
-                    if len(dist) > BALL_CAP:
-                        raise BallTooLarge(f"ball exceeds cap of {BALL_CAP} elements")
-        frontier = nxt
-    return dist
-
-
-def length_ball(ambient: AffineRootSystem, radius: int) -> tuple[dict, dict, dict]:
-    """(lengths, descents, steps) of the elements of W_S with length <=
-    radius, from one breadth-first search by s_l g: each element mapped to
-    its length (in BFS order), to its set of left descents, and, past the
-    identity, to (l, s_l g) for its lowest left descent l.
+def length_ball(
+    ambient: AffineRootSystem, radius: int | None, labels=None, step=simple_mul
+) -> tuple[dict, dict, dict]:
+    """(lengths, descents, steps) of the elements of length <= radius (all
+    when radius is None) of the group that `labels` generate, from one
+    breadth-first search from e by step(l, g): each h mapped to its length
+    (in BFS order), to its left descents and, past e, to (l, g) with h =
+    step(l, g) for its lowest left descent l.  The defaults, all simple
+    labels and s_l g (`simple_mul`), search W_S; a parabolic passes its
+    labels, and a relative group its labels and s-tilde g, whose relative
+    descents are its ambient left descents there (`relative_descents`).
 
     g at level d is multiplied only by the labels that are not its left
-    descents, and each h = s_l g found so gets l as a left descent.  Every
-    left descent l of h arises so, from s_l h one level down, so the set of
-    h is complete once that level is visited.  A new h is checked by one
-    descent test: l(s_l g) = l(g) + 1 exactly when l is a left descent of
-    s_l g (Humphreys, Reflection Groups and Coxeter Groups, 5.2-5.4), so
-    its level is its length by induction; a rediscovered h must sit one
-    level up as well.  More than BALL_CAP elements raise BallTooLarge."""
+    descents, and h = step(l, g) gets l as a left descent; every left
+    descent of h arises so, one level down, so h's set is complete once that
+    level is visited.  A new h is checked by one descent test, as l(s_l g) =
+    l(g) + 1 exactly when l is a left descent of s_l g (Humphreys, Reflection
+    Groups and Coxeter Groups, 5.2-5.4), so its level is its length; a
+    rediscovered h must sit one level up.  More than BALL_CAP elements raise
+    BallTooLarge."""
     e = ExtAffineWeylElement.identity(ambient)
-    labels = ambient.labels
+    if labels is None:
+        labels = ambient.labels
     lengths, descents, steps = {e: 0}, {e: set()}, {}
     frontier, d = [e], 0
-    while frontier and d < radius:
+    while frontier and (radius is None or d < radius):
         d += 1
         nxt = []
         for g in frontier:
@@ -799,7 +780,7 @@ def length_ball(ambient: AffineRootSystem, radius: int) -> tuple[dict, dict, dic
             for l in labels:
                 if l in below:
                     continue
-                h = simple_mul(l, g)
+                h = step(l, g)
                 known = descents.get(h)
                 if known is None:
                     assert has_left_descent(h, l)

@@ -284,9 +284,12 @@ def test_certify_enumerates_one_length_ball(capsys, monkeypatch):
     radii = []
     search = weyl.length_ball
 
-    def counted(ambient, radius):
-        radii.append(radius)
-        return search(ambient, radius)
+    def counted(ambient, radius, labels=None, step=weyl.simple_mul):
+        # a search over other labels (a relative ball, a parabolic) is no
+        # W_S ball
+        if labels is None:
+            radii.append(radius)
+        return search(ambient, radius, labels, step)
 
     # every binding, weyl's own included, so a ball built through
     # enumerate_ball is counted as well as a coxcomplex.Ball

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from closure_oracle import closure
 from weylkit import coxcomplex as cx
 from weylkit import relative
 from weylkit.relative import (
@@ -19,7 +20,6 @@ from weylkit import weyl
 from weylkit.weyl import (
     BallTooLarge,
     ExtAffineWeylElement,
-    closure,
     enumerate_ball,
     has_left_descent,
     has_right_descent,
@@ -166,9 +166,9 @@ def test_stabilizer_of_facet(aff_a2):
 
 def test_point_stabilizers(aff_a2):
     # interior of the alcove: trivial
-    assert cx.stabilizer_of_point(aff_a2, aff_a2.alcove_interior_point) == ()
+    assert cx._roots_through(aff_a2, aff_a2.alcove_interior_point) == []
     # origin: the three positive level-0 roots
-    roots = cx.stabilizer_of_point(aff_a2, (Fraction(0), Fraction(0)))
+    roots = cx._roots_through(aff_a2, (Fraction(0), Fraction(0)))
     assert len(roots) == 3 and all(a.level == 0 for a in roots)
     assert len(cx.stabilizer_group(aff_a2, (Fraction(0), Fraction(0)))) == 6
 
@@ -177,7 +177,7 @@ def test_grading_point(aff_a1):
     gp = cx.GradingPoint(aff_a1, (Fraction(1),), 2)
     assert gp.x == (Fraction(1, 2),)
     # [DERIVED] x is the alcove midpoint: no affine root vanishes there
-    assert cx.stabilizer_of_point(gp.ambient, gp.x) == ()
+    assert cx._roots_through(gp.ambient, gp.x) == []
     assert len(gp.stabilizer()) == 1
     gp0 = cx.GradingPoint(aff_a1, (Fraction(0),), 2)
     assert len(gp0.stabilizer()) == 2
@@ -523,6 +523,83 @@ def test_length_ball_search_against_the_generic_closure(type_label, rank, affine
     types = proper_types(ambient)
     facets = cx.facets_in_ball(ambient, radius, ball=ball)
     assert facets == facets_by_right_descents(ambient, ball, types)
+
+
+# (type, rank, affine) of the systems whose relative balls, parabolic
+# subgroups and point stabilizers are checked against the closure
+SEARCHED_SYSTEMS = [
+    ("A", 2, True), ("C", 2, True), ("G", 2, True), ("B", 3, True), ("C", 3, True),
+    ("B", 3, False),
+]
+
+
+@pytest.mark.parametrize("type_label,rank,affine", SEARCHED_SYSTEMS)
+def test_relative_ball_search_against_the_generic_closure(type_label, rank, affine):
+    # the search by s-tilde g that skips relative descents finds the radius-4
+    # ball of the closure by every s-tilde, with its distances, in its order
+    ambient = oracle_system(type_label, rank, affine)
+    e = ExtAffineWeylElement.identity(ambient)
+    searched = 0
+    for k in range(3):
+        for sigma in combinations(ambient.labels, k):
+            if not is_admissible(ambient, sigma)[0]:
+                continue
+            system = relative_system(ambient, sigma)
+            ball = relative.relative_ball(system, 4)
+            bfs = closure(e, system.simples.values(), 4)
+            assert list(ball.items()) == list(bfs.items())
+            searched += 1
+    assert searched >= 3
+
+
+@pytest.mark.parametrize("type_label,rank,affine", SEARCHED_SYSTEMS)
+def test_parabolic_search_against_the_generic_closure(type_label, rank, affine):
+    ambient = oracle_system(type_label, rank, affine)
+    e = ExtAffineWeylElement.identity(ambient)
+    for k in range(len(ambient.labels) + 1):
+        for sigma in combinations(ambient.labels, k):
+            p = ParabolicSubset(ambient, sigma)
+            if p.is_finite():
+                assert p.elements() == frozenset(closure(e, sigma, step=simple_mul))
+
+
+# (type, rank, affine) of the systems whose point stabilizers are checked
+STABILIZED_SYSTEMS = [
+    ("A", 2, True), ("C", 2, True), ("G", 2, True), ("B", 3, True), ("B", 2, False),
+]
+
+
+@pytest.mark.parametrize("type_label,rank,affine", STABILIZED_SYSTEMS)
+def test_stabilizer_group_against_the_generic_closure(type_label, rank, affine):
+    # y W_J y^-1 is the closure of the reflections through x: at the alcove
+    # vertices (the origin and the ray points of a finite chamber), at the
+    # interior point of every face, and at their images under a radius-2 ball
+    ambient = oracle_system(type_label, rank, affine)
+    e = ExtAffineWeylElement.identity(ambient)
+    points = list(ambient.alcove_vertices().values())
+    points.append(tuple(Fraction(0) for _ in range(rank)))
+    points += [ambient.facet_interior_point(t) for t in proper_types(ambient)]
+    points += [g.act_point(x) for g in enumerate_ball(ambient, 2) for x in points]
+    sizes = set()
+    for x in points:
+        roots = cx._roots_through(ambient, x)
+        reflections = [ExtAffineWeylElement.reflection(ambient, a) for a in roots]
+        group = cx.stabilizer_group(ambient, x)
+        assert group == frozenset(closure(e, reflections))
+        assert all(g.act_point(x) == x for g in group)
+        sizes.add(len(group))
+    assert 1 in sizes and len(sizes) >= 3
+
+
+def test_stabilizer_walk_is_bounded(aff_a2, monkeypatch):
+    # the origin's translate by 2 theta-check lies across 1 + 1 + 3 walls,
+    # within the bound 3 + 3 + 5 of floor(|<alpha, x>|) + 1 per positive
+    # root; a reflection that never moves the point walks on until it raises
+    x = (Fraction(2), Fraction(2))
+    assert len(cx.stabilizer_group(aff_a2, x)) == 6
+    monkeypatch.setattr(ExtAffineWeylElement, "act_numerators", lambda g, nums, den: nums)
+    with pytest.raises(RuntimeError, match="past 11 reflections"):
+        cx.stabilizer_group(aff_a2, x)
 
 
 def test_length_ball_search_hits_the_cap(aff_a1, monkeypatch):

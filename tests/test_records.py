@@ -305,6 +305,26 @@ def test_equality_across_systems():
     assert a2 == dd.StandardModule(dd.DdahaAlgebra(AFF, PARAMS), lam0, 1, (E,))
 
 
+def test_equal_elements_share_their_finite_part_record():
+    # elements compare their finite parts by record identity, which decides
+    # matrix equality because `_intern` keeps one record per matrix: the
+    # public constructor, given a kernel element's (mu, matrix) as lists of
+    # Fractions, builds an element on the kernel's record, equal to it
+    g = weyl.mul_simple(weyl.simple_mul(0, ExtAffineWeylElement.simple(AFF, 1)), 2)
+    h = ExtAffineWeylElement(AFF, list(map(Fraction, g.mu)), [list(r) for r in g.matrix])
+    assert h.fin is g.fin and h == g and hash(h) == hash(g)
+    # the same (mu, matrix) over another system shares the record but not
+    # the value
+    c2 = ExtAffineWeylElement(AFF_C2, g.mu, g.matrix)
+    assert c2.fin is g.fin and c2 != g and hash(c2) == hash(g)
+    # the same mu on another record is another element
+    assert ExtAffineWeylElement(AFF, g.mu, I2) != g
+    one = ExtAffineWeylElement(AFF, (0, 0), I2)
+    assert one.fin is weyl._identity(2) and one.is_identity() and one == E
+    assert not ExtAffineWeylElement(AFF, (1, 0), I2).is_identity()
+    assert not g.is_identity() and not ExtAffineWeylElement.simple(AFF, 1).is_identity()
+
+
 # the classes a command reaches on every op keep their own inline equality and
 # hash; every other record takes both from Record through its _key()
 HOT = {ExtAffineWeylElement, AffineRoot, cx.Facet, dd.DdahaElement}

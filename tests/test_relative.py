@@ -17,6 +17,7 @@ from weylkit.weyl import (
     enumerate_ball,
     has_left_descent,
     length,
+    length_ball,
     min_coset_rep,
     reflection_root_of,
     reflections_T,
@@ -50,10 +51,10 @@ def test_finiteness_by_gradients(aff_c2):
 
 
 def test_elements_of_an_infinite_parabolic_raise_at_once(monkeypatch):
-    def no_closure(*args, **kwargs):
-        raise AssertionError("closure run on an infinite parabolic")
+    def no_search(*args, **kwargs):
+        raise AssertionError("search run on an infinite parabolic")
 
-    monkeypatch.setattr(rel, "closure", no_closure)
+    monkeypatch.setattr(rel, "length_ball", no_search)
     with pytest.raises(rel.NotFinite):
         rel.ParabolicSubset(affinize(build_finite("A", 2)), {0, 1, 2}).elements()
 
@@ -76,6 +77,33 @@ def test_longest_element_climb_is_bounded(aff_c2, monkeypatch):
     with pytest.raises(RuntimeError, match=r"past \|R\+\| = 4 steps"):
         p.longest_element()
     assert p._longest is None
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [
+        affinize(build_finite("A", 3)),
+        affinize(build_finite("C", 3)),
+        affinize(build_finite("G", 2)),
+        finite_coxeter(build_finite("B", 3)),
+    ],
+    ids=["affine A3", "affine C3", "affine G2", "finite B3"],
+)
+def test_longest_element_is_the_last_of_the_search(ambient):
+    # w0^Sigma, climbed from w0 of Sigma minus its largest label, is the one
+    # longest element of W_Sigma: the last key of the breadth-first search
+    # over Sigma, whose order is by length
+    labels = ambient.labels
+    for k in range(len(labels) + 1):
+        for sigma in combinations(labels, k):
+            p = rel.ParabolicSubset(ambient, sigma)
+            if not p.is_finite():
+                continue
+            lengths = length_ball(ambient, None, sigma)[0]
+            *_, last = lengths
+            assert p.longest_element() == last
+            assert length(last) == lengths[last] == len(p.reflections())
+            assert sum(d == lengths[last] for d in lengths.values()) == 1
 
 
 def test_parabolic_reflections(fin_b2):
