@@ -431,7 +431,7 @@ def _coordinate_forms(ambient: AffineRootSystem, label: int, units: tuple) -> tu
     4.1), so s_a(x_i) = x_i - gamma_check_i (<gamma, x> + level) and k_i is
     the i-th coweight coordinate of the coroot.  The terms are (monomial
     key, integer) pairs, from units, the keys of the coordinates."""
-    gamma, corovec, level, _ = _wall(ambient, label)
+    gamma, corovec, level = _wall(ambient, label)[:3]
     units = (*units, 0)
     forms = []
     for i, k in enumerate(corovec):

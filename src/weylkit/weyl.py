@@ -23,6 +23,11 @@ update: s acts on functionals by I - gamma gamma_check^T and on points by
 I - gamma_check gamma^T (Humphreys, Reflection Groups and Coxeter Groups,
 1.1 and 4.1), so `mul_simple` (g s) and `simple_mul` (s g) change each row
 of m and of P by one multiple of a fixed vector, with no matrix product.
+In the library's coordinates the wall of every label l >= 1 is the
+coordinate hyperplane of alpha_l = e_j, j = l - 1, at level 0; there the
+kernels read coordinate j where they would pair a vector with gamma: s g
+shifts the translation by mu_j, and g s takes each row r of m to r - r_j
+gamma_check and changes P in column j only.  Only a_0 = 1 - theta pairs.
 Each record links to its neighbours under the walls it has been multiplied
 by, on either side, so a finite part is updated once per wall and side; the
 translation then takes one vector step, read off the link on the right.
@@ -35,9 +40,12 @@ The inversions of an element are read in closed form over the positive
 roots (Iwahori-Matsumoto): those on alpha and -alpha together form one range,
 which the length counts and T(w) lists; a finite system is the case mu = 0,
 with no branch of its own.  Word and descent algorithms reduce to the sign
-of one affine root image.  All coordinates of a root have one sign, so that
-sign is the sign of its height, the sum of its coordinates: the height of
-m alpha is alpha paired with the column sums of m, and no image is formed.
+of the image of a simple root a = gamma + k under g or g^-1: a nonzero
+level decides, and all coordinates of a root have one sign, so at level 0
+the sign is that of its height, the sum of its coordinates.  On the left
+neither g^-1 nor the image is formed (`has_left_descent`).  At a coordinate
+wall gamma = e_j both sides read coordinate j of mu, of m and of the sums
+kept on the record, and only the right descent at a_0 forms the image.
 The length and T(w) pair every positive root with a vector along the chain
 that raised the roots (`FiniteRootSystem.raising`): alpha = beta + c alpha_i
 gives <alpha, v> = <beta, v> + c v_i, one multiply-add per root
@@ -164,12 +172,14 @@ def _is_negative(grad: IntVec, level: int) -> bool:
 
 class _SystemData:
     """Group data built once per ambient system: the simple reflections by
-    label, the wall (gamma, integer coroot, level, wall id) of each label,
-    the positive roots in closure order with the chain that raised them
-    (`FiniteRootSystem.raising`, read by `_root_pairings`) and whether only
-    odd levels of each are affine roots (alpha in 2Q_R), and the integer
-    coroots of the roots, each filled in on first use from the integer
-    matrix 6G (`FiniteRootSystem.gram6`)."""
+    label, the wall (gamma, integer coroot, level, wall id, coordinate) of
+    each label, the positive roots in closure order with the chain that
+    raised them (`FiniteRootSystem.raising`, read by `_root_pairings`) and
+    whether only odd levels of each are affine roots (alpha in 2Q_R), and
+    the integer coroots of the roots, each filled in on first use from the
+    integer matrix 6G (`FiniteRootSystem.gram6`).  The coordinate of a wall
+    is the j with gamma = e_j at level 0, a simple root of the finite system
+    (label l >= 1 has j = l - 1), and None for a_0 = 1 - theta."""
 
     def __init__(self, ambient: AffineRootSystem):
         finite = ambient.finite_base
@@ -179,7 +189,8 @@ class _SystemData:
         for l, a in zip(ambient.labels, ambient.simples):
             gamma, corovec = a.direction, self.coroot(a.direction)
             wall = _wall_ids.setdefault((gamma, corovec), len(_wall_ids))
-            self.walls[l] = (gamma, corovec, a.level, wall)
+            j = gamma.index(1) if a.level == 0 and sum(map(abs, gamma)) == 1 else None
+            self.walls[l] = (gamma, corovec, a.level, wall, j)
         self.simples = {
             l: _reflection(ambient, a, self.walls[l][1])
             for l, a in zip(ambient.labels, ambient.simples)
@@ -378,11 +389,13 @@ def _reflection(
     return _element(ambient, tuple(-a.level * c for c in corovec), _intern(rows, transpose, rows))
 
 
-def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int, int]:
-    """(gamma, integer coroot, level k, wall id) of the simple wall a =
-    gamma + k, read off the ambient's group data in one lookup: the kernels
-    call this once per step, so `_system_data` builds that data only when
-    the ambient has none yet."""
+def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int, int, int | None]:
+    """(gamma, integer coroot, level k, wall id, coordinate j) of the simple
+    wall a = gamma + k, read off the ambient's group data in one lookup: the
+    kernels call this once per step, so `_system_data` builds that data only
+    when the ambient has none yet.  j is None unless a = e_j (see
+    `_SystemData`); the kernels read coordinate j of a vector in place of
+    pairing it with gamma."""
     try:
         walls = ambient._group_data.walls
     except AttributeError:
@@ -402,6 +415,16 @@ def _times_reflector(rows: IntMat, a: IntVec, b: IntVec) -> IntMat:
     return tuple(out)
 
 
+def _times_coordinate_reflector(rows: IntMat, j: int, b: IntVec) -> IntMat:
+    """rows (I - e_j b^T): each row r becomes r - r_j b."""
+    return tuple([tuple([x - r[j] * y for x, y in zip(r, b)]) if r[j] else r for r in rows])
+
+
+def _minus_in_column(rows: IntMat, j: int, v: IntVec) -> IntMat:
+    """rows - v e_j^T: entry j of row i less v_i, the other columns kept."""
+    return tuple([r[:j] + (r[j] - c,) + r[j + 1 :] if c else r for r, c in zip(rows, v)])
+
+
 def _reflector_times(a: IntVec, b: IntVec, rows: IntMat) -> IntMat:
     """(I - a b^T) rows: row i becomes r_i - a_i (b^T rows)."""
     v = [0] * len(rows[0])
@@ -415,16 +438,19 @@ def mul_simple(g: ExtAffineWeylElement, label: int) -> ExtAffineWeylElement:
     """g s_label, for the wall a = gamma + k: mu - k P gamma_check, m (I -
     gamma gamma_check^T) and P (I - gamma_check gamma^T), the finite part and
     P gamma_check formed once per record and wall, then read off its right
-    link."""
-    gamma, corovec, k, wall = _wall(g.ambient, label)
+    link.  At a coordinate wall gamma = e_j (k = 0): row r of m becomes r -
+    r_j gamma_check, and P changes in column j only, by P gamma_check."""
+    gamma, corovec, k, wall, j = _wall(g.ambient, label)
     fin = g.fin
     link = fin.right.get(wall)
     if link is None:
         m, p = fin.m, fin.p
-        link = fin.right[wall] = (
-            _intern(_times_reflector(m, gamma, corovec), _times_reflector, p, corovec, gamma),
-            _mat_vec(p, corovec),
-        )
+        pc = _mat_vec(p, corovec)
+        if j is None:
+            rec = _intern(_times_reflector(m, gamma, corovec), _times_reflector, p, corovec, gamma)
+        else:
+            rec = _intern(_times_coordinate_reflector(m, j, corovec), _minus_in_column, p, j, pc)
+        link = fin.right[wall] = (rec, pc)
     fin, pc = link
     mu = g.mu
     if k:
@@ -436,10 +462,10 @@ def simple_mul(label: int, g: ExtAffineWeylElement) -> ExtAffineWeylElement:
     """s_label g, for the wall a = gamma + k: mu - (<gamma, mu> + k)
     gamma_check, (I - gamma gamma_check^T) m and (I - gamma_check gamma^T) P,
     the finite part formed once per record and wall, then read off its left
-    link."""
-    gamma, corovec, k, wall = _wall(g.ambient, label)
+    link.  At a coordinate wall gamma = e_j, <gamma, mu> + k is mu_j."""
+    gamma, corovec, k, wall, j = _wall(g.ambient, label)
     mu = g.mu
-    c = sum(map(mul, gamma, mu)) + k
+    c = mu[j] if j is not None else sum(map(mul, gamma, mu)) + k
     if c:
         mu = tuple([a - c * y for a, y in zip(mu, corovec)])
     left = g.fin.left
@@ -497,18 +523,28 @@ def has_left_descent(g: ExtAffineWeylElement, label: int) -> bool:
     """Whether g^-1(a_label) is negative.  g^-1 = (-m^T mu, P^T) maps the
     affine root (d, k) to (P^T d, k + <d, mu>), as P m^T = I, so neither g^-1
     nor its translation is formed.  A nonzero level decides; at level 0 the
-    root P^T d has the height <d, row sums of P>, kept on the record."""
-    d, _, k, _ = _wall(g.ambient, label)
-    level = k + sum(map(mul, d, g.mu))
-    if level:
-        return level < 0
-    return sum(map(mul, d, g.fin.p_sums)) < 0
+    root P^T d has the height <d, row sums of P>, kept on the record.  At a
+    coordinate wall d = e_j (k = 0) both pairings read coordinate j: the
+    level is mu_j, and the height the sum of row j of P."""
+    d, _, k, _, j = _wall(g.ambient, label)
+    if j is None:
+        level = k + sum(map(mul, d, g.mu))
+        return level < 0 if level else sum(map(mul, d, g.fin.p_sums)) < 0
+    level = g.mu[j]
+    return level < 0 if level else g.fin.p_sums[j] < 0
 
 
 def has_right_descent(g: ExtAffineWeylElement, label: int) -> bool:
-    """Whether g(a_label) is negative."""
-    d, _, k, _ = _wall(g.ambient, label)
-    return _is_negative(*_image(g.fin.m, g.mu, d, k))
+    """Whether g(a_label) is negative.  At a coordinate wall a = e_j the
+    image is column j of m at the level -<column j, mu>, and at level 0 its
+    height is the sum of column j, kept on the record, so no image is
+    formed; a_0 takes the image."""
+    d, _, k, _, j = _wall(g.ambient, label)
+    if j is None:
+        return _is_negative(*_image(g.fin.m, g.mu, d, k))
+    fin = g.fin
+    c = sum([row[j] * a for row, a in zip(fin.m, g.mu)])
+    return c > 0 if c else fin.heights[j] < 0
 
 
 # ---------------------------------------------------------------------------

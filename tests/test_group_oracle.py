@@ -5,7 +5,9 @@ the extended affine Weyl group of type A_{n-1} acts on Z by the bijections v
 with v(i + n) = v(i) + n (8.3), and the affine Weyl group of type C_n by the
 bijections u with u(i + N) = u(i) + N and u(-i) = -u(i), N = 2n + 1 (8.4).
 Both are stored as their windows (v(1), ..., v(n)); lengths, descents and
-products are read off the window, with no matrix and no root.  In type A,
+products are read off the window, with no matrix and no root.  So are the
+finite groups of types B_n, as the signed permutations of [n] (8.1), and
+D_n, as the even ones (8.2).  In type A,
 s_i swaps the window positions i and i + 1, s_0 swaps positions 0 and 1
 across the period, and the shift i -> i + 1 has length 0.  In type C, s_0
 swaps 1 and -1, s_i swaps i and i + 1 for 0 < i < n, and s_n swaps n and
@@ -17,6 +19,7 @@ reduced words come from a breadth-first search over the generators, so the
 oracle for `bruhat_leq` uses only products, on every type.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -26,6 +29,7 @@ from weylkit.root_system import affinize, build_finite, finite_coxeter
 from weylkit.weyl import (
     DifferentComponents,
     ExtAffineWeylElement,
+    ReducedWord,
     automorphism_part,
     bruhat_leq,
     has_left_descent,
@@ -41,7 +45,7 @@ from weylkit.weyl import (
 
 
 class _AffinePermutations:
-    """The window calculus shared by both types: a subclass gives the value
+    """The window calculus shared by every type: a subclass gives the value
     v(i) off the window, the inverse window, the generators and the length
     formula; descents are the i in `labels` with v(i) > v(i + 1)."""
 
@@ -163,6 +167,61 @@ class _TypeC(_AffinePermutations):
         length."""
         moved = sum(x != i for i, x in enumerate(u, 1))
         return self.compose(u, u) == self.one and moved in (1, 2) and self.length(u) % 2
+
+
+class _TypeB(_AffinePermutations):
+    """Finite B_n as the signed permutations of [n] (Bjorner-Brenti 8.1):
+    v(-i) = -v(i).  s_0 negates v(1) and s_i swaps i and i + 1; a descent
+    at 0 is v(1) < 0, as v(0) = 0."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.labels = range(n)
+
+    def value(self, v, i):
+        return v[i - 1] if i > 0 else -v[-i - 1] if i < 0 else 0
+
+    def inverse(self, v):
+        out = [0] * self.n
+        for j, x in enumerate(v, 1):
+            out[abs(x) - 1] = j if x > 0 else -j
+        return tuple(out)
+
+    def generator(self, i):
+        window = list(self.one)
+        if i == 0:
+            window[0] = -1
+        else:
+            window[i - 1], window[i] = window[i], window[i - 1]
+        return tuple(window)
+
+    def length(self, v):
+        """inv(v) plus the pairs i <= j with v(i) + v(j) < 0 (Proposition
+        8.1.1)."""
+        n = self.n
+        inv = sum(v[i] > v[j] for i, j in combinations(range(n), 2))
+        return inv + sum(v[i] + v[j] < 0 for i, j in combinations_with_replacement(range(n), 2))
+
+
+class _TypeD(_TypeB):
+    """Finite D_n as the even signed permutations (Bjorner-Brenti 8.2): s_0
+    sends 1 to -2 and 2 to -1, and has a descent where v(1) + v(2) < 0."""
+
+    def generator(self, i):
+        if i:
+            return super().generator(i)
+        return (-2, -1) + self.one[2:]
+
+    def right_descents(self, v):
+        rest = {i for i in self.labels if i and v[i - 1] > v[i]}
+        return rest | {0} if v[0] + v[1] < 0 else rest
+
+    def length(self, v):
+        """inv(v) plus the pairs i < j with v(i) + v(j) < 0 (Proposition
+        8.2.1)."""
+        return sum(
+            (v[i] > v[j]) + (v[i] + v[j] < 0) for i, j in combinations(range(self.n), 2)
+        )
 
 
 def _order(mul, g, one, cap=12):
@@ -345,6 +404,65 @@ def test_shift_has_length_zero_and_rotates_the_labels(case):
     # rho generates the length-0 group P^v / Q^v, cyclic of order n; the
     # model's tau^n is the central i -> i + n, which the group does not see
     assert _order(lambda a, b: a * b, rho, ExtAffineWeylElement.identity(ambient)) == n
+
+
+# ---------------------------------------------------------------------------
+# Signed permutations: finite B_n and D_n on random long words
+# ---------------------------------------------------------------------------
+
+# (type, rank) of the finite system; weylkit's label l is the model's n - l
+SIGNED_CASES = [("B", 3), ("B", 4), ("D", 4), ("D", 5)]
+
+
+@lru_cache(maxsize=None)
+def _signed_model(case):
+    """(ambient, perms, labels): the finite system, its model and the map
+    from weylkit's labels to the model's."""
+    type_label, rank = case
+    ambient = finite_coxeter(build_finite(type_label, rank))
+    perms = _TypeB(rank) if type_label == "B" else _TypeD(rank)
+    return ambient, perms, {l: rank - l for l in ambient.labels}
+
+
+signed_cases = pytest.mark.parametrize("case", SIGNED_CASES, ids=lambda c: f"{c[0]}{c[1]}")
+
+
+@signed_cases
+def test_signed_label_map_keeps_the_coxeter_matrix(case):
+    ambient, perms, labels = _signed_model(case)
+    one = ExtAffineWeylElement.identity(ambient)
+    assert sorted(labels.values()) == list(perms.labels)
+    for l, k in combinations_with_replacement(ambient.labels, 2):
+        s, t = ExtAffineWeylElement.simple(ambient, l), ExtAffineWeylElement.simple(ambient, k)
+        u = perms.compose(perms.generator(labels[l]), perms.generator(labels[k]))
+        assert _order(lambda a, b: a * b, s * t, one) == _order(perms.compose, u, perms.one)
+
+
+@signed_cases
+def test_random_words_against_the_signed_permutations(case):
+    """g and h from random words of 20-40 letters, with g h and g^-1: each
+    has the model's length and both descent sets, and its reduced word
+    evaluates back to it and, mapped to the model, to the model's
+    element; so `__mul__` and `inverse` are composition and inversion."""
+    ambient, perms, labels = _signed_model(case)
+    rng = random.Random(f"signed-{case}")
+    one = ExtAffineWeylElement.identity(ambient)
+
+    def random_word():
+        letters = rng.choices(ambient.labels, k=rng.randint(20, 40))
+        v = perms.word(perms.one, [labels[l] for l in letters])
+        return ReducedWord(ambient, one, tuple(letters)).evaluate(), v
+
+    for _ in range(15):
+        (g, v), (h, u) = random_word(), random_word()
+        for x, w in ((g, v), (g * h, perms.compose(v, u)), (g.inverse(), perms.inverse(v))):
+            assert length(x) == perms.length(w), w
+            left = {labels[l] for l in ambient.labels if has_left_descent(x, l)}
+            right = {labels[l] for l in ambient.labels if has_right_descent(x, l)}
+            assert left == perms.left_descents(w) and right == perms.right_descents(w), w
+            word = reduced_word(x)
+            assert word.pi.is_identity() and word.evaluate() == x
+            assert perms.word(perms.one, [labels[l] for l in word.letters]) == w, w
 
 
 # ---------------------------------------------------------------------------

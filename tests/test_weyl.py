@@ -480,10 +480,11 @@ def test_every_legal_system_is_covered():
     assert len(LEGAL_SYSTEMS) == 80
 
 
-@pytest.mark.parametrize(
-    "ambient", LEGAL_SYSTEMS,
-    ids=lambda a: f"{a.finite_base.type_label}{a.rank}-{'affine' if a.affine else 'finite'}",
-)
+def _system_id(ambient):
+    return f"{ambient.finite_base.type_label}{ambient.rank}-{'affine' if ambient.affine else 'finite'}"
+
+
+@pytest.mark.parametrize("ambient", LEGAL_SYSTEMS, ids=_system_id)
 def test_length_and_T_along_the_chain_match_the_dot_products(ambient):
     # random words, and in an affine system each word times X^{omega_1} as
     # well, which leaves W_S wherever omega_1 is not in Q^v: BC_n's 2Q_R
@@ -500,6 +501,67 @@ def test_length_and_T_along_the_chain_match_the_dot_products(ambient):
             h = g * x if x else g
             assert length(h) == _length_by_dot_products(h)
             assert reflections_T(h) == _reflections_T_by_dot_products(h)
+
+
+def _sweep_elements(ambient, rng):
+    """About 10 random words of 10-30 letters, multiplied out by the general
+    product (which no wall kernel reaches), and in an affine system each of
+    them times X^{omega_1} as well."""
+    shift = None
+    if ambient.affine:
+        shift = ExtAffineWeylElement.translation(ambient, (1,) + (0,) * (ambient.rank - 1))
+    one = ExtAffineWeylElement.identity(ambient)
+    for _ in range(10):
+        g = one
+        for _ in range(rng.randint(10, 30)):
+            g = g * s(ambient, rng.choice(ambient.labels))
+        yield g
+        if shift is not None:
+            yield g * shift
+
+
+@pytest.mark.parametrize("ambient", LEGAL_SYSTEMS, ids=_system_id)
+def test_wall_kernels_match_the_root_images(ambient, monkeypatch):
+    """The four wall kernels against what they replaced, at every wall of
+    every legal system: the coordinate walls are exactly the labels 1..n,
+    a = e_{l-1} at level 0; each descent test is the sign of the simple
+    root's image under g^-1 or g (`_image` with `_is_negative`, as the
+    kernels read it before the coordinate walls); and g s_l and s_l g from
+    the rank-one kernels are the general products, each formed from a fresh
+    record of g's in a table that holds only that record, so the kernel
+    forms the product's point matrix itself, and it satisfies P m^T = I."""
+    labels = ambient.labels
+    coordinates = {l: weyl._wall(ambient, l)[4] for l in labels}
+    assert coordinates == {l: (l - 1 if l else None) for l in labels}
+    assert sorted(l for l in labels if l) == list(range(1, ambient.rank + 1))
+    recorded = weyl._finite_parts
+    eye = [[int(i == j) for j in labels if j] for i in labels if i]
+    rng = random.Random(f"walls-{_system_id(ambient)}")
+    for g in _sweep_elements(ambient, rng):
+        g_inv = g.inverse()
+        for l, a in zip(labels, ambient.simples):
+            image = weyl._image(g_inv.matrix, g_inv.mu, a.direction, a.level)
+            assert has_left_descent(g, l) == weyl._is_negative(*image), (g, l)
+            image = weyl._image(g.matrix, g.mu, a.direction, a.level)
+            assert has_right_descent(g, l) == weyl._is_negative(*image), (g, l)
+            products = [g * s(ambient, l), s(ambient, l) * g]
+            got = []
+            for kernel in (mul_simple, lambda x, l: simple_mul(l, x)):
+                fresh = _FinitePart(g.matrix, g.fin.p)
+                monkeypatch.setattr(weyl, "_finite_parts", {g.matrix: fresh})
+                h = kernel(_element(ambient, g.mu, fresh), l)
+                p, m = h.fin.p, h.matrix
+                assert [[sum(map(mul, r, q)) for q in m] for r in p] == eye, (g, l)
+                got.append((h.mu, h.matrix))
+            monkeypatch.setattr(weyl, "_finite_parts", recorded)
+            assert got == [(h.mu, h.matrix) for h in products], (g, l)
+
+
+def test_the_wall_sweep_covers_every_legal_system():
+    # one case per legal (type, rank), affine and finite, each with its own id
+    ids = {_system_id(a) for a in LEGAL_SYSTEMS}
+    assert len(ids) == len(LEGAL_SYSTEMS) == 80
+    assert sum(a.affine for a in LEGAL_SYSTEMS) == 40
 
 
 def _is_point_matrix_of(p, m):
@@ -831,6 +893,41 @@ def test_kernels_reject_an_unknown_label(aff_a2, monkeypatch):
     monkeypatch.delattr(aff_a2, "_group_data", raising=False)
     assert has_left_descent(mul_simple(e, 1), 1)
     assert simple_mul(2, e) == ExtAffineWeylElement.simple(aff_a2, 2)
+
+
+def test_strips_form_no_root_image_at_a_coordinate_wall(monkeypatch):
+    # the descent tests of a strip read the wall's coordinate, so only a_0
+    # reaches `_image`: min_coset_rep's right strip of finite B4, whose
+    # walls are all coordinate walls, and reduced_word of affine E6 form no
+    # image; the right strip of affine E6 forms images of a_0 alone
+    directions = []
+
+    def counted(matrix, mu, direction, level, _image=weyl._image):
+        directions.append(direction)
+        return _image(matrix, mu, direction, level)
+
+    rng = random.Random(47)
+
+    def words(ambient):
+        one = ExtAffineWeylElement.identity(ambient)
+        return [
+            ReducedWord(ambient, one, tuple(rng.choices(ambient.labels, k=24))).evaluate()
+            for _ in range(5)
+        ]
+
+    fin_b4 = finite_coxeter(build_finite("B", 4))
+    aff_e6 = affinize(build_finite("E", 6))
+    b4, e6 = words(fin_b4), words(aff_e6)
+    monkeypatch.setattr(weyl, "_image", counted)
+    for g in b4:
+        assert min_coset_rep(g, fin_b4.labels, "right").is_identity()
+    for g in e6:
+        assert reduced_word(g).evaluate() == g
+    assert directions == []
+    for g in e6:
+        assert min_coset_rep(g, aff_e6.labels, "right").is_identity()
+    a0 = aff_e6.simple_by_label(0)
+    assert directions and set(directions) == {a0.direction}
 
 
 @pytest.mark.parametrize(
