@@ -5,13 +5,12 @@ the extended affine Weyl group of type A_{n-1} acts on Z by the bijections v
 with v(i + n) = v(i) + n (8.3), and the affine Weyl group of type C_n by the
 bijections u with u(i + N) = u(i) + N and u(-i) = -u(i), N = 2n + 1 (8.4).
 Both are stored as their windows (v(1), ..., v(n)); lengths, descents and
-products are read off the window, with no matrix and no root.  So are the
-finite groups of types B_n, as the signed permutations of [n] (8.1), and
-D_n, as the even ones (8.2).  In type A,
+products are read off the window, with no matrix and no root.  In type A,
 s_i swaps the window positions i and i + 1, s_0 swaps positions 0 and 1
 across the period, and the shift i -> i + 1 has length 0.  In type C, s_0
 swaps 1 and -1, s_i swaps i and i + 1 for 0 < i < n, and s_n swaps n and
-n + 1.
+n + 1.  The finite groups of types B_n and D_n are read off windows too,
+as the signed permutations of [n] (8.1) and the even ones (8.2).
 
 The subword property (Bjorner-Brenti, Theorem 2.2.2): u <= w in the Bruhat
 order exactly when some subword of a reduced word of w evaluates to u.  The

@@ -525,8 +525,8 @@ def test_wall_kernels_match_the_root_images(ambient, monkeypatch):
     """The four wall kernels against what they replaced, at every wall of
     every legal system: the coordinate walls are exactly the labels 1..n,
     a = e_{l-1} at level 0; each descent test is the sign of the simple
-    root's image under g^-1 or g (`_image` with `_is_negative`, as the
-    kernels read it before the coordinate walls); and g s_l and s_l g from
+    root's image under g^-1 or g (`_image` with `_is_negative`, the general
+    formula, which a_0 keeps); and g s_l and s_l g from
     the rank-one kernels are the general products, each formed from a fresh
     record of g's in a table that holds only that record, so the kernel
     forms the product's point matrix itself, and it satisfies P m^T = I."""
@@ -558,10 +558,11 @@ def test_wall_kernels_match_the_root_images(ambient, monkeypatch):
 
 
 def test_the_wall_sweep_covers_every_legal_system():
-    # one case per legal (type, rank), affine and finite, each with its own id
-    ids = {_system_id(a) for a in LEGAL_SYSTEMS}
-    assert len(ids) == len(LEGAL_SYSTEMS) == 80
-    assert sum(a.affine for a in LEGAL_SYSTEMS) == 40
+    # the sweep runs one case per legal (type, rank), affine and finite
+    (mark,) = test_wall_kernels_match_the_root_images.pytestmark
+    systems = mark.args[1]
+    assert len({_system_id(a) for a in systems}) == 80
+    assert sum(a.affine for a in systems) == 40
 
 
 def _is_point_matrix_of(p, m):
