@@ -49,6 +49,15 @@ class ConfigError(ValueError):
     pass
 
 
+class WindowTooWide(RuntimeError):
+    pass
+
+
+# the most degrees a spiral table walks: far above every window a table needs
+# (the goldens read at most 7), and refused before any row is built
+WINDOW_CAP = 10**5
+
+
 DEFAULTS = {
     "type": "A",
     "rank": 1,
@@ -484,8 +493,10 @@ def cmd_complex(args, config, ambient) -> tuple[int, str]:
 
 
 def _spiral_rows(spiral, window):
-    rows = []
     lo, hi = window
+    if hi - lo >= WINDOW_CAP:
+        raise WindowTooWide(f"a window of {hi - lo + 1} degrees exceeds the cap of {WINDOW_CAP}")
+    rows = []
     for n in range(lo, hi + 1):
         for kind, members in (
             ("P", spiral.p_n(n)),
@@ -925,7 +936,9 @@ def main(argv=None) -> int:
     ) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    except (BallTooLarge, rel.NotFinite, dd.PowerTooLarge, dd.CoefficientTooLarge) as exc:
+    except (
+        BallTooLarge, WindowTooWide, rel.NotFinite, dd.PowerTooLarge, dd.CoefficientTooLarge
+    ) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
     sys.stdout.write(text)

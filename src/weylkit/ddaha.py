@@ -72,14 +72,7 @@ from operator import mul
 from .linalg import numerators
 from .poly import Poly, divide_linear, weyl_action
 from .root_system import AffineRootSystem, Record
-from .weyl import (
-    ExtAffineWeylElement,
-    _wall,
-    enumerate_ball,
-    length,
-    mul_simple,
-    reduced_word,
-)
+from .weyl import ExtAffineWeylElement, enumerate_ball, length, mul_simple, reduced_word
 
 
 class InvalidParameters(ValueError):
@@ -243,9 +236,9 @@ class DdahaAlgebra(Record):
 def _group_table(ambient: AffineRootSystem) -> tuple[dict, list]:
     """The intern table of the group parts over ambient: the dict g -> id
     and the list id -> g, with id 0 the identity.  It is built on first use
-    and kept on the ambient object, as its group data is (see
-    `weyl._system_data`), so every algebra over one system reads one table
-    and an id means one g in every element that `+`, `-`, `==` and
+    and kept on the ambient object, as its walls are
+    (`AffineRootSystem.walls`), so every algebra over one system reads one
+    table and an id means one g in every element that `+`, `-`, `==` and
     `multiply` combine; `+` and `multiply` refuse elements over two
     systems."""
     table = getattr(ambient, "_ddaha_group_ids", None)
@@ -263,7 +256,7 @@ _ORDER_OF_CARTAN_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 def _finite_order_pairs(ambient: AffineRootSystem):
     """(s, t, order of s_s s_t) for the label pairs s < t whose product has
     finite order: exactly those whose parabolic W_{s,t} is finite."""
-    walls = {l: _wall(ambient, l)[:2] for l in ambient.labels}  # (gamma, integer coroot)
+    walls = {l: wall[:2] for l, wall in ambient.walls.items()}  # (gamma, integer coroot)
     for s, t in combinations(sorted(walls), 2):
         if ambient.parabolic_is_finite((s, t)):
             (a, a_check), (b, b_check) = walls[s], walls[t]
@@ -431,7 +424,7 @@ def _coordinate_forms(ambient: AffineRootSystem, label: int, units: tuple) -> tu
     4.1), so s_a(x_i) = x_i - gamma_check_i (<gamma, x> + level) and k_i is
     the i-th coweight coordinate of the coroot.  The terms are (monomial
     key, integer) pairs, from units, the keys of the coordinates."""
-    gamma, corovec, level = _wall(ambient, label)[:3]
+    gamma, corovec, level = ambient.walls[label][:3]
     units = (*units, 0)
     forms = []
     for i, k in enumerate(corovec):

@@ -1,6 +1,8 @@
 """Finite and affine root systems: exact root data, affine roots and the
 fundamental alcove.  Reflections, and the group action on points and on
-affine roots, are integer operations of `weyl`.
+affine roots, are integer operations of `weyl`; the root data they read (the
+simple walls, the integer coroots and the 2Q_R flags of the positive roots)
+are kept here, each built on first use.
 
 The root data of a finite system are read off its Dynkin diagram, with no
 realisation in an orthonormal basis: the bonds and the short simple roots
@@ -10,7 +12,8 @@ matrix, and the positive roots are raised by height from the simple roots
 reflections.  The closure records each raising step, so that the group
 kernel pairs every positive root with a vector by one multiply-add per root
 (`FiniteRootSystem.raising`).  Past the Gram matrix, which is kept as
-Fractions, all of this is integer arithmetic on 6G, whose entries are ints.
+Fractions, all of this is integer arithmetic on 6G, whose entries are ints;
+so are the coroots (`FiniteRootSystem.coroot`).
 
 Coordinate conventions, fixed once for the whole library:
 
@@ -107,6 +110,7 @@ class FiniteRootSystem(Record):
     def __init__(self, type_label: str, rank: int, cartan_matrix, gram_matrix: Mat, roots):
         self.type_label, self.rank, self.cartan_matrix = type_label, rank, cartan_matrix
         self.gram_matrix, self.roots, self._root_set = gram_matrix, roots, frozenset(roots)
+        self._coroots = {}  # root -> its integer coroot (`coroot`)
 
     def _key(self) -> tuple:
         return self.type_label, self.rank, self.cartan_matrix, self.gram_matrix, self.roots
@@ -145,8 +149,35 @@ class FiniteRootSystem(Record):
         return _positive_roots(self.type_label, self.cartan_matrix)
 
     @cached_property
+    def positive_in_two_q_r(self) -> tuple[bool, ...]:
+        """For each positive root of `raising`, in its order, whether it lies
+        in 2Q_R, so that only its odd levels are affine roots."""
+        return tuple(map(self.in_two_q_r, self.raising[0]))
+
+    @cached_property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r for r in self.roots if self.is_positive(r))
+
+    def coroot(self, root: tuple[int, ...]) -> tuple[int, ...]:
+        """The coweight coordinates of the coroot of `root`, as ints, kept
+        once formed: the scalar products (r, alpha_j) scaled by 2 / (r, r).
+        With t = 6G r that is 2 t_j / <r, t>, an exact division of ints;
+        ValueError on a remainder, ConstantFunction for the zero functional,
+        and neither is kept."""
+        corovec = self._coroots.get(root)
+        if corovec is None:
+            t = [sum(map(mul, row, root)) for row in self.gram6]
+            norm = sum(map(mul, t, root))
+            if norm == 0:
+                raise ConstantFunction("zero functional has no coroot")
+            corovec = []
+            for c in t:
+                q, rest = divmod(2 * c, norm)
+                if rest:
+                    raise ValueError(f"{Fraction(2 * c, norm)} is not an integer")
+                corovec.append(q)
+            corovec = self._coroots[root] = tuple(corovec)
+        return corovec
 
     @staticmethod
     def is_positive(root) -> bool:
@@ -288,6 +319,12 @@ def _affine_root(system: FiniteRootSystem, direction: tuple[int, ...], level: in
     return a
 
 
+# (gamma, integer coroot) -> a small int naming the wall, which keys the
+# links of a finite-part record in `weyl`: systems share finite parts (the
+# identity, for one) but not walls, and an int hashes faster than the pair
+_wall_ids: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+
 class AffineRootSystem(Record):
     """Either the affinisation of a finite system, or the finite system itself
     packaged as a (spherical) Coxeter system with level-0 roots only.  The
@@ -336,6 +373,21 @@ class AffineRootSystem(Record):
             return self.simples[self.labels.index(label)]
         except ValueError:
             raise ValueError(f"unknown simple label {label}") from None
+
+    @cached_property
+    def walls(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], int, int, int | None]]:
+        """label -> (gamma, integer coroot, level k, wall id, coordinate j) of
+        the simple wall a = gamma + k.  The wall id names (gamma, coroot) in
+        `_wall_ids`.  j is the coordinate with gamma = e_j at level 0, a
+        simple root of the finite system (label l >= 1 has j = l - 1), and
+        None for a_0 = 1 - theta."""
+        walls = {}
+        for l, a in zip(self.labels, self.simples):
+            gamma, corovec = a.direction, self.finite_base.coroot(a.direction)
+            wall = _wall_ids.setdefault((gamma, corovec), len(_wall_ids))
+            j = gamma.index(1) if a.level == 0 and sum(map(abs, gamma)) == 1 else None
+            walls[l] = (gamma, corovec, a.level, wall, j)
+        return walls
 
     def parabolic_is_finite(self, labels) -> bool:
         """Whether the walls `labels` generate a finite group: exactly when

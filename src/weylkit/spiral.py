@@ -14,7 +14,6 @@ the numerator D <alpha, lambda>, built once on first use.  P_n, L_n and U_n
 compare that numerator with epsilon n D.
 """
 
-import math
 import operator
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +58,7 @@ class GradedRootDatum(Record):
             raise ValueError("m must be a positive integer")
         if d == 0:
             raise ValueError("d must be nonzero")
-        nums, den = _common_denominator(self.theta_tilde)
+        nums, den = linalg.numerators(self.theta_tilde)
         # root -> <alpha, theta-tilde>, an integer
         self.theta_pairs = {}
         for root, num in _pairings(finite.roots, nums):
@@ -80,13 +79,6 @@ class GradedRootDatum(Record):
     def grading_degree(self, root) -> int:
         """<alpha, theta-tilde> mod m, in {0, .., m-1}."""
         return self.theta_pairs[tuple(root)] % self.m
-
-
-def _common_denominator(vec: Vec) -> tuple[tuple[int, ...], int]:
-    """Integer numerators over one positive denominator D, the lcm of the
-    coordinates' denominators: vec = nums / D."""
-    den = math.lcm(*(c.denominator for c in vec))
-    return tuple(c.numerator * (den // c.denominator) for c in vec), den
 
 
 def _pairings(roots, nums):
@@ -115,7 +107,7 @@ class Spiral(Record):
         degree mod m, each with the integer D <alpha, lambda>: the per-root
         table every degree n reads, built once per spiral."""
         datum = self.datum
-        nums, den = _common_denominator(self.lam)
+        nums, den = linalg.numerators(self.lam)
         table = {}
         for root, num in _pairings(datum.finite.roots, nums):
             table.setdefault(datum.theta_pairs[root] % datum.m, []).append((root, num))

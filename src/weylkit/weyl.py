@@ -51,6 +51,13 @@ that raised the roots (`FiniteRootSystem.raising`): alpha = beta + c alpha_i
 gives <alpha, v> = <beta, v> + c v_i, one multiply-add per root
 (`_root_pairings`) in place of an n-term dot product.
 
+The group reads its root data off the root system, where each is built on
+first use and kept: the wall of each simple label with its integer coroot
+(`AffineRootSystem.walls`), the integer coroot of any root
+(`FiniteRootSystem.coroot`) and which positive roots lie in 2Q_R
+(`FiniteRootSystem.positive_in_two_q_r`).  A simple reflection is built
+from its wall on each call.
+
 W permutes the affine roots, so the roots the kernel derives from roots
 (images g(a), their negatives, the keys of T(w) and of conjugated
 reflections) are built by `root_system._affine_root`, without the checks of
@@ -61,10 +68,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .linalg import Vec, dot, integral, mat_inv, mat_mul, mat_vec, numerators, transpose
-from .root_system import (
-    AffineRoot, AffineRootSystem, ConstantFunction, Record, _affine_root, finite_coxeter,
-)
+from .linalg import Vec, integral, mat_inv, mat_mul, numerators, transpose
+from .root_system import AffineRoot, AffineRootSystem, Record, _affine_root, finite_coxeter
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -101,13 +106,13 @@ def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
 class _FinitePart:
     """One finite part of the group: its matrix m on functionals, its point
     matrix p = (m^T)^-1 and, each built on first use, the column sums of m
-    (`heights`), the row sums of p (`p_sums`), its neighbours by wall id
-    (see `_wall_ids`): `left[w]` the record of (I - gamma gamma_check^T) m and
-    `right[w]` the pair (record of m (I - gamma gamma_check^T), p
-    gamma_check), its products `times[r]`, the record of m r.m for the
-    record r of a right factor, and `inv`, the record of m^-1 = p^T.  A
-    product or inverse of matrices is the same in every system, so these two
-    links need no system key."""
+    (`heights`), the row sums of p (`p_sums`), its neighbours by the id of a
+    wall (`AffineRootSystem.walls`): `left[w]` the record of (I - gamma
+    gamma_check^T) m and `right[w]` the pair (record of m (I - gamma
+    gamma_check^T), p gamma_check), its products `times[r]`, the record of m
+    r.m for the record r of a right factor, and `inv`, the record of m^-1 =
+    p^T.  A product or inverse of matrices is the same in every system, so
+    these two links need no system key."""
 
     __slots__ = ("m", "p", "heights", "p_sums", "left", "right", "times", "inv")
 
@@ -134,11 +139,6 @@ class _FinitePart:
 
 # finite part m -> its record, one per finite part the process has formed
 _finite_parts: dict[IntMat, _FinitePart] = {}
-
-# (gamma, integer coroot) -> a small int naming the wall, which keys the
-# links of a record: systems share finite parts (the identity, for one) but
-# not walls, and an int hashes faster than the pair
-_wall_ids: dict[tuple[IntVec, IntVec], int] = {}
 
 
 def _intern(m: IntMat, point, *args) -> _FinitePart:
@@ -168,64 +168,6 @@ def _is_negative(grad: IntVec, level: int) -> bool:
     """Whether the affine root (grad, level) lies in S-: a negative level, or
     level 0 and a negative root, whose height is negative."""
     return level < 0 or (level == 0 and sum(grad) < 0)
-
-
-class _SystemData:
-    """Group data built once per ambient system: the simple reflections by
-    label, the wall (gamma, integer coroot, level, wall id, coordinate) of
-    each label, the positive roots in closure order with the chain that
-    raised them (`FiniteRootSystem.raising`, read by `_root_pairings`) and
-    whether only odd levels of each are affine roots (alpha in 2Q_R), and
-    the integer coroots of the roots, each filled in on first use from the
-    integer matrix 6G (`FiniteRootSystem.gram6`).  The coordinate of a wall
-    is the j with gamma = e_j at level 0, a simple root of the finite system
-    (label l >= 1 has j = l - 1), and None for a_0 = 1 - theta."""
-
-    def __init__(self, ambient: AffineRootSystem):
-        finite = ambient.finite_base
-        self.gram6 = finite.gram6
-        self.coroots = {}
-        self.walls = {}
-        for l, a in zip(ambient.labels, ambient.simples):
-            gamma, corovec = a.direction, self.coroot(a.direction)
-            wall = _wall_ids.setdefault((gamma, corovec), len(_wall_ids))
-            j = gamma.index(1) if a.level == 0 and sum(map(abs, gamma)) == 1 else None
-            self.walls[l] = (gamma, corovec, a.level, wall, j)
-        self.simples = {
-            l: _reflection(ambient, a, self.walls[l][1])
-            for l, a in zip(ambient.labels, ambient.simples)
-        }
-        self.positive, self.chain = finite.raising
-        self.odd_only = tuple(map(finite.in_two_q_r, self.positive))
-
-    def coroot(self, root: IntVec) -> IntVec:
-        """The coweight coordinates of the coroot of `root`, as ints: the
-        scalar products (r, alpha_j) scaled by 2 / (r, r).  With t = 6G r
-        that is 2 t_j / <r, t>, an exact division of ints; ValueError on a
-        remainder, ConstantFunction for the zero functional."""
-        corovec = self.coroots.get(root)
-        if corovec is None:
-            t = [sum(map(mul, row, root)) for row in self.gram6]
-            norm = sum(map(mul, t, root))
-            if norm == 0:
-                raise ConstantFunction("zero functional has no coroot")
-            corovec = []
-            for c in t:
-                q, rest = divmod(2 * c, norm)
-                if rest:
-                    raise ValueError(f"{Fraction(2 * c, norm)} is not an integer")
-                corovec.append(q)
-            corovec = self.coroots[root] = tuple(corovec)
-        return corovec
-
-
-def _system_data(ambient: AffineRootSystem) -> _SystemData:
-    """The ambient's group data, built on first use and kept on the ambient
-    object itself (one object per system, see `affinize`)."""
-    data = getattr(ambient, "_group_data", None)
-    if data is None:
-        data = ambient._group_data = _SystemData(ambient)
-    return data
 
 
 def _root_pairings(chain, v: IntVec) -> list[int]:
@@ -308,14 +250,13 @@ class ExtAffineWeylElement:
     @staticmethod
     def reflection(ambient: AffineRootSystem, a: AffineRoot) -> "ExtAffineWeylElement":
         """s_a as a group element: X^{-n a_check} s_{da}."""
-        return _reflection(ambient, a, _system_data(ambient).coroot(a.direction))
+        d = a.direction
+        return _reflection(ambient, d, ambient.finite_base.coroot(d), a.level)
 
     @staticmethod
     def simple(ambient: AffineRootSystem, label: int) -> "ExtAffineWeylElement":
-        try:
-            return _system_data(ambient).simples[label]
-        except KeyError:
-            raise ValueError(f"unknown simple label {label}") from None
+        """s_label, built from its wall."""
+        return _reflection(ambient, *_wall(ambient, label)[:3])
 
     # -- group structure --------------------------------------------------
 
@@ -357,12 +298,10 @@ class ExtAffineWeylElement:
             raise ValueError(f"point of dimension {len(nums)}, expected {len(self.mu)}")
         return tuple(Fraction(n, den) for n in self.act_numerators(nums, den))
 
-    def act_gradient(self, gradient: Vec) -> Vec:
-        return mat_vec(self.fin.m, tuple(Fraction(c) for c in gradient))
-
     def act_affine(self, gradient: Vec, constant: Fraction) -> tuple[Vec, Fraction]:
-        grad = self.act_gradient(gradient)
-        return grad, Fraction(constant) - dot(grad, self.mu)
+        """g on the affine functional gradient + constant: (m gradient,
+        constant - <m gradient, mu>), as Fractions (`_image`)."""
+        return _image(self.fin.m, self.mu, tuple(map(Fraction, gradient)), Fraction(constant))
 
 
 def _element(ambient: AffineRootSystem, mu: IntVec, fin: _FinitePart) -> ExtAffineWeylElement:
@@ -375,33 +314,27 @@ def _element(ambient: AffineRootSystem, mu: IntVec, fin: _FinitePart) -> ExtAffi
 
 
 def _reflection(
-    ambient: AffineRootSystem, a: AffineRoot, corovec: IntVec
+    ambient: AffineRootSystem, gamma: IntVec, corovec: IntVec, level: int
 ) -> ExtAffineWeylElement:
-    """s_a from the integer coroot of its direction gamma: the coweight
-    coordinates of the coroot are the pairings <gamma_check, alpha_j>, so
-    s_gamma(alpha_j) = alpha_j - corovec[j] gamma.  A reflection is an
-    involution, so its point matrix is its transpose."""
-    gamma = a.direction
+    """s_a for a = gamma + level, from the integer coroot of gamma: the
+    coweight coordinates of the coroot are the pairings <gamma_check,
+    alpha_j>, so s_gamma(alpha_j) = alpha_j - corovec[j] gamma.  A reflection
+    is an involution, so its point matrix is its transpose."""
     n = len(gamma)
     rows = tuple(
         tuple(int(k == j) - corovec[j] * gamma[k] for j in range(n)) for k in range(n)
     )
-    return _element(ambient, tuple(-a.level * c for c in corovec), _intern(rows, transpose, rows))
+    return _element(ambient, tuple(-level * c for c in corovec), _intern(rows, transpose, rows))
 
 
 def _wall(ambient: AffineRootSystem, label: int) -> tuple[IntVec, IntVec, int, int, int | None]:
     """(gamma, integer coroot, level k, wall id, coordinate j) of the simple
-    wall a = gamma + k, read off the ambient's group data in one lookup: the
-    kernels call this once per step, so `_system_data` builds that data only
-    when the ambient has none yet.  j is None unless a = e_j (see
-    `_SystemData`); the kernels read coordinate j of a vector in place of
-    pairing it with gamma."""
+    wall a = gamma + k, in one lookup of the system's walls
+    (`AffineRootSystem.walls`, built on first use).  j is None unless a =
+    e_j; the kernels read coordinate j of a vector in place of pairing it
+    with gamma."""
     try:
-        walls = ambient._group_data.walls
-    except AttributeError:
-        walls = _system_data(ambient).walls
-    try:
-        return walls[label]
+        return ambient.walls[label]
     except KeyError:
         raise ValueError(f"unknown simple label {label}") from None
 
@@ -502,15 +435,12 @@ def length(g: ExtAffineWeylElement) -> int:
     root.  A finite system needs no branch: mu = 0 there, so t =
     [g(alpha) < 0], and a 2Q_R root gets no odd k in [0, 1), as it is no
     root at level 0."""
-    try:
-        data = g.ambient._group_data
-    except AttributeError:
-        data = _system_data(g.ambient)
-    mu, chain = g.mu, data.chain
+    finite = g.ambient.finite_base
+    mu, chain = g.mu, finite.raising[1]
     shifts = _root_pairings(chain, [sum(map(mul, col, mu)) for col in zip(*g.fin.m)])
     heights = _root_pairings(chain, g.fin.heights)
     total = 0
-    for c, h, odd_only in zip(shifts, heights, data.odd_only):
+    for c, h, odd_only in zip(shifts, heights, finite.positive_in_two_q_r):
         t = c + (h < 0)
         if odd_only:
             total += t // 2 if t > 0 else -(t // 2)
@@ -678,11 +608,10 @@ def reflection_root_of(g: ExtAffineWeylElement) -> AffineRoot:
     mu = -k gamma_check."""
     ambient = g.ambient
     finite = ambient.finite_base
-    data = _system_data(ambient)
-    for gamma in data.positive:
+    for gamma in finite.raising[0]:
         if any(a != -b for a, b in zip(_mat_vec(g.fin.m, gamma), gamma)):
             continue
-        corovec = data.coroot(gamma)
+        corovec = finite.coroot(gamma)
         j = next(j for j, c in enumerate(corovec) if c)
         k, rest = divmod(-g.mu[j], corovec[j])
         if rest or not ambient.contains(gamma, k):
@@ -700,16 +629,12 @@ def reflections_T(g: ExtAffineWeylElement) -> frozenset[AffineRoot]:
     m^T mu is -mu, as P m^T = I, and its column sums are the row sums of P,
     kept on the record; both are paired with every alpha along the raising
     chain, and finite systems need no branch, as for `length`."""
-    ambient = g.ambient
-    try:
-        data = ambient._group_data
-    except AttributeError:
-        data = _system_data(ambient)
-    finite, chain = ambient.finite_base, data.chain
+    finite = g.ambient.finite_base
+    positive, chain = finite.raising
     heights = _root_pairings(chain, g.fin.p_sums)
     shifts = _root_pairings(chain, g.mu)
     keys = []
-    for alpha, odd_only, h, c in zip(data.positive, data.odd_only, heights, shifts):
+    for alpha, odd_only, h, c in zip(positive, finite.positive_in_two_q_r, heights, shifts):
         t = (h < 0) - c
         if t:
             lo, hi = (0, t) if t > 0 else (t, 0)

@@ -85,16 +85,20 @@ def test_weyl_right_descents_agree_with_every_descent_test(capsys, tl, rk, finit
 
 
 def test_weyl_command_work_counts(capsys, monkeypatch):
-    # one E6 `weyl` command: no root image (the right descents are read off
-    # g^-1), the walls, the length and T(g) read without a `_system_data`
-    # call each, and the str and int scalars written by the loops of `_json`
+    # a warm E6 `weyl` command: no root image (the right descents are read
+    # off g^-1), no coroot computed and no walls built (the walls, the length
+    # and T(g) read the root data the first command built), and the str and
+    # int scalars written by the loops of `_json`
     from weylkit import cli, weyl
+    from weylkit.root_system import FiniteRootSystem, affinize, build_finite
 
     argv = ["weyl", "--type", "E", "--rank", "6", "--word", "1,2,3,4,5,6,0,2,4,3,1"]
-    assert main(argv) == 0  # the ambient and its group data are built once
+    assert main(argv) == 0  # the ambient and its walls are built once
     expected = capsys.readouterr().out
+    ambient = affinize(build_finite("E", 6))
+    walls = ambient.__dict__["walls"]
     counts = {}
-    for module, name in ((weyl, "_image"), (weyl, "_system_data"), (cli, "_json")):
+    for module, name in ((weyl, "_image"), (FiniteRootSystem, "coroot"), (cli, "_json")):
         def counted(*args, _f=getattr(module, name), _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _f(*args)
@@ -103,7 +107,8 @@ def test_weyl_command_work_counts(capsys, monkeypatch):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     assert counts.get("_image", 0) == 0
-    assert counts.get("_system_data", 0) == 0
+    assert counts.get("coroot", 0) == 0
+    assert ambient.__dict__["walls"] is walls
     assert counts["_json"] <= 22
 
 
@@ -320,6 +325,40 @@ def test_length_ball_past_the_cap_exits_3(capsys, monkeypatch, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert err == "resource cap: ball exceeds cap of 12 elements\n"
+
+
+@pytest.mark.parametrize("command", [["spiral", "--lam", "0"], ["table", "spiral"]])
+@pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+def test_window_past_the_cap_exits_3(capsys, tmp_path, command, by_file):
+    # a billion degrees are refused before any row is built, whether the
+    # window comes from the flag or from a config file
+    from weylkit.cli import WINDOW_CAP
+
+    if by_file:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": [0, 10**9]}))
+        argv = [*command, "--config", str(cfg)]
+    else:
+        argv = [*command, "--window=0:1000000000"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource cap: a window of 1000000001 degrees exceeds the cap of {WINDOW_CAP}\n"
+    )
+    assert WINDOW_CAP == 10**5
+
+
+@pytest.mark.parametrize("command", [["spiral", "--lam", "0"], ["table", "spiral"]])
+def test_window_at_the_cap_is_accepted(capsys, monkeypatch, command):
+    # the cap counts degrees: lo:hi spans hi - lo + 1 of them
+    from weylkit import cli
+
+    monkeypatch.setattr(cli, "WINDOW_CAP", 3)
+    code, out, _ = run(capsys, [*command, "--window=-1:1", "--format", "tsv"])
+    assert code == 0 and "\n-1\tP\t" in out and "\n1\tU\t" in out
+    code, out, err = run(capsys, [*command, "--window=-1:2"])
+    assert (code, out) == (3, "")
+    assert err == "resource cap: a window of 4 degrees exceeds the cap of 3\n"
 
 
 def test_complex_fixed_not_admissible_reports_sorted_supersets(capsys):

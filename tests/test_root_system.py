@@ -13,7 +13,7 @@ from weylkit.root_system import (
     finite_coxeter,
     root_data_to_json,
 )
-from weylkit.weyl import ExtAffineWeylElement, _system_data, act_on_affine_root
+from weylkit.weyl import ExtAffineWeylElement, act_on_affine_root
 
 # [DERIVED] root counts from the classification tables
 ROOT_COUNTS = {
@@ -169,7 +169,7 @@ def test_reflection_formulas():
                 )
                 assert act_on_affine_root(s_a, b) == expected
     with pytest.raises(ConstantFunction):
-        _system_data(affinize(build_finite("A", 2))).coroot((0, 0))
+        build_finite("A", 2).coroot((0, 0))
 
 
 def test_bc_parity_twist():
@@ -366,27 +366,44 @@ def test_integer_root_data_match_the_fraction_closure(finite):
 
 @pytest.mark.parametrize("finite", LEGAL, ids=lambda f: f"{f.type_label}{f.rank}")
 def test_integer_coroots_match_the_gram_formula(finite):
-    data = _system_data(affinize(finite))
     assert finite.gram6 == tuple(tuple(6 * e for e in row) for row in finite.gram_matrix)
     for r in finite.roots:
-        corovec = data.coroot(r)
+        corovec = finite.coroot(r)
         assert corovec == _coroot_vector(finite, r), r
         assert all(type(c) is int for c in corovec)
 
 
+@pytest.mark.parametrize("finite", LEGAL, ids=lambda f: f"{f.type_label}{f.rank}")
+def test_walls_and_two_q_r_flags_read_the_root_data(finite):
+    # each packaging's walls carry the simple root, its integer coroot, its
+    # level and its coordinate; one (gamma, coroot) is one wall id
+    ids = {}
+    for ambient in (affinize(finite), finite_coxeter(finite)):
+        assert list(ambient.walls) == list(ambient.labels)
+        for l, a in zip(ambient.labels, ambient.simples):
+            gamma, corovec, level, wall, j = ambient.walls[l]
+            assert (gamma, corovec, level) == (a.direction, finite.coroot(a.direction), a.level)
+            assert j == (None if l == 0 else l - 1)
+            assert ids.setdefault((gamma, corovec), wall) == wall
+    assert len(set(ids.values())) == len(ids)
+    positive = finite.raising[0]
+    assert finite.positive_in_two_q_r == tuple(all(c % 2 == 0 for c in r) for r in positive)
+    assert any(finite.positive_in_two_q_r) == (finite.type_label == "BC")
+
+
 def test_integer_coroot_refuses_a_remainder_and_the_zero_functional():
-    data = _system_data(affinize(build_finite("B", 2)))
+    finite = build_finite("B", 2)
     # G = [[2, -1], [-1, 1]]: r = (1, 3) has G r = (-1, 2) and (r, r) = 5, so
     # its first coordinate would be 2 (-1) / 5
     for _ in range(2):  # refused every time, nothing is kept for either
         with pytest.raises(ValueError, match="^-2/5 is not an integer$"):
-            data.coroot((1, 3))
+            finite.coroot((1, 3))
         with pytest.raises(ConstantFunction, match="zero functional"):
-            data.coroot((0, 0))
-    assert (1, 3) not in data.coroots and (0, 0) not in data.coroots
+            finite.coroot((0, 0))
+    assert (1, 3) not in finite._coroots and (0, 0) not in finite._coroots
 
 
-# Builds the root system, affinization and group data of each (type, rank)
+# Builds the root system, affinization, walls and 2Q_R flags of each (type, rank)
 # in argv[2:] in a fresh interpreter, counting each call of a Fraction method
 # by the weylkit function that made it (comprehension frames are read as the
 # function around them; calls inside `fractions` itself are not counted):
@@ -418,12 +435,12 @@ for name in METHODS:
         setattr(Fraction, name, counting(name, method))
 
 from weylkit.root_system import affinize, build_finite
-from weylkit.weyl import _system_data
 
 counts.clear()
 for spec in sys.argv[2:]:
     type_label, rank = spec.split(":")
-    _system_data(affinize(build_finite(type_label, int(rank))))
+    ambient = affinize(build_finite(type_label, int(rank)))
+    ambient.walls, ambient.finite_base.positive_in_two_q_r
 print(json.dumps(counts))
 """
 

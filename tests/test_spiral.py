@@ -198,7 +198,7 @@ def test_facet_spiral_equivariance(a1_datum):
                 if r is sp.CARTAN:
                     mapped.add(sp.CARTAN)
                 else:
-                    img = w.act_gradient(tuple(map(Fraction, r)))
+                    img = w.act_affine(r, 0)[0]
                     mapped.add(tuple(int(c) for c in img))
             assert left.p_n(n) == frozenset(mapped)
 

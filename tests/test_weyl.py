@@ -213,7 +213,7 @@ def test_reflection_recovery_rejects_root_negating_elements(type_label, rank, wo
     # several positive roots are negated, so the search reaches its closing check
     negated = [
         r for r in ambient.finite_base.positive_roots
-        if g.act_gradient(r) == tuple(-c for c in r)
+        if g.act_affine(r, 0)[0] == tuple(-c for c in r)
     ]
     assert len(negated) > 1
     with pytest.raises(NotAReflection):
@@ -874,8 +874,8 @@ def test_simple_kernels_are_the_general_product(type_label, rank, affine, monkey
 
 def test_kernels_reject_an_unknown_label(aff_a2, monkeypatch):
     # the product kernels, both descent tests, simple_by_label and the simple
-    # reflection; then each again on an ambient whose group data is not built
-    # yet, which `_wall` builds on its fallback path
+    # reflection; then each again on an ambient whose walls are not built
+    # yet, which the first lookup builds
     e = ExtAffineWeylElement.identity(aff_a2)
     calls = (
         lambda: mul_simple(e, 7),
@@ -888,10 +888,10 @@ def test_kernels_reject_an_unknown_label(aff_a2, monkeypatch):
     for built in (True, False):
         for call in calls:
             if not built:
-                monkeypatch.delattr(aff_a2, "_group_data", raising=False)
+                monkeypatch.delattr(aff_a2, "walls", raising=False)
             with pytest.raises(ValueError, match="^unknown simple label 7$"):
                 call()
-    monkeypatch.delattr(aff_a2, "_group_data", raising=False)
+    monkeypatch.delattr(aff_a2, "walls", raising=False)
     assert has_left_descent(mul_simple(e, 1), 1)
     assert simple_mul(2, e) == ExtAffineWeylElement.simple(aff_a2, 2)
 
