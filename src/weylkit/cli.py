@@ -2,13 +2,15 @@
 
 Subcommands: root, weyl, relative, complex, spiral, ddaha, certify, table.
 Global flags: --config FILE, --format json|tsv, --seed N, --radius N,
---depth N.  Exit codes: 0 ok, 1 check failure, 2 configuration error,
+--depth N.  Each subcommand and flag is declared once, in COMMANDS and
+COMMON_FLAGS: a well-formed argv is read against that table, and argparse
+is imported, and its parser built from the table, only for help and errors
+(`parse_args`).  Exit codes: 0 ok, 1 check failure, 2 configuration error,
 3 resource cap hit.  All rationals are serialized as "p/q" strings and every
 run embeds its fully resolved configuration in the output header, so equal
 configurations produce byte-identical output.
 """
 
-import argparse
 import functools
 import json
 import random
@@ -16,6 +18,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 from . import coxcomplex as cx
 from . import ddaha as dd
@@ -47,15 +50,6 @@ from .weyl import (
 
 class ConfigError(ValueError):
     pass
-
-
-class WindowTooWide(RuntimeError):
-    pass
-
-
-# the most degrees a spiral table walks: far above every window a table needs
-# (the goldens read at most 7), and refused before any row is built
-WINDOW_CAP = 10**5
 
 
 DEFAULTS = {
@@ -493,9 +487,7 @@ def cmd_complex(args, config, ambient) -> tuple[int, str]:
 
 
 def _spiral_rows(spiral, window):
-    lo, hi = window
-    if hi - lo >= WINDOW_CAP:
-        raise WindowTooWide(f"a window of {hi - lo + 1} degrees exceeds the cap of {WINDOW_CAP}")
+    lo, hi = spr.check_window(window)
     rows = []
     for n in range(lo, hi + 1):
         for kind, members in (
@@ -835,88 +827,161 @@ def _facets_table(config, ambient, command) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--format", help="json or tsv")
-    p.add_argument("--seed")
-    p.add_argument("--radius")
-    p.add_argument("--depth")
-    p.add_argument("--type", help="root system type letter")
-    p.add_argument("--rank")
-    p.add_argument("--finite", action="store_true", help="spherical (non-affine) system")
-    p.add_argument("--sigma", help="comma-separated simple labels")
-    p.add_argument("--theta", help="comma-separated rational coweight coordinates")
-    p.add_argument("--m")
-    p.add_argument("--d")
-    p.add_argument("--c", help="Hecke parameters as label=value,label=value")
-    p.add_argument("--window", help="degree window lo:hi")
-    p.add_argument("--lam0", help="comma-separated rational point coordinates")
+# the flags of every subcommand, as (flag, help, switch): a switch is a
+# store_true flag, a help of None gives the flag no help text, and a flag's
+# dest is its name with "_" for "-", as argparse derives it
+COMMON_FLAGS = (
+    ("--config", "JSON config file", False),
+    ("--format", "json or tsv", False),
+    ("--seed", None, False),
+    ("--radius", None, False),
+    ("--depth", None, False),
+    ("--type", "root system type letter", False),
+    ("--rank", None, False),
+    ("--finite", "spherical (non-affine) system", True),
+    ("--sigma", "comma-separated simple labels", False),
+    ("--theta", "comma-separated rational coweight coordinates", False),
+    ("--m", None, False),
+    ("--d", None, False),
+    ("--c", "Hecke parameters as label=value,label=value", False),
+    ("--window", "degree window lo:hi", False),
+    ("--lam0", "comma-separated rational point coordinates", False),
+)
+
+# each subcommand as (name, handler, help, positional, flags): the
+# positional is (dest, choices, help) or None, and the flags follow the
+# common ones
+COMMANDS = (
+    ("root", cmd_root, "root datum of the configured system", None, ()),
+    (
+        "weyl", cmd_weyl, "analyze one group element given by a word", None,
+        (("--word", "comma-separated simple labels", False),),
+    ),
+    ("relative", cmd_relative, "relative Coxeter system of sigma", None, ()),
+    (
+        "complex", cmd_complex, "Coxeter complex queries",
+        ("complex_command", ("facets", "relpos", "fixed"), "query kind"),
+        (
+            ("--nu", "word for the first facet representative", False),
+            ("--nuprime", "word for the second facet representative", False),
+            ("--itype", "comma-separated facet type labels", False),
+        ),
+    ),
+    (
+        "spiral", cmd_spiral, "P/L/U membership tables", None,
+        (
+            ("--lam", "cocharacter coordinates (else use a facet)", False),
+            ("--facet-word", None, False),
+            ("--facet-type", None, False),
+        ),
+    ),
+    (
+        "ddaha", cmd_ddaha, "Hecke algebra computations", None,
+        (
+            ("--expr", "element literal, e.g. 's1*s0*x1^2 + (3/2)*s1'", False),
+            ("--times", "second literal to multiply on the right", False),
+            ("--weights", "standard module weights", True),
+        ),
+    ),
+    ("certify", cmd_certify, "run the invariant suite for the config", None, ()),
+    (
+        "table", cmd_table, "emit one of the canonical tables",
+        ("which", ("weyl-ball", "facets", "spiral", "relpos", "weights"), None),
+        (),
+    ),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole parser; its `subcommands` maps each subcommand name to that
-    subcommand's parser."""
+def _reader(name, func, positional, flags) -> tuple:
+    """What `_read` needs of one subcommand: the attributes of its bare
+    namespace (each dest at its default, None or False), each flag's (dest,
+    switch), and its positional's (dest, choices), or (None, ())."""
+    flags = {
+        flag: (flag[2:].replace("-", "_"), switch) for flag, _, switch in COMMON_FLAGS + flags
+    }
+    bare = {"command": name, "func": func}
+    bare.update((dest, False if switch else None) for dest, switch in flags.values())
+    if positional is None:
+        return bare, flags, (None, ())
+    bare[positional[0]] = None
+    return bare, flags, positional[:2]
+
+
+_READERS = {
+    name: _reader(name, func, positional, flags) for name, func, _, positional, flags in COMMANDS
+}
+
+
+def _read(argv, bare, flags, positional):
+    """The namespace of argv, read against one subcommand's flags, or None
+    when some word after the subcommand name is not an exact flag with a
+    value that does not start with "-", an exact switch, or the one
+    positional choice, or when the positional is missing."""
+    values = dict(bare)
+    dest, choices = positional
+    i, n = 1, len(argv)
+    while i < n:
+        word = argv[i]
+        flag = flags.get(word)
+        if flag is None:
+            if word not in choices or values[dest] is not None:
+                return None
+            values[dest] = word
+        elif flag[1]:
+            values[flag[0]] = True
+        else:
+            i += 1
+            if i == n or argv[i][:1] == "-":
+                return None
+            values[flag[0]] = argv[i]
+        i += 1
+    if dest is not None and values[dest] is None:
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The whole argparse parser, built from the flag table: its help texts
+    list the flags in the table's order."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="weylkit",
         description="Exact computations in affine Weyl groups, relative Coxeter "
         "systems, spirals and degenerate double affine Hecke algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = {}
-
-    def command(name, func, help):
-        p = parser.subcommands[name] = sub.add_parser(name, help=help)
-        _add_common(p)
+    for name, func, summary, positional, flags in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, text, switch in COMMON_FLAGS + flags:
+            p.add_argument(flag, action="store_true" if switch else "store", help=text)
+        if positional is not None:
+            dest, choices, text = positional
+            p.add_argument(dest, choices=choices, help=text)
         p.set_defaults(func=func)
-        return p
-
-    command("root", cmd_root, "root datum of the configured system")
-    p = command("weyl", cmd_weyl, "analyze one group element given by a word")
-    p.add_argument("--word", help="comma-separated simple labels")
-    command("relative", cmd_relative, "relative Coxeter system of sigma")
-    p = command("complex", cmd_complex, "Coxeter complex queries")
-    p.add_argument(
-        "complex_command", choices=("facets", "relpos", "fixed"), help="query kind"
-    )
-    p.add_argument("--nu", help="word for the first facet representative")
-    p.add_argument("--nuprime", help="word for the second facet representative")
-    p.add_argument("--itype", help="comma-separated facet type labels")
-    p = command("spiral", cmd_spiral, "P/L/U membership tables")
-    p.add_argument("--lam", help="cocharacter coordinates (else use a facet)")
-    p.add_argument("--facet-word", dest="facet_word")
-    p.add_argument("--facet-type", dest="facet_type")
-    p = command("ddaha", cmd_ddaha, "Hecke algebra computations")
-    p.add_argument("--expr", help="element literal, e.g. 's1*s0*x1^2 + (3/2)*s1'")
-    p.add_argument("--times", help="second literal to multiply on the right")
-    p.add_argument("--weights", action="store_true", help="standard module weights")
-    command("certify", cmd_certify, "run the invariant suite for the config")
-    p = command("table", cmd_table, "emit one of the canonical tables")
-    p.add_argument(
-        "which", choices=("weyl-ball", "facets", "spiral", "relpos", "weights")
-    )
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process."""
+def _parser():
+    """The parser, built once per process, and only for an argv that the
+    flag table does not read."""
     return build_parser()
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """What the whole parser's parse_args(argv) gives, or the same SystemExit.
-    An argv that starts with a subcommand name is parsed by that subcommand's
-    parser alone, and its leftover words are reported as the whole parser
-    reports them; any other argv goes to the whole parser, whose help and
-    errors list the subcommands."""
-    parser = _parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+def parse_args(argv):
+    """What the whole parser's parse_args(argv) gives, with the same
+    attributes, or the same SystemExit.  An argv that names a subcommand and
+    then holds only that subcommand's exact flags, each with a value that
+    does not start with "-", its exact switches and its one positional
+    choice is read against the flag table (`_read`), and no parser is built.
+    Any other argv (no words, an unknown command, help, `--`,
+    `--flag=value`, an abbreviation, a value that starts with "-", an
+    unknown or extra word, a missing or bad choice) goes to the whole
+    parser, which reads it, or prints its help or error and exits."""
+    reader = _READERS.get(argv[0]) if argv else None
+    args = _read(argv, *reader) if reader is not None else None
+    return args if args is not None else _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -937,7 +1002,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     except (
-        BallTooLarge, WindowTooWide, rel.NotFinite, dd.PowerTooLarge, dd.CoefficientTooLarge
+        BallTooLarge, spr.WindowTooWide, rel.NotFinite, dd.PowerTooLarge, dd.CoefficientTooLarge
     ) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3

@@ -36,6 +36,24 @@ class FiniteFacet(ValueError):
     """Raised for a spiral asked of a facet of the finite arrangement."""
 
 
+class WindowTooWide(RuntimeError):
+    """Raised for a degree window of more than WINDOW_CAP degrees."""
+
+
+# the most degrees a window walks: far above every window a table needs (the
+# goldens read at most 7), and refused before any degree is walked
+WINDOW_CAP = 10**5
+
+
+def check_window(window: tuple[int, int]) -> tuple[int, int]:
+    """The window (lo, hi), or WindowTooWide if it spans more than
+    WINDOW_CAP degrees; lo:hi spans hi - lo + 1 of them."""
+    lo, hi = window
+    if hi - lo >= WINDOW_CAP:
+        raise WindowTooWide(f"a window of {hi - lo + 1} degrees exceeds the cap of {WINDOW_CAP}")
+    return lo, hi
+
+
 class _CartanMarker:
     __slots__ = ()
 
@@ -258,8 +276,8 @@ class LeviDecompositionReport(Record):
 
 
 def levi_decomposition_check(spi: Spiral, window: tuple[int, int]) -> LeviDecompositionReport:
-    """Check P_n = L_n disjoint-union U_n over the window."""
-    lo, hi = window
+    """Check P_n = L_n disjoint-union U_n over the window (`check_window`)."""
+    lo, hi = check_window(window)
     partition_ok = True
     for n in range(lo, hi + 1):
         ln, un, pn = spi.l_n(n), spi.u_n(n), spi.p_n(n)

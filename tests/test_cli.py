@@ -332,7 +332,7 @@ def test_length_ball_past_the_cap_exits_3(capsys, monkeypatch, argv):
 def test_window_past_the_cap_exits_3(capsys, tmp_path, command, by_file):
     # a billion degrees are refused before any row is built, whether the
     # window comes from the flag or from a config file
-    from weylkit.cli import WINDOW_CAP
+    from weylkit.spiral import WINDOW_CAP
 
     if by_file:
         cfg = tmp_path / "cfg.json"
@@ -351,9 +351,9 @@ def test_window_past_the_cap_exits_3(capsys, tmp_path, command, by_file):
 @pytest.mark.parametrize("command", [["spiral", "--lam", "0"], ["table", "spiral"]])
 def test_window_at_the_cap_is_accepted(capsys, monkeypatch, command):
     # the cap counts degrees: lo:hi spans hi - lo + 1 of them
-    from weylkit import cli
+    from weylkit import spiral
 
-    monkeypatch.setattr(cli, "WINDOW_CAP", 3)
+    monkeypatch.setattr(spiral, "WINDOW_CAP", 3)
     code, out, _ = run(capsys, [*command, "--window=-1:1", "--format", "tsv"])
     assert code == 0 and "\n-1\tP\t" in out and "\n1\tU\t" in out
     code, out, err = run(capsys, [*command, "--window=-1:2"])
@@ -783,3 +783,38 @@ def test_runtime_imports_only_the_standard_library():
     new = set(done.stdout.split())
     assert "weylkit" in new
     assert new - {"weylkit"} <= sys.stdlib_module_names, new - sys.stdlib_module_names
+
+
+def test_a_well_formed_command_builds_no_parser():
+    # the flag table reads a well-formed argv; argparse is imported and the
+    # parser built only for help and errors
+    import os
+    import subprocess
+    import sys
+
+    import weylkit
+
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import weylkit.cli as cli\n"
+        "found = ['argparse' in sys.modules]\n"
+        "argvs = [\n"
+        "    ['weyl', '--type', 'A', '--rank', '2', '--word', '1,2,0'],\n"
+        "    ['root', '--finite', '--finite', '--type', 'B', '--rank', '2'],\n"
+        "    ['complex', 'relpos', '--nu', '1', '--nuprime', '', '--itype', '0'],\n"
+        "    ['spiral', '--window', '0:1', '--facet-word', '1', '--facet-type', '0'],\n"
+        "    ['ddaha', '--weights', '--lam0', '1/2', '--depth', '1'],\n"
+        "    ['table', '--radius', '1', 'weyl-ball'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in argvs]\n"
+        "    found += [codes, cli._parser.cache_info().currsize, 'argparse' in sys.modules]\n"
+        "    found += [cli.main(['weyl', '--help']), cli._parser.cache_info().currsize]\n"
+        "print(json.dumps(found))\n"
+    )
+    src = os.path.dirname(os.path.dirname(weylkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(done.stdout) == [False, [0] * 6, 0, False, 0, 1]

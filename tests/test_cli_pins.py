@@ -49,6 +49,13 @@ ARGVS = (
        ["weyl", "--wo", "1,2", "--ty", "A", "--ra", "2"],
        ["weyl", "--wo", "0,1", "--ty", "A", "--ran", "2"],
        ["weyl", "--word=0,1", "--word=1"], ["table", "weyl-ball", "--rad=1"]]
+    # words at the edge of a plain flag-value reading: a flag or a switch
+    # given twice, a negative value (read as a value), a value with a
+    # leading `-` (rejected), an empty value, a positional after flags
+    + [["weyl", "--type", "A", "--rank", "2", "--rank", "1", "--word", "1"],
+       ["weyl", "--rank", "2", "--d", "-1", "--word", "1"], ["spiral", "--window", "-2:2"],
+       ["weyl", "--sigma", "", "--word", "1"], ["root", "--finite", "--finite"],
+       ["complex", "--radius", "1", "facets"]]
 )
 
 

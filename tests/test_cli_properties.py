@@ -204,7 +204,7 @@ def test_no_literal_raises(text):
 
 # words argparse reads in unusual places: help, `--`, unknown flags, an
 # extra positional, an abbreviation and a subcommand name
-STRAY = ("-h", "--", "--bogus", "-x", "extra", "--wo", "--ra", "root", "facets")
+STRAY = ("-h", "--", "--bogus", "-x", "extra", "--wo", "--ra", "root", "facets", "-1")
 
 
 @st.composite

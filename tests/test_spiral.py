@@ -111,6 +111,23 @@ def test_partition_property(a2_datum):
         assert report.partition_ok
 
 
+def test_levi_check_refuses_a_wide_window_before_walking_it(a1_datum, monkeypatch):
+    # a billion degrees would walk for over an hour; the cap refuses them at
+    # once, and the cap counts degrees: lo:hi spans hi - lo + 1 of them
+    import time
+
+    spiral = sp.spiral_from_cochar(a1_datum, (Fraction(0),))
+    start = time.perf_counter()
+    with pytest.raises(sp.WindowTooWide, match="a window of 1000000001 degrees exceeds"):
+        sp.levi_decomposition_check(spiral, (0, 10**9))
+    assert time.perf_counter() - start < 1
+    assert sp.WINDOW_CAP == 10**5
+    monkeypatch.setattr(sp, "WINDOW_CAP", 3)
+    assert sp.levi_decomposition_check(spiral, (-1, 1)).window == (-1, 1)
+    with pytest.raises(sp.WindowTooWide, match="^a window of 4 degrees exceeds the cap of 3$"):
+        sp.levi_decomposition_check(spiral, (-1, 2))
+
+
 def _pieces_by_definition(spiral, n):
     """P_n, L_n and U_n straight from their definition, root by root."""
     datum = spiral.datum
