@@ -4,9 +4,10 @@ tests/cli_pins.json holds, for each argv below, what `main` returned and
 wrote: the `--help` text of the top level and of every subcommand, and the
 argvs that argparse itself rejects or reads in an unusual way (no words, an
 unknown command, flags before the command, unknown flags, extra positionals,
-a missing choice, `--`, abbreviations).  The goldens pin only the exit code
-and stdout of commands that run; these pin the front end.  Help text is
-wrapped to COLUMNS=80.  The file is written from a commit known to be
+a missing choice, `--`, abbreviations), and the words at the edge of the
+flag-table reading (a repeated flag, values with a leading `-`, an empty
+value).  The goldens pin only the exit code and stdout of commands that
+run; these pin the front end.  Help text is wrapped to COLUMNS=80.  The file is written from a commit known to be
 correct, never to make a failing comparison pass:
 
     PYTHONPATH=src python3 tests/test_cli_pins.py [--overwrite]
@@ -97,8 +98,8 @@ def parse_outcome(parse, argv):
 
 @pytest.mark.parametrize("index", range(len(ARGVS)))
 def test_dispatch_parses_as_the_whole_parser(index, monkeypatch):
-    # main hands an argv that starts with a subcommand name to that
-    # subcommand's parser alone; the whole parser is the reference
+    # parse_args reads a well-formed argv against the flag table and hands
+    # any other to the whole parser; the whole parser is the reference
     monkeypatch.setenv("COLUMNS", "80")
     argv = ARGVS[index]
     assert parse_outcome(parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
